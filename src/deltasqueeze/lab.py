@@ -326,54 +326,74 @@ def run_convergence(cfg, dump_mm: str | None = None):
 
     q_min = min(0.0, Q) if isinstance(Q, float) else 0.0
 
-    def eps_point(i):
-        eps = eps_grid[i]
-        try:
-            W = potentials.SqueezedPotential(net, profiles, eps)
-            form_eps = fem.build_form(mesh, A=A, Q=Q, potential=W, eps=eps)
-            # the squeezed pencil has a rigorous floor at the potential
-            # minimum; the trial state arms the miss detector
-            b_eps = trial_upper_bound(mesh, net, strengths, form_eps)
-            res = spectral.lowest_eigs(
-                form_eps.S,
-                form_eps.M,
-                k=cfg.eig_k,
-                shift=squeezed_shift_floor(net, profiles, eps, q_min),
-                seed=cfg.seed,
-                upper_estimate=b_eps,
-            )
-        except Exception as err:
-            err.args = (f"eps={eps}: {err}",)
-            raise
-        return form_eps, res
+    def fresh_eigs(form_eps, eps):
+        # the squeezed pencil has a rigorous floor at the potential minimum;
+        # the trial state arms the miss detector
+        return spectral.lowest_eigs(
+            form_eps.S,
+            form_eps.M,
+            k=cfg.eig_k,
+            shift=squeezed_shift_floor(net, profiles, eps, q_min),
+            seed=cfg.seed,
+            upper_estimate=trial_upper_bound(mesh, net, strengths, form_eps),
+        )
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            eps_results = list(pool.map(eps_point, range(len(eps_grid))))
-    else:
-        eps_results = [eps_point(i) for i in range(len(eps_grid))]
-
-    lam_eps = [float(r.eigenvalues[0]) for _, r in eps_results]
-    shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
-    factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
-
-    def norm_point(i):
-        form_eps, _ = eps_results[i]
+    def norm_point(i, factor_eps):
         return spectral.resolvent_diff_norm(
             factor_delta,
-            form_eps.S,
+            factor_eps,
             form_delta.M,
-            shift,
+            factor_delta.lam,
             tol=cfg.power_tol,
             maxiter=cfg.power_maxiter,
             seed=cfg.seed + 1000 + i,
         )
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            norms = list(pool.map(norm_point, range(len(eps_grid))))
-    else:
-        norms = [norm_point(i) for i in range(len(eps_grid))]
+    # The norms use the common shift min(lam) - max(1, |lam_delta|) over the
+    # delta and every eps pencil.  That is `shift` unless some lam_eps lies
+    # below lam_delta, so each eps pencil is factored once, at `shift`, for
+    # both its eigensolve and its norm, once inertia certifies the factor.
+    shift = lam_delta - max(1.0, abs(lam_delta))
+    factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
+
+    def eps_point(i):
+        """(form, eigensolve, norm at `shift`, or None when `shift` is not
+        certified below this pencil)."""
+        eps = eps_grid[i]
+        try:
+            W = potentials.SqueezedPotential(net, profiles, eps)
+            form_eps = fem.build_form(mesh, A=A, Q=Q, potential=W, eps=eps)
+            factor = spectral.ResolventFactor(form_eps.S, form_eps.M, shift)
+            try:
+                res = spectral.lowest_eigs(
+                    form_eps.S, form_eps.M, k=cfg.eig_k, seed=cfg.seed, factor=factor
+                )
+            except spectral.ShiftError:
+                res = None
+            if res is not None:
+                return form_eps, res, norm_point(i, factor)
+            del factor  # freed before the fresh eigensolve factors the pencil again
+            return form_eps, fresh_eigs(form_eps, eps), None
+        except Exception as err:
+            err.args = (f"eps={eps}: {err}",)
+            raise
+
+    def map_eps(fn):
+        if cfg.threads > 1:
+            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                return list(pool.map(fn, range(len(eps_grid))))
+        return [fn(i) for i in range(len(eps_grid))]
+
+    eps_results = map_eps(eps_point)
+    lam_eps = [float(r.eigenvalues[0]) for _, r, _ in eps_results]
+    norms = [n for _, _, n in eps_results]
+    if None in norms or min(lam_eps) < lam_delta:
+        # recompute every norm at the common shift, with fresh factors
+        shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
+        del factor_delta
+        factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
+        norms = map_eps(lambda i: norm_point(i, eps_results[i][0].S))
+    del factor_delta  # freed before the optional check on the finer mesh
 
     res_norms = [n.value for n in norms]
     gaps = [abs(le - lam_delta) for le in lam_eps]
@@ -459,7 +479,7 @@ def run_convergence(cfg, dump_mm: str | None = None):
         "gap_fit": _fit_dict(gap_fit),
         "solver": {
             "delta_residuals": res_delta.residuals.tolist(),
-            "eps_residuals": [r.residuals.tolist() for _, r in eps_results],
+            "eps_residuals": [r.residuals.tolist() for _, r, _ in eps_results],
             "power_iterations": [n.iterations for n in norms],
         },
         "self_check": self_check,
@@ -472,7 +492,7 @@ def run_convergence(cfg, dump_mm: str | None = None):
     ]
     if dump_mm:
         _dump_mm(dump_mm, "delta", form_delta)
-        for (form_eps, _), e in zip(eps_results, eps_grid):
+        for (form_eps, _, _), e in zip(eps_results, eps_grid):
             _dump_mm(dump_mm, f"eps_{e:g}", form_eps)
     if cfg.out:
         payload = write_report(

@@ -4,9 +4,18 @@ All operators live in the pencil geometry (S, M) with M symmetric positive
 definite: eigenpairs solve S v = lambda M v, the discrete resolvent at a
 real shift lambda below the spectrum maps x to (S - lambda M)^{-1} M x, and
 operator norms are measured in the M-inner product, the Galerkin surrogate
-of the L2 norm.  Shift-invert solves factor (S - sigma M) once per shift and
-reuse the factorization; every shift is chosen below the spectrum by a
-Gershgorin/probing prepass and verified a posteriori, retrying with a 2x
+of the L2 norm.
+
+Every factorization of (S - sigma M) is SuperLU in symmetric mode: a minimum
+degree ordering of A^T + A and diagonal pivots, which keeps the row and
+column permutations equal.  The factorization is then a congruence, so by
+Sylvester's law of inertia the negative diagonal entries of U count the
+pencil eigenvalues below sigma (`count_below`; Parlett, The Symmetric
+Eigenvalue Problem, sec. 3.3).  A `ResolventFactor` whose count is 0 is a
+certified shift: `lowest_eigs` reuses it for shift-invert Lanczos and
+`resolvent_diff_norm` for power iteration, one factorization per pencil.
+Shifts without such a factor come from a variational bound or a
+Gershgorin/probing prepass, are verified a posteriori, and retry with a 2x
 lower shift on breakdown (at most five times).  Deterministic seeds
 everywhere: identical inputs give bit-identical reports.
 """
@@ -29,6 +38,7 @@ __all__ = [
     "ShiftError",
     "FitError",
     "ResolventFactor",
+    "count_below",
     "lowest_eigs",
     "resolvent_apply",
     "resolvent_diff_norm",
@@ -98,6 +108,21 @@ class ConvergenceReport:
             raise ValueError("resolvent-difference norms must be nonnegative")
 
 
+def _splu(A):
+    """SuperLU factor of the Hermitian A in symmetric mode.
+
+    The MMD ordering of A^T + A needs about 40 percent less fill than the
+    default COLAMD ordering on P1 pencils, and diagonal pivoting keeps
+    perm_r == perm_c unless a diagonal pivot vanishes.
+    """
+    return spla.splu(
+        A.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
 def _gershgorin_floor(S, M):
     """Crude pencil lower bound from Gershgorin rows of S and the P1 mass scale."""
     Sc = S.tocsr()
@@ -123,7 +148,7 @@ def _probe_bottom(S, M, seed, max_steps: int = 384, window: int = 24):
     sigma = _gershgorin_floor(S, M)
     n = S.shape[0]
     try:
-        lu = spla.splu((S - sigma * M).tocsc())
+        lu = _splu(S - sigma * M)
     except (RuntimeError, ValueError):
         return None
     rng = np.random.default_rng(seed)
@@ -170,23 +195,40 @@ def _m_orthonormalize(V, M):
 
 def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
                 tol: float = 0.0, maxiter: int | None = None,
-                upper_estimate: float | None = None) -> SpectralResult:
+                upper_estimate: float | None = None,
+                factor: ResolventFactor | None = None) -> SpectralResult:
     """k smallest eigenpairs of S v = lambda M v by shift-invert Lanczos.
 
-    The sparse factorization of (S - shift M) is built once and reused across
-    iterations; dense solve below 60 unknowns.  `upper_estimate` is a known
-    bound lam_1 <= upper_estimate (e.g. a variational Rayleigh quotient);
-    when given it both seeds the shift rule and arms the miss detector
-    without any probing factorization.  A shift that turns out not to lie
-    below the spectrum is retried 2x lower, at most five times.
+    Dense solve below 60 unknowns.  Given `factor`, a `ResolventFactor` of
+    this pencil, the call first certifies it: `count_below(factor)` must be
+    0, else ShiftError.  The certified factor is reused as is, at its shift
+    `factor.lam`, with no probe, no retry and no miss detector, and a
+    Lanczos basis of max(2k+1, 20) vectors.
+
+    Without a factor, (S - shift M) is factored once per attempt, with a
+    basis of at least 40 vectors.  `upper_estimate` is a known bound
+    lam_1 <= upper_estimate (e.g. a variational Rayleigh quotient); when
+    given it both seeds the shift rule and arms the miss detector without
+    any probing factorization.  A shift that turns out not to lie below the
+    spectrum is retried 2x lower, at most five times.
     """
     n = S.shape[0]
     Sc, Mc = S.tocsc(), M.tocsc()
+    if factor is not None:
+        _certify(factor)
+        shift = factor.lam
     if n < max(3 * k + 2, 60):
         w, V = sla.eigh(Sc.toarray(), Mc.toarray())
         w, V = w[:k], V[:, :k]
         shift_used = shift if shift is not None else float(w[0] - 1.0)
         return _finalize(Sc, Mc, w, V, shift_used)
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
+    if np.iscomplexobj(Sc.data):
+        v0 = v0 + 1j * rng.standard_normal(n)
+    if factor is not None:
+        w, V = _shift_invert(Sc, Mc, k, shift, factor._lu, v0, 20, tol, maxiter)
+        return _finalize(Sc, Mc, w, V, shift)
     bottom_hat = upper_estimate
     margin = 3.0  # variational estimates may miss vertex deepening factors
     if bottom_hat is None:
@@ -197,29 +239,11 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
             shift = _gershgorin_floor(Sc, Mc)
         else:
             shift = bottom_hat - max(1.0, margin * abs(bottom_hat))
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    if np.iscomplexobj(Sc.data):
-        v0 = v0 + 1j * rng.standard_normal(n)
     last_err = None
     for _ in range(5):
         try:
-            lu = spla.splu((Sc - shift * Mc).tocsc())
-            op = spla.LinearOperator(
-                (n, n), matvec=lu.solve, dtype=np.result_type(Sc.dtype, float)
-            )
-            w, V = spla.eigsh(
-                Sc,
-                k=k,
-                M=Mc,
-                sigma=shift,
-                OPinv=op,
-                which="LM",
-                v0=v0,
-                ncv=min(n - 1, max(2 * k + 1, 40)),
-                tol=tol,
-                maxiter=maxiter,
-            )
+            lu = _splu(Sc - shift * Mc)
+            w, V = _shift_invert(Sc, Mc, k, shift, lu, v0, 40, tol, maxiter)
         except (RuntimeError, ValueError, spla.ArpackError) as err:  # noqa: B030
             last_err = err
             shift = _lower(shift)
@@ -233,9 +257,29 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
             shift = _lower(shift)
             last_err = ShiftError(f"shift {shift} not below the pencil spectrum")
             continue
-        order = np.argsort(w)
-        return _finalize(Sc, Mc, w[order], V[:, order], shift)
+        return _finalize(Sc, Mc, w, V, shift)
     raise ShiftError(f"no usable shift after 5 retries: {last_err}")
+
+
+def _shift_invert(S, M, k, shift, lu, v0, min_ncv, tol, maxiter):
+    """ARPACK shift-invert eigenpairs nearest `shift`, ascending, from the
+    factor `lu` of (S - shift M)."""
+    n = S.shape[0]
+    op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.result_type(S.dtype, float))
+    w, V = spla.eigsh(
+        S,
+        k=k,
+        M=M,
+        sigma=shift,
+        OPinv=op,
+        which="LM",
+        v0=v0,
+        ncv=min(n - 1, max(2 * k + 1, min_ncv)),
+        tol=tol,
+        maxiter=maxiter,
+    )
+    order = np.argsort(w)
+    return w[order], V[:, order]
 
 
 def _finalize(S, M, w, V, shift):
@@ -258,26 +302,56 @@ class ResolventFactor:
     def __init__(self, S, M, lam: float):
         self.M = M.tocsc()
         self.lam = float(lam)
-        self._lu = spla.splu((S.tocsc() - lam * self.M).tocsc())
+        self._lu = _splu(S.tocsc() - lam * self.M)
 
     def apply(self, x):
         return self._lu.solve(self.M @ x)
 
 
+def count_below(factor: ResolventFactor) -> int | None:
+    """Number of pencil eigenvalues below factor.lam, by inertia.
+
+    With perm_r == perm_c the factorization P (S - lam M) P^T = L U is a
+    congruence: for Hermitian S - lam M, U = D L^H with D = diag(U) real, so
+    the negative entries of D count the negative eigenvalues of S - lam M,
+    which are the pencil eigenvalues below lam since M is positive definite
+    (Sylvester's law of inertia).  None when a vanishing diagonal pivot made
+    SuperLU interchange rows: the count is then not available.
+
+    Reading U makes SuperLU keep CSC copies of L and U for the factor's
+    lifetime (about the size of the factor again), so count only on factors
+    that are freed soon.
+    """
+    lu = factor._lu
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal().real < 0.0))
+
+
+def _certify(factor: ResolventFactor):
+    """Raise ShiftError unless no pencil eigenvalue lies below factor.lam."""
+    below = count_below(factor)
+    if below != 0:
+        found = "no inertia count" if below is None else f"{below} eigenvalues below it"
+        raise ShiftError(f"shift {factor.lam} not certified below the pencil spectrum: {found}")
+
+
 def resolvent_apply(S, M, lam: float, rhs, *, check: bool = True):
     """Solve (S - lam M) x = M rhs; lam must lie below the pencil spectrum.
 
-    The check locates the eigenvalue nearest lam by one shift-invert solve
-    and rejects lam if it is not strictly below it.
+    The check certifies lam by the inertia of the factorization the solve
+    uses: it raises ShiftError unless no eigenvalue lies below lam, or when
+    lam is an eigenvalue (the factorization is singular).
     """
+    try:
+        factor = ResolventFactor(S, M, lam)
+    except RuntimeError as err:  # exactly singular: lam is an eigenvalue
+        if not check:
+            raise
+        raise ShiftError(f"lam={lam} is an eigenvalue of the pencil: {err}") from err
     if check:
-        res = lowest_eigs(S, M, k=1, shift=lam)
-        if res.eigenvalues[0] <= lam:
-            raise ShiftError(
-                f"lam={lam} is not below the pencil spectrum "
-                f"(nearest eigenvalue {res.eigenvalues[0]})"
-            )
-    return ResolventFactor(S, M, lam).apply(rhs)
+        _certify(factor)
+    return factor.apply(rhs)
 
 
 def resolvent_diff_norm(

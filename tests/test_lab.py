@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from deltasqueeze import cli
+from deltasqueeze import cli, spectral
 from deltasqueeze.fem import ResolutionError
 from deltasqueeze.lab import (
     ConfigError,
@@ -88,6 +88,45 @@ def test_convergence_threads_match_serial():
     rep2, _ = run_convergence(small_convergence_cfg(threads=2))
     assert rep1["res_norms"] == rep2["res_norms"]
     assert rep1["lam_eps"] == rep2["lam_eps"]
+
+
+REPORTED = ("lam_delta", "lam_eps", "res_norms", "eig_gaps", "shift")
+
+
+def test_convergence_falls_back_to_fresh_factors_when_inertia_is_not_zero(monkeypatch):
+    count_below = spectral.count_below
+    reused, _ = run_convergence(small_convergence_cfg())
+    calls = []
+
+    def one_eps_pencil_reports_one(factor):
+        calls.append(factor.lam)
+        return 1 if len(calls) == 2 else count_below(factor)
+
+    monkeypatch.setattr(spectral, "count_below", one_eps_pencil_reports_one)
+    fallback, _ = run_convergence(small_convergence_cfg())
+    monkeypatch.setattr(spectral, "count_below", lambda factor: None)
+    all_fresh, _ = run_convergence(small_convergence_cfg())
+    assert len(calls) == 3
+    for key in REPORTED:
+        assert np.allclose(fallback[key], all_fresh[key], rtol=1e-10, atol=0.0), key
+        assert np.allclose(reused[key], all_fresh[key], rtol=1e-10, atol=0.0), key
+    assert fallback["shift_verified_below_all_pencils"]
+    assert all_fresh["shift_verified_below_all_pencils"]
+
+
+def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch):
+    splu = spectral.spla.splu
+    factored = []
+
+    def counting(*args, **kwargs):
+        factored.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "splu", counting)
+    cfg = small_convergence_cfg()
+    run_convergence(cfg)
+    # the delta eigensolve, the delta resolvent, and one factor per eps
+    assert len(factored) == 2 + len(cfg["eps_grid"])
 
 
 # --------------------------------------------------------------- star graph

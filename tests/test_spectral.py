@@ -9,6 +9,7 @@ from deltasqueeze.fem import (
     assemble_mass,
     build_form,
     build_mesh,
+    homogeneous_gauge,
     restrict,
 )
 from deltasqueeze.geometry import LineSegment, Network
@@ -19,6 +20,7 @@ from deltasqueeze.spectral import (
     FitError,
     ResolventFactor,
     ShiftError,
+    count_below,
     fit_rate,
     lowest_eigs,
     resolvent_apply,
@@ -26,9 +28,9 @@ from deltasqueeze.spectral import (
 )
 
 
-def dirichlet_pencil(h, box=((0.0, 1.0), (0.0, 1.0))):
+def dirichlet_pencil(h, box=((0.0, 1.0), (0.0, 1.0)), A=None):
     m = build_mesh(box, h)
-    S = restrict(m, assemble_magnetic_stiffness(m))
+    S = restrict(m, assemble_magnetic_stiffness(m, A))
     M = restrict(m, assemble_mass(m))
     return S, M, m
 
@@ -93,6 +95,47 @@ def test_shift_inside_spectrum_is_retried():
     assert res.eigenvalues[0] == pytest.approx(2 * np.pi**2, rel=0.02)
 
 
+# -------------------------------------------------------------------- inertia
+
+# a rectangle, so lambda_2 < lambda_3 (the square's pair is degenerate)
+RECT = ((0.0, 1.0), (0.0, 0.75))
+
+
+@pytest.mark.parametrize("b", [0.0, 1.5], ids=["dirichlet", "magnetic"])
+@pytest.mark.parametrize("where", ["below_1", "between_2_3", "above_3"])
+def test_count_below_matches_dense_eigh(b, where):
+    S, M, _ = dirichlet_pencil(1.0 / 12.0, RECT, homogeneous_gauge(b) if b else None)
+    assert np.iscomplexobj(S.data) == bool(b)
+    lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+    assert lam[2] - lam[1] > 1.0
+    sigma = {
+        "below_1": lam[0] - 1e-6,
+        "between_2_3": 0.5 * (lam[1] + lam[2]),
+        "above_3": lam[2] + 1e-6,
+    }[where]
+    expected = {"below_1": 0, "between_2_3": 2, "above_3": 3}[where]
+    assert np.sum(lam < sigma) == expected
+    assert count_below(ResolventFactor(S, M, sigma)) == expected
+
+
+def test_certified_factor_reproduces_the_fresh_eigensolve():
+    S, M, _ = dirichlet_pencil(1.0 / 24.0, RECT, homogeneous_gauge(1.5))
+    fresh = lowest_eigs(S, M, k=2)
+    sigma = fresh.eigenvalues[0] - 5.0
+    reused = lowest_eigs(S, M, k=2, factor=ResolventFactor(S, M, sigma))
+    assert reused.shift == sigma
+    assert np.allclose(reused.eigenvalues, fresh.eigenvalues, rtol=1e-10, atol=0.0)
+    assert np.all(reused.residuals <= 1e-8)
+
+
+def test_uncertified_factor_is_rejected():
+    S, M, _ = dirichlet_pencil(1.0 / 24.0, RECT)
+    lam = lowest_eigs(S, M, k=2).eigenvalues
+    factor = ResolventFactor(S, M, 0.5 * (lam[0] + lam[1]))
+    with pytest.raises(ShiftError, match="1 eigenvalues below"):
+        lowest_eigs(S, M, k=1, factor=factor)
+
+
 # ----------------------------------------------------------- resolvent apply
 
 
@@ -130,6 +173,18 @@ def test_resolvent_rejects_shift_in_spectrum():
     M = sp.diags([1.0, 2.0]).tocsr()
     with pytest.raises(ShiftError):
         resolvent_apply(S, M, 2.5, np.array([1.0, 1.0]))
+    with pytest.raises(ShiftError):
+        resolvent_apply(S, M, 2.0, np.array([1.0, 1.0]))  # an eigenvalue
+
+
+def test_resolvent_check_by_inertia_of_its_factor():
+    S, M, _ = dirichlet_pencil(1.0 / 16.0, RECT)
+    lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+    rhs = np.ones(S.shape[0])
+    x = resolvent_apply(S, M, lam[0] - 1e-6, rhs)
+    assert np.allclose(x, resolvent_apply(S, M, lam[0] - 1e-6, rhs, check=False))
+    with pytest.raises(ShiftError, match="2 eigenvalues below"):
+        resolvent_apply(S, M, 0.5 * (lam[1] + lam[2]), rhs)
 
 
 # ------------------------------------------------------- resolvent diff norm

@@ -1,5 +1,9 @@
 """Command-line entry point: `delta-squeeze <scenario> --config file.json`.
 
+Each subcommand is one entry of `_COMMANDS`: a function of the config dict
+that returns (report, status), the flags it reads besides `--config`, and
+the one-line summary printed for its report.
+
 Exit codes: 0 on success, 2 on flagged-but-complete runs, 1 on errors.
 """
 
@@ -14,81 +18,7 @@ import numpy as np
 from . import lab, oracles
 
 
-def _load_config(args):
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    return cfg
-
-
-def _emit(report, status, out):
-    if out is None:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True, default=float)
-        sys.stdout.write("\n")
-    return status
-
-
-def _cmd_converge(args):
-    cfg = _load_config(args)
-    report, status = lab.run_convergence(cfg, dump_mm=args.dump_mm)
-    fit = report.get("norm_fit")
-    slope = fit["slope"] if fit else float("nan")
-    print(
-        f"converge: lam_delta={report['lam_delta']:.6f} "
-        f"norm_slope={slope:.3f} flags={sorted(report['flags'])}"
-    )
-    return _emit(report, status, cfg.get("out"))
-
-
-def _cmd_stargraph(args):
-    cfg = _load_config(args)
-    report, status = lab.run_stargraph(cfg, dump_mm=args.dump_mm)
-    print(
-        f"stargraph: lam(Sigma)={report['lam_sigma']:.6f} "
-        f"lam(Gamma)={report['lam_gamma']:.6f} gap={report['gap']:.6f} "
-        f"mesh_error={report['mesh_error_estimate']:.2e} flags={sorted(report['flags'])}"
-    )
-    return _emit(report, status, cfg.get("out"))
-
-
-def _cmd_cusp(args):
-    cfg = _load_config(args)
-    report, status = lab.run_cusp(cfg, dump_mm=args.dump_mm)
-    devs = ", ".join(f"{d:.4f}" for d in report["r_deviations"])
-    print(
-        f"cusp: target={report['target_constant']:.5f} |r-target|=[{devs}] "
-        f"decreasing={report['trend_decreasing']} flags={sorted(report['flags'])}"
-    )
-    return _emit(report, status, cfg.get("out"))
-
-
-def _cmd_wedge(args):
-    cfg = _load_config(args)
-    report, status = lab.run_wedge(cfg, dump_mm=args.dump_mm)
-    crit = report["criterion"]
-    crit_txt = f"infF={crit['inf_F']:.6f}" if crit else "no-criterion"
-    print(
-        f"wedge: {crit_txt} lam1={report['lam1']:.6f} "
-        f"herm={report['hermiticity_residual']:.2e} flags={sorted(report['flags'])}"
-    )
-    return _emit(report, status, cfg.get("out"))
-
-
-def _cmd_spectrum(args):
-    cfg = _load_config(args)
-    report, status = lab.run_spectrum(cfg, dump_mm=args.dump_mm)
-    vals = ", ".join(f"{v:.6f}" for v in report["eigenvalues"])
-    print(f"spectrum: [{vals}]")
-    return _emit(report, status, cfg.get("out"))
-
-
-def _cmd_wedge_f(args):
-    cfg = _load_config(args)
+def _wedge_f(cfg):
     params = oracles.WedgeParams(
         phi=cfg["phi"], alpha=cfg["alpha"], theta=cfg["theta"]
     )
@@ -109,14 +39,10 @@ def _cmd_wedge_f(args):
             "consistent": bool(out.value <= quartic_min + 1e-8),
         },
     }
-    print(f"wedge-f: inf={out.value:.8f} negative={out.negative}")
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0 if out.refined else 2
+    return report, 0 if out.refined else 2
 
 
-def _cmd_oracle1d(args):
-    cfg = _load_config(args)
+def _oracle1d(cfg):
     alpha = cfg["alpha"]
     beta = cfg.get("beta", 0.02)
     eps = cfg.get("eps", beta)
@@ -134,14 +60,10 @@ def _cmd_oracle1d(args):
         "outputs": {"lam_eps": lam},
         "oracle_cross_check": checks,
     }
-    print(f"oracle1d: lam_eps={lam} point_delta={checks['point_delta']}")
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
+    return report, 0
 
 
-def _cmd_cusp_b(args):
-    cfg = _load_config(args)
+def _cusp_b(cfg):
     d, k = cfg["d"], cfg.get("k", 3)
     eigs = oracles.cusp_operator_eigs(d, k=k, x_max=cfg.get("x_max"),
                                       n=cfg.get("n", 4000))
@@ -157,22 +79,70 @@ def _cmd_cusp_b(args):
         "outputs": {"eigenvalues": eigs.tolist()},
         "oracle_cross_check": cross,
     }
-    print("cusp-b: " + ", ".join(f"{v:.6f}" for v in eigs))
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
+    return report, 0
 
 
+def _flags(r):
+    return f"flags={sorted(r['flags'])}"
+
+
+def _join(values, spec):
+    return ", ".join(format(v, spec) for v in values)
+
+
+_RUNNER_FLAGS = ("out", "dump_mm", "seed")
+
+# name: (function of the config dict, flags it reads besides --config,
+# one-line summary of its report)
 _COMMANDS = {
-    "converge": _cmd_converge,
-    "stargraph": _cmd_stargraph,
-    "cusp": _cmd_cusp,
-    "wedge-f": _cmd_wedge_f,
-    "wedge": _cmd_wedge,
-    "spectrum": _cmd_spectrum,
-    "oracle1d": _cmd_oracle1d,
-    "cusp-b": _cmd_cusp_b,
+    "converge": (lab.run_convergence, _RUNNER_FLAGS + ("threads",), lambda r: (
+        f"converge: lam_delta={r['lam_delta']:.6f} norm_slope="
+        f"{r['norm_fit']['slope'] if r['norm_fit'] else float('nan'):.3f} {_flags(r)}")),
+    "stargraph": (lab.run_stargraph, _RUNNER_FLAGS, lambda r: (
+        f"stargraph: lam(Sigma)={r['lam_sigma']:.6f} lam(Gamma)={r['lam_gamma']:.6f} "
+        f"gap={r['gap']:.6f} mesh_error={r['mesh_error_estimate']:.2e} {_flags(r)}")),
+    "cusp": (lab.run_cusp, _RUNNER_FLAGS, lambda r: (
+        f"cusp: target={r['target_constant']:.5f} "
+        f"|r-target|=[{_join(r['r_deviations'], '.4f')}] "
+        f"decreasing={r['trend_decreasing']} {_flags(r)}")),
+    "wedge-f": (_wedge_f, (), lambda r: (
+        f"wedge-f: inf={r['outputs']['inf_F']:.8f} "
+        f"negative={r['outputs']['predicts_discrete_spectrum']}")),
+    "wedge": (lab.run_wedge, _RUNNER_FLAGS, lambda r: "wedge: " + (
+        f"infF={r['criterion']['inf_F']:.6f}" if r["criterion"] else "no-criterion")
+        + f" lam1={r['lam1']:.6f} herm={r['hermiticity_residual']:.2e} {_flags(r)}"),
+    "spectrum": (lab.run_spectrum, _RUNNER_FLAGS, lambda r: (
+        f"spectrum: [{_join(r['eigenvalues'], '.6f')}]")),
+    "oracle1d": (_oracle1d, (), lambda r: (
+        f"oracle1d: lam_eps={r['outputs']['lam_eps']} "
+        f"point_delta={r['oracle_cross_check']['point_delta']}")),
+    "cusp-b": (_cusp_b, (), lambda r: (
+        "cusp-b: " + _join(r["outputs"]["eigenvalues"], ".6f"))),
 }
+
+_FLAG_ARGS = {
+    "out": dict(default=None, help="output directory"),
+    "dump_mm": dict(default=None, help="Matrix Market dump directory"),
+    "seed": dict(type=int, default=None),
+    "threads": dict(type=int, default=None),
+}
+
+
+def _run(args):
+    """Run the command on its config with the flags given on the command
+    line; print the summary line, then the report unless it went to --out."""
+    fn, flags, summary = _COMMANDS[args.command]
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    for flag in ("out", "seed", "threads"):
+        if getattr(args, flag, None) is not None:
+            cfg[flag] = getattr(args, flag)
+    report, status = fn(cfg, dump_mm=args.dump_mm) if "dump_mm" in flags else fn(cfg)
+    print(summary(report))
+    if "out" not in flags or cfg.get("out") is None:
+        json.dump(report, sys.stdout, indent=2, sort_keys=True, default=float)
+        sys.stdout.write("\n")
+    return status
 
 
 def main(argv=None):
@@ -182,16 +152,14 @@ def main(argv=None):
         "squeezed-potential approximations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--dump-mm", default=None, help="Matrix Market dump directory")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAG_ARGS[flag])
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except Exception as err:  # noqa: BLE001 - report and signal failure
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,11 +1,13 @@
 """Experiment orchestration: configs, scenario runners, reports.
 
-Each runner builds its network and mesh from a JSON-style config dict,
-assembles the concentrated (delta) and squeezed forms on one shared mesh,
-solves for the quantities of its scenario, and emits a report dict plus
-CSV rows.  Reports embed the config echo, the certified tube half-width,
-the mesh summary, every shift and solver residual, and the SHA-256 of the
-CSV payload; identical config and seed give bit-identical files.
+Every scenario solves a member of (i grad + A)^2 + Q + alpha delta_Sigma or
+of its squeezed regularizations.  A runner builds `Operator` records (mesh,
+network, profiles, strengths, A, Q) from its config, one mesh per distinct
+box and step; `Operator.solve` is the one path from form to eigenpairs.
+Every report goes through `_envelope`, which adds the config echo, the
+certified tube half-width, the mesh summary and the flags, and writes
+report.json and data.csv with the SHA-256 of the CSV payload embedded;
+identical config and seed give bit-identical files.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.io
@@ -26,6 +28,7 @@ from .oracles import WedgeParams, cusp_operator_eigs, wedge_F_infimum
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "Operator",
     "geometric_eps_grid",
     "network_from_spec",
     "profiles_from_config",
@@ -195,6 +198,11 @@ def _gauge(field_b):
     return fem.homogeneous_gauge(field_b) if field_b else None
 
 
+def _mesh(spec: dict, refine: int = 1) -> fem.Mesh:
+    """Mesh of a config's {"box", "h"} block, with the step divided by `refine`."""
+    return fem.build_mesh(tuple(map(tuple, spec["box"])), spec["h"] / refine)
+
+
 def _strength_scale(strength, length):
     """sup |alpha| of a strength entry (scalar or callable of arc length)."""
     if callable(strength):
@@ -254,6 +262,57 @@ def trial_upper_bound(mesh, net, strengths, form):
     return best
 
 
+@dataclass(frozen=True)
+class Operator:
+    """(i grad + A)^2 + Q + alpha delta_Sigma on a mesh, with the tube profiles
+    of its squeezed regularizations.  `strengths` maps a segment index to a
+    scalar alpha or a callable alpha(s); Q is a constant or None."""
+
+    mesh: fem.Mesh
+    net: geometry.Network
+    profiles: list
+    strengths: dict
+    A: object = None
+    Q: float | None = None
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "Operator":
+        """From the mesh, network, profile or alpha, field_b and q entries."""
+        net = network_from_spec(cfg["network"])
+        profiles = profiles_from_config(cfg, net)
+        strengths = {p.segment: potentials.effective_alpha(p) for p in profiles}
+        return cls(_mesh(cfg["mesh"]), net, profiles, strengths,
+                   _gauge(cfg.get("field_b", 0.0)), _q_function(cfg.get("q")))
+
+    @classmethod
+    def uniform(cls, mesh, net, alpha: float, A=None) -> "Operator":
+        """The constant strength alpha on every segment."""
+        profiles = profiles_from_config({"alpha": alpha}, net)
+        return cls(mesh, net, profiles, {i: alpha for i in range(len(net.segments))}, A)
+
+    def form(self, eps=None) -> fem.AssembledForm:
+        """The delta form, or the squeezed form of tube width eps."""
+        if eps is None:
+            return fem.build_form(self.mesh, A=self.A, Q=self.Q, net=self.net,
+                                  strengths=self.strengths)
+        W = potentials.SqueezedPotential(self.net, self.profiles, eps)
+        return fem.build_form(self.mesh, A=self.A, Q=self.Q, potential=W, eps=eps)
+
+    def solve(self, eps=None, *, k: int = 1, seed: int = 7, form=None):
+        """(form, k lowest eigenpairs) of the delta or squeezed operator; `form`
+        reuses the form at eps.  A squeezed pencil is shifted to its potential
+        floor, Q included; the trial bound seeds the delta shift."""
+        if form is None:
+            form = self.form(eps)
+        shift = None
+        if eps is not None:
+            shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
+        bound = trial_upper_bound(self.mesh, self.net, self.strengths, form)
+        res = spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, seed=seed,
+                                   upper_estimate=bound)
+        return form, res
+
+
 def _format_float(x):
     return np.format_float_scientific(x, precision=16) if isinstance(
         x, float
@@ -291,10 +350,31 @@ def export_strengths_csv(net, strengths, path, samples: int = 65):
         fh.write("\n".join(lines) + "\n")
 
 
-def _dump_mm(dump_dir, tag, form):
-    os.makedirs(dump_dir, exist_ok=True)
-    scipy.io.mmwrite(os.path.join(dump_dir, f"{tag}_S.mtx"), form.S)
-    scipy.io.mmwrite(os.path.join(dump_dir, f"{tag}_M.mtx"), form.M)
+def _envelope(scenario, config, fields, flags, csv, *, net, mesh, beta_cap,
+              out=None, squeezed=None, dump_mm=None, forms=()):
+    """(report, status) of a run, status 2 when any flag fired, else 0.  Adds
+    the shared entries to `fields`, and `form` unless `squeezed` is None;
+    dumps the (tag, form) pairs of `forms` as S and M Matrix Market files;
+    writes the report and the (header, rows) pair `csv` when `out` is set."""
+    report = {
+        "scenario": scenario,
+        "config": config,
+        "beta": net.beta,
+        "beta_cap": beta_cap,
+        "mesh": mesh.summary(),
+        **fields,
+        "flags": flags,
+    }
+    if squeezed is not None:
+        report["form"] = "squeezed" if squeezed else "delta"
+    if dump_mm:
+        os.makedirs(dump_mm, exist_ok=True)
+        for tag, form in forms:
+            scipy.io.mmwrite(os.path.join(dump_mm, f"{tag}_S.mtx"), form.S)
+            scipy.io.mmwrite(os.path.join(dump_mm, f"{tag}_M.mtx"), form.M)
+    if out:
+        report = write_report(out, report, *csv)
+    return report, (2 if flags else 0)
 
 
 def run_convergence(cfg, dump_mm: str | None = None):
@@ -307,36 +387,14 @@ def run_convergence(cfg, dump_mm: str | None = None):
     """
     if isinstance(cfg, dict):
         cfg = ExperimentConfig.from_dict(cfg)
-    net = network_from_spec(cfg.network)
+    op = Operator.from_config(vars(cfg))
+    net = op.net
     eps_grid = np.asarray(cfg.eps_grid, dtype=float)
     if eps_grid.max() > net.beta + 1e-12:
         raise ConfigError(f"max eps {eps_grid.max()} exceeds beta {net.beta}")
-    mesh = fem.build_mesh(tuple(map(tuple, cfg.mesh["box"])), cfg.mesh["h"])
-    profiles = profiles_from_config({"profile": cfg.profile, "alpha": cfg.alpha}, net)
-    strengths = {p.segment: potentials.effective_alpha(p) for p in profiles}
-    A = _gauge(cfg.field_b)
-    Q = _q_function(cfg.q)
 
-    form_delta = fem.build_form(mesh, A=A, Q=Q, net=net, strengths=strengths)
-    bound = trial_upper_bound(mesh, net, strengths, form_delta)
-    res_delta = spectral.lowest_eigs(
-        form_delta.S, form_delta.M, k=cfg.eig_k, seed=cfg.seed, upper_estimate=bound
-    )
+    form_delta, res_delta = op.solve(k=cfg.eig_k, seed=cfg.seed)
     lam_delta = float(res_delta.eigenvalues[0])
-
-    q_min = min(0.0, Q) if isinstance(Q, float) else 0.0
-
-    def fresh_eigs(form_eps, eps):
-        # the squeezed pencil has a rigorous floor at the potential minimum;
-        # the trial state arms the miss detector
-        return spectral.lowest_eigs(
-            form_eps.S,
-            form_eps.M,
-            k=cfg.eig_k,
-            shift=squeezed_shift_floor(net, profiles, eps, q_min),
-            seed=cfg.seed,
-            upper_estimate=trial_upper_bound(mesh, net, strengths, form_eps),
-        )
 
     def norm_point(i, factor_eps):
         return spectral.resolvent_diff_norm(
@@ -361,8 +419,7 @@ def run_convergence(cfg, dump_mm: str | None = None):
         certified below this pencil)."""
         eps = eps_grid[i]
         try:
-            W = potentials.SqueezedPotential(net, profiles, eps)
-            form_eps = fem.build_form(mesh, A=A, Q=Q, potential=W, eps=eps)
+            form_eps = op.form(eps)
             factor = spectral.ResolventFactor(form_eps.S, form_eps.M, shift)
             try:
                 res = spectral.lowest_eigs(
@@ -373,7 +430,8 @@ def run_convergence(cfg, dump_mm: str | None = None):
             if res is not None:
                 return form_eps, res, norm_point(i, factor)
             del factor  # freed before the fresh eigensolve factors the pencil again
-            return form_eps, fresh_eigs(form_eps, eps), None
+            _, res = op.solve(eps, k=cfg.eig_k, seed=cfg.seed, form=form_eps)
+            return form_eps, res, None
         except Exception as err:
             err.args = (f"eps={eps}: {err}",)
             raise
@@ -420,7 +478,7 @@ def run_convergence(cfg, dump_mm: str | None = None):
     if cfg.alpha is not None:
         req = cfg.alpha if not np.isscalar(cfg.alpha) else [cfg.alpha] * len(net.segments)
         worst = 0.0
-        for p in profiles:
+        for p in op.profiles:
             s = np.linspace(0.0, net.segments[p.segment].length, 17)
             rec = potentials.effective_alpha(p)(s)
             worst = max(worst, float(np.max(np.abs(rec - req[p.segment]))))
@@ -430,11 +488,8 @@ def run_convergence(cfg, dump_mm: str | None = None):
 
     refine_block = None
     if cfg.refine_check:
-        mesh2 = fem.build_mesh(tuple(map(tuple, cfg.mesh["box"])), cfg.mesh["h"] / 2)
-        fd2 = fem.build_form(mesh2, A=A, Q=Q, net=net, strengths=strengths)
-        eps0 = float(eps_grid[0])
-        W2 = potentials.SqueezedPotential(net, profiles, eps0)
-        fe2 = fem.build_form(mesh2, A=A, Q=Q, potential=W2, eps=eps0)
+        op2 = replace(op, mesh=_mesh(cfg.mesh, refine=2))
+        fd2, fe2 = op2.form(), op2.form(float(eps_grid[0]))
         n2 = spectral.resolvent_diff_norm(
             fd2.S, fe2.S, fd2.M, shift, tol=cfg.power_tol,
             maxiter=cfg.power_maxiter, seed=cfg.seed + 1000,
@@ -444,32 +499,9 @@ def run_convergence(cfg, dump_mm: str | None = None):
         if change >= 0.25:
             flags["discretization_dominates_eps_effect"] = True
 
-    report = spectral.ConvergenceReport(
-        eps=[float(e) for e in eps_grid],
-        res_norms=res_norms,
-        res_converged=[n.converged for n in norms],
-        eig_gaps=gaps,
-        lam_delta=lam_delta,
-        lam_eps=lam_eps,
-        shift=shift,
-        norm_fit=norm_fit,
-        gap_fit=gap_fit,
-        mesh=mesh.summary(),
-        beta=net.beta,
-        flags=flags,
-        extras={"self_check": self_check, "refine_check": refine_block},
-    )
-
-    payload = {
-        "scenario": "convergence",
-        "config": cfg.echo,
-        "beta": net.beta,
-        "beta_cap": cfg.network["beta_cap"],
-        "mesh": mesh.summary(),
+    fields = {
         "shift": shift,
-        "shift_verified_below_all_pencils": bool(
-            shift < min(lam_delta, min(lam_eps))
-        ),
+        "shift_verified_below_all_pencils": bool(shift < min(lam_delta, min(lam_eps))),
         "lam_delta": lam_delta,
         "lam_eps": lam_eps,
         "res_norms": res_norms,
@@ -484,24 +516,22 @@ def run_convergence(cfg, dump_mm: str | None = None):
         },
         "self_check": self_check,
         "refine_check": refine_block,
-        "flags": flags,
     }
     rows = [
         (float(e), float(nv), float(g), bool(c))
         for e, nv, g, c in zip(eps_grid, res_norms, gaps, [n.converged for n in norms])
     ]
-    if dump_mm:
-        _dump_mm(dump_mm, "delta", form_delta)
-        for (form_eps, _, _), e in zip(eps_results, eps_grid):
-            _dump_mm(dump_mm, f"eps_{e:g}", form_eps)
+    forms = [("delta", form_delta)] + [
+        (f"eps_{e:g}", form) for (form, _, _), e in zip(eps_results, eps_grid)]
+    report, status = _envelope(
+        "convergence", cfg.echo, fields, flags,
+        (("eps", "res_norm", "eig_gap", "converged"), rows),
+        net=net, mesh=op.mesh, beta_cap=cfg.network["beta_cap"], out=cfg.out,
+        dump_mm=dump_mm, forms=forms,
+    )
     if cfg.out:
-        payload = write_report(
-            cfg.out, payload, ("eps", "res_norm", "eig_gap", "converged"), rows
-        )
-        export_strengths_csv(
-            net, strengths, os.path.join(cfg.out, "strengths.csv")
-        )
-    return payload, (2 if flags else 0)
+        export_strengths_csv(net, op.strengths, os.path.join(cfg.out, "strengths.csv"))
+    return report, status
 
 
 def _fit_dict(fit):
@@ -532,29 +562,6 @@ def _star_network(angles_deg, length, rot_deg=0.0, beta_cap=0.4):
     return geometry.Network(segs, beta_cap=beta_cap)
 
 
-def _lam1_delta(net, mesh_box, h, alpha, eps=None, seed=7, k=1):
-    mesh = fem.build_mesh(mesh_box, h)
-    strengths = {i: alpha for i in range(len(net.segments))}
-    shift = None
-    if eps is None:
-        form = fem.build_form(mesh, net=net, strengths=strengths)
-    else:
-        profiles = [
-            potentials.potential_from_alpha(
-                potentials.StrengthFunction.constant(i, alpha), net.beta
-            )
-            for i in range(len(net.segments))
-        ]
-        W = potentials.SqueezedPotential(net, profiles, eps)
-        form = fem.build_form(mesh, potential=W, eps=eps)
-        shift = squeezed_shift_floor(net, profiles, eps)
-    bound = trial_upper_bound(mesh, net, strengths, form)
-    res = spectral.lowest_eigs(
-        form.S, form.M, k=k, shift=shift, seed=seed, upper_estimate=bound
-    )
-    return float(res.eigenvalues[0]), res, form
-
-
 def run_stargraph(cfg: dict, dump_mm: str | None = None):
     """Lowest eigenvalue of a star graph against its symmetric competitor.
 
@@ -575,32 +582,27 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
         raise ConfigError(f"expected {N} angles, got {len(angles)}")
     if abs(sum(angles) - 360.0) > 1e-8:
         raise ConfigError(f"angles must sum to 360 degrees, got {sum(angles)}")
-    box = tuple(map(tuple, cfg["mesh"]["box"]))
-    h = cfg["mesh"]["h"]
     beta_cap = cfg.get("beta_cap", 0.4)
 
-    sigma_net = _star_network(angles, L, beta_cap=beta_cap)
-    gamma_net = _star_network([360.0 / N] * N, L, beta_cap=beta_cap)
-    rot_net = _star_network([360.0 / N] * N, L, rot_deg=cfg.get("rot_deg", 17.0),
-                            beta_cap=beta_cap)
-
-    values = {}
-    for tag, net, step in (
-        ("sigma_h", sigma_net, h),
-        ("gamma_h", gamma_net, h),
-        ("rot_h", rot_net, h),
-        ("sigma_h2", sigma_net, h / 2),
-        ("gamma_h2", gamma_net, h / 2),
-        ("rot_h2", rot_net, h / 2),
-    ):
-        lam, res, form = _lam1_delta(net, box, step, alpha, eps=eps, seed=seed)
-        values[tag] = {
-            "lam": lam,
-            "residual": float(res.residuals[0]),
-            "shift": res.shift,
-        }
-        if dump_mm and tag in ("sigma_h", "gamma_h"):
-            _dump_mm(dump_mm, tag, form)
+    nets = {
+        "sigma": _star_network(angles, L, beta_cap=beta_cap),
+        "gamma": _star_network([360.0 / N] * N, L, beta_cap=beta_cap),
+        "rot": _star_network([360.0 / N] * N, L, rot_deg=cfg.get("rot_deg", 17.0),
+                             beta_cap=beta_cap),
+    }
+    meshes = {"h": _mesh(cfg["mesh"]), "h2": _mesh(cfg["mesh"], refine=2)}
+    values, forms = {}, []
+    for step, mesh in meshes.items():
+        for name, net in nets.items():
+            tag = f"{name}_{step}"
+            form, res = Operator.uniform(mesh, net, alpha).solve(eps, seed=seed)
+            values[tag] = {
+                "lam": float(res.eigenvalues[0]),
+                "residual": float(res.residuals[0]),
+                "shift": res.shift,
+            }
+            if dump_mm and tag in ("sigma_h", "gamma_h"):
+                forms.append((tag, form))
 
     # one refinement per compared eigenvalue; the rotated graph usually has
     # the largest discretization error (no mesh-aligned edge)
@@ -621,13 +623,7 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
     if rot_gap > mesh_error:
         flags["rotation_congruence_violated"] = True
 
-    report = {
-        "scenario": "stargraph",
-        "config": dict(cfg),
-        "beta": sigma_net.beta,
-        "beta_cap": beta_cap,
-        "mesh": fem.build_mesh(box, h).summary(),
-        "form": "squeezed" if eps is not None else "delta",
+    fields = {
         "lam_sigma": values["sigma_h"]["lam"],
         "lam_gamma": values["gamma_h"]["lam"],
         "lam_gamma_rotated": values["rot_h"]["lam"],
@@ -640,16 +636,17 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
             for k, v in values.items()
         },
         "inequality_holds": bool(values["sigma_h"]["lam"] <= values["gamma_h"]["lam"]),
-        "flags": flags,
     }
     rows = [
         ("sigma", values["sigma_h"]["lam"], values["sigma_h2"]["lam"]),
         ("gamma", values["gamma_h"]["lam"], values["gamma_h2"]["lam"]),
         ("gamma_rot", values["rot_h"]["lam"], ""),
     ]
-    if cfg.get("out"):
-        report = write_report(cfg["out"], report, ("graph", "lam_h", "lam_h2"), rows)
-    return report, (2 if flags else 0)
+    return _envelope(
+        "stargraph", dict(cfg), fields, flags, (("graph", "lam_h", "lam_h2"), rows),
+        net=nets["sigma"], mesh=meshes["h"], beta_cap=beta_cap, out=cfg.get("out"),
+        squeezed=eps is not None, dump_mm=dump_mm, forms=forms,
+    )
 
 
 def cusp_network(d: float, x_max: float, collar: float = 1e-3, beta_cap: float = 0.25):
@@ -682,9 +679,9 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
     x_max = cfg.get("x_max", 0.75)
     eps = cfg.get("eps")
     seed = cfg.get("seed", 7)
-    box = tuple(map(tuple, cfg["mesh"]["box"]))
     h = cfg["mesh"]["h"]
-    net = cusp_network(d, x_max, beta_cap=cfg.get("beta_cap", 0.25))
+    beta_cap = cfg.get("beta_cap", 0.25)
+    net = cusp_network(d, x_max, beta_cap=beta_cap)
 
     decay = 2.0 / max(abs(a) for a in alphas)
     if decay < 4.0 * h:
@@ -697,10 +694,12 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
     e1 = float(cusp_operator_eigs(d, k=1)[0])
     target = 2.0 ** (2.0 / (d + 2.0)) * e1
 
-    rows, flags = [], {}
+    mesh = _mesh(cfg["mesh"])
+    rows, flags, forms = [], {}, []
     r_devs, shifts = [], []
-    for i, alpha in enumerate(alphas):
-        lam, res, form = _lam1_delta(net, box, h, alpha, eps=eps, seed=seed)
+    for alpha in alphas:
+        form, res = Operator.uniform(mesh, net, alpha).solve(eps, seed=seed)
+        lam = float(res.eigenvalues[0])
         weak = lam > -1e-6
         if weak:
             flags[f"alpha_{alpha}_outside_asymptotic_regime"] = True
@@ -711,18 +710,12 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
         rows.append((alpha, lam, r if r is not None else "", float(res.residuals[0])))
         shifts.append(res.shift)
         if dump_mm:
-            _dump_mm(dump_mm, f"alpha_{alpha:g}", form)
+            forms.append((f"alpha_{alpha:g}", form))
     trend_ok = all(b < a for a, b in zip(r_devs, r_devs[1:])) if len(r_devs) > 1 else False
     if len(r_devs) > 1 and not trend_ok:
         flags["r_deviation_not_decreasing"] = True
 
-    report = {
-        "scenario": "cusp",
-        "config": dict(cfg),
-        "beta": net.beta,
-        "beta_cap": cfg.get("beta_cap", 0.25),
-        "mesh": fem.build_mesh(box, h).summary(),
-        "form": "squeezed" if eps is not None else "delta",
+    fields = {
         "cusp_operator_E1": e1,
         "target_constant": target,
         "alphas": alphas,
@@ -731,13 +724,16 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
         "r_deviations": r_devs,
         "trend_decreasing": trend_ok,
         "solver": {"residuals": [row[3] for row in rows], "shifts": shifts},
-        "flags": flags,
     }
-    if cfg.get("out"):
-        report = write_report(
-            cfg["out"], report, ("alpha", "lam1", "r", "residual"), rows
-        )
-    return report, (2 if flags else 0)
+    return _envelope(
+        "cusp", dict(cfg), fields, flags, (("alpha", "lam1", "r", "residual"), rows),
+        net=net, mesh=mesh, beta_cap=beta_cap, out=cfg.get("out"),
+        squeezed=eps is not None, dump_mm=dump_mm, forms=forms,
+    )
+
+
+def _eigen_rows(res):
+    return [(i, v, r) for i, (v, r) in enumerate(zip(res.eigenvalues, res.residuals))]
 
 
 def run_wedge(cfg: dict, dump_mm: str | None = None):
@@ -759,8 +755,12 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
         raise ConfigError("wedge scenario needs a nonzero magnetic field b")
     if not 0.0 < phi < np.pi:
         raise ConfigError(f"phi must lie in (0, pi), got {phi}")
-    box = tuple(map(tuple, cfg["mesh"]["box"]))
-    h = cfg["mesh"]["h"]
+    box = cfg["mesh"]["box"]
+    (x0, x1), (y0, y1) = box
+    if not (x0 < 0.0 < x1 and y0 < 0.0 < y1):
+        raise ConfigError(
+            f"wedge box {box} must contain the wedge vertex (0, 0) in its interior"
+        )
 
     criterion = None
     if theta is not None:
@@ -786,83 +786,34 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
         ],
         beta_cap=cfg.get("beta_cap", 0.3),
     )
-    mesh = fem.build_mesh(box, h)
-    A = fem.homogeneous_gauge(b)
-    strengths = {0: alpha, 1: alpha}
-    shift = None
-    if eps is None:
-        form = fem.build_form(mesh, A=A, net=net, strengths=strengths)
-    else:
-        profiles = [
-            potentials.potential_from_alpha(
-                potentials.StrengthFunction.constant(i, alpha), net.beta
-            )
-            for i in range(2)
-        ]
-        W = potentials.SqueezedPotential(net, profiles, eps)
-        form = fem.build_form(mesh, A=A, potential=W, eps=eps)
-        shift = squeezed_shift_floor(net, profiles, eps)
-    bound = trial_upper_bound(mesh, net, strengths, form)
-    res = spectral.lowest_eigs(
-        form.S, form.M, k=cfg.get("k", 1), shift=shift, seed=seed,
-        upper_estimate=bound,
-    )
+    op = Operator.uniform(_mesh(cfg["mesh"]), net, alpha, A=fem.homogeneous_gauge(b))
+    form, res = op.solve(eps, k=cfg.get("k", 1), seed=seed)
     lam1 = float(res.eigenvalues[0])
     flags = {}
     if form.meta["hermiticity_residual"] > 1e-12:
         flags["hermiticity_violated"] = True
 
-    report = {
-        "scenario": "wedge",
-        "config": dict(cfg),
-        "beta": net.beta,
-        "beta_cap": cfg.get("beta_cap", 0.3),
-        "mesh": mesh.summary(),
-        "form": "squeezed" if eps is not None else "delta",
+    fields = {
         "criterion": criterion,
         "lam1": lam1,
         "eigenvalues": res.eigenvalues.tolist(),
         "hermiticity_residual": form.meta["hermiticity_residual"],
         "below_field_threshold": bool(lam1 < theta * b) if theta is not None else None,
         "solver": {"residuals": res.residuals.tolist(), "shift": res.shift},
-        "flags": flags,
     }
-    if dump_mm:
-        _dump_mm(dump_mm, "wedge", form)
-    if cfg.get("out"):
-        rows = [(i, v, r) for i, (v, r) in enumerate(zip(res.eigenvalues, res.residuals))]
-        report = write_report(cfg["out"], report, ("index", "lam", "residual"), rows)
-    return report, (2 if flags else 0)
+    return _envelope(
+        "wedge", dict(cfg), fields, flags, (("index", "lam", "residual"), _eigen_rows(res)),
+        net=net, mesh=op.mesh, beta_cap=cfg.get("beta_cap", 0.3), out=cfg.get("out"),
+        squeezed=eps is not None, dump_mm=dump_mm, forms=[("wedge", form)],
+    )
 
 
 def run_spectrum(cfg: dict, dump_mm: str | None = None):
     """Assemble the configured operator and report its k lowest eigenpairs."""
-    net = network_from_spec(cfg["network"])
-    mesh = fem.build_mesh(tuple(map(tuple, cfg["mesh"]["box"])), cfg["mesh"]["h"])
-    A = _gauge(cfg.get("field_b", 0.0))
-    Q = _q_function(cfg.get("q"))
+    op = Operator.from_config(cfg)
     eps = cfg.get("eps")
-    profiles = profiles_from_config(cfg, net)
-    strengths = {p.segment: potentials.effective_alpha(p) for p in profiles}
-    shift = None
-    if eps is None:
-        form = fem.build_form(mesh, A=A, Q=Q, net=net, strengths=strengths)
-    else:
-        W = potentials.SqueezedPotential(net, profiles, eps)
-        form = fem.build_form(mesh, A=A, Q=Q, potential=W, eps=eps)
-        shift = squeezed_shift_floor(net, profiles, eps)
-    bound = trial_upper_bound(mesh, net, strengths, form)
-    res = spectral.lowest_eigs(
-        form.S, form.M, k=cfg.get("k", 3), shift=shift,
-        seed=cfg.get("seed", 7), upper_estimate=bound,
-    )
-    report = {
-        "scenario": "spectrum",
-        "config": dict(cfg),
-        "beta": net.beta,
-        "beta_cap": cfg["network"]["beta_cap"],
-        "mesh": mesh.summary(),
-        "form": "squeezed" if eps is not None else "delta",
+    form, res = op.solve(eps, k=cfg.get("k", 3), seed=cfg.get("seed", 7))
+    fields = {
         "eigenvalues": res.eigenvalues.tolist(),
         "solver": {
             "residuals": res.residuals.tolist(),
@@ -870,11 +821,10 @@ def run_spectrum(cfg: dict, dump_mm: str | None = None):
             "rayleigh_imag": res.rayleigh_imag,
         },
         "hermiticity_residual": form.meta["hermiticity_residual"],
-        "flags": {},
     }
-    if dump_mm:
-        _dump_mm(dump_mm, "spectrum", form)
-    if cfg.get("out"):
-        rows = [(i, v, r) for i, (v, r) in enumerate(zip(res.eigenvalues, res.residuals))]
-        report = write_report(cfg["out"], report, ("index", "lam", "residual"), rows)
-    return report, 0
+    return _envelope(
+        "spectrum", dict(cfg), fields, {}, (("index", "lam", "residual"), _eigen_rows(res)),
+        net=op.net, mesh=op.mesh, beta_cap=cfg["network"]["beta_cap"],
+        out=cfg.get("out"), squeezed=eps is not None, dump_mm=dump_mm,
+        forms=[("spectrum", form)],
+    )

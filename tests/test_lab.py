@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from deltasqueeze import cli, spectral
+from deltasqueeze import cli, fem, spectral
 from deltasqueeze.fem import ResolutionError
 from deltasqueeze.lab import (
     ConfigError,
@@ -227,6 +227,27 @@ def test_cusp_config_errors():
         run_cusp({"d": 2.0, "alpha_list": [1.0], **base})
 
 
+def test_each_distinct_mesh_is_built_once(monkeypatch):
+    build_mesh = fem.build_mesh
+    built = []
+
+    def counting(box, h):
+        built.append((box, h))
+        return build_mesh(box, h)
+
+    monkeypatch.setattr(fem, "build_mesh", counting)
+    run_cusp({
+        "d": 2.0,
+        "alpha_list": [-2.0, -3.0],
+        "x_max": 0.5,
+        "mesh": {"box": [[-1.0, 2.0], [-1.5, 1.5]], "h": 1.0 / 16.0},
+    })
+    assert len(built) == 1
+    built.clear()
+    run_stargraph(star_cfg(mesh={"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 16.0}))
+    assert [h for _, h in built] == [1.0 / 16.0, 1.0 / 32.0]
+
+
 # -------------------------------------------------------------------- wedge
 
 
@@ -265,6 +286,11 @@ def test_wedge_without_theta_warns_and_still_solves():
     assert "lam1" in report
 
 
+def test_wedge_box_must_contain_the_vertex():
+    with pytest.raises(ConfigError, match="wedge vertex"):
+        run_wedge(wedge_cfg(mesh={"box": [[0.0, 2.0], [-1.0, 1.0]], "h": 1.0 / 16.0}))
+
+
 # ----------------------------------------------------------------- spectrum
 
 
@@ -283,6 +309,31 @@ def test_spectrum_runner():
     assert len(report["eigenvalues"]) == 2
     assert report["eigenvalues"][0] < report["eigenvalues"][1]
     assert max(report["solver"]["residuals"]) <= 1e-8
+
+
+def test_squeezed_spectrum_shift_floor_includes_negative_background(monkeypatch):
+    lower = spectral._lower
+    retries = []
+
+    def counting(shift):
+        retries.append(shift)
+        return lower(shift)
+
+    monkeypatch.setattr(spectral, "_lower", counting)
+    cfg = {
+        "network": {
+            "beta_cap": 0.5,
+            "segments": [{"kind": "line", "p0": [-1.0, 0.0], "p1": [1.0, 0.0]}],
+        },
+        "alpha": -4.0,
+        "eps": 0.25,
+        "q": -20.0,
+        "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 16.0},
+        "k": 1,
+    }
+    report, _ = run_spectrum(cfg)
+    assert retries == []
+    assert report["solver"]["shift"] < report["eigenvalues"][0]
 
 
 # ---------------------------------------------------------------------- cli
@@ -347,6 +398,14 @@ def test_cli_oracle_commands(tmp_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{"):])
     assert payload["outputs"]["inf_F"] == pytest.approx(-1.25, abs=1e-4)
+
+
+def test_cli_oracle_commands_take_only_config(tmp_path, capsys):
+    path = write_cfg(tmp_path, "b.json", {"d": 2.0, "k": 3})
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["cusp-b", "--config", path, "--threads", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

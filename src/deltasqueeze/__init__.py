@@ -35,7 +35,6 @@ from .fem import (
     restrict,
 )
 from .spectral import (
-    ConvergenceReport,
     SpectralResult,
     fit_rate,
     lowest_eigs,

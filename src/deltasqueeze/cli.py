@@ -19,6 +19,7 @@ from . import lab, oracles
 
 
 def _wedge_f(cfg):
+    lab._require("wedge-f", cfg, "phi", "alpha", "theta")
     params = oracles.WedgeParams(
         phi=cfg["phi"], alpha=cfg["alpha"], theta=cfg["theta"]
     )
@@ -43,6 +44,7 @@ def _wedge_f(cfg):
 
 
 def _oracle1d(cfg):
+    lab._require("oracle1d", cfg, "alpha")
     alpha = cfg["alpha"]
     beta = cfg.get("beta", 0.02)
     eps = cfg.get("eps", beta)
@@ -64,6 +66,7 @@ def _oracle1d(cfg):
 
 
 def _cusp_b(cfg):
+    lab._require("cusp-b", cfg, "d")
     d, k = cfg["d"], cfg.get("k", 3)
     eigs = oracles.cusp_operator_eigs(d, k=k, x_max=cfg.get("x_max"),
                                       n=cfg.get("n", 4000))

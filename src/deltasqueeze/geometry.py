@@ -331,9 +331,9 @@ class SplineSegment(CurveSegment):
         t = t / np.linalg.norm(t, axis=1, keepdims=True)
         return t[0] if scalar else t
 
-    def curvature(self, s, fd_step=None):
+    def curvature(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        h = fd_step if fd_step is not None else max(self.length * 1e-5, 1e-8)
+        h = max(self.length * 1e-5, 1e-8)
         lo = np.clip(s_arr - h, 0.0, self.length)
         hi = np.clip(s_arr + h, 0.0, self.length)
         dnu = (self.normal(hi) - self.normal(lo)) / (hi - lo)[:, None]
@@ -370,20 +370,18 @@ def tube_jacobian(seg: CurveSegment, s, t, beta=None):
     return 1.0 - np.asarray(t, dtype=float) * seg.curvature(s)
 
 
-def compute_beta(
-    segments,
-    beta_cap,
-    *,
-    samples: int = 2048,
-    endpoint_tol: float = 1e-8,
-):
+_SAMPLES = 2048  # points per segment for tube widths and projection starts
+_ENDPOINT_TOL = 1e-8  # endpoints closer than this are shared
+
+
+def compute_beta(segments, beta_cap):
     """Certified tube half-width: min(cap, 1/(2 sup|kappa|), d_min / 2).
 
-    d_min is the minimal sampled distance between points of non-adjacent
-    segments (segments sharing an endpoint are exempt; their overlap near the
-    shared vertex is the accepted measure-zero set).  A near-zero d_min that
-    persists over many sample pairs signals an overlap of positive length and
-    raises NetworkConstructionError.
+    d_min is the minimal distance between the _SAMPLES points per segment of
+    non-adjacent segments (segments sharing an endpoint are exempt; their
+    overlap near the shared vertex is the accepted measure-zero set).  A
+    near-zero d_min that persists over many sample pairs signals an overlap
+    of positive length and raises NetworkConstructionError.
     """
     if not segments:
         raise NetworkConstructionError("network needs at least one segment")
@@ -393,12 +391,12 @@ def compute_beta(
     sup_kappa = max(seg.max_curvature() for seg in segments)
     beta = beta_cap if sup_kappa == 0.0 else min(beta_cap, 0.5 / sup_kappa)
 
-    pts = [seg.point(np.linspace(0.0, seg.length, samples)) for seg in segments]
+    pts = [seg.point(np.linspace(0.0, seg.length, _SAMPLES)) for seg in segments]
     ends = [(seg.point(0.0), seg.point(seg.length)) for seg in segments]
 
     def adjacent(k, l):
         return any(
-            np.linalg.norm(a - b) < endpoint_tol
+            np.linalg.norm(a - b) < _ENDPOINT_TOL
             for a in ends[k]
             for b in ends[l]
         )
@@ -409,8 +407,8 @@ def compute_beta(
             if adjacent(k, l):
                 continue
             d, _ = cKDTree(pts[l]).query(pts[k])
-            n_touch = int(np.sum(d < endpoint_tol))
-            if n_touch > max(2, samples // 100):
+            n_touch = int(np.sum(d < _ENDPOINT_TOL))
+            if n_touch > max(2, _SAMPLES // 100):
                 raise NetworkConstructionError(
                     f"segments {k} and {l} overlap on positive length"
                 )
@@ -435,13 +433,13 @@ class Network:
     are built eagerly so instances can be shared between threads.
     """
 
-    def __init__(self, segments, beta_cap, *, samples: int = 2048):
+    def __init__(self, segments, beta_cap):
         self.segments = tuple(segments)
         self.beta_cap = float(beta_cap)
-        self.beta = compute_beta(self.segments, self.beta_cap, samples=samples)
+        self.beta = compute_beta(self.segments, self.beta_cap)
         self._proj = []
         for seg in self.segments:
-            s = np.linspace(0.0, seg.length, samples)
+            s = np.linspace(0.0, seg.length, _SAMPLES)
             self._proj.append(_Projector(s, cKDTree(seg.point(s))))
         self._bboxes = [
             (p.tree.mins.copy(), p.tree.maxes.copy()) for p in self._proj
@@ -456,13 +454,14 @@ class Network:
     def tube_jacobian(self, k: int, s, t):
         return tube_jacobian(self.segments[k], s, t, beta=self.beta)
 
-    def project_onto_segment(self, k: int, points, *, halfwidth=None, rtol=1e-9):
+    def project_onto_segment(self, k: int, points, *, halfwidth=None):
         """Tube coordinates of `points` (n, 2) relative to segment k.
 
         Returns (s, t, inside) where inside marks points that admit the exact
         representation point = gamma(s) + t * nu(s) with |t| < halfwidth
         (default: the network beta).  Newton refinement of the closest-point
-        projection from a KD-tree start; residuals below rtol are accepted.
+        projection from a KD-tree start; residuals below 1e-9 (relative to
+        1 + |point|) are accepted.
         """
         seg = self.segments[k]
         proj = self._proj[k]
@@ -486,7 +485,7 @@ class Network:
         t = np.einsum("ij,ij->i", diff, nu)
         resid = np.linalg.norm(diff - t[:, None] * nu, axis=1)
         scale = 1.0 + np.linalg.norm(pts, axis=1)
-        inside = (resid <= rtol * scale) & (np.abs(t) < hw)
+        inside = (resid <= 1e-9 * scale) & (np.abs(t) < hw)
         return s, t, inside
 
     def inverse_tube_map(self, point):

@@ -46,6 +46,17 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _require(scenario, cfg: dict, *keys):
+    """Raise ConfigError naming the scenario and the first of `keys` that cfg
+    lacks; "mesh.h" names the entry h of the block cfg["mesh"]."""
+    for key in keys:
+        block = cfg
+        for part in key.split("."):
+            if not isinstance(block, dict) or part not in block:
+                raise ConfigError(f"{scenario} config is missing {key!r}")
+            block = block[part]
+
+
 def geometric_eps_grid(eps_max: float, n: int, ratio: float = 0.7):
     """Default squeezing grid: n widths decreasing geometrically from eps_max."""
     if not 0.0 < ratio < 1.0 or eps_max <= 0.0 or n < 1:
@@ -156,6 +167,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
+        _require("convergence", cfg, "mesh.box", "mesh.h", "network")
         solver = cfg.get("solver", {})
         obj = cls(
             mesh=cfg["mesh"],
@@ -301,7 +313,9 @@ class Operator:
     def solve(self, eps=None, *, k: int = 1, seed: int = 7, form=None):
         """(form, k lowest eigenpairs) of the delta or squeezed operator; `form`
         reuses the form at eps.  A squeezed pencil is shifted to its potential
-        floor, Q included; the trial bound seeds the delta shift."""
+        floor, Q included; the trial bound seeds the delta shift.  Without a
+        trial bound (all strengths zero) `lowest_eigs` certifies the shift by
+        inertia."""
         if form is None:
             form = self.form(eps)
         shift = None
@@ -570,6 +584,7 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
     supplies the discretization error bar), and reports the gap, the
     rotation-congruence check, and pass flags.
     """
+    _require("stargraph", cfg, "N", "angles", "alpha", "mesh.box", "mesh.h")
     N = cfg["N"]
     L = cfg.get("L", 1.0)
     angles = list(cfg["angles"])
@@ -670,6 +685,7 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
     p = 6/(d+2); the report tracks |r - 2^(2/(d+2)) E_1| along the alpha list
     (expected to shrink as |alpha| grows).
     """
+    _require("cusp", cfg, "d", "alpha_list", "mesh.box", "mesh.h")
     d = cfg["d"]
     alphas = list(cfg["alpha_list"])
     if any(a >= 0 for a in alphas):
@@ -745,6 +761,7 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
     reports the lowest eigenvalue, the Hermiticity residual, and whether
     the eigenvalue undercuts Theta * b.
     """
+    _require("wedge", cfg, "phi", "alpha", "mesh.box", "mesh.h")
     phi = cfg["phi"]
     alpha = cfg["alpha"]
     b = cfg.get("b", 0.0)
@@ -810,6 +827,7 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
 
 def run_spectrum(cfg: dict, dump_mm: str | None = None):
     """Assemble the configured operator and report its k lowest eigenpairs."""
+    _require("spectrum", cfg, "mesh.box", "mesh.h", "network")
     op = Operator.from_config(cfg)
     eps = cfg.get("eps")
     form, res = op.solve(eps, k=cfg.get("k", 3), seed=cfg.get("seed", 7))

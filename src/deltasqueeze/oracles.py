@@ -97,7 +97,6 @@ def squeezed_1d_eigenvalue(
     *,
     cells_per_eps: int = 8,
     domain_halfwidth: float | None = None,
-    lambda_est: float | None = None,
 ):
     """Lowest eigenvalue of -d^2/dt^2 + (beta/eps) g((beta/eps) t), or None.
 
@@ -116,15 +115,12 @@ def squeezed_1d_eigenvalue(
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) < eps, ratio * g(np.clip(ratio * x, -beta, beta)), 0.0)
 
-    if lambda_est is None:
+    T = domain_halfwidth
+    if T is None:
         tq = beta * _GQ8 * (1 - 1e-12)
         integral = float(np.sum(beta * _GW8 * g(tq)))
         lambda_est = -(integral**2) / 4.0 if integral < 0 else -1.0
-    T = (
-        domain_halfwidth
-        if domain_halfwidth is not None
-        else 20.0 / np.sqrt(max(abs(lambda_est), 1e-2))
-    )
+        T = 20.0 / np.sqrt(max(abs(lambda_est), 1e-2))
     hx = eps / cells_per_eps
     # keep +-eps on grid nodes for both Richardson grids
     T = hx * int(np.ceil(T / hx))
@@ -223,18 +219,15 @@ def wedge_F(params: WedgeParams, x, y):
     )
 
 
-def wedge_F_infimum(
-    params: WedgeParams,
-    grid_n: int = 200,
-    bounds: tuple = (1e-3, 1e3),
-) -> WedgeInfimum:
+def wedge_F_infimum(params: WedgeParams) -> WedgeInfimum:
     """Infimum of F over the open quadrant (0, inf)^2.
 
-    Coarse log-spaced grid scan followed by Nelder-Mead refinement in log
-    coordinates (which keeps the iterates strictly positive); the `negative`
+    Coarse log-spaced 200 x 200 grid scan over [1e-3, 1e3]^2 followed by
+    Nelder-Mead refinement in log coordinates (which keeps the iterates
+    strictly positive); the `negative`
     flag reports inf F < -1e-8, the discrete-spectrum criterion.
     """
-    g = np.geomspace(bounds[0], bounds[1], grid_n)
+    g = np.geomspace(1e-3, 1e3, 200)
     X, Y = np.meshgrid(g, g, indexing="ij")
     vals = wedge_F(params, X, Y)
     i, j = np.unravel_index(np.argmin(vals), vals.shape)

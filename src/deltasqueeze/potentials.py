@@ -132,15 +132,12 @@ def scale_profile(profile: TubeProfile, eps: float, beta: float) -> TubeProfile:
 _GQ16, _GW16 = np.polynomial.legendre.leggauss(16)
 
 
-def effective_alpha(profile: TubeProfile, order: int = 16) -> StrengthFunction:
-    """Transverse integral alpha(s) = int_{-w}^{w} V(s, t) dt by Gauss-Legendre."""
-    if order == 16:
-        gq, gw = _GQ16, _GW16
-    else:
-        gq, gw = np.polynomial.legendre.leggauss(order)
+def effective_alpha(profile: TubeProfile) -> StrengthFunction:
+    """Transverse integral alpha(s) = int_{-w}^{w} V(s, t) dt by 16-point
+    Gauss-Legendre."""
     w = profile.half_width
-    tq = w * gq
-    tw = w * gw
+    tq = w * _GQ16
+    tw = w * _GW16
 
     def fun(s, _p=profile.fun):
         scalar = np.ndim(s) == 0

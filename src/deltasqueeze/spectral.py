@@ -14,16 +14,19 @@ pencil eigenvalues below sigma (`count_below`; Parlett, The Symmetric
 Eigenvalue Problem, sec. 3.3).  A `ResolventFactor` whose count is 0 is a
 certified shift: `lowest_eigs` reuses it for shift-invert Lanczos and
 `resolvent_diff_norm` for power iteration, one factorization per pencil.
-Shifts without such a factor come from a variational bound or a
-Gershgorin/probing prepass, are verified a posteriori, and retry with a 2x
-lower shift on breakdown (at most five times).  Deterministic seeds
-everywhere: identical inputs give bit-identical reports.
+An eigensolve given neither such a factor nor an estimate of the bottom
+makes its own, lowering the shift until the inertia count is 0.  One given
+a variational upper estimate instead shifts below the estimate without
+counting (the count keeps a copy of the factor alive, see `count_below`),
+verifies the result a posteriori, and retries with a 2x lower shift on
+breakdown (at most five times).  Deterministic seeds everywhere: identical
+inputs give bit-identical reports.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,7 +37,6 @@ __all__ = [
     "SpectralResult",
     "RateFit",
     "PowerIterationResult",
-    "ConvergenceReport",
     "ShiftError",
     "FitError",
     "ResolventFactor",
@@ -82,32 +84,6 @@ class RateFit:
     n_excluded: int
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Outcome of one squeezing run: norms, gaps, and fitted rates per eps."""
-
-    eps: list
-    res_norms: list
-    res_converged: list
-    eig_gaps: list
-    lam_delta: float
-    lam_eps: list
-    shift: float
-    norm_fit: RateFit | None
-    gap_fit: RateFit | None
-    mesh: dict
-    beta: float
-    flags: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float)
-        if eps.size > 1 and not np.all(np.diff(eps) < 0):
-            raise ValueError("eps grid must be strictly decreasing")
-        if np.any(np.asarray(self.res_norms) < 0):
-            raise ValueError("resolvent-difference norms must be nonnegative")
-
-
 def _splu(A):
     """SuperLU factor of the Hermitian A in symmetric mode.
 
@@ -123,66 +99,6 @@ def _splu(A):
     )
 
 
-def _gershgorin_floor(S, M):
-    """Crude pencil lower bound from Gershgorin rows of S and the P1 mass scale."""
-    Sc = S.tocsr()
-    diag = Sc.diagonal()
-    abs_rows = np.asarray(np.abs(Sc).sum(axis=1)).ravel()
-    gmin = float(np.min(diag.real - (abs_rows - np.abs(diag))))
-    m_low = max(float(M.diagonal().min()) / 12.0, 1e-300)
-    return min(gmin / m_low if gmin < 0 else 0.0, 0.0) - 1.0
-
-
-def _probe_bottom(S, M, seed, max_steps: int = 384, window: int = 24):
-    """Probing prepass: shift-invert Lanczos at the Gershgorin floor.
-
-    The floor is a true lower bound of the pencil (Hermitian Gershgorin on S
-    with the P1 element bound lam_min(M) >= min diag(M)/12), so the inverted
-    operator is positive definite and its extremal Ritz value maps back to
-    an estimate of the pencil bottom that decreases monotonically with the
-    step count and always sits at or above the truth.  The iteration runs
-    with full M-reorthogonalization until the estimate stalls over a long
-    window; no early tolerance-based stop, which would risk settling on an
-    interior eigenvalue.
-    """
-    sigma = _gershgorin_floor(S, M)
-    n = S.shape[0]
-    try:
-        lu = _splu(S - sigma * M)
-    except (RuntimeError, ValueError):
-        return None
-    rng = np.random.default_rng(seed)
-    max_steps = min(max_steps, n - 1)
-    V = np.empty((n, max_steps), dtype=S.dtype)
-    alphas, betas = [], []
-    v = rng.standard_normal(n).astype(S.dtype, copy=False)
-    v = v / np.sqrt(abs(np.vdot(v, M @ v)))
-    lam_hat = np.inf
-    last_check = np.inf
-    for j in range(max_steps):
-        V[:, j] = v
-        w = lu.solve(M @ v)
-        alphas.append(float(np.vdot(v, M @ w).real))
-        for _ in range(2):
-            w = w - V[:, : j + 1] @ (V[:, : j + 1].conj().T @ (M @ w))
-        beta = float(np.sqrt(abs(np.vdot(w, M @ w))))
-        theta = sla.eigvalsh_tridiagonal(
-            np.asarray(alphas), np.asarray(betas)
-        )[-1]
-        if theta > 0.0:
-            lam_hat = sigma + 1.0 / theta
-        if beta < 1e-13 * max(abs(sigma), 1.0):
-            break
-        if (j + 1) % window == 0:
-            if last_check - lam_hat < 5e-3 * max(1.0, abs(lam_hat)):
-                break
-            last_check = lam_hat
-        if j < max_steps - 1:
-            betas.append(beta)
-            v = w / beta
-    return float(lam_hat) if np.isfinite(lam_hat) else None
-
-
 def _lower(shift):
     return 2.0 * shift if shift < -0.5 else shift - max(1.0, 2.0 * abs(shift))
 
@@ -194,23 +110,24 @@ def _m_orthonormalize(V, M):
 
 
 def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
-                tol: float = 0.0, maxiter: int | None = None,
                 upper_estimate: float | None = None,
                 factor: ResolventFactor | None = None) -> SpectralResult:
     """k smallest eigenpairs of S v = lambda M v by shift-invert Lanczos.
 
     Dense solve below 60 unknowns.  Given `factor`, a `ResolventFactor` of
     this pencil, the call first certifies it: `count_below(factor)` must be
-    0, else ShiftError.  The certified factor is reused as is, at its shift
-    `factor.lam`, with no probe, no retry and no miss detector, and a
-    Lanczos basis of max(2k+1, 20) vectors.
+    0, else ShiftError.  Given neither `factor` nor `upper_estimate`, the
+    call makes its own certified factor: it factors at `shift` (default -1)
+    and lowers the shift until the inertia count is 0.  A certified factor
+    is used as is, at its shift `factor.lam`, with no retry and no miss
+    detector, and a Lanczos basis of max(2k+1, 20) vectors.
 
-    Without a factor, (S - shift M) is factored once per attempt, with a
-    basis of at least 40 vectors.  `upper_estimate` is a known bound
-    lam_1 <= upper_estimate (e.g. a variational Rayleigh quotient); when
-    given it both seeds the shift rule and arms the miss detector without
-    any probing factorization.  A shift that turns out not to lie below the
-    spectrum is retried 2x lower, at most five times.
+    `upper_estimate` is a known bound lam_1 <= upper_estimate (e.g. a
+    variational Rayleigh quotient).  It seeds the shift rule when no shift
+    is given and arms the miss detector; (S - shift M) is factored once per
+    attempt, without an inertia count, with a basis of at least 40 vectors.
+    A shift that turns out not to lie below the spectrum is retried 2x
+    lower, at most five times.
     """
     n = S.shape[0]
     Sc, Mc = S.tocsc(), M.tocsc()
@@ -226,42 +143,51 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
     v0 = rng.standard_normal(n)
     if np.iscomplexobj(Sc.data):
         v0 = v0 + 1j * rng.standard_normal(n)
+    if factor is None and upper_estimate is None:
+        factor = _certified_factor(Sc, Mc, -1.0 if shift is None else shift)
     if factor is not None:
-        w, V = _shift_invert(Sc, Mc, k, shift, factor._lu, v0, 20, tol, maxiter)
-        return _finalize(Sc, Mc, w, V, shift)
-    bottom_hat = upper_estimate
-    margin = 3.0  # variational estimates may miss vertex deepening factors
-    if bottom_hat is None:
-        bottom_hat = _probe_bottom(Sc, Mc, seed)
-        margin = 1.0  # the converged Krylov probe sits close to the bottom
+        w, V = _shift_invert(Sc, Mc, k, factor.lam, factor._lu, v0, 20)
+        return _finalize(Sc, Mc, w, V, factor.lam)
     if shift is None:
-        if bottom_hat is None:
-            shift = _gershgorin_floor(Sc, Mc)
-        else:
-            shift = bottom_hat - max(1.0, margin * abs(bottom_hat))
+        # variational estimates may miss vertex deepening factors
+        shift = upper_estimate - max(1.0, 3.0 * abs(upper_estimate))
     last_err = None
     for _ in range(5):
         try:
             lu = _splu(Sc - shift * Mc)
-            w, V = _shift_invert(Sc, Mc, k, shift, lu, v0, 40, tol, maxiter)
+            w, V = _shift_invert(Sc, Mc, k, shift, lu, v0, 40)
         except (RuntimeError, ValueError, spla.ArpackError) as err:  # noqa: B030
             last_err = err
             shift = _lower(shift)
             continue
         below_shift = np.any(w < shift + 1e-12 * abs(shift))
-        missed_bottom = bottom_hat is not None and np.min(w) > bottom_hat + 0.5 * max(
-            1.0, abs(bottom_hat)
-        )
+        missed_bottom = np.min(w) > upper_estimate + 0.5 * max(1.0, abs(upper_estimate))
         if below_shift or missed_bottom or not np.all(np.isfinite(w)):
             # shift was not below the spectrum: deepen and retry
-            shift = _lower(shift)
             last_err = ShiftError(f"shift {shift} not below the pencil spectrum")
+            shift = _lower(shift)
             continue
         return _finalize(Sc, Mc, w, V, shift)
     raise ShiftError(f"no usable shift after 5 retries: {last_err}")
 
 
-def _shift_invert(S, M, k, shift, lu, v0, min_ncv, tol, maxiter):
+def _certified_factor(S, M, shift):
+    """ResolventFactor of the pencil at `shift`, or lower, whose inertia
+    count is 0.  The shift is lowered while eigenvalues lie below it, the
+    count is not available, or the factorization is singular."""
+    for _ in range(64):  # 2**64 below the start: only a non-definite M gets here
+        try:
+            factor = ResolventFactor(S, M, shift)
+        except RuntimeError:  # exactly singular: shift is an eigenvalue
+            factor = None
+        if factor is not None and count_below(factor) == 0:
+            return factor
+        factor = None  # freed before the next factorization
+        shift = _lower(shift)
+    raise ShiftError(f"no shift down to {shift} certified below the pencil spectrum")
+
+
+def _shift_invert(S, M, k, shift, lu, v0, min_ncv):
     """ARPACK shift-invert eigenpairs nearest `shift`, ascending, from the
     factor `lu` of (S - shift M)."""
     n = S.shape[0]
@@ -275,8 +201,6 @@ def _shift_invert(S, M, k, shift, lu, v0, min_ncv, tol, maxiter):
         which="LM",
         v0=v0,
         ncv=min(n - 1, max(2 * k + 1, min_ncv)),
-        tol=tol,
-        maxiter=maxiter,
     )
     order = np.argsort(w)
     return w[order], V[:, order]

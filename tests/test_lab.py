@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg as sla
 
 from deltasqueeze import cli, fem, spectral
 from deltasqueeze.fem import ResolutionError
 from deltasqueeze.lab import (
     ConfigError,
+    Operator,
     cusp_network,
     network_from_spec,
     run_convergence,
@@ -17,6 +19,7 @@ from deltasqueeze.lab import (
     run_spectrum,
     run_stargraph,
     run_wedge,
+    trial_upper_bound,
 )
 
 
@@ -336,6 +339,26 @@ def test_squeezed_spectrum_shift_floor_includes_negative_background(monkeypatch)
     assert report["solver"]["shift"] < report["eigenvalues"][0]
 
 
+def test_zero_strength_magnetic_spectrum_matches_dense_eigh():
+    cfg = {
+        "network": {
+            "beta_cap": 0.5,
+            "segments": [{"kind": "line", "p0": [-1.0, 0.0], "p1": [1.0, 0.0]}],
+        },
+        "alpha": 0.0,
+        "field_b": 1.5,
+        "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 0.25},
+        "k": 3,
+    }
+    op = Operator.from_config(cfg)
+    form = op.form()
+    assert form.S.shape[0] >= 60  # past the dense cutoff of lowest_eigs
+    assert trial_upper_bound(op.mesh, op.net, op.strengths, form) is None
+    report, _ = run_spectrum(cfg)
+    lam = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)
+    assert np.allclose(report["eigenvalues"], lam[:3], rtol=1e-10, atol=0.0)
+
+
 # ---------------------------------------------------------------------- cli
 
 
@@ -419,3 +442,28 @@ def test_network_from_spec_errors():
         network_from_spec({"beta_cap": 0.5, "segments": [{"kind": "triangle"}]})
     with pytest.raises(ConfigError):
         network_from_spec({"segments": []})
+
+
+MESH = {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 16.0}
+
+
+def without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+MISSING_KEY_CASES = [
+    ("stargraph", without(star_cfg(), "N"), "stargraph config is missing 'N'"),
+    ("cusp", {"d": 2.0, "mesh": MESH}, "cusp config is missing 'alpha_list'"),
+    ("spectrum", {"alpha": -4.0, "mesh": MESH}, "spectrum config is missing 'network'"),
+    ("wedge", without(wedge_cfg(), "phi"), "wedge config is missing 'phi'"),
+    ("converge", small_convergence_cfg(mesh={"box": MESH["box"]}),
+     "convergence config is missing 'mesh.h'"),
+    ("wedge-f", {"phi": 1.0, "alpha": -1e-6}, "wedge-f config is missing 'theta'"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, missing", MISSING_KEY_CASES,
+                         ids=[case[0] for case in MISSING_KEY_CASES])
+def test_missing_config_key_names_scenario_and_key(tmp_path, capsys, command, cfg, missing):
+    assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {missing}\n"

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from deltasqueeze import spectral
 from deltasqueeze.fem import (
     assemble_delta_term,
     assemble_magnetic_stiffness,
@@ -16,7 +17,6 @@ from deltasqueeze.geometry import LineSegment, Network
 from deltasqueeze.oracles import delta_point_eigenvalue
 from deltasqueeze.potentials import SqueezedPotential, constant_profile
 from deltasqueeze.spectral import (
-    ConvergenceReport,
     FitError,
     ResolventFactor,
     ShiftError,
@@ -93,6 +93,45 @@ def test_shift_inside_spectrum_is_retried():
     # 2*pi^2 is the ground state; a shift far above it must still return it
     res = lowest_eigs(S, M, k=1, shift=100.0)
     assert res.eigenvalues[0] == pytest.approx(2 * np.pi**2, rel=0.02)
+
+
+def deep_segment_pencil():
+    """n = 961 and lam_1 = -43.8, below -1 * 2**5: more than five lowerings
+    of the shift from its default start -1."""
+    S, M, _, _ = segment_pencil(-14.0, 1.0, 1.0 / 8.0)
+    return S, M
+
+
+def test_every_factorization_without_an_estimate_is_counted(monkeypatch):
+    calls = {"splu": 0, "count_below": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral.spla, "splu", counted("splu", spectral.spla.splu))
+    monkeypatch.setattr(spectral, "count_below", counted("count_below", count_below))
+    S, M = deep_segment_pencil()
+    lowest_eigs(S, M, k=1)
+    assert calls["splu"] == calls["count_below"] > 5
+
+
+def test_certified_shift_far_below_the_start_matches_dense_eigh():
+    S, M = deep_segment_pencil()
+    lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+    assert lam[0] < -32.0
+    res = lowest_eigs(S, M, k=3)
+    assert np.allclose(res.eigenvalues, lam[:3], rtol=1e-10, atol=0.0)
+    assert count_below(ResolventFactor(S, M, res.shift)) == 0
+
+
+def test_no_certified_shift_for_a_negative_mass_raises():
+    # S - sigma M is singular at the start -1, then negative definite below it
+    S = sp.identity(80, format="csc")
+    with pytest.raises(ShiftError, match="certified below"):
+        lowest_eigs(S, -S, k=1)
 
 
 # -------------------------------------------------------------------- inertia
@@ -290,20 +329,3 @@ def test_fit_excludes_nonpositive_and_errors_when_underdetermined():
     with pytest.raises(FitError):
         with pytest.warns(UserWarning):
             fit_rate(eps, np.array([0.5, -1.0, -2.0, 0.1]))
-
-
-def test_convergence_report_validation():
-    with pytest.raises(ValueError):
-        ConvergenceReport(
-            eps=[0.1, 0.2],
-            res_norms=[0.1, 0.2],
-            res_converged=[True, True],
-            eig_gaps=[0.1, 0.2],
-            lam_delta=-1.0,
-            lam_eps=[-1.0, -1.0],
-            shift=-2.0,
-            norm_fit=None,
-            gap_fit=None,
-            mesh={},
-            beta=0.5,
-        )

@@ -276,8 +276,8 @@ class CuspBranch(CurveSegment):
 class SplineSegment(CurveSegment):
     """Cubic spline through sampled control points, reparametrized to arc length.
 
-    Curvature is evaluated by centered finite differences of the normal,
-    kappa(s) = -nu'(s) . gamma'(s).
+    Curvature is exact in the spline parameter u:
+    kappa = (x' y'' - y' x'') / |gamma'|^3, with ' = d/du.
     """
 
     kind = "spline"
@@ -295,6 +295,7 @@ class SplineSegment(CurveSegment):
         )
         self._spl = CubicSpline(chord, pts, axis=0)
         self._du = self._spl.derivative()
+        self._d2u = self._du.derivative()
         u = np.linspace(0.0, chord[-1], self._TABLE_N + 1)
         self._ut = u
         self._st = np.concatenate(
@@ -333,11 +334,10 @@ class SplineSegment(CurveSegment):
 
     def curvature(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        h = max(self.length * 1e-5, 1e-8)
-        lo = np.clip(s_arr - h, 0.0, self.length)
-        hi = np.clip(s_arr + h, 0.0, self.length)
-        dnu = (self.normal(hi) - self.normal(lo)) / (hi - lo)[:, None]
-        k = -np.einsum("ij,ij->i", np.atleast_2d(dnu), self._tangent_arr(s_arr))
+        u = self._u_of_s(s_arr)
+        d1 = np.atleast_2d(self._du(u))
+        d2 = np.atleast_2d(self._d2u(u))
+        k = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / np.linalg.norm(d1, axis=1) ** 3
         return float(k[0]) if scalar else k
 
     def max_curvature(self):

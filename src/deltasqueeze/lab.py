@@ -1,7 +1,9 @@
 """Experiment orchestration: configs, scenario runners, reports.
 
 Every scenario solves a member of (i grad + A)^2 + Q + alpha delta_Sigma or
-of its squeezed regularizations.  A runner builds `Operator` records (mesh,
+of its squeezed regularizations.  Every runner reads its config dict
+through `_require` (missing keys) and `_check_out` (the output directory,
+made before any mesh is built).  A runner builds `Operator` records (mesh,
 network, profiles, strengths, A, Q) from its config, one mesh per distinct
 box and step; `Operator.solve` is the one path from form to eigenpairs.
 Every report goes through `_envelope`, which adds the config echo, the
@@ -17,7 +19,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.io
@@ -27,7 +29,6 @@ from .oracles import WedgeParams, cusp_operator_eigs, wedge_F_infimum
 
 __all__ = [
     "ConfigError",
-    "ExperimentConfig",
     "Operator",
     "geometric_eps_grid",
     "network_from_spec",
@@ -55,6 +56,20 @@ def _require(scenario, cfg: dict, *keys):
             if not isinstance(block, dict) or part not in block:
                 raise ConfigError(f"{scenario} config is missing {key!r}")
             block = block[part]
+
+
+def _check_out(scenario, cfg: dict):
+    """Create cfg["out"] when set, before any mesh is built; raise ConfigError
+    naming the scenario and the path when it is not a writable directory."""
+    out = cfg.get("out")
+    if out is None:
+        return
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"{scenario} output path not writable: {out} ({err.strerror})") from None
+    if not os.access(out, os.W_OK):
+        raise ConfigError(f"{scenario} output path not writable: {out}")
 
 
 def geometric_eps_grid(eps_max: float, n: int, ratio: float = 0.7):
@@ -143,67 +158,6 @@ def _q_function(spec):
     if spec.get("kind") == "constant":
         return None if spec["value"] == 0 else float(spec["value"])
     raise ConfigError(f"unknown background potential spec: {spec!r}")
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated convergence-run configuration."""
-
-    mesh: dict
-    network: dict
-    eps_grid: list
-    profile: object = None
-    alpha: object = None
-    field_b: float = 0.0
-    q: object = None
-    seed: int = 7
-    threads: int = 1
-    eig_k: int = 1
-    power_tol: float = 1e-6
-    power_maxiter: int = 200
-    refine_check: bool = False
-    out: str | None = None
-    echo: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        _require("convergence", cfg, "mesh.box", "mesh.h", "network")
-        solver = cfg.get("solver", {})
-        obj = cls(
-            mesh=cfg["mesh"],
-            network=cfg["network"],
-            eps_grid=list(cfg.get("eps_grid", [])),
-            profile=cfg.get("profile"),
-            alpha=cfg.get("alpha"),
-            field_b=cfg.get("field_b", 0.0),
-            q=cfg.get("q"),
-            seed=cfg.get("seed", 7),
-            threads=cfg.get("threads", 1),
-            eig_k=solver.get("eig_k", 1),
-            power_tol=solver.get("power_tol", 1e-6),
-            power_maxiter=solver.get("power_maxiter", 200),
-            refine_check=cfg.get("refine_check", False),
-            out=cfg.get("out"),
-            echo=dict(cfg),
-        )
-        obj.validate()
-        return obj
-
-    def validate(self):
-        eps = np.asarray(self.eps_grid, dtype=float)
-        if eps.size == 0:
-            raise ConfigError("eps_grid must be nonempty")
-        if eps.size > 1 and not np.all(np.diff(eps) < 0):
-            raise ConfigError("eps_grid must be strictly decreasing")
-        h = self.mesh["h"]
-        if h > eps.min() / 4.0 + 1e-12:
-            raise ConfigError(
-                f"mesh too coarse: h={h} must satisfy h <= min(eps)/4 = {eps.min()/4}"
-            )
-        if self.out is not None:
-            os.makedirs(self.out, exist_ok=True)
-            if not os.access(self.out, os.W_OK):
-                raise ConfigError(f"output path not writable: {self.out}")
 
 
 def _gauge(field_b):
@@ -399,15 +353,25 @@ def run_convergence(cfg, dump_mm: str | None = None):
     eigenvalue gap at a common shift below all spectra, and fits log-log
     rates.  Returns (report, status): status 2 when any flag fired, else 0.
     """
-    if isinstance(cfg, dict):
-        cfg = ExperimentConfig.from_dict(cfg)
-    op = Operator.from_config(vars(cfg))
+    _require("convergence", cfg, "mesh.box", "mesh.h", "network")
+    eps_grid = np.asarray(cfg.get("eps_grid", []), dtype=float)
+    if eps_grid.size == 0:
+        raise ConfigError("eps_grid must be nonempty")
+    if not np.all(np.diff(eps_grid) < 0):
+        raise ConfigError("eps_grid must be strictly decreasing")
+    h = cfg["mesh"]["h"]
+    if h > eps_grid.min() / 4.0 + 1e-12:
+        raise ConfigError(
+            f"mesh too coarse: h={h} must satisfy h <= min(eps)/4 = {eps_grid.min()/4}"
+        )
+    _check_out("convergence", cfg)
+    seed, threads, out = cfg.get("seed", 7), cfg.get("threads", 1), cfg.get("out")
+    op = Operator.from_config(cfg)
     net = op.net
-    eps_grid = np.asarray(cfg.eps_grid, dtype=float)
     if eps_grid.max() > net.beta + 1e-12:
         raise ConfigError(f"max eps {eps_grid.max()} exceeds beta {net.beta}")
 
-    form_delta, res_delta = op.solve(k=cfg.eig_k, seed=cfg.seed)
+    form_delta, res_delta = op.solve(seed=seed)
     lam_delta = float(res_delta.eigenvalues[0])
 
     def norm_point(i, factor_eps):
@@ -416,9 +380,7 @@ def run_convergence(cfg, dump_mm: str | None = None):
             factor_eps,
             form_delta.M,
             factor_delta.lam,
-            tol=cfg.power_tol,
-            maxiter=cfg.power_maxiter,
-            seed=cfg.seed + 1000 + i,
+            seed=seed + 1000 + i,
         )
 
     # The norms use the common shift min(lam) - max(1, |lam_delta|) over the
@@ -436,23 +398,21 @@ def run_convergence(cfg, dump_mm: str | None = None):
             form_eps = op.form(eps)
             factor = spectral.ResolventFactor(form_eps.S, form_eps.M, shift)
             try:
-                res = spectral.lowest_eigs(
-                    form_eps.S, form_eps.M, k=cfg.eig_k, seed=cfg.seed, factor=factor
-                )
+                res = spectral.lowest_eigs(form_eps.S, form_eps.M, seed=seed, factor=factor)
             except spectral.ShiftError:
                 res = None
             if res is not None:
                 return form_eps, res, norm_point(i, factor)
             del factor  # freed before the fresh eigensolve factors the pencil again
-            _, res = op.solve(eps, k=cfg.eig_k, seed=cfg.seed, form=form_eps)
+            _, res = op.solve(eps, seed=seed, form=form_eps)
             return form_eps, res, None
         except Exception as err:
             err.args = (f"eps={eps}: {err}",)
             raise
 
     def map_eps(fn):
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 return list(pool.map(fn, range(len(eps_grid))))
         return [fn(i) for i in range(len(eps_grid))]
 
@@ -489,8 +449,9 @@ def run_convergence(cfg, dump_mm: str | None = None):
 
     # self-check: recovered strengths against the requested alpha
     self_check = {}
-    if cfg.alpha is not None:
-        req = cfg.alpha if not np.isscalar(cfg.alpha) else [cfg.alpha] * len(net.segments)
+    alpha = cfg.get("alpha")
+    if alpha is not None:
+        req = alpha if not np.isscalar(alpha) else [alpha] * len(net.segments)
         worst = 0.0
         for p in op.profiles:
             s = np.linspace(0.0, net.segments[p.segment].length, 17)
@@ -501,15 +462,12 @@ def run_convergence(cfg, dump_mm: str | None = None):
             flags["alpha_roundtrip_failed"] = True
 
     refine_block = None
-    if cfg.refine_check:
-        op2 = replace(op, mesh=_mesh(cfg.mesh, refine=2))
+    if cfg.get("refine_check", False):
+        op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
         fd2, fe2 = op2.form(), op2.form(float(eps_grid[0]))
-        n2 = spectral.resolvent_diff_norm(
-            fd2.S, fe2.S, fd2.M, shift, tol=cfg.power_tol,
-            maxiter=cfg.power_maxiter, seed=cfg.seed + 1000,
-        )
+        n2 = spectral.resolvent_diff_norm(fd2.S, fe2.S, fd2.M, shift, seed=seed + 1000)
         change = abs(n2.value - res_norms[0]) / max(res_norms[0], 1e-300)
-        refine_block = {"h": cfg.mesh["h"] / 2, "norm": n2.value, "rel_change": change}
+        refine_block = {"h": h / 2, "norm": n2.value, "rel_change": change}
         if change >= 0.25:
             flags["discretization_dominates_eps_effect"] = True
 
@@ -538,13 +496,13 @@ def run_convergence(cfg, dump_mm: str | None = None):
     forms = [("delta", form_delta)] + [
         (f"eps_{e:g}", form) for (form, _, _), e in zip(eps_results, eps_grid)]
     report, status = _envelope(
-        "convergence", cfg.echo, fields, flags,
+        "convergence", dict(cfg), fields, flags,
         (("eps", "res_norm", "eig_gap", "converged"), rows),
-        net=net, mesh=op.mesh, beta_cap=cfg.network["beta_cap"], out=cfg.out,
+        net=net, mesh=op.mesh, beta_cap=cfg["network"]["beta_cap"], out=out,
         dump_mm=dump_mm, forms=forms,
     )
-    if cfg.out:
-        export_strengths_csv(net, op.strengths, os.path.join(cfg.out, "strengths.csv"))
+    if out:
+        export_strengths_csv(net, op.strengths, os.path.join(out, "strengths.csv"))
     return report, status
 
 
@@ -598,6 +556,7 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
     if abs(sum(angles) - 360.0) > 1e-8:
         raise ConfigError(f"angles must sum to 360 degrees, got {sum(angles)}")
     beta_cap = cfg.get("beta_cap", 0.4)
+    _check_out("stargraph", cfg)
 
     nets = {
         "sigma": _star_network(angles, L, beta_cap=beta_cap),
@@ -705,6 +664,7 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
             f"mesh too coarse for alpha={min(alphas)}: transverse decay length "
             f"{decay:.4f} is below 4h = {4 * h:.4f}"
         )
+    _check_out("cusp", cfg)
 
     power = 6.0 / (d + 2.0)
     e1 = float(cusp_operator_eigs(d, k=1)[0])
@@ -778,6 +738,7 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
         raise ConfigError(
             f"wedge box {box} must contain the wedge vertex (0, 0) in its interior"
         )
+    _check_out("wedge", cfg)
 
     criterion = None
     if theta is not None:
@@ -828,6 +789,7 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
 def run_spectrum(cfg: dict, dump_mm: str | None = None):
     """Assemble the configured operator and report its k lowest eigenpairs."""
     _require("spectrum", cfg, "mesh.box", "mesh.h", "network")
+    _check_out("spectrum", cfg)
     op = Operator.from_config(cfg)
     eps = cfg.get("eps")
     form, res = op.solve(eps, k=cfg.get("k", 3), seed=cfg.get("seed", 7))

@@ -47,6 +47,9 @@ __all__ = [
     "fit_rate",
 ]
 
+POWER_TOL = 1e-6  # relative change of successive power-iteration estimates
+POWER_MAXITER = 200  # power-iteration steps before an estimate is non-converged
+
 
 class ShiftError(RuntimeError):
     """No usable shift below the pencil spectrum was found."""
@@ -284,16 +287,15 @@ def resolvent_diff_norm(
     M,
     lam: float,
     *,
-    tol: float = 1e-6,
-    maxiter: int = 200,
     seed: int = 2024,
 ) -> PowerIterationResult:
     """M-operator norm of R_delta(lam) - R_eps(lam) by power iteration.
 
     The difference is self-adjoint in the M-inner product for real lam, so
     the norm is the dominant Rayleigh quotient magnitude; each step costs one
-    sparse solve per resolvent.  Non-convergence within maxiter returns the
-    best estimate flagged non-converged.
+    sparse solve per resolvent.  The iteration stops when two successive
+    estimates agree to POWER_TOL relative; non-convergence within
+    POWER_MAXITER steps returns the best estimate flagged non-converged.
     """
     R_d = S_delta if isinstance(S_delta, ResolventFactor) else ResolventFactor(S_delta, M, lam)
     R_e = S_eps if isinstance(S_eps, ResolventFactor) else ResolventFactor(S_eps, M, lam)
@@ -302,17 +304,17 @@ def resolvent_diff_norm(
     x = rng.standard_normal(Mc.shape[0])
     x = x / np.sqrt(x @ (Mc @ x))
     est = 0.0
-    for it in range(1, maxiter + 1):
+    for it in range(1, POWER_MAXITER + 1):
         y = R_d.apply(x) - R_e.apply(x)
         ray = abs(np.vdot(x, Mc @ y))
         norm_y = np.sqrt(abs(np.vdot(y, Mc @ y)))
         if norm_y == 0.0:
             return PowerIterationResult(0.0, True, it)
         x = y / norm_y
-        if it > 1 and abs(ray - est) <= tol * max(ray, 1e-300):
+        if it > 1 and abs(ray - est) <= POWER_TOL * max(ray, 1e-300):
             return PowerIterationResult(float(ray), True, it)
         est = ray
-    return PowerIterationResult(float(est), False, maxiter)
+    return PowerIterationResult(float(est), False, POWER_MAXITER)
 
 
 def fit_rate(eps, values, *, confidence: float = 0.95) -> RateFit:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from deltasqueeze.geometry import (
     CircularArc,
@@ -249,3 +251,23 @@ def test_spline_curvature_second_order_convergence():
     rate1 = np.log2(errs[0] / errs[1])
     rate2 = np.log2(errs[1] / errs[2])
     assert rate1 > 1.6 and rate2 > 1.6
+
+
+def test_spline_curvature_matches_the_exact_formula():
+    # kappa = (x' y'' - y' x'') / |gamma'|^3 in the chord-length parameter u of
+    # the interpolating cubic spline, at s(u) by adaptive quadrature per piece
+    pts = np.array([[-1.5, -0.5], [-0.8, 0.4], [0.0, 0.1], [0.7, 0.6], [1.5, -0.2]])
+    chord = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    spl = CubicSpline(chord, pts, axis=0)
+    d1, d2 = spl.derivative(1), spl.derivative(2)
+
+    def arc_length(u):
+        edges = [c for c in chord if c < u] + [u]
+        return sum(quad(lambda v: np.linalg.norm(d1(v)), a, b, epsabs=0.0, epsrel=1e-13)[0]
+                   for a, b in zip(edges, edges[1:]))
+
+    u = np.linspace(0.0, chord[-1], 41)[1:-1]
+    p, pp = d1(u), d2(u)
+    exact = (p[:, 0] * pp[:, 1] - p[:, 1] * pp[:, 0]) / np.linalg.norm(p, axis=1) ** 3
+    k = SplineSegment(pts).curvature(np.array([arc_length(ui) for ui in u]))
+    assert np.max(np.abs(k - exact)) <= 1e-13 * np.max(np.abs(exact))

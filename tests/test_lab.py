@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,17 @@ def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch):
     assert len(factored) == 2 + len(cfg["eps_grid"])
 
 
+def test_convergence_flags_nonconverged_power_iteration(monkeypatch, tmp_path):
+    monkeypatch.setattr(spectral, "POWER_MAXITER", 1)
+    report, status = run_convergence(small_convergence_cfg(out=str(tmp_path)))
+    assert report["res_converged"] == [False, False, False]
+    assert report["solver"]["power_iterations"] == [1, 1, 1]
+    assert report["flags"]["power_iteration_nonconverged"]
+    assert status == 2
+    rows = (tmp_path / "data.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["False", "False", "False"]
+
+
 # --------------------------------------------------------------- star graph
 
 
@@ -230,15 +242,21 @@ def test_cusp_config_errors():
         run_cusp({"d": 2.0, "alpha_list": [1.0], **base})
 
 
-def test_each_distinct_mesh_is_built_once(monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """(box, h) of every fem.build_mesh call the test makes."""
     build_mesh = fem.build_mesh
-    built = []
+    calls = []
 
     def counting(box, h):
-        built.append((box, h))
+        calls.append((box, h))
         return build_mesh(box, h)
 
     monkeypatch.setattr(fem, "build_mesh", counting)
+    return calls
+
+
+def test_each_distinct_mesh_is_built_once(built):
     run_cusp({
         "d": 2.0,
         "alpha_list": [-2.0, -3.0],
@@ -467,3 +485,28 @@ MISSING_KEY_CASES = [
 def test_missing_config_key_names_scenario_and_key(tmp_path, capsys, command, cfg, missing):
     assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
     assert capsys.readouterr().err == f"error: {missing}\n"
+
+
+LINE_NETWORK = {
+    "beta_cap": 0.5,
+    "segments": [{"kind": "line", "p0": [-1.0, 0.0], "p1": [1.0, 0.0]}],
+}
+OUT_PATH_CASES = [
+    ("convergence", run_convergence, small_convergence_cfg()),
+    ("stargraph", run_stargraph, star_cfg()),
+    ("cusp", run_cusp, {"d": 2.0, "alpha_list": [-2.0, -3.0], "x_max": 0.5,
+                        "mesh": {"box": [[-1.0, 2.0], [-1.5, 1.5]], "h": 1.0 / 16.0}}),
+    ("wedge", run_wedge, wedge_cfg()),
+    ("spectrum", run_spectrum, {"network": LINE_NETWORK, "alpha": -4.0, "mesh": MESH}),
+]
+
+
+@pytest.mark.parametrize("scenario, runner, cfg", OUT_PATH_CASES,
+                         ids=[case[0] for case in OUT_PATH_CASES])
+def test_unusable_out_path_fails_before_any_mesh(tmp_path, built, scenario, runner, cfg):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    with pytest.raises(ConfigError, match=f"{scenario} output path not writable: {re.escape(out)}"):
+        runner({**cfg, "out": out})
+    assert built == []

@@ -236,14 +236,16 @@ def test_identical_forms_give_zero():
     assert out.value <= 1e-12
 
 
-def test_scalar_shift_norm_against_dense_eigendecomposition():
+def test_scalar_shift_norm_against_dense_eigendecomposition(monkeypatch):
     # 16-node mesh: forms differing by c*M have resolvent difference norm
     # max_mu |1/(mu - lam) - 1/(mu + c - lam)| over pencil eigenvalues mu
     S, M, m = dirichlet_pencil(1.0 / 3.0)
     assert m.n_nodes == 16
     c, lam = 7.5, -2.0
     S2 = (S + c * M).tocsr()
-    out = resolvent_diff_norm(S, S2, M, lam, tol=1e-12, maxiter=2000)
+    monkeypatch.setattr(spectral, "POWER_TOL", 1e-12)
+    monkeypatch.setattr(spectral, "POWER_MAXITER", 2000)
+    out = resolvent_diff_norm(S, S2, M, lam)
     mu = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
     exact = np.max(np.abs(1.0 / (mu - lam) - 1.0 / (mu + c - lam)))
     assert out.value == pytest.approx(exact, abs=1e-8)

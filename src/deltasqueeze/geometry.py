@@ -12,14 +12,20 @@ addressed by (s, t) through the offset map
 which is injective as long as beta stays below both the curvature bound
 1/(2 sup|kappa|) and half the minimal distance between non-adjacent
 segments; `compute_beta` certifies such a beta.
+
+Each segment kind has one exact closest-point routine, `closest`, behind
+both the inverse of the offset map (`Network.project_onto_segment`) and the
+distance to the curve (`Network.sampled_distance`).  Lines clamp their
+projection to [0, L]; arcs clamp the polar angle to their angular range.
+Cusp branches and splines run Newton on their native parameter (x, or the
+spline's chord-length parameter) from the nearest node of a coarse sample,
+and convert to arc length once, by forward quadrature.  Only the tube width
+(`compute_beta`) and the injectivity diagnostic sample the curves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
 __all__ = [
@@ -99,6 +105,19 @@ class CurveSegment:
         """sup |kappa| over the segment (cusp kinds exclude their collar)."""
         raise NotImplementedError
 
+    def closest(self, points):
+        """Closest points of the segment to `points` (n, 2): (s, q, tau) with
+        the arc length s of each, the point q = gamma(s) and the unit tangent
+        tau = gamma'(s) there, each row for one point."""
+        raise NotImplementedError
+
+    def bbox(self):
+        """(lo, hi) corners of the axis-aligned bounding box.  The endpoints'
+        box, which holds the curves monotone in x and y (lines, cusp
+        branches); other kinds override it."""
+        p0, p1 = self.endpoints
+        return np.minimum(p0, p1), np.maximum(p0, p1)
+
     def _tangent_arr(self, s_arr):
         return np.atleast_2d(self.tangent(s_arr))
 
@@ -138,6 +157,10 @@ class LineSegment(CurveSegment):
     def max_curvature(self):
         return 0.0
 
+    def closest(self, points):
+        s = np.clip((points - self.p0) @ self._dir, 0.0, self.length)
+        return s, self.p0 + s[:, None] * self._dir, np.tile(self._dir, (len(s), 1))
+
 
 class CircularArc(CurveSegment):
     """Arc of a circle, traversed from theta0 to theta1 (radians).
@@ -159,10 +182,16 @@ class CircularArc(CurveSegment):
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
         self._sgn = 1.0 if theta1 > theta0 else -1.0
-        self.length = self.radius * abs(theta1 - theta0)
+        self._span = abs(theta1 - theta0)
+        self.length = self.radius * self._span
 
     def _theta(self, s_arr):
         return self.theta0 + self._sgn * s_arr / self.radius
+
+    def _travelled(self, theta):
+        """Angle in [0, 2 pi] from theta0 to the polar angle theta, measured
+        in the direction of travel."""
+        return np.mod(self._sgn * (theta - self.theta0), 2.0 * np.pi)
 
     def point(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
@@ -186,21 +215,125 @@ class CircularArc(CurveSegment):
     def max_curvature(self):
         return 1.0 / self.radius
 
+    def closest(self, points):
+        rel = points - self.center
+        r = self._travelled(np.arctan2(rel[:, 1], rel[:, 0]))
+        # outside the angular range the endpoint nearer in angle is nearer
+        end = np.where(r - self._span < 2.0 * np.pi - r, self._span, 0.0)
+        s = self.radius * np.where(r <= self._span, r, end)
+        return s, self.point(s), self.tangent(s)
 
-class CuspBranch(CurveSegment):
-    """One branch of a power cusp, y = sign * x**d for x in [0, x_max], d > 1.
+    def bbox(self):
+        axes = 0.5 * np.pi * np.arange(4)
+        axes = axes[self._travelled(axes) <= self._span]
+        pts = np.vstack([*self.endpoints, self.center + self.radius * np.stack(
+            [np.cos(axes), np.sin(axes)], axis=1)])
+        return pts.min(axis=0), pts.max(axis=0)
 
-    Travel is in the direction of increasing x.  The arc-length coordinate
-    s(x) = int_0^x sqrt(1 + d^2 xi^(2d-2)) dxi is tabulated on a graded grid
-    and inverted with Newton corrections, so positions stay consistent with
-    the arc-length parametrization to ~1e-12.  For d < 2 the curvature blows
-    up at the cusp tip; `max_curvature` then excludes the collar [0, collar).
-    """
 
-    kind = "cusp"
+_CHUNK = 2048  # points per block of a nearest-sample search
+
+
+def _nearest_sample(points, samples):
+    """Index of the nearest of `samples` (m, 2) to each of `points` (n, 2),
+    in blocks of points so the n x m distance table never exists."""
+    idx = np.empty(len(points), dtype=np.intp)
+    for i in range(0, len(points), _CHUNK):
+        dx = points[i:i + _CHUNK, :1] - samples[:, 0]
+        dy = points[i:i + _CHUNK, 1:] - samples[:, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        idx[i:i + _CHUNK] = np.argmin(dx, axis=1)
+    return idx
+
+
+class _TabulatedCurve(CurveSegment):
+    """A curve gamma(u) given in a native parameter u in [0, u_max], with the
+    arc length s(u) tabulated on _TABLE_N panels of 16-point Gauss-Legendre
+    quadrature of the speed |gamma'(u)|.  Arc length is inverted with Newton
+    corrections, so positions stay consistent with the arc-length
+    parametrization to ~1e-12."""
 
     _TABLE_N = 4096
     _GQ, _GW = np.polynomial.legendre.leggauss(16)
+    _COARSE = 64  # every 64th table node, ends included, starts a closest-point search
+    _NEWTON_STEPS = 64  # bisection alone needs about 50 from the bracket
+
+    def _tabulate(self, ut):
+        self._ut = ut
+        self._st = np.concatenate([[0.0], np.cumsum(self._panel_lengths(ut[:-1], ut[1:]))])
+        self.length = float(self._st[-1])
+
+    def _speed(self, u):
+        """|gamma'(u)|, elementwise for u of any shape."""
+        raise NotImplementedError
+
+    def _derivs(self, u):
+        """gamma(u), gamma'(u) and gamma''(u), each (n, 2), for u of shape (n,)."""
+        raise NotImplementedError
+
+    def _panel_lengths(self, a, b):
+        mid = 0.5 * (a + b)[:, None]
+        half = 0.5 * (b - a)[:, None]
+        return (self._speed(mid + half * self._GQ[None, :]) * self._GW[None, :]).sum(
+            axis=1
+        ) * half[:, 0]
+
+    def _arclength(self, u):
+        """s(u) by forward quadrature from the nearest table node below u."""
+        i = np.clip(np.searchsorted(self._ut, u) - 1, 0, self._TABLE_N - 1)
+        return self._st[i] + self._panel_lengths(self._ut[i], u)
+
+    def _param_of_s(self, s_arr):
+        u = np.interp(s_arr, self._st, self._ut)
+        # two Newton corrections on s(u) - s = 0, ds/du = speed(u)
+        for _ in range(2):
+            u = np.clip(u - (self._arclength(u) - s_arr) / self._speed(u), 0.0, self._ut[-1])
+        return u
+
+    def closest(self, points):
+        """Newton on the native parameter for the stationarity condition
+        g(u) = (gamma(u) - p) . gamma'(u) = 0, started at the nearest node of
+        a coarse sample and safeguarded by bisection on the bracket of that
+        node's neighbours, which g shrinks as it changes sign.  The result
+        is compared with the start, which is no farther than either endpoint
+        (both are coarse nodes), and converted to arc length once at the end."""
+        ut = self._ut
+        uc = ut[:: self._COARSE]
+        j = _nearest_sample(points, self._derivs(uc)[0])
+        lo, hi = uc[np.maximum(j - 1, 0)], uc[np.minimum(j + 1, len(uc) - 1)]
+        u = start = uc[j]
+        for _ in range(self._NEWTON_STEPS):
+            gam, d1, d2 = self._derivs(u)
+            diff = gam - points
+            g = np.einsum("ij,ij->i", diff, d1)
+            lo, hi = np.where(g < 0.0, u, lo), np.where(g < 0.0, hi, u)
+            # g' is inf or nan at a cusp tip with d < 2: bisect there
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u_new = u - g / (np.einsum("ij,ij->i", d1, d1) + np.einsum("ij,ij->i", diff, d2))
+            u_new = np.where((u_new >= lo) & (u_new <= hi), u_new, 0.5 * (lo + hi))
+            done = np.max(np.abs(u_new - u), initial=0.0) <= 1e-15 * ut[-1]
+            u = u_new
+            if done:
+                break
+        farther = np.sum((self._derivs(u)[0] - points) ** 2, axis=1) > np.sum(
+            (self._derivs(start)[0] - points) ** 2, axis=1)
+        u = np.where(farther, start, u)
+        gam, d1, _ = self._derivs(u)
+        return self._arclength(u), gam, d1 / np.linalg.norm(d1, axis=1, keepdims=True)
+
+
+class CuspBranch(_TabulatedCurve):
+    """One branch of a power cusp, y = sign * x**d for x in [0, x_max], d > 1.
+
+    Travel is in the direction of increasing x, the native parameter.  The
+    table is graded, x_j = x_max (j/N)^2, to resolve the metric near x = 0.
+    For d < 2 the curvature blows up at the cusp tip; `max_curvature` then
+    excludes the collar [0, collar).
+    """
+
+    kind = "cusp"
 
     def __init__(self, exponent, sign=1.0, x_max=1.0, collar=1e-3):
         if exponent <= 1.0:
@@ -211,44 +344,32 @@ class CuspBranch(CurveSegment):
         self.sign = 1.0 if sign >= 0 else -1.0
         self.x_max = float(x_max)
         self.collar = float(collar)
-        # graded table x_j = x_max * (j/N)^2 resolves the metric near x = 0
         j = np.arange(self._TABLE_N + 1)
-        self._xt = self.x_max * (j / self._TABLE_N) ** 2
-        self._st = np.concatenate(
-            [[0.0], np.cumsum(self._panel_lengths(self._xt[:-1], self._xt[1:]))]
-        )
-        self.length = float(self._st[-1])
+        self._tabulate(self.x_max * (j / self._TABLE_N) ** 2)
 
     def _speed(self, x):
         d = self.exponent
         return np.sqrt(1.0 + (d * x ** (d - 1.0)) ** 2)
 
-    def _panel_lengths(self, a, b):
-        # 16-point Gauss-Legendre per panel of the arclength integrand
-        mid = 0.5 * (a + b)[:, None]
-        half = 0.5 * (b - a)[:, None]
-        return (self._speed(mid + half * self._GQ[None, :]) * self._GW[None, :]).sum(
-            axis=1
-        ) * half[:, 0]
-
-    def _x_of_s(self, s_arr):
-        x = np.interp(s_arr, self._st, self._xt)
-        # two Newton corrections on s(x) - s = 0, ds/dx = speed(x)
-        for _ in range(2):
-            i = np.clip(np.searchsorted(self._xt, x) - 1, 0, self._TABLE_N - 1)
-            s_here = self._st[i] + self._panel_lengths(self._xt[i], x)
-            x = np.clip(x - (s_here - s_arr) / self._speed(x), 0.0, self.x_max)
-        return x
+    def _derivs(self, x):
+        d, sg = self.exponent, self.sign
+        with np.errstate(divide="ignore"):  # x^(d-2) at the tip for d < 2
+            ypp = d * (d - 1.0) * x ** (d - 2.0)
+        return (
+            np.stack([x, sg * x**d], axis=1),
+            np.stack([np.ones_like(x), sg * d * x ** (d - 1.0)], axis=1),
+            np.stack([np.zeros_like(x), sg * ypp], axis=1),
+        )
 
     def point(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        x = self._x_of_s(s_arr)
+        x = self._param_of_s(s_arr)
         p = np.stack([x, self.sign * x**self.exponent], axis=1)
         return p[0] if scalar else p
 
     def tangent(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        x = self._x_of_s(s_arr)
+        x = self._param_of_s(s_arr)
         d = self.exponent
         t = np.stack([np.ones_like(x), self.sign * d * x ** (d - 1.0)], axis=1)
         t /= np.linalg.norm(t, axis=1, keepdims=True)
@@ -256,7 +377,7 @@ class CuspBranch(CurveSegment):
 
     def curvature(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        x = self._x_of_s(s_arr)
+        x = self._param_of_s(s_arr)
         k = self._kappa_of_x(x)
         return float(k[0]) if scalar else k
 
@@ -273,19 +394,19 @@ class CuspBranch(CurveSegment):
         return float(np.max(np.abs(self._kappa_of_x(x))))
 
 
-class SplineSegment(CurveSegment):
+class SplineSegment(_TabulatedCurve):
     """Cubic spline through sampled control points, reparametrized to arc length.
 
-    Curvature is exact in the spline parameter u:
+    The native parameter u is the chord length of the control polygon, on a
+    uniform table.  Curvature is exact in u:
     kappa = (x' y'' - y' x'') / |gamma'|^3, with ' = d/du.
     """
 
     kind = "spline"
 
-    _TABLE_N = 4096
-    _GQ, _GW = np.polynomial.legendre.leggauss(16)
-
     def __init__(self, points):
+        from scipy.interpolate import CubicSpline  # imports scipy.optimize: keep lazy
+
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 4 or pts.shape[1] != 2:
             raise NetworkConstructionError("spline needs at least 4 control points")
@@ -296,45 +417,28 @@ class SplineSegment(CurveSegment):
         self._spl = CubicSpline(chord, pts, axis=0)
         self._du = self._spl.derivative()
         self._d2u = self._du.derivative()
-        u = np.linspace(0.0, chord[-1], self._TABLE_N + 1)
-        self._ut = u
-        self._st = np.concatenate(
-            [[0.0], np.cumsum(self._panel_lengths(u[:-1], u[1:]))]
-        )
-        self.length = float(self._st[-1])
+        self._tabulate(np.linspace(0.0, chord[-1], self._TABLE_N + 1))
 
     def _speed(self, u):
-        return np.linalg.norm(np.atleast_2d(self._du(u)), axis=1)
+        return np.linalg.norm(self._du(u), axis=-1)
 
-    def _panel_lengths(self, a, b):
-        mid = 0.5 * (a + b)[:, None]
-        half = 0.5 * (b - a)[:, None]
-        uq = mid + half * self._GQ[None, :]
-        sp = np.linalg.norm(self._du(uq.ravel()), axis=1).reshape(uq.shape)
-        return (sp * self._GW[None, :]).sum(axis=1) * half[:, 0]
-
-    def _u_of_s(self, s_arr):
-        u = np.interp(s_arr, self._st, self._ut)
-        for _ in range(2):
-            i = np.clip(np.searchsorted(self._ut, u) - 1, 0, self._TABLE_N - 1)
-            s_here = self._st[i] + self._panel_lengths(self._ut[i], u)
-            u = np.clip(u - (s_here - s_arr) / self._speed(u), 0.0, self._ut[-1])
-        return u
+    def _derivs(self, u):
+        return self._spl(u), self._du(u), self._d2u(u)
 
     def point(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        p = np.atleast_2d(self._spl(self._u_of_s(s_arr)))
+        p = np.atleast_2d(self._spl(self._param_of_s(s_arr)))
         return p[0] if scalar else p
 
     def tangent(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        t = np.atleast_2d(self._du(self._u_of_s(s_arr)))
+        t = np.atleast_2d(self._du(self._param_of_s(s_arr)))
         t = t / np.linalg.norm(t, axis=1, keepdims=True)
         return t[0] if scalar else t
 
     def curvature(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        u = self._u_of_s(s_arr)
+        u = self._param_of_s(s_arr)
         d1 = np.atleast_2d(self._du(u))
         d2 = np.atleast_2d(self._d2u(u))
         k = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / np.linalg.norm(d1, axis=1) ** 3
@@ -343,6 +447,18 @@ class SplineSegment(CurveSegment):
     def max_curvature(self):
         s = np.linspace(0.0, self.length, 2049)[1:-1]
         return float(np.max(np.abs(self.curvature(s))))
+
+    def bbox(self):
+        from scipy.interpolate import PPoly
+
+        # extremes of each coordinate lie at the ends or where its derivative,
+        # a quadratic on each spline piece, vanishes
+        u = [self._ut[[0, -1]]]
+        for c in range(2):
+            roots = PPoly(self._du.c[..., c], self._du.x).roots(extrapolate=False)
+            u.append(roots[np.isfinite(roots)])
+        pts = self._spl(np.concatenate(u))
+        return pts.min(axis=0), pts.max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +486,7 @@ def tube_jacobian(seg: CurveSegment, s, t, beta=None):
     return 1.0 - np.asarray(t, dtype=float) * seg.curvature(s)
 
 
-_SAMPLES = 2048  # points per segment for tube widths and projection starts
+_SAMPLES = 2048  # points per segment for the tube width d_min
 _ENDPOINT_TOL = 1e-8  # endpoints closer than this are shared
 
 
@@ -418,32 +534,20 @@ def compute_beta(segments, beta_cap):
     return min(beta, d_min / 2.0)
 
 
-@dataclass(frozen=True)
-class _Projector:
-    """Closest-point machinery of one segment (samples + KD-tree)."""
-
-    s_samples: np.ndarray
-    tree: cKDTree
-
-
 class Network:
     """Ordered segments with a certified tube half-width beta.
 
-    Immutable after construction; the per-segment sample caches and KD-trees
-    are built eagerly so instances can be shared between threads.
+    Immutable after construction, so instances can be shared between
+    threads.  Closest points, distances and tube coordinates come from each
+    segment's exact closest-point routine (`CurveSegment.closest`); the only
+    per-segment cache is the bounding box that prefilters projections.
     """
 
     def __init__(self, segments, beta_cap):
         self.segments = tuple(segments)
         self.beta_cap = float(beta_cap)
         self.beta = compute_beta(self.segments, self.beta_cap)
-        self._proj = []
-        for seg in self.segments:
-            s = np.linspace(0.0, seg.length, _SAMPLES)
-            self._proj.append(_Projector(s, cKDTree(seg.point(s))))
-        self._bboxes = [
-            (p.tree.mins.copy(), p.tree.maxes.copy()) for p in self._proj
-        ]
+        self._bboxes = [seg.bbox() for seg in self.segments]
 
     def __len__(self):
         return len(self.segments)
@@ -459,29 +563,16 @@ class Network:
 
         Returns (s, t, inside) where inside marks points that admit the exact
         representation point = gamma(s) + t * nu(s) with |t| < halfwidth
-        (default: the network beta).  Newton refinement of the closest-point
-        projection from a KD-tree start; residuals below 1e-9 (relative to
-        1 + |point|) are accepted.
+        (default: the network beta).  (s, t) come from the closest point of
+        the segment; a tangential residual below 1e-9 (relative to
+        1 + |point|) is accepted, which rejects points whose closest point is
+        an endpoint off their normal line.
         """
-        seg = self.segments[k]
-        proj = self._proj[k]
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         hw = self.beta if halfwidth is None else halfwidth
-        _, idx = proj.tree.query(pts)
-        s = proj.s_samples[idx]
-        for _ in range(8):
-            g = seg.point(s)
-            tg = seg.tangent(s)
-            nu = _rot90(tg)
-            diff = pts - g
-            t = np.einsum("ij,ij->i", diff, nu)
-            gval = np.einsum("ij,ij->i", diff, tg)
-            gp = -(1.0 - seg.curvature(s) * t)
-            gp = np.where(np.abs(gp) < 0.1, -np.sign(gp + 1e-300) * 0.1, gp)
-            s = np.clip(s - gval / gp, 0.0, seg.length)
-        g = seg.point(s)
-        nu = _rot90(seg.tangent(s))
-        diff = pts - g
+        s, q, tau = self.segments[k].closest(pts)
+        nu = _rot90(tau)
+        diff = pts - q
         t = np.einsum("ij,ij->i", diff, nu)
         resid = np.linalg.norm(diff - t[:, None] * nu, axis=1)
         scale = 1.0 + np.linalg.norm(pts, axis=1)
@@ -509,9 +600,12 @@ class Network:
         return np.all((pts >= lo - pad) & (pts <= hi + pad), axis=1)
 
     def sampled_distance(self, k: int, points):
-        """Distance of points (n, 2) to the sample cloud of segment k."""
-        d, _ = self._proj[k].tree.query(np.atleast_2d(points))
-        return d
+        """Distance of points (n, 2) to segment k, exact to round-off: the
+        distance to the closest point of the segment.  (The name is kept
+        from the sampled distance this replaced.)"""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        _, q, _ = self.segments[k].closest(pts)
+        return np.linalg.norm(pts - q, axis=1)
 
     def collision_check(self, n_pairs: int = 10_000, seed: int = 0, tol: float = 1e-9):
         """Sampled injectivity diagnostic of the tube coordinates.

@@ -17,9 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.io
@@ -29,6 +30,7 @@ from .oracles import WedgeParams, cusp_operator_eigs, wedge_F_infimum
 
 __all__ = [
     "ConfigError",
+    "DistanceTable",
     "Operator",
     "geometric_eps_grid",
     "network_from_spec",
@@ -70,6 +72,17 @@ def _check_out(scenario, cfg: dict):
         raise ConfigError(f"{scenario} output path not writable: {out} ({err.strerror})") from None
     if not os.access(out, os.W_OK):
         raise ConfigError(f"{scenario} output path not writable: {out}")
+
+
+def _check_resolution(scenario, cfg: dict, key: str, eps):
+    """Raise ConfigError naming the scenario and `key` when the squeezing
+    width eps (None: no squeezed form) needs a finer mesh than cfg["mesh"]["h"];
+    squeezed potentials need h <= eps/4.  Called before any mesh is built."""
+    h = cfg["mesh"]["h"]
+    if eps is not None and h > eps / 4.0 + 1e-12:
+        raise ConfigError(
+            f"{scenario} config: {key!r} needs 'mesh.h' <= {eps}/4 = {eps / 4.0}, got {h}"
+        )
 
 
 def geometric_eps_grid(eps_max: float, n: int, ratio: float = 0.7):
@@ -196,7 +209,27 @@ def squeezed_shift_floor(net, profiles, eps, q_min: float = 0.0):
     return 1.02 * floor - 1.0
 
 
-def trial_upper_bound(mesh, net, strengths, form):
+class DistanceTable:
+    """Exact distances of a mesh's interior nodes to each segment of a
+    network, each segment's computed on first use.  Operators on one
+    (mesh, network) pair share one table, so the trial states of several
+    strengths measure the distances once."""
+
+    def __init__(self, mesh: fem.Mesh, net: geometry.Network):
+        self.mesh, self.net = mesh, net
+        self._lock = threading.Lock()  # the eps points of `converge` may share it
+        self._dist = {}
+
+    def __getitem__(self, k: int):
+        with self._lock:
+            if k not in self._dist:
+                m = self.mesh
+                pts = np.stack([m.node_x[m.interior], m.node_y[m.interior]], axis=1)
+                self._dist[k] = self.net.sampled_distance(k, pts)
+            return self._dist[k]
+
+
+def trial_upper_bound(mesh, net, strengths, form, distances: DistanceTable | None = None):
     """Variational bound lam_1 <= min R(v) over transverse-decay trial states.
 
     The candidates interpolate exp(-c |alpha_k| dist(x, Sigma_k) / 2) for
@@ -204,7 +237,8 @@ def trial_upper_bound(mesh, net, strengths, form):
     merged tubes near vertices and cusps, where strengths effectively add).
     Every Rayleigh quotient on the assembled pencil is a rigorous upper
     bound for the discrete ground state, so the minimum seeds the shift rule
-    of the eigensolver without any probing factorization.
+    of the eigensolver without any probing factorization.  The distances
+    come from `distances`, a table of this mesh and network, or a new one.
     """
     scales = {
         k: _strength_scale(a, net.segments[k].length)
@@ -214,10 +248,11 @@ def trial_upper_bound(mesh, net, strengths, form):
     scales = {k: a for k, a in scales.items() if a > 0.0}
     if not scales:
         return None
-    pts = np.stack([mesh.node_x[mesh.interior], mesh.node_y[mesh.interior]], axis=1)
-    decay = np.full(len(pts), np.inf)
+    if distances is None:
+        distances = DistanceTable(mesh, net)
+    decay = np.inf
     for k, a in scales.items():
-        decay = np.minimum(decay, a * net.sampled_distance(k, pts))
+        decay = np.minimum(decay, a * distances[k])
     best = None
     for c in (1.0, 2.0):
         v = np.exp(-0.5 * c * decay)
@@ -232,7 +267,9 @@ def trial_upper_bound(mesh, net, strengths, form):
 class Operator:
     """(i grad + A)^2 + Q + alpha delta_Sigma on a mesh, with the tube profiles
     of its squeezed regularizations.  `strengths` maps a segment index to a
-    scalar alpha or a callable alpha(s); Q is a constant or None."""
+    scalar alpha or a callable alpha(s); Q is a constant or None.
+    `distances` is the trial states' distance table of (mesh, net); a new
+    one replaces a table of another mesh or network."""
 
     mesh: fem.Mesh
     net: geometry.Network
@@ -240,6 +277,12 @@ class Operator:
     strengths: dict
     A: object = None
     Q: float | None = None
+    distances: DistanceTable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = self.distances
+        if d is None or d.mesh is not self.mesh or d.net is not self.net:
+            object.__setattr__(self, "distances", DistanceTable(self.mesh, self.net))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Operator":
@@ -251,10 +294,11 @@ class Operator:
                    _gauge(cfg.get("field_b", 0.0)), _q_function(cfg.get("q")))
 
     @classmethod
-    def uniform(cls, mesh, net, alpha: float, A=None) -> "Operator":
+    def uniform(cls, mesh, net, alpha: float, A=None, distances=None) -> "Operator":
         """The constant strength alpha on every segment."""
         profiles = profiles_from_config({"alpha": alpha}, net)
-        return cls(mesh, net, profiles, {i: alpha for i in range(len(net.segments))}, A)
+        strengths = {i: alpha for i in range(len(net.segments))}
+        return cls(mesh, net, profiles, strengths, A, distances=distances)
 
     def form(self, eps=None) -> fem.AssembledForm:
         """The delta form, or the squeezed form of tube width eps."""
@@ -275,7 +319,7 @@ class Operator:
         shift = None
         if eps is not None:
             shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
-        bound = trial_upper_bound(self.mesh, self.net, self.strengths, form)
+        bound = trial_upper_bound(self.mesh, self.net, self.strengths, form, self.distances)
         res = spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, seed=seed,
                                    upper_estimate=bound)
         return form, res
@@ -359,11 +403,7 @@ def run_convergence(cfg, dump_mm: str | None = None):
         raise ConfigError("eps_grid must be nonempty")
     if not np.all(np.diff(eps_grid) < 0):
         raise ConfigError("eps_grid must be strictly decreasing")
-    h = cfg["mesh"]["h"]
-    if h > eps_grid.min() / 4.0 + 1e-12:
-        raise ConfigError(
-            f"mesh too coarse: h={h} must satisfy h <= min(eps)/4 = {eps_grid.min()/4}"
-        )
+    _check_resolution("convergence", cfg, "eps_grid", float(eps_grid.min()))
     _check_out("convergence", cfg)
     seed, threads, out = cfg.get("seed", 7), cfg.get("threads", 1), cfg.get("out")
     op = Operator.from_config(cfg)
@@ -467,7 +507,7 @@ def run_convergence(cfg, dump_mm: str | None = None):
         fd2, fe2 = op2.form(), op2.form(float(eps_grid[0]))
         n2 = spectral.resolvent_diff_norm(fd2.S, fe2.S, fd2.M, shift, seed=seed + 1000)
         change = abs(n2.value - res_norms[0]) / max(res_norms[0], 1e-300)
-        refine_block = {"h": h / 2, "norm": n2.value, "rel_change": change}
+        refine_block = {"h": cfg["mesh"]["h"] / 2, "norm": n2.value, "rel_change": change}
         if change >= 0.25:
             flags["discretization_dominates_eps_effect"] = True
 
@@ -556,6 +596,7 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
     if abs(sum(angles) - 360.0) > 1e-8:
         raise ConfigError(f"angles must sum to 360 degrees, got {sum(angles)}")
     beta_cap = cfg.get("beta_cap", 0.4)
+    _check_resolution("stargraph", cfg, "eps", eps)
     _check_out("stargraph", cfg)
 
     nets = {
@@ -664,6 +705,7 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
             f"mesh too coarse for alpha={min(alphas)}: transverse decay length "
             f"{decay:.4f} is below 4h = {4 * h:.4f}"
         )
+    _check_resolution("cusp", cfg, "eps", eps)
     _check_out("cusp", cfg)
 
     power = 6.0 / (d + 2.0)
@@ -671,10 +713,12 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
     target = 2.0 ** (2.0 / (d + 2.0)) * e1
 
     mesh = _mesh(cfg["mesh"])
+    distances = DistanceTable(mesh, net)
     rows, flags, forms = [], {}, []
     r_devs, shifts = [], []
     for alpha in alphas:
-        form, res = Operator.uniform(mesh, net, alpha).solve(eps, seed=seed)
+        op = Operator.uniform(mesh, net, alpha, distances=distances)
+        form, res = op.solve(eps, seed=seed)
         lam = float(res.eigenvalues[0])
         weak = lam > -1e-6
         if weak:
@@ -738,6 +782,7 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
         raise ConfigError(
             f"wedge box {box} must contain the wedge vertex (0, 0) in its interior"
         )
+    _check_resolution("wedge", cfg, "eps", eps)
     _check_out("wedge", cfg)
 
     criterion = None
@@ -789,9 +834,10 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
 def run_spectrum(cfg: dict, dump_mm: str | None = None):
     """Assemble the configured operator and report its k lowest eigenpairs."""
     _require("spectrum", cfg, "mesh.box", "mesh.h", "network")
+    eps = cfg.get("eps")
+    _check_resolution("spectrum", cfg, "eps", eps)
     _check_out("spectrum", cfg)
     op = Operator.from_config(cfg)
-    eps = cfg.get("eps")
     form, res = op.solve(eps, k=cfg.get("k", 3), seed=cfg.get("seed", 7))
     fields = {
         "eigenvalues": res.eigenvalues.tolist(),

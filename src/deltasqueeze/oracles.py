@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq, minimize
 from scipy.special import erf
 
 __all__ = [
@@ -73,6 +72,8 @@ def square_well_ground_state(depth: float, halfwidth: float) -> float:
     lo = 1e-14
     if f(k_hi) < 0:  # extremely shallow well: root close to k_hi
         k_hi = np.sqrt(depth) * (1 - 1e-16)
+    from scipy.optimize import brentq  # scipy.optimize is slow to import
+
     k = brentq(f, lo, k_hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     return -(k * k)
 
@@ -236,6 +237,8 @@ def wedge_F_infimum(params: WedgeParams) -> WedgeInfimum:
 
     def in_log(u):
         return float(wedge_F(params, np.exp(u[0]), np.exp(u[1])))
+
+    from scipy.optimize import minimize
 
     out = minimize(
         in_log,

@@ -19,8 +19,10 @@ makes its own, lowering the shift until the inertia count is 0.  One given
 a variational upper estimate instead shifts below the estimate without
 counting (the count keeps a copy of the factor alive, see `count_below`),
 verifies the result a posteriori, and retries with a 2x lower shift on
-breakdown (at most five times).  Deterministic seeds everywhere: identical
-inputs give bit-identical reports.
+breakdown (at most five times).  Both need a Hermitian pencil, so
+`lowest_eigs` and every `ResolventFactor` refuse one whose Hermiticity
+residual exceeds round-off (NonHermitianError), e.g. a complex strength.
+Deterministic seeds everywhere: identical inputs give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
+
+from .fem import hermiticity_residual
 
 __all__ = [
     "SpectralResult",
@@ -39,6 +43,7 @@ __all__ = [
     "PowerIterationResult",
     "ShiftError",
     "FitError",
+    "NonHermitianError",
     "ResolventFactor",
     "count_below",
     "lowest_eigs",
@@ -49,6 +54,7 @@ __all__ = [
 
 POWER_TOL = 1e-6  # relative change of successive power-iteration estimates
 POWER_MAXITER = 200  # power-iteration steps before an estimate is non-converged
+HERMITIAN_RTOL = 1e-12  # round-off bound on max|A - A^H| / max|A|
 
 
 class ShiftError(RuntimeError):
@@ -57,6 +63,23 @@ class ShiftError(RuntimeError):
 
 class FitError(ValueError):
     """Too few usable points for a log-log rate fit."""
+
+
+class NonHermitianError(ValueError):
+    """A pencil matrix is not Hermitian to round-off: inertia counts and the
+    Hermitian Lanczos process do not apply to it."""
+
+
+def _check_hermitian(A, name):
+    """Raise NonHermitianError unless max|A - A^H| <= HERMITIAN_RTOL max|A|."""
+    residual = hermiticity_residual(A)
+    scale = float(abs(A).max()) if A.nnz else 0.0
+    if residual > HERMITIAN_RTOL * scale:
+        raise NonHermitianError(
+            f"pencil matrix {name} is not Hermitian: max|A - A^H| = {residual:.3g} "
+            f"against max|A| = {scale:.3g}; shift-invert Lanczos and inertia counts "
+            "need a Hermitian pencil"
+        )
 
 
 @dataclass(frozen=True)
@@ -131,12 +154,18 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
     attempt, without an inertia count, with a basis of at least 40 vectors.
     A shift that turns out not to lie below the spectrum is retried 2x
     lower, at most five times.
+
+    Raises NonHermitianError when S or M is not Hermitian to round-off (a
+    factor was checked when it was made).
     """
     n = S.shape[0]
     Sc, Mc = S.tocsc(), M.tocsc()
     if factor is not None:
         _certify(factor)
         shift = factor.lam
+    else:
+        _check_hermitian(Sc, "S")
+        _check_hermitian(Mc, "M")
     if n < max(3 * k + 2, 60):
         w, V = sla.eigh(Sc.toarray(), Mc.toarray())
         w, V = w[:k], V[:, :k]
@@ -224,12 +253,15 @@ def _finalize(S, M, w, V, shift):
 
 
 class ResolventFactor:
-    """Factorized discrete resolvent x -> (S - lambda M)^{-1} M x."""
+    """Factorized discrete resolvent x -> (S - lambda M)^{-1} M x.  Raises
+    NonHermitianError when S - lambda M is not Hermitian to round-off."""
 
     def __init__(self, S, M, lam: float):
         self.M = M.tocsc()
         self.lam = float(lam)
-        self._lu = _splu(S.tocsc() - lam * self.M)
+        A = S.tocsc() - lam * self.M
+        _check_hermitian(A, f"S - {self.lam:g} M")
+        self._lu = _splu(A)
 
     def apply(self, x):
         return self._lu.solve(self.M @ x)
@@ -344,7 +376,7 @@ def fit_rate(eps, values, *, confidence: float = 0.95) -> RateFit:
     s2 = float(resid @ resid) / max(dof, 1)
     sx = float(np.sum((X - X.mean()) ** 2))
     stderr = np.sqrt(s2 / sx)
-    tval = float(student_t.ppf(0.5 + confidence / 2.0, max(dof, 1)))
+    tval = float(stdtrit(max(dof, 1), 0.5 + confidence / 2.0))
     half = tval * stderr if dof > 0 else np.inf
     return RateFit(
         slope=slope,

@@ -271,3 +271,51 @@ def test_spline_curvature_matches_the_exact_formula():
     exact = (p[:, 0] * pp[:, 1] - p[:, 1] * pp[:, 0]) / np.linalg.norm(p, axis=1) ** 3
     k = SplineSegment(pts).curvature(np.array([arc_length(ui) for ui in u]))
     assert np.max(np.abs(k - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+# ------------------------------------------------------------ closest points
+
+
+def brute_force_closest(seg, pts, n=4001):
+    """(s, t, distance) of the closest points by dense sampling in arc length
+    and 60 bisections of (gamma(s) - p) . gamma'(s) on the sample bracket."""
+    grid = np.linspace(0.0, seg.length, n)
+    samples = seg.point(grid)
+    i = np.argmin(np.linalg.norm(pts[:, None, :] - samples[None, :, :], axis=2), axis=1)
+    lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, n - 1)]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        g = np.einsum("ij,ij->i", seg.point(mid) - pts, seg.tangent(mid))
+        lo, hi = np.where(g < 0.0, mid, lo), np.where(g < 0.0, hi, mid)
+    s = 0.5 * (lo + hi)
+    diff = pts - seg.point(s)
+    return s, np.einsum("ij,ij->i", diff, seg.normal(s)), np.linalg.norm(diff, axis=1)
+
+
+CLOSEST_CASES = {
+    "line": LineSegment((-0.7, 0.2), (1.1, -0.4)),
+    "arc_ccw_across_pi": CircularArc((0.3, -0.2), 1.2, 2.0, 4.5),
+    "arc_cw_across_pi": CircularArc((0.3, -0.2), 1.2, -2.2, -4.4),
+    "full_circle": CircularArc((0.1, 0.2), 0.9, 1.0, 1.0 + 2.0 * np.pi),
+    "cusp_d2": CuspBranch(2.0, 1.0, 0.75),
+    "cusp_d1.5": CuspBranch(1.5, -1.0, 0.9),
+    "spline": SplineSegment([[-1.5, -0.5], [-0.8, 0.4], [0.0, 0.1], [0.7, 0.6], [1.5, -0.2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSEST_CASES))
+def test_closest_points_match_brute_force(name):
+    seg = CLOSEST_CASES[name]
+    net = Network([seg], beta_cap=0.2)
+    dense = seg.point(np.linspace(0.0, seg.length, 4001))
+    lo, hi = net._bboxes[0]
+    assert np.all(lo <= dense.min(axis=0)) and np.all(hi >= dense.max(axis=0))
+    assert np.allclose(lo, dense.min(axis=0), atol=1e-6)
+    assert np.allclose(hi, dense.max(axis=0), atol=1e-6)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(lo - 0.4, hi + 0.4, size=(400, 2))
+    s_ref, t_ref, d_ref = brute_force_closest(seg, pts)
+    assert np.max(np.abs(net.sampled_distance(0, pts) - d_ref)) < 1e-10
+    s, t, _ = net.project_onto_segment(0, pts)
+    assert np.max(np.abs(s - s_ref)) < 1e-10
+    assert np.max(np.abs(t - t_ref)) < 1e-10

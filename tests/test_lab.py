@@ -8,10 +8,11 @@ import pytest
 import scipy.io
 import scipy.linalg as sla
 
-from deltasqueeze import cli, fem, spectral
+from deltasqueeze import cli, fem, geometry, spectral
 from deltasqueeze.fem import ResolutionError
 from deltasqueeze.lab import (
     ConfigError,
+    DistanceTable,
     Operator,
     cusp_network,
     network_from_spec,
@@ -269,6 +270,42 @@ def test_each_distinct_mesh_is_built_once(built):
     assert [h for _, h in built] == [1.0 / 16.0, 1.0 / 32.0]
 
 
+SMALL_CUSP = {
+    "d": 2.0,
+    "alpha_list": [-2.0, -3.0, -4.0],
+    "x_max": 0.5,
+    "mesh": {"box": [[-1.0, 2.0], [-1.5, 1.5]], "h": 1.0 / 16.0},
+}
+
+
+def test_cusp_measures_each_segment_distance_once(monkeypatch):
+    sampled_distance = geometry.Network.sampled_distance
+    calls = []
+
+    def counting(net, k, points):
+        calls.append(k)
+        return sampled_distance(net, k, points)
+
+    monkeypatch.setattr(geometry.Network, "sampled_distance", counting)
+    report, _ = run_cusp(SMALL_CUSP)
+    assert len(report["lam1"]) == 3
+    assert sorted(calls) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("d", [2.0, 1.5])
+def test_cusp_trial_bound_stays_above_the_ground_state(d):
+    net = cusp_network(d, 0.5)
+    mesh = fem.build_mesh(((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0)
+    distances = DistanceTable(mesh, net)
+    for alpha in (-6.0, -10.0):
+        op = Operator.uniform(mesh, net, alpha, distances=distances)
+        form = op.form()
+        lam1 = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)[0]
+        bound = trial_upper_bound(op.mesh, op.net, op.strengths, form, op.distances)
+        assert lam1 <= bound
+        assert bound == trial_upper_bound(op.mesh, op.net, op.strengths, form)
+
+
 # -------------------------------------------------------------------- wedge
 
 
@@ -509,4 +546,23 @@ def test_unusable_out_path_fails_before_any_mesh(tmp_path, built, scenario, runn
     out = str(blocker / "sub")
     with pytest.raises(ConfigError, match=f"{scenario} output path not writable: {re.escape(out)}"):
         runner({**cfg, "out": out})
+    assert built == []
+
+
+SQUEEZED_TOO_FINE = [
+    ("convergence", "eps_grid", run_convergence,
+     small_convergence_cfg(eps_grid=[0.5, 0.35, 0.2])),
+    ("stargraph", "eps", run_stargraph, star_cfg(eps=0.2, mesh=MESH)),
+    ("cusp", "eps", run_cusp, {**SMALL_CUSP, "eps": 0.2}),
+    ("wedge", "eps", run_wedge, wedge_cfg(eps=0.2)),
+    ("spectrum", "eps", run_spectrum,
+     {"network": LINE_NETWORK, "alpha": -4.0, "mesh": MESH, "eps": 0.2}),
+]
+
+
+@pytest.mark.parametrize("scenario, key, runner, cfg", SQUEEZED_TOO_FINE,
+                         ids=[case[0] for case in SQUEEZED_TOO_FINE])
+def test_squeezed_width_below_4h_fails_before_any_mesh(built, scenario, key, runner, cfg):
+    with pytest.raises(ConfigError, match=f"{scenario} config: '{key}' needs 'mesh.h' <= 0.2/4"):
+        runner(cfg)
     assert built == []

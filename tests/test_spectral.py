@@ -18,6 +18,7 @@ from deltasqueeze.oracles import delta_point_eigenvalue
 from deltasqueeze.potentials import SqueezedPotential, constant_profile
 from deltasqueeze.spectral import (
     FitError,
+    NonHermitianError,
     ResolventFactor,
     ShiftError,
     count_below,
@@ -173,6 +174,28 @@ def test_uncertified_factor_is_rejected():
     factor = ResolventFactor(S, M, 0.5 * (lam[0] + lam[1]))
     with pytest.raises(ShiftError, match="1 eigenvalues below"):
         lowest_eigs(S, M, k=1, factor=factor)
+
+
+def test_non_hermitian_pencil_is_refused():
+    # a complex strength makes the delta term, hence S, non-Hermitian
+    net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=0.5)
+    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 8.0)
+    S = build_form(mesh, net=net, strengths={0: -5.0 + 2.0j}).S
+    S_real, M = build_form(mesh, net=net, strengths={0: -5.0}).S, build_form(mesh).M
+    assert S.shape[0] >= 60  # past the dense cutoff of lowest_eigs
+    for call in (
+        lambda: lowest_eigs(S, M, k=2),
+        lambda: lowest_eigs(S, M, k=2, upper_estimate=-1.0),
+        lambda: count_below(ResolventFactor(S, M, -1.0)),
+        lambda: resolvent_diff_norm(S_real, S, M, -30.0),
+    ):
+        with pytest.raises(NonHermitianError, match="not Hermitian"):
+            call()
+    # a magnetic pencil is complex but Hermitian: it still solves
+    S_mag = build_form(mesh, A=homogeneous_gauge(1.5), net=net, strengths={0: -5.0}).S
+    lam = sla.eigh(S_mag.toarray(), M.toarray(), eigvals_only=True)
+    assert np.allclose(lowest_eigs(S_mag, M, k=2).eigenvalues, lam[:2], rtol=1e-10, atol=0.0)
+    assert count_below(ResolventFactor(S_mag, M, lam[0] - 1.0)) == 0
 
 
 # ----------------------------------------------------------- resolvent apply

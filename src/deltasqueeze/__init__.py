@@ -16,7 +16,6 @@ from .potentials import (
     TubeProfile,
     constant_profile,
     effective_alpha,
-    evaluate_scaled,
     potential_from_alpha,
     scale_profile,
     separable_profile,
@@ -38,7 +37,6 @@ from .spectral import (
     SpectralResult,
     fit_rate,
     lowest_eigs,
-    resolvent_apply,
     resolvent_diff_norm,
 )
 from .oracles import (
@@ -50,7 +48,6 @@ from .oracles import (
     wedge_F_infimum,
 )
 from .lab import (
-    geometric_eps_grid,
     run_convergence,
     run_cusp,
     run_spectrum,

@@ -32,7 +32,6 @@ __all__ = [
     "ConfigError",
     "DistanceTable",
     "Operator",
-    "geometric_eps_grid",
     "network_from_spec",
     "profiles_from_config",
     "run_convergence",
@@ -83,13 +82,6 @@ def _check_resolution(scenario, cfg: dict, key: str, eps):
         raise ConfigError(
             f"{scenario} config: {key!r} needs 'mesh.h' <= {eps}/4 = {eps / 4.0}, got {h}"
         )
-
-
-def geometric_eps_grid(eps_max: float, n: int, ratio: float = 0.7):
-    """Default squeezing grid: n widths decreasing geometrically from eps_max."""
-    if not 0.0 < ratio < 1.0 or eps_max <= 0.0 or n < 1:
-        raise ConfigError("need eps_max > 0, n >= 1 and ratio in (0, 1)")
-    return [eps_max * ratio**i for i in range(n)]
 
 
 def _segment_from_spec(spec: dict) -> geometry.CurveSegment:
@@ -415,13 +407,7 @@ def run_convergence(cfg, dump_mm: str | None = None):
     lam_delta = float(res_delta.eigenvalues[0])
 
     def norm_point(i, factor_eps):
-        return spectral.resolvent_diff_norm(
-            factor_delta,
-            factor_eps,
-            form_delta.M,
-            factor_delta.lam,
-            seed=seed + 1000 + i,
-        )
+        return spectral.resolvent_diff_norm(factor_delta, factor_eps, seed=seed + 1000 + i)
 
     # The norms use the common shift min(lam) - max(1, |lam_delta|) over the
     # delta and every eps pencil.  That is `shift` unless some lam_eps lies
@@ -464,7 +450,8 @@ def run_convergence(cfg, dump_mm: str | None = None):
         shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
         del factor_delta
         factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
-        norms = map_eps(lambda i: norm_point(i, eps_results[i][0].S))
+        norms = map_eps(lambda i: norm_point(
+            i, spectral.ResolventFactor(eps_results[i][0].S, form_delta.M, shift)))
     del factor_delta  # freed before the optional check on the finer mesh
 
     res_norms = [n.value for n in norms]
@@ -505,7 +492,9 @@ def run_convergence(cfg, dump_mm: str | None = None):
     if cfg.get("refine_check", False):
         op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
         fd2, fe2 = op2.form(), op2.form(float(eps_grid[0]))
-        n2 = spectral.resolvent_diff_norm(fd2.S, fe2.S, fd2.M, shift, seed=seed + 1000)
+        n2 = spectral.resolvent_diff_norm(spectral.ResolventFactor(fd2.S, fd2.M, shift),
+                                          spectral.ResolventFactor(fe2.S, fd2.M, shift),
+                                          seed=seed + 1000)
         change = abs(n2.value - res_norms[0]) / max(res_norms[0], 1e-300)
         refine_block = {"h": cfg["mesh"]["h"] / 2, "norm": n2.value, "rel_change": change}
         if change >= 0.25:

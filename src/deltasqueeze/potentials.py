@@ -30,7 +30,6 @@ __all__ = [
     "scale_profile",
     "effective_alpha",
     "potential_from_alpha",
-    "evaluate_scaled",
     "SqueezedPotential",
 ]
 
@@ -211,11 +210,3 @@ class SqueezedPotential:
             owned[take] = True
         return vals.reshape(x.shape)
 
-
-def evaluate_scaled(net: Network, profiles, eps: float, x):
-    """Value of the squeezed network potential at the point (or points) x."""
-    pot = SqueezedPotential(net, profiles, eps)
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        return pot(pts[0:1], pts[1:2])[0]
-    return pot(pts[:, 0], pts[:, 1])

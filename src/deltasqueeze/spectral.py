@@ -6,20 +6,21 @@ real shift lambda below the spectrum maps x to (S - lambda M)^{-1} M x, and
 operator norms are measured in the M-inner product, the Galerkin surrogate
 of the L2 norm.
 
-Every factorization of (S - sigma M) is SuperLU in symmetric mode: a minimum
-degree ordering of A^T + A and diagonal pivots, which keeps the row and
-column permutations equal.  The factorization is then a congruence, so by
-Sylvester's law of inertia the negative diagonal entries of U count the
-pencil eigenvalues below sigma (`count_below`; Parlett, The Symmetric
-Eigenvalue Problem, sec. 3.3).  A `ResolventFactor` whose count is 0 is a
-certified shift: `lowest_eigs` reuses it for shift-invert Lanczos and
-`resolvent_diff_norm` for power iteration, one factorization per pencil.
+Every factorization of (S - sigma M) is a `ResolventFactor`: SuperLU in
+symmetric mode, a minimum degree ordering of A^T + A and diagonal pivots,
+which keeps the row and column permutations equal.  The factorization is
+then a congruence, so by Sylvester's law of inertia the negative diagonal
+entries of U count the pencil eigenvalues below sigma (`count_below`;
+Parlett, The Symmetric Eigenvalue Problem, sec. 3.3).  A factor whose count
+is 0 is a certified shift: `lowest_eigs` reuses it for shift-invert Lanczos
+and `resolvent_diff_norm` for power iteration, one factorization per pencil.
 An eigensolve given neither such a factor nor an estimate of the bottom
 makes its own, lowering the shift until the inertia count is 0.  One given
 a variational upper estimate instead shifts below the estimate without
 counting (the count keeps a copy of the factor alive, see `count_below`),
 verifies the result a posteriori, and retries with a 2x lower shift on
-breakdown (at most five times).  Both need a Hermitian pencil, so
+breakdown (at most five times).  Every path runs one Lanczos call with a
+basis of max(2k + 1, 20) vectors and needs a Hermitian pencil, so
 `lowest_eigs` and every `ResolventFactor` refuse one whose Hermiticity
 residual exceeds round-off (NonHermitianError), e.g. a complex strength.
 Deterministic seeds everywhere: identical inputs give bit-identical reports.
@@ -47,7 +48,6 @@ __all__ = [
     "ResolventFactor",
     "count_below",
     "lowest_eigs",
-    "resolvent_apply",
     "resolvent_diff_norm",
     "fit_rate",
 ]
@@ -110,21 +110,6 @@ class RateFit:
     n_excluded: int
 
 
-def _splu(A):
-    """SuperLU factor of the Hermitian A in symmetric mode.
-
-    The MMD ordering of A^T + A needs about 40 percent less fill than the
-    default COLAMD ordering on P1 pencils, and diagonal pivoting keeps
-    perm_r == perm_c unless a diagonal pivot vanishes.
-    """
-    return spla.splu(
-        A.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-
-
 def _lower(shift):
     return 2.0 * shift if shift < -0.5 else shift - max(1.0, 2.0 * abs(shift))
 
@@ -146,22 +131,26 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
     call makes its own certified factor: it factors at `shift` (default -1)
     and lowers the shift until the inertia count is 0.  A certified factor
     is used as is, at its shift `factor.lam`, with no retry and no miss
-    detector, and a Lanczos basis of max(2k+1, 20) vectors.
+    detector.
 
     `upper_estimate` is a known bound lam_1 <= upper_estimate (e.g. a
     variational Rayleigh quotient).  It seeds the shift rule when no shift
     is given and arms the miss detector; (S - shift M) is factored once per
-    attempt, without an inertia count, with a basis of at least 40 vectors.
-    A shift that turns out not to lie below the spectrum is retried 2x
-    lower, at most five times.
+    attempt, without an inertia count.  A shift that turns out not to lie
+    below the spectrum is retried 2x lower, at most five times.
 
-    Raises NonHermitianError when S or M is not Hermitian to round-off (a
-    factor was checked when it was made).
+    Every sparse path runs Lanczos with a basis of max(2k + 1, 20) vectors,
+    the ARPACK default.  Raises NonHermitianError when S or M is not Hermitian
+    to round-off (a factor was checked when it was made).
     """
     n = S.shape[0]
     Sc, Mc = S.tocsc(), M.tocsc()
     if factor is not None:
-        _certify(factor)
+        below = count_below(factor)
+        if below != 0:
+            found = "no inertia count" if below is None else f"{below} eigenvalues below it"
+            raise ShiftError(
+                f"shift {factor.lam} not certified below the pencil spectrum: {found}")
         shift = factor.lam
     else:
         _check_hermitian(Sc, "S")
@@ -178,7 +167,7 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
     if factor is None and upper_estimate is None:
         factor = _certified_factor(Sc, Mc, -1.0 if shift is None else shift)
     if factor is not None:
-        w, V = _shift_invert(Sc, Mc, k, factor.lam, factor._lu, v0, 20)
+        w, V = _shift_invert(Sc, Mc, k, factor, v0)
         return _finalize(Sc, Mc, w, V, factor.lam)
     if shift is None:
         # variational estimates may miss vertex deepening factors
@@ -186,8 +175,11 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
     last_err = None
     for _ in range(5):
         try:
-            lu = _splu(Sc - shift * Mc)
-            w, V = _shift_invert(Sc, Mc, k, shift, lu, v0, 40)
+            # S positional: the benchmark's tracer reads the pencil from it
+            factor = ResolventFactor(Sc, Mc, shift)
+            w, V = _shift_invert(Sc, Mc, k, factor, v0)
+        except NonHermitianError:
+            raise
         except (RuntimeError, ValueError, spla.ArpackError) as err:  # noqa: B030
             last_err = err
             shift = _lower(shift)
@@ -219,20 +211,21 @@ def _certified_factor(S, M, shift):
     raise ShiftError(f"no shift down to {shift} certified below the pencil spectrum")
 
 
-def _shift_invert(S, M, k, shift, lu, v0, min_ncv):
-    """ARPACK shift-invert eigenpairs nearest `shift`, ascending, from the
-    factor `lu` of (S - shift M)."""
+def _shift_invert(S, M, k, factor, v0):
+    """ARPACK shift-invert eigenpairs nearest factor.lam, ascending, with
+    the ResolventFactor `factor` of (S - factor.lam M)."""
     n = S.shape[0]
-    op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.result_type(S.dtype, float))
+    op = spla.LinearOperator((n, n), matvec=factor._lu.solve,
+                             dtype=np.result_type(S.dtype, float))
     w, V = spla.eigsh(
         S,
         k=k,
         M=M,
-        sigma=shift,
+        sigma=factor.lam,
         OPinv=op,
         which="LM",
         v0=v0,
-        ncv=min(n - 1, max(2 * k + 1, min_ncv)),
+        ncv=min(n - 1, max(2 * k + 1, 20)),
     )
     order = np.argsort(w)
     return w[order], V[:, order]
@@ -253,15 +246,27 @@ def _finalize(S, M, w, V, shift):
 
 
 class ResolventFactor:
-    """Factorized discrete resolvent x -> (S - lambda M)^{-1} M x.  Raises
-    NonHermitianError when S - lambda M is not Hermitian to round-off."""
+    """Factorized discrete resolvent x -> (S - lambda M)^{-1} M x, the one
+    SuperLU factor behind every eigensolve, inertia count and norm.
+
+    SuperLU runs in symmetric mode: the MMD ordering of A^T + A needs about
+    40 percent less fill than the default COLAMD ordering on P1 pencils, and
+    diagonal pivoting keeps perm_r == perm_c unless a diagonal pivot
+    vanishes.  Raises NonHermitianError when S - lambda M is not Hermitian
+    to round-off, and RuntimeError when it is exactly singular.
+    """
 
     def __init__(self, S, M, lam: float):
         self.M = M.tocsc()
         self.lam = float(lam)
         A = S.tocsc() - lam * self.M
         _check_hermitian(A, f"S - {self.lam:g} M")
-        self._lu = _splu(A)
+        self._lu = spla.splu(
+            A,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
     def apply(self, x):
         return self._lu.solve(self.M @ x)
@@ -287,57 +292,30 @@ def count_below(factor: ResolventFactor) -> int | None:
     return int(np.count_nonzero(lu.U.diagonal().real < 0.0))
 
 
-def _certify(factor: ResolventFactor):
-    """Raise ShiftError unless no pencil eigenvalue lies below factor.lam."""
-    below = count_below(factor)
-    if below != 0:
-        found = "no inertia count" if below is None else f"{below} eigenvalues below it"
-        raise ShiftError(f"shift {factor.lam} not certified below the pencil spectrum: {found}")
-
-
-def resolvent_apply(S, M, lam: float, rhs, *, check: bool = True):
-    """Solve (S - lam M) x = M rhs; lam must lie below the pencil spectrum.
-
-    The check certifies lam by the inertia of the factorization the solve
-    uses: it raises ShiftError unless no eigenvalue lies below lam, or when
-    lam is an eigenvalue (the factorization is singular).
-    """
-    try:
-        factor = ResolventFactor(S, M, lam)
-    except RuntimeError as err:  # exactly singular: lam is an eigenvalue
-        if not check:
-            raise
-        raise ShiftError(f"lam={lam} is an eigenvalue of the pencil: {err}") from err
-    if check:
-        _certify(factor)
-    return factor.apply(rhs)
-
-
-def resolvent_diff_norm(
-    S_delta,
-    S_eps,
-    M,
-    lam: float,
-    *,
-    seed: int = 2024,
-) -> PowerIterationResult:
+def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
+                        seed: int = 2024) -> PowerIterationResult:
     """M-operator norm of R_delta(lam) - R_eps(lam) by power iteration.
 
-    The difference is self-adjoint in the M-inner product for real lam, so
-    the norm is the dominant Rayleigh quotient magnitude; each step costs one
-    sparse solve per resolvent.  The iteration stops when two successive
-    estimates agree to POWER_TOL relative; non-convergence within
-    POWER_MAXITER steps returns the best estimate flagged non-converged.
+    Both factors must be at one shift lam (else ValueError); the norm is
+    taken in the inner product of R_delta.M.  The difference is self-adjoint
+    in the M-inner product for real lam, so the norm is the dominant
+    Rayleigh quotient magnitude; each step costs one sparse solve per
+    resolvent.  The iteration stops when two successive estimates agree to
+    POWER_TOL relative; non-convergence within POWER_MAXITER steps returns
+    the best estimate flagged non-converged.
     """
-    R_d = S_delta if isinstance(S_delta, ResolventFactor) else ResolventFactor(S_delta, M, lam)
-    R_e = S_eps if isinstance(S_eps, ResolventFactor) else ResolventFactor(S_eps, M, lam)
-    Mc = M.tocsc()
+    if R_delta.lam != R_eps.lam:
+        raise ValueError(
+            f"resolvent factors at different shifts: R_delta at {R_delta.lam}, "
+            f"R_eps at {R_eps.lam}"
+        )
+    Mc = R_delta.M
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(Mc.shape[0])
     x = x / np.sqrt(x @ (Mc @ x))
     est = 0.0
     for it in range(1, POWER_MAXITER + 1):
-        y = R_d.apply(x) - R_e.apply(x)
+        y = R_delta.apply(x) - R_eps.apply(x)
         ray = abs(np.vdot(x, Mc @ y))
         norm_y = np.sqrt(abs(np.vdot(y, Mc @ y)))
         if norm_y == 0.0:

@@ -5,10 +5,10 @@ from scipy.integrate import quad
 from deltasqueeze.geometry import CircularArc, LineSegment, Network
 from deltasqueeze.potentials import (
     ParameterError,
+    SqueezedPotential,
     StrengthFunction,
     constant_profile,
     effective_alpha,
-    evaluate_scaled,
     potential_from_alpha,
     scale_profile,
     separable_profile,
@@ -143,7 +143,7 @@ def test_potential_from_alpha_values():
     assert Vz(0.3, 0.1) == 0.0
 
 
-# ------------------------------------------------------------ evaluate_scaled
+# ------------------------------------------------- squeezed point evaluation
 
 
 def test_evaluate_scaled_outside_tubes_is_zero():
@@ -157,7 +157,7 @@ def test_evaluate_scaled_outside_tubes_is_zero():
         | (pts[:, 0] < -1e-9)
         | (pts[:, 0] > 1 + 1e-9)
     )
-    vals = evaluate_scaled(net, V, eps, pts)
+    vals = SqueezedPotential(net, V, eps)(pts[:, 0], pts[:, 1])
     assert np.all(vals[outside] == 0.0)
 
 
@@ -166,7 +166,7 @@ def test_evaluate_scaled_flat_tube_value():
     c = -3.5
     V = [constant_profile(0, c, net.beta)]
     eps = net.beta / 4
-    val = evaluate_scaled(net, V, eps, np.array([0.5, eps / 2]))
+    val = SqueezedPotential(net, V, eps)(0.5, eps / 2)
     assert val == pytest.approx(4 * c)
 
 
@@ -188,9 +188,7 @@ def test_evaluate_scaled_total_integral_jacobian_defect():
         th = np.pi * (gq + 1.0)
         wth = np.pi * gw
         R, TH = np.meshgrid(r, th, indexing="ij")
-        vals = evaluate_scaled(
-            net, V, eps, np.stack([(R * np.cos(TH)).ravel(), (R * np.sin(TH)).ravel()], 1)
-        ).reshape(R.shape)
+        vals = SqueezedPotential(net, V, eps)(R * np.cos(TH), R * np.sin(TH))
         integral = np.einsum("i,j,ij->", wr, wth, vals * R)
         defects.append(abs(integral - target))
     # defect scales ~ eps: halving eps halves the defect within 20 percent
@@ -204,5 +202,5 @@ def test_evaluate_scaled_ownership_at_shared_vertex():
     )
     V = [constant_profile(0, -1.0, net.beta), constant_profile(1, -10.0, net.beta)]
     # a point near the vertex inside both tubes: owned by segment 0
-    val = evaluate_scaled(net, V, net.beta, np.array([0.05, 0.05]))
+    val = SqueezedPotential(net, V, net.beta)(0.05, 0.05)
     assert val == pytest.approx(-1.0)

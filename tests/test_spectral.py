@@ -24,7 +24,6 @@ from deltasqueeze.spectral import (
     count_below,
     fit_rate,
     lowest_eigs,
-    resolvent_apply,
     resolvent_diff_norm,
 )
 
@@ -187,7 +186,8 @@ def test_non_hermitian_pencil_is_refused():
         lambda: lowest_eigs(S, M, k=2),
         lambda: lowest_eigs(S, M, k=2, upper_estimate=-1.0),
         lambda: count_below(ResolventFactor(S, M, -1.0)),
-        lambda: resolvent_diff_norm(S_real, S, M, -30.0),
+        lambda: resolvent_diff_norm(ResolventFactor(S_real, M, -30.0),
+                                    ResolventFactor(S, M, -30.0)),
     ):
         with pytest.raises(NonHermitianError, match="not Hermitian"):
             call()
@@ -198,7 +198,7 @@ def test_non_hermitian_pencil_is_refused():
     assert count_below(ResolventFactor(S_mag, M, lam[0] - 1.0)) == 0
 
 
-# ----------------------------------------------------------- resolvent apply
+# --------------------------------------------------------- resolvent factor
 
 
 def test_resolvent_on_eigenvector():
@@ -206,7 +206,7 @@ def test_resolvent_on_eigenvector():
     res = lowest_eigs(S, M, k=2)
     lam = -5.0
     v = res.eigenvectors[:, 0]
-    x = resolvent_apply(S, M, lam, v, check=False)
+    x = ResolventFactor(S, M, lam).apply(v)
     assert np.linalg.norm(x - v / (res.eigenvalues[0] - lam)) < 1e-8
 
 
@@ -216,7 +216,7 @@ def test_resolvent_norm_bound_at_deep_shift():
     lam = lam_min - 1e3
     rng = np.random.default_rng(0)
     rhs = rng.standard_normal(S.shape[0])
-    x = resolvent_apply(S, M, lam, rhs, check=False)
+    x = ResolventFactor(S, M, lam).apply(rhs)
     nrm = lambda v: np.sqrt(v @ (M @ v))
     assert nrm(x) <= nrm(rhs) / abs(lam - lam_min) * (1 + 1e-10)
 
@@ -226,27 +226,60 @@ def test_resolvent_two_by_two_diagonal_oracle():
     # (S - lam M) x = M rhs  =>  diag(3, 8) x = (1, 2)  =>  x = (1/3, 1/4)
     S = sp.diags([2.0, 6.0]).tocsr()
     M = sp.diags([1.0, 2.0]).tocsr()
-    x = resolvent_apply(S, M, -1.0, np.array([1.0, 1.0]))
+    factor = ResolventFactor(S, M, -1.0)
+    assert count_below(factor) == 0
+    x = factor.apply(np.array([1.0, 1.0]))
     assert np.max(np.abs(x - np.array([1.0 / 3.0, 1.0 / 4.0]))) < 1e-14
 
 
 def test_resolvent_rejects_shift_in_spectrum():
     S = sp.diags([2.0, 6.0]).tocsr()
     M = sp.diags([1.0, 2.0]).tocsr()
-    with pytest.raises(ShiftError):
-        resolvent_apply(S, M, 2.5, np.array([1.0, 1.0]))
-    with pytest.raises(ShiftError):
-        resolvent_apply(S, M, 2.0, np.array([1.0, 1.0]))  # an eigenvalue
+    inside = ResolventFactor(S, M, 2.5)
+    assert count_below(inside) == 1
+    with pytest.raises(ShiftError, match="1 eigenvalues below"):
+        lowest_eigs(S, M, k=1, factor=inside)
+    with pytest.raises(RuntimeError, match="singular"):
+        ResolventFactor(S, M, 2.0)  # an eigenvalue
 
 
 def test_resolvent_check_by_inertia_of_its_factor():
     S, M, _ = dirichlet_pencil(1.0 / 16.0, RECT)
     lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
-    rhs = np.ones(S.shape[0])
-    x = resolvent_apply(S, M, lam[0] - 1e-6, rhs)
-    assert np.allclose(x, resolvent_apply(S, M, lam[0] - 1e-6, rhs, check=False))
+    below = ResolventFactor(S, M, lam[0] - 1e-6)
+    assert count_below(below) == 0
+    res = lowest_eigs(S, M, k=1, factor=below)
+    assert res.eigenvalues[0] == pytest.approx(lam[0], rel=1e-10)
     with pytest.raises(ShiftError, match="2 eigenvalues below"):
-        resolvent_apply(S, M, 0.5 * (lam[1] + lam[2]), rhs)
+        lowest_eigs(S, M, k=1, factor=ResolventFactor(S, M, 0.5 * (lam[1] + lam[2])))
+
+
+def test_estimated_shift_needs_fewer_than_41_solves(monkeypatch):
+    # k = 1 with only an upper estimate: a 20-vector Lanczos basis, not 40
+    S, M, _, _ = segment_pencil(-5.0, 1.0, 1.0 / 16.0)
+    assert S.shape[0] == 3969
+    solves = []
+    splu = spectral.spla.splu
+
+    class CountedFactor:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, *args, **kwargs):
+            solves.append(1)
+            return self._lu.solve(*args, **kwargs)
+
+        def __getattr__(self, attr):
+            return getattr(self._lu, attr)
+
+    monkeypatch.setattr(spectral.spla, "splu",
+                        lambda *args, **kwargs: CountedFactor(splu(*args, **kwargs)))
+    res = lowest_eigs(S, M, k=1, upper_estimate=-5.0)
+    assert len(solves) < 41
+    # Fortran-ordered dense copies that eigh may overwrite: one copy each
+    lam = sla.eigh(S.toarray(order="F"), M.toarray(order="F"), eigvals_only=True,
+                   subset_by_index=[0, 0], overwrite_a=True, overwrite_b=True)
+    assert res.eigenvalues[0] == pytest.approx(lam[0], rel=1e-10)
 
 
 # ------------------------------------------------------- resolvent diff norm
@@ -254,7 +287,7 @@ def test_resolvent_check_by_inertia_of_its_factor():
 
 def test_identical_forms_give_zero():
     S, M, _ = dirichlet_pencil(1.0 / 16.0)
-    out = resolvent_diff_norm(S, S.copy(), M, -3.0)
+    out = resolvent_diff_norm(ResolventFactor(S, M, -3.0), ResolventFactor(S.copy(), M, -3.0))
     assert out.converged
     assert out.value <= 1e-12
 
@@ -268,10 +301,16 @@ def test_scalar_shift_norm_against_dense_eigendecomposition(monkeypatch):
     S2 = (S + c * M).tocsr()
     monkeypatch.setattr(spectral, "POWER_TOL", 1e-12)
     monkeypatch.setattr(spectral, "POWER_MAXITER", 2000)
-    out = resolvent_diff_norm(S, S2, M, lam)
+    out = resolvent_diff_norm(ResolventFactor(S, M, lam), ResolventFactor(S2, M, lam))
     mu = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
     exact = np.max(np.abs(1.0 / (mu - lam) - 1.0 / (mu + c - lam)))
     assert out.value == pytest.approx(exact, abs=1e-8)
+
+
+def test_factors_at_different_shifts_are_refused():
+    S, M, _ = dirichlet_pencil(1.0 / 8.0)
+    with pytest.raises(ValueError, match=r"-3\.0.*-4\.0"):
+        resolvent_diff_norm(ResolventFactor(S, M, -3.0), ResolventFactor(S, M, -4.0))
 
 
 def test_diff_operator_m_symmetric():
@@ -300,6 +339,7 @@ def test_halving_eps_contracts_norm_at_squeezing_rate():
     assert beta == 1.0
     lam1 = lowest_eigs(S_d, M, k=1, shift=-12.0).eigenvalues[0]
     lam = lam1 - max(1.0, abs(lam1))
+    R_d = ResolventFactor(S_d, M, lam)
     norms = []
     for eps in (beta / 4.0, beta / 8.0):
         W = SqueezedPotential(net, [constant_profile(0, alpha / (2 * beta), beta)], eps)
@@ -309,7 +349,7 @@ def test_halving_eps_contracts_norm_at_squeezing_rate():
             mesh,
             assemble_magnetic_stiffness(mesh) + assemble_volume_potential(mesh, W),
         )
-        norms.append(resolvent_diff_norm(S_d, S_e, M, lam).value)
+        norms.append(resolvent_diff_norm(R_d, ResolventFactor(S_e, M, lam)).value)
     ratio = norms[1] / norms[0]
     assert 2.0**-0.8 <= ratio <= 2.0**-0.35
 

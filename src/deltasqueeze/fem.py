@@ -66,7 +66,6 @@ class Mesh:
     node_y: np.ndarray
     triangles: np.ndarray  # (nt, 3) node indices, lower block then upper block
     interior: np.ndarray  # bool mask over nodes
-    interior_dof: np.ndarray  # node -> interior index, -1 on the boundary
 
     @property
     def n_nodes(self):
@@ -112,8 +111,6 @@ def build_mesh(box, h: float) -> Mesh:
     interior = np.zeros(Nx * Ny, dtype=bool)
     ii, jj = np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij")
     interior[jj.ravel() * Nx + ii.ravel()] = True
-    interior_dof = np.full(Nx * Ny, -1, dtype=np.int64)
-    interior_dof[interior] = np.arange(interior.sum())
     return Mesh(
         box=((float(x0), float(x1)), (float(y0), float(y1))),
         h=float(h),
@@ -123,7 +120,6 @@ def build_mesh(box, h: float) -> Mesh:
         node_y=node_y,
         triangles=triangles,
         interior=interior,
-        interior_dof=interior_dof,
     )
 
 

@@ -13,16 +13,15 @@ then a congruence, so by Sylvester's law of inertia the negative diagonal
 entries of U count the pencil eigenvalues below sigma (`count_below`;
 Parlett, The Symmetric Eigenvalue Problem, sec. 3.3).  A factor whose count
 is 0 is a certified shift: `lowest_eigs` reuses it for shift-invert Lanczos
-and `resolvent_diff_norm` for power iteration, one factorization per pencil.
-An eigensolve given neither such a factor nor an estimate of the bottom
-makes its own, lowering the shift until the inertia count is 0.  One given
-a variational upper estimate instead shifts below the estimate without
-counting (the count keeps a copy of the factor alive, see `count_below`),
-verifies the result a posteriori, and retries with a 2x lower shift on
-breakdown (at most five times).  Every path runs one Lanczos call with a
-basis of max(2k + 1, 20) vectors and needs a Hermitian pencil, so
-`lowest_eigs` and every `ResolventFactor` refuse one whose Hermiticity
-residual exceeds round-off (NonHermitianError), e.g. a complex strength.
+and `resolvent_diff_norm` for the norm, one factorization per pencil.  An
+eigensolve with no such factor makes its own, lowering the shift until the
+inertia count is 0 (`_certified_factor`, the one loop that lowers a shift).
+One given a variational upper estimate first tries the estimated shift
+without counting (the count keeps a copy of the factor alive, see
+`count_below`), checks the result, and on failure lowers the shift once
+and certifies.  Eigensolves and norms are one ARPACK Lanczos call each and
+need a Hermitian pencil: `lowest_eigs` and every `ResolventFactor` refuse
+one whose Hermiticity residual exceeds round-off (NonHermitianError).
 Deterministic seeds everywhere: identical inputs give bit-identical reports.
 """
 
@@ -41,7 +40,7 @@ from .fem import hermiticity_residual
 __all__ = [
     "SpectralResult",
     "RateFit",
-    "PowerIterationResult",
+    "NormResult",
     "ShiftError",
     "FitError",
     "NonHermitianError",
@@ -52,8 +51,7 @@ __all__ = [
     "fit_rate",
 ]
 
-POWER_TOL = 1e-6  # relative change of successive power-iteration estimates
-POWER_MAXITER = 200  # power-iteration steps before an estimate is non-converged
+NORM_RTOL = 1e-10  # ARPACK relative residual tolerance of resolvent-difference norms
 HERMITIAN_RTOL = 1e-12  # round-off bound on max|A - A^H| / max|A|
 
 
@@ -94,10 +92,10 @@ class SpectralResult:
 
 
 @dataclass(frozen=True)
-class PowerIterationResult:
+class NormResult:
     value: float
     converged: bool
-    iterations: int
+    iterations: int  # applications of R_delta - R_eps, one solve per factor each
 
 
 @dataclass(frozen=True)
@@ -127,17 +125,16 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
 
     Dense solve below 60 unknowns.  Given `factor`, a `ResolventFactor` of
     this pencil, the call first certifies it: `count_below(factor)` must be
-    0, else ShiftError.  Given neither `factor` nor `upper_estimate`, the
-    call makes its own certified factor: it factors at `shift` (default -1)
-    and lowers the shift until the inertia count is 0.  A certified factor
-    is used as is, at its shift `factor.lam`, with no retry and no miss
-    detector.
+    0, else ShiftError.  Otherwise the call makes its own certified factor:
+    it factors at `shift` (default -1) and lowers the shift until the
+    inertia count is 0.  A certified factor is used as is, at its shift.
 
     `upper_estimate` is a known bound lam_1 <= upper_estimate (e.g. a
-    variational Rayleigh quotient).  It seeds the shift rule when no shift
-    is given and arms the miss detector; (S - shift M) is factored once per
-    attempt, without an inertia count.  A shift that turns out not to lie
-    below the spectrum is retried 2x lower, at most five times.
+    variational Rayleigh quotient).  With a `shift`, or a negative estimate
+    to seed the shift rule, the call first factors without an inertia count
+    and checks the result: finite, none below the shift, lam_1 at most
+    0.5 max(1, |upper_estimate|) above the estimate; else it lowers the
+    shift once and certifies.  An estimate >= 0 gives the rule no scale.
 
     Every sparse path runs Lanczos with a basis of max(2k + 1, 20) vectors,
     the ARPACK default.  Raises NonHermitianError when S or M is not Hermitian
@@ -164,35 +161,28 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
     v0 = rng.standard_normal(n)
     if np.iscomplexobj(Sc.data):
         v0 = v0 + 1j * rng.standard_normal(n)
-    if factor is None and upper_estimate is None:
-        factor = _certified_factor(Sc, Mc, -1.0 if shift is None else shift)
-    if factor is not None:
-        w, V = _shift_invert(Sc, Mc, k, factor, v0)
-        return _finalize(Sc, Mc, w, V, factor.lam)
-    if shift is None:
-        # variational estimates may miss vertex deepening factors
-        shift = upper_estimate - max(1.0, 3.0 * abs(upper_estimate))
-    last_err = None
-    for _ in range(5):
+    if factor is None and upper_estimate is not None and (
+            shift is not None or upper_estimate < 0.0):
+        if shift is None:
+            # variational estimates may miss vertex deepening factors
+            shift = upper_estimate - max(1.0, 3.0 * abs(upper_estimate))
         try:
             # S positional: the benchmark's tracer reads the pencil from it
             factor = ResolventFactor(Sc, Mc, shift)
             w, V = _shift_invert(Sc, Mc, k, factor, v0)
-        except NonHermitianError:
-            raise
-        except (RuntimeError, ValueError, spla.ArpackError) as err:  # noqa: B030
-            last_err = err
-            shift = _lower(shift)
-            continue
-        below_shift = np.any(w < shift + 1e-12 * abs(shift))
-        missed_bottom = np.min(w) > upper_estimate + 0.5 * max(1.0, abs(upper_estimate))
-        if below_shift or missed_bottom or not np.all(np.isfinite(w)):
-            # shift was not below the spectrum: deepen and retry
-            last_err = ShiftError(f"shift {shift} not below the pencil spectrum")
-            shift = _lower(shift)
-            continue
-        return _finalize(Sc, Mc, w, V, shift)
-    raise ShiftError(f"no usable shift after 5 retries: {last_err}")
+        except (RuntimeError, spla.ArpackError):  # singular factor or no convergence
+            w = None
+        # w[0] far above the estimate: Lanczos converged past the bottom
+        if w is not None and np.all(np.isfinite(w)) and (
+                shift + 1e-12 * abs(shift) <= w[0]
+                <= upper_estimate + 0.5 * max(1.0, abs(upper_estimate))):
+            return _finalize(Sc, Mc, w, V, shift)
+        factor = None  # freed before the certified path factors again
+        shift = _lower(shift)
+    if factor is None:
+        factor = _certified_factor(Sc, Mc, -1.0 if shift is None else shift)
+    w, V = _shift_invert(Sc, Mc, k, factor, v0)
+    return _finalize(Sc, Mc, w, V, factor.lam)
 
 
 def _certified_factor(S, M, shift):
@@ -293,16 +283,18 @@ def count_below(factor: ResolventFactor) -> int | None:
 
 
 def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
-                        seed: int = 2024) -> PowerIterationResult:
-    """M-operator norm of R_delta(lam) - R_eps(lam) by power iteration.
+                        seed: int = 2024) -> NormResult:
+    """M-operator norm of D = R_delta(lam) - R_eps(lam) by ARPACK Lanczos.
 
     Both factors must be at one shift lam (else ValueError); the norm is
-    taken in the inner product of R_delta.M.  The difference is self-adjoint
-    in the M-inner product for real lam, so the norm is the dominant
-    Rayleigh quotient magnitude; each step costs one sparse solve per
-    resolvent.  The iteration stops when two successive estimates agree to
-    POWER_TOL relative; non-convergence within POWER_MAXITER steps returns
-    the best estimate flagged non-converged.
+    taken in the inner product of R_delta.M, in which D is self-adjoint for
+    real lam.  `eigsh` in shift-invert mode at sigma = 0 with OPinv = D M^-1
+    iterates OP = D and returns 1/mu for its largest eigenvalue mu in
+    magnitude; its residual test bounds |theta - mu| <= NORM_RTOL |theta|
+    (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  Each
+    application of D costs one solve per factor.  Without convergence in 20
+    restarts the result is the lower bound ||D x0||_M / ||x0||_M, flagged
+    non-converged.
     """
     if R_delta.lam != R_eps.lam:
         raise ValueError(
@@ -310,21 +302,29 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
             f"R_eps at {R_eps.lam}"
         )
     Mc = R_delta.M
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(Mc.shape[0])
-    x = x / np.sqrt(x @ (Mc @ x))
-    est = 0.0
-    for it in range(1, POWER_MAXITER + 1):
-        y = R_delta.apply(x) - R_eps.apply(x)
-        ray = abs(np.vdot(x, Mc @ y))
-        norm_y = np.sqrt(abs(np.vdot(y, Mc @ y)))
-        if norm_y == 0.0:
-            return PowerIterationResult(0.0, True, it)
-        x = y / norm_y
-        if it > 1 and abs(ray - est) <= POWER_TOL * max(ray, 1e-300):
-            return PowerIterationResult(float(ray), True, it)
-        est = ray
-    return PowerIterationResult(float(est), False, POWER_MAXITER)
+    n = Mc.shape[0]
+    applied = 0
+
+    def diff(x):
+        nonlocal applied
+        applied += 1
+        return R_delta._lu.solve(x) - R_eps._lu.solve(x)
+
+    x0 = np.random.default_rng(seed).standard_normal(n)
+    v0 = diff(Mc @ x0)  # D x0: complex for magnetic pencils
+    lower = np.sqrt(abs(np.vdot(v0, Mc @ v0)) / (x0 @ (Mc @ x0)))
+    if lower == 0.0:  # D = 0: ARPACK refuses a zero start vector
+        return NormResult(0.0, True, applied)
+    op = spla.LinearOperator((n, n), matvec=diff, dtype=v0.dtype)
+    try:
+        # 12 vectors, not the eigensolves' 20: the norm converges at ARPACK's
+        # first check, after about ncv applications of D (10 needs a restart)
+        w = spla.eigsh(op, k=1, M=Mc, sigma=0.0, OPinv=op, which="LM", v0=v0,
+                       ncv=min(n - 1, 12), tol=NORM_RTOL, maxiter=20,
+                       return_eigenvectors=False)
+    except spla.ArpackNoConvergence:
+        return NormResult(float(lower), False, applied)
+    return NormResult(float(1.0 / abs(w[0])), True, applied)
 
 
 def fit_rate(eps, values, *, confidence: float = 0.95) -> RateFit:

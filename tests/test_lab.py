@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import types
 
 import numpy as np
 import pytest
@@ -135,14 +136,53 @@ def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch):
 
 
 def test_convergence_flags_nonconverged_power_iteration(monkeypatch, tmp_path):
-    monkeypatch.setattr(spectral, "POWER_MAXITER", 1)
+    spla = spectral.spla  # the real module: the proxy's eigsh calls it
+
+    def eigsh(*args, **kwargs):
+        if kwargs["sigma"] == 0.0:  # the norms; every eigensolve shifts below 0
+            raise spla.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+        return spla.eigsh(*args, **kwargs)
+
+    proxy = types.SimpleNamespace(**{**vars(spla), "eigsh": eigsh})
+    monkeypatch.setattr(spectral, "spla", proxy)
     report, status = run_convergence(small_convergence_cfg(out=str(tmp_path)))
     assert report["res_converged"] == [False, False, False]
-    assert report["solver"]["power_iterations"] == [1, 1, 1]
     assert report["flags"]["power_iteration_nonconverged"]
     assert status == 2
+    # the start vector's lower bounds stand in, so the fits still run
+    assert all(v > 0.0 for v in report["res_norms"])
+    assert report["norm_fit"] is not None
     rows = (tmp_path / "data.csv").read_text().splitlines()[1:]
     assert [row.split(",")[3] for row in rows] == ["False", "False", "False"]
+
+
+def test_convergence_refine_check_reruns_the_largest_eps_at_half_h():
+    report, status = run_convergence(small_convergence_cfg(refine_check=True))
+    block = report["refine_check"]
+    assert block["h"] == 1.0 / 32.0
+    assert block["norm"] > 0.0
+    assert block["rel_change"] < 0.25
+    assert report["flags"] == {}
+    assert status == 0
+
+
+def test_magnetic_convergence_norms_match_dense_resolvents():
+    # complex Hermitian pencils: the norm takes ARPACK's complex path
+    cfg = small_convergence_cfg(field_b=1.5, eps_grid=[1.0, 0.7, 0.5],
+                                mesh={"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 8.0})
+    report, _ = run_convergence(cfg)
+    op = Operator.from_config(cfg)
+    form_delta = op.form()
+    assert np.iscomplexobj(form_delta.S.data)
+    M = form_delta.M.toarray()
+
+    def resolvent(form):
+        return sla.solve(form.S.toarray() - report["shift"] * M, M)
+
+    R_delta = resolvent(form_delta)
+    for eps, norm in zip(cfg["eps_grid"], report["res_norms"]):
+        mu = sla.eigvals(R_delta - resolvent(op.form(eps)))
+        assert norm == pytest.approx(np.max(np.abs(mu)), rel=1e-12)
 
 
 # --------------------------------------------------------------- star graph
@@ -304,6 +344,19 @@ def test_cusp_trial_bound_stays_above_the_ground_state(d):
         bound = trial_upper_bound(op.mesh, op.net, op.strengths, form, op.distances)
         assert lam1 <= bound
         assert bound == trial_upper_bound(op.mesh, op.net, op.strengths, form)
+
+
+def test_cusp_with_a_positive_trial_bound_finds_the_ground_state():
+    # the trial bound is +1.92: a shift seeded from it lies above lam_1 = -9.76,
+    # where shift-invert Lanczos with k = 1 converges to lam_2 = -1.40
+    box, h = ((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0
+    report, _ = run_cusp({"d": 1.5, "alpha_list": [-6.0], "x_max": 0.5,
+                          "mesh": {"box": [list(b) for b in box], "h": h}})
+    op = Operator.uniform(fem.build_mesh(box, h), cusp_network(1.5, 0.5), -6.0)
+    form = op.form()
+    assert trial_upper_bound(op.mesh, op.net, op.strengths, form) > 0.0
+    lam1 = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)[0]
+    assert report["lam1"][0] == pytest.approx(lam1, rel=1e-10)
 
 
 # -------------------------------------------------------------------- wedge

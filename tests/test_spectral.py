@@ -292,19 +292,32 @@ def test_identical_forms_give_zero():
     assert out.value <= 1e-12
 
 
-def test_scalar_shift_norm_against_dense_eigendecomposition(monkeypatch):
+def test_scalar_shift_norm_against_dense_eigendecomposition():
     # 16-node mesh: forms differing by c*M have resolvent difference norm
     # max_mu |1/(mu - lam) - 1/(mu + c - lam)| over pencil eigenvalues mu
     S, M, m = dirichlet_pencil(1.0 / 3.0)
     assert m.n_nodes == 16
     c, lam = 7.5, -2.0
     S2 = (S + c * M).tocsr()
-    monkeypatch.setattr(spectral, "POWER_TOL", 1e-12)
-    monkeypatch.setattr(spectral, "POWER_MAXITER", 2000)
     out = resolvent_diff_norm(ResolventFactor(S, M, lam), ResolventFactor(S2, M, lam))
     mu = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
     exact = np.max(np.abs(1.0 / (mu - lam) - 1.0 / (mu + c - lam)))
-    assert out.value == pytest.approx(exact, abs=1e-8)
+    assert out.converged
+    assert out.value == pytest.approx(exact, rel=1e-10)
+
+
+def test_norm_of_a_plus_minus_eigenvalue_pair():
+    # D = diag(1/a - 1/b) at lam = 0 has the pair +-0.5 above a cluster near
+    # 1e-4: an estimate of |x.Dx| alone sees the pair cancel
+    n = 60
+    a = np.concatenate([[1.0, 2.0], np.linspace(3.0, 9.0, n - 2)])
+    b = np.concatenate([[2.0, 1.0], a[2:] + 1e-3])
+    M = sp.identity(n, format="csc")
+    out = resolvent_diff_norm(ResolventFactor(sp.diags(a), M, 0.0),
+                              ResolventFactor(sp.diags(b), M, 0.0))
+    assert np.max(np.abs(1.0 / a - 1.0 / b)) == 0.5
+    assert out.converged
+    assert out.value == pytest.approx(0.5, rel=1e-10)
 
 
 def test_factors_at_different_shifts_are_refused():

@@ -12,7 +12,12 @@ with A frozen at triangle barycenters, W integrated by the 3-point
 edge-midpoint rule (exact for quadratics, hence reproducing the mass matrix
 for W = 1), and the line term integrated by composite Gauss-Legendre along
 arc length.  Assembly returns matrices over all nodes; `restrict` removes
-the Dirichlet boundary.
+the Dirichlet boundary and numbers the unknowns by `Mesh.interior`, the
+interior nodes in geometric nested-dissection order (George, Nested
+dissection of a regular finite element mesh, SIAM J. Numer. Anal. 10
+(1973) 345-363).  Unknown i is node interior[i]: the rows of every
+restricted S and M and of every eigenvector follow that order, which is
+the elimination order of their sparse factorizations.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ class Mesh:
     node_x: np.ndarray
     node_y: np.ndarray
     triangles: np.ndarray  # (nt, 3) node indices, lower block then upper block
-    interior: np.ndarray  # bool mask over nodes
+    interior: np.ndarray  # interior node indices in nested-dissection order
 
     @property
     def n_nodes(self):
@@ -73,7 +78,7 @@ class Mesh:
 
     @property
     def n_interior(self):
-        return int(self.interior.sum())
+        return len(self.interior)
 
     def summary(self):
         return {
@@ -108,9 +113,6 @@ def build_mesh(box, h: float) -> Mesh:
     lower = np.stack([p00, p10, p11], axis=1)
     upper = np.stack([p00, p11, p01], axis=1)
     triangles = np.concatenate([lower, upper])
-    interior = np.zeros(Nx * Ny, dtype=bool)
-    ii, jj = np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij")
-    interior[jj.ravel() * Nx + ii.ravel()] = True
     return Mesh(
         box=((float(x0), float(x1)), (float(y0), float(y1))),
         h=float(h),
@@ -119,8 +121,47 @@ def build_mesh(box, h: float) -> Mesh:
         node_x=node_x,
         node_y=node_y,
         triangles=triangles,
-        interior=interior,
+        interior=_nested_dissection(nx, ny),
     )
+
+
+_ND_LEAF = 4  # nested dissection stops at blocks of at most this many nodes
+
+
+def _nested_dissection(nx, ny):
+    """Interior node indices of an nx-by-ny cell grid in nested-dissection order.
+
+    The interior grid (columns 1..nx-1, rows 1..ny-1) is split recursively:
+    each step cuts the longer side at its middle grid line and orders the
+    two halves first, then the cut line.  Every P1 edge, the diagonal
+    included, joins nodes at most one row and one column apart, so the line
+    separates the halves.  Blocks of at most _ND_LEAF nodes and the cut
+    lines keep the natural row-major order.
+    """
+    blocks = []  # half-open (i0, i1, j0, j1) node ranges in elimination order
+
+    def split(i0, i1, j0, j1):
+        if (i1 - i0) * (j1 - j0) <= _ND_LEAF:
+            if i1 > i0 and j1 > j0:
+                blocks.append((i0, i1, j0, j1))
+        elif i1 - i0 >= j1 - j0:
+            m = (i0 + i1) // 2
+            split(i0, m, j0, j1)
+            split(m + 1, i1, j0, j1)
+            blocks.append((m, m + 1, j0, j1))
+        else:
+            m = (j0 + j1) // 2
+            split(i0, i1, j0, m)
+            split(i0, i1, m + 1, j1)
+            blocks.append((i0, i1, m, m + 1))
+
+    split(1, nx, 1, ny)
+    i0, i1, j0, j1 = np.array(blocks, dtype=np.int64).reshape(-1, 4).T
+    width = i1 - i0
+    size = width * (j1 - j0)
+    b = np.repeat(np.arange(len(size)), size)
+    k = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    return (j0[b] + k // width[b]) * (nx + 1) + i0[b] + k % width[b]
 
 
 # fixed P1 gradients of the two triangle classes, scaled by 1/h at use time
@@ -313,9 +354,9 @@ def assemble_delta_term(mesh: Mesh, net: Network, strengths):
 
 
 def restrict(mesh: Mesh, A):
-    """Submatrix over interior nodes (Dirichlet boundary eliminated)."""
-    idx = np.where(mesh.interior)[0]
-    return A[idx][:, idx].tocsr()
+    """Submatrix over interior nodes (Dirichlet boundary eliminated), with
+    unknown i at node mesh.interior[i], in canonical CSR form."""
+    return A[mesh.interior][:, mesh.interior].tocsr().sorted_indices()
 
 
 def hermiticity_residual(S):

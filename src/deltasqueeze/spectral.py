@@ -7,22 +7,25 @@ operator norms are measured in the M-inner product, the Galerkin surrogate
 of the L2 norm.
 
 Every factorization of (S - sigma M) is a `ResolventFactor`: SuperLU in
-symmetric mode, a minimum degree ordering of A^T + A and diagonal pivots,
-which keeps the row and column permutations equal.  The factorization is
-then a congruence, so by Sylvester's law of inertia the negative diagonal
-entries of U count the pencil eigenvalues below sigma (`count_below`;
-Parlett, The Symmetric Eigenvalue Problem, sec. 3.3).  A factor whose count
-is 0 is a certified shift: `lowest_eigs` reuses it for shift-invert Lanczos
-and `resolvent_diff_norm` for the norm, one factorization per pencil.  An
-eigensolve with no such factor makes its own, lowering the shift until the
-inertia count is 0 (`_certified_factor`, the one loop that lowers a shift).
-One given a variational upper estimate first tries the estimated shift
-without counting (the count keeps a copy of the factor alive, see
-`count_below`), checks the result, and on failure lowers the shift once
-and certifies.  Eigensolves and norms are one ARPACK Lanczos call each and
-need a Hermitian pencil: `lowest_eigs` and every `ResolventFactor` refuse
-one whose Hermiticity residual exceeds round-off (NonHermitianError).
-Deterministic seeds everywhere: identical inputs give bit-identical reports.
+symmetric mode with diagonal pivots, in the pencil's own numbering, which
+keeps the row and column permutations equal.  Mesh pencils arrive in the
+nested-dissection order of `fem.build_mesh` (George, SIAM J. Numer. Anal.
+10 (1973) 345-363), so the elimination order is chosen there, not here.
+The factorization is then a congruence, so by Sylvester's law of inertia
+the negative diagonal entries of U count the pencil eigenvalues below sigma
+(`count_below`; Parlett, The Symmetric Eigenvalue Problem, sec. 3.3).  A
+factor whose count is 0 is a certified shift: `lowest_eigs` reuses it for
+shift-invert Lanczos and `resolvent_diff_norm` for the norm, one
+factorization per pencil.  An eigensolve with no such factor makes its own,
+lowering the shift until the inertia count is 0 (`_certified_factor`, the
+one loop that lowers a shift).  One given a variational upper estimate
+first tries the estimated shift without counting (the count keeps a copy
+of the factor alive, see `count_below`), checks the result, and on failure
+lowers the shift once and certifies.  Eigensolves and norms are one ARPACK
+Lanczos call each and need a Hermitian pencil: `lowest_eigs` and every
+`ResolventFactor` refuse one whose Hermiticity residual exceeds round-off
+(NonHermitianError).  Deterministic seeds everywhere: identical inputs
+give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -239,9 +242,12 @@ class ResolventFactor:
     """Factorized discrete resolvent x -> (S - lambda M)^{-1} M x, the one
     SuperLU factor behind every eigensolve, inertia count and norm.
 
-    SuperLU runs in symmetric mode: the MMD ordering of A^T + A needs about
-    40 percent less fill than the default COLAMD ordering on P1 pencils, and
-    diagonal pivoting keeps perm_r == perm_c unless a diagonal pivot
+    SuperLU runs in symmetric mode and eliminates in the pencil's own
+    numbering: mesh pencils come in the nested-dissection order of
+    `fem.build_mesh`, which needs less fill and fewer flops than a minimum
+    degree ordering on the uniform grid (George, Nested dissection of a
+    regular finite element mesh, SIAM J. Numer. Anal. 10 (1973) 345-363).
+    Diagonal pivoting keeps perm_r == perm_c unless a diagonal pivot
     vanishes.  Raises NonHermitianError when S - lambda M is not Hermitian
     to round-off, and RuntimeError when it is exactly singular.
     """
@@ -253,7 +259,7 @@ class ResolventFactor:
         _check_hermitian(A, f"S - {self.lam:g} M")
         self._lu = spla.splu(
             A,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )

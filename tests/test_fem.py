@@ -64,6 +64,58 @@ def test_mesh_rejects_nondivisible_h():
         build_mesh(UNIT_BOX, 0.3)
 
 
+def _check_split(m, K, order):
+    """Check the top split of a nested-dissection block, `order` its node
+    indices in elimination order: the block ends with the grid line through
+    the middle of its longer side, and before it come the two halves, one
+    after the other, with no entry of K between them.  Returns the halves."""
+    i = np.rint((m.node_x[order] - m.box[0][0]) / m.h).astype(int)
+    j = np.rint((m.node_y[order] - m.box[1][0]) / m.h).astype(int)
+    axis, across = (i, j) if np.ptp(i) >= np.ptp(j) else (j, i)
+    cut = axis[-1]
+    assert abs(cut - 0.5 * (axis.min() + axis.max())) <= 0.5
+    n_sep = np.ptp(across) + 1
+    assert np.all(axis[-n_sep:] == cut) and np.all(axis[:-n_sep] != cut)
+    side = axis[:-n_sep] < cut
+    change = np.flatnonzero(side[1:] != side[:-1])
+    assert len(change) == 1  # one half, then the other
+    first, second = order[: change[0] + 1], order[change[0] + 1: -n_sep]
+    assert K[first][:, second].nnz == 0
+    return first, second
+
+
+@pytest.mark.parametrize("box, h", [
+    (UNIT_BOX, 1.0 / 16.0),
+    (((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 8.0),  # the cusp-trend box, 29 x 27
+], ids=["square", "cusp_box"])
+def test_interior_is_a_nested_dissection_order(box, h):
+    m = build_mesh(box, h)
+    (x0, x1), (y0, y1) = box
+    inside = np.flatnonzero((m.node_x > x0 + h / 2) & (m.node_x < x1 - h / 2)
+                            & (m.node_y > y0 + h / 2) & (m.node_y < y1 - h / 2))
+    assert m.interior.dtype.kind == "i"
+    assert np.array_equal(np.sort(m.interior), inside)
+    K = assemble_magnetic_stiffness(m)
+    for half in _check_split(m, K, m.interior):
+        _check_split(m, K, half)
+
+
+def test_restrict_follows_the_interior_numbering():
+    m = build_mesh(((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 8.0)
+    net = Network([LineSegment((0.0, -1.0), (2.0, 1.0))], beta_cap=0.5)
+    rng = np.random.default_rng(3)
+    u = np.zeros(m.n_nodes)
+    u[m.interior] = rng.standard_normal(m.n_interior)  # vanishes on the boundary
+    for A in (
+        assemble_magnetic_stiffness(m),
+        assemble_mass(m),
+        assemble_delta_term(m, net, [-3.0]),
+        assemble_magnetic_stiffness(m, homogeneous_gauge(1.5)),
+    ):
+        assert np.allclose(restrict(m, A) @ u[m.interior], (A @ u)[m.interior],
+                           rtol=1e-13, atol=1e-13 * abs(A).max())
+
+
 # --------------------------------------------------------------------- mass
 
 

@@ -141,20 +141,25 @@ RECT = ((0.0, 1.0), (0.0, 0.75))
 
 
 @pytest.mark.parametrize("b", [0.0, 1.5], ids=["dirichlet", "magnetic"])
-@pytest.mark.parametrize("where", ["below_1", "between_2_3", "above_3"])
+@pytest.mark.parametrize("where", ["below_1", "between_2_3", "above_3", "between_3_4"])
 def test_count_below_matches_dense_eigh(b, where):
+    # the pencil is factored in the mesh's nested-dissection numbering; a
+    # complex Hermitian one must keep perm_r == perm_c there too
     S, M, _ = dirichlet_pencil(1.0 / 12.0, RECT, homogeneous_gauge(b) if b else None)
     assert np.iscomplexobj(S.data) == bool(b)
     lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
-    assert lam[2] - lam[1] > 1.0
+    assert lam[2] - lam[1] > 1.0 and lam[3] - lam[2] > 1.0
     sigma = {
         "below_1": lam[0] - 1e-6,
         "between_2_3": 0.5 * (lam[1] + lam[2]),
         "above_3": lam[2] + 1e-6,
+        "between_3_4": 0.5 * (lam[2] + lam[3]),
     }[where]
-    expected = {"below_1": 0, "between_2_3": 2, "above_3": 3}[where]
+    expected = {"below_1": 0, "between_2_3": 2, "above_3": 3, "between_3_4": 3}[where]
     assert np.sum(lam < sigma) == expected
-    assert count_below(ResolventFactor(S, M, sigma)) == expected
+    factor = ResolventFactor(S, M, sigma)
+    assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
+    assert count_below(factor) == expected
 
 
 def test_certified_factor_reproduces_the_fresh_eigensolve():

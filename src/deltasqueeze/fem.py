@@ -18,6 +18,14 @@ dissection of a regular finite element mesh, SIAM J. Numer. Anal. 10
 (1973) 345-363).  Unknown i is node interior[i]: the rows of every
 restricted S and M and of every eigenvector follow that order, which is
 the elimination order of their sparse factorizations.
+
+The part of a form that depends only on (mesh, A, Q) is a `BaseForm`: the
+restricted pair restrict(K_A + Q), restrict(M), assembled once.  Every form
+built on it adds the restriction of its own terms, the squeezed potential
+or the line term, and shares its M.  Both are local: the line term lives on
+the triangles its quadrature points hit, and `assemble_volume_potential`
+scatters only the triangles where the potential has a nonzero quadrature
+value, the eps-tube of a squeezed potential.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .geometry import Network
 __all__ = [
     "Mesh",
     "AssembledForm",
+    "BaseForm",
     "GeometryError",
     "MeshParameterError",
     "ResolutionError",
@@ -41,6 +50,7 @@ __all__ = [
     "assemble_magnetic_stiffness",
     "assemble_delta_term",
     "restrict",
+    "assemble_base",
     "build_form",
     "homogeneous_gauge",
     "hermiticity_residual",
@@ -175,8 +185,9 @@ def _tri_corners(mesh: Mesh):
     return mesh.node_x[t], mesh.node_y[t]
 
 
-def _scatter(mesh: Mesh, element_matrices):
-    t = mesh.triangles
+def _scatter(mesh: Mesh, element_matrices, triangles=None):
+    """Sum of the element matrices of `triangles` (default: all) over all nodes."""
+    t = mesh.triangles if triangles is None else triangles
     rows = np.repeat(t, 3, axis=1).ravel()
     cols = np.tile(t, (1, 3)).ravel()
     n = mesh.n_nodes
@@ -197,7 +208,10 @@ def assemble_volume_potential(mesh: Mesh, W, eps: float | None = None):
     """Matrix of int W u conj(v) by the 3-point edge-midpoint rule.
 
     W is a scalar or a vectorized callable W(x, y); squeezed potentials carry
-    their eps (attribute or argument) and must satisfy h <= eps / 4.
+    their eps (attribute or argument) and must satisfy h <= eps / 4.  W is
+    evaluated at every edge midpoint, but only the triangles with a nonzero
+    quadrature value (NaN included) are scattered: for a squeezed potential,
+    the triangles that meet its eps-tube.
     """
     eff_eps = eps if eps is not None else getattr(W, "eps", None)
     if eff_eps is not None and mesh.h > eff_eps / 4.0 + 1e-12:
@@ -215,14 +229,16 @@ def assemble_volume_potential(mesh: Mesh, W, eps: float | None = None):
         wq = np.stack(wq, axis=1)
     else:
         wq = np.full((len(mesh.triangles), 3), W, dtype=np.result_type(W, float))
+    keep = np.flatnonzero(np.any(wq != 0, axis=1))  # NaN != 0 holds
+    wq = wq[keep]
     dtype = complex if np.iscomplexobj(wq) else float
-    elems = np.zeros((len(mesh.triangles), 3, 3), dtype=dtype)
+    elems = np.zeros((len(keep), 3, 3), dtype=dtype)
     for k, (a, b) in enumerate(pairs):
         contrib = (area / 12.0) * wq[:, k]
         for i in (a, b):
             for j in (a, b):
                 elems[:, i, j] += contrib
-    return _scatter(mesh, elems)
+    return _scatter(mesh, elems, mesh.triangles[keep])
 
 
 def homogeneous_gauge(b: float):
@@ -378,6 +394,30 @@ class AssembledForm:
         return self.S.shape[0]
 
 
+@dataclass(frozen=True)
+class BaseForm:
+    """The restricted pair S = restrict(K_A + Q), M = restrict(mass) of one
+    (mesh, A, Q), shared by every form on them; A is matched by identity."""
+
+    mesh: Mesh
+    A: object
+    Q: object
+    S: sp.csr_matrix
+    M: sp.csr_matrix
+
+    def matches(self, mesh: Mesh, A=None, Q=None) -> bool:
+        return self.mesh is mesh and self.A is A and self.Q == Q
+
+
+def assemble_base(mesh: Mesh, A=None, Q=None) -> BaseForm:
+    """Assemble and restrict the kinetic part, the background potential Q
+    (scalar or callable, None for none) and the mass matrix of `mesh`."""
+    S = assemble_magnetic_stiffness(mesh, A)
+    if Q is not None:
+        S = S + assemble_volume_potential(mesh, Q)
+    return BaseForm(mesh, A, Q, restrict(mesh, S), restrict(mesh, assemble_mass(mesh)))
+
+
 def build_form(
     mesh: Mesh,
     *,
@@ -387,29 +427,34 @@ def build_form(
     strengths=None,
     potential=None,
     eps: float | None = None,
+    base: BaseForm | None = None,
 ) -> AssembledForm:
     """Assemble and restrict the full operator of one experiment.
 
     Combines the magnetic kinetic part, an optional background potential Q,
     an optional squeezed potential (callable carrying eps), and an optional
-    concentrated line term given by per-segment strengths on `net`.
+    concentrated line term given by per-segment strengths on `net`.  The
+    kinetic part, Q and the mass matrix come from `base`, the `BaseForm` of
+    (mesh, A, Q) (ValueError for another one), or from `assemble_base`; the
+    form adds the restrictions of its own terms to base.S and shares base.M.
+    Adding after restricting gives the entries of restricting the full sum.
     """
-    S = assemble_magnetic_stiffness(mesh, A)
-    if Q is not None:
-        S = S + assemble_volume_potential(mesh, Q)
+    if strengths is not None and net is None:
+        raise ValueError("delta strengths need a network")
+    if base is None:
+        base = assemble_base(mesh, A, Q)
+    elif not base.matches(mesh, A, Q):
+        raise ValueError("base form of another mesh, vector potential or background")
+    S = base.S
     if potential is not None:
-        S = S + assemble_volume_potential(mesh, potential, eps=eps)
+        S = S + restrict(mesh, assemble_volume_potential(mesh, potential, eps=eps))
     if strengths is not None:
-        if net is None:
-            raise ValueError("delta strengths need a network")
-        S = S + assemble_delta_term(mesh, net, strengths)
-    M = assemble_mass(mesh)
-    Si, Mi = restrict(mesh, S), restrict(mesh, M)
+        S = S + restrict(mesh, assemble_delta_term(mesh, net, strengths))
     meta = {
         "mesh": mesh.summary(),
         "magnetic": A is not None,
         "delta": strengths is not None,
         "squeezed_eps": eps if eps is not None else getattr(potential, "eps", None),
-        "hermiticity_residual": hermiticity_residual(Si),
+        "hermiticity_residual": hermiticity_residual(S),
     }
-    return AssembledForm(S=Si, M=Mi, meta=meta)
+    return AssembledForm(S=S, M=base.M, meta=meta)

@@ -19,14 +19,15 @@ distance to the curve (`Network.sampled_distance`).  Lines clamp their
 projection to [0, L]; arcs clamp the polar angle to their angular range.
 Cusp branches and splines run Newton on their native parameter (x, or the
 spline's chord-length parameter) from the nearest node of a coarse sample,
-and convert to arc length once, by forward quadrature.  Only the tube width
-(`compute_beta`) and the injectivity diagnostic sample the curves.
+and convert to arc length once, by forward quadrature.  The tube width
+(`compute_beta`) measures the distance of curve samples to the other
+segments with the same routine; only the injectivity diagnostic compares
+samples with samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "CurveSegment",
@@ -493,11 +494,12 @@ _ENDPOINT_TOL = 1e-8  # endpoints closer than this are shared
 def compute_beta(segments, beta_cap):
     """Certified tube half-width: min(cap, 1/(2 sup|kappa|), d_min / 2).
 
-    d_min is the minimal distance between the _SAMPLES points per segment of
-    non-adjacent segments (segments sharing an endpoint are exempt; their
-    overlap near the shared vertex is the accepted measure-zero set).  A
-    near-zero d_min that persists over many sample pairs signals an overlap
-    of positive length and raises NetworkConstructionError.
+    d_min is the minimal exact distance (`CurveSegment.closest`) of the
+    _SAMPLES points of each segment to every later non-adjacent segment
+    (segments sharing an endpoint are exempt; their overlap near the shared
+    vertex is the accepted measure-zero set).  A near-zero distance at many
+    samples signals an overlap of positive length and raises
+    NetworkConstructionError.
     """
     if not segments:
         raise NetworkConstructionError("network needs at least one segment")
@@ -522,7 +524,7 @@ def compute_beta(segments, beta_cap):
         for l in range(k + 1, len(segments)):
             if adjacent(k, l):
                 continue
-            d, _ = cKDTree(pts[l]).query(pts[k])
+            d = np.linalg.norm(pts[k] - segments[l].closest(pts[k])[1], axis=1)
             n_touch = int(np.sum(d < _ENDPOINT_TOL))
             if n_touch > max(2, _SAMPLES // 100):
                 raise NetworkConstructionError(
@@ -626,6 +628,8 @@ class Network:
             pts[m] = self.segments[k].point(ss[m]) + ts[m, None] * self.segments[
                 k
             ].normal(ss[m])
+        from scipy.spatial import cKDTree  # only this diagnostic needs scipy.spatial
+
         tree = cKDTree(pts)
         pairs = tree.query_pairs(tol, output_type="ndarray")
         ends = np.array(

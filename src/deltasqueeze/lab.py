@@ -5,7 +5,8 @@ of its squeezed regularizations.  Every runner reads its config dict
 through `_require` (missing keys) and `_check_out` (the output directory,
 made before any mesh is built).  A runner builds `Operator` records (mesh,
 network, profiles, strengths, A, Q) from its config, one mesh per distinct
-box and step; `Operator.solve` is the one path from form to eigenpairs.
+box and step, and the operators on one mesh, A and Q share one
+`fem.BaseForm`; `Operator.solve` is the one path from form to eigenpairs.
 Every report goes through `_envelope`, which adds the config echo, the
 certified tube half-width, the mesh summary and the flags, and writes
 report.json and data.csv with the SHA-256 of the CSV payload embedded;
@@ -23,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.io
 
 from . import fem, geometry, potentials, spectral
 from .oracles import WedgeParams, cusp_operator_eigs, wedge_F_infimum
@@ -260,8 +260,10 @@ class Operator:
     """(i grad + A)^2 + Q + alpha delta_Sigma on a mesh, with the tube profiles
     of its squeezed regularizations.  `strengths` maps a segment index to a
     scalar alpha or a callable alpha(s); Q is a constant or None.
-    `distances` is the trial states' distance table of (mesh, net); a new
-    one replaces a table of another mesh or network."""
+    `distances` is the trial states' distance table of (mesh, net), and
+    `base` the `fem.BaseForm` of (mesh, A, Q) that every form of the
+    operator builds on; a new one, assembled here, replaces a table or base
+    of another mesh, network, A or Q."""
 
     mesh: fem.Mesh
     net: geometry.Network
@@ -270,11 +272,14 @@ class Operator:
     A: object = None
     Q: float | None = None
     distances: DistanceTable | None = field(default=None, repr=False, compare=False)
+    base: fem.BaseForm | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.distances
         if d is None or d.mesh is not self.mesh or d.net is not self.net:
             object.__setattr__(self, "distances", DistanceTable(self.mesh, self.net))
+        if self.base is None or not self.base.matches(self.mesh, self.A, self.Q):
+            object.__setattr__(self, "base", fem.assemble_base(self.mesh, self.A, self.Q))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Operator":
@@ -286,19 +291,21 @@ class Operator:
                    _gauge(cfg.get("field_b", 0.0)), _q_function(cfg.get("q")))
 
     @classmethod
-    def uniform(cls, mesh, net, alpha: float, A=None, distances=None) -> "Operator":
+    def uniform(cls, mesh, net, alpha: float, A=None, distances=None,
+                base=None) -> "Operator":
         """The constant strength alpha on every segment."""
         profiles = profiles_from_config({"alpha": alpha}, net)
         strengths = {i: alpha for i in range(len(net.segments))}
-        return cls(mesh, net, profiles, strengths, A, distances=distances)
+        return cls(mesh, net, profiles, strengths, A, distances=distances, base=base)
 
     def form(self, eps=None) -> fem.AssembledForm:
         """The delta form, or the squeezed form of tube width eps."""
         if eps is None:
             return fem.build_form(self.mesh, A=self.A, Q=self.Q, net=self.net,
-                                  strengths=self.strengths)
+                                  strengths=self.strengths, base=self.base)
         W = potentials.SqueezedPotential(self.net, self.profiles, eps)
-        return fem.build_form(self.mesh, A=self.A, Q=self.Q, potential=W, eps=eps)
+        return fem.build_form(self.mesh, A=self.A, Q=self.Q, potential=W, eps=eps,
+                              base=self.base)
 
     def solve(self, eps=None, *, k: int = 1, seed: int = 7, form=None):
         """(form, k lowest eigenpairs) of the delta or squeezed operator; `form`
@@ -372,6 +379,8 @@ def _envelope(scenario, config, fields, flags, csv, *, net, mesh, beta_cap,
     if squeezed is not None:
         report["form"] = "squeezed" if squeezed else "delta"
     if dump_mm:
+        import scipy.io  # loaded only for the dump
+
         os.makedirs(dump_mm, exist_ok=True)
         for tag, form in forms:
             scipy.io.mmwrite(os.path.join(dump_mm, f"{tag}_S.mtx"), form.S)
@@ -384,10 +393,15 @@ def _envelope(scenario, config, fields, flags, csv, *, net, mesh, beta_cap,
 def run_convergence(cfg, dump_mm: str | None = None):
     """Norm-resolvent comparison of the concentrated and squeezed operators.
 
-    Assembles the delta form once and one squeezed form per eps on the shared
-    mesh, measures the discrete resolvent-difference norm and the lowest-
-    eigenvalue gap at a common shift below all spectra, and fits log-log
-    rates.  Returns (report, status): status 2 when any flag fired, else 0.
+    Assembles the kinetic part and the mass matrix once (the operator's
+    `fem.BaseForm`), adds the line term for the delta form and each eps's
+    tube-local squeezed potential for its form, measures the discrete
+    resolvent-difference norm and the lowest-eigenvalue gap at a common
+    shift below all spectra, and fits log-log rates.  Each eps eigensolve on
+    a factor certified at that shift starts Lanczos from the delta ground
+    state, so `seed` seeds only the delta eigensolve, the eps eigensolves
+    that need a fresh factor, and the norms.  Returns (report, status):
+    status 2 when any flag fired, else 0.
     """
     _require("convergence", cfg, "mesh.box", "mesh.h", "network")
     eps_grid = np.asarray(cfg.get("eps_grid", []), dtype=float)
@@ -424,7 +438,8 @@ def run_convergence(cfg, dump_mm: str | None = None):
             form_eps = op.form(eps)
             factor = spectral.ResolventFactor(form_eps.S, form_eps.M, shift)
             try:
-                res = spectral.lowest_eigs(form_eps.S, form_eps.M, seed=seed, factor=factor)
+                res = spectral.lowest_eigs(form_eps.S, form_eps.M, factor=factor,
+                                           v0=res_delta.eigenvectors[:, 0])
             except spectral.ShiftError:
                 res = None
             if res is not None:
@@ -597,9 +612,10 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
     meshes = {"h": _mesh(cfg["mesh"]), "h2": _mesh(cfg["mesh"], refine=2)}
     values, forms = {}, []
     for step, mesh in meshes.items():
+        base = fem.assemble_base(mesh)
         for name, net in nets.items():
             tag = f"{name}_{step}"
-            form, res = Operator.uniform(mesh, net, alpha).solve(eps, seed=seed)
+            form, res = Operator.uniform(mesh, net, alpha, base=base).solve(eps, seed=seed)
             values[tag] = {
                 "lam": float(res.eigenvalues[0]),
                 "residual": float(res.residuals[0]),
@@ -702,11 +718,11 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
     target = 2.0 ** (2.0 / (d + 2.0)) * e1
 
     mesh = _mesh(cfg["mesh"])
-    distances = DistanceTable(mesh, net)
+    distances, base = DistanceTable(mesh, net), fem.assemble_base(mesh)
     rows, flags, forms = [], {}, []
     r_devs, shifts = [], []
     for alpha in alphas:
-        op = Operator.uniform(mesh, net, alpha, distances=distances)
+        op = Operator.uniform(mesh, net, alpha, distances=distances, base=base)
         form, res = op.solve(eps, seed=seed)
         lam = float(res.eigenvalues[0])
         weak = lam > -1e-6

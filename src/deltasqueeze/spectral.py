@@ -123,7 +123,7 @@ def _m_orthonormalize(V, M):
 
 def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
                 upper_estimate: float | None = None,
-                factor: ResolventFactor | None = None) -> SpectralResult:
+                factor: ResolventFactor | None = None, v0=None) -> SpectralResult:
     """k smallest eigenpairs of S v = lambda M v by shift-invert Lanczos.
 
     Dense solve below 60 unknowns.  Given `factor`, a `ResolventFactor` of
@@ -140,11 +140,15 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
     shift once and certifies.  An estimate >= 0 gives the rule no scale.
 
     Every sparse path runs Lanczos with a basis of max(2k + 1, 20) vectors,
-    the ARPACK default.  Raises NonHermitianError when S or M is not Hermitian
-    to round-off (a factor was checked when it was made).
+    the ARPACK default, started from `v0` when given (a vector near the
+    wanted eigenspace, such as the ground state of a nearby pencil; ARPACK
+    Users' Guide, SIAM 1998, sec. 4.4), else from a random vector drawn
+    with `seed`.  Raises NonHermitianError when S or M is not Hermitian to
+    round-off (a factor was checked when it was made).  S and M are used in
+    CSR form, so a CSR pencil is never copied.
     """
     n = S.shape[0]
-    Sc, Mc = S.tocsc(), M.tocsc()
+    S, M = S.tocsr(), M.tocsr()
     if factor is not None:
         below = count_below(factor)
         if below != 0:
@@ -153,17 +157,18 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
                 f"shift {factor.lam} not certified below the pencil spectrum: {found}")
         shift = factor.lam
     else:
-        _check_hermitian(Sc, "S")
-        _check_hermitian(Mc, "M")
+        _check_hermitian(S, "S")
+        _check_hermitian(M, "M")
     if n < max(3 * k + 2, 60):
-        w, V = sla.eigh(Sc.toarray(), Mc.toarray())
+        w, V = sla.eigh(S.toarray(), M.toarray())
         w, V = w[:k], V[:, :k]
         shift_used = shift if shift is not None else float(w[0] - 1.0)
-        return _finalize(Sc, Mc, w, V, shift_used)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    if np.iscomplexobj(Sc.data):
-        v0 = v0 + 1j * rng.standard_normal(n)
+        return _finalize(S, M, w, V, shift_used)
+    if v0 is None:
+        rng = np.random.default_rng(seed)
+        v0 = rng.standard_normal(n)
+        if np.iscomplexobj(S.data):
+            v0 = v0 + 1j * rng.standard_normal(n)
     if factor is None and upper_estimate is not None and (
             shift is not None or upper_estimate < 0.0):
         if shift is None:
@@ -171,21 +176,21 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
             shift = upper_estimate - max(1.0, 3.0 * abs(upper_estimate))
         try:
             # S positional: the benchmark's tracer reads the pencil from it
-            factor = ResolventFactor(Sc, Mc, shift)
-            w, V = _shift_invert(Sc, Mc, k, factor, v0)
+            factor = ResolventFactor(S, M, shift)
+            w, V = _shift_invert(S, M, k, factor, v0)
         except (RuntimeError, spla.ArpackError):  # singular factor or no convergence
             w = None
         # w[0] far above the estimate: Lanczos converged past the bottom
         if w is not None and np.all(np.isfinite(w)) and (
                 shift + 1e-12 * abs(shift) <= w[0]
                 <= upper_estimate + 0.5 * max(1.0, abs(upper_estimate))):
-            return _finalize(Sc, Mc, w, V, shift)
+            return _finalize(S, M, w, V, shift)
         factor = None  # freed before the certified path factors again
         shift = _lower(shift)
     if factor is None:
-        factor = _certified_factor(Sc, Mc, -1.0 if shift is None else shift)
-    w, V = _shift_invert(Sc, Mc, k, factor, v0)
-    return _finalize(Sc, Mc, w, V, factor.lam)
+        factor = _certified_factor(S, M, -1.0 if shift is None else shift)
+    w, V = _shift_invert(S, M, k, factor, v0)
+    return _finalize(S, M, w, V, factor.lam)
 
 
 def _certified_factor(S, M, shift):
@@ -248,14 +253,15 @@ class ResolventFactor:
     degree ordering on the uniform grid (George, Nested dissection of a
     regular finite element mesh, SIAM J. Numer. Anal. 10 (1973) 345-363).
     Diagonal pivoting keeps perm_r == perm_c unless a diagonal pivot
-    vanishes.  Raises NonHermitianError when S - lambda M is not Hermitian
-    to round-off, and RuntimeError when it is exactly singular.
+    vanishes.  Keeps M in CSR form, without a copy when it is given so.
+    Raises NonHermitianError when S - lambda M is not Hermitian to
+    round-off, and RuntimeError when it is exactly singular.
     """
 
     def __init__(self, S, M, lam: float):
-        self.M = M.tocsc()
+        self.M = M.tocsr()
         self.lam = float(lam)
-        A = S.tocsc() - lam * self.M
+        A = (S - lam * self.M).tocsc()
         _check_hermitian(A, f"S - {self.lam:g} M")
         self._lu = spla.splu(
             A,

@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+import scipy.sparse as sp
 
+from deltasqueeze import fem
 from deltasqueeze.geometry import LineSegment, Network
+from deltasqueeze.potentials import SqueezedPotential
 
 
 def star_network(angles_deg, length=1.0, rot_deg=0.0, beta_cap=0.4):
@@ -47,3 +50,47 @@ def smooth_bump(center, radius):
         return gx, gy
 
     return f, grad
+
+
+def full_scatter_potential(mesh, W):
+    """int W u conj(v) by the edge-midpoint rule, every triangle scattered:
+    the reference for the tube-only `fem.assemble_volume_potential`."""
+    px, py = mesh.node_x[mesh.triangles], mesh.node_y[mesh.triangles]
+    pairs = ((1, 2), (0, 2), (0, 1))
+    if callable(W):
+        wq = np.stack([W(0.5 * (px[:, a] + px[:, b]), 0.5 * (py[:, a] + py[:, b]))
+                       for a, b in pairs], axis=1)
+    else:
+        wq = np.full(px.shape, W, dtype=np.result_type(W, float))
+    area = mesh.h**2 / 2.0
+    elems = np.zeros((len(mesh.triangles), 3, 3), dtype=wq.dtype)
+    for k, (a, b) in enumerate(pairs):
+        for i in (a, b):
+            for j in (a, b):
+                elems[:, i, j] += (area / 12.0) * wq[:, k]
+    t = mesh.triangles
+    rows, cols = np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+    return sp.coo_matrix((elems.ravel(), (rows, cols)),
+                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+
+
+def full_node_form(op, eps=None):
+    """(S, M) of `lab.Operator` op at eps assembled over all nodes, every
+    term summed there, then restricted: the reference for `Operator.form`."""
+    mesh = op.mesh
+    S = fem.assemble_magnetic_stiffness(mesh, op.A)
+    if op.Q is not None:
+        S = S + full_scatter_potential(mesh, op.Q)
+    if eps is None:
+        S = S + fem.assemble_delta_term(mesh, op.net, op.strengths)
+    else:
+        S = S + full_scatter_potential(mesh, SqueezedPotential(op.net, op.profiles, eps))
+    return fem.restrict(mesh, S), fem.restrict(mesh, fem.assemble_mass(mesh))
+
+
+def assert_same_csr(A, B):
+    """A and B are the same CSR matrix, array for array and bit for bit."""
+    A, B = A.tocsr(), B.tocsr()
+    assert A.shape == B.shape and A.dtype == B.dtype
+    for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
+        assert np.array_equal(x, y)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from conftest import smooth_bump, star_network
+from conftest import assert_same_csr, full_scatter_potential, smooth_bump, star_network
 
 from deltasqueeze.fem import (
     GeometryError,
     MeshParameterError,
     ResolutionError,
+    assemble_base,
     assemble_delta_term,
     assemble_magnetic_stiffness,
     assemble_mass,
@@ -347,3 +348,45 @@ def test_form_consistency_delta_interpolants():
             errs.append(abs(v @ (form.S @ v) - ref))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope >= 1.0
+
+
+# ------------------------------------------------------- tube-only scatter
+
+
+def test_tube_only_potential_equals_the_full_scatter():
+    net = Network([LineSegment((-1.0, 0.1), (1.0, -0.2)),
+                   CircularArc((0.0, 0.3), 0.9, 0.3, 2.5)], beta_cap=0.3)
+    m = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 16.0)
+    profiles = [constant_profile(0, -4.0, net.beta), constant_profile(1, 2.5 + 1.0j, net.beta)]
+    W = SqueezedPotential(net, profiles, 0.25)
+    P, full = assemble_volume_potential(m, W), full_scatter_potential(m, W)
+    assert P.nnz < full.nnz / 4  # only the tube's triangles are scattered
+    assert P.dtype == full.dtype == complex
+    P.eliminate_zeros()
+    full.eliminate_zeros()
+    assert_same_csr(P, full)
+
+
+def test_nan_potential_value_reaches_the_matrix():
+    m = build_mesh(UNIT_BOX, 0.125)
+
+    def W(x, y):
+        w = np.zeros_like(x)
+        w[(np.abs(x - 0.5) < 1e-12) & (np.abs(y - 0.5625) < 1e-12)] = np.nan
+        return w
+
+    nan = np.isnan(assemble_volume_potential(m, W).toarray())
+    # the edge's two triangles put NaN on its 2 x 2 block, as the full scatter does
+    assert nan.sum() == 4
+    assert np.array_equal(nan, np.isnan(full_scatter_potential(m, W).toarray()))
+
+
+def test_build_form_refuses_a_base_of_another_mesh_or_field():
+    m, m2 = build_mesh(UNIT_BOX, 0.125), build_mesh(UNIT_BOX, 0.125)
+    base = assemble_base(m)
+    assert build_form(m, base=base).S is base.S
+    for kwargs in ({"mesh": m2}, {"mesh": m, "A": homogeneous_gauge(1.0)},
+                   {"mesh": m, "Q": 2.0}):
+        mesh = kwargs.pop("mesh")
+        with pytest.raises(ValueError, match="base form"):
+            build_form(mesh, base=base, **kwargs)

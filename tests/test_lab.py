@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 import json
 import os
 import re
+import sys
 import types
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg as sla
+from conftest import assert_same_csr, full_node_form
 
 from deltasqueeze import cli, fem, geometry, spectral
 from deltasqueeze.fem import ResolutionError
@@ -17,6 +20,7 @@ from deltasqueeze.lab import (
     Operator,
     cusp_network,
     network_from_spec,
+    profiles_from_config,
     run_convergence,
     run_cusp,
     run_spectrum,
@@ -94,6 +98,33 @@ def test_convergence_threads_match_serial():
     rep2, _ = run_convergence(small_convergence_cfg(threads=2))
     assert rep1["res_norms"] == rep2["res_norms"]
     assert rep1["lam_eps"] == rep2["lam_eps"]
+
+
+def test_eps_workers_read_the_shared_base_without_changing_it(monkeypatch):
+    # three eps workers on two cores, switching often, all on one base
+    assemble_base, bases = fem.assemble_base, []
+
+    def arrays(base):
+        return [a for m in (base.S, base.M) for a in (m.indptr, m.indices, m.data)]
+
+    def keeping(*args):
+        base = assemble_base(*args)
+        bases.append((base, [a.copy() for a in arrays(base)]))
+        return base
+
+    serial, _ = run_convergence(small_convergence_cfg())
+    monkeypatch.setattr(fem, "assemble_base", keeping)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, _ = run_convergence(small_convergence_cfg(threads=3))
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(bases) == 1  # one base for the delta and every eps pencil
+    base, before = bases[0]
+    assert all(np.array_equal(x, y) for x, y in zip(before, arrays(base)))
+    for key in ("res_norms", "lam_eps", "eig_gaps"):
+        assert threaded[key] == serial[key]
 
 
 REPORTED = ("lam_delta", "lam_eps", "res_norms", "eig_gaps", "shift")
@@ -183,6 +214,87 @@ def test_magnetic_convergence_norms_match_dense_resolvents():
     for eps, norm in zip(cfg["eps_grid"], report["res_norms"]):
         mu = sla.eigvals(R_delta - resolvent(op.form(eps)))
         assert norm == pytest.approx(np.max(np.abs(mu)), rel=1e-12)
+
+
+@pytest.mark.parametrize("field_b, q, alpha", [
+    (0.0, None, -5.0), (1.5, None, -5.0), (0.0, 0.75, -5.0), (1.5, -0.5, -5.0 + 2.0j)],
+    ids=["plain", "magnetic", "background", "magnetic_background_complex_alpha"])
+def test_operator_forms_match_the_full_node_assembly_bit_for_bit(field_b, q, alpha):
+    net = network_from_spec(small_convergence_cfg()["network"])
+    mesh = fem.build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 16.0)
+    A = fem.homogeneous_gauge(field_b) if field_b else None
+    op = Operator(mesh, net, profiles_from_config({"alpha": alpha}, net), {0: alpha}, A, q)
+    for eps in (None, 0.5, 0.25):
+        form = op.form(eps)
+        S, M = full_node_form(op, eps)
+        assert_same_csr(form.S, S)
+        assert_same_csr(form.M, M)
+        assert form.M is op.base.M  # one M per mesh, shared by every form
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """The mesh of every stiffness and every mass assembly the test makes."""
+    calls = {"stiffness": [], "mass": []}
+    for key, name in (("stiffness", "assemble_magnetic_stiffness"), ("mass", "assemble_mass")):
+        def counting(mesh, *args, _fn=getattr(fem, name), _calls=calls[key]):
+            _calls.append(mesh)
+            return _fn(mesh, *args)
+
+        monkeypatch.setattr(fem, name, counting)
+    return calls
+
+
+def test_stiffness_and_mass_are_assembled_once_per_mesh(assembled):
+    run_convergence(small_convergence_cfg())
+    assert [len(c) for c in assembled.values()] == [1, 1]
+    run_convergence(small_convergence_cfg(refine_check=True))
+    for calls in assembled.values():
+        assert [m.h for m in calls[1:]] == [1.0 / 16.0, 1.0 / 32.0]
+    for calls in assembled.values():
+        calls.clear()
+    run_cusp(SMALL_CUSP)
+    assert [len(c) for c in assembled.values()] == [1, 1]
+    for calls in assembled.values():
+        calls.clear()
+    run_stargraph(star_cfg(mesh={"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 16.0}))
+    for calls in assembled.values():
+        assert [m.h for m in calls] == [1.0 / 16.0, 1.0 / 32.0]
+
+
+def test_an_operator_on_another_mesh_builds_its_own_base():
+    op = Operator.from_config(small_convergence_cfg())
+    fine = dataclasses.replace(op, mesh=fem.build_mesh(op.mesh.box, op.mesh.h / 2))
+    assert fine.base.mesh is fine.mesh and fine.base is not op.base
+    assert fine.form(0.5).S.shape[0] == fine.mesh.n_interior
+    same = dataclasses.replace(op, strengths={0: -3.0})
+    assert same.base is op.base
+    magnetic = dataclasses.replace(op, A=fem.homogeneous_gauge(1.0))
+    assert magnetic.base is not op.base and magnetic.base.A is magnetic.A
+
+
+def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
+    cfg = small_convergence_cfg()  # the benchmark's smoke config
+    op = Operator.from_config(cfg)
+    _, res_delta = op.solve(seed=cfg["seed"])
+    ground = res_delta.eigenvectors[:, 0]
+    eigsh, starts = spectral.spla.eigsh, []
+
+    def capturing(*args, **kwargs):
+        starts.append(kwargs["v0"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", capturing)
+    report, _ = run_convergence(cfg)
+    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
+    assert sum(np.array_equal(v, ground) for v in starts) == len(cfg["eps_grid"])
+    # the warm start finds the eigenvalue of the seeded random start
+    shift = report["shift"]
+    for eps, lam in zip(cfg["eps_grid"], report["lam_eps"]):
+        form = op.form(eps)
+        factor = spectral.ResolventFactor(form.S, form.M, shift)
+        cold = spectral.lowest_eigs(form.S, form.M, seed=cfg["seed"], factor=factor)
+        assert lam == pytest.approx(cold.eigenvalues[0], rel=1e-12, abs=0.0)
 
 
 # --------------------------------------------------------------- star graph

@@ -172,6 +172,31 @@ def test_certified_factor_reproduces_the_fresh_eigensolve():
     assert np.all(reused.residuals <= 1e-8)
 
 
+def test_lowest_eigs_starts_lanczos_from_the_given_vector(monkeypatch):
+    S, M, _ = dirichlet_pencil(1.0 / 24.0, RECT)
+    factor = ResolventFactor(S, M, -1.0)
+    start = np.linspace(1.0, 2.0, S.shape[0])
+    eigsh, starts = spectral.spla.eigsh, []
+
+    def capturing(*args, **kwargs):
+        starts.append(kwargs["v0"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", capturing)
+    warm = lowest_eigs(S, M, k=2, factor=factor, v0=start)
+    cold = lowest_eigs(S, M, k=2, factor=factor)
+    assert starts[0] is start and starts[1] is not start
+    assert np.allclose(warm.eigenvalues, cold.eigenvalues, rtol=1e-12, atol=0.0)
+
+
+def test_factor_and_eigensolve_keep_a_csr_mass_matrix_uncopied():
+    S, M, _ = dirichlet_pencil(1.0 / 24.0, RECT)
+    factor = ResolventFactor(S, M, -1.0)
+    assert factor.M is M
+    fresh = lowest_eigs(S, M, k=1)
+    assert np.array_equal(lowest_eigs(S.tocsc(), M.tocsc(), k=1).eigenvalues, fresh.eigenvalues)
+
+
 def test_uncertified_factor_is_rejected():
     S, M, _ = dirichlet_pencil(1.0 / 24.0, RECT)
     lam = lowest_eigs(S, M, k=2).eigenvalues

@@ -24,8 +24,9 @@ restricted pair restrict(K_A + Q), restrict(M), assembled once.  Every form
 built on it adds the restriction of its own terms, the squeezed potential
 or the line term, and shares its M.  Both are local: the line term lives on
 the triangles its quadrature points hit, and `assemble_volume_potential`
-scatters only the triangles where the potential has a nonzero quadrature
-value, the eps-tube of a squeezed potential.
+evaluates a squeezed potential only on the triangles near its segments'
+bounding boxes and scatters only the triangles where it has a nonzero
+quadrature value, the eps-tube.
 """
 
 from __future__ import annotations
@@ -208,10 +209,13 @@ def assemble_volume_potential(mesh: Mesh, W, eps: float | None = None):
     """Matrix of int W u conj(v) by the 3-point edge-midpoint rule.
 
     W is a scalar or a vectorized callable W(x, y); squeezed potentials carry
-    their eps (attribute or argument) and must satisfy h <= eps / 4.  W is
-    evaluated at every edge midpoint, but only the triangles with a nonzero
-    quadrature value (NaN included) are scattered: for a squeezed potential,
-    the triangles that meet its eps-tube.
+    their eps (attribute or argument) and must satisfy h <= eps / 4.  A W
+    with a `support_mask(lo, hi)` (a squeezed potential) is evaluated only
+    at the edge midpoints of the triangles whose corner box it marks, since
+    every midpoint lies in its triangle's corner box; any other callable at
+    every edge midpoint.  Only the triangles with a nonzero quadrature value
+    (NaN included) are scattered: for a squeezed potential, the triangles
+    that meet its eps-tube.
     """
     eff_eps = eps if eps is not None else getattr(W, "eps", None)
     if eff_eps is not None and mesh.h > eff_eps / 4.0 + 1e-12:
@@ -222,13 +226,22 @@ def assemble_volume_potential(mesh: Mesh, W, eps: float | None = None):
     area = mesh.h**2 / 2.0
     # midpoint opposite local vertex k lies between the other two vertices
     pairs = ((1, 2), (0, 2), (0, 1))
+    tri = np.arange(len(mesh.triangles))
     if callable(W):
+        if hasattr(W, "support_mask"):
+            # corner boxes column by column: min(axis=1) over 3 is slow
+            lo = np.stack([np.minimum(np.minimum(p[:, 0], p[:, 1]), p[:, 2])
+                           for p in (px, py)], axis=1)
+            hi = np.stack([np.maximum(np.maximum(p[:, 0], p[:, 1]), p[:, 2])
+                           for p in (px, py)], axis=1)
+            tri = np.flatnonzero(W.support_mask(lo, hi))
+            px, py = px[tri], py[tri]
         wq = []
         for a, b in pairs:
             wq.append(W(0.5 * (px[:, a] + px[:, b]), 0.5 * (py[:, a] + py[:, b])))
         wq = np.stack(wq, axis=1)
     else:
-        wq = np.full((len(mesh.triangles), 3), W, dtype=np.result_type(W, float))
+        wq = np.full((len(tri), 3), W, dtype=np.result_type(W, float))
     keep = np.flatnonzero(np.any(wq != 0, axis=1))  # NaN != 0 holds
     wq = wq[keep]
     dtype = complex if np.iscomplexobj(wq) else float
@@ -238,7 +251,7 @@ def assemble_volume_potential(mesh: Mesh, W, eps: float | None = None):
         for i in (a, b):
             for j in (a, b):
                 elems[:, i, j] += contrib
-    return _scatter(mesh, elems, mesh.triangles[keep])
+    return _scatter(mesh, elems, mesh.triangles[tri[keep]])
 
 
 def homogeneous_gauge(b: float):

@@ -28,6 +28,7 @@ samples with samples.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 __all__ = [
     "CurveSegment",
@@ -395,53 +396,104 @@ class CuspBranch(_TabulatedCurve):
         return float(np.max(np.abs(self._kappa_of_x(x))))
 
 
+def _not_a_knot_cubic(x, y):
+    """Power-form coefficients c (4, n - 1, 2) of the not-a-knot cubic spline
+    through the points y (n, 2) at the increasing knots x (n,), n >= 4: on
+    [x_i, x_i+1] the spline is sum_j c[j, i] (u - x_i)^(3 - j).
+
+    The knot slopes solve the tridiagonal system of C2 continuity, closed by
+    equal third derivatives across x_1 and x_n-2 (de Boor, A Practical
+    Guide to Splines, ch. IV), the system and arithmetic of
+    scipy.interpolate.CubicSpline."""
+    n = len(x)
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    A = np.zeros((3, n))  # banded: upper, main and lower diagonal
+    b = np.empty((n, 2))
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = x[2] - x[0]
+    A[1, 0], A[0, 1] = dx[1], d
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1], A[-1, -2] = dx[-2], d
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    m = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (m[:-1] + m[1:] - 2 * slope) / dxr
+    return np.stack([t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]])
+
+
+def _piecewise_poly(coefs, x, u):
+    """Values at u (any shape) of piecewise polynomials on the knots x, each
+    given by power-form coefficients c (k, 2, n - 1) in u - x_i, highest
+    power first, the end pieces continued beyond [x_0, x_n-1]: one array of
+    shape u.shape + (2,) per entry of `coefs`.  The powers are summed from
+    the constant term up, as in scipy.interpolate.PPoly."""
+    i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, len(x) - 2)
+    z = u - x[i]
+    values = []
+    for c in coefs:
+        c = np.take(c, i, axis=-1)  # (k, 2) + u.shape
+        val, power = c[-1], z
+        for cj in c[-2::-1]:
+            val = val + cj * power
+            power = power * z
+        values.append(np.moveaxis(val, 0, -1))
+    return values
+
+
 class SplineSegment(_TabulatedCurve):
     """Cubic spline through sampled control points, reparametrized to arc length.
 
     The native parameter u is the chord length of the control polygon, on a
-    uniform table.  Curvature is exact in u:
+    uniform table; the spline is the not-a-knot cubic in u
+    (`_not_a_knot_cubic`).  Curvature is exact in u:
     kappa = (x' y'' - y' x'') / |gamma'|^3, with ' = d/du.
     """
 
     kind = "spline"
 
     def __init__(self, points):
-        from scipy.interpolate import CubicSpline  # imports scipy.optimize: keep lazy
-
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 4 or pts.shape[1] != 2:
             raise NetworkConstructionError("spline needs at least 4 control points")
         self.points = pts
-        chord = np.concatenate(
+        self._knots = np.concatenate(
             [[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))]
         )
-        self._spl = CubicSpline(chord, pts, axis=0)
-        self._du = self._spl.derivative()
-        self._d2u = self._du.derivative()
-        self._tabulate(np.linspace(0.0, chord[-1], self._TABLE_N + 1))
+        # coefficients (k, 2, pieces) of gamma, gamma' and gamma''
+        c = _not_a_knot_cubic(self._knots, pts).transpose(0, 2, 1)
+        d1 = c[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
+        self._coefs = (c, d1, d1[:-1] * np.array([2.0, 1.0])[:, None, None])
+        self._tabulate(np.linspace(0.0, self._knots[-1], self._TABLE_N + 1))
+
+    def _eval(self, u, *orders):
+        """[gamma, gamma', gamma''][order] at u for each of `orders`."""
+        return _piecewise_poly([self._coefs[o] for o in orders], self._knots, u)
 
     def _speed(self, u):
-        return np.linalg.norm(self._du(u), axis=-1)
+        return np.linalg.norm(self._eval(u, 1)[0], axis=-1)
 
     def _derivs(self, u):
-        return self._spl(u), self._du(u), self._d2u(u)
+        return tuple(self._eval(u, 0, 1, 2))
 
     def point(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        p = np.atleast_2d(self._spl(self._param_of_s(s_arr)))
+        p = self._eval(self._param_of_s(s_arr), 0)[0]
         return p[0] if scalar else p
 
     def tangent(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        t = np.atleast_2d(self._du(self._param_of_s(s_arr)))
+        t = self._eval(self._param_of_s(s_arr), 1)[0]
         t = t / np.linalg.norm(t, axis=1, keepdims=True)
         return t[0] if scalar else t
 
     def curvature(self, s):
         s_arr, scalar = _as_s_array(s, self.length)
-        u = self._param_of_s(s_arr)
-        d1 = np.atleast_2d(self._du(u))
-        d2 = np.atleast_2d(self._d2u(u))
+        d1, d2 = self._eval(self._param_of_s(s_arr), 1, 2)
         k = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / np.linalg.norm(d1, axis=1) ** 3
         return float(k[0]) if scalar else k
 
@@ -450,15 +502,15 @@ class SplineSegment(_TabulatedCurve):
         return float(np.max(np.abs(self.curvature(s))))
 
     def bbox(self):
-        from scipy.interpolate import PPoly
-
         # extremes of each coordinate lie at the ends or where its derivative,
-        # a quadratic on each spline piece, vanishes
-        u = [self._ut[[0, -1]]]
-        for c in range(2):
-            roots = PPoly(self._du.c[..., c], self._du.x).roots(extrapolate=False)
-            u.append(roots[np.isfinite(roots)])
-        pts = self._spl(np.concatenate(u))
+        # a quadratic a z^2 + b z + c in z = u - u_i on piece i, vanishes
+        a, b, c = self._coefs[1].transpose(0, 2, 1)  # each (pieces, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+            z = np.where(a != 0.0, [q / a, c / q], -c / b)  # nan: no real root
+        inside = (z >= 0.0) & (z <= np.diff(self._knots)[:, None])
+        u = (self._knots[:-1, None] + z)[inside]
+        pts = self._eval(np.concatenate([self._knots[[0, -1]], u]), 0)[0]
         return pts.min(axis=0), pts.max(axis=0)
 
 
@@ -595,11 +647,19 @@ class Network:
                 return k, float(s[0]), float(t[0])
         return None
 
-    def candidate_mask(self, k: int, points, pad: float):
-        """Cheap bounding-box prefilter for projection queries."""
+    def candidate_mask(self, k: int, points, pad: float, upper=None):
+        """Cheap bounding-box prefilter for projection queries: the points
+        (n, 2) within `pad` of segment k's bounding box in each coordinate,
+        or, given `upper` (n, 2), the boxes [points_i, upper_i] that come
+        that close to it."""
         lo, hi = self._bboxes[k]
         pts = np.atleast_2d(points)
-        return np.all((pts >= lo - pad) & (pts <= hi + pad), axis=1)
+        top = pts if upper is None else np.atleast_2d(upper)
+        # column by column: a reduction over rows of two is slow in numpy
+        mask = (top[:, 0] >= lo[0] - pad) & (pts[:, 0] <= hi[0] + pad)
+        mask &= top[:, 1] >= lo[1] - pad
+        mask &= pts[:, 1] <= hi[1] + pad
+        return mask
 
     def sampled_distance(self, k: int, points):
         """Distance of points (n, 2) to segment k, exact to round-off: the

@@ -222,15 +222,18 @@ class DistanceTable:
 
 
 def trial_upper_bound(mesh, net, strengths, form, distances: DistanceTable | None = None):
-    """Variational bound lam_1 <= min R(v) over transverse-decay trial states.
+    """Variational bound lam_1 <= min R(v) over transverse-decay trial states,
+    returned with the minimizing state v: (bound, v), or (None, None) when
+    every strength is zero.
 
     The candidates interpolate exp(-c |alpha_k| dist(x, Sigma_k) / 2) for
     c = 1 (single-line bound-state profile) and c = 2 (the steeper profile of
     merged tubes near vertices and cusps, where strengths effectively add).
     Every Rayleigh quotient on the assembled pencil is a rigorous upper
     bound for the discrete ground state, so the minimum seeds the shift rule
-    of the eigensolver without any probing factorization.  The distances
-    come from `distances`, a table of this mesh and network, or a new one.
+    of the eigensolver without any probing factorization, and its positive
+    state starts the ground-state Lanczos.  The distances come from
+    `distances`, a table of this mesh and network, or a new one.
     """
     scales = {
         k: _strength_scale(a, net.segments[k].length)
@@ -239,20 +242,20 @@ def trial_upper_bound(mesh, net, strengths, form, distances: DistanceTable | Non
     }
     scales = {k: a for k, a in scales.items() if a > 0.0}
     if not scales:
-        return None
+        return None, None
     if distances is None:
         distances = DistanceTable(mesh, net)
     decay = np.inf
     for k, a in scales.items():
         decay = np.minimum(decay, a * distances[k])
-    best = None
+    best = state = None
     for c in (1.0, 2.0):
         v = np.exp(-0.5 * c * decay)
         num = float(np.real(np.vdot(v, form.S @ v)))
         den = float(np.real(np.vdot(v, form.M @ v)))
-        if den > 0:
-            best = num / den if best is None else min(best, num / den)
-    return best
+        if den > 0 and (best is None or num / den < best):
+            best, state = num / den, v
+    return best, state
 
 
 @dataclass(frozen=True)
@@ -312,15 +315,22 @@ class Operator:
         reuses the form at eps.  A squeezed pencil is shifted to its potential
         floor, Q included; the trial bound seeds the delta shift.  Without a
         trial bound (all strengths zero) `lowest_eigs` certifies the shift by
-        inertia."""
+        inertia.  With k == 1 Lanczos starts from the trial state, which
+        overlaps the ground state (positive and simple when A = 0); with
+        k > 1, where a symmetric trial state can miss an odd excited state,
+        it starts from a random vector drawn with `seed`."""
         if form is None:
             form = self.form(eps)
         shift = None
         if eps is not None:
             shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
-        bound = trial_upper_bound(self.mesh, self.net, self.strengths, form, self.distances)
+        bound, trial = trial_upper_bound(self.mesh, self.net, self.strengths, form,
+                                         self.distances)
+        v0 = None
+        if k == 1 and trial is not None:
+            v0 = np.asarray(trial, dtype=np.result_type(form.S.dtype, float))
         res = spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, seed=seed,
-                                   upper_estimate=bound)
+                                   upper_estimate=bound, v0=v0)
         return form, res
 
 
@@ -397,11 +407,13 @@ def run_convergence(cfg, dump_mm: str | None = None):
     `fem.BaseForm`), adds the line term for the delta form and each eps's
     tube-local squeezed potential for its form, measures the discrete
     resolvent-difference norm and the lowest-eigenvalue gap at a common
-    shift below all spectra, and fits log-log rates.  Each eps eigensolve on
-    a factor certified at that shift starts Lanczos from the delta ground
-    state, so `seed` seeds only the delta eigensolve, the eps eigensolves
-    that need a fresh factor, and the norms.  Returns (report, status):
-    status 2 when any flag fired, else 0.
+    shift below all spectra, and fits log-log rates.  Every eigensolve is
+    k = 1 and starts Lanczos from a state near its ground state: the delta
+    eigensolve and an eps eigensolve that needs a fresh factor from the
+    trial state (`Operator.solve`), an eps eigensolve on a factor certified
+    at that shift from the delta ground state.  So `seed` seeds the norms,
+    and an eigensolve only when every strength is zero and no trial state
+    exists.  Returns (report, status): status 2 when any flag fired, else 0.
     """
     _require("convergence", cfg, "mesh.box", "mesh.h", "network")
     eps_grid = np.asarray(cfg.get("eps_grid", []), dtype=float)

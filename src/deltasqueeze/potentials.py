@@ -178,11 +178,20 @@ class SqueezedPotential:
             if p.segment in self.by_segment:
                 raise ParameterError(f"segment {p.segment} has two profiles")
             self.by_segment[p.segment] = scale_profile(p, eps, net.beta)
+        self.pad = 1.01 * self.eps  # bounding-box margin of a segment's candidates
 
     # relative half-value band around |t| = eps: quadrature points that land
     # exactly on the support edge (tube aligned with mesh lines) take half
     # the profile value, the midpoint-rule convention for indicator jumps
     _EDGE_BAND = 1e-9
+
+    def support_mask(self, lo, hi):
+        """Mask of the boxes [lo_i, hi_i] (corners (n, 2)) that meet some
+        segment's candidate box: the potential vanishes on every other box."""
+        mask = np.zeros(len(lo), dtype=bool)
+        for k in self.by_segment:
+            mask |= self.net.candidate_mask(k, lo, self.pad, upper=hi)
+        return mask
 
     def __call__(self, x, y):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -197,7 +206,7 @@ class SqueezedPotential:
         band = self._EDGE_BAND * self.eps
         for k in sorted(self.by_segment):
             prof = self.by_segment[k]
-            cand = self.net.candidate_mask(k, pts, pad=1.01 * self.eps) & ~owned
+            cand = self.net.candidate_mask(k, pts, pad=self.pad) & ~owned
             if not np.any(cand):
                 continue
             s, t, inside = self.net.project_onto_segment(

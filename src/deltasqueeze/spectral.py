@@ -24,8 +24,13 @@ of the factor alive, see `count_below`), checks the result, and on failure
 lowers the shift once and certifies.  Eigensolves and norms are one ARPACK
 Lanczos call each and need a Hermitian pencil: `lowest_eigs` and every
 `ResolventFactor` refuse one whose Hermiticity residual exceeds round-off
-(NonHermitianError).  Deterministic seeds everywhere: identical inputs
-give bit-identical reports.
+(NonHermitianError).  Eigensolves stop at the relative residual EIG_RTOL,
+not ARPACK's default of machine epsilon, which restarts a converged basis
+for another sweep; norms stop at NORM_RTOL.  An eigensolve starts from a
+given vector near the wanted eigenspace when the caller has one (a trial
+state, or the ground state of a nearby pencil), else from a seeded random
+vector.  Deterministic seeds everywhere: identical inputs give
+bit-identical reports.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ __all__ = [
 ]
 
 NORM_RTOL = 1e-10  # ARPACK relative residual tolerance of resolvent-difference norms
+EIG_RTOL = 1e-12  # ARPACK relative residual tolerance of shift-invert eigensolves
 HERMITIAN_RTOL = 1e-12  # round-off bound on max|A - A^H| / max|A|
 
 
@@ -140,12 +146,14 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
     shift once and certifies.  An estimate >= 0 gives the rule no scale.
 
     Every sparse path runs Lanczos with a basis of max(2k + 1, 20) vectors,
-    the ARPACK default, started from `v0` when given (a vector near the
-    wanted eigenspace, such as the ground state of a nearby pencil; ARPACK
-    Users' Guide, SIAM 1998, sec. 4.4), else from a random vector drawn
-    with `seed`.  Raises NonHermitianError when S or M is not Hermitian to
-    round-off (a factor was checked when it was made).  S and M are used in
-    CSR form, so a CSR pencil is never copied.
+    the ARPACK default, to the relative Ritz residual EIG_RTOL (1e-12; the
+    eigenvalues agree with a machine-precision run to about 1e-13 relative),
+    started from `v0` when given (a vector near the wanted eigenspace, such
+    as a positive trial state or the ground state of a nearby pencil;
+    ARPACK Users' Guide, SIAM 1998, sec. 4.4), else from a random vector
+    drawn with `seed`.  Raises NonHermitianError when S or M is not
+    Hermitian to round-off (a factor was checked when it was made).  S and
+    M are used in CSR form, so a CSR pencil is never copied.
     """
     n = S.shape[0]
     S, M = S.tocsr(), M.tocsr()
@@ -224,6 +232,7 @@ def _shift_invert(S, M, k, factor, v0):
         which="LM",
         v0=v0,
         ncv=min(n - 1, max(2 * k + 1, 20)),
+        tol=EIG_RTOL,
     )
     order = np.argsort(w)
     return w[order], V[:, order]

@@ -18,7 +18,7 @@ from deltasqueeze.fem import (
     homogeneous_gauge,
     restrict,
 )
-from deltasqueeze.geometry import CircularArc, LineSegment, Network
+from deltasqueeze.geometry import CircularArc, LineSegment, Network, SplineSegment
 from deltasqueeze.potentials import SqueezedPotential, constant_profile
 
 UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
@@ -365,6 +365,36 @@ def test_tube_only_potential_equals_the_full_scatter():
     P.eliminate_zeros()
     full.eliminate_zeros()
     assert_same_csr(P, full)
+
+
+class CountedPotential:
+    """A squeezed potential that counts its evaluation points, with or
+    without its support boxes."""
+
+    def __init__(self, W, with_support):
+        self.W, self.eps, self.points = W, W.eps, 0
+        if with_support:
+            self.support_mask = W.support_mask
+
+    def __call__(self, x, y):
+        self.points += np.size(x)
+        return self.W(x, y)
+
+
+@pytest.mark.parametrize("segment", [
+    LineSegment((-1.0, 0.0), (1.0, 0.0)),  # tube edges on mesh lines
+    SplineSegment([[-1.5, -0.5], [-0.8, 0.4], [0.0, 0.1], [0.7, 0.6], [1.5, -0.2]]),
+], ids=["mesh_aligned_line", "spline"])
+def test_squeezed_potential_is_evaluated_near_its_segment_only(segment):
+    net = Network([segment], beta_cap=0.25)
+    m = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 40.0)
+    W = SqueezedPotential(net, [constant_profile(0, -4.0, net.beta)], net.beta)
+    near, every = CountedPotential(W, True), CountedPotential(W, False)
+    P = assemble_volume_potential(m, near)
+    assert_same_csr(P, assemble_volume_potential(m, every))
+    assert_same_csr(P, assemble_volume_potential(m, W))
+    assert every.points == 3 * len(m.triangles)
+    assert near.points < 0.5 * every.points
 
 
 def test_nan_potential_value_reaches_the_matrix():

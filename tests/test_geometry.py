@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +22,8 @@ from deltasqueeze.geometry import (
     tube_jacobian,
     tube_map,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def unit_circle():
@@ -271,6 +278,34 @@ def test_spline_curvature_matches_the_exact_formula():
     exact = (p[:, 0] * pp[:, 1] - p[:, 1] * pp[:, 0]) / np.linalg.norm(p, axis=1) ** 3
     k = SplineSegment(pts).curvature(np.array([arc_length(ui) for ui in u]))
     assert np.max(np.abs(k - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_spline_is_the_not_a_knot_cubic():
+    # the interpolating cubic of scipy's default end conditions in the chord
+    # parameter, with its first and second derivatives, past the ends too
+    pts = np.array([[-1.5, -0.5], [-0.8, 0.4], [0.0, 0.1], [0.7, 0.6], [1.5, -0.2]])
+    chord = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    spl = CubicSpline(chord, pts, axis=0)
+    u = np.linspace(-0.1, chord[-1] + 0.1, 203)
+    for order, value in enumerate(SplineSegment(pts)._derivs(u)):
+        ref = spl(u, order)
+        assert np.max(np.abs(value - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_spline_construction_leaves_scipy_interpolate_unloaded():
+    # scipy.interpolate, with the scipy.optimize and scipy.spatial it loads,
+    # costs about a quarter second to import
+    code = ("import sys, deltasqueeze\n"
+            "from deltasqueeze.geometry import Network, SplineSegment\n"
+            "seg = SplineSegment([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [3.0, 0.5]])\n"
+            "Network([seg], beta_cap=0.2).project_onto_segment(0, [[1.0, 0.2]])\n"
+            "print('scipy.interpolate' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ closest points

@@ -297,6 +297,67 @@ def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
         assert lam == pytest.approx(cold.eigenvalues[0], rel=1e-12, abs=0.0)
 
 
+def test_delta_eigensolve_starts_from_the_trial_state(monkeypatch):
+    # n = 3969: from the positive trial state, at the relative tolerance
+    # EIG_RTOL, Lanczos converges at ARPACK's first check (31 solves from a
+    # random start at machine precision)
+    op = Operator.from_config(small_convergence_cfg())
+    form = op.form()
+    assert form.S.shape[0] == 3969
+    _, trial = trial_upper_bound(op.mesh, op.net, op.strengths, form, op.distances)
+    solves, starts = [], []
+    splu, eigsh = spectral.spla.splu, spectral.spla.eigsh
+
+    class CountedFactor:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, *args, **kwargs):
+            solves.append(1)
+            return self._lu.solve(*args, **kwargs)
+
+        def __getattr__(self, attr):
+            return getattr(self._lu, attr)
+
+    def capturing(*args, **kwargs):
+        starts.append(kwargs["v0"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "splu",
+                        lambda *args, **kwargs: CountedFactor(splu(*args, **kwargs)))
+    monkeypatch.setattr(spectral.spla, "eigsh", capturing)
+    _, res = op.solve(form=form)
+    monkeypatch.undo()
+    assert len(starts) == 1 and np.array_equal(starts[0], trial)
+    assert len(solves) <= 21
+    # Fortran-ordered dense copies that eigh may overwrite: one copy each
+    lam = sla.eigh(form.S.toarray(order="F"), form.M.toarray(order="F"), eigvals_only=True,
+                   subset_by_index=[0, 0], overwrite_a=True, overwrite_b=True)
+    assert res.eigenvalues[0] == pytest.approx(lam[0], rel=1e-10)
+
+
+def test_two_eigenpairs_include_the_odd_second_state():
+    # the line and the mesh are symmetric under (x, y) -> (-x, -y); so is the
+    # trial state, which is orthogonal to the odd second eigenfunction, so
+    # k > 1 starts Lanczos from a random vector
+    h = 1.0 / 8.0
+    op = Operator.from_config(small_convergence_cfg(
+        mesh={"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": h}))
+    form, res = op.solve(k=2)
+    lam, V = sla.eigh(form.S.toarray(), form.M.toarray(), subset_by_index=[0, 1])
+    assert np.allclose(res.eigenvalues, lam, rtol=1e-10, atol=0.0)
+    m = op.mesh
+    i, j = (np.rint(c[m.interior] / h).astype(int) for c in (m.node_x, m.node_y))
+    index = {ij: k for k, ij in enumerate(zip(i, j))}
+    mirror = np.array([index[(-a, -b)] for a, b in zip(i, j)])
+    _, trial = trial_upper_bound(op.mesh, op.net, op.strengths, form, op.distances)
+    assert np.array_equal(trial[mirror], trial)
+    for v in (V[:, 1], res.eigenvectors[:, 1]):
+        assert np.allclose(v[mirror], -v, rtol=0.0, atol=1e-8 * np.max(np.abs(v)))
+        assert abs(trial @ (form.M @ v)) <= 1e-12 * np.linalg.norm(trial)
+    assert np.all(res.residuals <= 1e-10)
+
+
 # --------------------------------------------------------------- star graph
 
 
@@ -453,9 +514,15 @@ def test_cusp_trial_bound_stays_above_the_ground_state(d):
         op = Operator.uniform(mesh, net, alpha, distances=distances)
         form = op.form()
         lam1 = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)[0]
-        bound = trial_upper_bound(op.mesh, op.net, op.strengths, form, op.distances)
+        bound, state = trial_upper_bound(op.mesh, op.net, op.strengths, form, op.distances)
         assert lam1 <= bound
-        assert bound == trial_upper_bound(op.mesh, op.net, op.strengths, form)
+        # the returned state attains the bound, and it is a positive vector
+        assert (state @ (form.S @ state)) / (state @ (form.M @ state)) == pytest.approx(
+            bound, rel=1e-14)
+        assert np.all(state > 0.0)
+        fresh_bound, fresh_state = trial_upper_bound(op.mesh, op.net, op.strengths, form)
+        assert fresh_bound == bound
+        assert np.array_equal(fresh_state, state)
 
 
 def test_cusp_with_a_positive_trial_bound_finds_the_ground_state():
@@ -466,7 +533,7 @@ def test_cusp_with_a_positive_trial_bound_finds_the_ground_state():
                           "mesh": {"box": [list(b) for b in box], "h": h}})
     op = Operator.uniform(fem.build_mesh(box, h), cusp_network(1.5, 0.5), -6.0)
     form = op.form()
-    assert trial_upper_bound(op.mesh, op.net, op.strengths, form) > 0.0
+    assert trial_upper_bound(op.mesh, op.net, op.strengths, form)[0] > 0.0
     lam1 = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)[0]
     assert report["lam1"][0] == pytest.approx(lam1, rel=1e-10)
 
@@ -573,7 +640,7 @@ def test_zero_strength_magnetic_spectrum_matches_dense_eigh():
     op = Operator.from_config(cfg)
     form = op.form()
     assert form.S.shape[0] >= 60  # past the dense cutoff of lowest_eigs
-    assert trial_upper_bound(op.mesh, op.net, op.strengths, form) is None
+    assert trial_upper_bound(op.mesh, op.net, op.strengths, form) == (None, None)
     report, _ = run_spectrum(cfg)
     lam = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)
     assert np.allclose(report["eigenvalues"], lam[:3], rtol=1e-10, atol=0.0)

@@ -20,27 +20,19 @@ from . import lab, oracles
 
 def _wedge_f(cfg):
     lab._require("wedge-f", cfg, "phi", "alpha", "theta")
-    params = oracles.WedgeParams(
-        phi=cfg["phi"], alpha=cfg["alpha"], theta=cfg["theta"]
-    )
-    out = oracles.wedge_F_infimum(params)
+    out = lab._wedge_criterion(cfg["phi"], cfg["alpha"], cfg["theta"])
     # calculus cross-check: for |alpha| -> 0 the infimum is 1 - Theta^2
     quartic_min = 1.0 - cfg["theta"] ** 2
     report = {
         "scenario": "wedge-f",
         "inputs": dict(cfg),
-        "outputs": {
-            "inf_F": out.value,
-            "argmin": list(out.argmin),
-            "predicts_discrete_spectrum": out.negative,
-            "refined": out.refined,
-        },
+        "outputs": out,
         "oracle_cross_check": {
             "quartic_calculus_small_alpha": quartic_min,
-            "consistent": bool(out.value <= quartic_min + 1e-8),
+            "consistent": bool(out["inf_F"] <= quartic_min + 1e-8),
         },
     }
-    return report, 0 if out.refined else 2
+    return report, 0 if out["refined"] else 2
 
 
 def _oracle1d(cfg):

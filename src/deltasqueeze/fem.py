@@ -45,6 +45,7 @@ __all__ = [
     "GeometryError",
     "MeshParameterError",
     "ResolutionError",
+    "resolves",
     "build_mesh",
     "assemble_mass",
     "assemble_volume_potential",
@@ -205,11 +206,17 @@ def assemble_mass(mesh: Mesh):
     return _scatter(mesh, np.ascontiguousarray(elems))
 
 
-def assemble_volume_potential(mesh: Mesh, W, eps: float | None = None):
+def resolves(h: float, eps: float) -> bool:
+    """Whether the step h resolves a squeezed potential of tube width eps:
+    h <= eps / 4, with 1e-12 slack for round-off in h."""
+    return h <= eps / 4.0 + 1e-12
+
+
+def assemble_volume_potential(mesh: Mesh, W):
     """Matrix of int W u conj(v) by the 3-point edge-midpoint rule.
 
     W is a scalar or a vectorized callable W(x, y); squeezed potentials carry
-    their eps (attribute or argument) and must satisfy h <= eps / 4.  A W
+    their eps as an attribute and must satisfy `resolves(h, eps)`.  A W
     with a `support_mask(lo, hi)` (a squeezed potential) is evaluated only
     at the edge midpoints of the triangles whose corner box it marks, since
     every midpoint lies in its triangle's corner box; any other callable at
@@ -217,10 +224,10 @@ def assemble_volume_potential(mesh: Mesh, W, eps: float | None = None):
     (NaN included) are scattered: for a squeezed potential, the triangles
     that meet its eps-tube.
     """
-    eff_eps = eps if eps is not None else getattr(W, "eps", None)
-    if eff_eps is not None and mesh.h > eff_eps / 4.0 + 1e-12:
+    eps = getattr(W, "eps", None)
+    if eps is not None and not resolves(mesh.h, eps):
         raise ResolutionError(
-            f"squeezed potential with eps={eff_eps} needs h <= eps/4, got h={mesh.h}"
+            f"squeezed potential with eps={eps} needs h <= eps/4, got h={mesh.h}"
         )
     px, py = _tri_corners(mesh)
     area = mesh.h**2 / 2.0
@@ -439,7 +446,6 @@ def build_form(
     net: Network = None,
     strengths=None,
     potential=None,
-    eps: float | None = None,
     base: BaseForm | None = None,
 ) -> AssembledForm:
     """Assemble and restrict the full operator of one experiment.
@@ -460,14 +466,14 @@ def build_form(
         raise ValueError("base form of another mesh, vector potential or background")
     S = base.S
     if potential is not None:
-        S = S + restrict(mesh, assemble_volume_potential(mesh, potential, eps=eps))
+        S = S + restrict(mesh, assemble_volume_potential(mesh, potential))
     if strengths is not None:
         S = S + restrict(mesh, assemble_delta_term(mesh, net, strengths))
     meta = {
         "mesh": mesh.summary(),
         "magnetic": A is not None,
         "delta": strengths is not None,
-        "squeezed_eps": eps if eps is not None else getattr(potential, "eps", None),
+        "squeezed_eps": getattr(potential, "eps", None),
         "hermiticity_residual": hermiticity_residual(S),
     }
     return AssembledForm(S=S, M=base.M, meta=meta)

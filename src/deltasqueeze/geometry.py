@@ -40,7 +40,6 @@ __all__ = [
     "DomainError",
     "TubeError",
     "NetworkConstructionError",
-    "curvature",
     "tube_map",
     "tube_jacobian",
     "compute_beta",
@@ -80,28 +79,35 @@ def _as_s_array(s, length, tol=1e-9):
 
 
 class CurveSegment:
-    """Base class: an arc-length parametrized planar C^2 curve piece."""
+    """Base class: an arc-length parametrized planar C^2 curve piece.  The
+    evaluators check s against [0, L] and shape their result once; each kind
+    supplies `_point`, `_tangent` and `_curvature` on the checked array."""
 
     kind = "abstract"
     length: float
 
+    def _at(self, fn, s):
+        s_arr, scalar = _as_s_array(s, self.length)
+        v = fn(s_arr)
+        if not scalar:
+            return v
+        return v[0] if v.ndim > 1 else float(v[0])
+
     def point(self, s):
         """Position gamma(s); shape (2,) for scalar s, (n, 2) for arrays."""
-        raise NotImplementedError
+        return self._at(self._point, s)
 
     def tangent(self, s):
         """Unit tangent gamma'(s)."""
-        raise NotImplementedError
+        return self._at(self._tangent, s)
 
     def normal(self, s):
         """Left unit normal nu(s) = rot90(gamma'(s))."""
-        s_arr, scalar = _as_s_array(s, self.length)
-        nu = _rot90(np.atleast_2d(self._tangent_arr(s_arr)))
-        return nu[0] if scalar else nu
+        return self._at(lambda s_arr: _rot90(self._tangent(s_arr)), s)
 
     def curvature(self, s):
         """Signed curvature with respect to the left normal."""
-        raise NotImplementedError
+        return self._at(self._curvature, s)
 
     def max_curvature(self) -> float:
         """sup |kappa| over the segment (cusp kinds exclude their collar)."""
@@ -119,9 +125,6 @@ class CurveSegment:
         branches); other kinds override it."""
         p0, p1 = self.endpoints
         return np.minimum(p0, p1), np.maximum(p0, p1)
-
-    def _tangent_arr(self, s_arr):
-        return np.atleast_2d(self.tangent(s_arr))
 
     @property
     def endpoints(self):
@@ -141,20 +144,14 @@ class LineSegment(CurveSegment):
             raise NetworkConstructionError("line segment with zero length")
         self._dir = (self.p1 - self.p0) / self.length
 
-    def point(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
-        p = self.p0[None, :] + s_arr[:, None] * self._dir[None, :]
-        return p[0] if scalar else p
+    def _point(self, s_arr):
+        return self.p0[None, :] + s_arr[:, None] * self._dir[None, :]
 
-    def tangent(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
-        t = np.broadcast_to(self._dir, (s_arr.size, 2)).copy()
-        return t[0] if scalar else t
+    def _tangent(self, s_arr):
+        return np.broadcast_to(self._dir, (s_arr.size, 2)).copy()
 
-    def curvature(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
-        k = np.zeros(s_arr.size)
-        return float(k[0]) if scalar else k
+    def _curvature(self, s_arr):
+        return np.zeros(s_arr.size)
 
     def max_curvature(self):
         return 0.0
@@ -195,24 +192,18 @@ class CircularArc(CurveSegment):
         in the direction of travel."""
         return np.mod(self._sgn * (theta - self.theta0), 2.0 * np.pi)
 
-    def point(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
+    def _point(self, s_arr):
         th = self._theta(s_arr)
-        p = self.center[None, :] + self.radius * np.stack(
+        return self.center[None, :] + self.radius * np.stack(
             [np.cos(th), np.sin(th)], axis=1
         )
-        return p[0] if scalar else p
 
-    def tangent(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
+    def _tangent(self, s_arr):
         th = self._theta(s_arr)
-        t = self._sgn * np.stack([-np.sin(th), np.cos(th)], axis=1)
-        return t[0] if scalar else t
+        return self._sgn * np.stack([-np.sin(th), np.cos(th)], axis=1)
 
-    def curvature(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
-        k = np.full(s_arr.size, self._sgn / self.radius)
-        return float(k[0]) if scalar else k
+    def _curvature(self, s_arr):
+        return np.full(s_arr.size, self._sgn / self.radius)
 
     def max_curvature(self):
         return 1.0 / self.radius
@@ -294,6 +285,21 @@ class _TabulatedCurve(CurveSegment):
             u = np.clip(u - (self._arclength(u) - s_arr) / self._speed(u), 0.0, self._ut[-1])
         return u
 
+    def _point(self, s_arr):
+        return self._derivs(self._param_of_s(s_arr))[0]
+
+    def _tangent(self, s_arr):
+        d1 = self._derivs(self._param_of_s(s_arr))[1]
+        return d1 / np.linalg.norm(d1, axis=1, keepdims=True)
+
+    def _curvature(self, s_arr):
+        return self._kappa(self._param_of_s(s_arr))
+
+    def _kappa(self, u):
+        """Signed curvature (x' y'' - y' x'') / |gamma'|^3 at the native parameter u."""
+        _, d1, d2 = self._derivs(u)
+        return (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / np.linalg.norm(d1, axis=1) ** 3
+
     def closest(self, points):
         """Newton on the native parameter for the stationarity condition
         g(u) = (gamma(u) - p) . gamma'(u) = 0, started at the nearest node of
@@ -363,27 +369,7 @@ class CuspBranch(_TabulatedCurve):
             np.stack([np.zeros_like(x), sg * ypp], axis=1),
         )
 
-    def point(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
-        x = self._param_of_s(s_arr)
-        p = np.stack([x, self.sign * x**self.exponent], axis=1)
-        return p[0] if scalar else p
-
-    def tangent(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
-        x = self._param_of_s(s_arr)
-        d = self.exponent
-        t = np.stack([np.ones_like(x), self.sign * d * x ** (d - 1.0)], axis=1)
-        t /= np.linalg.norm(t, axis=1, keepdims=True)
-        return t[0] if scalar else t
-
-    def curvature(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
-        x = self._param_of_s(s_arr)
-        k = self._kappa_of_x(x)
-        return float(k[0]) if scalar else k
-
-    def _kappa_of_x(self, x):
+    def _kappa(self, x):
         d = self.exponent
         with np.errstate(divide="ignore"):
             # for d < 2 the second derivative, hence kappa, blows up at x = 0
@@ -393,7 +379,7 @@ class CuspBranch(_TabulatedCurve):
     def max_curvature(self):
         lo = self.collar if self.exponent < 2.0 else 0.0
         x = np.linspace(lo, self.x_max, 4097)
-        return float(np.max(np.abs(self._kappa_of_x(x))))
+        return float(np.max(np.abs(self._kappa(x))))
 
 
 def _not_a_knot_cubic(x, y):
@@ -480,23 +466,6 @@ class SplineSegment(_TabulatedCurve):
     def _derivs(self, u):
         return tuple(self._eval(u, 0, 1, 2))
 
-    def point(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
-        p = self._eval(self._param_of_s(s_arr), 0)[0]
-        return p[0] if scalar else p
-
-    def tangent(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
-        t = self._eval(self._param_of_s(s_arr), 1)[0]
-        t = t / np.linalg.norm(t, axis=1, keepdims=True)
-        return t[0] if scalar else t
-
-    def curvature(self, s):
-        s_arr, scalar = _as_s_array(s, self.length)
-        d1, d2 = self._eval(self._param_of_s(s_arr), 1, 2)
-        k = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / np.linalg.norm(d1, axis=1) ** 3
-        return float(k[0]) if scalar else k
-
     def max_curvature(self):
         s = np.linspace(0.0, self.length, 2049)[1:-1]
         return float(np.max(np.abs(self.curvature(s))))
@@ -516,11 +485,6 @@ class SplineSegment(_TabulatedCurve):
 
 # ---------------------------------------------------------------------------
 # module-level operations
-
-
-def curvature(seg: CurveSegment, s):
-    """Signed curvature of the segment at arc length s."""
-    return seg.curvature(s)
 
 
 def tube_map(seg: CurveSegment, s, t, beta=None):

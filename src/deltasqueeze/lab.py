@@ -2,24 +2,26 @@
 
 Every scenario solves a member of (i grad + A)^2 + Q + alpha delta_Sigma or
 of its squeezed regularizations.  Every runner reads its config dict
-through `_require` (missing keys) and `_check_out` (the output directory,
-made before any mesh is built).  A runner builds `Operator` records (mesh,
-network, profiles, strengths, A, Q) from its config, one mesh per distinct
-box and step, and the operators on one mesh, A and Q share one
-`fem.BaseForm`; `Operator.solve` is the one path from form to eigenpairs.
-Every report goes through `_envelope`, which adds the config echo, the
-certified tube half-width, the mesh summary and the flags, and writes
+through `_require` (missing keys) and builds its network, then `_check_run`
+checks the squeezing width and makes the output directory before any mesh
+is built.  A runner builds `Operator` records (mesh, network, profiles,
+strengths, A, Q) from its config, one mesh per distinct box and step, and
+the operators on one mesh, A and Q share one `fem.BaseForm`;
+`Operator.solve` is the one path from form to eigenpairs.  Every report
+goes through `_envelope`, which adds the config echo, the certified tube
+half-width and its cap, the mesh summary and the flags, and writes
 report.json and data.csv with the SHA-256 of the CSV payload embedded;
 identical config and seed give bit-identical files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import logging
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -43,6 +45,8 @@ __all__ = [
     "export_strengths_csv",
 ]
 
+logger = logging.getLogger(__name__)
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -59,9 +63,19 @@ def _require(scenario, cfg: dict, *keys):
             block = block[part]
 
 
-def _check_out(scenario, cfg: dict):
-    """Create cfg["out"] when set, before any mesh is built; raise ConfigError
-    naming the scenario and the path when it is not a writable directory."""
+def _check_run(scenario, cfg: dict, key: str, eps, beta: float):
+    """The checks made before any mesh is built, each raising ConfigError
+    naming the scenario.  The squeezing width under `key`, eps (a scalar or
+    a grid; None: no squeezed form), must be resolved by cfg["mesh"]["h"]
+    (`fem.resolves`) and must not exceed the certified tube half-width beta;
+    cfg["out"], when set, is created and must be a writable directory."""
+    if eps is not None:
+        h, lo, hi = cfg["mesh"]["h"], float(np.min(eps)), float(np.max(eps))
+        if not fem.resolves(h, lo):
+            raise ConfigError(f"{scenario} config: {key!r} needs 'mesh.h' <= "
+                              f"{lo}/4 = {lo / 4.0}, got {h}")
+        if hi > beta:
+            raise ConfigError(f"{scenario} config: {key!r} = {hi} exceeds beta = {beta}")
     out = cfg.get("out")
     if out is None:
         return
@@ -71,17 +85,6 @@ def _check_out(scenario, cfg: dict):
         raise ConfigError(f"{scenario} output path not writable: {out} ({err.strerror})") from None
     if not os.access(out, os.W_OK):
         raise ConfigError(f"{scenario} output path not writable: {out}")
-
-
-def _check_resolution(scenario, cfg: dict, key: str, eps):
-    """Raise ConfigError naming the scenario and `key` when the squeezing
-    width eps (None: no squeezed form) needs a finer mesh than cfg["mesh"]["h"];
-    squeezed potentials need h <= eps/4.  Called before any mesh is built."""
-    h = cfg["mesh"]["h"]
-    if eps is not None and h > eps / 4.0 + 1e-12:
-        raise ConfigError(
-            f"{scenario} config: {key!r} needs 'mesh.h' <= {eps}/4 = {eps / 4.0}, got {h}"
-        )
 
 
 def _segment_from_spec(spec: dict) -> geometry.CurveSegment:
@@ -285,9 +288,9 @@ class Operator:
             object.__setattr__(self, "base", fem.assemble_base(self.mesh, self.A, self.Q))
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "Operator":
-        """From the mesh, network, profile or alpha, field_b and q entries."""
-        net = network_from_spec(cfg["network"])
+    def from_config(cls, cfg: dict, net: geometry.Network) -> "Operator":
+        """From the mesh, profile or alpha, field_b and q entries, on the
+        network `net` built from cfg["network"]."""
         profiles = profiles_from_config(cfg, net)
         strengths = {p.segment: potentials.effective_alpha(p) for p in profiles}
         return cls(_mesh(cfg["mesh"]), net, profiles, strengths,
@@ -307,8 +310,7 @@ class Operator:
             return fem.build_form(self.mesh, A=self.A, Q=self.Q, net=self.net,
                                   strengths=self.strengths, base=self.base)
         W = potentials.SqueezedPotential(self.net, self.profiles, eps)
-        return fem.build_form(self.mesh, A=self.A, Q=self.Q, potential=W, eps=eps,
-                              base=self.base)
+        return fem.build_form(self.mesh, A=self.A, Q=self.Q, potential=W, base=self.base)
 
     def solve(self, eps=None, *, k: int = 1, seed: int = 7, form=None):
         """(form, k lowest eigenpairs) of the delta or squeezed operator; `form`
@@ -371,17 +373,17 @@ def export_strengths_csv(net, strengths, path, samples: int = 65):
         fh.write("\n".join(lines) + "\n")
 
 
-def _envelope(scenario, config, fields, flags, csv, *, net, mesh, beta_cap,
-              out=None, squeezed=None, dump_mm=None, forms=()):
+def _envelope(scenario, cfg, fields, flags, csv, *, net, mesh, squeezed=None,
+              dump_mm=None, forms=()):
     """(report, status) of a run, status 2 when any flag fired, else 0.  Adds
     the shared entries to `fields`, and `form` unless `squeezed` is None;
     dumps the (tag, form) pairs of `forms` as S and M Matrix Market files;
-    writes the report and the (header, rows) pair `csv` when `out` is set."""
+    writes the report and the (header, rows) pair `csv` when cfg["out"] is set."""
     report = {
         "scenario": scenario,
-        "config": config,
+        "config": dict(cfg),
         "beta": net.beta,
-        "beta_cap": beta_cap,
+        "beta_cap": net.beta_cap,
         "mesh": mesh.summary(),
         **fields,
         "flags": flags,
@@ -395,8 +397,8 @@ def _envelope(scenario, config, fields, flags, csv, *, net, mesh, beta_cap,
         for tag, form in forms:
             scipy.io.mmwrite(os.path.join(dump_mm, f"{tag}_S.mtx"), form.S)
             scipy.io.mmwrite(os.path.join(dump_mm, f"{tag}_M.mtx"), form.M)
-    if out:
-        report = write_report(out, report, *csv)
+    if cfg.get("out"):
+        report = write_report(cfg["out"], report, *csv)
     return report, (2 if flags else 0)
 
 
@@ -421,13 +423,10 @@ def run_convergence(cfg, dump_mm: str | None = None):
         raise ConfigError("eps_grid must be nonempty")
     if not np.all(np.diff(eps_grid) < 0):
         raise ConfigError("eps_grid must be strictly decreasing")
-    _check_resolution("convergence", cfg, "eps_grid", float(eps_grid.min()))
-    _check_out("convergence", cfg)
+    net = network_from_spec(cfg["network"])
+    _check_run("convergence", cfg, "eps_grid", eps_grid, net.beta)
     seed, threads, out = cfg.get("seed", 7), cfg.get("threads", 1), cfg.get("out")
-    op = Operator.from_config(cfg)
-    net = op.net
-    if eps_grid.max() > net.beta + 1e-12:
-        raise ConfigError(f"max eps {eps_grid.max()} exceeds beta {net.beta}")
+    op = Operator.from_config(cfg, net)
 
     form_delta, res_delta = op.solve(seed=seed)
     lam_delta = float(res_delta.eigenvalues[0])
@@ -552,10 +551,8 @@ def run_convergence(cfg, dump_mm: str | None = None):
     forms = [("delta", form_delta)] + [
         (f"eps_{e:g}", form) for (form, _, _), e in zip(eps_results, eps_grid)]
     report, status = _envelope(
-        "convergence", dict(cfg), fields, flags,
-        (("eps", "res_norm", "eig_gap", "converged"), rows),
-        net=net, mesh=op.mesh, beta_cap=cfg["network"]["beta_cap"], out=out,
-        dump_mm=dump_mm, forms=forms,
+        "convergence", cfg, fields, flags, (("eps", "res_norm", "eig_gap", "converged"), rows),
+        net=net, mesh=op.mesh, dump_mm=dump_mm, forms=forms,
     )
     if out:
         export_strengths_csv(net, op.strengths, os.path.join(out, "strengths.csv"))
@@ -563,16 +560,7 @@ def run_convergence(cfg, dump_mm: str | None = None):
 
 
 def _fit_dict(fit):
-    if fit is None:
-        return None
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "stderr": fit.stderr,
-        "ci95": list(fit.ci95),
-        "n_used": fit.n_used,
-        "n_excluded": fit.n_excluded,
-    }
+    return None if fit is None else {**dataclasses.asdict(fit), "ci95": list(fit.ci95)}
 
 
 def _star_network(angles_deg, length, rot_deg=0.0, beta_cap=0.4):
@@ -612,15 +600,13 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
     if abs(sum(angles) - 360.0) > 1e-8:
         raise ConfigError(f"angles must sum to 360 degrees, got {sum(angles)}")
     beta_cap = cfg.get("beta_cap", 0.4)
-    _check_resolution("stargraph", cfg, "eps", eps)
-    _check_out("stargraph", cfg)
-
     nets = {
         "sigma": _star_network(angles, L, beta_cap=beta_cap),
         "gamma": _star_network([360.0 / N] * N, L, beta_cap=beta_cap),
         "rot": _star_network([360.0 / N] * N, L, rot_deg=cfg.get("rot_deg", 17.0),
                              beta_cap=beta_cap),
     }
+    _check_run("stargraph", cfg, "eps", eps, min(net.beta for net in nets.values()))
     meshes = {"h": _mesh(cfg["mesh"]), "h2": _mesh(cfg["mesh"], refine=2)}
     values, forms = {}, []
     for step, mesh in meshes.items():
@@ -675,9 +661,9 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
         ("gamma_rot", values["rot_h"]["lam"], ""),
     ]
     return _envelope(
-        "stargraph", dict(cfg), fields, flags, (("graph", "lam_h", "lam_h2"), rows),
-        net=nets["sigma"], mesh=meshes["h"], beta_cap=beta_cap, out=cfg.get("out"),
-        squeezed=eps is not None, dump_mm=dump_mm, forms=forms,
+        "stargraph", cfg, fields, flags, (("graph", "lam_h", "lam_h2"), rows),
+        net=nets["sigma"], mesh=meshes["h"], squeezed=eps is not None, dump_mm=dump_mm,
+        forms=forms,
     )
 
 
@@ -713,8 +699,7 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
     eps = cfg.get("eps")
     seed = cfg.get("seed", 7)
     h = cfg["mesh"]["h"]
-    beta_cap = cfg.get("beta_cap", 0.25)
-    net = cusp_network(d, x_max, beta_cap=beta_cap)
+    net = cusp_network(d, x_max, beta_cap=cfg.get("beta_cap", 0.25))
 
     decay = 2.0 / max(abs(a) for a in alphas)
     if decay < 4.0 * h:
@@ -722,8 +707,7 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
             f"mesh too coarse for alpha={min(alphas)}: transverse decay length "
             f"{decay:.4f} is below 4h = {4 * h:.4f}"
         )
-    _check_resolution("cusp", cfg, "eps", eps)
-    _check_out("cusp", cfg)
+    _check_run("cusp", cfg, "eps", eps, net.beta)
 
     power = 6.0 / (d + 2.0)
     e1 = float(cusp_operator_eigs(d, k=1)[0])
@@ -763,10 +747,21 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
         "solver": {"residuals": [row[3] for row in rows], "shifts": shifts},
     }
     return _envelope(
-        "cusp", dict(cfg), fields, flags, (("alpha", "lam1", "r", "residual"), rows),
-        net=net, mesh=mesh, beta_cap=beta_cap, out=cfg.get("out"),
-        squeezed=eps is not None, dump_mm=dump_mm, forms=forms,
+        "cusp", cfg, fields, flags, (("alpha", "lam1", "r", "residual"), rows),
+        net=net, mesh=mesh, squeezed=eps is not None, dump_mm=dump_mm, forms=forms,
     )
+
+
+def _wedge_criterion(phi, alpha, theta) -> dict:
+    """Report block of the wedge criterion `oracles.wedge_F_infimum`, shared
+    by the `wedge` and `wedge-f` reports."""
+    inf = wedge_F_infimum(WedgeParams(phi=phi, alpha=alpha, theta=theta))
+    return {
+        "inf_F": inf.value,
+        "argmin": list(inf.argmin),
+        "predicts_discrete_spectrum": inf.negative,
+        "refined": inf.refined,
+    }
 
 
 def _eigen_rows(res):
@@ -799,21 +794,6 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
         raise ConfigError(
             f"wedge box {box} must contain the wedge vertex (0, 0) in its interior"
         )
-    _check_resolution("wedge", cfg, "eps", eps)
-    _check_out("wedge", cfg)
-
-    criterion = None
-    if theta is not None:
-        inf = wedge_F_infimum(WedgeParams(phi=phi, alpha=alpha, theta=theta))
-        criterion = {
-            "inf_F": inf.value,
-            "argmin": list(inf.argmin),
-            "predicts_discrete_spectrum": inf.negative,
-            "refined": inf.refined,
-        }
-    else:
-        warnings.warn("wedge: Theta not supplied, criterion block skipped",
-                      stacklevel=2)
 
     margin = min(abs(v) for pair in box for v in pair)
     ray_len = cfg.get("ray_length", 0.8 * margin)
@@ -826,6 +806,12 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
         ],
         beta_cap=cfg.get("beta_cap", 0.3),
     )
+    _check_run("wedge", cfg, "eps", eps, net.beta)
+
+    if theta is None:
+        logger.warning("wedge: Theta not supplied, criterion block skipped")
+    criterion = None if theta is None else _wedge_criterion(phi, alpha, theta)
+
     op = Operator.uniform(_mesh(cfg["mesh"]), net, alpha, A=fem.homogeneous_gauge(b))
     form, res = op.solve(eps, k=cfg.get("k", 1), seed=seed)
     lam1 = float(res.eigenvalues[0])
@@ -842,9 +828,9 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
         "solver": {"residuals": res.residuals.tolist(), "shift": res.shift},
     }
     return _envelope(
-        "wedge", dict(cfg), fields, flags, (("index", "lam", "residual"), _eigen_rows(res)),
-        net=net, mesh=op.mesh, beta_cap=cfg.get("beta_cap", 0.3), out=cfg.get("out"),
-        squeezed=eps is not None, dump_mm=dump_mm, forms=[("wedge", form)],
+        "wedge", cfg, fields, flags, (("index", "lam", "residual"), _eigen_rows(res)),
+        net=net, mesh=op.mesh, squeezed=eps is not None, dump_mm=dump_mm,
+        forms=[("wedge", form)],
     )
 
 
@@ -852,9 +838,9 @@ def run_spectrum(cfg: dict, dump_mm: str | None = None):
     """Assemble the configured operator and report its k lowest eigenpairs."""
     _require("spectrum", cfg, "mesh.box", "mesh.h", "network")
     eps = cfg.get("eps")
-    _check_resolution("spectrum", cfg, "eps", eps)
-    _check_out("spectrum", cfg)
-    op = Operator.from_config(cfg)
+    net = network_from_spec(cfg["network"])
+    _check_run("spectrum", cfg, "eps", eps, net.beta)
+    op = Operator.from_config(cfg, net)
     form, res = op.solve(eps, k=cfg.get("k", 3), seed=cfg.get("seed", 7))
     fields = {
         "eigenvalues": res.eigenvalues.tolist(),
@@ -866,8 +852,7 @@ def run_spectrum(cfg: dict, dump_mm: str | None = None):
         "hermiticity_residual": form.meta["hermiticity_residual"],
     }
     return _envelope(
-        "spectrum", dict(cfg), fields, {}, (("index", "lam", "residual"), _eigen_rows(res)),
-        net=op.net, mesh=op.mesh, beta_cap=cfg["network"]["beta_cap"],
-        out=cfg.get("out"), squeezed=eps is not None, dump_mm=dump_mm,
+        "spectrum", cfg, fields, {}, (("index", "lam", "residual"), _eigen_rows(res)),
+        net=net, mesh=op.mesh, squeezed=eps is not None, dump_mm=dump_mm,
         forms=[("spectrum", form)],
     )

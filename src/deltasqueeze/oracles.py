@@ -11,7 +11,7 @@ grids.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +30,8 @@ __all__ = [
     "wedge_F",
     "wedge_F_infimum",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 class NoBoundStateError(ValueError):
@@ -251,8 +253,7 @@ def wedge_F_infimum(params: WedgeParams) -> WedgeInfimum:
         argmin = (float(np.exp(out.x[0])), float(np.exp(out.x[1])))
         refined = True
     else:
-        warnings.warn("wedge_F_infimum: refinement did not converge; grid value used",
-                      stacklevel=2)
+        logger.warning("wedge_F_infimum: refinement did not converge; grid value used")
         value, argmin, refined = f0, best, False
     return WedgeInfimum(
         value=value, argmin=argmin, negative=bool(value < -1e-8), refined=refined

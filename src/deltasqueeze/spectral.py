@@ -35,7 +35,7 @@ bit-identical reports.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +58,8 @@ __all__ = [
     "resolvent_diff_norm",
     "fit_rate",
 ]
+
+logger = logging.getLogger(__name__)
 
 NORM_RTOL = 1e-10  # ARPACK relative residual tolerance of resolvent-difference norms
 EIG_RTOL = 1e-12  # ARPACK relative residual tolerance of shift-invert eigensolves
@@ -351,7 +353,7 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
 def fit_rate(eps, values, *, confidence: float = 0.95) -> RateFit:
     """Least-squares slope of log(value) against log(eps) with a CI.
 
-    Non-positive values are excluded with a warning; fewer than three
+    Non-positive values are excluded with a logged warning; fewer than three
     remaining points raise FitError.
     """
     eps = np.asarray(eps, dtype=float)
@@ -359,9 +361,7 @@ def fit_rate(eps, values, *, confidence: float = 0.95) -> RateFit:
     keep = values > 0.0
     n_excluded = int(np.sum(~keep))
     if n_excluded:
-        warnings.warn(
-            f"fit_rate: excluded {n_excluded} non-positive values", stacklevel=2
-        )
+        logger.warning("fit_rate: excluded %d non-positive values", n_excluded)
     eps, values = eps[keep], values[keep]
     if eps.size < 3:
         raise FitError(f"need >= 3 positive points, have {eps.size}")

@@ -18,7 +18,6 @@ from deltasqueeze.geometry import (
     SplineSegment,
     TubeError,
     compute_beta,
-    curvature,
     tube_jacobian,
     tube_map,
 )
@@ -47,12 +46,12 @@ def fd_curvature(seg, s, h):
 def test_line_curvature_zero():
     seg = LineSegment((0.0, 0.0), (3.0, 1.0))
     s = np.linspace(0.0, seg.length, 11)
-    assert np.all(curvature(seg, s) == 0.0)
+    assert np.all(seg.curvature(s) == 0.0)
 
 
 def test_arc_curvature_magnitude():
     seg = CircularArc((1.0, -2.0), 2.0, 0.3, 2.1)
-    assert np.allclose(np.abs(curvature(seg, seg.length / 3)), 0.5)
+    assert np.allclose(np.abs(seg.curvature(seg.length / 3)), 0.5)
 
 
 def test_cusp_curvature_matches_symbolic_and_fd():
@@ -61,7 +60,7 @@ def test_cusp_curvature_matches_symbolic_and_fd():
     from scipy.optimize import brentq
 
     s_at_x1 = brentq(lambda s: seg.point(s)[0] - 1.0, 0.0, seg.length)
-    k = curvature(seg, s_at_x1)
+    k = seg.curvature(s_at_x1)
     assert k == pytest.approx(2.0 / 5.0**1.5, abs=1e-10)
     assert k == pytest.approx(0.17889, abs=1e-5)
     k_fd = fd_curvature(seg, s_at_x1, 1e-4)
@@ -78,7 +77,7 @@ def test_cusp_curvature_matches_symbolic_and_fd():
 )
 def test_curvature_matches_fd_at_second_order(seg):
     s = 0.47 * seg.length
-    k = curvature(seg, s)
+    k = seg.curvature(s)
     err = [abs(fd_curvature(seg, s, h) - k) for h in (2e-3, 1e-3)]
     assert err[1] <= err[0] / 2.5 + 1e-11
 
@@ -100,12 +99,30 @@ def test_arclength_parametrization_unit_speed():
         assert np.max(np.abs(np.linalg.norm(seg.normal(s), axis=1) - 1.0)) < 1e-10
 
 
-def test_out_of_range_s_raises():
-    seg = LineSegment((0.0, 0.0), (1.0, 0.0))
-    with pytest.raises(DomainError):
-        seg.point(1.5)
-    with pytest.raises(DomainError):
-        curvature(seg, -0.2)
+SEGMENT_KINDS = {
+    "line": lambda: LineSegment((0.0, 0.0), (1.0, 0.0)),
+    "arc": lambda: CircularArc((0.0, 0.0), 1.5, -0.4, 1.9),
+    "cusp": lambda: CuspBranch(1.6, -1.0, 0.9),
+    "spline": lambda: circle_spline(16),
+}
+
+
+@pytest.mark.parametrize("evaluator", ["point", "tangent", "normal", "curvature"])
+@pytest.mark.parametrize("kind", list(SEGMENT_KINDS))
+def test_out_of_range_s_raises(kind, evaluator):
+    # the evaluation contract of every kind: a scalar s gives one value of
+    # shape (2,) or a float, an array one row per entry, the same values
+    seg = SEGMENT_KINDS[kind]()
+    fn = getattr(seg, evaluator)
+    one, many = fn(0.25 * seg.length), fn(np.linspace(0.0, seg.length, 5))
+    if evaluator == "curvature":
+        assert type(one) is float and many.shape == (5,)
+    else:
+        assert one.shape == (2,) and many.shape == (5, 2)
+    assert np.array_equal(one, many[1])
+    for s in (-0.2, 1.5 * seg.length, np.array([0.5, 1.5]) * seg.length):
+        with pytest.raises(DomainError):
+            fn(s)
 
 
 # ----------------------------------------------------------------- tube map

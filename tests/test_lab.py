@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import re
 import sys
@@ -43,6 +44,11 @@ def small_convergence_cfg(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def config_operator(cfg):
+    """The `lab.Operator` of a config, on the network of its spec."""
+    return Operator.from_config(cfg, network_from_spec(cfg["network"]))
 
 
 # ------------------------------------------------------------- convergence
@@ -202,7 +208,7 @@ def test_magnetic_convergence_norms_match_dense_resolvents():
     cfg = small_convergence_cfg(field_b=1.5, eps_grid=[1.0, 0.7, 0.5],
                                 mesh={"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 8.0})
     report, _ = run_convergence(cfg)
-    op = Operator.from_config(cfg)
+    op = config_operator(cfg)
     form_delta = op.form()
     assert np.iscomplexobj(form_delta.S.data)
     M = form_delta.M.toarray()
@@ -263,7 +269,7 @@ def test_stiffness_and_mass_are_assembled_once_per_mesh(assembled):
 
 
 def test_an_operator_on_another_mesh_builds_its_own_base():
-    op = Operator.from_config(small_convergence_cfg())
+    op = config_operator(small_convergence_cfg())
     fine = dataclasses.replace(op, mesh=fem.build_mesh(op.mesh.box, op.mesh.h / 2))
     assert fine.base.mesh is fine.mesh and fine.base is not op.base
     assert fine.form(0.5).S.shape[0] == fine.mesh.n_interior
@@ -275,7 +281,7 @@ def test_an_operator_on_another_mesh_builds_its_own_base():
 
 def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
     cfg = small_convergence_cfg()  # the benchmark's smoke config
-    op = Operator.from_config(cfg)
+    op = config_operator(cfg)
     _, res_delta = op.solve(seed=cfg["seed"])
     ground = res_delta.eigenvectors[:, 0]
     eigsh, starts = spectral.spla.eigsh, []
@@ -301,7 +307,7 @@ def test_delta_eigensolve_starts_from_the_trial_state(monkeypatch):
     # n = 3969: from the positive trial state, at the relative tolerance
     # EIG_RTOL, Lanczos converges at ARPACK's first check (31 solves from a
     # random start at machine precision)
-    op = Operator.from_config(small_convergence_cfg())
+    op = config_operator(small_convergence_cfg())
     form = op.form()
     assert form.S.shape[0] == 3969
     _, trial = trial_upper_bound(op.mesh, op.net, op.strengths, form, op.distances)
@@ -341,7 +347,7 @@ def test_two_eigenpairs_include_the_odd_second_state():
     # trial state, which is orthogonal to the odd second eigenfunction, so
     # k > 1 starts Lanczos from a random vector
     h = 1.0 / 8.0
-    op = Operator.from_config(small_convergence_cfg(
+    op = config_operator(small_convergence_cfg(
         mesh={"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": h}))
     form, res = op.solve(k=2)
     lam, V = sla.eigh(form.S.toarray(), form.M.toarray(), subset_by_index=[0, 1])
@@ -567,11 +573,12 @@ def test_wedge_criterion_and_assembly():
     assert status == 0
 
 
-def test_wedge_without_theta_warns_and_still_solves():
+def test_wedge_without_theta_warns_and_still_solves(caplog):
     cfg = wedge_cfg()
     del cfg["theta"]
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.WARNING, logger="deltasqueeze.lab"):
         report, _ = run_wedge(cfg)
+    assert caplog.messages == ["wedge: Theta not supplied, criterion block skipped"]
     assert report["criterion"] is None
     assert "lam1" in report
 
@@ -637,7 +644,7 @@ def test_zero_strength_magnetic_spectrum_matches_dense_eigh():
         "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 0.25},
         "k": 3,
     }
-    op = Operator.from_config(cfg)
+    op = config_operator(cfg)
     form = op.form()
     assert form.S.shape[0] >= 60  # past the dense cutoff of lowest_eigs
     assert trial_upper_bound(op.mesh, op.net, op.strengths, form) == (None, None)
@@ -798,3 +805,28 @@ def test_squeezed_width_below_4h_fails_before_any_mesh(built, scenario, key, run
     with pytest.raises(ConfigError, match=f"{scenario} config: '{key}' needs 'mesh.h' <= 0.2/4"):
         runner(cfg)
     assert built == []
+
+
+SQUEEZED_TOO_WIDE = [
+    ("convergence", "eps_grid", run_convergence,
+     small_convergence_cfg(eps_grid=[1.5, 1.0, 0.5])),
+    ("stargraph", "eps", run_stargraph, star_cfg(eps=0.5)),
+    ("cusp", "eps", run_cusp, {**SMALL_CUSP, "eps": 0.3}),
+    ("wedge", "eps", run_wedge, wedge_cfg(eps=0.4)),
+    ("spectrum", "eps", run_spectrum,
+     {"network": LINE_NETWORK, "alpha": -4.0, "mesh": MESH, "eps": 0.6}),
+]
+
+
+@pytest.mark.parametrize("scenario, key, runner, cfg", SQUEEZED_TOO_WIDE,
+                         ids=[case[0] for case in SQUEEZED_TOO_WIDE])
+def test_squeezed_width_above_beta_fails_before_any_mesh(monkeypatch, built, scenario, key,
+                                                         runner, cfg):
+    networks = []
+    init = geometry.Network.__init__
+    monkeypatch.setattr(geometry.Network, "__init__",
+                        lambda net, *a, **kw: networks.append(net) or init(net, *a, **kw))
+    with pytest.raises(ConfigError, match=f"{scenario} config: '{key}' = .* exceeds beta = "):
+        runner(cfg)
+    assert built == []
+    assert len(networks) == (3 if scenario == "stargraph" else 1)

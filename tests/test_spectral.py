@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -429,11 +431,14 @@ def test_fit_under_multiplicative_noise_monte_carlo():
     assert np.median(slopes) == pytest.approx(0.5, abs=0.01)
 
 
-def test_fit_excludes_nonpositive_and_errors_when_underdetermined():
+def test_fit_excludes_nonpositive_and_errors_when_underdetermined(caplog):
     eps = np.array([0.4, 0.2, 0.1, 0.05])
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.WARNING, logger="deltasqueeze.spectral"):
         fit = fit_rate(eps, np.array([0.6, 0.4, -1.0, 0.2]))
+    assert caplog.messages == ["fit_rate: excluded 1 non-positive values"]
     assert fit.n_used == 3 and fit.n_excluded == 1
+    caplog.clear()
     with pytest.raises(FitError):
-        with pytest.warns(UserWarning):
+        with caplog.at_level(logging.WARNING, logger="deltasqueeze.spectral"):
             fit_rate(eps, np.array([0.5, -1.0, -2.0, 0.1]))
+    assert caplog.messages == ["fit_rate: excluded 2 non-positive values"]

@@ -18,23 +18,26 @@ factor whose count is 0 is a certified shift: `lowest_eigs` reuses it for
 shift-invert Lanczos and `resolvent_diff_norm` for the norm, one
 factorization per pencil.  An eigensolve with no such factor makes its own,
 lowering the shift until the inertia count is 0 (`_certified_factor`, the
-one loop that lowers a shift).  One given a variational upper estimate
-first tries the estimated shift without counting (the count keeps a copy
-of the factor alive, see `count_below`), checks the result, and on failure
-lowers the shift once and certifies.  Eigensolves and norms are one ARPACK
-Lanczos call each and need a Hermitian pencil: `lowest_eigs` and every
-`ResolventFactor` refuse one whose Hermiticity residual exceeds round-off
-(NonHermitianError).  Eigensolves stop at the relative residual EIG_RTOL,
-not ARPACK's default of machine epsilon, which restarts a converged basis
-for another sweep; norms stop at NORM_RTOL.  An eigensolve starts from a
-given vector near the wanted eigenspace when the caller has one (a trial
-state, or the ground state of a nearby pencil), else from a seeded random
-vector.  Deterministic seeds everywhere: identical inputs give
-bit-identical reports.
+one loop that lowers a shift).  A count reads SuperLU's CSC copies of L
+and U, about the size of the factor again, frees them once it has the
+count, and stores the count on the factor.  An eigensolve given a
+variational upper estimate first tries the estimated shift without
+counting, which saves that transient copy, checks the result, and on
+failure lowers the shift once and certifies.  Eigensolves and norms are
+one ARPACK Lanczos call each and need a Hermitian pencil: `lowest_eigs`
+and every `ResolventFactor` refuse one whose Hermiticity residual exceeds
+round-off (NonHermitianError).  Eigensolves stop at the relative residual
+EIG_RTOL, not ARPACK's default of machine epsilon, which restarts a
+converged basis for another sweep; norms stop at NORM_RTOL.  An eigensolve
+starts from a given vector near the wanted eigenspace when the caller has
+one (a trial state, or the ground state of a nearby pencil), else from a
+seeded random vector.  Deterministic seeds everywhere: identical inputs
+give bit-identical reports.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -266,7 +269,8 @@ class ResolventFactor:
     Diagonal pivoting keeps perm_r == perm_c unless a diagonal pivot
     vanishes.  Keeps M in CSR form, without a copy when it is given so.
     Raises NonHermitianError when S - lambda M is not Hermitian to
-    round-off, and RuntimeError when it is exactly singular.
+    round-off, and RuntimeError when it is exactly singular.  Only
+    `count_below` reads the factor's L and U.
     """
 
     def __init__(self, S, M, lam: float):
@@ -284,6 +288,20 @@ class ResolventFactor:
     def apply(self, x):
         return self._lu.solve(self.M @ x)
 
+    @functools.cached_property
+    def _below(self):
+        """`count_below`'s value, read from U once."""
+        lu = self._lu
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            return None
+        L, U = lu.L, lu.U  # CSC copies that SuperLU caches on the factor
+        below = int(np.count_nonzero(U.diagonal().real < 0.0))
+        for T in (L, U):  # emptied in place, so their arrays are freed now
+            T.data = np.empty(0, T.data.dtype)
+            T.indices = np.empty(0, T.indices.dtype)
+            T.indptr = np.zeros_like(T.indptr)
+        return below
+
 
 def count_below(factor: ResolventFactor) -> int | None:
     """Number of pencil eigenvalues below factor.lam, by inertia.
@@ -295,14 +313,14 @@ def count_below(factor: ResolventFactor) -> int | None:
     (Sylvester's law of inertia).  None when a vanishing diagonal pivot made
     SuperLU interchange rows: the count is then not available.
 
-    Reading U makes SuperLU keep CSC copies of L and U for the factor's
-    lifetime (about the size of the factor again), so count only on factors
-    that are freed soon.
+    Reading U makes SuperLU build CSC copies of L and U, about the size of
+    the factor again, and cache them on it until the factor is freed.  The
+    first count empties both copies once it has read the diagonal, so a
+    count holds that memory only while it runs, and stores its value on the
+    factor: a second read of the emptied U would find no negative pivot,
+    so every later count returns the stored value.
     """
-    lu = factor._lu
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return int(np.count_nonzero(lu.U.diagonal().real < 0.0))
+    return factor._below
 
 
 def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,

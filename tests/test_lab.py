@@ -157,6 +157,21 @@ def test_convergence_falls_back_to_fresh_factors_when_inertia_is_not_zero(monkey
     assert all_fresh["shift_verified_below_all_pencils"]
 
 
+def test_convergence_dump_writes_every_pencil(tmp_path):
+    # the eps forms are kept only for the dump: each must still reach it
+    cfg = small_convergence_cfg()
+    run_convergence(cfg, dump_mm=str(tmp_path))
+    op = config_operator(cfg)
+    fresh = {"delta": op.form(), **{f"eps_{e:g}": op.form(e) for e in cfg["eps_grid"]}}
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"{tag}_{name}.mtx" for tag in fresh for name in "SM")
+    for tag, form in fresh.items():
+        for name in "SM":
+            dumped = scipy.io.mmread(os.path.join(tmp_path, f"{tag}_{name}.mtx"))
+            assert dumped.shape == form.S.shape
+            assert abs(dumped.tocsr() - getattr(form, name)).max() == 0.0, (tag, name)
+
+
 def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch):
     splu = spectral.spla.splu
     factored = []

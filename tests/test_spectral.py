@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,28 @@ def test_count_below_matches_dense_eigh(b, where):
     factor = ResolventFactor(S, M, sigma)
     assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
     assert count_below(factor) == expected
+
+
+def test_count_below_frees_the_copy_of_the_factor_and_counts_once():
+    # reading U makes SuperLU cache CSC copies of L and U on the factor (41.6 MB
+    # here); the count must free them and keep its value for later counts
+    n = 120
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    S = (sp.kron(T, sp.eye(n)) + sp.kron(sp.eye(n), T)).tocsr()
+    M = sp.eye(n * n, format="csr")
+    lam = 4.0 - 2.0 * np.cos(np.pi / (n + 1)) - 2.0 * np.cos(np.array([1, 2]) * np.pi / (n + 1))
+    factor = ResolventFactor(S, M, lam.mean())  # one eigenvalue below the shift
+    x = np.random.default_rng(3).standard_normal(n * n)
+    before = factor._lu.solve(x)
+    tracemalloc.start()
+    try:
+        assert count_below(factor) == 1
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert traced < 1e6
+    assert count_below(factor) == 1
+    assert np.array_equal(factor._lu.solve(x), before)
 
 
 def test_certified_factor_reproduces_the_fresh_eigensolve():

@@ -1,8 +1,8 @@
 """Command-line entry point: `delta-squeeze <scenario> --config file.json`.
 
 Each subcommand is one entry of `_COMMANDS`: a function of the config dict
-that returns (report, status), the flags it reads besides `--config`, and
-the one-line summary printed for its report.
+that returns (report, status), the config keys it also accepts as flags,
+and the one-line summary printed for its report.
 
 Exit codes: 0 on success, 2 on flagged-but-complete runs, 1 on errors.
 """
@@ -87,7 +87,7 @@ def _join(values, spec):
 
 _RUNNER_FLAGS = ("out", "dump_mm", "seed")
 
-# name: (function of the config dict, flags it reads besides --config,
+# name: (function of the config dict, config keys it accepts as flags,
 # one-line summary of its report)
 _COMMANDS = {
     "converge": (lab.run_convergence, _RUNNER_FLAGS + ("threads",), lambda r: (
@@ -129,10 +129,10 @@ def _run(args):
     fn, flags, summary = _COMMANDS[args.command]
     with open(args.config) as fh:
         cfg = json.load(fh)
-    for flag in ("out", "seed", "threads"):
-        if getattr(args, flag, None) is not None:
+    for flag in flags:
+        if getattr(args, flag) is not None:
             cfg[flag] = getattr(args, flag)
-    report, status = fn(cfg, dump_mm=args.dump_mm) if "dump_mm" in flags else fn(cfg)
+    report, status = fn(cfg)
     print(summary(report))
     if "out" not in flags or cfg.get("out") is None:
         json.dump(report, sys.stdout, indent=2, sort_keys=True, default=float)

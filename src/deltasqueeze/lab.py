@@ -1,17 +1,19 @@
 """Experiment orchestration: configs, scenario runners, reports.
 
 Every scenario solves a member of (i grad + A)^2 + Q + alpha delta_Sigma or
-of its squeezed regularizations.  Every runner reads its config dict
-through `_require` (missing keys) and builds its network, then `_check_run`
-checks the squeezing width and makes the output directory before any mesh
-is built.  A runner builds `Operator` records (mesh, network, profiles,
+of its squeezed regularizations.  A runner reads only its config dict, run
+settings (out, dump_mm, seed, threads) included, checks it through
+`_require` (missing keys), builds its network, and then `_check_run` checks
+the squeezing width and makes the output and dump directories before any
+mesh is built.  A runner builds `Operator` records (mesh, network, profiles,
 strengths, A, Q) from its config, one mesh per distinct box and step, and
 the operators on one mesh, A and Q share one `fem.BaseForm`;
-`Operator.solve` is the one path from form to eigenpairs.  Every report
-goes through `_envelope`, which adds the config echo, the certified tube
-half-width and its cap, the mesh summary and the flags, and writes
-report.json and data.csv with the SHA-256 of the CSV payload embedded;
-identical config and seed give bit-identical files.
+`Operator.solve` is the one path from form to eigenpairs, and `_dump`
+writes each form as soon as it is built.  Every report goes through
+`_envelope`, which adds the config echo, the certified tube half-width and
+its cap, the mesh summary and the flags, and writes report.json and
+data.csv with the SHA-256 of the CSV payload embedded; identical config
+and seed give bit-identical files.
 """
 
 from __future__ import annotations
@@ -63,12 +65,14 @@ def _require(scenario, cfg: dict, *keys):
             block = block[part]
 
 
-def _check_run(scenario, cfg: dict, key: str, eps, beta: float):
+def _check_run(scenario, cfg: dict, key: str, beta: float):
     """The checks made before any mesh is built, each raising ConfigError
-    naming the scenario.  The squeezing width under `key`, eps (a scalar or
-    a grid; None: no squeezed form), must be resolved by cfg["mesh"]["h"]
+    naming the scenario.  The squeezing width cfg[key] (a scalar or a grid;
+    absent or None: no squeezed form) must be resolved by cfg["mesh"]["h"]
     (`fem.resolves`) and must not exceed the certified tube half-width beta;
-    cfg["out"], when set, is created and must be a writable directory."""
+    cfg["out"] and cfg["dump_mm"], when set, are created and must be
+    writable directories."""
+    eps = cfg.get(key)
     if eps is not None:
         h, lo, hi = cfg["mesh"]["h"], float(np.min(eps)), float(np.max(eps))
         if not fem.resolves(h, lo):
@@ -76,15 +80,16 @@ def _check_run(scenario, cfg: dict, key: str, eps, beta: float):
                               f"{lo}/4 = {lo / 4.0}, got {h}")
         if hi > beta:
             raise ConfigError(f"{scenario} config: {key!r} = {hi} exceeds beta = {beta}")
-    out = cfg.get("out")
-    if out is None:
-        return
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"{scenario} output path not writable: {out} ({err.strerror})") from None
-    if not os.access(out, os.W_OK):
-        raise ConfigError(f"{scenario} output path not writable: {out}")
+    for path in (cfg.get("out"), cfg.get("dump_mm")):
+        if path is None:
+            continue
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(
+                f"{scenario} output path not writable: {path} ({err.strerror})") from None
+        if not os.access(path, os.W_OK):
+            raise ConfigError(f"{scenario} output path not writable: {path}")
 
 
 def _segment_from_spec(spec: dict) -> geometry.CurveSegment:
@@ -224,7 +229,7 @@ class DistanceTable:
             return self._dist[k]
 
 
-def trial_upper_bound(mesh, net, strengths, form, distances: DistanceTable | None = None):
+def trial_upper_bound(distances: DistanceTable, strengths, form):
     """Variational bound lam_1 <= min R(v) over transverse-decay trial states,
     returned with the minimizing state v: (bound, v), or (None, None) when
     every strength is zero.
@@ -235,19 +240,17 @@ def trial_upper_bound(mesh, net, strengths, form, distances: DistanceTable | Non
     Every Rayleigh quotient on the assembled pencil is a rigorous upper
     bound for the discrete ground state, so the minimum seeds the shift rule
     of the eigensolver without any probing factorization, and its positive
-    state starts the ground-state Lanczos.  The distances come from
-    `distances`, a table of this mesh and network, or a new one.
+    state starts the ground-state Lanczos.  `distances`, the table of the
+    form's mesh and the strengths' network, supplies both.
     """
     scales = {
-        k: _strength_scale(a, net.segments[k].length)
+        k: _strength_scale(a, distances.net.segments[k].length)
         for k, a in strengths.items()
         if a is not None
     }
     scales = {k: a for k, a in scales.items() if a > 0.0}
     if not scales:
         return None, None
-    if distances is None:
-        distances = DistanceTable(mesh, net)
     decay = np.inf
     for k, a in scales.items():
         decay = np.minimum(decay, a * distances[k])
@@ -326,8 +329,7 @@ class Operator:
         shift = None
         if eps is not None:
             shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
-        bound, trial = trial_upper_bound(self.mesh, self.net, self.strengths, form,
-                                         self.distances)
+        bound, trial = trial_upper_bound(self.distances, self.strengths, form)
         v0 = None
         if k == 1 and trial is not None:
             v0 = np.asarray(trial, dtype=np.result_type(form.S.dtype, float))
@@ -373,11 +375,20 @@ def export_strengths_csv(net, strengths, path, samples: int = 65):
         fh.write("\n".join(lines) + "\n")
 
 
-def _envelope(scenario, cfg, fields, flags, csv, *, net, mesh, squeezed=None,
-              dump_mm=None, forms=()):
+def _dump(cfg, tag, form):
+    """Write S and M of `form` as Matrix Market files tag_S.mtx and tag_M.mtx
+    in the directory cfg["dump_mm"], when set; `_check_run` made it."""
+    if cfg.get("dump_mm") is not None:
+        import scipy.io  # loaded only for the dump
+
+        for name in "SM":
+            scipy.io.mmwrite(os.path.join(cfg["dump_mm"], f"{tag}_{name}.mtx"),
+                             getattr(form, name))
+
+
+def _envelope(scenario, cfg, fields, flags, csv, *, net, mesh, squeezed=None):
     """(report, status) of a run, status 2 when any flag fired, else 0.  Adds
     the shared entries to `fields`, and `form` unless `squeezed` is None;
-    dumps the (tag, form) pairs of `forms` as S and M Matrix Market files;
     writes the report and the (header, rows) pair `csv` when cfg["out"] is set."""
     report = {
         "scenario": scenario,
@@ -390,19 +401,12 @@ def _envelope(scenario, cfg, fields, flags, csv, *, net, mesh, squeezed=None,
     }
     if squeezed is not None:
         report["form"] = "squeezed" if squeezed else "delta"
-    if dump_mm:
-        import scipy.io  # loaded only for the dump
-
-        os.makedirs(dump_mm, exist_ok=True)
-        for tag, form in forms:
-            scipy.io.mmwrite(os.path.join(dump_mm, f"{tag}_S.mtx"), form.S)
-            scipy.io.mmwrite(os.path.join(dump_mm, f"{tag}_M.mtx"), form.M)
     if cfg.get("out"):
         report = write_report(cfg["out"], report, *csv)
     return report, (2 if flags else 0)
 
 
-def run_convergence(cfg, dump_mm: str | None = None):
+def run_convergence(cfg):
     """Norm-resolvent comparison of the concentrated and squeezed operators.
 
     Assembles the kinetic part and the mass matrix once (the operator's
@@ -424,11 +428,13 @@ def run_convergence(cfg, dump_mm: str | None = None):
     if not np.all(np.diff(eps_grid) < 0):
         raise ConfigError("eps_grid must be strictly decreasing")
     net = network_from_spec(cfg["network"])
-    _check_run("convergence", cfg, "eps_grid", eps_grid, net.beta)
+    _check_run("convergence", cfg, "eps_grid", net.beta)
     seed, threads, out = cfg.get("seed", 7), cfg.get("threads", 1), cfg.get("out")
     op = Operator.from_config(cfg, net)
 
-    form_delta, res_delta = op.solve(seed=seed)
+    form_delta = op.form()
+    _dump(cfg, "delta", form_delta)
+    _, res_delta = op.solve(seed=seed, form=form_delta)
     lam_delta = float(res_delta.eigenvalues[0])
 
     def norm_point(i, factor_eps):
@@ -442,12 +448,12 @@ def run_convergence(cfg, dump_mm: str | None = None):
     factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
 
     def eps_point(i):
-        """(form when dumped, else None; eigensolve; norm at `shift`, or None
-        when `shift` is not certified below this pencil)."""
+        """(eigensolve, norm at `shift`, or None when `shift` is not certified
+        below this pencil)."""
         eps = eps_grid[i]
         try:
             form_eps = op.form(eps)
-            kept = form_eps if dump_mm else None
+            _dump(cfg, f"eps_{eps:g}", form_eps)
             factor = spectral.ResolventFactor(form_eps.S, form_eps.M, shift)
             try:
                 res = spectral.lowest_eigs(form_eps.S, form_eps.M, factor=factor,
@@ -455,10 +461,10 @@ def run_convergence(cfg, dump_mm: str | None = None):
             except spectral.ShiftError:
                 res = None
             if res is not None:
-                return kept, res, norm_point(i, factor)
+                return res, norm_point(i, factor)
             del factor  # freed before the fresh eigensolve factors the pencil again
             _, res = op.solve(eps, seed=seed, form=form_eps)
-            return kept, res, None
+            return res, None
         except Exception as err:
             err.args = (f"eps={eps}: {err}",)
             raise
@@ -475,11 +481,11 @@ def run_convergence(cfg, dump_mm: str | None = None):
         return [fn(i) for i in range(len(eps_grid))]
 
     eps_results = map_eps(eps_point)
-    lam_eps = [float(r.eigenvalues[0]) for _, r, _ in eps_results]
-    norms = [n for _, _, n in eps_results]
+    lam_eps = [float(r.eigenvalues[0]) for r, _ in eps_results]
+    norms = [n for _, n in eps_results]
     if None in norms or min(lam_eps) < lam_delta:
         # recompute every norm at the common shift, with fresh factors of
-        # forms assembled again (only a dump keeps them)
+        # forms assembled again
         shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
         del factor_delta
         factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
@@ -545,7 +551,7 @@ def run_convergence(cfg, dump_mm: str | None = None):
         "gap_fit": _fit_dict(gap_fit),
         "solver": {
             "delta_residuals": res_delta.residuals.tolist(),
-            "eps_residuals": [r.residuals.tolist() for _, r, _ in eps_results],
+            "eps_residuals": [r.residuals.tolist() for r, _ in eps_results],
             "power_iterations": [n.iterations for n in norms],
         },
         "self_check": self_check,
@@ -555,11 +561,9 @@ def run_convergence(cfg, dump_mm: str | None = None):
         (float(e), float(nv), float(g), bool(c))
         for e, nv, g, c in zip(eps_grid, res_norms, gaps, [n.converged for n in norms])
     ]
-    forms = [("delta", form_delta)] + [
-        (f"eps_{e:g}", form) for (form, _, _), e in zip(eps_results, eps_grid)]
     report, status = _envelope(
         "convergence", cfg, fields, flags, (("eps", "res_norm", "eig_gap", "converged"), rows),
-        net=net, mesh=op.mesh, dump_mm=dump_mm, forms=forms,
+        net=net, mesh=op.mesh,
     )
     if out:
         export_strengths_csv(net, op.strengths, os.path.join(out, "strengths.csv"))
@@ -585,7 +589,7 @@ def _star_network(angles_deg, length, rot_deg=0.0, beta_cap=0.4):
     return geometry.Network(segs, beta_cap=beta_cap)
 
 
-def run_stargraph(cfg: dict, dump_mm: str | None = None):
+def run_stargraph(cfg: dict):
     """Lowest eigenvalue of a star graph against its symmetric competitor.
 
     Builds the requested star and the symmetric one with the same edge count
@@ -613,21 +617,23 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
         "rot": _star_network([360.0 / N] * N, L, rot_deg=cfg.get("rot_deg", 17.0),
                              beta_cap=beta_cap),
     }
-    _check_run("stargraph", cfg, "eps", eps, min(net.beta for net in nets.values()))
+    _check_run("stargraph", cfg, "eps", min(net.beta for net in nets.values()))
     meshes = {"h": _mesh(cfg["mesh"]), "h2": _mesh(cfg["mesh"], refine=2)}
-    values, forms = {}, []
+    values = {}
     for step, mesh in meshes.items():
         base = fem.assemble_base(mesh)
         for name, net in nets.items():
             tag = f"{name}_{step}"
-            form, res = Operator.uniform(mesh, net, alpha, base=base).solve(eps, seed=seed)
+            op = Operator.uniform(mesh, net, alpha, base=base)
+            form = op.form(eps)
+            if tag in ("sigma_h", "gamma_h"):
+                _dump(cfg, tag, form)
+            _, res = op.solve(eps, seed=seed, form=form)
             values[tag] = {
                 "lam": float(res.eigenvalues[0]),
                 "residual": float(res.residuals[0]),
                 "shift": res.shift,
             }
-            if dump_mm and tag in ("sigma_h", "gamma_h"):
-                forms.append((tag, form))
 
     # one refinement per compared eigenvalue; the rotated graph usually has
     # the largest discretization error (no mesh-aligned edge)
@@ -669,8 +675,7 @@ def run_stargraph(cfg: dict, dump_mm: str | None = None):
     ]
     return _envelope(
         "stargraph", cfg, fields, flags, (("graph", "lam_h", "lam_h2"), rows),
-        net=nets["sigma"], mesh=meshes["h"], squeezed=eps is not None, dump_mm=dump_mm,
-        forms=forms,
+        net=nets["sigma"], mesh=meshes["h"], squeezed=eps is not None,
     )
 
 
@@ -687,7 +692,7 @@ def cusp_network(d: float, x_max: float, collar: float = 1e-3, beta_cap: float =
     return geometry.Network(segs, beta_cap=beta_cap)
 
 
-def run_cusp(cfg: dict, dump_mm: str | None = None):
+def run_cusp(cfg: dict):
     """Cusp-induced eigenvalues against the half-line operator asymptotics.
 
     For each strength alpha the lowest eigenvalue of the delta operator on
@@ -714,7 +719,7 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
             f"mesh too coarse for alpha={min(alphas)}: transverse decay length "
             f"{decay:.4f} is below 4h = {4 * h:.4f}"
         )
-    _check_run("cusp", cfg, "eps", eps, net.beta)
+    _check_run("cusp", cfg, "eps", net.beta)
 
     power = 6.0 / (d + 2.0)
     e1 = float(cusp_operator_eigs(d, k=1)[0])
@@ -722,11 +727,13 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
 
     mesh = _mesh(cfg["mesh"])
     distances, base = DistanceTable(mesh, net), fem.assemble_base(mesh)
-    rows, flags, forms = [], {}, []
+    rows, flags = [], {}
     r_devs, shifts = [], []
     for alpha in alphas:
         op = Operator.uniform(mesh, net, alpha, distances=distances, base=base)
-        form, res = op.solve(eps, seed=seed)
+        form = op.form(eps)
+        _dump(cfg, f"alpha_{alpha:g}", form)
+        _, res = op.solve(eps, seed=seed, form=form)
         lam = float(res.eigenvalues[0])
         weak = lam > -1e-6
         if weak:
@@ -737,8 +744,6 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
             r_devs.append(abs(r - target))
         rows.append((alpha, lam, r if r is not None else "", float(res.residuals[0])))
         shifts.append(res.shift)
-        if dump_mm:
-            forms.append((f"alpha_{alpha:g}", form))
     trend_ok = all(b < a for a, b in zip(r_devs, r_devs[1:])) if len(r_devs) > 1 else False
     if len(r_devs) > 1 and not trend_ok:
         flags["r_deviation_not_decreasing"] = True
@@ -755,7 +760,7 @@ def run_cusp(cfg: dict, dump_mm: str | None = None):
     }
     return _envelope(
         "cusp", cfg, fields, flags, (("alpha", "lam1", "r", "residual"), rows),
-        net=net, mesh=mesh, squeezed=eps is not None, dump_mm=dump_mm, forms=forms,
+        net=net, mesh=mesh, squeezed=eps is not None,
     )
 
 
@@ -775,7 +780,7 @@ def _eigen_rows(res):
     return [(i, v, r) for i, (v, r) in enumerate(zip(res.eigenvalues, res.residuals))]
 
 
-def run_wedge(cfg: dict, dump_mm: str | None = None):
+def run_wedge(cfg: dict):
     """Magnetic wedge scenario: analytic criterion plus the assembled form.
 
     Evaluates the criterion-function infimum (when the essential-spectrum
@@ -813,14 +818,16 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
         ],
         beta_cap=cfg.get("beta_cap", 0.3),
     )
-    _check_run("wedge", cfg, "eps", eps, net.beta)
+    _check_run("wedge", cfg, "eps", net.beta)
 
     if theta is None:
         logger.warning("wedge: Theta not supplied, criterion block skipped")
     criterion = None if theta is None else _wedge_criterion(phi, alpha, theta)
 
     op = Operator.uniform(_mesh(cfg["mesh"]), net, alpha, A=fem.homogeneous_gauge(b))
-    form, res = op.solve(eps, k=cfg.get("k", 1), seed=seed)
+    form = op.form(eps)
+    _dump(cfg, "wedge", form)
+    _, res = op.solve(eps, k=cfg.get("k", 1), seed=seed, form=form)
     lam1 = float(res.eigenvalues[0])
     flags = {}
     if form.meta["hermiticity_residual"] > 1e-12:
@@ -836,19 +843,20 @@ def run_wedge(cfg: dict, dump_mm: str | None = None):
     }
     return _envelope(
         "wedge", cfg, fields, flags, (("index", "lam", "residual"), _eigen_rows(res)),
-        net=net, mesh=op.mesh, squeezed=eps is not None, dump_mm=dump_mm,
-        forms=[("wedge", form)],
+        net=net, mesh=op.mesh, squeezed=eps is not None,
     )
 
 
-def run_spectrum(cfg: dict, dump_mm: str | None = None):
+def run_spectrum(cfg: dict):
     """Assemble the configured operator and report its k lowest eigenpairs."""
     _require("spectrum", cfg, "mesh.box", "mesh.h", "network")
     eps = cfg.get("eps")
     net = network_from_spec(cfg["network"])
-    _check_run("spectrum", cfg, "eps", eps, net.beta)
+    _check_run("spectrum", cfg, "eps", net.beta)
     op = Operator.from_config(cfg, net)
-    form, res = op.solve(eps, k=cfg.get("k", 3), seed=cfg.get("seed", 7))
+    form = op.form(eps)
+    _dump(cfg, "spectrum", form)
+    _, res = op.solve(eps, k=cfg.get("k", 3), seed=cfg.get("seed", 7), form=form)
     fields = {
         "eigenvalues": res.eigenvalues.tolist(),
         "solver": {
@@ -860,6 +868,5 @@ def run_spectrum(cfg: dict, dump_mm: str | None = None):
     }
     return _envelope(
         "spectrum", cfg, fields, {}, (("index", "lam", "residual"), _eigen_rows(res)),
-        net=net, mesh=op.mesh, squeezed=eps is not None, dump_mm=dump_mm,
-        forms=[("spectrum", form)],
+        net=net, mesh=op.mesh, squeezed=eps is not None,
     )

@@ -16,14 +16,13 @@ the negative diagonal entries of U count the pencil eigenvalues below sigma
 (`count_below`; Parlett, The Symmetric Eigenvalue Problem, sec. 3.3).  A
 factor whose count is 0 is a certified shift: `lowest_eigs` reuses it for
 shift-invert Lanczos and `resolvent_diff_norm` for the norm, one
-factorization per pencil.  An eigensolve with no such factor makes its own,
-lowering the shift until the inertia count is 0 (`_certified_factor`, the
-one loop that lowers a shift).  A count reads SuperLU's CSC copies of L
-and U, about the size of the factor again, frees them once it has the
-count, and stores the count on the factor.  An eigensolve given a
-variational upper estimate first tries the estimated shift without
-counting, which saves that transient copy, checks the result, and on
-failure lowers the shift once and certifies.  Eigensolves and norms are
+factorization per pencil.  An eigensolve with no such factor makes its own
+in the one loop that lowers a shift, until the inertia count is 0.  A
+count reads SuperLU's CSC copies of L and U, about the size of the factor
+again, frees them once it has the count, and stores the count on the
+factor.  Given a variational upper estimate, the loop checks its first
+factor by the eigenvalues it yields instead of counting, which saves that
+transient copy; every later factor is counted.  Eigensolves and norms are
 one ARPACK Lanczos call each and need a Hermitian pencil: `lowest_eigs`
 and every `ResolventFactor` refuse one whose Hermiticity residual exceeds
 round-off (NonHermitianError).  Eigensolves stop at the relative residual
@@ -139,16 +138,16 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
 
     Dense solve below 60 unknowns.  Given `factor`, a `ResolventFactor` of
     this pencil, the call first certifies it: `count_below(factor)` must be
-    0, else ShiftError.  Otherwise the call makes its own certified factor:
-    it factors at `shift` (default -1) and lowers the shift until the
+    0, else ShiftError.  Otherwise the call makes its own factor in one
+    loop: it factors at `shift` (default -1) and lowers the shift until the
     inertia count is 0.  A certified factor is used as is, at its shift.
 
     `upper_estimate` is a known bound lam_1 <= upper_estimate (e.g. a
     variational Rayleigh quotient).  With a `shift`, or a negative estimate
-    to seed the shift rule, the call first factors without an inertia count
-    and checks the result: finite, none below the shift, lam_1 at most
-    0.5 max(1, |upper_estimate|) above the estimate; else it lowers the
-    shift once and certifies.  An estimate >= 0 gives the rule no scale.
+    to seed the shift rule, the loop checks its first factor by the result
+    instead of an inertia count: finite, none below the shift, lam_1 at
+    most 0.5 max(1, |upper_estimate|) above the estimate; every later
+    factor is checked by inertia.  An estimate >= 0 gives the rule no scale.
 
     Every sparse path runs Lanczos with a basis of max(2k + 1, 20) vectors,
     the ARPACK default, to the relative Ritz residual EIG_RTOL (1e-12; the
@@ -182,42 +181,34 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
         v0 = rng.standard_normal(n)
         if np.iscomplexobj(S.data):
             v0 = v0 + 1j * rng.standard_normal(n)
-    if factor is None and upper_estimate is not None and (
-            shift is not None or upper_estimate < 0.0):
-        if shift is None:
-            # variational estimates may miss vertex deepening factors
-            shift = upper_estimate - max(1.0, 3.0 * abs(upper_estimate))
+    if factor is not None:
+        w, V = _shift_invert(S, M, k, factor, v0)
+        return _finalize(S, M, w, V, shift)
+    # the first factor of an estimate is checked by its eigenvalues, not counted
+    window = upper_estimate is not None and (shift is not None or upper_estimate < 0.0)
+    if shift is None:
+        # variational estimates may miss vertex deepening factors
+        shift = upper_estimate - max(1.0, 3.0 * abs(upper_estimate)) if window else -1.0
+    for _ in range(64):  # 2**64 below the start: only a non-definite M gets here
         try:
             # S positional: the benchmark's tracer reads the pencil from it
             factor = ResolventFactor(S, M, shift)
-            w, V = _shift_invert(S, M, k, factor, v0)
-        except (RuntimeError, spla.ArpackError):  # singular factor or no convergence
-            w = None
-        # w[0] far above the estimate: Lanczos converged past the bottom
-        if w is not None and np.all(np.isfinite(w)) and (
-                shift + 1e-12 * abs(shift) <= w[0]
-                <= upper_estimate + 0.5 * max(1.0, abs(upper_estimate))):
-            return _finalize(S, M, w, V, shift)
-        factor = None  # freed before the certified path factors again
-        shift = _lower(shift)
-    if factor is None:
-        factor = _certified_factor(S, M, -1.0 if shift is None else shift)
-    w, V = _shift_invert(S, M, k, factor, v0)
-    return _finalize(S, M, w, V, factor.lam)
-
-
-def _certified_factor(S, M, shift):
-    """ResolventFactor of the pencil at `shift`, or lower, whose inertia
-    count is 0.  The shift is lowered while eigenvalues lie below it, the
-    count is not available, or the factorization is singular."""
-    for _ in range(64):  # 2**64 below the start: only a non-definite M gets here
-        try:
-            factor = ResolventFactor(S, M, shift)
         except RuntimeError:  # exactly singular: shift is an eigenvalue
             factor = None
-        if factor is not None and count_below(factor) == 0:
-            return factor
-        factor = None  # freed before the next factorization
+        if factor is not None and window:
+            try:
+                w, V = _shift_invert(S, M, k, factor, v0)
+            except RuntimeError:  # ARPACK did not converge
+                w = None
+            # w[0] far above the estimate: Lanczos converged past the bottom
+            if w is not None and np.all(np.isfinite(w)) and (
+                    shift + 1e-12 * abs(shift) <= w[0]
+                    <= upper_estimate + 0.5 * max(1.0, abs(upper_estimate))):
+                return _finalize(S, M, w, V, shift)
+        elif factor is not None and count_below(factor) == 0:
+            w, V = _shift_invert(S, M, k, factor, v0)
+            return _finalize(S, M, w, V, shift)
+        window, factor = False, None  # freed before the next factorization
         shift = _lower(shift)
     raise ShiftError(f"no shift down to {shift} certified below the pencil spectrum")
 

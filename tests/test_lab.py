@@ -13,7 +13,7 @@ import scipy.io
 import scipy.linalg as sla
 from conftest import assert_same_csr, full_node_form
 
-from deltasqueeze import cli, fem, geometry, spectral
+from deltasqueeze import cli, fem, geometry, potentials, spectral
 from deltasqueeze.fem import ResolutionError
 from deltasqueeze.lab import (
     ConfigError,
@@ -158,9 +158,9 @@ def test_convergence_falls_back_to_fresh_factors_when_inertia_is_not_zero(monkey
 
 
 def test_convergence_dump_writes_every_pencil(tmp_path):
-    # the eps forms are kept only for the dump: each must still reach it
-    cfg = small_convergence_cfg()
-    run_convergence(cfg, dump_mm=str(tmp_path))
+    # each pencil is dumped as it is built, the eps ones on their own points
+    cfg = small_convergence_cfg(dump_mm=str(tmp_path))
+    run_convergence(cfg)
     op = config_operator(cfg)
     fresh = {"delta": op.form(), **{f"eps_{e:g}": op.form(e) for e in cfg["eps_grid"]}}
     assert sorted(os.listdir(tmp_path)) == sorted(
@@ -253,6 +253,39 @@ def test_operator_forms_match_the_full_node_assembly_bit_for_bit(field_b, q, alp
         assert form.M is op.base.M  # one M per mesh, shared by every form
 
 
+S_GRID, T_GRID = [0.0, 1.0, 2.0], [-1.0, 0.0, 1.0]
+TABLE = [[-8.0, -12.0, -8.0], [-9.0, -14.0, -9.0], [-8.0, -12.0, -8.0]]
+PROFILE_CASES = {
+    "constant": ({"kind": "constant", "value": -10.0},
+                 lambda beta: potentials.constant_profile(0, -10.0, beta)),
+    "separable": ({"kind": "separable", "g_s": [1.0, 0.5], "g_t": [-10.0, 0.0, 3.0]},
+                  lambda beta: potentials.separable_profile(
+                      0, lambda s: np.polyval([0.5, 1.0], s),
+                      lambda t: np.polyval([3.0, 0.0, -10.0], t), beta)),
+    "tabulated": ({"kind": "tabulated", "s_grid": S_GRID, "t_grid": T_GRID, "values": TABLE},
+                  lambda beta: potentials.tabulated_profile(
+                      0, S_GRID, T_GRID, np.asarray(TABLE), beta)),
+}
+
+
+@pytest.mark.parametrize("kind", PROFILE_CASES)
+def test_profile_config_builds_the_squeezed_form_of_its_profile(kind):
+    spec, profile = PROFILE_CASES[kind]
+    cfg = {**without(small_convergence_cfg(), "alpha"), "profile": spec}
+    net = network_from_spec(cfg["network"])
+    op = Operator.from_config(cfg, net)
+    assert [p.kind for p in op.profiles] == [kind]
+    for eps in (0.5, 0.25):
+        W = potentials.SqueezedPotential(net, [profile(net.beta)], eps)
+        assert_same_csr(op.form(eps).S, fem.build_form(op.mesh, potential=W).S)
+
+
+def test_unknown_profile_kind_raises_config_error():
+    cfg = {**without(small_convergence_cfg(), "alpha"), "profile": {"kind": "gaussian"}}
+    with pytest.raises(ConfigError, match="unknown profile kind: 'gaussian'"):
+        Operator.from_config(cfg, network_from_spec(cfg["network"]))
+
+
 @pytest.fixture
 def assembled(monkeypatch):
     """The mesh of every stiffness and every mass assembly the test makes."""
@@ -325,7 +358,7 @@ def test_delta_eigensolve_starts_from_the_trial_state(monkeypatch):
     op = config_operator(small_convergence_cfg())
     form = op.form()
     assert form.S.shape[0] == 3969
-    _, trial = trial_upper_bound(op.mesh, op.net, op.strengths, form, op.distances)
+    _, trial = trial_upper_bound(op.distances, op.strengths, form)
     solves, starts = [], []
     splu, eigsh = spectral.spla.splu, spectral.spla.eigsh
 
@@ -371,7 +404,7 @@ def test_two_eigenpairs_include_the_odd_second_state():
     i, j = (np.rint(c[m.interior] / h).astype(int) for c in (m.node_x, m.node_y))
     index = {ij: k for k, ij in enumerate(zip(i, j))}
     mirror = np.array([index[(-a, -b)] for a, b in zip(i, j)])
-    _, trial = trial_upper_bound(op.mesh, op.net, op.strengths, form, op.distances)
+    _, trial = trial_upper_bound(op.distances, op.strengths, form)
     assert np.array_equal(trial[mirror], trial)
     for v in (V[:, 1], res.eigenvectors[:, 1]):
         assert np.allclose(v[mirror], -v, rtol=0.0, atol=1e-8 * np.max(np.abs(v)))
@@ -535,13 +568,14 @@ def test_cusp_trial_bound_stays_above_the_ground_state(d):
         op = Operator.uniform(mesh, net, alpha, distances=distances)
         form = op.form()
         lam1 = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)[0]
-        bound, state = trial_upper_bound(op.mesh, op.net, op.strengths, form, op.distances)
+        bound, state = trial_upper_bound(op.distances, op.strengths, form)
         assert lam1 <= bound
         # the returned state attains the bound, and it is a positive vector
         assert (state @ (form.S @ state)) / (state @ (form.M @ state)) == pytest.approx(
             bound, rel=1e-14)
         assert np.all(state > 0.0)
-        fresh_bound, fresh_state = trial_upper_bound(op.mesh, op.net, op.strengths, form)
+        fresh = DistanceTable(op.mesh, op.net)
+        fresh_bound, fresh_state = trial_upper_bound(fresh, op.strengths, form)
         assert fresh_bound == bound
         assert np.array_equal(fresh_state, state)
 
@@ -554,7 +588,7 @@ def test_cusp_with_a_positive_trial_bound_finds_the_ground_state():
                           "mesh": {"box": [list(b) for b in box], "h": h}})
     op = Operator.uniform(fem.build_mesh(box, h), cusp_network(1.5, 0.5), -6.0)
     form = op.form()
-    assert trial_upper_bound(op.mesh, op.net, op.strengths, form)[0] > 0.0
+    assert trial_upper_bound(op.distances, op.strengths, form)[0] > 0.0
     lam1 = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)[0]
     assert report["lam1"][0] == pytest.approx(lam1, rel=1e-10)
 
@@ -662,7 +696,7 @@ def test_zero_strength_magnetic_spectrum_matches_dense_eigh():
     op = config_operator(cfg)
     form = op.form()
     assert form.S.shape[0] >= 60  # past the dense cutoff of lowest_eigs
-    assert trial_upper_bound(op.mesh, op.net, op.strengths, form) == (None, None)
+    assert trial_upper_bound(op.distances, op.strengths, form) == (None, None)
     report, _ = run_spectrum(cfg)
     lam = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)
     assert np.allclose(report["eigenvalues"], lam[:3], rtol=1e-10, atol=0.0)
@@ -710,6 +744,20 @@ def test_cli_dump_matrix_market(tmp_path):
     S = scipy.io.mmread(os.path.join(mm_dir, "spectrum_S.mtx"))
     M = scipy.io.mmread(os.path.join(mm_dir, "spectrum_M.mtx"))
     assert S.shape == M.shape and S.shape[0] > 100
+
+
+def test_cli_flags_become_config_settings(tmp_path):
+    eps_grid = [0.5, 0.45, 0.4, 0.35, 0.25]
+    cfg_path = write_cfg(tmp_path, "c.json", small_convergence_cfg(eps_grid=eps_grid))
+    out, mm = str(tmp_path / "out"), str(tmp_path / "mm")
+    code = cli.main(["converge", "--config", cfg_path, "--out", out, "--dump-mm", mm,
+                     "--seed", "5", "--threads", "2"])
+    assert code in (0, 2)
+    config = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    assert {key: config[key] for key in ("out", "dump_mm", "seed", "threads")} == {
+        "out": out, "dump_mm": mm, "seed": 5, "threads": 2}
+    tags = ["delta"] + [f"eps_{e:g}" for e in eps_grid]  # six pencils
+    assert sorted(os.listdir(mm)) == sorted(f"{tag}_{name}.mtx" for tag in tags for name in "SM")
 
 
 def test_cli_oracle_commands(tmp_path, capsys):
@@ -792,14 +840,17 @@ OUT_PATH_CASES = [
 ]
 
 
-@pytest.mark.parametrize("scenario, runner, cfg", OUT_PATH_CASES,
-                         ids=[case[0] for case in OUT_PATH_CASES])
-def test_unusable_out_path_fails_before_any_mesh(tmp_path, built, scenario, runner, cfg):
+# the report directory and the Matrix Market dump directory ("-dump_mm")
+@pytest.mark.parametrize("scenario, runner, cfg, key",
+                         [(*case, key) for key in ("out", "dump_mm") for case in OUT_PATH_CASES],
+                         ids=[case[0] + ("" if key == "out" else "-dump_mm")
+                              for key in ("out", "dump_mm") for case in OUT_PATH_CASES])
+def test_unusable_out_path_fails_before_any_mesh(tmp_path, built, scenario, runner, cfg, key):
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = str(blocker / "sub")
     with pytest.raises(ConfigError, match=f"{scenario} output path not writable: {re.escape(out)}"):
-        runner({**cfg, "out": out})
+        runner({**cfg, key: out})
     assert built == []
 
 

@@ -105,7 +105,9 @@ def deep_segment_pencil():
     return S, M
 
 
-def test_every_factorization_without_an_estimate_is_counted(monkeypatch):
+@pytest.fixture
+def calls(monkeypatch):
+    """Number of factorizations and of inertia counts the test makes."""
     calls = {"splu": 0, "count_below": 0}
 
     def counted(name, fn):
@@ -116,9 +118,24 @@ def test_every_factorization_without_an_estimate_is_counted(monkeypatch):
 
     monkeypatch.setattr(spectral.spla, "splu", counted("splu", spectral.spla.splu))
     monkeypatch.setattr(spectral, "count_below", counted("count_below", count_below))
+    return calls
+
+
+def test_every_factorization_without_an_estimate_is_counted(calls):
     S, M = deep_segment_pencil()
     lowest_eigs(S, M, k=1)
     assert calls["splu"] == calls["count_below"] > 5
+
+
+def test_only_the_first_factor_of_an_estimate_is_not_counted(calls):
+    S, M = deep_segment_pencil()
+    lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+    # a first shift just above lam_1: Lanczos finds lam_1 below it, a miss
+    res = lowest_eigs(S, M, k=1, shift=lam[0] + 0.1 * (lam[1] - lam[0]),
+                      upper_estimate=lam[0] + 1.0)
+    assert calls["count_below"] == calls["splu"] - 1 >= 1
+    assert res.eigenvalues[0] == pytest.approx(lam[0], rel=1e-10)
+    assert res.shift < lam[0]
 
 
 def test_certified_shift_far_below_the_start_matches_dense_eigh():

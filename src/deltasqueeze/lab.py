@@ -315,17 +315,15 @@ class Operator:
         W = potentials.SqueezedPotential(self.net, self.profiles, eps)
         return fem.build_form(self.mesh, A=self.A, Q=self.Q, potential=W, base=self.base)
 
-    def solve(self, eps=None, *, k: int = 1, seed: int = 7, form=None):
-        """(form, k lowest eigenpairs) of the delta or squeezed operator; `form`
-        reuses the form at eps.  A squeezed pencil is shifted to its potential
+    def solve(self, form, eps=None, *, k: int = 1, seed: int = 7):
+        """The k lowest eigenpairs of `form`, the delta form (eps None) or the
+        squeezed form of width eps.  A squeezed pencil is shifted to its potential
         floor, Q included; the trial bound seeds the delta shift.  Without a
         trial bound (all strengths zero) `lowest_eigs` certifies the shift by
         inertia.  With k == 1 Lanczos starts from the trial state, which
         overlaps the ground state (positive and simple when A = 0); with
         k > 1, where a symmetric trial state can miss an odd excited state,
         it starts from a random vector drawn with `seed`."""
-        if form is None:
-            form = self.form(eps)
         shift = None
         if eps is not None:
             shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
@@ -333,9 +331,8 @@ class Operator:
         v0 = None
         if k == 1 and trial is not None:
             v0 = np.asarray(trial, dtype=np.result_type(form.S.dtype, float))
-        res = spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, seed=seed,
-                                   upper_estimate=bound, v0=v0)
-        return form, res
+        return spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, seed=seed,
+                                    upper_estimate=bound, v0=v0)
 
 
 def _format_float(x):
@@ -434,7 +431,7 @@ def run_convergence(cfg):
 
     form_delta = op.form()
     _dump(cfg, "delta", form_delta)
-    _, res_delta = op.solve(seed=seed, form=form_delta)
+    res_delta = op.solve(form_delta, seed=seed)
     lam_delta = float(res_delta.eigenvalues[0])
 
     def norm_point(i, factor_eps):
@@ -463,7 +460,7 @@ def run_convergence(cfg):
             if res is not None:
                 return res, norm_point(i, factor)
             del factor  # freed before the fresh eigensolve factors the pencil again
-            _, res = op.solve(eps, seed=seed, form=form_eps)
+            res = op.solve(form_eps, eps, seed=seed)
             return res, None
         except Exception as err:
             err.args = (f"eps={eps}: {err}",)
@@ -628,7 +625,7 @@ def run_stargraph(cfg: dict):
             form = op.form(eps)
             if tag in ("sigma_h", "gamma_h"):
                 _dump(cfg, tag, form)
-            _, res = op.solve(eps, seed=seed, form=form)
+            res = op.solve(form, eps, seed=seed)
             values[tag] = {
                 "lam": float(res.eigenvalues[0]),
                 "residual": float(res.residuals[0]),
@@ -733,7 +730,7 @@ def run_cusp(cfg: dict):
         op = Operator.uniform(mesh, net, alpha, distances=distances, base=base)
         form = op.form(eps)
         _dump(cfg, f"alpha_{alpha:g}", form)
-        _, res = op.solve(eps, seed=seed, form=form)
+        res = op.solve(form, eps, seed=seed)
         lam = float(res.eigenvalues[0])
         weak = lam > -1e-6
         if weak:
@@ -827,7 +824,7 @@ def run_wedge(cfg: dict):
     op = Operator.uniform(_mesh(cfg["mesh"]), net, alpha, A=fem.homogeneous_gauge(b))
     form = op.form(eps)
     _dump(cfg, "wedge", form)
-    _, res = op.solve(eps, k=cfg.get("k", 1), seed=seed, form=form)
+    res = op.solve(form, eps, k=cfg.get("k", 1), seed=seed)
     lam1 = float(res.eigenvalues[0])
     flags = {}
     if form.meta["hermiticity_residual"] > 1e-12:
@@ -856,7 +853,7 @@ def run_spectrum(cfg: dict):
     op = Operator.from_config(cfg, net)
     form = op.form(eps)
     _dump(cfg, "spectrum", form)
-    _, res = op.solve(eps, k=cfg.get("k", 3), seed=cfg.get("seed", 7), form=form)
+    res = op.solve(form, eps, k=cfg.get("k", 3), seed=cfg.get("seed", 7))
     fields = {
         "eigenvalues": res.eigenvalues.tolist(),
         "solver": {

@@ -181,33 +181,33 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
         v0 = rng.standard_normal(n)
         if np.iscomplexobj(S.data):
             v0 = v0 + 1j * rng.standard_normal(n)
-    if factor is not None:
-        w, V = _shift_invert(S, M, k, factor, v0)
-        return _finalize(S, M, w, V, shift)
-    # the first factor of an estimate is checked by its eigenvalues, not counted
-    window = upper_estimate is not None and (shift is not None or upper_estimate < 0.0)
+    # a given factor was counted above; the first factor of an estimate is
+    # checked by its eigenvalues, not counted
+    certified = factor is not None
+    window = not certified and upper_estimate is not None and (
+        shift is not None or upper_estimate < 0.0)
     if shift is None:
         # variational estimates may miss vertex deepening factors
         shift = upper_estimate - max(1.0, 3.0 * abs(upper_estimate)) if window else -1.0
     for _ in range(64):  # 2**64 below the start: only a non-definite M gets here
-        try:
-            # S positional: the benchmark's tracer reads the pencil from it
-            factor = ResolventFactor(S, M, shift)
-        except RuntimeError:  # exactly singular: shift is an eigenvalue
-            factor = None
-        if factor is not None and window:
+        if factor is None:
+            try:
+                # S positional: the benchmark's tracer reads the pencil from it
+                factor = ResolventFactor(S, M, shift)
+            except RuntimeError:  # exactly singular: shift is an eigenvalue
+                pass
+        if factor is not None and (certified or window or count_below(factor) == 0):
             try:
                 w, V = _shift_invert(S, M, k, factor, v0)
             except RuntimeError:  # ARPACK did not converge
+                if not window:
+                    raise
                 w = None
             # w[0] far above the estimate: Lanczos converged past the bottom
-            if w is not None and np.all(np.isfinite(w)) and (
+            if not window or (w is not None and np.all(np.isfinite(w)) and (
                     shift + 1e-12 * abs(shift) <= w[0]
-                    <= upper_estimate + 0.5 * max(1.0, abs(upper_estimate))):
+                    <= upper_estimate + 0.5 * max(1.0, abs(upper_estimate)))):
                 return _finalize(S, M, w, V, shift)
-        elif factor is not None and count_below(factor) == 0:
-            w, V = _shift_invert(S, M, k, factor, v0)
-            return _finalize(S, M, w, V, shift)
         window, factor = False, None  # freed before the next factorization
         shift = _lower(shift)
     raise ShiftError(f"no shift down to {shift} certified below the pencil spectrum")

@@ -330,7 +330,7 @@ def test_an_operator_on_another_mesh_builds_its_own_base():
 def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
     cfg = small_convergence_cfg()  # the benchmark's smoke config
     op = config_operator(cfg)
-    _, res_delta = op.solve(seed=cfg["seed"])
+    res_delta = op.solve(op.form(), seed=cfg["seed"])
     ground = res_delta.eigenvectors[:, 0]
     eigsh, starts = spectral.spla.eigsh, []
 
@@ -380,7 +380,7 @@ def test_delta_eigensolve_starts_from_the_trial_state(monkeypatch):
     monkeypatch.setattr(spectral.spla, "splu",
                         lambda *args, **kwargs: CountedFactor(splu(*args, **kwargs)))
     monkeypatch.setattr(spectral.spla, "eigsh", capturing)
-    _, res = op.solve(form=form)
+    res = op.solve(form)
     monkeypatch.undo()
     assert len(starts) == 1 and np.array_equal(starts[0], trial)
     assert len(solves) <= 21
@@ -397,7 +397,8 @@ def test_two_eigenpairs_include_the_odd_second_state():
     h = 1.0 / 8.0
     op = config_operator(small_convergence_cfg(
         mesh={"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": h}))
-    form, res = op.solve(k=2)
+    form = op.form()
+    res = op.solve(form, k=2)
     lam, V = sla.eigh(form.S.toarray(), form.M.toarray(), subset_by_index=[0, 1])
     assert np.allclose(res.eigenvalues, lam, rtol=1e-10, atol=0.0)
     m = op.mesh
@@ -712,9 +713,11 @@ def write_cfg(tmp_path, name, cfg):
 
 
 def test_cli_converge_roundtrip(tmp_path, capsys):
-    cfg_path = write_cfg(tmp_path, "c.json", small_convergence_cfg())
-    out_dir = str(tmp_path / "out")
-    code = cli.main(["converge", "--config", cfg_path, "--out", out_dir])
+    eps_grid = [0.5, 0.45, 0.4, 0.35, 0.25]
+    cfg_path = write_cfg(tmp_path, "c.json", small_convergence_cfg(eps_grid=eps_grid))
+    out, mm = str(tmp_path / "out"), str(tmp_path / "mm")
+    code = cli.main(["converge", "--config", cfg_path, "--out", out, "--dump-mm", mm,
+                     "--seed", "5", "--threads", "2"])
     captured = capsys.readouterr()
     assert "converge:" in captured.out
     assert code in (0, 2)
@@ -723,6 +726,12 @@ def test_cli_converge_roundtrip(tmp_path, capsys):
     assert report["csv_sha256"] == hashlib.sha256(csv_bytes).hexdigest()
     header = csv_bytes.decode().splitlines()[0]
     assert header == "eps,res_norm,eig_gap,converged"
+    # every flag is a config setting, echoed in the report
+    config = report["config"]
+    assert {key: config[key] for key in ("out", "dump_mm", "seed", "threads")} == {
+        "out": out, "dump_mm": mm, "seed": 5, "threads": 2}
+    tags = ["delta"] + [f"eps_{e:g}" for e in eps_grid]  # six pencils
+    assert sorted(os.listdir(mm)) == sorted(f"{tag}_{name}.mtx" for tag in tags for name in "SM")
 
 
 def test_cli_dump_matrix_market(tmp_path):
@@ -744,20 +753,6 @@ def test_cli_dump_matrix_market(tmp_path):
     S = scipy.io.mmread(os.path.join(mm_dir, "spectrum_S.mtx"))
     M = scipy.io.mmread(os.path.join(mm_dir, "spectrum_M.mtx"))
     assert S.shape == M.shape and S.shape[0] > 100
-
-
-def test_cli_flags_become_config_settings(tmp_path):
-    eps_grid = [0.5, 0.45, 0.4, 0.35, 0.25]
-    cfg_path = write_cfg(tmp_path, "c.json", small_convergence_cfg(eps_grid=eps_grid))
-    out, mm = str(tmp_path / "out"), str(tmp_path / "mm")
-    code = cli.main(["converge", "--config", cfg_path, "--out", out, "--dump-mm", mm,
-                     "--seed", "5", "--threads", "2"])
-    assert code in (0, 2)
-    config = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
-    assert {key: config[key] for key in ("out", "dump_mm", "seed", "threads")} == {
-        "out": out, "dump_mm": mm, "seed": 5, "threads": 2}
-    tags = ["delta"] + [f"eps_{e:g}" for e in eps_grid]  # six pencils
-    assert sorted(os.listdir(mm)) == sorted(f"{tag}_{name}.mtx" for tag in tags for name in "SM")
 
 
 def test_cli_oracle_commands(tmp_path, capsys):

@@ -414,9 +414,12 @@ def run_convergence(cfg):
     k = 1 and starts Lanczos from a state near its ground state: the delta
     eigensolve and an eps eigensolve that needs a fresh factor from the
     trial state (`Operator.solve`), an eps eigensolve on a factor certified
-    at that shift from the delta ground state.  So `seed` seeds the norms,
-    and an eigensolve only when every strength is zero and no trial state
-    exists.  Returns (report, status): status 2 when any flag fired, else 0.
+    at that shift from the delta ground state.  Every norm starts Lanczos
+    from the delta ground state, and the norm of `refine_check` on the h/2
+    mesh from the trial state there.  So `seed` seeds only an eigensolve
+    without a trial state, when every strength is zero, and the norms draw
+    no random numbers.  Returns (report, status): status 2 when any flag
+    fired, else 0.
     """
     _require("convergence", cfg, "mesh.box", "mesh.h", "network")
     eps_grid = np.asarray(cfg.get("eps_grid", []), dtype=float)
@@ -434,8 +437,9 @@ def run_convergence(cfg):
     res_delta = op.solve(form_delta, seed=seed)
     lam_delta = float(res_delta.eigenvalues[0])
 
-    def norm_point(i, factor_eps):
-        return spectral.resolvent_diff_norm(factor_delta, factor_eps, seed=seed + 1000 + i)
+    def norm_point(factor_eps):
+        return spectral.resolvent_diff_norm(factor_delta, factor_eps,
+                                            start=res_delta.eigenvectors[:, 0])
 
     # The norms use the common shift min(lam) - max(1, |lam_delta|) over the
     # delta and every eps pencil.  That is `shift` unless some lam_eps lies
@@ -458,7 +462,7 @@ def run_convergence(cfg):
             except spectral.ShiftError:
                 res = None
             if res is not None:
-                return res, norm_point(i, factor)
+                return res, norm_point(factor)
             del factor  # freed before the fresh eigensolve factors the pencil again
             res = op.solve(form_eps, eps, seed=seed)
             return res, None
@@ -487,7 +491,7 @@ def run_convergence(cfg):
         del factor_delta
         factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
         norms = map_eps(lambda i: norm_point(
-            i, spectral.ResolventFactor(op.form(eps_grid[i]).S, form_delta.M, shift)))
+            spectral.ResolventFactor(op.form(eps_grid[i]).S, form_delta.M, shift)))
     del factor_delta  # freed before the optional check on the finer mesh
 
     res_norms = [n.value for n in norms]
@@ -528,9 +532,11 @@ def run_convergence(cfg):
     if cfg.get("refine_check", False):
         op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
         fd2, fe2 = op2.form(), op2.form(float(eps_grid[0]))
+        # no delta ground state on this mesh: the norm starts from the trial state
+        _, trial = trial_upper_bound(op2.distances, op2.strengths, fd2)
         n2 = spectral.resolvent_diff_norm(spectral.ResolventFactor(fd2.S, fd2.M, shift),
                                           spectral.ResolventFactor(fe2.S, fd2.M, shift),
-                                          seed=seed + 1000)
+                                          start=trial)
         change = abs(n2.value - res_norms[0]) / max(res_norms[0], 1e-300)
         refine_block = {"h": cfg["mesh"]["h"] / 2, "norm": n2.value, "rel_change": change}
         if change >= 0.25:

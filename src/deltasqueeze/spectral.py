@@ -30,8 +30,10 @@ EIG_RTOL, not ARPACK's default of machine epsilon, which restarts a
 converged basis for another sweep; norms stop at NORM_RTOL.  An eigensolve
 starts from a given vector near the wanted eigenspace when the caller has
 one (a trial state, or the ground state of a nearby pencil), else from a
-seeded random vector.  Deterministic seeds everywhere: identical inputs
-give bit-identical reports.
+seeded random vector.  A norm starts the same way, from a given vector near
+the top eigenvector of the resolvent difference (the delta ground state,
+or a trial state near it), in a basis of 8 vectors.  Deterministic seeds
+everywhere: identical inputs give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ logger = logging.getLogger(__name__)
 
 NORM_RTOL = 1e-10  # ARPACK relative residual tolerance of resolvent-difference norms
 EIG_RTOL = 1e-12  # ARPACK relative residual tolerance of shift-invert eigensolves
+NORM_SEED = 2024  # seed of a norm's random start vector when no start is given
 HERMITIAN_RTOL = 1e-12  # round-off bound on max|A - A^H| / max|A|
 
 
@@ -315,7 +318,7 @@ def count_below(factor: ResolventFactor) -> int | None:
 
 
 def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
-                        seed: int = 2024) -> NormResult:
+                        start=None) -> NormResult:
     """M-operator norm of D = R_delta(lam) - R_eps(lam) by ARPACK Lanczos.
 
     Both factors must be at one shift lam (else ValueError); the norm is
@@ -324,9 +327,29 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     iterates OP = D and returns 1/mu for its largest eigenvalue mu in
     magnitude; its residual test bounds |theta - mu| <= NORM_RTOL |theta|
     (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  Each
-    application of D costs one solve per factor.  Without convergence in 20
-    restarts the result is the lower bound ||D x0||_M / ||x0||_M, flagged
-    non-converged.
+    application of D costs one solve per factor.
+
+    Lanczos starts from v0 = D x0, the power step that also gives the lower
+    bound ||D x0||_M / ||x0||_M and detects D = 0.  x0 is `start` when given,
+    a vector near the top eigenvector of D: the ground state of the delta
+    pencil, or a trial state near it (the delta ground state of a line at
+    h = 1/64 overlaps it by 0.96-0.98 in the M-inner product; ARPACK
+    Users' Guide, sec. 4.4, on start vectors).  Otherwise x0 is a random
+    vector drawn with NORM_SEED.  The basis holds 8 vectors whatever the
+    start: from such a start the norm converges at ARPACK's first check,
+    after 10 applications of D, and from a random start after about 14, as
+    with a larger basis.  Without convergence in 20 restarts the result is
+    the lower bound, flagged non-converged.
+
+    Lanczos searches only the Krylov space of v0, so a started result is the
+    norm of D only when `start` is not M-orthogonal to D's top eigenvector.
+    In a geometry symmetric under a map that commutes with D (a line, a
+    symmetric star or two parallel lines under (x, y) -> (-x, -y)), the
+    Krylov space keeps the symmetry of the start, and the result is the
+    largest |eigenvalue| of D in that symmetry class: the norm when the top
+    eigenvector has the ground state's symmetry.  A random start covers
+    every class.  `test_warm_started_norms_match_random_starts` checks that
+    both starts agree on the geometries the lab runs.
     """
     if R_delta.lam != R_eps.lam:
         raise ValueError(
@@ -342,17 +365,18 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
         applied += 1
         return R_delta._lu.solve(x) - R_eps._lu.solve(x)
 
-    x0 = np.random.default_rng(seed).standard_normal(n)
+    x0 = np.random.default_rng(NORM_SEED).standard_normal(n) if start is None else start
     v0 = diff(Mc @ x0)  # D x0: complex for magnetic pencils
-    lower = np.sqrt(abs(np.vdot(v0, Mc @ v0)) / (x0 @ (Mc @ x0)))
+    # vdot conjugates x0: a magnetic ground state is complex
+    lower = np.sqrt(abs(np.vdot(v0, Mc @ v0)) / np.vdot(x0, Mc @ x0).real)
     if lower == 0.0:  # D = 0: ARPACK refuses a zero start vector
         return NormResult(0.0, True, applied)
     op = spla.LinearOperator((n, n), matvec=diff, dtype=v0.dtype)
     try:
-        # 12 vectors, not the eigensolves' 20: the norm converges at ARPACK's
-        # first check, after about ncv applications of D (10 needs a restart)
+        # 8 vectors, not the eigensolves' 20: from a start near the top
+        # eigenvector the norm converges at ARPACK's first check
         w = spla.eigsh(op, k=1, M=Mc, sigma=0.0, OPinv=op, which="LM", v0=v0,
-                       ncv=min(n - 1, 12), tol=NORM_RTOL, maxiter=20,
+                       ncv=min(n - 1, 8), tol=NORM_RTOL, maxiter=20,
                        return_eigenvectors=False)
     except spla.ArpackNoConvergence:
         return NormResult(float(lower), False, applied)

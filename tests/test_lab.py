@@ -99,6 +99,49 @@ def test_convergence_reports_are_bit_reproducible(tmp_path):
     assert (tmp_path / "a" / "strengths.csv").exists()
 
 
+def test_convergence_csv_does_not_depend_on_the_seed(tmp_path):
+    # every eigensolve and norm starts from a trial or a ground state
+    csv = []
+    for seed in (11, 12):
+        out = tmp_path / str(seed)
+        run_convergence(small_convergence_cfg(seed=seed, out=str(out)))
+        csv.append((out / "data.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
+def line_spec(*ends):
+    return [{"kind": "line", "p0": list(p0), "p1": list(p1)} for p0, p1 in ends]
+
+
+ARMS = [(np.cos(t), np.sin(t)) for t in np.radians([0.0, 120.0, 240.0])]
+NORM_GEOMETRIES = {
+    "attractive_line": {},
+    "repulsive_line": {"alpha": 5.0},
+    "weak_line": {"alpha": -0.5},
+    "star_3_arms": {"network": {"beta_cap": 1.0,
+                                "segments": line_spec(*(((0.0, 0.0), a) for a in ARMS))}},
+    "magnetic_arc": {"field_b": 2.0, "network": {"beta_cap": 1.0, "segments": [
+        {"kind": "arc", "center": [0.0, 0.0], "radius": 1.0, "theta0": 0.0, "theta1": 3.0}]}},
+    "parallel_lines": {"network": {"beta_cap": 1.0, "segments": line_spec(
+        ((-1.0, -0.75), (1.0, -0.75)), ((-1.0, 0.75), (1.0, 0.75)))}},
+}
+
+
+@pytest.mark.parametrize("name", list(NORM_GEOMETRIES))
+def test_warm_started_norms_match_random_starts(name):
+    cfg = small_convergence_cfg(**NORM_GEOMETRIES[name])
+    report, _ = run_convergence(cfg)
+    assert max(report["solver"]["power_iterations"]) <= 10
+    op = config_operator(cfg)
+    form_delta = op.form()
+    R_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, report["shift"])
+    for eps, norm in zip(cfg["eps_grid"], report["res_norms"]):
+        R_eps = spectral.ResolventFactor(op.form(eps).S, form_delta.M, report["shift"])
+        cold = spectral.resolvent_diff_norm(R_delta, R_eps)  # a seeded random start
+        assert cold.converged
+        assert norm == pytest.approx(cold.value, rel=1e-10)
+
+
 def test_convergence_threads_match_serial():
     rep1, _ = run_convergence(small_convergence_cfg())
     rep2, _ = run_convergence(small_convergence_cfg(threads=2))
@@ -216,6 +259,24 @@ def test_convergence_refine_check_reruns_the_largest_eps_at_half_h():
     assert block["rel_change"] < 0.25
     assert report["flags"] == {}
     assert status == 0
+
+
+def test_every_norm_of_a_run_is_warm_started(monkeypatch):
+    # the delta ground state on the run's mesh, the trial state on the h/2 mesh
+    norm, starts = spectral.resolvent_diff_norm, []
+
+    def recording(R_delta, R_eps, **kwargs):
+        starts.append(kwargs.get("start"))
+        return norm(R_delta, R_eps, **kwargs)
+
+    monkeypatch.setattr(spectral, "resolvent_diff_norm", recording)
+    cfg = small_convergence_cfg(refine_check=True)
+    report, _ = run_convergence(cfg)
+    *ground, trial = starts
+    assert len(ground) == len(cfg["eps_grid"])
+    assert all(np.array_equal(s, ground[0]) for s in ground)
+    assert ground[0].shape == (63**2,) and trial.shape == (127**2,)
+    assert np.all(trial > 0.0)  # the positive trial state
 
 
 def test_magnetic_convergence_norms_match_dense_resolvents():

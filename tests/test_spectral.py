@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -390,6 +391,57 @@ def test_norm_of_a_plus_minus_eigenvalue_pair():
     assert np.max(np.abs(1.0 / a - 1.0 / b)) == 0.5
     assert out.converged
     assert out.value == pytest.approx(0.5, rel=1e-10)
+
+
+def line_norm_pencils(field_b):
+    """Factors of the delta and the eps = 0.5 squeezed pencil of a line with
+    alpha = -5 at h = 1/8, at lam_delta - max(1, |lam_delta|), with the delta
+    ground state and the dense resolvent difference D."""
+    alpha, beta = -5.0, 1.0
+    net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=beta)
+    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 8.0)
+    A = homogeneous_gauge(field_b) if field_b else None
+    delta = build_form(mesh, A=A, net=net, strengths={0: alpha})
+    W = SqueezedPotential(net, [constant_profile(0, alpha / (2 * beta), beta)], 0.5)
+    S_eps = build_form(mesh, A=A, potential=W).S
+    ground = lowest_eigs(delta.S, delta.M, k=1, shift=-12.0)
+    lam = ground.eigenvalues[0] - max(1.0, abs(ground.eigenvalues[0]))
+    M = delta.M.toarray()
+    D = (sla.solve(delta.S.toarray() - lam * M, M)
+         - sla.solve(S_eps.toarray() - lam * M, M))
+    factors = ResolventFactor(delta.S, delta.M, lam), ResolventFactor(S_eps, delta.M, lam)
+    return factors, ground.eigenvectors[:, 0], D
+
+
+@pytest.mark.parametrize("field_b", [0.0, 1.5])
+def test_norm_from_the_delta_ground_state_matches_dense_eigenvalues(field_b):
+    (R_d, R_e), start, D = line_norm_pencils(field_b)
+    assert np.iscomplexobj(start) == bool(field_b)
+    out = resolvent_diff_norm(R_d, R_e, start=start)
+    assert out.converged
+    assert out.value == pytest.approx(np.max(np.abs(sla.eigvals(D))), rel=1e-10)
+    assert out.iterations <= 10  # ARPACK's first check passes in an 8-vector basis
+
+
+def test_nonconverged_norm_returns_the_lower_bound_of_a_complex_start(monkeypatch):
+    (R_d, R_e), start, D = line_norm_pencils(1.5)
+    assert np.abs(start.imag).max() > 1e-3 * np.abs(start).max()  # genuinely complex
+    spla = spectral.spla
+
+    def eigsh(*args, **kwargs):
+        raise spla.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+    proxy = types.SimpleNamespace(**{**vars(spla), "eigsh": eigsh})
+    monkeypatch.setattr(spectral, "spla", proxy)
+    out = resolvent_diff_norm(R_d, R_e, start=start)
+    M = R_d.M.toarray()
+
+    def m_norm(v):
+        return np.sqrt(np.vdot(v, M @ v).real)
+
+    assert not out.converged
+    assert out.iterations == 1  # the power step only
+    assert out.value == pytest.approx(m_norm(D @ start) / m_norm(start), rel=1e-10)
 
 
 def test_factors_at_different_shifts_are_refused():

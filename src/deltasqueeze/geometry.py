@@ -21,8 +21,7 @@ Cusp branches and splines run Newton on their native parameter (x, or the
 spline's chord-length parameter) from the nearest node of a coarse sample,
 and convert to arc length once, by forward quadrature.  The tube width
 (`compute_beta`) measures the distance of curve samples to the other
-segments with the same routine; only the injectivity diagnostic compares
-samples with samples.
+segments with the same routine.
 """
 
 from __future__ import annotations
@@ -632,45 +631,3 @@ class Network:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         _, q, _ = self.segments[k].closest(pts)
         return np.linalg.norm(pts - q, axis=1)
-
-    def collision_check(self, n_pairs: int = 10_000, seed: int = 0, tol: float = 1e-9):
-        """Sampled injectivity diagnostic of the tube coordinates.
-
-        Draws random (k, s, t) pairs, maps them through the tube map, and
-        reports collisions between distinct coordinates whose images agree to
-        `tol` while not both lying within 2*beta of a shared endpoint.
-        Returns the number of violations.
-        """
-        rng = np.random.default_rng(seed)
-        ks = rng.integers(0, len(self.segments), size=n_pairs)
-        pts = np.empty((n_pairs, 2))
-        ss = np.empty(n_pairs)
-        ts = rng.uniform(-self.beta, self.beta, size=n_pairs) * (1 - 1e-12)
-        for k in range(len(self.segments)):
-            m = ks == k
-            ss[m] = rng.uniform(0.0, self.segments[k].length, size=m.sum())
-            pts[m] = self.segments[k].point(ss[m]) + ts[m, None] * self.segments[
-                k
-            ].normal(ss[m])
-        from scipy.spatial import cKDTree  # only this diagnostic needs scipy.spatial
-
-        tree = cKDTree(pts)
-        pairs = tree.query_pairs(tol, output_type="ndarray")
-        ends = np.array(
-            [e for seg in self.segments for e in seg.endpoints]
-        ).reshape(-1, 2)
-        violations = 0
-        for i, j in pairs:
-            same = ks[i] == ks[j] and abs(ss[i] - ss[j]) < 1e-6 and abs(
-                ts[i] - ts[j]
-            ) < 1e-6
-            if same:
-                continue
-            near_end = np.min(
-                np.linalg.norm(ends - pts[i], axis=1)
-            ) < 2 * self.beta and np.min(
-                np.linalg.norm(ends - pts[j], axis=1)
-            ) < 2 * self.beta
-            if not near_end:
-                violations += 1
-        return violations

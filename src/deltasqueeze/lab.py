@@ -19,6 +19,7 @@ and seed give bit-identical files.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -70,8 +71,8 @@ def _check_run(scenario, cfg: dict, key: str, beta: float):
     naming the scenario.  The squeezing width cfg[key] (a scalar or a grid;
     absent or None: no squeezed form) must be resolved by cfg["mesh"]["h"]
     (`fem.resolves`) and must not exceed the certified tube half-width beta;
-    cfg["out"] and cfg["dump_mm"], when set, are created and must be
-    writable directories."""
+    cfg["threads"], when set, must be a positive integer; cfg["out"] and
+    cfg["dump_mm"], when set, are created and must be writable directories."""
     eps = cfg.get(key)
     if eps is not None:
         h, lo, hi = cfg["mesh"]["h"], float(np.min(eps)), float(np.max(eps))
@@ -80,6 +81,10 @@ def _check_run(scenario, cfg: dict, key: str, beta: float):
                               f"{lo}/4 = {lo / 4.0}, got {h}")
         if hi > beta:
             raise ConfigError(f"{scenario} config: {key!r} = {hi} exceeds beta = {beta}")
+    threads = cfg.get("threads", 1)
+    if type(threads) is not int or threads < 1:
+        raise ConfigError(f"{scenario} config: 'threads' must be a positive integer, "
+                          f"got {threads!r}")
     for path in (cfg.get("out"), cfg.get("dump_mm")):
         if path is None:
             continue
@@ -410,16 +415,21 @@ def run_convergence(cfg):
     `fem.BaseForm`), adds the line term for the delta form and each eps's
     tube-local squeezed potential for its form, measures the discrete
     resolvent-difference norm and the lowest-eigenvalue gap at a common
-    shift below all spectra, and fits log-log rates.  Every eigensolve is
-    k = 1 and starts Lanczos from a state near its ground state: the delta
-    eigensolve and an eps eigensolve that needs a fresh factor from the
-    trial state (`Operator.solve`), an eps eigensolve on a factor certified
-    at that shift from the delta ground state.  Every norm starts Lanczos
-    from the delta ground state, and the norm of `refine_check` on the h/2
-    mesh from the trial state there.  So `seed` seeds only an eigensolve
-    without a trial state, when every strength is zero, and the norms draw
-    no random numbers.  Returns (report, status): status 2 when any flag
-    fired, else 0.
+    shift below all spectra, and fits log-log rates.  One `_eps_sweep` per
+    mesh makes each eps pencil's factor, eigensolve and norm; a second one at
+    the lower common shift retakes the norms when a factor is not certified
+    or some lam_eps lies below lam_delta.  Every eigensolve is k = 1 and
+    starts Lanczos near its ground state: from the trial state when it makes
+    its own factor (`Operator.solve`), else from the delta ground state.
+    Every norm starts from the delta ground state of its mesh, so `seed`
+    seeds only an eigensolve without a trial state (every strength zero).
+
+    `refine_check` repeats the delta eigensolve and the sweep on the h/2 mesh
+    at the run's shift, and reports every eps's h/2 norm and relative change
+    (None without a certified h/2 factor) and the h/2 norm fit.  The flag
+    `discretization_dominates_eps_effect` fires when the largest eps's change
+    is >= 25 percent or None.  Returns (report, status): status 2 when any
+    flag fired, else 0.
     """
     _require("convergence", cfg, "mesh.box", "mesh.h", "network")
     eps_grid = np.asarray(cfg.get("eps_grid", []), dtype=float)
@@ -435,64 +445,21 @@ def run_convergence(cfg):
     form_delta = op.form()
     _dump(cfg, "delta", form_delta)
     res_delta = op.solve(form_delta, seed=seed)
-    lam_delta = float(res_delta.eigenvalues[0])
-
-    def norm_point(factor_eps):
-        return spectral.resolvent_diff_norm(factor_delta, factor_eps,
-                                            start=res_delta.eigenvectors[:, 0])
+    lam_delta, ground = float(res_delta.eigenvalues[0]), res_delta.eigenvectors[:, 0]
 
     # The norms use the common shift min(lam) - max(1, |lam_delta|) over the
     # delta and every eps pencil.  That is `shift` unless some lam_eps lies
-    # below lam_delta, so each eps pencil is factored once, at `shift`, for
-    # both its eigensolve and its norm, once inertia certifies the factor.
+    # below lam_delta; the rerun at the lower shift takes norms only, since
+    # the eigenvalues of the first sweep place it below every pencil.
     shift = lam_delta - max(1.0, abs(lam_delta))
-    factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
-
-    def eps_point(i):
-        """(eigensolve, norm at `shift`, or None when `shift` is not certified
-        below this pencil)."""
-        eps = eps_grid[i]
-        try:
-            form_eps = op.form(eps)
-            _dump(cfg, f"eps_{eps:g}", form_eps)
-            factor = spectral.ResolventFactor(form_eps.S, form_eps.M, shift)
-            try:
-                res = spectral.lowest_eigs(form_eps.S, form_eps.M, factor=factor,
-                                           v0=res_delta.eigenvectors[:, 0])
-            except spectral.ShiftError:
-                res = None
-            if res is not None:
-                return res, norm_point(factor)
-            del factor  # freed before the fresh eigensolve factors the pencil again
-            res = op.solve(form_eps, eps, seed=seed)
-            return res, None
-        except Exception as err:
-            err.args = (f"eps={eps}: {err}",)
-            raise
-
-    def map_eps(fn):
-        if threads > 1:
-            # Each factor is made and freed on one worker, inside fn.  SuperLU
-            # memory freed on another thread than the one that made it was
-            # never returned to the system: three factors of a 200^2
-            # Laplacian made on a worker and dropped on the main thread left
-            # RSS at 646 MB (67 MB before), against 70 MB on one thread.
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(fn, range(len(eps_grid))))
-        return [fn(i) for i in range(len(eps_grid))]
-
-    eps_results = map_eps(eps_point)
+    eps_results = _eps_sweep(op, form_delta, ground, shift, eps_grid, seed=seed,
+                             threads=threads, dump=functools.partial(_dump, cfg))
     lam_eps = [float(r.eigenvalues[0]) for r, _ in eps_results]
     norms = [n for _, n in eps_results]
     if None in norms or min(lam_eps) < lam_delta:
-        # recompute every norm at the common shift, with fresh factors of
-        # forms assembled again
         shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
-        del factor_delta
-        factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
-        norms = map_eps(lambda i: norm_point(
-            spectral.ResolventFactor(op.form(eps_grid[i]).S, form_delta.M, shift)))
-    del factor_delta  # freed before the optional check on the finer mesh
+        norms = [n for _, n in _eps_sweep(op, form_delta, ground, shift, eps_grid,
+                                          seed=seed, threads=threads, solve=False)]
 
     res_norms = [n.value for n in norms]
     gaps = [abs(le - lam_delta) for le in lam_eps]
@@ -531,15 +498,16 @@ def run_convergence(cfg):
     refine_block = None
     if cfg.get("refine_check", False):
         op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
-        fd2, fe2 = op2.form(), op2.form(float(eps_grid[0]))
-        # no delta ground state on this mesh: the norm starts from the trial state
-        _, trial = trial_upper_bound(op2.distances, op2.strengths, fd2)
-        n2 = spectral.resolvent_diff_norm(spectral.ResolventFactor(fd2.S, fd2.M, shift),
-                                          spectral.ResolventFactor(fe2.S, fd2.M, shift),
-                                          start=trial)
-        change = abs(n2.value - res_norms[0]) / max(res_norms[0], 1e-300)
-        refine_block = {"h": cfg["mesh"]["h"] / 2, "norm": n2.value, "rel_change": change}
-        if change >= 0.25:
+        form2 = op2.form()
+        ground2 = op2.solve(form2, seed=seed).eigenvectors[:, 0]
+        fine = [None if n is None else n.value for _, n in _eps_sweep(
+            op2, form2, ground2, shift, eps_grid, seed=seed, threads=threads)]
+        changes = [None if n is None else abs(n - r) / max(r, 1e-300)
+                   for n, r in zip(fine, res_norms)]
+        fit = spectral.fit_rate(eps_grid, fine) if len(fine) >= 3 and None not in fine else None
+        refine_block = {"h": cfg["mesh"]["h"] / 2, "norm": fine[0], "rel_change": changes[0],
+                        "norms": fine, "rel_changes": changes, "norm_fit": _fit_dict(fit)}
+        if changes[0] is None or changes[0] >= 0.25:
             flags["discretization_dominates_eps_effect"] = True
 
     fields = {
@@ -571,6 +539,50 @@ def run_convergence(cfg):
     if out:
         export_strengths_csv(net, op.strengths, os.path.join(out, "strengths.csv"))
     return report, status
+
+
+def _eps_sweep(op, form_delta, ground, shift, eps_grid, *, seed, threads, solve=True,
+               dump=None):
+    """[(eigensolve, norm)] of the squeezed pencils of `op`, one per eps of
+    `eps_grid`, each from one factor at `shift`.
+
+    A point assembles its form, passes it to `dump(tag, form)` when given,
+    and factors it.  With `solve`, `spectral.lowest_eigs` certifies the
+    factor by inertia and eigensolves on it from the delta ground state
+    `ground`; an uncertified factor is freed, `Operator.solve` makes the
+    eigensolve, and the norm is None.  Without `solve`, the caller's
+    eigenvalues place `shift` below the pencil and only the norm is taken.
+    Norms are against the factor of `form_delta` at `shift`, from `ground`.
+    """
+    factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
+
+    def point(eps):
+        try:
+            form = op.form(eps)
+            if dump is not None:
+                dump(f"eps_{eps:g}", form)
+            factor, res = spectral.ResolventFactor(form.S, form.M, shift), None
+            if solve:
+                try:
+                    res = spectral.lowest_eigs(form.S, form.M, factor=factor, v0=ground)
+                except spectral.ShiftError:
+                    factor = None  # freed before the fresh eigensolve factors the pencil again
+            if factor is None:
+                return op.solve(form, eps, seed=seed), None
+            return res, spectral.resolvent_diff_norm(factor_delta, factor, start=ground)
+        except Exception as err:
+            err.args = (f"eps={eps}: {err}",)
+            raise
+
+    if threads > 1:
+        # Each eps factor is made and freed on one worker, inside `point`.
+        # SuperLU memory freed on another thread than the one that made it
+        # was never returned to the system: three factors of a 200^2
+        # Laplacian made on a worker and dropped on the main thread left RSS
+        # at 646 MB (67 MB before), against 70 MB on one thread.
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(point, eps_grid))
+    return [point(eps) for eps in eps_grid]
 
 
 def _fit_dict(fit):

@@ -254,16 +254,53 @@ def test_inverse_tube_map_round_trip(seg):
     assert np.max(np.abs(s2 - s)) < 1e-7 * max(1.0, seg.length)
 
 
-def test_injectivity_collision_sampling():
+def tube_violations(net, n=1000, seed=11):
+    """(round-trip failures, points inside a foreign tube) of n random tube
+    points of each segment: each point, mapped from (k, s, t), must project
+    back onto segment k at (s, t), and must lie outside the tube of every
+    other segment l unless it is within 2 beta of an endpoint that k and l
+    share."""
+    rng = np.random.default_rng(seed)
+    failed = foreign = 0
+    for k, seg in enumerate(net.segments):
+        s = rng.uniform(0.002, 0.998, n) * seg.length
+        t = rng.uniform(-1.0, 1.0, n) * net.beta * (1.0 - 1e-12)
+        pts = net.tube_map(k, s, t)
+        s2, t2, inside = net.project_onto_segment(k, pts)
+        failed += int(np.sum(~inside | (np.abs(s2 - s) > 1e-7 * seg.length)
+                             | (np.abs(t2 - t) > 1e-8)))
+        for l, other in enumerate(net.segments):
+            if l == k:
+                continue
+            away = np.ones(n, dtype=bool)
+            for a in seg.endpoints:
+                if any(np.linalg.norm(a - b) < 1e-8 for b in other.endpoints):
+                    away &= np.linalg.norm(pts - a, axis=1) > 2.0 * net.beta
+            foreign += int(np.sum(net.project_onto_segment(l, pts[away])[2]))
+    return failed, foreign
+
+
+def test_tube_coordinates_are_injective_and_tubes_disjoint():
     star = [
         LineSegment((0.0, 0.0), (1.0, 0.0)),
         LineSegment((0.0, 0.0), (-0.5, np.sqrt(3) / 2)),
         LineSegment((0.0, 0.0), (-0.5, -np.sqrt(3) / 2)),
     ]
-    net = Network(star, beta_cap=0.4)
-    assert net.collision_check(10_000, seed=11) == 0
-    net2 = Network([unit_circle(), LineSegment((2.0, -1.0), (2.0, 1.0))], beta_cap=10.0)
-    assert net2.collision_check(10_000, seed=12) == 0
+    assert tube_violations(Network(star, beta_cap=0.4)) == (0, 0)
+    net = Network([unit_circle(), LineSegment((2.0, -1.0), (2.0, 1.0))], beta_cap=10.0)
+    assert tube_violations(net) == (0, 0)
+
+
+@pytest.mark.parametrize("segments, beta, overlap", [
+    ([LineSegment((-1.0, 0.0), (1.0, 0.0)), LineSegment((-1.0, 1.0), (1.0, 1.0))], 0.9, 1),
+    ([unit_circle(), LineSegment((2.0, -1.0), (2.0, 1.0))], 0.9, 1),
+    ([unit_circle()], 1.5, 0),  # wider than the radius: the map folds over the center
+], ids=["parallel_lines", "circle_and_line", "circle"])
+def test_tube_violations_are_found_when_beta_is_forced_too_wide(segments, beta, overlap):
+    net = Network(segments, beta_cap=10.0)
+    assert tube_violations(net) == (0, 0)
+    net.beta = beta
+    assert tube_violations(net)[overlap] > 0
 
 
 def test_spline_curvature_second_order_convergence():

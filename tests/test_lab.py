@@ -215,7 +215,8 @@ def test_convergence_dump_writes_every_pencil(tmp_path):
             assert abs(dumped.tocsr() - getattr(form, name)).max() == 0.0, (tag, name)
 
 
-def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch):
+@pytest.mark.parametrize("refine_check", [False, True])
+def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch, refine_check):
     splu = spectral.spla.splu
     factored = []
 
@@ -224,10 +225,11 @@ def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spectral.spla, "splu", counting)
-    cfg = small_convergence_cfg()
+    cfg = small_convergence_cfg(refine_check=refine_check)
     run_convergence(cfg)
-    # the delta eigensolve, the delta resolvent, and one factor per eps
-    assert len(factored) == 2 + len(cfg["eps_grid"])
+    # on each mesh: the delta eigensolve, the delta resolvent, and one factor per eps
+    per_mesh = 2 + len(cfg["eps_grid"])
+    assert len(factored) == (2 if refine_check else 1) * per_mesh
 
 
 def test_convergence_flags_nonconverged_power_iteration(monkeypatch, tmp_path):
@@ -261,8 +263,44 @@ def test_convergence_refine_check_reruns_the_largest_eps_at_half_h():
     assert status == 0
 
 
+def test_convergence_refine_check_reports_every_eps():
+    cfg = small_convergence_cfg(refine_check=True)
+    report, _ = run_convergence(cfg)
+    block = report["refine_check"]
+    assert len(block["norms"]) == len(block["rel_changes"]) == len(cfg["eps_grid"])
+    assert block["norms"][0] == block["norm"]
+    assert block["rel_changes"][0] == block["rel_change"]
+    for fine, coarse, change in zip(block["norms"], report["res_norms"], block["rel_changes"]):
+        assert change == abs(fine - coarse) / coarse
+    fit = spectral.fit_rate(cfg["eps_grid"], block["norms"])
+    assert block["norm_fit"]["slope"] == fit.slope > 0.0
+
+
+def test_refine_check_without_a_certified_h2_factor_has_no_norm_and_flags(monkeypatch):
+    # inertia refuses the h/2 factor of the largest eps only
+    count_below, refused = spectral.count_below, []
+
+    def refusing_the_first_fine_factor(factor):
+        if factor.M.shape[0] == 127**2 and not refused:
+            refused.append(factor.lam)
+            return None
+        return count_below(factor)
+
+    monkeypatch.setattr(spectral, "count_below", refusing_the_first_fine_factor)
+    report, status = run_convergence(small_convergence_cfg(refine_check=True))
+    block = report["refine_check"]
+    assert refused == [report["shift"]]
+    assert block["norm"] is None and block["rel_change"] is None
+    assert block["norms"][0] is None and block["rel_changes"][0] is None
+    assert all(n > 0.0 for n in block["norms"][1:])
+    assert all(c < 0.25 for c in block["rel_changes"][1:])
+    assert block["norm_fit"] is None
+    assert report["flags"] == {"discretization_dominates_eps_effect": True}
+    assert status == 2
+
+
 def test_every_norm_of_a_run_is_warm_started(monkeypatch):
-    # the delta ground state on the run's mesh, the trial state on the h/2 mesh
+    # from the delta ground state of its own mesh: the run's, then the h/2 mesh's
     norm, starts = spectral.resolvent_diff_norm, []
 
     def recording(R_delta, R_eps, **kwargs):
@@ -271,12 +309,14 @@ def test_every_norm_of_a_run_is_warm_started(monkeypatch):
 
     monkeypatch.setattr(spectral, "resolvent_diff_norm", recording)
     cfg = small_convergence_cfg(refine_check=True)
-    report, _ = run_convergence(cfg)
-    *ground, trial = starts
-    assert len(ground) == len(cfg["eps_grid"])
-    assert all(np.array_equal(s, ground[0]) for s in ground)
-    assert ground[0].shape == (63**2,) and trial.shape == (127**2,)
-    assert np.all(trial > 0.0)  # the positive trial state
+    run_convergence(cfg)
+    op = config_operator(cfg)
+    fine = dataclasses.replace(op, mesh=fem.build_mesh(op.mesh.box, op.mesh.h / 2))
+    n = len(cfg["eps_grid"])
+    assert len(starts) == 2 * n
+    for mesh_op, mesh_starts in ((op, starts[:n]), (fine, starts[n:])):
+        ground = mesh_op.solve(mesh_op.form(), seed=cfg["seed"]).eigenvectors[:, 0]
+        assert all(np.array_equal(s, ground) for s in mesh_starts)
 
 
 def test_magnetic_convergence_norms_match_dense_resolvents():
@@ -907,6 +947,17 @@ def test_unusable_out_path_fails_before_any_mesh(tmp_path, built, scenario, runn
     out = str(blocker / "sub")
     with pytest.raises(ConfigError, match=f"{scenario} output path not writable: {re.escape(out)}"):
         runner({**cfg, key: out})
+    assert built == []
+
+
+@pytest.mark.parametrize("threads", ["2", 0, -3, 2.5, True])
+@pytest.mark.parametrize("scenario, runner, cfg", OUT_PATH_CASES,
+                         ids=[case[0] for case in OUT_PATH_CASES])
+def test_threads_not_a_positive_integer_fails_before_any_mesh(built, scenario, runner, cfg,
+                                                              threads):
+    with pytest.raises(ConfigError, match=f"{scenario} config: 'threads' must be a positive "
+                                          f"integer, got {re.escape(repr(threads))}"):
+        runner({**cfg, "threads": threads})
     assert built == []
 
 

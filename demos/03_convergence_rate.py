@@ -13,7 +13,6 @@ This demo runs a coarse mesh for speed; the acceptance-grade run
 from deltasqueeze.lab import run_convergence
 
 cfg = {
-    "seed": 7,
     "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 32.0},
     "network": {
         "beta_cap": 0.5,

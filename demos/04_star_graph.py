@@ -14,7 +14,6 @@ cfg = {
     "angles": [150.0, 150.0, 60.0],
     "alpha": -5.0,
     "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 32.0},
-    "seed": 7,
 }
 report, status = run_stargraph(cfg)
 

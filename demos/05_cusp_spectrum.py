@@ -21,7 +21,6 @@ cfg = {
     "alpha_list": [-6.0, -10.0, -14.0],
     "x_max": 0.75,
     "mesh": {"box": [[-0.75, 3.0], [-1.75, 1.75]], "h": 1.0 / 48.0},
-    "seed": 7,
 }
 report, status = run_cusp(cfg)
 target = report["target_constant"]

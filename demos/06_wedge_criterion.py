@@ -32,7 +32,6 @@ cfg = {
     "theta": 1.5,
     "b": 1.0,
     "mesh": {"box": [[-1.5, 1.5], [-1.5, 1.5]], "h": 1.0 / 32.0},
-    "seed": 7,
 }
 report, status = run_wedge(cfg)
 print(f"\nassembled magnetic form (b = 1, two rays, alpha = -2):")

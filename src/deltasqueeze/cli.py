@@ -85,7 +85,7 @@ def _join(values, spec):
     return ", ".join(format(v, spec) for v in values)
 
 
-_RUNNER_FLAGS = ("out", "dump_mm", "seed")
+_RUNNER_FLAGS = ("out", "dump_mm")
 
 # name: (function of the config dict, config keys it accepts as flags,
 # one-line summary of its report)
@@ -118,7 +118,6 @@ _COMMANDS = {
 _FLAG_ARGS = {
     "out": dict(default=None, help="output directory"),
     "dump_mm": dict(default=None, help="Matrix Market dump directory"),
-    "seed": dict(type=int, default=None),
     "threads": dict(type=int, default=None),
 }
 

@@ -2,7 +2,7 @@
 
 Every scenario solves a member of (i grad + A)^2 + Q + alpha delta_Sigma or
 of its squeezed regularizations.  A runner reads only its config dict, run
-settings (out, dump_mm, seed, threads) included, checks it through
+settings (out, dump_mm, threads) included, checks it through
 `_require` (missing keys), builds its network, and then `_check_run` checks
 the squeezing width and makes the output and dump directories before any
 mesh is built.  A runner builds `Operator` records (mesh, network, profiles,
@@ -13,7 +13,7 @@ writes each form as soon as it is built.  Every report goes through
 `_envelope`, which adds the config echo, the certified tube half-width and
 its cap, the mesh summary and the flags, and writes report.json and
 data.csv with the SHA-256 of the CSV payload embedded; identical config
-and seed give bit-identical files.
+gives bit-identical files.  A config's "seed" is ignored (`spectral.START_SEED`).
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def trial_upper_bound(distances: DistanceTable, strengths, form):
     c = 1 (single-line bound-state profile) and c = 2 (the steeper profile of
     merged tubes near vertices and cusps, where strengths effectively add).
     Every Rayleigh quotient on the assembled pencil is a rigorous upper
-    bound for the discrete ground state, so the minimum seeds the shift rule
+    bound for the discrete ground state, so the minimum sets the shift rule
     of the eigensolver without any probing factorization, and its positive
     state starts the ground-state Lanczos.  `distances`, the table of the
     form's mesh and the strengths' network, supplies both.
@@ -320,15 +320,14 @@ class Operator:
         W = potentials.SqueezedPotential(self.net, self.profiles, eps)
         return fem.build_form(self.mesh, A=self.A, Q=self.Q, potential=W, base=self.base)
 
-    def solve(self, form, eps=None, *, k: int = 1, seed: int = 7):
+    def solve(self, form, eps=None, *, k: int = 1):
         """The k lowest eigenpairs of `form`, the delta form (eps None) or the
         squeezed form of width eps.  A squeezed pencil is shifted to its potential
-        floor, Q included; the trial bound seeds the delta shift.  Without a
+        floor, Q included; the trial bound sets the delta shift.  Without a
         trial bound (all strengths zero) `lowest_eigs` certifies the shift by
-        inertia.  With k == 1 Lanczos starts from the trial state, which
-        overlaps the ground state (positive and simple when A = 0); with
-        k > 1, where a symmetric trial state can miss an odd excited state,
-        it starts from a random vector drawn with `seed`."""
+        inertia.  Lanczos starts from the trial state when k == 1 (it overlaps
+        the ground state, positive and simple when A = 0), else from a random
+        vector, since a symmetric trial state can miss an odd excited state."""
         shift = None
         if eps is not None:
             shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
@@ -336,8 +335,7 @@ class Operator:
         v0 = None
         if k == 1 and trial is not None:
             v0 = np.asarray(trial, dtype=np.result_type(form.S.dtype, float))
-        return spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, seed=seed,
-                                    upper_estimate=bound, v0=v0)
+        return spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, upper_estimate=bound, v0=v0)
 
 
 def _format_float(x):
@@ -411,25 +409,23 @@ def _envelope(scenario, cfg, fields, flags, csv, *, net, mesh, squeezed=None):
 def run_convergence(cfg):
     """Norm-resolvent comparison of the concentrated and squeezed operators.
 
-    Assembles the kinetic part and the mass matrix once (the operator's
-    `fem.BaseForm`), adds the line term for the delta form and each eps's
-    tube-local squeezed potential for its form, measures the discrete
-    resolvent-difference norm and the lowest-eigenvalue gap at a common
-    shift below all spectra, and fits log-log rates.  One `_eps_sweep` per
-    mesh makes each eps pencil's factor, eigensolve and norm; a second one at
-    the lower common shift retakes the norms when a factor is not certified
-    or some lam_eps lies below lam_delta.  Every eigensolve is k = 1 and
-    starts Lanczos near its ground state: from the trial state when it makes
-    its own factor (`Operator.solve`), else from the delta ground state.
-    Every norm starts from the delta ground state of its mesh, so `seed`
-    seeds only an eigensolve without a trial state (every strength zero).
+    Measures the discrete resolvent-difference norm and the lowest-eigenvalue
+    gap of the delta form and each eps's squeezed form at a common shift
+    below all spectra, and fits log-log rates.  One `_eps_sweep` per mesh
+    makes each eps pencil's factor, eigensolve and norm; when a factor is
+    not certified or some lam_eps lies below lam_delta, a second one at the
+    lower common shift retakes the norms, and raises ShiftError when a
+    factor is still not certified.  Every eigensolve is k = 1 and starts
+    Lanczos near its ground state: from the trial state when it makes its
+    own factor (`Operator.solve`), else from the delta ground state, like
+    every norm.
 
-    `refine_check` repeats the delta eigensolve and the sweep on the h/2 mesh
-    at the run's shift, and reports every eps's h/2 norm and relative change
-    (None without a certified h/2 factor) and the h/2 norm fit.  The flag
-    `discretization_dominates_eps_effect` fires when the largest eps's change
-    is >= 25 percent or None.  Returns (report, status): status 2 when any
-    flag fired, else 0.
+    `refine_check` repeats the delta eigensolve and the sweep, norms only, on
+    the h/2 mesh at the run's shift, and reports every eps's h/2 norm and
+    relative change (None without certified h/2 factors) and the h/2 norm
+    fit.  The flag `discretization_dominates_eps_effect` fires when the
+    largest eps's change is >= 25 percent or None.  Returns (report,
+    status): status 2 when any flag fired, else 0.
     """
     _require("convergence", cfg, "mesh.box", "mesh.h", "network")
     eps_grid = np.asarray(cfg.get("eps_grid", []), dtype=float)
@@ -439,12 +435,12 @@ def run_convergence(cfg):
         raise ConfigError("eps_grid must be strictly decreasing")
     net = network_from_spec(cfg["network"])
     _check_run("convergence", cfg, "eps_grid", net.beta)
-    seed, threads, out = cfg.get("seed", 7), cfg.get("threads", 1), cfg.get("out")
+    threads, out = cfg.get("threads", 1), cfg.get("out")
     op = Operator.from_config(cfg, net)
 
     form_delta = op.form()
     _dump(cfg, "delta", form_delta)
-    res_delta = op.solve(form_delta, seed=seed)
+    res_delta = op.solve(form_delta)
     lam_delta, ground = float(res_delta.eigenvalues[0]), res_delta.eigenvectors[:, 0]
 
     # The norms use the common shift min(lam) - max(1, |lam_delta|) over the
@@ -452,14 +448,14 @@ def run_convergence(cfg):
     # below lam_delta; the rerun at the lower shift takes norms only, since
     # the eigenvalues of the first sweep place it below every pencil.
     shift = lam_delta - max(1.0, abs(lam_delta))
-    eps_results = _eps_sweep(op, form_delta, ground, shift, eps_grid, seed=seed,
-                             threads=threads, dump=functools.partial(_dump, cfg))
+    eps_results = _eps_sweep(op, form_delta, ground, shift, eps_grid, threads=threads,
+                             dump=functools.partial(_dump, cfg))
     lam_eps = [float(r.eigenvalues[0]) for r, _ in eps_results]
     norms = [n for _, n in eps_results]
     if None in norms or min(lam_eps) < lam_delta:
         shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
         norms = [n for _, n in _eps_sweep(op, form_delta, ground, shift, eps_grid,
-                                          seed=seed, threads=threads, solve=False)]
+                                          threads=threads, solve=False, strict=True)]
 
     res_norms = [n.value for n in norms]
     gaps = [abs(le - lam_delta) for le in lam_eps]
@@ -499,9 +495,9 @@ def run_convergence(cfg):
     if cfg.get("refine_check", False):
         op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
         form2 = op2.form()
-        ground2 = op2.solve(form2, seed=seed).eigenvectors[:, 0]
+        ground2 = op2.solve(form2).eigenvectors[:, 0]
         fine = [None if n is None else n.value for _, n in _eps_sweep(
-            op2, form2, ground2, shift, eps_grid, seed=seed, threads=threads)]
+            op2, form2, ground2, shift, eps_grid, threads=threads, solve=False)]
         changes = [None if n is None else abs(n - r) / max(r, 1e-300)
                    for n, r in zip(fine, res_norms)]
         fit = spectral.fit_rate(eps_grid, fine) if len(fine) >= 3 and None not in fine else None
@@ -541,34 +537,42 @@ def run_convergence(cfg):
     return report, status
 
 
-def _eps_sweep(op, form_delta, ground, shift, eps_grid, *, seed, threads, solve=True,
-               dump=None):
+def _eps_sweep(op, form_delta, ground, shift, eps_grid, *, threads, solve=True,
+               strict=False, dump=None):
     """[(eigensolve, norm)] of the squeezed pencils of `op`, one per eps of
     `eps_grid`, each from one factor at `shift`.
 
-    A point assembles its form, passes it to `dump(tag, form)` when given,
-    and factors it.  With `solve`, `spectral.lowest_eigs` certifies the
-    factor by inertia and eigensolves on it from the delta ground state
-    `ground`; an uncertified factor is freed, `Operator.solve` makes the
-    eigensolve, and the norm is None.  Without `solve`, the caller's
-    eigenvalues place `shift` below the pencil and only the norm is taken.
-    Norms are against the factor of `form_delta` at `shift`, from `ground`.
+    Each factor, that of `form_delta` first, is certified by
+    `spectral.count_below`; an uncertified one raises ShiftError naming its
+    pencil, h and `shift` when `strict`, and is freed otherwise.  A point
+    assembles its form, passes it to `dump(tag, form)` when given, and
+    factors it.  With `solve` it eigensolves, on a certified factor from the
+    delta ground state `ground`, else by `Operator.solve`.  The norm, against
+    the delta factor from `ground`, is None unless both factors are certified.
     """
-    factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
+
+    def certified(form, pencil):
+        factor = spectral.ResolventFactor(form.S, form.M, shift, count=True)
+        if spectral.count_below(factor) == 0:
+            return factor
+        if strict:
+            raise spectral.ShiftError(f"shift {shift} not certified below the {pencil} "
+                                      f"pencil at h = {op.mesh.h}")
+        return None  # the factor is freed on return
+
+    factor_delta = certified(form_delta, "delta")
 
     def point(eps):
         try:
             form = op.form(eps)
             if dump is not None:
                 dump(f"eps_{eps:g}", form)
-            factor, res = spectral.ResolventFactor(form.S, form.M, shift), None
+            factor, res = certified(form, "eps"), None
             if solve:
-                try:
-                    res = spectral.lowest_eigs(form.S, form.M, factor=factor, v0=ground)
-                except spectral.ShiftError:
-                    factor = None  # freed before the fresh eigensolve factors the pencil again
-            if factor is None:
-                return op.solve(form, eps, seed=seed), None
+                res = op.solve(form, eps) if factor is None else spectral.lowest_eigs(
+                    form.S, form.M, factor=factor, v0=ground)
+            if factor is None or factor_delta is None:
+                return res, None
             return res, spectral.resolvent_diff_norm(factor_delta, factor, start=ground)
         except Exception as err:
             err.args = (f"eps={eps}: {err}",)
@@ -618,7 +622,6 @@ def run_stargraph(cfg: dict):
     angles = list(cfg["angles"])
     alpha = cfg["alpha"]
     eps = cfg.get("eps")
-    seed = cfg.get("seed", 7)
     if N <= 2:
         raise ConfigError("star graph needs N > 2 edges")
     if len(angles) != N:
@@ -643,7 +646,7 @@ def run_stargraph(cfg: dict):
             form = op.form(eps)
             if tag in ("sigma_h", "gamma_h"):
                 _dump(cfg, tag, form)
-            res = op.solve(form, eps, seed=seed)
+            res = op.solve(form, eps)
             values[tag] = {
                 "lam": float(res.eigenvalues[0]),
                 "residual": float(res.residuals[0]),
@@ -724,7 +727,6 @@ def run_cusp(cfg: dict):
         raise ConfigError("alpha list must increase in magnitude")
     x_max = cfg.get("x_max", 0.75)
     eps = cfg.get("eps")
-    seed = cfg.get("seed", 7)
     h = cfg["mesh"]["h"]
     net = cusp_network(d, x_max, beta_cap=cfg.get("beta_cap", 0.25))
 
@@ -748,7 +750,7 @@ def run_cusp(cfg: dict):
         op = Operator.uniform(mesh, net, alpha, distances=distances, base=base)
         form = op.form(eps)
         _dump(cfg, f"alpha_{alpha:g}", form)
-        res = op.solve(form, eps, seed=seed)
+        res = op.solve(form, eps)
         lam = float(res.eigenvalues[0])
         weak = lam > -1e-6
         if weak:
@@ -810,7 +812,6 @@ def run_wedge(cfg: dict):
     b = cfg.get("b", 0.0)
     theta = cfg.get("theta")
     eps = cfg.get("eps")
-    seed = cfg.get("seed", 7)
     if b == 0.0:
         raise ConfigError("wedge scenario needs a nonzero magnetic field b")
     if not 0.0 < phi < np.pi:
@@ -842,7 +843,7 @@ def run_wedge(cfg: dict):
     op = Operator.uniform(_mesh(cfg["mesh"]), net, alpha, A=fem.homogeneous_gauge(b))
     form = op.form(eps)
     _dump(cfg, "wedge", form)
-    res = op.solve(form, eps, k=cfg.get("k", 1), seed=seed)
+    res = op.solve(form, eps, k=cfg.get("k", 1))
     lam1 = float(res.eigenvalues[0])
     flags = {}
     if form.meta["hermiticity_residual"] > 1e-12:
@@ -871,7 +872,7 @@ def run_spectrum(cfg: dict):
     op = Operator.from_config(cfg, net)
     form = op.form(eps)
     _dump(cfg, "spectrum", form)
-    res = op.solve(form, eps, k=cfg.get("k", 3), seed=cfg.get("seed", 7))
+    res = op.solve(form, eps, k=cfg.get("k", 3))
     fields = {
         "eigenvalues": res.eigenvalues.tolist(),
         "solver": {

@@ -28,12 +28,11 @@ and every `ResolventFactor` refuse one whose Hermiticity residual exceeds
 round-off (NonHermitianError).  Eigensolves stop at the relative residual
 EIG_RTOL, not ARPACK's default of machine epsilon, which restarts a
 converged basis for another sweep; norms stop at NORM_RTOL.  An eigensolve
-starts from a given vector near the wanted eigenspace when the caller has
-one (a trial state, or the ground state of a nearby pencil), else from a
-seeded random vector.  A norm starts the same way, from a given vector near
-the top eigenvector of the resolvent difference (the delta ground state,
-or a trial state near it), in a basis of 8 vectors.  Deterministic seeds
-everywhere: identical inputs give bit-identical reports.
+starts from a vector near the wanted eigenspace when the caller has one (a
+trial state, or the ground state of a nearby pencil), a norm from one near
+the top eigenvector of the resolvent difference (the delta ground state);
+else both start from a random vector drawn with the one fixed seed
+START_SEED, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ logger = logging.getLogger(__name__)
 
 NORM_RTOL = 1e-10  # ARPACK relative residual tolerance of resolvent-difference norms
 EIG_RTOL = 1e-12  # ARPACK relative residual tolerance of shift-invert eigensolves
-NORM_SEED = 2024  # seed of a norm's random start vector when no start is given
+START_SEED = 7  # seed of every random Lanczos start: eigensolves and norms given no start
 HERMITIAN_RTOL = 1e-12  # round-off bound on max|A - A^H| / max|A|
 
 
@@ -134,7 +133,7 @@ def _m_orthonormalize(V, M):
     return sla.solve_triangular(L, V.conj().T, lower=True).conj().T
 
 
-def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
+def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
                 upper_estimate: float | None = None,
                 factor: ResolventFactor | None = None, v0=None) -> SpectralResult:
     """k smallest eigenpairs of S v = lambda M v by shift-invert Lanczos.
@@ -147,7 +146,7 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
 
     `upper_estimate` is a known bound lam_1 <= upper_estimate (e.g. a
     variational Rayleigh quotient).  With a `shift`, or a negative estimate
-    to seed the shift rule, the loop checks its first factor by the result
+    to set the shift rule, the loop checks its first factor by the result
     instead of an inertia count: finite, none below the shift, lam_1 at
     most 0.5 max(1, |upper_estimate|) above the estimate; every later
     factor is checked by inertia.  An estimate >= 0 gives the rule no scale.
@@ -158,7 +157,7 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
     started from `v0` when given (a vector near the wanted eigenspace, such
     as a positive trial state or the ground state of a nearby pencil;
     ARPACK Users' Guide, SIAM 1998, sec. 4.4), else from a random vector
-    drawn with `seed`.  Raises NonHermitianError when S or M is not
+    drawn with START_SEED.  Raises NonHermitianError when S or M is not
     Hermitian to round-off (a factor was checked when it was made).  S and
     M are used in CSR form, so a CSR pencil is never copied.
     """
@@ -180,7 +179,7 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *, seed: int = 0,
         shift_used = shift if shift is not None else float(w[0] - 1.0)
         return _finalize(S, M, w, V, shift_used)
     if v0 is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(START_SEED)
         v0 = rng.standard_normal(n)
         if np.iscomplexobj(S.data):
             v0 = v0 + 1j * rng.standard_normal(n)
@@ -264,20 +263,19 @@ class ResolventFactor:
     vanishes.  Keeps M in CSR form, without a copy when it is given so.
     Raises NonHermitianError when S - lambda M is not Hermitian to
     round-off, and RuntimeError when it is exactly singular.  Only
-    `count_below` reads the factor's L and U.
+    `count_below` reads the factor's L and U; with `count` it counts as the
+    factor is made, inside the span the benchmark's tracer times.
     """
 
-    def __init__(self, S, M, lam: float):
+    def __init__(self, S, M, lam: float, *, count: bool = False):
         self.M = M.tocsr()
         self.lam = float(lam)
         A = (S - lam * self.M).tocsc()
         _check_hermitian(A, f"S - {self.lam:g} M")
-        self._lu = spla.splu(
-            A,
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        self._lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True})
+        if count:
+            count_below(self)
 
     def apply(self, x):
         return self._lu.solve(self.M @ x)
@@ -335,7 +333,7 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     pencil, or a trial state near it (the delta ground state of a line at
     h = 1/64 overlaps it by 0.96-0.98 in the M-inner product; ARPACK
     Users' Guide, sec. 4.4, on start vectors).  Otherwise x0 is a random
-    vector drawn with NORM_SEED.  The basis holds 8 vectors whatever the
+    vector drawn with START_SEED.  The basis holds 8 vectors whatever the
     start: from such a start the norm converges at ARPACK's first check,
     after 10 applications of D, and from a random start after about 14, as
     with a larger basis.  Without convergence in 20 restarts the result is
@@ -365,7 +363,7 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
         applied += 1
         return R_delta._lu.solve(x) - R_eps._lu.solve(x)
 
-    x0 = np.random.default_rng(NORM_SEED).standard_normal(n) if start is None else start
+    x0 = np.random.default_rng(START_SEED).standard_normal(n) if start is None else start
     v0 = diff(Mc @ x0)  # D x0: complex for magnetic pencils
     # vdot conjugates x0: a magnetic ground state is complex
     lower = np.sqrt(abs(np.vdot(v0, Mc @ v0)) / np.vdot(x0, Mc @ x0).real)

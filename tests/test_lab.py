@@ -179,20 +179,34 @@ def test_eps_workers_read_the_shared_base_without_changing_it(monkeypatch):
 REPORTED = ("lam_delta", "lam_eps", "res_norms", "eig_gaps", "shift")
 
 
+def refusing_counts(monkeypatch, refused):
+    """Make `spectral.count_below` give `refused[i]` (1 or None) for the i-th
+    distinct factor it counts, when given, and the true count otherwise.
+    Returns the list of the factors counted, in order."""
+    count_below, factors = spectral.count_below, []
+
+    def counting(factor):
+        if not any(f is factor for f in factors):
+            factors.append(factor)
+        i = next(i for i, f in enumerate(factors) if f is factor)
+        return refused[i] if i in refused else count_below(factor)
+
+    monkeypatch.setattr(spectral, "count_below", counting)
+    return factors
+
+
 def test_convergence_falls_back_to_fresh_factors_when_inertia_is_not_zero(monkeypatch):
-    count_below = spectral.count_below
     reused, _ = run_convergence(small_convergence_cfg())
-    calls = []
-
-    def one_eps_pencil_reports_one(factor):
-        calls.append(factor.lam)
-        return 1 if len(calls) == 2 else count_below(factor)
-
-    monkeypatch.setattr(spectral, "count_below", one_eps_pencil_reports_one)
+    # the first sweep counts the delta factor, then the eps factors in order
+    counted = refusing_counts(monkeypatch, {2: 1})  # the eps = 0.35 factor
     fallback, _ = run_convergence(small_convergence_cfg())
-    monkeypatch.setattr(spectral, "count_below", lambda factor: None)
+    # a norm is missing, so the sweep reruns, and counts its factors too
+    assert len(counted) == 2 * (1 + 3)
+    assert all(f.lam == fallback["shift"] for f in counted)
+    monkeypatch.undo()
+    # every factor of the first sweep refused: all eigensolves fresh
+    refusing_counts(monkeypatch, dict.fromkeys(range(4)))
     all_fresh, _ = run_convergence(small_convergence_cfg())
-    assert len(calls) == 3
     for key in REPORTED:
         assert np.allclose(fallback[key], all_fresh[key], rtol=1e-10, atol=0.0), key
         assert np.allclose(reused[key], all_fresh[key], rtol=1e-10, atol=0.0), key
@@ -277,19 +291,13 @@ def test_convergence_refine_check_reports_every_eps():
 
 
 def test_refine_check_without_a_certified_h2_factor_has_no_norm_and_flags(monkeypatch):
-    # inertia refuses the h/2 factor of the largest eps only
-    count_below, refused = spectral.count_below, []
-
-    def refusing_the_first_fine_factor(factor):
-        if factor.M.shape[0] == 127**2 and not refused:
-            refused.append(factor.lam)
-            return None
-        return count_below(factor)
-
-    monkeypatch.setattr(spectral, "count_below", refusing_the_first_fine_factor)
+    # inertia refuses the h/2 factor of the largest eps only: factors 0-3 are
+    # the run's, 4 the h/2 delta factor, 5 the first h/2 eps factor
+    counted = refusing_counts(monkeypatch, {5: None})
     report, status = run_convergence(small_convergence_cfg(refine_check=True))
     block = report["refine_check"]
-    assert refused == [report["shift"]]
+    assert len(counted) == 8 and counted[5].M.shape[0] == 127**2
+    assert counted[5].lam == report["shift"]
     assert block["norm"] is None and block["rel_change"] is None
     assert block["norms"][0] is None and block["rel_changes"][0] is None
     assert all(n > 0.0 for n in block["norms"][1:])
@@ -297,6 +305,42 @@ def test_refine_check_without_a_certified_h2_factor_has_no_norm_and_flags(monkey
     assert block["norm_fit"] is None
     assert report["flags"] == {"discretization_dominates_eps_effect": True}
     assert status == 2
+
+
+def test_refine_check_without_a_certified_h2_delta_factor_has_no_norms_and_flags(monkeypatch):
+    counted = refusing_counts(monkeypatch, {4: None})  # the h/2 delta factor
+    report, status = run_convergence(small_convergence_cfg(refine_check=True))
+    block = report["refine_check"]
+    assert len(counted) == 8 and counted[4].M.shape[0] == 127**2
+    assert block["norms"] == block["rel_changes"] == [None] * 3
+    assert block["norm"] is None and block["norm_fit"] is None
+    assert report["flags"] == {"discretization_dominates_eps_effect": True}
+    assert status == 2
+    assert all(n > 0.0 for n in report["res_norms"])
+
+
+def test_refine_check_eigensolves_only_the_delta_pencils(monkeypatch):
+    # the h/2 eps factors are certified by inertia alone
+    lowest_eigs, calls = spectral.lowest_eigs, []
+    monkeypatch.setattr(spectral, "lowest_eigs",
+                        lambda *args, **kwargs: calls.append(1) or lowest_eigs(*args, **kwargs))
+    cfg = small_convergence_cfg(refine_check=True)
+    run_convergence(cfg)
+    assert len(calls) == 2 + len(cfg["eps_grid"])
+
+
+def test_convergence_uncertified_after_the_rerun_raises_shift_error(monkeypatch):
+    shift = run_convergence(small_convergence_cfg())[0]["shift"]
+    monkeypatch.setattr(spectral, "count_below", lambda factor: None)
+    with pytest.raises(spectral.ShiftError, match=(
+            f"shift {re.escape(str(shift))} not certified below the delta pencil "
+            f"at h = {1.0 / 16.0}")):
+        run_convergence(small_convergence_cfg())
+    monkeypatch.undo()
+    refusing_counts(monkeypatch, {**dict.fromkeys(range(4)), 6: None})  # eps = 0.35 again
+    with pytest.raises(spectral.ShiftError, match=r"eps=0\.35: shift .* not certified below "
+                                                  r"the eps pencil at h = 0\.0625"):
+        run_convergence(small_convergence_cfg())
 
 
 def test_every_norm_of_a_run_is_warm_started(monkeypatch):
@@ -315,7 +359,7 @@ def test_every_norm_of_a_run_is_warm_started(monkeypatch):
     n = len(cfg["eps_grid"])
     assert len(starts) == 2 * n
     for mesh_op, mesh_starts in ((op, starts[:n]), (fine, starts[n:])):
-        ground = mesh_op.solve(mesh_op.form(), seed=cfg["seed"]).eigenvectors[:, 0]
+        ground = mesh_op.solve(mesh_op.form()).eigenvectors[:, 0]
         assert all(np.array_equal(s, ground) for s in mesh_starts)
 
 
@@ -431,7 +475,7 @@ def test_an_operator_on_another_mesh_builds_its_own_base():
 def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
     cfg = small_convergence_cfg()  # the benchmark's smoke config
     op = config_operator(cfg)
-    res_delta = op.solve(op.form(), seed=cfg["seed"])
+    res_delta = op.solve(op.form())
     ground = res_delta.eigenvectors[:, 0]
     eigsh, starts = spectral.spla.eigsh, []
 
@@ -443,12 +487,12 @@ def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
     report, _ = run_convergence(cfg)
     monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
     assert sum(np.array_equal(v, ground) for v in starts) == len(cfg["eps_grid"])
-    # the warm start finds the eigenvalue of the seeded random start
+    # the warm start finds the eigenvalue of the random start
     shift = report["shift"]
     for eps, lam in zip(cfg["eps_grid"], report["lam_eps"]):
         form = op.form(eps)
         factor = spectral.ResolventFactor(form.S, form.M, shift)
-        cold = spectral.lowest_eigs(form.S, form.M, seed=cfg["seed"], factor=factor)
+        cold = spectral.lowest_eigs(form.S, form.M, factor=factor)
         assert lam == pytest.approx(cold.eigenvalues[0], rel=1e-12, abs=0.0)
 
 
@@ -759,6 +803,17 @@ def test_spectrum_runner():
     assert max(report["solver"]["residuals"]) <= 1e-8
 
 
+def test_spectrum_csv_does_not_depend_on_the_seed(tmp_path):
+    # k > 1 starts Lanczos from a random vector, drawn with one fixed seed
+    csv = []
+    for seed in (5, 11):
+        out = tmp_path / str(seed)
+        run_spectrum({"network": LINE_NETWORK, "alpha": -4.0, "field_b": 1.0, "mesh": MESH,
+                      "k": 3, "seed": seed, "out": str(out)})
+        csv.append((out / "data.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
 def test_squeezed_spectrum_shift_floor_includes_negative_background(monkeypatch):
     lower = spectral._lower
     retries = []
@@ -818,7 +873,7 @@ def test_cli_converge_roundtrip(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "c.json", small_convergence_cfg(eps_grid=eps_grid))
     out, mm = str(tmp_path / "out"), str(tmp_path / "mm")
     code = cli.main(["converge", "--config", cfg_path, "--out", out, "--dump-mm", mm,
-                     "--seed", "5", "--threads", "2"])
+                     "--threads", "2"])
     captured = capsys.readouterr()
     assert "converge:" in captured.out
     assert code in (0, 2)
@@ -829,8 +884,8 @@ def test_cli_converge_roundtrip(tmp_path, capsys):
     assert header == "eps,res_norm,eig_gap,converged"
     # every flag is a config setting, echoed in the report
     config = report["config"]
-    assert {key: config[key] for key in ("out", "dump_mm", "seed", "threads")} == {
-        "out": out, "dump_mm": mm, "seed": 5, "threads": 2}
+    assert {key: config[key] for key in ("out", "dump_mm", "threads")} == {
+        "out": out, "dump_mm": mm, "threads": 2}
     tags = ["delta"] + [f"eps_{e:g}" for e in eps_grid]  # six pencils
     assert sorted(os.listdir(mm)) == sorted(f"{tag}_{name}.mtx" for tag in tags for name in "SM")
 
@@ -882,6 +937,15 @@ def test_cli_oracle_commands_take_only_config(tmp_path, capsys):
         cli.main(["cusp-b", "--config", path, "--threads", "2"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["converge", "stargraph", "cusp", "wedge", "spectrum"])
+def test_cli_has_no_seed_flag(tmp_path, capsys, command):
+    # a config's "seed" is ignored: one fixed seed draws every random start
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--config", str(tmp_path / "c.json"), "--seed", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

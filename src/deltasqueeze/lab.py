@@ -243,7 +243,7 @@ def trial_upper_bound(distances: DistanceTable, strengths, form):
     c = 1 (single-line bound-state profile) and c = 2 (the steeper profile of
     merged tubes near vertices and cusps, where strengths effectively add).
     Every Rayleigh quotient on the assembled pencil is a rigorous upper
-    bound for the discrete ground state, so the minimum sets the shift rule
+    bound for the discrete ground state, so the minimum seeds the shift rule
     of the eigensolver without any probing factorization, and its positive
     state starts the ground-state Lanczos.  `distances`, the table of the
     form's mesh and the strengths' network, supplies both.
@@ -323,11 +323,12 @@ class Operator:
     def solve(self, form, eps=None, *, k: int = 1):
         """The k lowest eigenpairs of `form`, the delta form (eps None) or the
         squeezed form of width eps.  A squeezed pencil is shifted to its potential
-        floor, Q included; the trial bound sets the delta shift.  Without a
+        floor, Q included; the trial bound seeds the delta shift.  Without a
         trial bound (all strengths zero) `lowest_eigs` certifies the shift by
-        inertia.  Lanczos starts from the trial state when k == 1 (it overlaps
-        the ground state, positive and simple when A = 0), else from a random
-        vector, since a symmetric trial state can miss an odd excited state."""
+        inertia.  With k == 1 Lanczos starts from the trial state, which
+        overlaps the ground state (positive and simple when A = 0); with
+        k > 1, where a symmetric trial state can miss an odd excited state,
+        it starts from a random vector drawn with `spectral.START_SEED`."""
         shift = None
         if eps is not None:
             shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
@@ -335,7 +336,8 @@ class Operator:
         v0 = None
         if k == 1 and trial is not None:
             v0 = np.asarray(trial, dtype=np.result_type(form.S.dtype, float))
-        return spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, upper_estimate=bound, v0=v0)
+        return spectral.lowest_eigs(form.S, form.M, k=k, shift=shift,
+                                    upper_estimate=bound, v0=v0)
 
 
 def _format_float(x):
@@ -409,23 +411,25 @@ def _envelope(scenario, cfg, fields, flags, csv, *, net, mesh, squeezed=None):
 def run_convergence(cfg):
     """Norm-resolvent comparison of the concentrated and squeezed operators.
 
-    Measures the discrete resolvent-difference norm and the lowest-eigenvalue
-    gap of the delta form and each eps's squeezed form at a common shift
-    below all spectra, and fits log-log rates.  One `_eps_sweep` per mesh
-    makes each eps pencil's factor, eigensolve and norm; when a factor is
-    not certified or some lam_eps lies below lam_delta, a second one at the
-    lower common shift retakes the norms, and raises ShiftError when a
-    factor is still not certified.  Every eigensolve is k = 1 and starts
-    Lanczos near its ground state: from the trial state when it makes its
-    own factor (`Operator.solve`), else from the delta ground state, like
-    every norm.
+    Assembles the kinetic part and the mass matrix once (the operator's
+    `fem.BaseForm`), adds the line term for the delta form and each eps's
+    tube-local squeezed potential for its form, measures the discrete
+    resolvent-difference norm and the lowest-eigenvalue gap at a common
+    shift below all spectra, and fits log-log rates.  One `_eps_sweep` per
+    mesh makes each eps pencil's factor, eigensolve and norm; a second one at
+    the lower common shift retakes the norms when a factor is not certified
+    or some lam_eps lies below lam_delta, and raises ShiftError when it
+    cannot certify a factor.  Every eigensolve is k = 1 and starts Lanczos
+    near its ground state: from the trial state when it makes its own factor
+    (`Operator.solve`), else from the delta ground state, as every norm does.
 
-    `refine_check` repeats the delta eigensolve and the sweep, norms only, on
-    the h/2 mesh at the run's shift, and reports every eps's h/2 norm and
-    relative change (None without certified h/2 factors) and the h/2 norm
-    fit.  The flag `discretization_dominates_eps_effect` fires when the
-    largest eps's change is >= 25 percent or None.  Returns (report,
-    status): status 2 when any flag fired, else 0.
+    `refine_check` repeats the delta eigensolve on the h/2 mesh and, when the
+    run's shift lies below that eigenvalue, the sweep there, norms only.  It
+    reports every eps's h/2 norm and relative change (None without certified
+    h/2 factors) and the h/2 norm fit.  The flag
+    `discretization_dominates_eps_effect` fires when the largest eps's change
+    is >= 25 percent or None.  Returns (report, status): status 2 when any
+    flag fired, else 0.
     """
     _require("convergence", cfg, "mesh.box", "mesh.h", "network")
     eps_grid = np.asarray(cfg.get("eps_grid", []), dtype=float)
@@ -455,7 +459,10 @@ def run_convergence(cfg):
     if None in norms or min(lam_eps) < lam_delta:
         shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
         norms = [n for _, n in _eps_sweep(op, form_delta, ground, shift, eps_grid,
-                                          threads=threads, solve=False, strict=True)]
+                                          threads=threads, solve=False)]
+        if None in norms:
+            raise spectral.ShiftError(f"eps={eps_grid[norms.index(None)]}: shift {shift} not "
+                                      f"certified below the pencil at h = {op.mesh.h}")
 
     res_norms = [n.value for n in norms]
     gaps = [abs(le - lam_delta) for le in lam_eps]
@@ -495,9 +502,12 @@ def run_convergence(cfg):
     if cfg.get("refine_check", False):
         op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
         form2 = op2.form()
-        ground2 = op2.solve(form2).eigenvectors[:, 0]
-        fine = [None if n is None else n.value for _, n in _eps_sweep(
-            op2, form2, ground2, shift, eps_grid, threads=threads, solve=False)]
+        res2 = op2.solve(form2)
+        fine = [None] * len(eps_grid)
+        if shift < res2.eigenvalues[0]:  # else the h/2 delta factor is not certified
+            fine = [None if n is None else n.value for _, n in _eps_sweep(
+                op2, form2, res2.eigenvectors[:, 0], shift, eps_grid, threads=threads,
+                solve=False)]
         changes = [None if n is None else abs(n - r) / max(r, 1e-300)
                    for n, r in zip(fine, res_norms)]
         fit = spectral.fit_rate(eps_grid, fine) if len(fine) >= 3 and None not in fine else None
@@ -537,42 +547,36 @@ def run_convergence(cfg):
     return report, status
 
 
-def _eps_sweep(op, form_delta, ground, shift, eps_grid, *, threads, solve=True,
-               strict=False, dump=None):
+def _eps_sweep(op, form_delta, ground, shift, eps_grid, *, threads, solve=True, dump=None):
     """[(eigensolve, norm)] of the squeezed pencils of `op`, one per eps of
     `eps_grid`, each from one factor at `shift`.
 
-    Each factor, that of `form_delta` first, is certified by
-    `spectral.count_below`; an uncertified one raises ShiftError naming its
-    pencil, h and `shift` when `strict`, and is freed otherwise.  A point
-    assembles its form, passes it to `dump(tag, form)` when given, and
-    factors it.  With `solve` it eigensolves, on a certified factor from the
-    delta ground state `ground`, else by `Operator.solve`.  The norm, against
-    the delta factor from `ground`, is None unless both factors are certified.
+    A point assembles its form, passes it to `dump(tag, form)` when given,
+    and factors it.  The factor is certified by its inertia count: in
+    `spectral.lowest_eigs` with `solve`, which eigensolves on it from the
+    delta ground state `ground`, else by `spectral.count_below`.  An
+    uncertified factor is freed and the norm is None; with `solve`,
+    `Operator.solve` makes the eigensolve.  Norms are against the factor of
+    `form_delta` at `shift`, from `ground`; the caller places `shift` below
+    the delta eigenvalue.
     """
-
-    def certified(form, pencil):
-        factor = spectral.ResolventFactor(form.S, form.M, shift, count=True)
-        if spectral.count_below(factor) == 0:
-            return factor
-        if strict:
-            raise spectral.ShiftError(f"shift {shift} not certified below the {pencil} "
-                                      f"pencil at h = {op.mesh.h}")
-        return None  # the factor is freed on return
-
-    factor_delta = certified(form_delta, "delta")
+    factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift)
 
     def point(eps):
         try:
             form = op.form(eps)
             if dump is not None:
                 dump(f"eps_{eps:g}", form)
-            factor, res = certified(form, "eps"), None
+            factor, res = spectral.ResolventFactor(form.S, form.M, shift), None
             if solve:
-                res = op.solve(form, eps) if factor is None else spectral.lowest_eigs(
-                    form.S, form.M, factor=factor, v0=ground)
-            if factor is None or factor_delta is None:
-                return res, None
+                try:
+                    res = spectral.lowest_eigs(form.S, form.M, factor=factor, v0=ground)
+                except spectral.ShiftError:
+                    factor = None  # freed before the fresh eigensolve factors the pencil again
+            elif spectral.count_below(factor) != 0:
+                factor = None
+            if factor is None:
+                return (op.solve(form, eps) if solve else None), None
             return res, spectral.resolvent_diff_norm(factor_delta, factor, start=ground)
         except Exception as err:
             err.args = (f"eps={eps}: {err}",)
@@ -594,17 +598,10 @@ def _fit_dict(fit):
 
 
 def _star_network(angles_deg, length, rot_deg=0.0, beta_cap=0.4):
-    azimuth = [0.0]
-    for a in angles_deg[:-1]:
-        azimuth.append(azimuth[-1] + a)
-    segs = []
-    for theta in azimuth:
-        th = np.radians(theta + rot_deg)
-        segs.append(
-            geometry.LineSegment(
-                (0.0, 0.0), (length * np.cos(th), length * np.sin(th))
-            )
-        )
+    # edge k leaves the origin at the sum of the first k angles, turned by rot_deg
+    azimuth = np.radians(np.cumsum([0.0, *angles_deg[:-1]]) + rot_deg)
+    segs = [geometry.LineSegment((0.0, 0.0), (length * np.cos(th), length * np.sin(th)))
+            for th in azimuth]
     return geometry.Network(segs, beta_cap=beta_cap)
 
 
@@ -655,11 +652,8 @@ def run_stargraph(cfg: dict):
 
     # one refinement per compared eigenvalue; the rotated graph usually has
     # the largest discretization error (no mesh-aligned edge)
-    mesh_error = max(
-        abs(values["sigma_h"]["lam"] - values["sigma_h2"]["lam"]),
-        abs(values["gamma_h"]["lam"] - values["gamma_h2"]["lam"]),
-        abs(values["rot_h"]["lam"] - values["rot_h2"]["lam"]),
-    )
+    mesh_error = max(abs(values[f"{name}_h"]["lam"] - values[f"{name}_h2"]["lam"])
+                     for name in nets)
     gap = values["gamma_h"]["lam"] - values["sigma_h"]["lam"]
     rot_gap = abs(values["rot_h"]["lam"] - values["gamma_h"]["lam"])
     symmetric_input = all(abs(a - 360.0 / N) < 1e-12 for a in angles)

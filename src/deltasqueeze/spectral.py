@@ -28,11 +28,12 @@ and every `ResolventFactor` refuse one whose Hermiticity residual exceeds
 round-off (NonHermitianError).  Eigensolves stop at the relative residual
 EIG_RTOL, not ARPACK's default of machine epsilon, which restarts a
 converged basis for another sweep; norms stop at NORM_RTOL.  An eigensolve
-starts from a vector near the wanted eigenspace when the caller has one (a
-trial state, or the ground state of a nearby pencil), a norm from one near
-the top eigenvector of the resolvent difference (the delta ground state);
-else both start from a random vector drawn with the one fixed seed
-START_SEED, so identical inputs give bit-identical results.
+starts from a given vector near the wanted eigenspace when the caller has
+one (a trial state, or the ground state of a nearby pencil), else from a
+random vector drawn with START_SEED.  A norm starts the same way, from a
+given vector near the top eigenvector of the resolvent difference (the delta
+ground state, or a trial state near it), in a basis of 8 vectors.  One fixed
+seed: identical inputs give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
 
     `upper_estimate` is a known bound lam_1 <= upper_estimate (e.g. a
     variational Rayleigh quotient).  With a `shift`, or a negative estimate
-    to set the shift rule, the loop checks its first factor by the result
+    to seed the shift rule, the loop checks its first factor by the result
     instead of an inertia count: finite, none below the shift, lam_1 at
     most 0.5 max(1, |upper_estimate|) above the estimate; every later
     factor is checked by inertia.  An estimate >= 0 gives the rule no scale.
@@ -263,19 +264,20 @@ class ResolventFactor:
     vanishes.  Keeps M in CSR form, without a copy when it is given so.
     Raises NonHermitianError when S - lambda M is not Hermitian to
     round-off, and RuntimeError when it is exactly singular.  Only
-    `count_below` reads the factor's L and U; with `count` it counts as the
-    factor is made, inside the span the benchmark's tracer times.
+    `count_below` reads the factor's L and U.
     """
 
-    def __init__(self, S, M, lam: float, *, count: bool = False):
+    def __init__(self, S, M, lam: float):
         self.M = M.tocsr()
         self.lam = float(lam)
         A = (S - lam * self.M).tocsc()
         _check_hermitian(A, f"S - {self.lam:g} M")
-        self._lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True})
-        if count:
-            count_below(self)
+        self._lu = spla.splu(
+            A,
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
     def apply(self, x):
         return self._lu.solve(self.M @ x)

@@ -197,15 +197,14 @@ def refusing_counts(monkeypatch, refused):
 
 def test_convergence_falls_back_to_fresh_factors_when_inertia_is_not_zero(monkeypatch):
     reused, _ = run_convergence(small_convergence_cfg())
-    # the first sweep counts the delta factor, then the eps factors in order
-    counted = refusing_counts(monkeypatch, {2: 1})  # the eps = 0.35 factor
+    counted = refusing_counts(monkeypatch, {1: 1})  # the eps = 0.35 factor
     fallback, _ = run_convergence(small_convergence_cfg())
     # a norm is missing, so the sweep reruns, and counts its factors too
-    assert len(counted) == 2 * (1 + 3)
+    assert len(counted) == 2 * 3
     assert all(f.lam == fallback["shift"] for f in counted)
     monkeypatch.undo()
     # every factor of the first sweep refused: all eigensolves fresh
-    refusing_counts(monkeypatch, dict.fromkeys(range(4)))
+    refusing_counts(monkeypatch, dict.fromkeys(range(3)))
     all_fresh, _ = run_convergence(small_convergence_cfg())
     for key in REPORTED:
         assert np.allclose(fallback[key], all_fresh[key], rtol=1e-10, atol=0.0), key
@@ -291,13 +290,19 @@ def test_convergence_refine_check_reports_every_eps():
 
 
 def test_refine_check_without_a_certified_h2_factor_has_no_norm_and_flags(monkeypatch):
-    # inertia refuses the h/2 factor of the largest eps only: factors 0-3 are
-    # the run's, 4 the h/2 delta factor, 5 the first h/2 eps factor
-    counted = refusing_counts(monkeypatch, {5: None})
+    # inertia refuses the h/2 factor of the largest eps only
+    count_below, refused = spectral.count_below, []
+
+    def refusing_the_first_fine_factor(factor):
+        if factor.M.shape[0] == 127**2 and not refused:
+            refused.append(factor.lam)
+            return None
+        return count_below(factor)
+
+    monkeypatch.setattr(spectral, "count_below", refusing_the_first_fine_factor)
     report, status = run_convergence(small_convergence_cfg(refine_check=True))
     block = report["refine_check"]
-    assert len(counted) == 8 and counted[5].M.shape[0] == 127**2
-    assert counted[5].lam == report["shift"]
+    assert refused == [report["shift"]]
     assert block["norm"] is None and block["rel_change"] is None
     assert block["norms"][0] is None and block["rel_changes"][0] is None
     assert all(n > 0.0 for n in block["norms"][1:])
@@ -307,11 +312,21 @@ def test_refine_check_without_a_certified_h2_factor_has_no_norm_and_flags(monkey
     assert status == 2
 
 
-def test_refine_check_without_a_certified_h2_delta_factor_has_no_norms_and_flags(monkeypatch):
-    counted = refusing_counts(monkeypatch, {4: None})  # the h/2 delta factor
+def test_refine_check_with_the_shift_above_the_h2_delta_eigenvalue_has_no_norms(monkeypatch):
+    # the h/2 delta factor at the run's shift would not be certified
+    lowest_eigs = spectral.lowest_eigs
+
+    def h2_delta_below_the_shift(S, *args, **kwargs):
+        res = lowest_eigs(S, *args, **kwargs)
+        if S.shape[0] == 127**2:
+            res = dataclasses.replace(res, eigenvalues=res.eigenvalues - 100.0)
+        return res
+
+    monkeypatch.setattr(spectral, "lowest_eigs", h2_delta_below_the_shift)
+    counted = refusing_counts(monkeypatch, {})
     report, status = run_convergence(small_convergence_cfg(refine_check=True))
     block = report["refine_check"]
-    assert len(counted) == 8 and counted[4].M.shape[0] == 127**2
+    assert len(counted) == 3  # the run's eps factors: no h/2 eps pencil is factored
     assert block["norms"] == block["rel_changes"] == [None] * 3
     assert block["norm"] is None and block["norm_fit"] is None
     assert report["flags"] == {"discretization_dominates_eps_effect": True}
@@ -330,16 +345,11 @@ def test_refine_check_eigensolves_only_the_delta_pencils(monkeypatch):
 
 
 def test_convergence_uncertified_after_the_rerun_raises_shift_error(monkeypatch):
-    shift = run_convergence(small_convergence_cfg())[0]["shift"]
-    monkeypatch.setattr(spectral, "count_below", lambda factor: None)
-    with pytest.raises(spectral.ShiftError, match=(
-            f"shift {re.escape(str(shift))} not certified below the delta pencil "
-            f"at h = {1.0 / 16.0}")):
-        run_convergence(small_convergence_cfg())
-    monkeypatch.undo()
-    refusing_counts(monkeypatch, {**dict.fromkeys(range(4)), 6: None})  # eps = 0.35 again
+    # the first sweep's counts refused: every eigensolve is fresh and the sweep
+    # reruns, where the count of the eps = 0.35 factor is refused again
+    refusing_counts(monkeypatch, {**dict.fromkeys(range(3)), 4: None})
     with pytest.raises(spectral.ShiftError, match=r"eps=0\.35: shift .* not certified below "
-                                                  r"the eps pencil at h = 0\.0625"):
+                                                  r"the pencil at h = 0\.0625"):
         run_convergence(small_convergence_cfg())
 
 

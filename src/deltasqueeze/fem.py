@@ -17,7 +17,9 @@ interior nodes in geometric nested-dissection order (George, Nested
 dissection of a regular finite element mesh, SIAM J. Numer. Anal. 10
 (1973) 345-363).  Unknown i is node interior[i]: the rows of every
 restricted S and M and of every eigenvector follow that order, which is
-the elimination order of their sparse factorizations.
+the elimination order of their sparse factorizations.  The mesh keeps the
+separator tree of that order (`DissectionTree`), and every form built on
+the mesh carries it to the multifrontal factors of `spectral`.
 
 The part of a form that depends only on (mesh, A, Q) is a `BaseForm`: the
 restricted pair restrict(K_A + Q), restrict(M), assembled once.  Every form
@@ -40,6 +42,7 @@ from .geometry import Network
 
 __all__ = [
     "Mesh",
+    "DissectionTree",
     "AssembledForm",
     "BaseForm",
     "GeometryError",
@@ -83,6 +86,7 @@ class Mesh:
     node_y: np.ndarray
     triangles: np.ndarray  # (nt, 3) node indices, lower block then upper block
     interior: np.ndarray  # interior node indices in nested-dissection order
+    tree: DissectionTree = field(repr=False, compare=False)  # separator tree of `interior`
 
     @property
     def n_nodes(self):
@@ -125,6 +129,7 @@ def build_mesh(box, h: float) -> Mesh:
     lower = np.stack([p00, p10, p11], axis=1)
     upper = np.stack([p00, p11, p01], axis=1)
     triangles = np.concatenate([lower, upper])
+    interior, tree = _nested_dissection(nx, ny)
     return Mesh(
         box=((float(x0), float(x1)), (float(y0), float(y1))),
         h=float(h),
@@ -133,15 +138,44 @@ def build_mesh(box, h: float) -> Mesh:
         node_x=node_x,
         node_y=node_y,
         triangles=triangles,
-        interior=_nested_dissection(nx, ny),
+        interior=interior,
+        tree=tree,
     )
 
 
 _ND_LEAF = 4  # nested dissection stops at blocks of at most this many nodes
 
 
+@dataclass(frozen=True, eq=False)
+class DissectionTree:
+    """Separator tree of a nested-dissection numbering: the supernodes of a
+    multifrontal factorization (Liu, The multifrontal method for sparse
+    matrix solution, SIAM Review 34 (1992) 82-109).
+
+    Supernode s is the unknowns starts[s] .. starts[s+1] - 1, a leaf block or
+    a cut line, listed children first.  It closes a rectangle of the grid:
+    a leaf block itself, a cut line the rectangle it splits.  parent[s] is
+    the cut line whose split made that rectangle (-1 for the root).  The
+    ring of s, ring[ring_ptr[s]:ring_ptr[s+1]] in ascending order, is the
+    set of later unknowns that share an entry of the Cholesky factor with
+    its columns: the nodes of ancestor cut lines adjacent to its rectangle.
+    The pivots of s and its ring make up its front.
+    """
+
+    starts: np.ndarray
+    parent: np.ndarray
+    ring_ptr: np.ndarray
+    ring: np.ndarray
+    cache: dict = field(default_factory=dict, repr=False)  # the factors' analysis of the tree
+
+    @property
+    def n(self):
+        return int(self.starts[-1])
+
+
 def _nested_dissection(nx, ny):
-    """Interior node indices of an nx-by-ny cell grid in nested-dissection order.
+    """Interior node indices of an nx-by-ny cell grid in nested-dissection
+    order, with the separator tree of that order (`DissectionTree`).
 
     The interior grid (columns 1..nx-1, rows 1..ny-1) is split recursively:
     each step cuts the longer side at its middle grid line and orders the
@@ -150,30 +184,81 @@ def _nested_dissection(nx, ny):
     separates the halves.  Blocks of at most _ND_LEAF nodes and the cut
     lines keep the natural row-major order.
     """
-    blocks = []  # half-open (i0, i1, j0, j1) node ranges in elimination order
-
-    def split(i0, i1, j0, j1):
-        if (i1 - i0) * (j1 - j0) <= _ND_LEAF:
-            if i1 > i0 and j1 > j0:
-                blocks.append((i0, i1, j0, j1))
-        elif i1 - i0 >= j1 - j0:
-            m = (i0 + i1) // 2
-            split(i0, m, j0, j1)
-            split(m + 1, i1, j0, j1)
-            blocks.append((m, m + 1, j0, j1))
-        else:
-            m = (j0 + j1) // 2
-            split(i0, i1, j0, m)
-            split(i0, i1, m + 1, j1)
-            blocks.append((i0, i1, m, m + 1))
-
-    split(1, nx, 1, ny)
-    i0, i1, j0, j1 = np.array(blocks, dtype=np.int64).reshape(-1, 4).T
+    # breadth first: every rectangle of one depth is split at once, then the
+    # blocks are put in postorder.  A rectangle closes with its block: itself
+    # when it is a leaf, else its cut line, whose halves are split next.
+    rect = np.array([[1, nx, 1, ny]], dtype=np.int64)
+    up = half = np.array([-1])  # the cut line above, and which of its halves
+    levels = []
+    while len(rect):
+        i0, i1, j0, j1 = rect.T
+        w, t = i1 - i0, j1 - j0
+        keep = (w > 0) & (t > 0)
+        rect, up, half = rect[keep], up[keep], half[keep]
+        (i0, i1, j0, j1), w, t = rect.T, w[keep], t[keep]
+        leaf, wide = w * t <= _ND_LEAF, w >= t
+        m = np.where(wide, (i0 + i1) // 2, (j0 + j1) // 2)
+        block = np.where(leaf[:, None], rect, np.where(
+            wide[:, None], np.stack([m, m + 1, j0, j1], axis=1),
+            np.stack([i0, i1, m, m + 1], axis=1)))
+        first = len(levels) and levels[-1][0][-1] + 1
+        ids = first + np.arange(len(rect))
+        levels.append((ids, block, rect, up, half))
+        cut, wide, m = ~leaf, wide[~leaf], m[~leaf]
+        i0, i1, j0, j1 = rect[cut].T
+        rect = np.concatenate([
+            np.stack([i0, np.where(wide, m, i1), j0, np.where(wide, j1, m)], axis=1),
+            np.stack([np.where(wide, m + 1, i0), i1, np.where(wide, j0, m + 1), j1], axis=1)])
+        up = np.tile(ids[cut], 2)
+        half = np.repeat([0, 1], len(up) // 2)
+    ids, blocks, rects, up, half = (np.concatenate(x) for x in zip(*levels))
+    # postorder: a subtree's blocks, then its cut line; first half first
+    count = np.ones(len(ids), dtype=np.int64)  # blocks per subtree
+    for ids_d, _, _, up_d, _ in reversed(levels[1:]):
+        np.add.at(count, up_d, count[ids_d])
+    first_count = np.zeros(len(ids), dtype=np.int64)
+    first_count[up[half == 0]] = count[half == 0]
+    start = np.zeros(len(ids), dtype=np.int64)
+    for ids_d, _, _, up_d, half_d in levels[1:]:
+        start[ids_d] = start[up_d] + half_d * first_count[up_d]
+    post = start + count - 1
+    blocks[post], rects[post] = blocks.copy(), rects.copy()
+    parent = np.full(len(ids), -1, dtype=np.int64)
+    parent[post[1:]] = post[up[1:]]
+    i0, i1, j0, j1 = blocks.T
     width = i1 - i0
     size = width * (j1 - j0)
     b = np.repeat(np.arange(len(size)), size)
     k = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    return (j0[b] + k // width[b]) * (nx + 1) + i0[b] + k % width[b]
+    order = (j0[b] + k // width[b]) * (nx + 1) + i0[b] + k % width[b]
+    number = np.full((nx + 1) * (ny + 1), -1, dtype=np.int64)
+    number[order] = np.arange(len(order))
+    ring_ptr, ring = _rings(rects, nx, number)
+    starts = np.concatenate([[0], np.cumsum(size)])
+    return order, DissectionTree(starts, parent, ring_ptr, ring)
+
+
+def _rings(rects, nx, number):
+    """Ring of every rectangle (i0, i1, j0, j1) in the numbering `number` of
+    the nodes (-1 off the interior), as (ring_ptr, ring): the nodes a P1 edge
+    joins to the rectangle.  Those are its frame but for the corners
+    (i1, j0 - 1) and (i0 - 1, j1), which the diagonal misses."""
+    i0, i1, j0, j1 = rects.T
+    row = nx + 1
+    # four sides: first node, step and length; left and right columns first
+    first = np.stack([(j0 - 1) * row + i0 - 1, j0 * row + i1,
+                      (j0 - 1) * row + i0, j1 * row + i0], axis=1).ravel()
+    step = np.tile([row, row, 1, 1], len(rects))
+    length = np.stack([j1 - j0 + 1, j1 - j0 + 1, i1 - i0, i1 - i0], axis=1).ravel()
+    offset = np.cumsum(length) - length
+    nodes = number[np.repeat(first - step * offset, length)
+                   + np.repeat(step, length) * np.arange(length.sum())]
+    owner = np.repeat(np.arange(len(rects)), length.reshape(-1, 4).sum(axis=1))
+    keep = nodes >= 0
+    key = np.sort(owner[keep] * len(number) + nodes[keep])  # by owner, then node
+    owner, nodes = np.divmod(key, len(number))
+    ring_ptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(rects)))])
+    return ring_ptr, nodes
 
 
 # fixed P1 gradients of the two triangle classes, scaled by 1/h at use time
@@ -403,11 +488,13 @@ def hermiticity_residual(S):
 
 @dataclass(frozen=True)
 class AssembledForm:
-    """Interior-node matrices of one operator: S Hermitian-ish, M SPD mass."""
+    """Interior-node matrices of one operator: S Hermitian-ish, M SPD mass,
+    and the separator tree of their numbering (None for none)."""
 
     S: sp.spmatrix
     M: sp.spmatrix
     meta: dict = field(default_factory=dict)
+    tree: DissectionTree | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self):
@@ -476,4 +563,4 @@ def build_form(
         "squeezed_eps": getattr(potential, "eps", None),
         "hermiticity_residual": hermiticity_residual(S),
     }
-    return AssembledForm(S=S, M=base.M, meta=meta)
+    return AssembledForm(S=S, M=base.M, meta=meta, tree=mesh.tree)

@@ -6,24 +6,25 @@ real shift lambda below the spectrum maps x to (S - lambda M)^{-1} M x, and
 operator norms are measured in the M-inner product, the Galerkin surrogate
 of the L2 norm.
 
-Every factorization of (S - sigma M) is a `ResolventFactor`: SuperLU in
-symmetric mode with diagonal pivots, in the pencil's own numbering, which
-keeps the row and column permutations equal.  Mesh pencils arrive in the
-nested-dissection order of `fem.build_mesh` (George, SIAM J. Numer. Anal.
-10 (1973) 345-363), so the elimination order is chosen there, not here.
-The factorization is then a congruence, so by Sylvester's law of inertia
-the negative diagonal entries of U count the pencil eigenvalues below sigma
-(`count_below`; Parlett, The Symmetric Eigenvalue Problem, sec. 3.3).  A
-factor whose count is 0 is a certified shift: `lowest_eigs` reuses it for
-shift-invert Lanczos and `resolvent_diff_norm` for the norm, one
-factorization per pencil.  An eigensolve with no such factor makes its own
-in the one loop that lowers a shift, until the inertia count is 0.  A
-count reads SuperLU's CSC copies of L and U, about the size of the factor
-again, frees them once it has the count, and stores the count on the
-factor.  Given a variational upper estimate, the loop checks its first
-factor by the eigenvalues it yields instead of counting, which saves that
-transient copy; every later factor is counted.  Eigensolves and norms are
-one ARPACK Lanczos call each and need a Hermitian pencil: `lowest_eigs`
+Every factorization of (S - sigma M) is a `ResolventFactor`.  A mesh
+pencil comes in the nested-dissection order of `fem.build_mesh` (George,
+SIAM J. Numer. Anal. 10 (1973) 345-363) with its separator tree, and is
+factored on that tree by a multifrontal LDL^H in numpy (`frontal`), which
+stores one triangle and counts the pencil eigenvalues below sigma as it
+runs: by Sylvester's law of inertia they are the negative eigenvalues of
+S - sigma M (`count_below`; Parlett, The Symmetric Eigenvalue Problem,
+sec. 3.3).  A pencil without a tree is factored by SuperLU in symmetric
+mode with diagonal pivots, in its own numbering; its count reads SuperLU's
+CSC copies of L and U, about the size of the factor again, frees them once
+it has the count, and stores the count on the factor.  A factor whose
+count is 0 is a certified shift: `lowest_eigs` reuses it for shift-invert
+Lanczos and `resolvent_diff_norm` for the norm, one factorization per
+pencil.  An eigensolve with no such factor makes its own in the one loop
+that lowers a shift, until the inertia count is 0.  Given a variational
+upper estimate, the loop checks its first factor by the eigenvalues it
+yields instead of its count, which saves a SuperLU factor that transient
+copy; every later factor is counted.  Eigensolves and norms are one ARPACK
+Lanczos call each and need a Hermitian pencil: `lowest_eigs`
 and every `ResolventFactor` refuse one whose Hermiticity residual exceeds
 round-off (NonHermitianError).  Eigensolves stop at the relative residual
 EIG_RTOL, not ARPACK's default of machine epsilon, which restarts a
@@ -48,6 +49,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import stdtrit
 
 from .fem import hermiticity_residual
+from .frontal import TreeFactor
 
 __all__ = [
     "SpectralResult",
@@ -136,13 +138,14 @@ def _m_orthonormalize(V, M):
 
 def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
                 upper_estimate: float | None = None,
-                factor: ResolventFactor | None = None, v0=None) -> SpectralResult:
+                factor: ResolventFactor | None = None, v0=None, tree=None) -> SpectralResult:
     """k smallest eigenpairs of S v = lambda M v by shift-invert Lanczos.
 
     Dense solve below 60 unknowns.  Given `factor`, a `ResolventFactor` of
     this pencil, the call first certifies it: `count_below(factor)` must be
     0, else ShiftError.  Otherwise the call makes its own factor in one
-    loop: it factors at `shift` (default -1) and lowers the shift until the
+    loop: it factors at `shift` (default -1), on the separator tree `tree`
+    of the pencil's numbering when given, and lowers the shift until the
     inertia count is 0.  A certified factor is used as is, at its shift.
 
     `upper_estimate` is a known bound lam_1 <= upper_estimate (e.g. a
@@ -185,7 +188,7 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
         if np.iscomplexobj(S.data):
             v0 = v0 + 1j * rng.standard_normal(n)
     # a given factor was counted above; the first factor of an estimate is
-    # checked by its eigenvalues, not counted
+    # checked by its eigenvalues: a tree factor carries a count, unread here
     certified = factor is not None
     window = not certified and upper_estimate is not None and (
         shift is not None or upper_estimate < 0.0)
@@ -196,7 +199,7 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
         if factor is None:
             try:
                 # S positional: the benchmark's tracer reads the pencil from it
-                factor = ResolventFactor(S, M, shift)
+                factor = ResolventFactor(S, M, shift, tree=tree)
             except RuntimeError:  # exactly singular: shift is an eigenvalue
                 pass
         if factor is not None and (certified or window or count_below(factor) == 0):
@@ -253,27 +256,37 @@ def _finalize(S, M, w, V, shift):
 
 class ResolventFactor:
     """Factorized discrete resolvent x -> (S - lambda M)^{-1} M x, the one
-    SuperLU factor behind every eigensolve, inertia count and norm.
+    factor behind every eigensolve, inertia count and norm.
 
-    SuperLU runs in symmetric mode and eliminates in the pencil's own
-    numbering: mesh pencils come in the nested-dissection order of
-    `fem.build_mesh`, which needs less fill and fewer flops than a minimum
-    degree ordering on the uniform grid (George, Nested dissection of a
-    regular finite element mesh, SIAM J. Numer. Anal. 10 (1973) 345-363).
-    Diagonal pivoting keeps perm_r == perm_c unless a diagonal pivot
-    vanishes.  Keeps M in CSR form, without a copy when it is given so.
-    Raises NonHermitianError when S - lambda M is not Hermitian to
-    round-off, and RuntimeError when it is exactly singular.  Only
-    `count_below` reads the factor's L and U.
+    A pencil given with its `fem.DissectionTree` `tree` (a mesh pencil in
+    the nested-dissection numbering of `fem.build_mesh`) is factored by the
+    multifrontal LDL^H of `frontal.TreeFactor` on that tree (George, Nested
+    dissection of a regular finite element mesh, SIAM J. Numer. Anal. 10
+    (1973) 345-363; Liu, The multifrontal method for sparse matrix solution,
+    SIAM Review 34 (1992) 82-109).  It stores one triangle and counts the
+    negative eigenvalues of S - lambda M as it runs, so the factor carries
+    its inertia count.  A pencil without a tree is factored by SuperLU in
+    symmetric mode, in the pencil's own numbering, with diagonal pivoting,
+    which keeps perm_r == perm_c unless a diagonal pivot vanishes; its count
+    is read from U on demand.  Keeps M in CSR form, without a copy when it
+    is given so.  Raises NonHermitianError when S - lambda M is not
+    Hermitian to round-off (a Cholesky front reads one triangle only), and
+    RuntimeError when it is singular (exactly, for SuperLU; to working
+    precision in a pivot block of the tree factor).
     """
 
-    def __init__(self, S, M, lam: float):
+    def __init__(self, S, M, lam: float, *, tree=None):
         self.M = M.tocsr()
         self.lam = float(lam)
-        A = (S - lam * self.M).tocsc()
+        A = (S - lam * self.M).tocsr()
         _check_hermitian(A, f"S - {self.lam:g} M")
+        if tree is not None:
+            A.sum_duplicates()  # canonical CSR, as the tree factor reads it
+            self._lu = TreeFactor(A, tree)
+            self._below = self._lu.negatives
+            return
         self._lu = spla.splu(
-            A,
+            A.tocsc(),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -284,7 +297,7 @@ class ResolventFactor:
 
     @functools.cached_property
     def _below(self):
-        """`count_below`'s value, read from U once."""
+        """`count_below`'s value for a SuperLU factor, read from U once."""
         lu = self._lu
         if not np.array_equal(lu.perm_r, lu.perm_c):
             return None
@@ -300,19 +313,23 @@ class ResolventFactor:
 def count_below(factor: ResolventFactor) -> int | None:
     """Number of pencil eigenvalues below factor.lam, by inertia.
 
-    With perm_r == perm_c the factorization P (S - lam M) P^T = L U is a
-    congruence: for Hermitian S - lam M, U = D L^H with D = diag(U) real, so
-    the negative entries of D count the negative eigenvalues of S - lam M,
-    which are the pencil eigenvalues below lam since M is positive definite
-    (Sylvester's law of inertia).  None when a vanishing diagonal pivot made
-    SuperLU interchange rows: the count is then not available.
+    The negative eigenvalues of S - lam M are the pencil eigenvalues below
+    lam, since M is positive definite (Sylvester's law of inertia; Parlett,
+    The Symmetric Eigenvalue Problem, sec. 3.3).  A tree factor counts them
+    as it is made: 0 when every front passes Cholesky, else the negative
+    eigenvalues of its pivot blocks (Haynsworth's inertia additivity), so
+    the count is exact and reads nothing back.
 
-    Reading U makes SuperLU build CSC copies of L and U, about the size of
-    the factor again, and cache them on it until the factor is freed.  The
-    first count empties both copies once it has read the diagonal, so a
-    count holds that memory only while it runs, and stores its value on the
-    factor: a second read of the emptied U would find no negative pivot,
-    so every later count returns the stored value.
+    A SuperLU factor with perm_r == perm_c is a congruence P (S - lam M)
+    P^T = L U: for Hermitian S - lam M, U = D L^H with D = diag(U) real, and
+    the negative entries of D are the count.  None when a vanishing
+    diagonal pivot made SuperLU interchange rows: the count is then not
+    available.  Reading U makes SuperLU build CSC copies of L and U, about
+    the size of the factor again, and cache them on it.  The first count
+    empties both copies once it has read the diagonal, so a count holds
+    that memory only while it runs, and stores its value on the factor: a
+    second read of the emptied U would find no negative pivot, so every
+    later count returns the stored value.
     """
     return factor._below
 

@@ -101,6 +101,38 @@ def test_interior_is_a_nested_dissection_order(box, h):
         _check_split(m, K, half)
 
 
+@pytest.mark.parametrize("box, h, b", [
+    (UNIT_BOX, 1.0 / 16.0, 0.0),
+    (((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 8.0, 0.0),  # the cusp-trend box
+    (UNIT_BOX, 1.0 / 16.0, 1.5),
+], ids=["square", "cusp_box", "magnetic"])
+def test_restricted_entries_fall_in_their_fronts(box, h, b):
+    # the separator tree's supernodes partition the unknowns, parents come
+    # after their children, every ring lies after its pivots and in the
+    # parent's front, and every lower entry of S lies in its column's front
+    m = build_mesh(box, h)
+    tree = m.tree
+    n, starts, ring_ptr = m.n_interior, tree.starts, tree.ring_ptr
+    assert tree.n == n and starts[0] == 0 and np.all(np.diff(starts) > 0)
+    ns = len(tree.parent)
+    assert tree.parent[-1] == -1 and np.all(tree.parent[:-1] > np.arange(ns - 1))
+    owner = np.repeat(np.arange(ns), np.diff(ring_ptr))
+    key = owner * n + tree.ring
+    assert np.all(np.diff(key) > 0)  # ascending within each ring
+    assert np.all(tree.ring >= starts[owner + 1])
+    parent = tree.parent[owner]
+    assert np.all(parent >= 0)  # the root has no ring
+    in_front = (tree.ring < starts[parent + 1]) | np.isin(parent * n + tree.ring, key)
+    assert np.all(in_front)
+    S = restrict(m, assemble_magnetic_stiffness(m, homogeneous_gauge(b) if b else None)
+                 + assemble_mass(m)).tocoo()
+    low = S.row >= S.col
+    i, j = S.row[low], S.col[low]
+    assert i.size == (S.nnz + n) // 2
+    s = np.searchsorted(starts, j, side="right") - 1
+    assert np.all((i < starts[s + 1]) | np.isin(s * n + i, key))
+
+
 def test_restrict_follows_the_interior_numbering():
     m = build_mesh(((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 8.0)
     net = Network([LineSegment((0.0, -1.0), (2.0, 1.0))], beta_cap=0.5)

@@ -13,7 +13,7 @@ import scipy.io
 import scipy.linalg as sla
 from conftest import assert_same_csr, full_node_form
 
-from deltasqueeze import cli, fem, geometry, potentials, spectral
+from deltasqueeze import cli, fem, frontal, geometry, potentials, spectral
 from deltasqueeze.fem import ResolutionError
 from deltasqueeze.lab import (
     ConfigError,
@@ -230,19 +230,54 @@ def test_convergence_dump_writes_every_pencil(tmp_path):
 
 @pytest.mark.parametrize("refine_check", [False, True])
 def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch, refine_check):
-    splu = spectral.spla.splu
+    init = spectral.ResolventFactor.__init__
     factored = []
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         factored.append(1)
-        return splu(*args, **kwargs)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(spectral.spla, "splu", counting)
+    monkeypatch.setattr(spectral.ResolventFactor, "__init__", counting)
     cfg = small_convergence_cfg(refine_check=refine_check)
     run_convergence(cfg)
     # on each mesh: the delta eigensolve, the delta resolvent, and one factor per eps
     per_mesh = 2 + len(cfg["eps_grid"])
     assert len(factored) == (2 if refine_check else 1) * per_mesh
+
+
+@pytest.mark.parametrize("run, cfg", [
+    (run_convergence, small_convergence_cfg()),
+    (run_convergence, small_convergence_cfg(refine_check=True)),
+    (run_cusp, {"d": 2.0, "alpha_list": [-2.0, -3.0, -4.0], "x_max": 0.5,
+                "mesh": {"box": [[-1.0, 2.0], [-1.5, 1.5]], "h": 1.0 / 16.0}}),
+    (run_stargraph, {"N": 3, "angles": [150.0, 150.0, 60.0], "alpha": -5.0,
+                     "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 16.0}}),
+    (run_spectrum, {"network": {"beta_cap": 0.5, "segments": [
+        {"kind": "line", "p0": [-1.0, 0.0], "p1": [1.0, 0.0]}]},
+        "alpha": -4.0, "eps": 0.25, "field_b": 1.0, "k": 2,
+        "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 16.0}}),
+    (run_wedge, {"phi": np.pi / 3.0, "alpha": -3.0, "theta": 1.5, "b": 1.0, "k": 2,
+                 "mesh": {"box": [[-1.5, 1.5], [-1.5, 1.5]], "h": 1.0 / 16.0}}),
+], ids=["convergence", "refine_check", "cusp", "stargraph", "spectrum", "wedge"])
+def test_runners_factor_every_pencil_on_its_mesh_tree(monkeypatch, run, cfg):
+    # SuperLU is left to pencils without a tree; every runner's pencil is a
+    # mesh pencil, factored on the mesh's dissection tree
+    splu, init = spectral.spla.splu, frontal.TreeFactor.__init__
+    superlu, trees = [], []
+
+    def counting(*args, **kwargs):
+        superlu.append(1)
+        return splu(*args, **kwargs)
+
+    def tree_factor(self, A, tree):
+        trees.append(tree)
+        init(self, A, tree)
+
+    monkeypatch.setattr(spectral.spla, "splu", counting)
+    monkeypatch.setattr(frontal.TreeFactor, "__init__", tree_factor)
+    run(cfg)
+    assert superlu == []
+    assert trees and all(isinstance(t, fem.DissectionTree) for t in trees)
 
 
 def test_convergence_flags_nonconverged_power_iteration(monkeypatch, tmp_path):
@@ -515,30 +550,22 @@ def test_delta_eigensolve_starts_from_the_trial_state(monkeypatch):
     assert form.S.shape[0] == 3969
     _, trial = trial_upper_bound(op.distances, op.strengths, form)
     solves, starts = [], []
-    splu, eigsh = spectral.spla.splu, spectral.spla.eigsh
+    solve, eigsh = frontal.TreeFactor.solve, spectral.spla.eigsh
 
-    class CountedFactor:
-        def __init__(self, lu):
-            self._lu = lu
-
-        def solve(self, *args, **kwargs):
-            solves.append(1)
-            return self._lu.solve(*args, **kwargs)
-
-        def __getattr__(self, attr):
-            return getattr(self._lu, attr)
+    def counting(self, b):
+        solves.append(1)
+        return solve(self, b)
 
     def capturing(*args, **kwargs):
         starts.append(kwargs["v0"])
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(spectral.spla, "splu",
-                        lambda *args, **kwargs: CountedFactor(splu(*args, **kwargs)))
+    monkeypatch.setattr(frontal.TreeFactor, "solve", counting)
     monkeypatch.setattr(spectral.spla, "eigsh", capturing)
     res = op.solve(form)
     monkeypatch.undo()
     assert len(starts) == 1 and np.array_equal(starts[0], trial)
-    assert len(solves) <= 21
+    assert 0 < len(solves) <= 21
     # Fortran-ordered dense copies that eigh may overwrite: one copy each
     lam = sla.eigh(form.S.toarray(order="F"), form.M.toarray(order="F"), eigvals_only=True,
                    subset_by_index=[0, 0], overwrite_a=True, overwrite_b=True)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from deltasqueeze import spectral
+from deltasqueeze import frontal, spectral
 from deltasqueeze.fem import (
     assemble_delta_term,
     assemble_magnetic_stiffness,
@@ -18,6 +18,7 @@ from deltasqueeze.fem import (
     restrict,
 )
 from deltasqueeze.geometry import LineSegment, Network
+from deltasqueeze.lab import cusp_network
 from deltasqueeze.oracles import delta_point_eigenvalue
 from deltasqueeze.potentials import SqueezedPotential, constant_profile
 from deltasqueeze.spectral import (
@@ -161,12 +162,15 @@ def test_no_certified_shift_for_a_negative_mass_raises():
 RECT = ((0.0, 1.0), (0.0, 0.75))
 
 
-@pytest.mark.parametrize("b", [0.0, 1.5], ids=["dirichlet", "magnetic"])
+@pytest.mark.parametrize("b, kind", [(0.0, "superlu"), (1.5, "superlu"), (0.0, "tree"),
+                                     (1.5, "tree")],
+                         ids=["dirichlet", "magnetic", "dirichlet-tree", "magnetic-tree"])
 @pytest.mark.parametrize("where", ["below_1", "between_2_3", "above_3", "between_3_4"])
-def test_count_below_matches_dense_eigh(b, where):
-    # the pencil is factored in the mesh's nested-dissection numbering; a
-    # complex Hermitian one must keep perm_r == perm_c there too
-    S, M, _ = dirichlet_pencil(1.0 / 12.0, RECT, homogeneous_gauge(b) if b else None)
+def test_count_below_matches_dense_eigh(b, kind, where):
+    # the pencil is factored in the mesh's nested-dissection numbering: by
+    # SuperLU, where a complex Hermitian one must keep perm_r == perm_c too,
+    # or on the mesh's dissection tree, whose fronts fail Cholesky above lam_1
+    S, M, m = dirichlet_pencil(1.0 / 12.0, RECT, homogeneous_gauge(b) if b else None)
     assert np.iscomplexobj(S.data) == bool(b)
     lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
     assert lam[2] - lam[1] > 1.0 and lam[3] - lam[2] > 1.0
@@ -178,9 +182,42 @@ def test_count_below_matches_dense_eigh(b, where):
     }[where]
     expected = {"below_1": 0, "between_2_3": 2, "above_3": 3, "between_3_4": 3}[where]
     assert np.sum(lam < sigma) == expected
-    factor = ResolventFactor(S, M, sigma)
-    assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
+    if kind == "tree":
+        factor = ResolventFactor(S, M, sigma, tree=m.tree)
+        assert factor._lu.negatives == expected  # counted as it was made
+        if where.startswith("between"):  # an indefinite factor solves, away from lam
+            x = np.random.default_rng(2).standard_normal(S.shape[0])
+            want = np.linalg.solve((S - sigma * M).toarray(), M @ x)
+            assert np.allclose(factor.apply(x), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    else:
+        factor = ResolventFactor(S, M, sigma)
+        assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
     assert count_below(factor) == expected
+
+
+@pytest.mark.parametrize("b", [0.0, 1.5], ids=["real", "magnetic"])
+@pytest.mark.parametrize("pencil", ["smoke", "cusp"])
+def test_tree_solve_matches_superlu(pencil, b):
+    # the criterion-9 smoke box and line, and the cusp-trend box and curve
+    if pencil == "smoke":
+        net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=1.0)
+        mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 16.0)
+    else:
+        net = cusp_network(2.0, 0.75)
+        mesh = build_mesh(((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 16.0)
+    strengths = dict.fromkeys(range(len(net.segments)), -6.0)
+    form = build_form(mesh, A=homogeneous_gauge(b) if b else None, net=net,
+                      strengths=strengths)
+    assert np.iscomplexobj(form.S.data) == bool(b) and form.tree is mesh.tree
+    sigma = -40.0  # below both spectra
+    tree = ResolventFactor(form.S, form.M, sigma, tree=form.tree)
+    lu = ResolventFactor(form.S, form.M, sigma)
+    assert count_below(tree) == count_below(lu) == 0
+    assert tree._lu.nnz < 0.7 * lu._lu.nnz
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(form.n) + (1j * rng.standard_normal(form.n) if b else 0.0)
+    want = lu.apply(x)
+    assert np.max(np.abs(tree.apply(x) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_count_below_frees_the_copy_of_the_factor_and_counts_once():
@@ -269,6 +306,23 @@ def test_non_hermitian_pencil_is_refused():
     lam = sla.eigh(S_mag.toarray(), M.toarray(), eigvals_only=True)
     assert np.allclose(lowest_eigs(S_mag, M, k=2).eigenvalues, lam[:2], rtol=1e-10, atol=0.0)
     assert count_below(ResolventFactor(S_mag, M, lam[0] - 1.0)) == 0
+
+
+def test_non_hermitian_pencil_is_refused_on_the_tree_path():
+    # a Cholesky front reads one triangle of its pencil: the factor would be
+    # made, so the Hermiticity check must come first
+    net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=0.5)
+    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 8.0)
+    form = build_form(mesh, net=net, strengths={0: -5.0 + 2.0j})
+    S, M = form.S, form.M
+    assert frontal.TreeFactor((S + 40.0 * M).tocsr(), mesh.tree).negatives == 0
+    for call in (
+        lambda: ResolventFactor(S, M, -40.0, tree=mesh.tree),
+        lambda: lowest_eigs(S, M, k=1, tree=mesh.tree),
+        lambda: lowest_eigs(S, M, k=1, upper_estimate=-1.0, tree=mesh.tree),
+    ):
+        with pytest.raises(NonHermitianError, match="not Hermitian"):
+            call()
 
 
 # --------------------------------------------------------- resolvent factor

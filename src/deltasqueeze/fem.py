@@ -255,10 +255,11 @@ def _rings(rects, nx, number):
                    + np.repeat(step, length) * np.arange(length.sum())]
     owner = np.repeat(np.arange(len(rects)), length.reshape(-1, 4).sum(axis=1))
     keep = nodes >= 0
-    key = np.sort(owner[keep] * len(number) + nodes[keep])  # by owner, then node
-    owner, nodes = np.divmod(key, len(number))
-    ring_ptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(rects)))])
-    return ring_ptr, nodes
+    owner = owner[keep]
+    count = np.bincount(owner, minlength=len(rects))
+    base = np.repeat(np.arange(len(rects)) * len(number), count)
+    ring = np.sort(owner * len(number) + nodes[keep]) - base  # by owner, then node
+    return np.concatenate([[0], np.cumsum(count)]), ring
 
 
 # fixed P1 gradients of the two triangle classes, scaled by 1/h at use time

@@ -139,7 +139,7 @@ def _entries(plan: _Plan, tree, A):
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     at = np.flatnonzero(rows >= A.indices)
     i, j = rows[at], A.indices[at]
-    s = np.searchsorted(tree.starts, j, side="right") - 1
+    s = np.repeat(np.arange(len(tree.parent)), np.diff(tree.starts))[j]  # supernode of j
     start, side, p = (x[s] for x in plan.front)
     row = i - tree.starts[s]
     outside = i >= tree.starts[s + 1]
@@ -147,7 +147,7 @@ def _entries(plan: _Plan, tree, A):
     row[outside] = p[outside] + np.searchsorted(_ring_key(tree), so * n + i[outside]) \
         - tree.ring_ptr[so]
     slot = start + row * side + (j - tree.starts[s])
-    d = plan.depth[s]
+    d = plan.depth[s].astype(np.int16)  # a stable sort of small integers is a radix sort
     order = np.argsort(d, kind="stable")
     cuts = np.cumsum(np.bincount(d, minlength=len(plan.depths)))[:-1]
     entry_map = list(zip(np.split(slot[order].astype(np.int32), cuts),
@@ -230,8 +230,8 @@ class TreeFactor:
                 tri = (g.p + i) * (g.p + g.R + 1) + g.p + j  # their offsets in a front
                 for c in _chunks(len(F), len(i)):
                     pos = g.pos[c]
-                    target = (g.parent[c, None] + np.take(pos, i, axis=1) * g.side[c, None]
-                              + np.take(pos, j, axis=1))
+                    row = g.parent[c, None] + pos * g.side[c, None]  # buffer offsets of rows
+                    target = np.take(row, i, axis=1) + np.take(pos, j, axis=1)
                     np.add.at(buffer, target.ravel(),
                               np.take(F[c].reshape(-1, F[0].size), tri, axis=1).ravel())
             below = []

@@ -490,12 +490,14 @@ def hermiticity_residual(S):
 @dataclass(frozen=True)
 class AssembledForm:
     """Interior-node matrices of one operator: S Hermitian-ish, M SPD mass,
-    and the separator tree of their numbering (None for none)."""
+    the separator tree of their numbering (None for none), and the rows
+    where S may differ from its base form's S (None for unknown)."""
 
     S: sp.spmatrix
     M: sp.spmatrix
     meta: dict = field(default_factory=dict)
     tree: DissectionTree | None = field(default=None, repr=False, compare=False)
+    tube: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self):
@@ -545,6 +547,8 @@ def build_form(
     (mesh, A, Q) (ValueError for another one), or from `assemble_base`; the
     form adds the restrictions of its own terms to base.S and shares base.M.
     Adding after restricting gives the entries of restricting the full sum.
+    The form's `tube` marks the rows where those terms have entries: outside
+    them S is base.S, bitwise.
     """
     if strengths is not None and net is None:
         raise ValueError("delta strengths need a network")
@@ -552,11 +556,14 @@ def build_form(
         base = assemble_base(mesh, A, Q)
     elif not base.matches(mesh, A, Q):
         raise ValueError("base form of another mesh, vector potential or background")
-    S = base.S
-    if potential is not None:
-        S = S + restrict(mesh, assemble_volume_potential(mesh, potential))
+    S, tube = base.S, np.zeros(base.S.shape[0], dtype=bool)
+    terms = [] if potential is None else [assemble_volume_potential(mesh, potential)]
     if strengths is not None:
-        S = S + restrict(mesh, assemble_delta_term(mesh, net, strengths))
+        terms.append(assemble_delta_term(mesh, net, strengths))
+    for term in terms:
+        term = restrict(mesh, term)
+        tube |= np.diff(term.indptr) > 0
+        S = S + term
     meta = {
         "mesh": mesh.summary(),
         "magnetic": A is not None,
@@ -564,4 +571,4 @@ def build_form(
         "squeezed_eps": getattr(potential, "eps", None),
         "hermiticity_residual": hermiticity_residual(S),
     }
-    return AssembledForm(S=S, M=base.M, meta=meta, tree=mesh.tree)
+    return AssembledForm(S=S, M=base.M, meta=meta, tree=mesh.tree, tube=tube)

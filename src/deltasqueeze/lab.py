@@ -552,6 +552,16 @@ def _eps_sweep(op, form_delta, ground, shift, eps_grid, *, threads, solve=True, 
     """[(eigensolve, norm)] of the squeezed pencils of `op`, one per eps of
     `eps_grid`, each from one factor at `shift`.
 
+    The delta pencil and every squeezed one agree outside the rows of the
+    line term and of the widest tube, the first eps's.  So the delta factor
+    at `shift` keeps its fronts outside those rows, and each eps factor
+    reuses them: it factors only the fronts of the tube and their ancestors,
+    about a third of the entries, and each application of the resolvent
+    difference takes one sweep each way over the shared fronts
+    (`spectral.ResolventFactor` `share`).  The delta factor and form and one
+    eps form and factor are live at a time, plus the first eps form until
+    its point.
+
     A point assembles its form, passes it to `dump(tag, form)` when given,
     and factors it on the mesh's dissection tree.  The factor is certified
     by its inertia count: in `spectral.lowest_eigs` with `solve`, which
@@ -561,15 +571,20 @@ def _eps_sweep(op, form_delta, ground, shift, eps_grid, *, threads, solve=True, 
     against the factor of `form_delta` at `shift`, from `ground`; the caller
     places `shift` below the delta eigenvalue.
     """
+    # the widest tube holds every other: the delta factor keeps its fronts
+    # outside the rows of its line term and that tube for the eps factors
+    forms = {eps_grid[0]: op.form(eps_grid[0])}
     factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift,
-                                            tree=form_delta.tree)
+                                            tree=form_delta.tree,
+                                            share=form_delta.tube | forms[eps_grid[0]].tube)
 
     def point(eps):
         try:
-            form = op.form(eps)
+            form = forms.pop(eps) if eps in forms else op.form(eps)
             if dump is not None:
                 dump(f"eps_{eps:g}", form)
-            factor, res = spectral.ResolventFactor(form.S, form.M, shift, tree=form.tree), None
+            factor, res = spectral.ResolventFactor(form.S, form.M, shift, tree=form.tree,
+                                                   share=factor_delta), None
             if solve:
                 try:
                     res = spectral.lowest_eigs(form.S, form.M, factor=factor, v0=ground)

@@ -19,11 +19,16 @@ CSC copies of L and U, about the size of the factor again, frees them once
 it has the count, and stores the count on the factor.  A factor whose
 count is 0 is a certified shift: `lowest_eigs` reuses it for shift-invert
 Lanczos and `resolvent_diff_norm` for the norm, one factorization per
-pencil.  An eigensolve with no such factor makes its own in the one loop
-that lowers a shift, until the inertia count is 0.  Given a variational
-upper estimate, the loop checks its first factor by the eigenvalues it
-yields instead of its count, which saves a SuperLU factor that transient
-copy; every later factor is counted.  Eigensolves and norms are one ARPACK
+pencil.  Mesh pencils at one shift that differ only inside a tube share
+the fronts outside it: a factor made with `share` set to the tube keeps
+them, and a factor made with `share` set to that factor reuses them, so it
+factors only the tube fronts, and the norm of their resolvent difference
+takes one sweep each way over the shared fronts per application.  An
+eigensolve with no certified factor makes its own in the one loop that
+lowers a shift, until the inertia count is 0.  Every tree factor is counted,
+for free; given a variational upper estimate, the loop checks the first
+SuperLU factor by the eigenvalues it yields instead of its count, which
+saves that transient copy.  Eigensolves and norms are one ARPACK
 Lanczos call each and need a Hermitian pencil: `lowest_eigs`
 and every `ResolventFactor` refuse one whose Hermiticity residual exceeds
 round-off (NonHermitianError).  Eigensolves stop at the relative residual
@@ -113,7 +118,7 @@ class SpectralResult:
 class NormResult:
     value: float
     converged: bool
-    iterations: int  # applications of R_delta - R_eps, one solve per factor each
+    iterations: int  # applications of R_delta - R_eps
 
 
 @dataclass(frozen=True)
@@ -149,11 +154,13 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
     inertia count is 0.  A certified factor is used as is, at its shift.
 
     `upper_estimate` is a known bound lam_1 <= upper_estimate (e.g. a
-    variational Rayleigh quotient).  With a `shift`, or a negative estimate
-    to seed the shift rule, the loop checks its first factor by the result
-    instead of an inertia count: finite, none below the shift, lam_1 at
-    most 0.5 max(1, |upper_estimate|) above the estimate; every later
-    factor is checked by inertia.  An estimate >= 0 gives the rule no scale.
+    variational Rayleigh quotient).  Without a `shift`, a negative estimate
+    seeds the shift rule; an estimate >= 0 gives the rule no scale.  Every
+    tree factor is checked by its inertia count, which it carries.  With a
+    `shift` or a seeded rule, the first SuperLU factor is checked by the
+    result instead: finite, none below the shift, lam_1 at most
+    0.5 max(1, |upper_estimate|) above the estimate; every later factor is
+    checked by inertia.
 
     Every sparse path runs Lanczos with a basis of max(2k + 1, 20) vectors,
     the ARPACK default, to the relative Ritz residual EIG_RTOL (1e-12; the
@@ -188,13 +195,14 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
         if np.iscomplexobj(S.data):
             v0 = v0 + 1j * rng.standard_normal(n)
     # a given factor was counted above; the first factor of an estimate is
-    # checked by its eigenvalues: a tree factor carries a count, unread here
+    # checked by its eigenvalues when it is a SuperLU one, whose count costs
+    # a copy: a tree factor's count is free
     certified = factor is not None
-    window = not certified and upper_estimate is not None and (
-        shift is not None or upper_estimate < 0.0)
+    seeded = upper_estimate is not None and (shift is not None or upper_estimate < 0.0)
+    window = not certified and seeded and tree is None
     if shift is None:
         # variational estimates may miss vertex deepening factors
-        shift = upper_estimate - max(1.0, 3.0 * abs(upper_estimate)) if window else -1.0
+        shift = upper_estimate - max(1.0, 3.0 * abs(upper_estimate)) if seeded else -1.0
     for _ in range(64):  # 2**64 below the start: only a non-definite M gets here
         if factor is None:
             try:
@@ -273,16 +281,26 @@ class ResolventFactor:
     Hermitian to round-off (a Cholesky front reads one triangle only), and
     RuntimeError when it is singular (exactly, for SuperLU; to working
     precision in a pivot block of the tree factor).
+
+    `share`, on the tree path, is a boolean mask of the unknowns of a tube
+    (say the rows where this pencil or a later one differs from their common
+    base form), or a factor made with one at this shift on this tree.  The
+    first keeps the fronts outside the tube for later factors; the second
+    factors only the fronts of the tube and their ancestors when S - lambda M
+    agrees with that factor's matrix, bitwise, in every other front, and
+    factors in full otherwise (`frontal.TreeFactor`).
     """
 
-    def __init__(self, S, M, lam: float, *, tree=None):
+    def __init__(self, S, M, lam: float, *, tree=None, share=None):
         self.M = M.tocsr()
         self.lam = float(lam)
         A = (S - lam * self.M).tocsr()
         _check_hermitian(A, f"S - {self.lam:g} M")
         if tree is not None:
             A.sum_duplicates()  # canonical CSR, as the tree factor reads it
-            self._lu = TreeFactor(A, tree)
+            if isinstance(share, ResolventFactor):
+                share = share._lu
+            self._lu = TreeFactor(A, tree, share=share)
             self._below = self._lu.negatives
             return
         self._lu = spla.splu(
@@ -344,7 +362,10 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     iterates OP = D and returns 1/mu for its largest eigenvalue mu in
     magnitude; its residual test bounds |theta - mu| <= NORM_RTOL |theta|
     (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  Each
-    application of D costs one solve per factor.
+    application of D costs one solve per factor, or, when R_eps shares the
+    fronts outside a tube with R_delta (`ResolventFactor` `share`), one
+    sweep each way over those fronts and two over the tube fronts
+    (`frontal.TreeFactor.solve_difference`).
 
     Lanczos starts from v0 = D x0, the power step that also gives the lower
     bound ||D x0||_M / ||x0||_M and detects D = 0.  x0 is `start` when given,
@@ -377,10 +398,15 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     n = Mc.shape[0]
     applied = 0
 
+    lu_delta, lu_eps = R_delta._lu, R_eps._lu
+    shared = isinstance(lu_delta, TreeFactor) and lu_delta.shares(lu_eps)
+
     def diff(x):
         nonlocal applied
         applied += 1
-        return R_delta._lu.solve(x) - R_eps._lu.solve(x)
+        if shared:
+            return lu_delta.solve_difference(lu_eps, x)
+        return lu_delta.solve(x) - lu_eps.solve(x)
 
     x0 = np.random.default_rng(START_SEED).standard_normal(n) if start is None else start
     v0 = diff(Mc @ x0)  # D x0: complex for magnetic pencils

@@ -142,15 +142,17 @@ def test_warm_started_norms_match_random_starts(name):
         assert norm == pytest.approx(cold.value, rel=1e-10)
 
 
-def test_convergence_threads_match_serial():
-    rep1, _ = run_convergence(small_convergence_cfg())
-    rep2, _ = run_convergence(small_convergence_cfg(threads=2))
+def test_convergence_threads_match_serial(tmp_path):
+    rep1, _ = run_convergence(small_convergence_cfg(out=str(tmp_path / "1")))
+    rep2, _ = run_convergence(small_convergence_cfg(threads=2, out=str(tmp_path / "2")))
     assert rep1["res_norms"] == rep2["res_norms"]
     assert rep1["lam_eps"] == rep2["lam_eps"]
+    assert (tmp_path / "1" / "data.csv").read_bytes() == (tmp_path / "2" / "data.csv").read_bytes()
 
 
 def test_eps_workers_read_the_shared_base_without_changing_it(monkeypatch):
-    # three eps workers on two cores, switching often, all on one base
+    # three eps workers on two cores, switching often, all on one base and on
+    # the one delta factor whose fronts outside the tube they share
     assemble_base, bases = fem.assemble_base, []
 
     def arrays(base):
@@ -196,21 +198,43 @@ def refusing_counts(monkeypatch, refused):
 
 
 def test_convergence_falls_back_to_fresh_factors_when_inertia_is_not_zero(monkeypatch):
+    # every tree factor is counted: the delta eigensolve's comes first, then
+    # the sweep's, each refused one followed by its fresh eigensolve's
     reused, _ = run_convergence(small_convergence_cfg())
-    counted = refusing_counts(monkeypatch, {1: 1})  # the eps = 0.35 factor
+    counted = refusing_counts(monkeypatch, {2: 1})  # the eps = 0.35 factor
     fallback, _ = run_convergence(small_convergence_cfg())
     # a norm is missing, so the sweep reruns, and counts its factors too
-    assert len(counted) == 2 * 3
-    assert all(f.lam == fallback["shift"] for f in counted)
+    assert len(counted) == 2 + 2 * 3
+    at_shift = [f.lam == fallback["shift"] for f in counted]
+    assert at_shift == [False, True, True, False] + [True] * 4
     monkeypatch.undo()
     # every factor of the first sweep refused: all eigensolves fresh
-    refusing_counts(monkeypatch, dict.fromkeys(range(3)))
+    refusing_counts(monkeypatch, dict.fromkeys((1, 3, 5)))
     all_fresh, _ = run_convergence(small_convergence_cfg())
     for key in REPORTED:
         assert np.allclose(fallback[key], all_fresh[key], rtol=1e-10, atol=0.0), key
         assert np.allclose(reused[key], all_fresh[key], rtol=1e-10, atol=0.0), key
     assert fallback["shift_verified_below_all_pencils"]
     assert all_fresh["shift_verified_below_all_pencils"]
+
+
+def test_every_eps_factor_of_a_run_shares_the_delta_exterior(monkeypatch):
+    # the main sweep, its rerun (the eps = 0.35 count refused) and refine_check:
+    # each eps factor takes the delta factor's fronts outside the tube
+    norm, pairs = spectral.resolvent_diff_norm, []
+
+    def recording(R_delta, R_eps, **kwargs):
+        pairs.append((R_delta._lu, R_eps._lu))
+        return norm(R_delta, R_eps, **kwargs)
+
+    monkeypatch.setattr(spectral, "resolvent_diff_norm", recording)
+    refusing_counts(monkeypatch, {2: 1})
+    report, _ = run_convergence(small_convergence_cfg(refine_check=True))
+    assert len(pairs) == 2 + 3 + 3 and None not in report["refine_check"]["norms"]
+    assert len({id(delta) for delta, _ in pairs}) == 3  # one delta factor per sweep
+    for delta, eps in pairs:
+        assert delta.shares(eps)
+        assert eps.nnz < 0.7 * delta.nnz
 
 
 def test_convergence_dump_writes_every_pencil(tmp_path):
@@ -269,9 +293,9 @@ def test_runners_factor_every_pencil_on_its_mesh_tree(monkeypatch, run, cfg):
         superlu.append(1)
         return splu(*args, **kwargs)
 
-    def tree_factor(self, A, tree):
+    def tree_factor(self, A, tree, **kwargs):
         trees.append(tree)
-        init(self, A, tree)
+        init(self, A, tree, **kwargs)
 
     monkeypatch.setattr(spectral.spla, "splu", counting)
     monkeypatch.setattr(frontal.TreeFactor, "__init__", tree_factor)
@@ -325,11 +349,13 @@ def test_convergence_refine_check_reports_every_eps():
 
 
 def test_refine_check_without_a_certified_h2_factor_has_no_norm_and_flags(monkeypatch):
-    # inertia refuses the h/2 factor of the largest eps only
+    # inertia refuses the h/2 factor of the largest eps only: the first h/2
+    # factor at the run's shift
+    shift = run_convergence(small_convergence_cfg())[0]["shift"]
     count_below, refused = spectral.count_below, []
 
     def refusing_the_first_fine_factor(factor):
-        if factor.M.shape[0] == 127**2 and not refused:
+        if factor.M.shape[0] == 127**2 and factor.lam == shift and not refused:
             refused.append(factor.lam)
             return None
         return count_below(factor)
@@ -361,7 +387,8 @@ def test_refine_check_with_the_shift_above_the_h2_delta_eigenvalue_has_no_norms(
     counted = refusing_counts(monkeypatch, {})
     report, status = run_convergence(small_convergence_cfg(refine_check=True))
     block = report["refine_check"]
-    assert len(counted) == 3  # the run's eps factors: no h/2 eps pencil is factored
+    # at the run's shift, the run's eps factors only: no h/2 eps pencil is factored
+    assert [f.M.shape[0] for f in counted if f.lam == report["shift"]] == [63**2] * 3
     assert block["norms"] == block["rel_changes"] == [None] * 3
     assert block["norm"] is None and block["norm_fit"] is None
     assert report["flags"] == {"discretization_dominates_eps_effect": True}
@@ -380,9 +407,10 @@ def test_refine_check_eigensolves_only_the_delta_pencils(monkeypatch):
 
 
 def test_convergence_uncertified_after_the_rerun_raises_shift_error(monkeypatch):
-    # the first sweep's counts refused: every eigensolve is fresh and the sweep
-    # reruns, where the count of the eps = 0.35 factor is refused again
-    refusing_counts(monkeypatch, {**dict.fromkeys(range(3)), 4: None})
+    # the first sweep's counts refused (after the delta eigensolve's factor,
+    # each followed by its fresh eigensolve's): every eigensolve is fresh and
+    # the sweep reruns, where the count of the eps = 0.35 factor is refused again
+    refusing_counts(monkeypatch, {**dict.fromkeys((1, 3, 5)), 8: None})
     with pytest.raises(spectral.ShiftError, match=r"eps=0\.35: shift .* not certified below "
                                                   r"the pencil at h = 0\.0625"):
         run_convergence(small_convergence_cfg())

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from deltasqueeze import frontal, spectral
 from deltasqueeze.fem import (
+    assemble_base,
     assemble_delta_term,
     assemble_magnetic_stiffness,
     assemble_mass,
@@ -140,6 +141,27 @@ def test_only_the_first_factor_of_an_estimate_is_not_counted(calls):
     assert res.shift < lam[0]
 
 
+def test_every_tree_factor_of_an_estimate_is_counted(monkeypatch):
+    # a first shift just above lam_1: its tree factor counts one eigenvalue
+    # below it, so the loop lowers the shift without an eigensolve there
+    S, M, _, mesh = segment_pencil(-14.0, 1.0, 1.0 / 8.0)
+    lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+    init, shifts, counted = ResolventFactor.__init__, [], []
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        shifts.append(self.lam)
+
+    monkeypatch.setattr(ResolventFactor, "__init__", recording)
+    monkeypatch.setattr(spectral, "count_below",
+                        lambda factor: counted.append(factor.lam) or count_below(factor))
+    res = lowest_eigs(S, M, k=1, shift=lam[0] + 0.1 * (lam[1] - lam[0]),
+                      upper_estimate=lam[0] + 1.0, tree=mesh.tree)
+    assert counted == shifts and len(shifts) >= 2
+    assert lam[0] < shifts[0] and res.shift == shifts[-1] < lam[0]
+    assert res.eigenvalues[0] == pytest.approx(lam[0], rel=1e-10)
+
+
 def test_certified_shift_far_below_the_start_matches_dense_eigh():
     S, M = deep_segment_pencil()
     lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
@@ -218,6 +240,80 @@ def test_tree_solve_matches_superlu(pencil, b):
     x = rng.standard_normal(form.n) + (1j * rng.standard_normal(form.n) if b else 0.0)
     want = lu.apply(x)
     assert np.max(np.abs(tree.apply(x) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def tube_pencils(pencil, b):
+    """(mesh, delta form, squeezed form) of the criterion-9 smoke box and line
+    or the cusp-trend box and curve at h = 1/16, on one base form: the
+    pencils of a convergence sweep, equal outside the squeezed tube."""
+    if pencil == "smoke":
+        net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=1.0)
+        mesh, eps = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 16.0), 0.5
+    else:
+        net = cusp_network(2.0, 0.75)
+        mesh, eps = build_mesh(((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 16.0), 0.25
+    A = homogeneous_gauge(b) if b else None
+    base = assemble_base(mesh, A)
+    strengths = dict.fromkeys(range(len(net.segments)), -6.0)
+    profiles = [constant_profile(k, -6.0 / (2.0 * net.beta), net.beta)
+                for k in range(len(net.segments))]
+    delta = build_form(mesh, A=A, net=net, strengths=strengths, base=base)
+    squeezed = build_form(mesh, A=A, potential=SqueezedPotential(net, profiles, eps), base=base)
+    return mesh, delta, squeezed
+
+
+@pytest.mark.parametrize("b", [0.0, 1.5], ids=["real", "magnetic"])
+@pytest.mark.parametrize("pencil", ["smoke", "cusp"])
+def test_shared_exterior_factor_matches_a_fresh_tree_factor(pencil, b):
+    mesh, delta, squeezed = tube_pencils(pencil, b)
+    tube = delta.tube | squeezed.tube
+    assert 0 < np.count_nonzero(tube) < 0.5 * tube.size
+    lam = lowest_eigs(squeezed.S, squeezed.M, k=2, tree=mesh.tree).eigenvalues
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(delta.n) + (1j * rng.standard_normal(delta.n) if b else 0.0)
+    # below the spectrum, and between lam_1 and lam_2: one negative pivot
+    for sigma, below in ((lam[0] - 10.0, 0), (0.5 * (lam[0] + lam[1]), 1)):
+        R_delta = ResolventFactor(delta.S, delta.M, sigma, tree=mesh.tree, share=tube)
+        R_eps = ResolventFactor(squeezed.S, squeezed.M, sigma, tree=mesh.tree, share=R_delta)
+        fresh = ResolventFactor(squeezed.S, squeezed.M, sigma, tree=mesh.tree)
+        assert R_delta._lu.shares(R_eps._lu) and not R_delta._lu.shares(fresh._lu)
+        assert R_eps._lu.nnz < 0.8 * fresh._lu.nnz
+        assert R_eps._lu.negatives == fresh._lu.negatives == below
+        assert count_below(R_delta) == count_below(ResolventFactor(
+            delta.S, delta.M, sigma, tree=mesh.tree))
+        want = fresh._lu.solve(x)
+        assert np.max(np.abs(R_eps._lu.solve(x) - want)) <= 1e-12 * np.max(np.abs(want))
+        solves = R_delta._lu.solve(x), R_eps._lu.solve(x)
+        diff = R_delta._lu.solve_difference(R_eps._lu, x)
+        assert np.max(np.abs(diff - (solves[0] - solves[1]))) <= 1e-12 * np.max(
+            np.abs(solves[0]))
+
+
+def test_a_pencil_that_differs_outside_the_tube_is_factored_in_full():
+    # one entry changed far from the tube, or one pair of entries added in a
+    # tube front: the bitwise comparison, or the pattern, refuses the exterior
+    mesh, delta, squeezed = tube_pencils("smoke", 0.0)
+    sigma = -40.0
+    R_delta = ResolventFactor(delta.S, delta.M, sigma, tree=mesh.tree,
+                              share=delta.tube | squeezed.tube)
+    changed = squeezed.S.copy()
+    assert not squeezed.tube[0]  # a corner unknown, in a leaf front far from the line
+    changed[0, 0] += 1e-3
+    widened = squeezed.S.tolil()
+    i = mesh.tree.starts[-2]  # on the root's cut line, two nodes apart: no mesh edge
+    assert squeezed.M[i, i + 2] == 0.0
+    widened[i, i + 2] = widened[i + 2, i] = 1e-3
+    x = np.random.default_rng(4).standard_normal(delta.n)
+    for S in (changed, widened.tocsr()):
+        R_eps = ResolventFactor(S, squeezed.M, sigma, tree=mesh.tree, share=R_delta)
+        fresh = ResolventFactor(S, squeezed.M, sigma, tree=mesh.tree)
+        assert not R_delta._lu.shares(R_eps._lu)
+        assert R_eps._lu.nnz == fresh._lu.nnz
+        want = fresh.apply(x)
+        assert np.max(np.abs(R_eps.apply(x) - want)) <= 1e-12 * np.max(np.abs(want))
+        # the norm takes two solves, as with unrelated factors
+        assert resolvent_diff_norm(R_delta, R_eps).value == pytest.approx(
+            resolvent_diff_norm(R_delta, fresh).value, rel=1e-10)
 
 
 def test_count_below_frees_the_copy_of_the_factor_and_counts_once():

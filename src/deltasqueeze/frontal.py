@@ -104,7 +104,12 @@ class _Plan:
 def _plan(tree, tube=None) -> _Plan:
     """The symbolic analysis of `tree`, with the tube fronts of the unknowns
     marked by the boolean mask `tube` (every front without one), kept in the
-    tree's cache: the last one only, since each holds the map of a pattern."""
+    tree's cache: the last one only, since each holds the map of a pattern.
+    Without a tube the cached plan serves whatever its tube: a factor made
+    without `share` factors its tube and shared fronts alike."""
+    plan = tree.cache.get("frontal")
+    if tube is None and plan is not None:
+        return plan
     marked = np.ones(len(tree.parent), dtype=bool)
     if tube is not None:
         if tube.shape != (tree.n,):
@@ -115,9 +120,9 @@ def _plan(tree, tube=None) -> _Plan:
             marked[s] = True
             s = np.unique(tree.parent[s])
             s = s[(s >= 0) & ~marked[np.maximum(s, 0)]]
-    plan = tree.cache.get("frontal")
     if plan is None or not np.array_equal(plan.tube, marked):
-        tree.cache.pop("frontal", None)  # freed before the next one is made
+        tree.cache.pop("frontal", None)
+        del plan  # freed before the next one is made
         plan = tree.cache["frontal"] = _analyse(tree, marked)
     return plan
 

@@ -28,18 +28,21 @@ eigensolve with no certified factor makes its own in the one loop that
 lowers a shift, until the inertia count is 0.  Every tree factor is counted,
 for free; given a variational upper estimate, the loop checks the first
 SuperLU factor by the eigenvalues it yields instead of its count, which
-saves that transient copy.  Eigensolves and norms are one ARPACK
-Lanczos call each and need a Hermitian pencil: `lowest_eigs`
-and every `ResolventFactor` refuse one whose Hermiticity residual exceeds
-round-off (NonHermitianError).  Eigensolves stop at the relative residual
-EIG_RTOL, not ARPACK's default of machine epsilon, which restarts a
-converged basis for another sweep; norms stop at NORM_RTOL.  An eigensolve
-starts from a given vector near the wanted eigenspace when the caller has
-one (a trial state, or the ground state of a nearby pencil), else from a
-random vector drawn with START_SEED.  A norm starts the same way, from a
-given vector near the top eigenvector of the resolvent difference (the delta
-ground state, or a trial state near it), in a basis of 8 vectors.  One fixed
-seed: identical inputs give bit-identical reports.
+saves that transient copy.  Eigensolves and norms are one Lanczos run each
+and need a Hermitian pencil: `lowest_eigs` and every `ResolventFactor`
+refuse one whose Hermiticity residual exceeds round-off
+(NonHermitianError).  Every norm and every eigensolve on a tree factor runs
+`_lanczos`, which tests its Ritz pairs after every step and so stops as
+soon as they pass, not when its basis is full; an eigensolve on a SuperLU
+factor (a pencil without a tree) runs ARPACK.  Eigensolves stop at the
+relative residual EIG_RTOL, not at machine epsilon; norms stop at
+NORM_RTOL.  An eigensolve starts from a given vector near the wanted
+eigenspace when the caller has one (a trial state, or the ground state of
+a nearby pencil), else from a random vector drawn with START_SEED.  A norm
+starts the same way, from a given vector near the top eigenvector of the
+resolvent difference (the delta ground state, or a trial state near it).
+One fixed seed and no state kept between calls: identical inputs give
+bit-identical reports.
 """
 
 from __future__ import annotations
@@ -72,8 +75,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-NORM_RTOL = 1e-10  # ARPACK relative residual tolerance of resolvent-difference norms
-EIG_RTOL = 1e-12  # ARPACK relative residual tolerance of shift-invert eigensolves
+NORM_RTOL = 1e-10  # Lanczos relative residual tolerance of resolvent-difference norms
+EIG_RTOL = 1e-12  # Lanczos relative residual tolerance of shift-invert eigensolves
+_BASIS = 20  # least Lanczos basis, max(2k + 1, 20) vectors: ARPACK's default ncv
+_CYCLES = 20  # basis fills before `_lanczos` gives up, as ARPACK's maxiter of the norms
 START_SEED = 7  # seed of every random Lanczos start: eigensolves and norms given no start
 HERMITIAN_RTOL = 1e-12  # round-off bound on max|A - A^H| / max|A|
 
@@ -135,12 +140,6 @@ def _lower(shift):
     return 2.0 * shift if shift < -0.5 else shift - max(1.0, 2.0 * abs(shift))
 
 
-def _m_orthonormalize(V, M):
-    G = V.conj().T @ (M @ V)
-    L = sla.cholesky(0.5 * (G + G.conj().T), lower=True)
-    return sla.solve_triangular(L, V.conj().T, lower=True).conj().T
-
-
 def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
                 upper_estimate: float | None = None,
                 factor: ResolventFactor | None = None, v0=None, tree=None) -> SpectralResult:
@@ -162,15 +161,19 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
     0.5 max(1, |upper_estimate|) above the estimate; every later factor is
     checked by inertia.
 
-    Every sparse path runs Lanczos with a basis of max(2k + 1, 20) vectors,
-    the ARPACK default, to the relative Ritz residual EIG_RTOL (1e-12; the
-    eigenvalues agree with a machine-precision run to about 1e-13 relative),
-    started from `v0` when given (a vector near the wanted eigenspace, such
-    as a positive trial state or the ground state of a nearby pencil;
-    ARPACK Users' Guide, SIAM 1998, sec. 4.4), else from a random vector
-    drawn with START_SEED.  Raises NonHermitianError when S or M is not
-    Hermitian to round-off (a factor was checked when it was made).  S and
-    M are used in CSR form, so a CSR pencil is never copied.
+    Every sparse path runs shift-invert Lanczos with a basis of
+    max(2k + 1, 20) vectors, the ARPACK default, to the relative Ritz
+    residual EIG_RTOL (1e-12; the eigenvalues agree with a machine-precision
+    run to about 1e-13 relative), started from `v0` when given (a vector
+    near the wanted eigenspace, such as a positive trial state or the
+    ground state of a nearby pencil; ARPACK Users' Guide, SIAM 1998, sec.
+    4.4), else from a random vector drawn with START_SEED.  On a tree
+    factor it is `_lanczos` on (S - sigma M)^-1 M, which tests after every
+    step (18 solves for the converge-line delta eigensolve against ARPACK's
+    21) and raises RuntimeError after _CYCLES fills; on a SuperLU factor it
+    is ARPACK.  Raises NonHermitianError when S or M is not Hermitian to
+    round-off (a factor was checked when it was made).  S and M are used in
+    CSR form, so a CSR pencil is never copied.
     """
     n = S.shape[0]
     S, M = S.tocsr(), M.tocsr()
@@ -212,8 +215,16 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
                 pass
         if factor is not None and (certified or window or count_below(factor) == 0):
             try:
-                w, V = _shift_invert(S, M, k, factor, v0)
-            except RuntimeError:  # ARPACK did not converge
+                if isinstance(factor._lu, TreeFactor):
+                    theta, V, converged = _lanczos(
+                        factor._lu.solve, M, np.asarray(v0, np.result_type(v0, S.dtype, float)),
+                        k, EIG_RTOL)
+                    if not converged:
+                        raise RuntimeError(f"Lanczos did not converge in {_CYCLES} basis fills")
+                    w = factor.lam + 1.0 / theta
+                else:
+                    w, V = _shift_invert(S, M, k, factor, v0)
+            except RuntimeError:  # Lanczos did not converge
                 if not window:
                     raise
                 w = None
@@ -225,6 +236,70 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
         window, factor = False, None  # freed before the next factorization
         shift = _lower(shift)
     raise ShiftError(f"no shift down to {shift} certified below the pencil spectrum")
+
+
+def _lanczos(apply, M, v0, k, tol):
+    """(theta, X, converged): the k eigenvalues theta of largest magnitude,
+    by decreasing |theta|, of an operator OP that is self-adjoint in the
+    M-inner product, with M-orthonormal Ritz vectors X (n x k), by Lanczos
+    from v0.
+
+    OP x = apply(M x) for a Hermitian `apply`, ARPACK's mode-3 convention:
+    apply = (S - sigma M)^-1 gives the spectral transformation of a pencil
+    (Ericsson & Ruhe, Math. Comp. 35 (1980) 1251-1268), apply = R_delta -
+    R_eps the resolvent difference D.  v0 has OP's dtype, real or complex.
+    Each step applies OP once and M-orthogonalises the result against the
+    whole basis by two classical Gram-Schmidt passes, so the projected
+    matrix Q^H M OP Q is read off their coefficients; its Ritz pairs are
+    tested after every step by ARPACK's rule, residual <= tol max(|theta|,
+    eps^(2/3)) for each of the k wanted ones.  A full basis of max(2k + 1,
+    20) vectors, ARPACK's default ncv, restarts thick from its
+    k + (cap - k)/2 Ritz vectors of largest |theta|, as many as ARPACK
+    keeps for k = 1, and the residual direction (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22 (2000) 602-616).  After _CYCLES fills without
+    convergence, X is None and theta holds the last Ritz values.
+    """
+    n = v0.shape[0]
+    cap = min(n, max(2 * k + 1, _BASIS))
+    keep = k + (cap - k) // 2
+    real = not np.iscomplexobj(v0)
+    # the one basis of the call, M-orthonormal rows, freed on return; rows
+    # past the last step are never written
+    Q = np.empty((cap, n), v0.dtype)
+    T = np.zeros((cap, cap), v0.dtype)  # Q^H M OP Q, upper triangle
+
+    def project(x):  # Q[:j + 1]^H x, conjugating x and the short result, never the basis
+        return Q[:j + 1] @ x if real else np.conj(Q[:j + 1] @ np.conj(x))
+
+    Mq = M @ v0
+    scale = np.sqrt(np.vdot(v0, Mq).real)
+    Q[0], Mq = v0 / scale, Mq / scale
+    floor = np.finfo(float).eps ** (2.0 / 3.0)
+    theta, j = np.empty(0), 0
+    for _ in range(_CYCLES):
+        for j in range(j, cap):
+            w = apply(Mq)
+            T[:j + 1, j] = 0.0
+            for _ in range(2):
+                c = project(M @ w)
+                T[:j + 1, j] += c
+                w -= c @ Q[:j + 1]
+            Mw = M @ w
+            beta = np.sqrt(np.vdot(w, Mw).real)
+            theta, Y = sla.eigh(T[:j + 1, :j + 1], lower=False)
+            order = np.argsort(-np.abs(theta))
+            theta, Y = theta[order], Y[:, order]
+            if j + 1 >= k and np.all(beta * np.abs(Y[j, :k])
+                                     <= tol * np.maximum(np.abs(theta[:k]), floor)):
+                return theta[:k], (Y[:, :k].T @ Q[:j + 1]).T, True
+            if j + 1 < cap:
+                Q[j + 1], Mq = w / beta, Mw / beta
+        Q[:keep] = Y[:, :keep].T @ Q
+        Q[keep], Mq = w / beta, Mw / beta
+        T[:] = 0.0
+        T[np.arange(keep), np.arange(keep)] = theta[:keep]
+        j = keep
+    return theta[:k], None, False
 
 
 def _shift_invert(S, M, k, factor, v0):
@@ -241,7 +316,7 @@ def _shift_invert(S, M, k, factor, v0):
         OPinv=op,
         which="LM",
         v0=v0,
-        ncv=min(n - 1, max(2 * k + 1, 20)),
+        ncv=min(n - 1, max(2 * k + 1, _BASIS)),
         tol=EIG_RTOL,
     )
     order = np.argsort(w)
@@ -249,10 +324,9 @@ def _shift_invert(S, M, k, factor, v0):
 
 
 def _finalize(S, M, w, V, shift):
-    V = _m_orthonormalize(V, M)
-    R = S @ V - (M @ V) * w[None, :]
-    residuals = np.linalg.norm(R, axis=0)
-    ray = np.einsum("ij,ij->j", V.conj(), S @ V)
+    SV = S @ V
+    residuals = np.linalg.norm(SV - (M @ V) * w[None, :], axis=0)
+    ray = np.einsum("ij,ij->j", V.conj(), SV)
     return SpectralResult(
         eigenvalues=np.asarray(w, dtype=float),
         eigenvectors=V,
@@ -354,14 +428,14 @@ def count_below(factor: ResolventFactor) -> int | None:
 
 def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
                         start=None) -> NormResult:
-    """M-operator norm of D = R_delta(lam) - R_eps(lam) by ARPACK Lanczos.
+    """M-operator norm of D = R_delta(lam) - R_eps(lam) by Lanczos.
 
     Both factors must be at one shift lam (else ValueError); the norm is
     taken in the inner product of R_delta.M, in which D is self-adjoint for
-    real lam.  `eigsh` in shift-invert mode at sigma = 0 with OPinv = D M^-1
-    iterates OP = D and returns 1/mu for its largest eigenvalue mu in
-    magnitude; its residual test bounds |theta - mu| <= NORM_RTOL |theta|
-    (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  Each
+    real lam, so it is the largest |eigenvalue| of D.  `_lanczos` iterates
+    OP = D and stops when the Ritz value theta of largest magnitude has
+    residual <= NORM_RTOL |theta|, ARPACK's test (Lehoucq, Sorensen & Yang,
+    ARPACK Users' Guide, SIAM 1998), checked after every step.  Each
     application of D costs one solve per factor, or, when R_eps shares the
     fronts outside a tube with R_delta (`ResolventFactor` `share`), one
     sweep each way over those fronts and two over the tube fronts
@@ -373,11 +447,12 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     pencil, or a trial state near it (the delta ground state of a line at
     h = 1/64 overlaps it by 0.96-0.98 in the M-inner product; ARPACK
     Users' Guide, sec. 4.4, on start vectors).  Otherwise x0 is a random
-    vector drawn with START_SEED.  The basis holds 8 vectors whatever the
-    start: from such a start the norm converges at ARPACK's first check,
-    after 10 applications of D, and from a random start after about 14, as
-    with a larger basis.  Without convergence in 20 restarts the result is
-    the lower bound, flagged non-converged.
+    vector drawn with START_SEED.  From such a start a converge-line norm
+    takes 8-9 applications of D, the power step included, and from a random
+    start 11-13 (ARPACK, which tests only a full basis, took 10 and 14).
+    Without convergence in _CYCLES fills the result is the larger of the
+    power step's bound and the largest |Ritz value|, both lower bounds,
+    flagged non-converged.  `iterations` counts the applications of D.
 
     Lanczos searches only the Krylov space of v0, so a started result is the
     norm of D only when `start` is not M-orthogonal to D's top eigenvector.
@@ -412,18 +487,11 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     v0 = diff(Mc @ x0)  # D x0: complex for magnetic pencils
     # vdot conjugates x0: a magnetic ground state is complex
     lower = np.sqrt(abs(np.vdot(v0, Mc @ v0)) / np.vdot(x0, Mc @ x0).real)
-    if lower == 0.0:  # D = 0: ARPACK refuses a zero start vector
+    if lower == 0.0:  # D = 0: no Krylov space to search
         return NormResult(0.0, True, applied)
-    op = spla.LinearOperator((n, n), matvec=diff, dtype=v0.dtype)
-    try:
-        # 8 vectors, not the eigensolves' 20: from a start near the top
-        # eigenvector the norm converges at ARPACK's first check
-        w = spla.eigsh(op, k=1, M=Mc, sigma=0.0, OPinv=op, which="LM", v0=v0,
-                       ncv=min(n - 1, 8), tol=NORM_RTOL, maxiter=20,
-                       return_eigenvectors=False)
-    except spla.ArpackNoConvergence:
-        return NormResult(float(lower), False, applied)
-    return NormResult(float(1.0 / abs(w[0])), True, applied)
+    theta, _, converged = _lanczos(diff, Mc, v0, 1, NORM_RTOL)
+    value = abs(theta[0]) if converged else max([lower, *np.abs(theta)])
+    return NormResult(float(value), converged, applied)
 
 
 def fit_rate(eps, values, *, confidence: float = 0.95) -> RateFit:

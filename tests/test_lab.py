@@ -5,7 +5,6 @@ import logging
 import os
 import re
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -125,13 +124,16 @@ NORM_GEOMETRIES = {
     "parallel_lines": {"network": {"beta_cap": 1.0, "segments": line_spec(
         ((-1.0, -0.75), (1.0, -0.75)), ((-1.0, 0.75), (1.0, 0.75)))}},
 }
+# most applications of D that a warm-started norm takes on each geometry
+NORM_APPLICATIONS = {"attractive_line": 7, "repulsive_line": 8, "weak_line": 8,
+                     "star_3_arms": 9, "magnetic_arc": 10, "parallel_lines": 9}
 
 
 @pytest.mark.parametrize("name", list(NORM_GEOMETRIES))
 def test_warm_started_norms_match_random_starts(name):
     cfg = small_convergence_cfg(**NORM_GEOMETRIES[name])
     report, _ = run_convergence(cfg)
-    assert max(report["solver"]["power_iterations"]) <= 10
+    assert max(report["solver"]["power_iterations"]) <= NORM_APPLICATIONS[name]
     op = config_operator(cfg)
     form_delta = op.form()
     R_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, report["shift"])
@@ -201,10 +203,16 @@ def test_convergence_falls_back_to_fresh_factors_when_inertia_is_not_zero(monkey
     # every tree factor is counted: the delta eigensolve's comes first, then
     # the sweep's, each refused one followed by its fresh eigensolve's
     reused, _ = run_convergence(small_convergence_cfg())
+    analyse, analysed = frontal._analyse, []
+    monkeypatch.setattr(frontal, "_analyse",
+                        lambda tree, tube: analysed.append(tree) or analyse(tree, tube))
     counted = refusing_counts(monkeypatch, {2: 1})  # the eps = 0.35 factor
     fallback, _ = run_convergence(small_convergence_cfg())
     # a norm is missing, so the sweep reruns, and counts its factors too
     assert len(counted) == 2 + 2 * 3
+    # the delta eigensolve's plain plan, then the sweep's tube plan, which
+    # the fresh eigensolve and the rerun reuse
+    assert len(analysed) == 2
     at_shift = [f.lam == fallback["shift"] for f in counted]
     assert at_shift == [False, True, True, False] + [True] * 4
     monkeypatch.undo()
@@ -284,36 +292,41 @@ def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch, r
                  "mesh": {"box": [[-1.5, 1.5], [-1.5, 1.5]], "h": 1.0 / 16.0}}),
 ], ids=["convergence", "refine_check", "cusp", "stargraph", "spectrum", "wedge"])
 def test_runners_factor_every_pencil_on_its_mesh_tree(monkeypatch, run, cfg):
-    # SuperLU is left to pencils without a tree; every runner's pencil is a
-    # mesh pencil, factored on the mesh's dissection tree
-    splu, init = spectral.spla.splu, frontal.TreeFactor.__init__
-    superlu, trees = [], []
+    # SuperLU and ARPACK are left to pencils without a tree; every runner's
+    # pencil is a mesh pencil, factored on the mesh's dissection tree, and
+    # its eigensolves and norms run `spectral._lanczos` on that factor
+    splu, eigsh, init = spectral.spla.splu, spectral.spla.eigsh, frontal.TreeFactor.__init__
+    superlu, arpack, trees = [], [], []
 
     def counting(*args, **kwargs):
         superlu.append(1)
         return splu(*args, **kwargs)
+
+    def arpack_counting(*args, **kwargs):
+        arpack.append(1)
+        return eigsh(*args, **kwargs)
 
     def tree_factor(self, A, tree, **kwargs):
         trees.append(tree)
         init(self, A, tree, **kwargs)
 
     monkeypatch.setattr(spectral.spla, "splu", counting)
+    monkeypatch.setattr(spectral.spla, "eigsh", arpack_counting)
     monkeypatch.setattr(frontal.TreeFactor, "__init__", tree_factor)
     run(cfg)
-    assert superlu == []
+    assert superlu == [] and arpack == []
     assert trees and all(isinstance(t, fem.DissectionTree) for t in trees)
 
 
 def test_convergence_flags_nonconverged_power_iteration(monkeypatch, tmp_path):
-    spla = spectral.spla  # the real module: the proxy's eigsh calls it
+    norm = spectral.resolvent_diff_norm
 
-    def eigsh(*args, **kwargs):
-        if kwargs["sigma"] == 0.0:  # the norms; every eigensolve shifts below 0
-            raise spla.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
-        return spla.eigsh(*args, **kwargs)
+    def capped(*args, **kwargs):  # the norms' Lanczos gives up before its first step
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_CYCLES", 0)
+            return norm(*args, **kwargs)
 
-    proxy = types.SimpleNamespace(**{**vars(spla), "eigsh": eigsh})
-    monkeypatch.setattr(spectral, "spla", proxy)
+    monkeypatch.setattr(spectral, "resolvent_diff_norm", capped)
     report, status = run_convergence(small_convergence_cfg(out=str(tmp_path)))
     assert report["res_converged"] == [False, False, False]
     assert report["flags"]["power_iteration_nonconverged"]
@@ -550,15 +563,15 @@ def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
     op = config_operator(cfg)
     res_delta = op.solve(op.form())
     ground = res_delta.eigenvectors[:, 0]
-    eigsh, starts = spectral.spla.eigsh, []
+    lanczos, starts = spectral._lanczos, []
 
-    def capturing(*args, **kwargs):
-        starts.append(kwargs["v0"])
-        return eigsh(*args, **kwargs)
+    def capturing(apply, M, v0, k, tol):
+        starts.append(v0)
+        return lanczos(apply, M, v0, k, tol)
 
-    monkeypatch.setattr(spectral.spla, "eigsh", capturing)
+    monkeypatch.setattr(spectral, "_lanczos", capturing)
     report, _ = run_convergence(cfg)
-    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
+    monkeypatch.setattr(spectral, "_lanczos", lanczos)
     assert sum(np.array_equal(v, ground) for v in starts) == len(cfg["eps_grid"])
     # the warm start finds the eigenvalue of the random start
     shift = report["shift"]
@@ -571,29 +584,28 @@ def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
 
 def test_delta_eigensolve_starts_from_the_trial_state(monkeypatch):
     # n = 3969: from the positive trial state, at the relative tolerance
-    # EIG_RTOL, Lanczos converges at ARPACK's first check (31 solves from a
-    # random start at machine precision)
+    # EIG_RTOL, Lanczos converges after 14 solves
     op = config_operator(small_convergence_cfg())
     form = op.form()
     assert form.S.shape[0] == 3969
     _, trial = trial_upper_bound(op.distances, op.strengths, form)
     solves, starts = [], []
-    solve, eigsh = frontal.TreeFactor.solve, spectral.spla.eigsh
+    solve, lanczos = frontal.TreeFactor.solve, spectral._lanczos
 
     def counting(self, b):
         solves.append(1)
         return solve(self, b)
 
-    def capturing(*args, **kwargs):
-        starts.append(kwargs["v0"])
-        return eigsh(*args, **kwargs)
+    def capturing(apply, M, v0, k, tol):
+        starts.append(v0)
+        return lanczos(apply, M, v0, k, tol)
 
     monkeypatch.setattr(frontal.TreeFactor, "solve", counting)
-    monkeypatch.setattr(spectral.spla, "eigsh", capturing)
+    monkeypatch.setattr(spectral, "_lanczos", capturing)
     res = op.solve(form)
     monkeypatch.undo()
     assert len(starts) == 1 and np.array_equal(starts[0], trial)
-    assert 0 < len(solves) <= 21
+    assert 0 < len(solves) <= 14
     # Fortran-ordered dense copies that eigh may overwrite: one copy each
     lam = sla.eigh(form.S.toarray(order="F"), form.M.toarray(order="F"), eigvals_only=True,
                    subset_by_index=[0, 0], overwrite_a=True, overwrite_b=True)

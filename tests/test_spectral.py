@@ -1,6 +1,5 @@
 import logging
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -65,10 +64,17 @@ def test_dirichlet_square_eigs_with_degenerate_pair():
     assert res.rayleigh_imag <= 1e-10
 
 
+def m_orthonormality(res, M):
+    """max|V^H M V - I| of the eigenvectors V of `res`."""
+    V = res.eigenvectors
+    return np.abs(V.conj().T @ (M @ V) - np.eye(V.shape[1])).max()
+
+
 def test_identity_pencil():
     M = restrict(*(lambda m: (m, assemble_mass(m)))(build_mesh(((0, 1), (0, 1)), 0.125)))
-    res = lowest_eigs(M, M, k=4)
+    res = lowest_eigs(M, M, k=4)  # n = 49: the dense path
     assert np.allclose(res.eigenvalues, 1.0, atol=1e-10)
+    assert m_orthonormality(res, M) <= 1e-13
 
 
 def test_segment_bound_state_above_line_threshold_and_monotone_in_length():
@@ -346,6 +352,7 @@ def test_certified_factor_reproduces_the_fresh_eigensolve():
     assert reused.shift == sigma
     assert np.allclose(reused.eigenvalues, fresh.eigenvalues, rtol=1e-10, atol=0.0)
     assert np.all(reused.residuals <= 1e-8)
+    assert max(m_orthonormality(fresh, M), m_orthonormality(reused, M)) <= 1e-13  # ARPACK
 
 
 def test_lowest_eigs_starts_lanczos_from_the_given_vector(monkeypatch):
@@ -363,6 +370,32 @@ def test_lowest_eigs_starts_lanczos_from_the_given_vector(monkeypatch):
     cold = lowest_eigs(S, M, k=2, factor=factor)
     assert starts[0] is start and starts[1] is not start
     assert np.allclose(warm.eigenvalues, cold.eigenvalues, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("field_b, h, k, basis", [(0.0, 1.0 / 16.0, 1, 20),
+                                                  (1.5, 1.0 / 8.0, 4, 9)],
+                         ids=["smoke-delta", "magnetic-restarted"])
+def test_lanczos_on_a_tree_pencil_matches_dense_eigh(monkeypatch, field_b, h, k, basis):
+    # a tree factor's eigensolve is `_lanczos`; with a basis of 9 vectors the
+    # k = 4 one restarts at least twice, keeping k + (9 - k) // 2 Ritz vectors
+    form, _ = line_forms(field_b, h)
+    assert np.iscomplexobj(form.S.data) == bool(field_b)
+    lanczos, applied = spectral._lanczos, []
+
+    def counting(apply, M, v0, k, tol):
+        return lanczos(lambda y: applied.append(1) or apply(y), M, v0, k, tol)
+
+    monkeypatch.setattr(spectral, "_BASIS", basis)
+    monkeypatch.setattr(spectral, "_lanczos", counting)
+    res = lowest_eigs(form.S, form.M, k=k, tree=form.tree)
+    refill = basis - (k + (basis - k) // 2)  # the steps of a fill after a restart
+    assert len(applied) > (basis + refill if k > 1 else 0)
+    assert m_orthonormality(res, form.M) <= 1e-13
+    assert np.all(res.residuals <= 1e-8)
+    # Fortran-ordered dense copies that eigh may overwrite: one copy each
+    lam = sla.eigh(form.S.toarray(order="F"), form.M.toarray(order="F"), eigvals_only=True,
+                   subset_by_index=[0, k - 1], overwrite_a=True, overwrite_b=True)
+    assert np.allclose(res.eigenvalues, lam, rtol=1e-10, atol=0.0)
 
 
 def test_factor_and_eigensolve_keep_a_csr_mass_matrix_uncopied():
@@ -543,23 +576,35 @@ def test_norm_of_a_plus_minus_eigenvalue_pair():
     assert out.value == pytest.approx(0.5, rel=1e-10)
 
 
-def line_norm_pencils(field_b):
-    """Factors of the delta and the eps = 0.5 squeezed pencil of a line with
-    alpha = -5 at h = 1/8, at lam_delta - max(1, |lam_delta|), with the delta
-    ground state and the dense resolvent difference D."""
+def line_forms(field_b, h):
+    """The delta form and the eps = 0.5 squeezed form of a line with
+    alpha = -5 on [-2, 2]^2; at h = 1/16 the delta form is the pencil of the
+    benchmark's smoke config."""
     alpha, beta = -5.0, 1.0
     net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=beta)
-    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 8.0)
+    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), h)
     A = homogeneous_gauge(field_b) if field_b else None
-    delta = build_form(mesh, A=A, net=net, strengths={0: alpha})
     W = SqueezedPotential(net, [constant_profile(0, alpha / (2 * beta), beta)], 0.5)
-    S_eps = build_form(mesh, A=A, potential=W).S
+    return (build_form(mesh, A=A, net=net, strengths={0: alpha}),
+            build_form(mesh, A=A, potential=W))
+
+
+def line_norm_pencils(field_b, *, shared=False):
+    """Factors of the delta and the eps = 0.5 squeezed pencil of a line with
+    alpha = -5 at h = 1/8, at lam_delta - max(1, |lam_delta|), with the delta
+    ground state and the dense resolvent difference D.  SuperLU factors, or
+    with `shared` tree factors, the eps one on the delta one's exterior."""
+    delta, eps = line_forms(field_b, 1.0 / 8.0)
     ground = lowest_eigs(delta.S, delta.M, k=1, shift=-12.0)
     lam = ground.eigenvalues[0] - max(1.0, abs(ground.eigenvalues[0]))
     M = delta.M.toarray()
     D = (sla.solve(delta.S.toarray() - lam * M, M)
-         - sla.solve(S_eps.toarray() - lam * M, M))
-    factors = ResolventFactor(delta.S, delta.M, lam), ResolventFactor(S_eps, delta.M, lam)
+         - sla.solve(eps.S.toarray() - lam * M, M))
+    if shared:
+        R_d = ResolventFactor(delta.S, delta.M, lam, tree=delta.tree, share=delta.tube | eps.tube)
+        factors = R_d, ResolventFactor(eps.S, delta.M, lam, tree=eps.tree, share=R_d)
+    else:
+        factors = ResolventFactor(delta.S, delta.M, lam), ResolventFactor(eps.S, delta.M, lam)
     return factors, ground.eigenvectors[:, 0], D
 
 
@@ -570,19 +615,23 @@ def test_norm_from_the_delta_ground_state_matches_dense_eigenvalues(field_b):
     out = resolvent_diff_norm(R_d, R_e, start=start)
     assert out.converged
     assert out.value == pytest.approx(np.max(np.abs(sla.eigvals(D))), rel=1e-10)
-    assert out.iterations <= 10  # ARPACK's first check passes in an 8-vector basis
+    assert out.iterations <= 7  # the power step and 6 Lanczos steps
+
+
+@pytest.mark.parametrize("field_b", [0.0, 1.5], ids=["real", "magnetic"])
+def test_norm_on_factors_that_share_an_exterior_matches_dense_eigenvalues(field_b):
+    # each application of D takes one sweep each way over the shared fronts
+    (R_d, R_e), start, D = line_norm_pencils(field_b, shared=True)
+    assert R_d._lu.shares(R_e._lu)
+    out = resolvent_diff_norm(R_d, R_e, start=start)
+    assert out.converged
+    assert out.value == pytest.approx(np.max(np.abs(sla.eigvals(D))), rel=1e-10)
 
 
 def test_nonconverged_norm_returns_the_lower_bound_of_a_complex_start(monkeypatch):
     (R_d, R_e), start, D = line_norm_pencils(1.5)
     assert np.abs(start.imag).max() > 1e-3 * np.abs(start).max()  # genuinely complex
-    spla = spectral.spla
-
-    def eigsh(*args, **kwargs):
-        raise spla.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
-
-    proxy = types.SimpleNamespace(**{**vars(spla), "eigsh": eigsh})
-    monkeypatch.setattr(spectral, "spla", proxy)
+    monkeypatch.setattr(spectral, "_CYCLES", 0)  # Lanczos gives up before its first step
     out = resolvent_diff_norm(R_d, R_e, start=start)
     M = R_d.M.toarray()
 

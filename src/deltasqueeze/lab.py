@@ -320,7 +320,7 @@ class Operator:
         W = potentials.SqueezedPotential(self.net, self.profiles, eps)
         return fem.build_form(self.mesh, A=self.A, Q=self.Q, potential=W, base=self.base)
 
-    def solve(self, form, eps=None, *, k: int = 1):
+    def solve(self, form, eps=None, *, k: int = 1, values_only: bool = False):
         """The k lowest eigenpairs of `form`, the delta form (eps None) or the
         squeezed form of width eps, factored on the form's dissection tree.  A
         squeezed pencil is shifted to its potential floor, Q included; the
@@ -329,7 +329,9 @@ class Operator:
         k == 1 Lanczos starts from the trial state, which
         overlaps the ground state (positive and simple when A = 0); with
         k > 1, where a symmetric trial state can miss an odd excited state,
-        it starts from a random vector drawn with `spectral.START_SEED`."""
+        it starts from a random vector drawn with `spectral.START_SEED`.
+        `values_only` is `spectral.lowest_eigs`'s: the caller uses the
+        eigenvalues, and the eigenvectors only as Lanczos starts."""
         shift = None
         if eps is not None:
             shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
@@ -337,8 +339,8 @@ class Operator:
         v0 = None
         if k == 1 and trial is not None:
             v0 = np.asarray(trial, dtype=np.result_type(form.S.dtype, float))
-        return spectral.lowest_eigs(form.S, form.M, k=k, shift=shift,
-                                    upper_estimate=bound, v0=v0, tree=form.tree)
+        return spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, upper_estimate=bound,
+                                    v0=v0, tree=form.tree, values_only=values_only)
 
 
 def _format_float(x):
@@ -423,6 +425,9 @@ def run_convergence(cfg):
     cannot certify a factor.  Every eigensolve is k = 1 and starts Lanczos
     near its ground state: from the trial state when it makes its own factor
     (`Operator.solve`), else from the delta ground state, as every norm does.
+    The report uses the eigenvalues only, so every eigensolve is
+    `values_only` and stops on the value error estimate, which the report
+    lists under `solver` with the eigensolves' and the norms'.
 
     `refine_check` repeats the delta eigensolve on the h/2 mesh and, when the
     run's shift lies below that eigenvalue, the sweep there, norms only.  It
@@ -445,7 +450,7 @@ def run_convergence(cfg):
 
     form_delta = op.form()
     _dump(cfg, "delta", form_delta)
-    res_delta = op.solve(form_delta)
+    res_delta = op.solve(form_delta, values_only=True)
     lam_delta, ground = float(res_delta.eigenvalues[0]), res_delta.eigenvectors[:, 0]
 
     # The norms use the common shift min(lam) - max(1, |lam_delta|) over the
@@ -503,7 +508,7 @@ def run_convergence(cfg):
     if cfg.get("refine_check", False):
         op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
         form2 = op2.form()
-        res2 = op2.solve(form2)
+        res2 = op2.solve(form2, values_only=True)
         fine = [None] * len(eps_grid)
         if shift < res2.eigenvalues[0]:  # else the h/2 delta factor is not certified
             fine = [None if n is None else n.value for _, n in _eps_sweep(
@@ -531,6 +536,9 @@ def run_convergence(cfg):
             "delta_residuals": res_delta.residuals.tolist(),
             "eps_residuals": [r.residuals.tolist() for r, _ in eps_results],
             "power_iterations": [n.iterations for n in norms],
+            "delta_value_error": res_delta.value_error,
+            "eps_value_errors": [r.value_error for r, _ in eps_results],
+            "norm_value_errors": [n.value_error for n in norms],
         },
         "self_check": self_check,
         "refine_check": refine_block,
@@ -587,13 +595,14 @@ def _eps_sweep(op, form_delta, ground, shift, eps_grid, *, threads, solve=True, 
                                                    share=factor_delta), None
             if solve:
                 try:
-                    res = spectral.lowest_eigs(form.S, form.M, factor=factor, v0=ground)
+                    res = spectral.lowest_eigs(form.S, form.M, factor=factor, v0=ground,
+                                               values_only=True)
                 except spectral.ShiftError:
                     factor = None  # freed before the fresh eigensolve factors the pencil again
             elif spectral.count_below(factor) != 0:
                 factor = None
             if factor is None:
-                return (op.solve(form, eps) if solve else None), None
+                return (op.solve(form, eps, values_only=True) if solve else None), None
             return res, spectral.resolvent_diff_norm(factor_delta, factor, start=ground)
         except Exception as err:
             err.args = (f"eps={eps}: {err}",)

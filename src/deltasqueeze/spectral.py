@@ -35,8 +35,12 @@ refuse one whose Hermiticity residual exceeds round-off
 `_lanczos`, which tests its Ritz pairs after every step and so stops as
 soon as they pass, not when its basis is full; an eigensolve on a SuperLU
 factor (a pencil without a tree) runs ARPACK.  Eigensolves stop at the
-relative residual EIG_RTOL, not at machine epsilon; norms stop at
-NORM_RTOL.  An eigensolve starts from a given vector near the wanted
+relative residual EIG_RTOL, not at machine epsilon.  A Ritz value's error
+goes with the square of its residual over its gap (Kato-Temple), so a
+caller that uses only the values stops earlier, on that estimate: every
+norm, and every eigensolve asked for `values_only`, stops as soon as the
+estimate is at most VALUE_RTOL relative, or the residual test passes.  An
+eigensolve starts from a given vector near the wanted
 eigenspace when the caller has one (a trial state, or the ground state of
 a nearby pencil), else from a random vector drawn with START_SEED.  A norm
 starts the same way, from a given vector near the top eigenvector of the
@@ -75,8 +79,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-NORM_RTOL = 1e-10  # Lanczos relative residual tolerance of resolvent-difference norms
 EIG_RTOL = 1e-12  # Lanczos relative residual tolerance of shift-invert eigensolves
+VALUE_RTOL = 1e-14  # relative Ritz value error estimate of the value stop: norms, values_only
 _BASIS = 20  # least Lanczos basis, max(2k + 1, 20) vectors: ARPACK's default ncv
 _CYCLES = 20  # basis fills before `_lanczos` gives up, as ARPACK's maxiter of the norms
 START_SEED = 7  # seed of every random Lanczos start: eigensolves and norms given no start
@@ -117,6 +121,9 @@ class SpectralResult:
     residuals: np.ndarray  # ||S v - lambda M v||_2 per pair, v normalized in M
     shift: float
     rayleigh_imag: float  # max |Im(v* S v)| over the returned pairs
+    # largest Lanczos error estimate of the eigenvalues (`_lanczos`), None
+    # without one (dense and ARPACK solves, or no estimate at the stop)
+    value_error: float | None = None
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,7 @@ class NormResult:
     value: float
     converged: bool
     iterations: int  # applications of R_delta - R_eps
+    value_error: float | None = None  # Lanczos error estimate of value, as in SpectralResult
 
 
 @dataclass(frozen=True)
@@ -142,7 +150,8 @@ def _lower(shift):
 
 def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
                 upper_estimate: float | None = None,
-                factor: ResolventFactor | None = None, v0=None, tree=None) -> SpectralResult:
+                factor: ResolventFactor | None = None, v0=None, tree=None,
+                values_only: bool = False) -> SpectralResult:
     """k smallest eigenpairs of S v = lambda M v by shift-invert Lanczos.
 
     Dense solve below 60 unknowns.  Given `factor`, a `ResolventFactor` of
@@ -171,7 +180,15 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
     factor it is `_lanczos` on (S - sigma M)^-1 M, which tests after every
     step (18 solves for the converge-line delta eigensolve against ARPACK's
     21) and raises RuntimeError after _CYCLES fills; on a SuperLU factor it
-    is ARPACK.  Raises NonHermitianError when S or M is not Hermitian to
+    is ARPACK.  With `values_only`, for a caller that uses the eigenvalues
+    and the eigenvectors at most as starts, `_lanczos` also stops when its
+    error estimate of every wanted Ritz value theta is at most
+    VALUE_RTOL |theta|: on converge-line the eigenvalues move by at most
+    2.1e-14 relative, the residuals rise to about 1e-6, and the delta
+    eigensolve takes 12 solves.  `value_error` is the largest estimate
+    carried to the eigenvalues, |d lam| = |d theta| / theta^2, whichever
+    test stopped the run; None on the dense and ARPACK paths, or without an
+    estimate.  Raises NonHermitianError when S or M is not Hermitian to
     round-off (a factor was checked when it was made).  S and M are used in
     CSR form, so a CSR pencil is never copied.
     """
@@ -191,7 +208,7 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
         w, V = sla.eigh(S.toarray(), M.toarray())
         w, V = w[:k], V[:, :k]
         shift_used = shift if shift is not None else float(w[0] - 1.0)
-        return _finalize(S, M, w, V, shift_used)
+        return _finalize(S, M, w, V, shift_used, None)
     if v0 is None:
         rng = np.random.default_rng(START_SEED)
         v0 = rng.standard_normal(n)
@@ -215,13 +232,15 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
                 pass
         if factor is not None and (certified or window or count_below(factor) == 0):
             try:
+                error = None
                 if isinstance(factor._lu, TreeFactor):
-                    theta, V, converged = _lanczos(
+                    theta, V, converged, error = _lanczos(
                         factor._lu.solve, M, np.asarray(v0, np.result_type(v0, S.dtype, float)),
-                        k, EIG_RTOL)
+                        k, EIG_RTOL, values=values_only)
                     if not converged:
                         raise RuntimeError(f"Lanczos did not converge in {_CYCLES} basis fills")
                     w = factor.lam + 1.0 / theta
+                    error = _largest(error / theta**2)  # lam = sigma + 1/theta
                 else:
                     w, V = _shift_invert(S, M, k, factor, v0)
             except RuntimeError:  # Lanczos did not converge
@@ -232,14 +251,14 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
             if not window or (w is not None and np.all(np.isfinite(w)) and (
                     shift + 1e-12 * abs(shift) <= w[0]
                     <= upper_estimate + 0.5 * max(1.0, abs(upper_estimate)))):
-                return _finalize(S, M, w, V, shift)
+                return _finalize(S, M, w, V, shift, error)
         window, factor = False, None  # freed before the next factorization
         shift = _lower(shift)
     raise ShiftError(f"no shift down to {shift} certified below the pencil spectrum")
 
 
-def _lanczos(apply, M, v0, k, tol):
-    """(theta, X, converged): the k eigenvalues theta of largest magnitude,
+def _lanczos(apply, M, v0, k, tol, *, values=False):
+    """(theta, X, converged, error): the k eigenvalues theta of largest magnitude,
     by decreasing |theta|, of an operator OP that is self-adjoint in the
     M-inner product, with M-orthonormal Ritz vectors X (n x k), by Lanczos
     from v0.
@@ -252,12 +271,21 @@ def _lanczos(apply, M, v0, k, tol):
     whole basis by two classical Gram-Schmidt passes, so the projected
     matrix Q^H M OP Q is read off their coefficients; its Ritz pairs are
     tested after every step by ARPACK's rule, residual <= tol max(|theta|,
-    eps^(2/3)) for each of the k wanted ones.  A full basis of max(2k + 1,
-    20) vectors, ARPACK's default ncv, restarts thick from its
-    k + (cap - k)/2 Ritz vectors of largest |theta|, as many as ARPACK
-    keeps for k = 1, and the residual direction (Wu & Simon, SIAM J. Matrix
-    Anal. Appl. 22 (2000) 602-616).  After _CYCLES fills without
-    convergence, X is None and theta holds the last Ritz values.
+    eps^(2/3)) for each of the k wanted ones.  With `values`, the run also
+    stops when the error estimate (residual_i)^2 / min_{l != i} |theta_i -
+    theta_l| of every wanted Ritz value is at most VALUE_RTOL |theta_i|
+    (Kato-Temple; Parlett, The Symmetric Eigenvalue Problem, ch. 11),
+    whichever test passes first.  It is an estimate, not a certificate: the
+    gap is taken to the other Ritz values, and a Ritz value bounds its
+    eigenvalue from one side only (theta_2 <= lambda_2 for the second
+    largest, by interlacing), so the true gap can be smaller.  It needs
+    k + 1 Ritz values, and a zero gap gives none: that test then fails,
+    without a division.  A full basis of max(2k + 1, 20) vectors, ARPACK's
+    default ncv, restarts thick from its k + (cap - k)/2 Ritz vectors of
+    largest |theta|, as many as ARPACK keeps for k = 1, and the residual
+    direction (Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602-616).  After _CYCLES fills without
+    convergence, X is None and theta holds the last Ritz values.  `error`
+    holds the last estimates of the k wanted ones, inf where there is none.
     """
     n = v0.shape[0]
     cap = min(n, max(2 * k + 1, _BASIS))
@@ -275,7 +303,7 @@ def _lanczos(apply, M, v0, k, tol):
     scale = np.sqrt(np.vdot(v0, Mq).real)
     Q[0], Mq = v0 / scale, Mq / scale
     floor = np.finfo(float).eps ** (2.0 / 3.0)
-    theta, j = np.empty(0), 0
+    theta, error, j = np.empty(0), np.full(k, np.inf), 0
     for _ in range(_CYCLES):
         for j in range(j, cap):
             w = apply(Mq)
@@ -289,9 +317,12 @@ def _lanczos(apply, M, v0, k, tol):
             theta, Y = sla.eigh(T[:j + 1, :j + 1], lower=False)
             order = np.argsort(-np.abs(theta))
             theta, Y = theta[order], Y[:, order]
-            if j + 1 >= k and np.all(beta * np.abs(Y[j, :k])
-                                     <= tol * np.maximum(np.abs(theta[:k]), floor)):
-                return theta[:k], (Y[:, :k].T @ Q[:j + 1]).T, True
+            if j + 1 >= k:
+                residual = beta * np.abs(Y[j, :k])
+                error = _value_error(theta, residual)
+                if np.all(residual <= tol * np.maximum(np.abs(theta[:k]), floor)) or (
+                        values and np.all(error <= VALUE_RTOL * np.abs(theta[:k]))):
+                    return theta[:k], (Y[:, :k].T @ Q[:j + 1]).T, True, error
             if j + 1 < cap:
                 Q[j + 1], Mq = w / beta, Mw / beta
         Q[:keep] = Y[:, :keep].T @ Q
@@ -299,7 +330,21 @@ def _lanczos(apply, M, v0, k, tol):
         T[:] = 0.0
         T[np.arange(keep), np.arange(keep)] = theta[:keep]
         j = keep
-    return theta[:k], None, False
+    return theta[:k], None, False, error
+
+
+def _value_error(theta, residual):
+    """(residual_i)^2 / min_{l != i} |theta_i - theta_l| for the first
+    len(residual) Ritz values theta_i: the error estimate of each, inf where
+    it has no other Ritz value or shares its value with one."""
+    k = residual.shape[0]
+    if theta.shape[0] <= k:
+        return np.full(k, np.inf)
+    gap = np.abs(theta[:k, None] - theta[None, :])
+    gap[np.arange(k), np.arange(k)] = np.inf
+    gap = gap.min(axis=1)
+    with np.errstate(over="ignore", under="ignore"):  # a tiny gap or residual
+        return np.divide(residual ** 2, gap, out=np.full(k, np.inf), where=gap > 0.0)
 
 
 def _shift_invert(S, M, k, factor, v0):
@@ -323,7 +368,13 @@ def _shift_invert(S, M, k, factor, v0):
     return w[order], V[:, order]
 
 
-def _finalize(S, M, w, V, shift):
+def _largest(error):
+    """The largest entry of the error estimates `error`, None unless all are finite."""
+    largest = float(np.max(error))
+    return largest if np.isfinite(largest) else None
+
+
+def _finalize(S, M, w, V, shift, value_error):
     SV = S @ V
     residuals = np.linalg.norm(SV - (M @ V) * w[None, :], axis=0)
     ray = np.einsum("ij,ij->j", V.conj(), SV)
@@ -333,6 +384,7 @@ def _finalize(S, M, w, V, shift):
         residuals=residuals,
         shift=float(shift),
         rayleigh_imag=float(np.max(np.abs(ray.imag))) if np.iscomplexobj(ray) else 0.0,
+        value_error=value_error,
     )
 
 
@@ -433,9 +485,12 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     Both factors must be at one shift lam (else ValueError); the norm is
     taken in the inner product of R_delta.M, in which D is self-adjoint for
     real lam, so it is the largest |eigenvalue| of D.  `_lanczos` iterates
-    OP = D and stops when the Ritz value theta of largest magnitude has
-    residual <= NORM_RTOL |theta|, ARPACK's test (Lehoucq, Sorensen & Yang,
-    ARPACK Users' Guide, SIAM 1998), checked after every step.  Each
+    OP = D and, since only the value is returned, stops on its value error
+    estimate: when the Ritz value theta of largest magnitude has an
+    estimated error (residual^2 over the gap to the next Ritz value) of at
+    most VALUE_RTOL |theta|, or a residual <= VALUE_RTOL |theta| (ARPACK's
+    test; Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998),
+    checked after every step.  `value_error` is that estimate.  Each
     application of D costs one solve per factor, or, when R_eps shares the
     fronts outside a tube with R_delta (`ResolventFactor` `share`), one
     sweep each way over those fronts and two over the tube fronts
@@ -448,8 +503,9 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     h = 1/64 overlaps it by 0.96-0.98 in the M-inner product; ARPACK
     Users' Guide, sec. 4.4, on start vectors).  Otherwise x0 is a random
     vector drawn with START_SEED.  From such a start a converge-line norm
-    takes 8-9 applications of D, the power step included, and from a random
-    start 11-13 (ARPACK, which tests only a full basis, took 10 and 14).
+    takes 6-7 applications of D, the power step included, and from a random
+    start 10-11 (8-9 and 11-13 to the relative residual 1e-10; ARPACK,
+    which tests only a full basis, took 10 and 14).
     Without convergence in _CYCLES fills the result is the larger of the
     power step's bound and the largest |Ritz value|, both lower bounds,
     flagged non-converged.  `iterations` counts the applications of D.
@@ -489,9 +545,9 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     lower = np.sqrt(abs(np.vdot(v0, Mc @ v0)) / np.vdot(x0, Mc @ x0).real)
     if lower == 0.0:  # D = 0: no Krylov space to search
         return NormResult(0.0, True, applied)
-    theta, _, converged = _lanczos(diff, Mc, v0, 1, NORM_RTOL)
+    theta, _, converged, error = _lanczos(diff, Mc, v0, 1, VALUE_RTOL, values=True)
     value = abs(theta[0]) if converged else max([lower, *np.abs(theta)])
-    return NormResult(float(value), converged, applied)
+    return NormResult(float(value), converged, applied, _largest(error))
 
 
 def fit_rate(eps, values, *, confidence: float = 0.95) -> RateFit:

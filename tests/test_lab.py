@@ -63,6 +63,12 @@ def test_convergence_run_basic():
     assert report["norm_fit"] is not None
     assert report["beta"] == 1.0
     assert "mesh" in report and report["mesh"]["h"] == 1.0 / 16.0
+    # the report lists the value error estimate of every eigensolve and norm
+    solver = report["solver"]
+    errors = [solver["delta_value_error"], *solver["eps_value_errors"],
+              *solver["norm_value_errors"]]
+    assert len(errors) == 1 + 2 * len(report["lam_eps"])
+    assert all(0.0 <= e <= 1e-12 for e in errors)
 
 
 def test_convergence_single_eps_flagged_insufficient():
@@ -125,8 +131,8 @@ NORM_GEOMETRIES = {
         ((-1.0, -0.75), (1.0, -0.75)), ((-1.0, 0.75), (1.0, 0.75)))}},
 }
 # most applications of D that a warm-started norm takes on each geometry
-NORM_APPLICATIONS = {"attractive_line": 7, "repulsive_line": 8, "weak_line": 8,
-                     "star_3_arms": 9, "magnetic_arc": 10, "parallel_lines": 9}
+NORM_APPLICATIONS = {"attractive_line": 6, "repulsive_line": 7, "weak_line": 6,
+                     "star_3_arms": 7, "magnetic_arc": 8, "parallel_lines": 7}
 
 
 @pytest.mark.parametrize("name", list(NORM_GEOMETRIES))
@@ -149,6 +155,7 @@ def test_convergence_threads_match_serial(tmp_path):
     rep2, _ = run_convergence(small_convergence_cfg(threads=2, out=str(tmp_path / "2")))
     assert rep1["res_norms"] == rep2["res_norms"]
     assert rep1["lam_eps"] == rep2["lam_eps"]
+    assert rep1["solver"] == rep2["solver"]  # the value error estimates too
     assert (tmp_path / "1" / "data.csv").read_bytes() == (tmp_path / "2" / "data.csv").read_bytes()
 
 
@@ -277,20 +284,24 @@ def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch, r
     assert len(factored) == (2 if refine_check else 1) * per_mesh
 
 
-@pytest.mark.parametrize("run, cfg", [
-    (run_convergence, small_convergence_cfg()),
-    (run_convergence, small_convergence_cfg(refine_check=True)),
-    (run_cusp, {"d": 2.0, "alpha_list": [-2.0, -3.0, -4.0], "x_max": 0.5,
-                "mesh": {"box": [[-1.0, 2.0], [-1.5, 1.5]], "h": 1.0 / 16.0}}),
-    (run_stargraph, {"N": 3, "angles": [150.0, 150.0, 60.0], "alpha": -5.0,
-                     "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 16.0}}),
-    (run_spectrum, {"network": {"beta_cap": 0.5, "segments": [
+# a small config of every runner
+RUNNERS = {
+    "convergence": (run_convergence, small_convergence_cfg()),
+    "refine_check": (run_convergence, small_convergence_cfg(refine_check=True)),
+    "cusp": (run_cusp, {"d": 2.0, "alpha_list": [-2.0, -3.0, -4.0], "x_max": 0.5,
+                        "mesh": {"box": [[-1.0, 2.0], [-1.5, 1.5]], "h": 1.0 / 16.0}}),
+    "stargraph": (run_stargraph, {"N": 3, "angles": [150.0, 150.0, 60.0], "alpha": -5.0,
+                                  "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 16.0}}),
+    "spectrum": (run_spectrum, {"network": {"beta_cap": 0.5, "segments": [
         {"kind": "line", "p0": [-1.0, 0.0], "p1": [1.0, 0.0]}]},
         "alpha": -4.0, "eps": 0.25, "field_b": 1.0, "k": 2,
         "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 16.0}}),
-    (run_wedge, {"phi": np.pi / 3.0, "alpha": -3.0, "theta": 1.5, "b": 1.0, "k": 2,
-                 "mesh": {"box": [[-1.5, 1.5], [-1.5, 1.5]], "h": 1.0 / 16.0}}),
-], ids=["convergence", "refine_check", "cusp", "stargraph", "spectrum", "wedge"])
+    "wedge": (run_wedge, {"phi": np.pi / 3.0, "alpha": -3.0, "theta": 1.5, "b": 1.0, "k": 2,
+                          "mesh": {"box": [[-1.5, 1.5], [-1.5, 1.5]], "h": 1.0 / 16.0}}),
+}
+
+
+@pytest.mark.parametrize("run, cfg", list(RUNNERS.values()), ids=list(RUNNERS))
 def test_runners_factor_every_pencil_on_its_mesh_tree(monkeypatch, run, cfg):
     # SuperLU and ARPACK are left to pencils without a tree; every runner's
     # pencil is a mesh pencil, factored on the mesh's dissection tree, and
@@ -316,6 +327,22 @@ def test_runners_factor_every_pencil_on_its_mesh_tree(monkeypatch, run, cfg):
     run(cfg)
     assert superlu == [] and arpack == []
     assert trees and all(isinstance(t, fem.DissectionTree) for t in trees)
+
+
+@pytest.mark.parametrize("name", ["cusp", "stargraph", "spectrum"])
+def test_runners_that_report_residuals_stop_eigensolves_on_the_residual(monkeypatch, name):
+    # their reports carry the residuals (cusp's CSV, spectrum's k residuals):
+    # no eigensolve of theirs stops on the value error estimate alone
+    lowest_eigs, calls = spectral.lowest_eigs, []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("values_only", False))
+        return lowest_eigs(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "lowest_eigs", recording)
+    run, cfg = RUNNERS[name]
+    run(cfg)
+    assert calls and not any(calls)
 
 
 def test_convergence_flags_nonconverged_power_iteration(monkeypatch, tmp_path):
@@ -445,7 +472,7 @@ def test_every_norm_of_a_run_is_warm_started(monkeypatch):
     n = len(cfg["eps_grid"])
     assert len(starts) == 2 * n
     for mesh_op, mesh_starts in ((op, starts[:n]), (fine, starts[n:])):
-        ground = mesh_op.solve(mesh_op.form()).eigenvectors[:, 0]
+        ground = mesh_op.solve(mesh_op.form(), values_only=True).eigenvectors[:, 0]
         assert all(np.array_equal(s, ground) for s in mesh_starts)
 
 
@@ -561,13 +588,13 @@ def test_an_operator_on_another_mesh_builds_its_own_base():
 def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
     cfg = small_convergence_cfg()  # the benchmark's smoke config
     op = config_operator(cfg)
-    res_delta = op.solve(op.form())
+    res_delta = op.solve(op.form(), values_only=True)  # the run's delta eigensolve
     ground = res_delta.eigenvectors[:, 0]
     lanczos, starts = spectral._lanczos, []
 
-    def capturing(apply, M, v0, k, tol):
+    def capturing(apply, M, v0, *args, **kwargs):
         starts.append(v0)
-        return lanczos(apply, M, v0, k, tol)
+        return lanczos(apply, M, v0, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_lanczos", capturing)
     report, _ = run_convergence(cfg)
@@ -583,8 +610,9 @@ def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
 
 
 def test_delta_eigensolve_starts_from_the_trial_state(monkeypatch):
-    # n = 3969: from the positive trial state, at the relative tolerance
-    # EIG_RTOL, Lanczos converges after 14 solves
+    # n = 3969: from the positive trial state, stopped on the value error
+    # estimate as in `run_convergence`, Lanczos converges after 9 solves (14
+    # at the relative residual EIG_RTOL)
     op = config_operator(small_convergence_cfg())
     form = op.form()
     assert form.S.shape[0] == 3969
@@ -596,16 +624,16 @@ def test_delta_eigensolve_starts_from_the_trial_state(monkeypatch):
         solves.append(1)
         return solve(self, b)
 
-    def capturing(apply, M, v0, k, tol):
+    def capturing(apply, M, v0, *args, **kwargs):
         starts.append(v0)
-        return lanczos(apply, M, v0, k, tol)
+        return lanczos(apply, M, v0, *args, **kwargs)
 
     monkeypatch.setattr(frontal.TreeFactor, "solve", counting)
     monkeypatch.setattr(spectral, "_lanczos", capturing)
-    res = op.solve(form)
+    res = op.solve(form, values_only=True)
     monkeypatch.undo()
     assert len(starts) == 1 and np.array_equal(starts[0], trial)
-    assert 0 < len(solves) <= 14
+    assert 0 < len(solves) <= 9
     # Fortran-ordered dense copies that eigh may overwrite: one copy each
     lam = sla.eigh(form.S.toarray(order="F"), form.M.toarray(order="F"), eigvals_only=True,
                    subset_by_index=[0, 0], overwrite_a=True, overwrite_b=True)

@@ -448,9 +448,9 @@ def run_convergence(cfg):
     threads, out = cfg.get("threads", 1), cfg.get("out")
     op = Operator.from_config(cfg, net)
 
-    form_delta = op.form()
-    _dump(cfg, "delta", form_delta)
-    res_delta = op.solve(form_delta, values_only=True)
+    forms = {None: op.form()}  # the delta form, which the sweep takes out and drops
+    _dump(cfg, "delta", forms[None])
+    res_delta = op.solve(forms[None], values_only=True)
     lam_delta, ground = float(res_delta.eigenvalues[0]), res_delta.eigenvectors[:, 0]
 
     # The norms use the common shift min(lam) - max(1, |lam_delta|) over the
@@ -458,13 +458,13 @@ def run_convergence(cfg):
     # below lam_delta; the rerun at the lower shift takes norms only, since
     # the eigenvalues of the first sweep place it below every pencil.
     shift = lam_delta - max(1.0, abs(lam_delta))
-    eps_results = _eps_sweep(op, form_delta, ground, shift, eps_grid, threads=threads,
+    eps_results = _eps_sweep(op, forms, ground, shift, eps_grid, threads=threads,
                              dump=functools.partial(_dump, cfg))
     lam_eps = [float(r.eigenvalues[0]) for r, _ in eps_results]
     norms = [n for _, n in eps_results]
     if None in norms or min(lam_eps) < lam_delta:
         shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
-        norms = [n for _, n in _eps_sweep(op, form_delta, ground, shift, eps_grid,
+        norms = [n for _, n in _eps_sweep(op, {}, ground, shift, eps_grid,
                                           threads=threads, solve=False)]
         if None in norms:
             raise spectral.ShiftError(f"eps={eps_grid[norms.index(None)]}: shift {shift} not "
@@ -507,12 +507,12 @@ def run_convergence(cfg):
     refine_block = None
     if cfg.get("refine_check", False):
         op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
-        form2 = op2.form()
-        res2 = op2.solve(form2, values_only=True)
+        forms = {None: op2.form()}
+        res2 = op2.solve(forms[None], values_only=True)
         fine = [None] * len(eps_grid)
         if shift < res2.eigenvalues[0]:  # else the h/2 delta factor is not certified
             fine = [None if n is None else n.value for _, n in _eps_sweep(
-                op2, form2, res2.eigenvectors[:, 0], shift, eps_grid, threads=threads,
+                op2, forms, res2.eigenvectors[:, 0], shift, eps_grid, threads=threads,
                 solve=False)]
         changes = [None if n is None else abs(n - r) / max(r, 1e-300)
                    for n, r in zip(fine, res_norms)]
@@ -556,19 +556,22 @@ def run_convergence(cfg):
     return report, status
 
 
-def _eps_sweep(op, form_delta, ground, shift, eps_grid, *, threads, solve=True, dump=None):
+def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, dump=None):
     """[(eigensolve, norm)] of the squeezed pencils of `op`, one per eps of
     `eps_grid`, each from one factor at `shift`.
 
-    The delta pencil and every squeezed one agree outside the rows of the
-    line term and of the widest tube, the first eps's.  So the delta factor
-    at `shift` keeps its fronts outside those rows, and each eps factor
-    reuses them: it factors only the fronts of the tube and their ancestors,
-    about a third of the entries, and each application of the resolvent
-    difference takes one sweep each way over the shared fronts
-    (`spectral.ResolventFactor` `share`).  The delta factor and form and one
-    eps form and factor are live at a time, plus the first eps form until
-    its point.
+    `forms` maps the argument of `op.form` (None for the delta form) to a
+    form already made; the sweep takes each out of it when it uses it, so it
+    holds the only reference, and makes the others.  The delta pencil and
+    every squeezed one agree outside the rows of the line term and of the
+    widest tube, the first eps's.  So the delta factor at `shift` keeps its
+    fronts outside those rows, and each eps factor reuses them: it factors
+    only the fronts of the tube and their ancestors, about a third of the
+    entries, and each application of the resolvent difference takes one
+    sweep each way over the shared fronts (`spectral.ResolventFactor`
+    `share`).  The delta form is dropped once its factor is made; the delta
+    factor and one eps form and factor are live at a time, plus the first
+    eps form until its point.
 
     A point assembles its form, passes it to `dump(tag, form)` when given,
     and factors it on the mesh's dissection tree.  The factor is certified
@@ -576,19 +579,24 @@ def _eps_sweep(op, form_delta, ground, shift, eps_grid, *, threads, solve=True, 
     eigensolves on it from the delta ground state `ground`, else by
     `spectral.count_below`.  An uncertified factor is freed and the norm is
     None; with `solve`, `Operator.solve` makes the eigensolve.  Norms are
-    against the factor of `form_delta` at `shift`, from `ground`; the caller
-    places `shift` below the delta eigenvalue.
+    against the delta factor at `shift`, from `ground`; the caller places
+    `shift` below the delta eigenvalue.
     """
+
+    def take(eps):
+        return forms.pop(eps) if eps in forms else op.form(eps)
+
     # the widest tube holds every other: the delta factor keeps its fronts
     # outside the rows of its line term and that tube for the eps factors
-    forms = {eps_grid[0]: op.form(eps_grid[0])}
+    form_delta, forms[eps_grid[0]] = take(None), take(eps_grid[0])
     factor_delta = spectral.ResolventFactor(form_delta.S, form_delta.M, shift,
                                             tree=form_delta.tree,
                                             share=form_delta.tube | forms[eps_grid[0]].tube)
+    del form_delta
 
     def point(eps):
         try:
-            form = forms.pop(eps) if eps in forms else op.form(eps)
+            form = take(eps)
             if dump is not None:
                 dump(f"eps_{eps:g}", form)
             factor, res = spectral.ResolventFactor(form.S, form.M, shift, tree=form.tree,

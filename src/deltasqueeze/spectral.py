@@ -286,6 +286,12 @@ def _lanczos(apply, M, v0, k, tol, *, values=False):
     direction (Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602-616).  After _CYCLES fills without
     convergence, X is None and theta holds the last Ritz values.  `error`
     holds the last estimates of the k wanted ones, inf where there is none.
+
+    A breakdown, a residual beta <= eps |Q^H M OP q_j| that leaves the span
+    of the basis invariant under OP to working precision, makes the residuals
+    of every Ritz pair 0: the run returns when it has k of them, and else
+    goes on, as after a restart whose residual is 0, from a fresh random
+    direction drawn with START_SEED and M-orthogonalised against the basis.
     """
     n = v0.shape[0]
     cap = min(n, max(2 * k + 1, _BASIS))
@@ -296,9 +302,25 @@ def _lanczos(apply, M, v0, k, tol, *, values=False):
     Q = np.empty((cap, n), v0.dtype)
     T = np.zeros((cap, cap), v0.dtype)  # Q^H M OP Q, upper triangle
 
-    def project(x):  # Q[:j + 1]^H x, conjugating x and the short result, never the basis
-        return Q[:j + 1] @ x if real else np.conj(Q[:j + 1] @ np.conj(x))
+    def orthogonalise(w, m):  # (w minus its M-projection on Q[:m], the coefficients)
+        c = 0.0
+        for _ in range(2):  # a complex pass conjugates the short vectors, never the basis
+            d = Q[:m] @ (M @ w) if real else np.conj(Q[:m] @ np.conj(M @ w))
+            c, w = c + d, w - d @ Q[:m]
+        return w, c
 
+    def next_vector(w, Mw, beta, m):  # the basis vector after Q[:m], and M times it
+        if beta > 0.0:
+            return w / beta, Mw / beta
+        # breakdown: Q[:m] spans an invariant space, so go on from a fresh
+        # random direction M-orthogonal to it
+        r = rng.standard_normal(n)
+        r = orthogonalise(r if real else r + 1j * rng.standard_normal(n), m)[0]
+        Mr = M @ r
+        scale = np.sqrt(np.vdot(r, Mr).real)
+        return r / scale, Mr / scale
+
+    rng = np.random.default_rng(START_SEED)  # of the fresh directions after a breakdown
     Mq = M @ v0
     scale = np.sqrt(np.vdot(v0, Mq).real)
     Q[0], Mq = v0 / scale, Mq / scale
@@ -306,14 +328,11 @@ def _lanczos(apply, M, v0, k, tol, *, values=False):
     theta, error, j = np.empty(0), np.full(k, np.inf), 0
     for _ in range(_CYCLES):
         for j in range(j, cap):
-            w = apply(Mq)
-            T[:j + 1, j] = 0.0
-            for _ in range(2):
-                c = project(M @ w)
-                T[:j + 1, j] += c
-                w -= c @ Q[:j + 1]
+            w, T[:j + 1, j] = orthogonalise(apply(Mq), j + 1)
             Mw = M @ w
             beta = np.sqrt(np.vdot(w, Mw).real)
+            if beta <= np.finfo(float).eps * np.linalg.norm(T[:j + 1, j]):
+                beta = 0.0  # OP Q[:j + 1] lies in their span to working precision
             theta, Y = sla.eigh(T[:j + 1, :j + 1], lower=False)
             order = np.argsort(-np.abs(theta))
             theta, Y = theta[order], Y[:, order]
@@ -324,9 +343,9 @@ def _lanczos(apply, M, v0, k, tol, *, values=False):
                         values and np.all(error <= VALUE_RTOL * np.abs(theta[:k]))):
                     return theta[:k], (Y[:, :k].T @ Q[:j + 1]).T, True, error
             if j + 1 < cap:
-                Q[j + 1], Mq = w / beta, Mw / beta
+                Q[j + 1], Mq = next_vector(w, Mw, beta, j + 1)
         Q[:keep] = Y[:, :keep].T @ Q
-        Q[keep], Mq = w / beta, Mw / beta
+        Q[keep], Mq = next_vector(w, Mw, beta, keep)
         T[:] = 0.0
         T[np.arange(keep), np.arange(keep)] = theta[:keep]
         j = keep
@@ -399,7 +418,9 @@ class ResolventFactor:
     (1973) 345-363; Liu, The multifrontal method for sparse matrix solution,
     SIAM Review 34 (1992) 82-109).  It stores one triangle and counts the
     negative eigenvalues of S - lambda M as it runs, so the factor carries
-    its inertia count.  A pencil without a tree is factored by SuperLU in
+    its inertia count.  The tree factor makes S - lambda M itself and reads
+    it once, so no copy of it is alive while the fronts are eliminated, in
+    the one front buffer of `frontal`.  A pencil without a tree is factored by SuperLU in
     symmetric mode, in the pencil's own numbering, with diagonal pivoting,
     which keeps perm_r == perm_c unless a diagonal pivot vanishes; its count
     is read from U on demand.  Keeps M in CSR form, without a copy when it
@@ -420,21 +441,27 @@ class ResolventFactor:
     def __init__(self, S, M, lam: float, *, tree=None, share=None):
         self.M = M.tocsr()
         self.lam = float(lam)
-        A = (S - lam * self.M).tocsr()
-        _check_hermitian(A, f"S - {self.lam:g} M")
         if tree is not None:
-            A.sum_duplicates()  # canonical CSR, as the tree factor reads it
             if isinstance(share, ResolventFactor):
                 share = share._lu
-            self._lu = TreeFactor(A, tree, share=share)
+            # the tree factor makes S - lam M itself, reads it once and drops
+            # it: no copy of it is alive while the fronts are eliminated
+            self._lu = TreeFactor(functools.partial(self._shifted, S), tree, share=share)
             self._below = self._lu.negatives
             return
         self._lu = spla.splu(
-            A.tocsc(),
+            self._shifted(S).tocsc(),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
+
+    def _shifted(self, S):
+        """S - lam M in canonical CSR form, checked to be Hermitian to round-off."""
+        A = (S - self.lam * self.M).tocsr()
+        _check_hermitian(A, f"S - {self.lam:g} M")
+        A.sum_duplicates()
+        return A
 
     def apply(self, x):
         return self._lu.solve(self.M @ x)

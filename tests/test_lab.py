@@ -5,6 +5,7 @@ import logging
 import os
 import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -250,6 +251,30 @@ def test_every_eps_factor_of_a_run_shares_the_delta_exterior(monkeypatch):
     for delta, eps in pairs:
         assert delta.shares(eps)
         assert eps.nnz < 0.7 * delta.nnz
+
+
+def test_no_delta_form_is_alive_while_the_eps_points_run(monkeypatch):
+    # the main sweep, its rerun (the eps = 0.35 count refused) and refine_check:
+    # each sweep takes its delta form out of the caller's dict, or makes it,
+    # and drops it once the delta factor is made
+    form, norm = Operator.form, spectral.resolvent_diff_norm
+    made, alive = [], []
+
+    def recording_form(self, eps=None):
+        f = form(self, eps)
+        if eps is None:
+            made.append(weakref.ref(f))
+        return f
+
+    def recording_norm(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(Operator, "form", recording_form)
+    monkeypatch.setattr(spectral, "resolvent_diff_norm", recording_norm)
+    refusing_counts(monkeypatch, {2: 1})
+    run_convergence(small_convergence_cfg(refine_check=True))
+    assert len(made) == 3 and alive == [0] * (2 + 3 + 3)
 
 
 def test_convergence_dump_writes_every_pencil(tmp_path):

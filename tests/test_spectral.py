@@ -322,6 +322,47 @@ def test_a_pencil_that_differs_outside_the_tube_is_factored_in_full():
             resolvent_diff_norm(R_delta, fresh).value, rel=1e-10)
 
 
+def working_set(factor):
+    """Bytes that a plain tree factor holds at its peak by design: its stored
+    entries, one buffer of the largest depth's fronts, the packed lower
+    triangles of the largest depth's updates, and the lower triangle of its
+    matrix gathered in front order."""
+    plan, item = factor._plan, np.dtype(factor._dtype).itemsize
+    buffer = max(size for size, _, _ in plan.depths)
+    packed = max(sum(len(g.pivots) * g.R * (g.R + 1) // 2 for g in groups)
+                 for _, _, groups in plan.depths)
+    return item * (factor.nnz + buffer + packed + len(factor._pattern[3]))
+
+
+def traced_peak(make):
+    """(make(), the peak of traced memory during the call above its start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        made = make()
+        return made, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_tree_factors_eliminate_in_one_front_buffer_without_a_copy_of_the_matrix():
+    # the smoke box and line at h = 1/48 (n = 36,481); the factors peak at
+    # 1.06 of the bound, while a second front buffer, or a copy of S - sigma M
+    # held through the elimination, takes them to 1.2 or more
+    net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=1.0)
+    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 48.0)
+    form = build_form(mesh, net=net, strengths={0: -6.0})
+    sigma = -40.0
+    A = (form.S - sigma * form.M).tocsr()
+    A.sum_duplicates()
+    frontal.TreeFactor(A, mesh.tree)  # the plan and its entry map, kept on the tree
+    for make in (lambda: frontal.TreeFactor(A, mesh.tree),
+                 lambda: ResolventFactor(form.S, form.M, sigma, tree=mesh.tree)._lu):
+        factor, peak = traced_peak(make)
+        assert factor.negatives == 0
+        assert peak <= 1.1 * working_set(factor)
+
+
 def test_count_below_frees_the_copy_of_the_factor_and_counts_once():
     # reading U makes SuperLU cache CSC copies of L and U on the factor (41.6 MB
     # here); the count must free them and keep its value for later counts
@@ -432,6 +473,23 @@ def test_value_stop_does_not_fire_on_an_exactly_double_top_eigenvalue():
     assert len(valued) == len(plain)
     assert np.array_equal(theta_v, theta)
     assert np.allclose(theta, 2.0, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("d, start", [([2.0, 2.0], "random"), ([2.0, 2.0, 1.0], "e1")])
+def test_lanczos_goes_on_from_a_fresh_direction_after_a_breakdown(d, start):
+    # the Krylov space of the start is invariant before it holds k = 2 Ritz
+    # vectors: the run must not divide by its zero residual (the random start
+    # is one whose residual rounds to exactly 0)
+    d = np.asarray(d)
+    v0 = np.eye(d.size)[0] if start == "e1" else np.random.default_rng(1).standard_normal(d.size)
+    M = sp.identity(d.size, format="csr")
+    with np.errstate(all="raise"):
+        theta, X, converged, _ = spectral._lanczos(lambda x: d * x, M, v0, 2, spectral.EIG_RTOL)
+    want = sla.eigh(np.diag(d), eigvals_only=True)[::-1][:2]
+    assert converged
+    assert np.allclose(theta, want, rtol=1e-14, atol=0.0)
+    assert np.allclose(X.T @ X, np.eye(2), rtol=0.0, atol=1e-14)
+    assert np.allclose(d[:, None] * X, X * theta, rtol=0.0, atol=1e-14)
 
 
 def test_factor_and_eigensolve_keep_a_csr_mass_matrix_uncopied():

@@ -320,7 +320,7 @@ class Operator:
         W = potentials.SqueezedPotential(self.net, self.profiles, eps)
         return fem.build_form(self.mesh, A=self.A, Q=self.Q, potential=W, base=self.base)
 
-    def solve(self, form, eps=None, *, k: int = 1, values_only: bool = False):
+    def solve(self, form, eps=None, *, k: int = 1, values_only: bool = False, near=None):
         """The k lowest eigenpairs of `form`, the delta form (eps None) or the
         squeezed form of width eps, factored on the form's dissection tree.  A
         squeezed pencil is shifted to its potential floor, Q included; the
@@ -331,14 +331,34 @@ class Operator:
         k > 1, where a symmetric trial state can miss an odd excited state,
         it starts from a random vector drawn with `spectral.START_SEED`.
         `values_only` is `spectral.lowest_eigs`'s: the caller uses the
-        eigenvalues, and the eigenvectors only as Lanczos starts."""
+        eigenvalues, and the eigenvectors only as Lanczos starts.
+
+        `near`, with k == 1, is the ground state of a nearby pencil on this
+        mesh, such as the previous strength of `run_cusp`.  Lanczos starts
+        from it, and its Rayleigh quotient u on `form`, an upper bound for
+        lam_1 like the trial bound, replaces the trial state.  When u < 0
+        the shift is u - max(1, |u|)/2, in place of the trial-bound rule or
+        the potential floor: the trial rule's margin of 3|u| covers that
+        bound's miss at cusps (lam_1 is 1.8-3 times it on cusp-trend),
+        while a nearby ground state already carries the deepening, and half
+        of |u| covers lam_1 down to 1.5 u.  `lowest_eigs` certifies the
+        shift by its inertia count and lowers it otherwise, so a poor seed
+        costs a factor, never the ground state.  When u >= 0 the shift is
+        the floor, or for the delta form -1, lowered the same way."""
         shift = None
         if eps is not None:
             shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
-        bound, trial = trial_upper_bound(self.distances, self.strengths, form)
-        v0 = None
-        if k == 1 and trial is not None:
-            v0 = np.asarray(trial, dtype=np.result_type(form.S.dtype, float))
+        dtype = np.result_type(form.S.dtype, float)
+        if k == 1 and near is not None:
+            v0 = np.asarray(near, dtype=dtype)
+            bound = float(np.real(np.vdot(v0, form.S @ v0)) / np.real(np.vdot(v0, form.M @ v0)))
+            if bound < 0.0:
+                shift = bound - 0.5 * max(1.0, abs(bound))
+        else:
+            bound, trial = trial_upper_bound(self.distances, self.strengths, form)
+            v0 = None
+            if k == 1 and trial is not None:
+                v0 = np.asarray(trial, dtype=dtype)
         return spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, upper_estimate=bound,
                                     v0=v0, tree=form.tree, values_only=values_only)
 
@@ -746,7 +766,10 @@ def run_cusp(cfg: dict):
     For each strength alpha the lowest eigenvalue of the delta operator on
     the closed cusp curve gives r(alpha) = (lam1 + alpha^2) / |alpha|^p with
     p = 6/(d+2); the report tracks |r - 2^(2/(d+2)) E_1| along the alpha list
-    (expected to shrink as |alpha| grows).
+    (expected to shrink as |alpha| grows).  The strengths are solved in
+    increasing |alpha| on one mesh, and each after the first is seeded with
+    the ground state of the one before (`Operator.solve`'s `near`): its
+    Rayleigh quotient places the shift and Lanczos starts from it.
     """
     _require("cusp", cfg, "d", "alpha_list", "mesh.box", "mesh.h")
     d = cfg["d"]
@@ -776,11 +799,13 @@ def run_cusp(cfg: dict):
     distances, base = DistanceTable(mesh, net), fem.assemble_base(mesh)
     rows, flags = [], {}
     r_devs, shifts = [], []
+    ground = None
     for alpha in alphas:
         op = Operator.uniform(mesh, net, alpha, distances=distances, base=base)
         form = op.form(eps)
         _dump(cfg, f"alpha_{alpha:g}", form)
-        res = op.solve(form, eps)
+        res = op.solve(form, eps, near=ground)
+        ground = res.eigenvectors[:, 0]
         lam = float(res.eigenvalues[0])
         weak = lam > -1e-6
         if weak:

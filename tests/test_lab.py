@@ -835,17 +835,29 @@ def test_cusp_measures_each_segment_distance_once(monkeypatch):
     assert sorted(calls) == [0, 1, 2]
 
 
+def rayleigh_quotient(S, M, v):
+    return float((v @ (S @ v)) / (v @ (M @ v)))
+
+
 @pytest.mark.parametrize("d", [2.0, 1.5])
 def test_cusp_trial_bound_stays_above_the_ground_state(d):
     net = cusp_network(d, 0.5)
     mesh = fem.build_mesh(((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0)
     distances = DistanceTable(mesh, net)
+    ground = None
     for alpha in (-6.0, -10.0):
         op = Operator.uniform(mesh, net, alpha, distances=distances)
         form = op.form()
-        lam1 = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)[0]
+        w, V = sla.eigh(form.S.toarray(), form.M.toarray(), subset_by_index=[0, 0])
+        lam1 = w[0]
         bound, state = trial_upper_bound(op.distances, op.strengths, form)
         assert lam1 <= bound
+        if ground is not None:
+            # the seeded bound of `Operator.solve(near=...)`: the alpha = -6
+            # ground state's Rayleigh quotient on the alpha = -10 pencil
+            seeded = rayleigh_quotient(form.S, form.M, ground)
+            assert lam1 <= seeded <= bound
+        ground = V[:, 0]
         # the returned state attains the bound, and it is a positive vector
         assert (state @ (form.S @ state)) / (state @ (form.M @ state)) == pytest.approx(
             bound, rel=1e-14)
@@ -867,6 +879,72 @@ def test_cusp_with_a_positive_trial_bound_finds_the_ground_state():
     assert trial_upper_bound(op.distances, op.strengths, form)[0] > 0.0
     lam1 = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)[0]
     assert report["lam1"][0] == pytest.approx(lam1, rel=1e-10)
+
+
+def counting_lowerings(monkeypatch):
+    """The shifts that `spectral.lowest_eigs` lowers, in order."""
+    lower, lowered = spectral._lower, []
+
+    def counting(shift):
+        lowered.append(shift)
+        return lower(shift)
+
+    monkeypatch.setattr(spectral, "_lower", counting)
+    return lowered
+
+
+def test_a_seeded_shift_above_the_ground_state_is_lowered(monkeypatch):
+    # the alpha = -1 ground state on the alpha = -6 pencil (lam_1 = -9.76,
+    # lam_2 = -1.40) has a negative Rayleigh quotient, but the seeded shift
+    # lies above lam_1: the inertia count refuses it, and the lowered shift
+    # finds lam_1, not lam_2
+    box, h = ((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0
+    mesh, net = fem.build_mesh(box, h), cusp_network(1.5, 0.5)
+    weak = Operator.uniform(mesh, net, -1.0).form()
+    near = sla.eigh(weak.S.toarray(), weak.M.toarray(), subset_by_index=[0, 0])[1][:, 0]
+    op = Operator.uniform(mesh, net, -6.0)
+    form = op.form()
+    lam = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True,
+                   subset_by_index=[0, 1])
+    seeded = rayleigh_quotient(form.S, form.M, near)
+    assert seeded < 0.0
+    assert lam[0] < seeded - 0.5 * max(1.0, abs(seeded)) < lam[1]
+    lowered = counting_lowerings(monkeypatch)
+    res = op.solve(form, near=near)
+    assert lowered
+    assert res.shift < lam[0]
+    assert res.eigenvalues[0] == pytest.approx(lam[0], rel=1e-10)
+
+
+def test_cusp_seeds_each_coupling_from_the_previous_ground_state(monkeypatch):
+    # each coupling after the first is shifted to u - max(1, |u|)/2, u the
+    # previous ground state's Rayleigh quotient on its pencil, and the
+    # inertia count certifies that shift at the first factor
+    init, lowest_eigs = spectral.ResolventFactor.__init__, spectral.lowest_eigs
+    factored, solved = [], []
+
+    def counting(self, *args, **kwargs):
+        factored.append(1)
+        init(self, *args, **kwargs)
+
+    def capturing(S, M, *args, **kwargs):
+        res = lowest_eigs(S, M, *args, **kwargs)
+        solved.append((S, M, res))
+        return res
+
+    monkeypatch.setattr(spectral.ResolventFactor, "__init__", counting)
+    monkeypatch.setattr(spectral, "lowest_eigs", capturing)
+    lowered = counting_lowerings(monkeypatch)
+    report, _ = run_cusp(SMALL_CUSP)
+    assert len(factored) == 3 and lowered == []
+    assert report["solver"]["shifts"] == [res.shift for _, _, res in solved]
+    for (_, _, before), (S, M, res) in zip(solved, solved[1:]):
+        seeded = rayleigh_quotient(S, M, before.eigenvectors[:, 0])
+        assert res.shift == pytest.approx(seeded - 0.5 * max(1.0, abs(seeded)), rel=1e-14)
+    for (S, M, res), lam in zip(solved, report["lam1"]):
+        dense = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True, subset_by_index=[0, 0])
+        assert res.eigenvalues[0] == lam
+        assert lam == pytest.approx(dense[0], rel=1e-10)
 
 
 # -------------------------------------------------------------------- wedge

@@ -449,10 +449,10 @@ def run_convergence(cfg):
     `values_only` and stops on the value error estimate, which the report
     lists under `solver` with the eigensolves' and the norms'.
 
-    `refine_check` repeats the delta eigensolve on the h/2 mesh and, when the
-    run's shift lies below that eigenvalue, the sweep there, norms only.  It
-    reports every eps's h/2 norm and relative change (None without certified
-    h/2 factors) and the h/2 norm fit.  The flag
+    `refine_check` repeats the delta eigensolve on the h/2 mesh and the sweep
+    there at the run's shift, norms only.  It reports every eps's h/2 norm
+    and relative change (None without certified h/2 factors, so every one
+    when the h/2 delta factor is not certified) and the h/2 norm fit.  The flag
     `discretization_dominates_eps_effect` fires when the largest eps's change
     is >= 25 percent or None.  Returns (report, status): status 2 when any
     flag fired, else 0.
@@ -529,11 +529,9 @@ def run_convergence(cfg):
         op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
         forms = {None: op2.form()}
         res2 = op2.solve(forms[None], values_only=True)
-        fine = [None] * len(eps_grid)
-        if shift < res2.eigenvalues[0]:  # else the h/2 delta factor is not certified
-            fine = [None if n is None else n.value for _, n in _eps_sweep(
-                op2, forms, res2.eigenvectors[:, 0], shift, eps_grid, threads=threads,
-                solve=False)]
+        fine = [None if n is None else n.value for _, n in _eps_sweep(
+            op2, forms, res2.eigenvectors[:, 0], shift, eps_grid, threads=threads,
+            solve=False)]
         changes = [None if n is None else abs(n - r) / max(r, 1e-300)
                    for n, r in zip(fine, res_norms)]
         fit = spectral.fit_rate(eps_grid, fine) if len(fine) >= 3 and None not in fine else None
@@ -593,14 +591,15 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, dump=
     factor and one eps form and factor are live at a time, plus the first
     eps form until its point.
 
-    A point assembles its form, passes it to `dump(tag, form)` when given,
-    and factors it on the mesh's dissection tree.  The factor is certified
-    by its inertia count: in `spectral.lowest_eigs` with `solve`, which
-    eigensolves on it from the delta ground state `ground`, else by
-    `spectral.count_below`.  An uncertified factor is freed and the norm is
-    None; with `solve`, `Operator.solve` makes the eigensolve.  Norms are
-    against the delta factor at `shift`, from `ground`; the caller places
-    `shift` below the delta eigenvalue.
+    Every factor, the delta one included, is certified once, by its inertia
+    count (`spectral.count_below`).  A point assembles its form, passes it
+    to `dump(tag, form)` when given, and factors it on the mesh's dissection
+    tree.  An uncertified factor is freed and its norm is None; so is every
+    norm when the delta factor is uncertified, and then, without `solve`, no
+    eps pencil is factored.  With `solve`, the eigensolve runs on a
+    certified factor from the delta ground state `ground`, else
+    `Operator.solve` makes it.  Norms are against the delta factor at
+    `shift`, from `ground`.
     """
 
     def take(eps):
@@ -613,24 +612,27 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, dump=
                                             tree=form_delta.tree,
                                             share=form_delta.tube | forms[eps_grid[0]].tube)
     del form_delta
+    delta_certified = spectral.count_below(factor_delta) == 0
+    if not (delta_certified or solve):
+        del forms[eps_grid[0]]  # the caller keeps no form past the sweep
+        return [(None, None)] * len(eps_grid)
 
     def point(eps):
         try:
             form = take(eps)
             if dump is not None:
                 dump(f"eps_{eps:g}", form)
-            factor, res = spectral.ResolventFactor(form.S, form.M, shift, tree=form.tree,
-                                                   share=factor_delta), None
+            factor = spectral.ResolventFactor(form.S, form.M, shift, tree=form.tree,
+                                              share=factor_delta)
+            if spectral.count_below(factor) != 0:
+                factor = None  # freed before a fresh eigensolve factors the pencil again
+            res = None
             if solve:
-                try:
-                    res = spectral.lowest_eigs(form.S, form.M, factor=factor, v0=ground,
-                                               values_only=True)
-                except spectral.ShiftError:
-                    factor = None  # freed before the fresh eigensolve factors the pencil again
-            elif spectral.count_below(factor) != 0:
-                factor = None
-            if factor is None:
-                return (op.solve(form, eps, values_only=True) if solve else None), None
+                res = (op.solve(form, eps, values_only=True) if factor is None else
+                       spectral.lowest_eigs(form.S, form.M, factor=factor, v0=ground,
+                                            values_only=True))
+            if factor is None or not delta_certified:
+                return res, None
             return res, spectral.resolvent_diff_norm(factor_delta, factor, start=ground)
         except Exception as err:
             err.args = (f"eps={eps}: {err}",)

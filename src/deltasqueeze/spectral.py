@@ -25,10 +25,9 @@ them, and a factor made with `share` set to that factor reuses them, so it
 factors only the tube fronts, and the norm of their resolvent difference
 takes one sweep each way over the shared fronts per application.  An
 eigensolve with no certified factor makes its own in the one loop that
-lowers a shift, until the inertia count is 0.  Every tree factor is counted,
-for free; given a variational upper estimate, the loop checks the first
-SuperLU factor by the eigenvalues it yields instead of its count, which
-saves that transient copy.  Eigensolves and norms are one Lanczos run each
+lowers a shift, until the inertia count is 0: the count is the one
+certificate of a shift, and every factor is counted, a tree factor for
+free.  Eigensolves and norms are one Lanczos run each
 and need a Hermitian pencil: `lowest_eigs` and every `ResolventFactor`
 refuse one whose Hermiticity residual exceeds round-off
 (NonHermitianError).  Every norm and every eigensolve on a tree factor runs
@@ -162,13 +161,10 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
     inertia count is 0.  A certified factor is used as is, at its shift.
 
     `upper_estimate` is a known bound lam_1 <= upper_estimate (e.g. a
-    variational Rayleigh quotient).  Without a `shift`, a negative estimate
-    seeds the shift rule; an estimate >= 0 gives the rule no scale.  Every
-    tree factor is checked by its inertia count, which it carries.  With a
-    `shift` or a seeded rule, the first SuperLU factor is checked by the
-    result instead: finite, none below the shift, lam_1 at most
-    0.5 max(1, |upper_estimate|) above the estimate; every later factor is
-    checked by inertia.
+    variational Rayleigh quotient).  It only seeds the first shift: without
+    a `shift`, a negative estimate seeds the shift rule; an estimate >= 0
+    gives the rule no scale.  Every factor the loop makes is checked by its
+    inertia count, a tree factor's or a SuperLU one's alike.
 
     Every sparse path runs shift-invert Lanczos with a basis of
     max(2k + 1, 20) vectors, the ARPACK default, to the relative Ritz
@@ -214,45 +210,33 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
         v0 = rng.standard_normal(n)
         if np.iscomplexobj(S.data):
             v0 = v0 + 1j * rng.standard_normal(n)
-    # a given factor was counted above; the first factor of an estimate is
-    # checked by its eigenvalues when it is a SuperLU one, whose count costs
-    # a copy: a tree factor's count is free
-    certified = factor is not None
-    seeded = upper_estimate is not None and (shift is not None or upper_estimate < 0.0)
-    window = not certified and seeded and tree is None
     if shift is None:
         # variational estimates may miss vertex deepening factors
-        shift = upper_estimate - max(1.0, 3.0 * abs(upper_estimate)) if seeded else -1.0
+        shift = (upper_estimate - max(1.0, 3.0 * abs(upper_estimate))
+                 if upper_estimate is not None and upper_estimate < 0.0 else -1.0)
     for _ in range(64):  # 2**64 below the start: only a non-definite M gets here
-        if factor is None:
+        if factor is None:  # a given factor was counted above
             try:
                 # S positional: the benchmark's tracer reads the pencil from it
                 factor = ResolventFactor(S, M, shift, tree=tree)
             except RuntimeError:  # exactly singular: shift is an eigenvalue
                 pass
-        if factor is not None and (certified or window or count_below(factor) == 0):
-            try:
-                error = None
-                if isinstance(factor._lu, TreeFactor):
-                    theta, V, converged, error = _lanczos(
-                        factor._lu.solve, M, np.asarray(v0, np.result_type(v0, S.dtype, float)),
-                        k, EIG_RTOL, values=values_only)
-                    if not converged:
-                        raise RuntimeError(f"Lanczos did not converge in {_CYCLES} basis fills")
-                    w = factor.lam + 1.0 / theta
-                    error = _largest(error / theta**2)  # lam = sigma + 1/theta
-                else:
-                    w, V = _shift_invert(S, M, k, factor, v0)
-            except RuntimeError:  # Lanczos did not converge
-                if not window:
-                    raise
-                w = None
-            # w[0] far above the estimate: Lanczos converged past the bottom
-            if not window or (w is not None and np.all(np.isfinite(w)) and (
-                    shift + 1e-12 * abs(shift) <= w[0]
-                    <= upper_estimate + 0.5 * max(1.0, abs(upper_estimate)))):
-                return _finalize(S, M, w, V, shift, error)
-        window, factor = False, None  # freed before the next factorization
+            else:
+                if count_below(factor) != 0:
+                    factor = None  # freed before the next factorization
+        if factor is not None:
+            error = None
+            if isinstance(factor._lu, TreeFactor):
+                theta, V, converged, error = _lanczos(
+                    factor._lu.solve, M, np.asarray(v0, np.result_type(v0, S.dtype, float)),
+                    k, EIG_RTOL, values=values_only)
+                if not converged:
+                    raise RuntimeError(f"Lanczos did not converge in {_CYCLES} basis fills")
+                w = factor.lam + 1.0 / theta
+                error = _largest(error / theta**2)  # lam = sigma + 1/theta
+            else:
+                w, V = _shift_invert(S, M, k, factor, v0)
+            return _finalize(S, M, w, V, shift, error)
         shift = _lower(shift)
     raise ShiftError(f"no shift down to {shift} certified below the pencil spectrum")
 

@@ -19,6 +19,7 @@ from deltasqueeze.lab import (
     ConfigError,
     DistanceTable,
     Operator,
+    _eps_sweep,
     cusp_network,
     network_from_spec,
     profiles_from_config,
@@ -209,23 +210,24 @@ def refusing_counts(monkeypatch, refused):
 
 def test_convergence_falls_back_to_fresh_factors_when_inertia_is_not_zero(monkeypatch):
     # every tree factor is counted: the delta eigensolve's comes first, then
-    # the sweep's, each refused one followed by its fresh eigensolve's
+    # the sweep's delta factor and its eps ones, each refused one followed by
+    # its fresh eigensolve's
     reused, _ = run_convergence(small_convergence_cfg())
     analyse, analysed = frontal._analyse, []
     monkeypatch.setattr(frontal, "_analyse",
                         lambda tree, tube: analysed.append(tree) or analyse(tree, tube))
-    counted = refusing_counts(monkeypatch, {2: 1})  # the eps = 0.35 factor
+    counted = refusing_counts(monkeypatch, {3: 1})  # the eps = 0.35 factor
     fallback, _ = run_convergence(small_convergence_cfg())
     # a norm is missing, so the sweep reruns, and counts its factors too
-    assert len(counted) == 2 + 2 * 3
+    assert len(counted) == 2 + 2 * (1 + 3)
     # the delta eigensolve's plain plan, then the sweep's tube plan, which
     # the fresh eigensolve and the rerun reuse
     assert len(analysed) == 2
     at_shift = [f.lam == fallback["shift"] for f in counted]
-    assert at_shift == [False, True, True, False] + [True] * 4
+    assert at_shift == [False, True, True, True, False] + [True] * 5
     monkeypatch.undo()
-    # every factor of the first sweep refused: all eigensolves fresh
-    refusing_counts(monkeypatch, dict.fromkeys((1, 3, 5)))
+    # every factor of the first sweep refused: no norm, all eigensolves fresh
+    refusing_counts(monkeypatch, dict.fromkeys((1, 2, 4, 6)))
     all_fresh, _ = run_convergence(small_convergence_cfg())
     for key in REPORTED:
         assert np.allclose(fallback[key], all_fresh[key], rtol=1e-10, atol=0.0), key
@@ -244,7 +246,7 @@ def test_every_eps_factor_of_a_run_shares_the_delta_exterior(monkeypatch):
         return norm(R_delta, R_eps, **kwargs)
 
     monkeypatch.setattr(spectral, "resolvent_diff_norm", recording)
-    refusing_counts(monkeypatch, {2: 1})
+    refusing_counts(monkeypatch, {3: 1})
     report, _ = run_convergence(small_convergence_cfg(refine_check=True))
     assert len(pairs) == 2 + 3 + 3 and None not in report["refine_check"]["norms"]
     assert len({id(delta) for delta, _ in pairs}) == 3  # one delta factor per sweep
@@ -272,7 +274,7 @@ def test_no_delta_form_is_alive_while_the_eps_points_run(monkeypatch):
 
     monkeypatch.setattr(Operator, "form", recording_form)
     monkeypatch.setattr(spectral, "resolvent_diff_norm", recording_norm)
-    refusing_counts(monkeypatch, {2: 1})
+    refusing_counts(monkeypatch, {3: 1})
     run_convergence(small_convergence_cfg(refine_check=True))
     assert len(made) == 3 and alive == [0] * (2 + 3 + 3)
 
@@ -413,19 +415,31 @@ def test_convergence_refine_check_reports_every_eps():
     assert block["norm_fit"]["slope"] == fit.slope > 0.0
 
 
-def test_refine_check_without_a_certified_h2_factor_has_no_norm_and_flags(monkeypatch):
-    # inertia refuses the h/2 factor of the largest eps only: the first h/2
-    # factor at the run's shift
-    shift = run_convergence(small_convergence_cfg())[0]["shift"]
-    count_below, refused = spectral.count_below, []
+def refusing_a_fine_count(monkeypatch, shift, i):
+    """Make `spectral.count_below` give None for the i-th distinct h/2 factor
+    at `shift` of `small_convergence_cfg(refine_check=True)`: 0 is the h/2
+    sweep's delta factor, 1 the largest eps's.  Returns the list of the
+    shifts refused."""
+    count_below, fine, refused = spectral.count_below, [], []
 
-    def refusing_the_first_fine_factor(factor):
-        if factor.M.shape[0] == 127**2 and factor.lam == shift and not refused:
-            refused.append(factor.lam)
-            return None
+    def refusing(factor):
+        if factor.M.shape[0] == 127**2 and factor.lam == shift:
+            if not any(f is factor for f in fine):
+                fine.append(factor)
+            if fine[i:i + 1] and fine[i] is factor:
+                refused.append(factor.lam)
+                return None
         return count_below(factor)
 
-    monkeypatch.setattr(spectral, "count_below", refusing_the_first_fine_factor)
+    monkeypatch.setattr(spectral, "count_below", refusing)
+    return refused
+
+
+def test_refine_check_without_a_certified_h2_factor_has_no_norm_and_flags(monkeypatch):
+    # inertia refuses the h/2 factor of the largest eps only: the second h/2
+    # factor at the run's shift, after the h/2 delta factor
+    shift = run_convergence(small_convergence_cfg())[0]["shift"]
+    refused = refusing_a_fine_count(monkeypatch, shift, 1)
     report, status = run_convergence(small_convergence_cfg(refine_check=True))
     block = report["refine_check"]
     assert refused == [report["shift"]]
@@ -439,21 +453,18 @@ def test_refine_check_without_a_certified_h2_factor_has_no_norm_and_flags(monkey
 
 
 def test_refine_check_with_the_shift_above_the_h2_delta_eigenvalue_has_no_norms(monkeypatch):
-    # the h/2 delta factor at the run's shift would not be certified
-    lowest_eigs = spectral.lowest_eigs
-
-    def h2_delta_below_the_shift(S, *args, **kwargs):
-        res = lowest_eigs(S, *args, **kwargs)
-        if S.shape[0] == 127**2:
-            res = dataclasses.replace(res, eigenvalues=res.eigenvalues - 100.0)
-        return res
-
-    monkeypatch.setattr(spectral, "lowest_eigs", h2_delta_below_the_shift)
+    # inertia refuses the h/2 delta factor at the run's shift, as it does
+    # when that shift is not below the h/2 delta eigenvalue
+    shift = run_convergence(small_convergence_cfg())[0]["shift"]
+    refused = refusing_a_fine_count(monkeypatch, shift, 0)
     counted = refusing_counts(monkeypatch, {})
     report, status = run_convergence(small_convergence_cfg(refine_check=True))
     block = report["refine_check"]
-    # at the run's shift, the run's eps factors only: no h/2 eps pencil is factored
-    assert [f.M.shape[0] for f in counted if f.lam == report["shift"]] == [63**2] * 3
+    assert refused == [report["shift"]]
+    # at the run's shift, the run's delta and eps factors and the h/2 delta
+    # factor only: no h/2 eps pencil is factored
+    assert [f.M.shape[0] for f in counted if f.lam == report["shift"]] == (
+        [63**2] * 4 + [127**2])
     assert block["norms"] == block["rel_changes"] == [None] * 3
     assert block["norm"] is None and block["norm_fit"] is None
     assert report["flags"] == {"discretization_dominates_eps_effect": True}
@@ -472,11 +483,44 @@ def test_refine_check_eigensolves_only_the_delta_pencils(monkeypatch):
 
 
 def test_convergence_uncertified_after_the_rerun_raises_shift_error(monkeypatch):
-    # the first sweep's counts refused (after the delta eigensolve's factor,
-    # each followed by its fresh eigensolve's): every eigensolve is fresh and
-    # the sweep reruns, where the count of the eps = 0.35 factor is refused again
-    refusing_counts(monkeypatch, {**dict.fromkeys((1, 3, 5)), 8: None})
+    # the first sweep's eps counts refused (after the delta eigensolve's factor
+    # and the sweep's delta factor, each followed by its fresh eigensolve's):
+    # every eigensolve is fresh and the sweep reruns, where the count of the
+    # eps = 0.35 factor is refused again
+    refusing_counts(monkeypatch, {**dict.fromkeys((2, 4, 6)), 10: None})
     with pytest.raises(spectral.ShiftError, match=r"eps=0\.35: shift .* not certified below "
+                                                  r"the pencil at h = 0\.0625"):
+        run_convergence(small_convergence_cfg())
+
+
+def test_a_refused_delta_sweep_count_leaves_every_norm_none(monkeypatch):
+    # the sweep counts its delta factor first: refused, no norm is taken, the
+    # eigensolves still run, and without them no eps pencil is factored
+    cfg = small_convergence_cfg()
+    op = config_operator(cfg)
+    res = op.solve(op.form(), values_only=True)
+    lam = res.eigenvalues[0]
+    shift = lam - max(1.0, abs(lam))
+    norm, norms = spectral.resolvent_diff_norm, []
+    monkeypatch.setattr(spectral, "resolvent_diff_norm",
+                        lambda *args, **kwargs: norms.append(1) or norm(*args, **kwargs))
+    counted = refusing_counts(monkeypatch, {0: 1})
+    swept = _eps_sweep(op, {}, res.eigenvectors[:, 0], shift, cfg["eps_grid"], threads=1)
+    assert [n for _, n in swept] == [None] * 3 and norms == []
+    assert all(r.eigenvalues[0] > shift for r, _ in swept)
+    assert [f.lam for f in counted] == [shift] * 4
+    counted.clear()
+    swept = _eps_sweep(op, {}, res.eigenvectors[:, 0], shift, cfg["eps_grid"], threads=1,
+                       solve=False)
+    assert swept == [(None, None)] * 3 and norms == []
+    assert len(counted) == 1
+
+
+def test_convergence_with_refused_delta_sweep_counts_raises_shift_error(monkeypatch):
+    # the sweep's delta factor refused (after the delta eigensolve's factor):
+    # no norm, so the sweep reruns, where its delta factor is refused again
+    refusing_counts(monkeypatch, {1: 1, 5: 1})
+    with pytest.raises(spectral.ShiftError, match=r"eps=0\.5: shift .* not certified below "
                                                   r"the pencil at h = 0\.0625"):
         run_convergence(small_convergence_cfg())
 

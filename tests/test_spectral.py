@@ -136,15 +136,28 @@ def test_every_factorization_without_an_estimate_is_counted(calls):
     assert calls["splu"] == calls["count_below"] > 5
 
 
-def test_only_the_first_factor_of_an_estimate_is_not_counted(calls):
+def test_every_superlu_factor_of_an_estimate_is_counted(calls):
     S, M = deep_segment_pencil()
     lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
-    # a first shift just above lam_1: Lanczos finds lam_1 below it, a miss
+    # a first shift just above lam_1: its count refuses it, so the shift is lowered
     res = lowest_eigs(S, M, k=1, shift=lam[0] + 0.1 * (lam[1] - lam[0]),
                       upper_estimate=lam[0] + 1.0)
-    assert calls["count_below"] == calls["splu"] - 1 >= 1
+    assert calls["count_below"] == calls["splu"] >= 2
     assert res.eigenvalues[0] == pytest.approx(lam[0], rel=1e-10)
     assert res.shift < lam[0]
+
+
+def test_a_shift_between_two_eigenvalues_with_an_estimate_returns_lam_1(calls):
+    # a shift between lam_1 = 1 and lam_2 = 1.2, and an estimate within half
+    # a unit of lam_2: shift-invert there finds lam_2 first, so only the
+    # inertia count, which sees lam_1 below the shift, tells it from lam_1
+    d = np.concatenate([[1.0, 1.2], np.linspace(3.0, 50.0, 98)])
+    S, M = sp.diags(d, format="csr"), sp.identity(d.size, format="csr")
+    lam = sla.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+    res = lowest_eigs(S, M, k=1, shift=1.15, upper_estimate=1.5)
+    assert res.eigenvalues[0] == pytest.approx(lam[0], rel=1e-10)
+    assert res.shift < lam[0] == 1.0
+    assert calls["count_below"] == calls["splu"] == 2
 
 
 def test_every_tree_factor_of_an_estimate_is_counted(monkeypatch):

@@ -24,7 +24,6 @@ import hashlib
 import json
 import logging
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -35,7 +34,6 @@ from .oracles import WedgeParams, cusp_operator_eigs, wedge_F_infimum
 
 __all__ = [
     "ConfigError",
-    "DistanceTable",
     "Operator",
     "network_from_spec",
     "profiles_from_config",
@@ -214,51 +212,34 @@ def squeezed_shift_floor(net, profiles, eps, q_min: float = 0.0):
     return 1.02 * floor - 1.0
 
 
-class DistanceTable:
-    """Exact distances of a mesh's interior nodes to each segment of a
-    network, each segment's computed on first use.  Operators on one
-    (mesh, network) pair share one table, so the trial states of several
-    strengths measure the distances once."""
-
-    def __init__(self, mesh: fem.Mesh, net: geometry.Network):
-        self.mesh, self.net = mesh, net
-        self._lock = threading.Lock()  # the eps points of `converge` may share it
-        self._dist = {}
-
-    def __getitem__(self, k: int):
-        with self._lock:
-            if k not in self._dist:
-                m = self.mesh
-                pts = np.stack([m.node_x[m.interior], m.node_y[m.interior]], axis=1)
-                self._dist[k] = self.net.sampled_distance(k, pts)
-            return self._dist[k]
-
-
-def trial_upper_bound(distances: DistanceTable, strengths, form):
+def trial_upper_bound(op: Operator, form):
     """Variational bound lam_1 <= min R(v) over transverse-decay trial states,
     returned with the minimizing state v: (bound, v), or (None, None) when
-    every strength is zero.
+    every strength of `op` is zero.
 
     The candidates interpolate exp(-c |alpha_k| dist(x, Sigma_k) / 2) for
     c = 1 (single-line bound-state profile) and c = 2 (the steeper profile of
     merged tubes near vertices and cusps, where strengths effectively add).
-    Every Rayleigh quotient on the assembled pencil is a rigorous upper
-    bound for the discrete ground state, so the minimum seeds the shift rule
-    of the eigensolver without any probing factorization, and its positive
-    state starts the ground-state Lanczos.  `distances`, the table of the
-    form's mesh and the strengths' network, supplies both.
+    Every Rayleigh quotient on the assembled pencil `form` of `op` is a
+    rigorous upper bound for the discrete ground state, so the minimum seeds
+    the shift rule of the eigensolver without any probing factorization, and
+    its positive state starts the ground-state Lanczos.  The distances of
+    the mesh's interior nodes are measured here, once per segment with a
+    nonzero strength (`Network.sampled_distance`).
     """
+    net, m = op.net, op.mesh
     scales = {
-        k: _strength_scale(a, distances.net.segments[k].length)
-        for k, a in strengths.items()
+        k: _strength_scale(a, net.segments[k].length)
+        for k, a in op.strengths.items()
         if a is not None
     }
     scales = {k: a for k, a in scales.items() if a > 0.0}
     if not scales:
         return None, None
+    pts = np.stack([m.node_x[m.interior], m.node_y[m.interior]], axis=1)
     decay = np.inf
     for k, a in scales.items():
-        decay = np.minimum(decay, a * distances[k])
+        decay = np.minimum(decay, a * net.sampled_distance(k, pts))
     best = state = None
     for c in (1.0, 2.0):
         v = np.exp(-0.5 * c * decay)
@@ -273,11 +254,10 @@ def trial_upper_bound(distances: DistanceTable, strengths, form):
 class Operator:
     """(i grad + A)^2 + Q + alpha delta_Sigma on a mesh, with the tube profiles
     of its squeezed regularizations.  `strengths` maps a segment index to a
-    scalar alpha or a callable alpha(s); Q is a constant or None.
-    `distances` is the trial states' distance table of (mesh, net), and
-    `base` the `fem.BaseForm` of (mesh, A, Q) that every form of the
-    operator builds on; a new one, assembled here, replaces a table or base
-    of another mesh, network, A or Q."""
+    scalar alpha or a callable alpha(s); Q is a constant or None.  `base`
+    is the `fem.BaseForm` of (mesh, A, Q) that every form of the operator
+    builds on; a new one, assembled here, replaces a base of another mesh,
+    A or Q."""
 
     mesh: fem.Mesh
     net: geometry.Network
@@ -285,13 +265,9 @@ class Operator:
     strengths: dict
     A: object = None
     Q: float | None = None
-    distances: DistanceTable | None = field(default=None, repr=False, compare=False)
     base: fem.BaseForm | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.distances
-        if d is None or d.mesh is not self.mesh or d.net is not self.net:
-            object.__setattr__(self, "distances", DistanceTable(self.mesh, self.net))
         if self.base is None or not self.base.matches(self.mesh, self.A, self.Q):
             object.__setattr__(self, "base", fem.assemble_base(self.mesh, self.A, self.Q))
 
@@ -305,12 +281,11 @@ class Operator:
                    _gauge(cfg.get("field_b", 0.0)), _q_function(cfg.get("q")))
 
     @classmethod
-    def uniform(cls, mesh, net, alpha: float, A=None, distances=None,
-                base=None) -> "Operator":
+    def uniform(cls, mesh, net, alpha: float, A=None, base=None) -> "Operator":
         """The constant strength alpha on every segment."""
         profiles = profiles_from_config({"alpha": alpha}, net)
         strengths = {i: alpha for i in range(len(net.segments))}
-        return cls(mesh, net, profiles, strengths, A, distances=distances, base=base)
+        return cls(mesh, net, profiles, strengths, A, base=base)
 
     def form(self, eps=None) -> fem.AssembledForm:
         """The delta form, or the squeezed form of tube width eps."""
@@ -329,7 +304,9 @@ class Operator:
         k == 1 Lanczos starts from the trial state, which
         overlaps the ground state (positive and simple when A = 0); with
         k > 1, where a symmetric trial state can miss an odd excited state,
-        it starts from a random vector drawn with `spectral.START_SEED`.
+        it starts from a random vector drawn with `spectral.START_SEED`.  So
+        `trial_upper_bound` is called only for the delta form or k == 1: a
+        squeezed form with k > 1 reads neither its bound nor its state.
         `values_only` is `spectral.lowest_eigs`'s: the caller uses the
         eigenvalues, and the eigenvectors only as Lanczos starts.
 
@@ -345,7 +322,7 @@ class Operator:
         shift by its inertia count and lowers it otherwise, so a poor seed
         costs a factor, never the ground state.  When u >= 0 the shift is
         the floor, or for the delta form -1, lowered the same way."""
-        shift = None
+        shift = bound = v0 = None
         if eps is not None:
             shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
         dtype = np.result_type(form.S.dtype, float)
@@ -354,9 +331,8 @@ class Operator:
             bound = float(np.real(np.vdot(v0, form.S @ v0)) / np.real(np.vdot(v0, form.M @ v0)))
             if bound < 0.0:
                 shift = bound - 0.5 * max(1.0, abs(bound))
-        else:
-            bound, trial = trial_upper_bound(self.distances, self.strengths, form)
-            v0 = None
+        elif eps is None or k == 1:
+            bound, trial = trial_upper_bound(self, form)
             if k == 1 and trial is not None:
                 v0 = np.asarray(trial, dtype=dtype)
         return spectral.lowest_eigs(form.S, form.M, k=k, shift=shift, upper_estimate=bound,
@@ -442,9 +418,11 @@ def run_convergence(cfg):
     mesh makes each eps pencil's factor, eigensolve and norm; a second one at
     the lower common shift retakes the norms when a factor is not certified
     or some lam_eps lies below lam_delta, and raises ShiftError when it
-    cannot certify a factor.  Every eigensolve is k = 1 and starts Lanczos
-    near its ground state: from the trial state when it makes its own factor
-    (`Operator.solve`), else from the delta ground state, as every norm does.
+    cannot certify a factor, naming the delta pencil when its factor is the
+    one refused, else the first refused eps.  Every eigensolve is k = 1 and
+    starts Lanczos near its ground state: from the trial state when it makes
+    its own factor (`Operator.solve`), else from the delta ground state, as
+    every norm does.
     The report uses the eigenvalues only, so every eigensolve is
     `values_only` and stops on the value error estimate, which the report
     lists under `solver` with the eigensolves' and the norms'.
@@ -484,11 +462,12 @@ def run_convergence(cfg):
     norms = [n for _, n in eps_results]
     if None in norms or min(lam_eps) < lam_delta:
         shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
-        norms = [n for _, n in _eps_sweep(op, {}, ground, shift, eps_grid,
-                                          threads=threads, solve=False)]
+        swept = _eps_sweep(op, {}, ground, shift, eps_grid, threads=threads, solve=False)
+        norms = [n for _, n in swept or [(None, None)] * len(eps_grid)]
         if None in norms:
-            raise spectral.ShiftError(f"eps={eps_grid[norms.index(None)]}: shift {shift} not "
-                                      f"certified below the pencil at h = {op.mesh.h}")
+            pencil = "delta" if swept is None else f"eps={eps_grid[norms.index(None)]}"
+            raise spectral.ShiftError(f"{pencil}: shift {shift} not certified below the "
+                                      f"pencil at h = {op.mesh.h}")
 
     res_norms = [n.value for n in norms]
     gaps = [abs(le - lam_delta) for le in lam_eps]
@@ -529,9 +508,10 @@ def run_convergence(cfg):
         op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
         forms = {None: op2.form()}
         res2 = op2.solve(forms[None], values_only=True)
-        fine = [None if n is None else n.value for _, n in _eps_sweep(
-            op2, forms, res2.eigenvectors[:, 0], shift, eps_grid, threads=threads,
-            solve=False)]
+        swept = _eps_sweep(op2, forms, res2.eigenvectors[:, 0], shift, eps_grid,
+                           threads=threads, solve=False)
+        fine = [None if n is None else n.value
+                for _, n in swept or [(None, None)] * len(eps_grid)]
         changes = [None if n is None else abs(n - r) / max(r, 1e-300)
                    for n, r in zip(fine, res_norms)]
         fit = spectral.fit_rate(eps_grid, fine) if len(fine) >= 3 and None not in fine else None
@@ -595,11 +575,11 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, dump=
     count (`spectral.count_below`).  A point assembles its form, passes it
     to `dump(tag, form)` when given, and factors it on the mesh's dissection
     tree.  An uncertified factor is freed and its norm is None; so is every
-    norm when the delta factor is uncertified, and then, without `solve`, no
-    eps pencil is factored.  With `solve`, the eigensolve runs on a
-    certified factor from the delta ground state `ground`, else
-    `Operator.solve` makes it.  Norms are against the delta factor at
-    `shift`, from `ground`.
+    norm when the delta factor is uncertified, and then, without `solve`,
+    the sweep returns None, with no eps pencil factored.  With `solve`, the
+    eigensolve runs on a certified factor from the delta ground state
+    `ground`, else `Operator.solve` makes it.  Norms are against the delta
+    factor at `shift`, from `ground`.
     """
 
     def take(eps):
@@ -615,7 +595,7 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, dump=
     delta_certified = spectral.count_below(factor_delta) == 0
     if not (delta_certified or solve):
         del forms[eps_grid[0]]  # the caller keeps no form past the sweep
-        return [(None, None)] * len(eps_grid)
+        return None
 
     def point(eps):
         try:
@@ -644,8 +624,6 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, dump=
         # rounds of three tree factors of a 200^2 Laplacian made on a worker
         # held RSS at 188 MB over 12 rounds when dropped on the main thread,
         # and 187 MB when dropped on the worker (131 MB on one thread).
-        # SuperLU memory freed on another thread than the one that made it
-        # is never returned: 84 MB grew to 533 MB in 4 such rounds.
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(point, eps_grid))
     return [point(eps) for eps in eps_grid]
@@ -798,12 +776,12 @@ def run_cusp(cfg: dict):
     target = 2.0 ** (2.0 / (d + 2.0)) * e1
 
     mesh = _mesh(cfg["mesh"])
-    distances, base = DistanceTable(mesh, net), fem.assemble_base(mesh)
+    base = fem.assemble_base(mesh)
     rows, flags = [], {}
     r_devs, shifts = [], []
     ground = None
     for alpha in alphas:
-        op = Operator.uniform(mesh, net, alpha, distances=distances, base=base)
+        op = Operator.uniform(mesh, net, alpha, base=base)
         form = op.form(eps)
         _dump(cfg, f"alpha_{alpha:g}", form)
         res = op.solve(form, eps, near=ground)

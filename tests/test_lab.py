@@ -5,6 +5,7 @@ import logging
 import os
 import re
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -13,11 +14,10 @@ import scipy.io
 import scipy.linalg as sla
 from conftest import assert_same_csr, full_node_form
 
-from deltasqueeze import cli, fem, frontal, geometry, potentials, spectral
+from deltasqueeze import cli, fem, frontal, geometry, lab, potentials, spectral
 from deltasqueeze.fem import ResolutionError
 from deltasqueeze.lab import (
     ConfigError,
-    DistanceTable,
     Operator,
     _eps_sweep,
     cusp_network,
@@ -189,16 +189,48 @@ def test_eps_workers_read_the_shared_base_without_changing_it(monkeypatch):
         assert threaded[key] == serial[key]
 
 
+def test_threaded_fresh_eigensolves_match_serial(monkeypatch):
+    # every eps count of the first sweep refused: three workers on two cores,
+    # switching often, each make a fresh eigensolve through `Operator.solve`
+    # and so measure the trial distances while the others do
+    shift = run_convergence(small_convergence_cfg())[0]["shift"]
+    trial, main, reports = lab.trial_upper_bound, threading.get_ident(), {}
+    for threads in (1, 3):
+        calls = []
+        monkeypatch.setattr(lab, "trial_upper_bound",
+                            lambda *args: calls.append(threading.get_ident()) or trial(*args))
+        # at the first sweep's shift: its delta factor, then its eps factors
+        counted = refusing_counts(monkeypatch, {1: 1, 2: 1, 3: 1}, lam=shift)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports[threads], _ = run_convergence(small_convergence_cfg(threads=threads))
+        finally:
+            sys.setswitchinterval(switch)
+        monkeypatch.undo()
+        # both sweeps at the shift, the rerun's counted as the first's
+        assert len(counted) == 2 * (1 + 3)
+        # the delta eigensolve's, then one per eps, on the workers when threaded
+        assert len(calls) == 4 and calls[0] == main
+        assert all((c != main) == (threads > 1) for c in calls[1:])
+    serial, threaded = ({k: v for k, v in reports[t].items() if k != "config"} for t in (1, 3))
+    assert threaded == serial
+    assert serial["shift"] == shift and serial["shift_verified_below_all_pencils"]
+
+
 REPORTED = ("lam_delta", "lam_eps", "res_norms", "eig_gaps", "shift")
 
 
-def refusing_counts(monkeypatch, refused):
+def refusing_counts(monkeypatch, refused, lam=None):
     """Make `spectral.count_below` give `refused[i]` (1 or None) for the i-th
-    distinct factor it counts, when given, and the true count otherwise.
-    Returns the list of the factors counted, in order."""
+    distinct factor it counts, when given, and the true count otherwise;
+    with `lam`, only the factors at the shift lam are indexed and refused.
+    Returns the list of the factors indexed, in order."""
     count_below, factors = spectral.count_below, []
 
     def counting(factor):
+        if lam is not None and factor.lam != lam:
+            return count_below(factor)
         if not any(f is factor for f in factors):
             factors.append(factor)
         i = next(i for i, f in enumerate(factors) if f is factor)
@@ -512,7 +544,7 @@ def test_a_refused_delta_sweep_count_leaves_every_norm_none(monkeypatch):
     counted.clear()
     swept = _eps_sweep(op, {}, res.eigenvectors[:, 0], shift, cfg["eps_grid"], threads=1,
                        solve=False)
-    assert swept == [(None, None)] * 3 and norms == []
+    assert swept is None and norms == []
     assert len(counted) == 1
 
 
@@ -520,8 +552,8 @@ def test_convergence_with_refused_delta_sweep_counts_raises_shift_error(monkeypa
     # the sweep's delta factor refused (after the delta eigensolve's factor):
     # no norm, so the sweep reruns, where its delta factor is refused again
     refusing_counts(monkeypatch, {1: 1, 5: 1})
-    with pytest.raises(spectral.ShiftError, match=r"eps=0\.5: shift .* not certified below "
-                                                  r"the pencil at h = 0\.0625"):
+    with pytest.raises(spectral.ShiftError, match=r"^delta: shift .* not certified below "
+                                                  r"the pencil at h = 0\.0625$"):
         run_convergence(small_convergence_cfg())
 
 
@@ -685,7 +717,7 @@ def test_delta_eigensolve_starts_from_the_trial_state(monkeypatch):
     op = config_operator(small_convergence_cfg())
     form = op.form()
     assert form.S.shape[0] == 3969
-    _, trial = trial_upper_bound(op.distances, op.strengths, form)
+    _, trial = trial_upper_bound(op, form)
     solves, starts = [], []
     solve, lanczos = frontal.TreeFactor.solve, spectral._lanczos
 
@@ -724,12 +756,29 @@ def test_two_eigenpairs_include_the_odd_second_state():
     i, j = (np.rint(c[m.interior] / h).astype(int) for c in (m.node_x, m.node_y))
     index = {ij: k for k, ij in enumerate(zip(i, j))}
     mirror = np.array([index[(-a, -b)] for a, b in zip(i, j)])
-    _, trial = trial_upper_bound(op.distances, op.strengths, form)
+    _, trial = trial_upper_bound(op, form)
     assert np.array_equal(trial[mirror], trial)
     for v in (V[:, 1], res.eigenvectors[:, 1]):
         assert np.allclose(v[mirror], -v, rtol=0.0, atol=1e-8 * np.max(np.abs(v)))
         assert abs(trial @ (form.M @ v)) <= 1e-12 * np.linalg.norm(trial)
     assert np.all(res.residuals <= 1e-10)
+
+
+@pytest.mark.parametrize("eps, k, made", [(0.5, 2, 0), (None, 2, 1), (0.5, 1, 1)])
+def test_a_trial_state_is_made_only_where_it_is_read(monkeypatch, eps, k, made):
+    # the trial bound seeds a delta shift and its state starts a k = 1
+    # Lanczos; a squeezed pencil is shifted to its floor, so with k > 1 it
+    # reads neither
+    trial, calls = lab.trial_upper_bound, []
+    monkeypatch.setattr(lab, "trial_upper_bound",
+                        lambda *args: calls.append(1) or trial(*args))
+    cfg = small_convergence_cfg(mesh={"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 8.0},
+                                eps=eps, k=k)
+    report, _ = run_spectrum(cfg)
+    assert len(calls) == made
+    form = config_operator(cfg).form(eps)
+    lam = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)
+    assert np.allclose(report["eigenvalues"], lam[:k], rtol=1e-10, atol=0.0)
 
 
 # --------------------------------------------------------------- star graph
@@ -887,14 +936,13 @@ def rayleigh_quotient(S, M, v):
 def test_cusp_trial_bound_stays_above_the_ground_state(d):
     net = cusp_network(d, 0.5)
     mesh = fem.build_mesh(((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0)
-    distances = DistanceTable(mesh, net)
     ground = None
     for alpha in (-6.0, -10.0):
-        op = Operator.uniform(mesh, net, alpha, distances=distances)
+        op = Operator.uniform(mesh, net, alpha)
         form = op.form()
         w, V = sla.eigh(form.S.toarray(), form.M.toarray(), subset_by_index=[0, 0])
         lam1 = w[0]
-        bound, state = trial_upper_bound(op.distances, op.strengths, form)
+        bound, state = trial_upper_bound(op, form)
         assert lam1 <= bound
         if ground is not None:
             # the seeded bound of `Operator.solve(near=...)`: the alpha = -6
@@ -906,10 +954,6 @@ def test_cusp_trial_bound_stays_above_the_ground_state(d):
         assert (state @ (form.S @ state)) / (state @ (form.M @ state)) == pytest.approx(
             bound, rel=1e-14)
         assert np.all(state > 0.0)
-        fresh = DistanceTable(op.mesh, op.net)
-        fresh_bound, fresh_state = trial_upper_bound(fresh, op.strengths, form)
-        assert fresh_bound == bound
-        assert np.array_equal(fresh_state, state)
 
 
 def test_cusp_with_a_positive_trial_bound_finds_the_ground_state():
@@ -920,7 +964,7 @@ def test_cusp_with_a_positive_trial_bound_finds_the_ground_state():
                           "mesh": {"box": [list(b) for b in box], "h": h}})
     op = Operator.uniform(fem.build_mesh(box, h), cusp_network(1.5, 0.5), -6.0)
     form = op.form()
-    assert trial_upper_bound(op.distances, op.strengths, form)[0] > 0.0
+    assert trial_upper_bound(op, form)[0] > 0.0
     lam1 = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)[0]
     assert report["lam1"][0] == pytest.approx(lam1, rel=1e-10)
 
@@ -1105,7 +1149,7 @@ def test_zero_strength_magnetic_spectrum_matches_dense_eigh():
     op = config_operator(cfg)
     form = op.form()
     assert form.S.shape[0] >= 60  # past the dense cutoff of lowest_eigs
-    assert trial_upper_bound(op.distances, op.strengths, form) == (None, None)
+    assert trial_upper_bound(op, form) == (None, None)
     report, _ = run_spectrum(cfg)
     lam = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)
     assert np.allclose(report["eigenvalues"], lam[:3], rtol=1e-10, atol=0.0)

@@ -308,11 +308,11 @@ def _backward(v, fronts, *, rings_only=False):
     pivots.  `rings_only` when v holds 0 on every pivot of `fronts`."""
     for g, K, _ in reversed(fronts):
         if rings_only:
-            v[g.pivots] = (_H(K[:, g.p:]) @ v[g.ring][..., None])[..., 0]
-            continue
-        Z = np.empty((len(K), g.p + g.R, 1), v.dtype)
-        Z[:, :g.p, 0], Z[:, g.p:, 0] = v[g.pivots], v[g.ring]
-        v[g.pivots] = (_H(K) @ Z)[..., 0]
+            K, Z = K[:, g.p:], v[g.ring][..., None]
+        else:
+            Z = np.empty((len(K), g.p + g.R, 1), v.dtype)
+            Z[:, :g.p, 0], Z[:, g.p:, 0] = v[g.pivots], v[g.ring]
+        v[g.pivots] = (K.swapaxes(1, 2) @ Z.conj()).conj()[..., 0]  # K^H Z, K not copied
 
 
 class TreeFactor:

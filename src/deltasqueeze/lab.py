@@ -366,12 +366,11 @@ def export_strengths_csv(net, strengths, path, samples: int = 65):
     """CSV of (segment, s, alpha(s)) sampled along each segment."""
     lines = ["segment,s,alpha"]
     for k, strength in sorted(strengths.items()):
-        seg = net.segments[k]
-        s = np.linspace(0.0, seg.length, samples)
+        s = np.linspace(0.0, net.segments[k].length, samples)
         a = strength(s) if callable(strength) else np.full(samples, strength)
-        for si, ai in zip(s, np.asarray(a, dtype=complex)):
-            val = ai.real if ai.imag == 0 else ai
-            lines.append(f"{k},{_format_float(float(si))},{val}")
+        # Python scalars print as numpy's do, without boxing a numpy scalar per row
+        for si, ai in zip(s.tolist(), np.asarray(a, dtype=complex).tolist()):
+            lines.append(f"{k},{_format_float(si)},{ai.real if ai.imag == 0 else ai}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

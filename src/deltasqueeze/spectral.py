@@ -39,13 +39,13 @@ goes with the square of its residual over its gap (Kato-Temple), so a
 caller that uses only the values stops earlier, on that estimate: every
 norm, and every eigensolve asked for `values_only`, stops as soon as the
 estimate is at most VALUE_RTOL relative, or the residual test passes.  An
-eigensolve starts from a given vector near the wanted
-eigenspace when the caller has one (a trial state, or the ground state of
-a nearby pencil), else from a random vector drawn with START_SEED.  A norm
-starts the same way, from a given vector near the top eigenvector of the
-resolvent difference (the delta ground state, or a trial state near it).
-One fixed seed and no state kept between calls: identical inputs give
-bit-identical reports.
+eigensolve starts from a given vector near the wanted eigenspace when the
+caller has one (a trial state, or the ground state of a nearby pencil),
+else from a random vector drawn with START_SEED.  A norm is one Lanczos
+run from its start, taken the same way: a given vector near the top
+eigenvector of the resolvent difference (the delta ground state, or a trial
+state near it), itself.  One fixed seed and no state kept between calls:
+identical inputs give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -100,15 +100,22 @@ class NonHermitianError(ValueError):
 
 
 def _check_hermitian(A, name):
-    """Raise NonHermitianError unless max|A - A^H| <= HERMITIAN_RTOL max|A|."""
+    """Raise NonHermitianError unless max|A - A^H| <= HERMITIAN_RTOL max|A| (NaN fails)."""
     residual = hermiticity_residual(A)
     scale = float(abs(A).max()) if A.nnz else 0.0
-    if residual > HERMITIAN_RTOL * scale:
+    if not residual <= HERMITIAN_RTOL * scale:  # a NaN compares False
         raise NonHermitianError(
-            f"pencil matrix {name} is not Hermitian: max|A - A^H| = {residual:.3g} "
-            f"against max|A| = {scale:.3g}; shift-invert Lanczos and inertia counts "
-            "need a Hermitian pencil"
-        )
+            f"pencil matrix {name} is not Hermitian: max|A - A^H| = {residual:.3g} against "
+            f"max|A| = {scale:.3g}, {np.count_nonzero(~np.isfinite(A.data))} non-finite "
+            "entries; shift-invert Lanczos and inertia counts need a Hermitian pencil")
+
+
+def _random_starts(n, complex_):
+    """Random n-vectors drawn with START_SEED in turn: real, or real + i real if `complex_`."""
+    rng = np.random.default_rng(START_SEED)
+    while True:
+        r = rng.standard_normal(n)
+        yield r + 1j * rng.standard_normal(n) if complex_ else r
 
 
 @dataclass(frozen=True)
@@ -206,10 +213,7 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
         shift_used = shift if shift is not None else float(w[0] - 1.0)
         return _finalize(S, M, w, V, shift_used, None)
     if v0 is None:
-        rng = np.random.default_rng(START_SEED)
-        v0 = rng.standard_normal(n)
-        if np.iscomplexobj(S.data):
-            v0 = v0 + 1j * rng.standard_normal(n)
+        v0 = next(_random_starts(n, np.iscomplexobj(S.data)))
     if shift is None:
         # variational estimates may miss vertex deepening factors
         shift = (upper_estimate - max(1.0, 3.0 * abs(upper_estimate))
@@ -298,13 +302,12 @@ def _lanczos(apply, M, v0, k, tol, *, values=False):
             return w / beta, Mw / beta
         # breakdown: Q[:m] spans an invariant space, so go on from a fresh
         # random direction M-orthogonal to it
-        r = rng.standard_normal(n)
-        r = orthogonalise(r if real else r + 1j * rng.standard_normal(n), m)[0]
+        r = orthogonalise(next(fresh), m)[0]
         Mr = M @ r
         scale = np.sqrt(np.vdot(r, Mr).real)
         return r / scale, Mr / scale
 
-    rng = np.random.default_rng(START_SEED)  # of the fresh directions after a breakdown
+    fresh = _random_starts(n, not real)  # the directions after a breakdown
     Mq = M @ v0
     scale = np.sqrt(np.vdot(v0, Mq).real)
     Q[0], Mq = v0 / scale, Mq / scale
@@ -425,6 +428,7 @@ class ResolventFactor:
     def __init__(self, S, M, lam: float, *, tree=None, share=None):
         self.M = M.tocsr()
         self.lam = float(lam)
+        self.dtype = np.result_type(S.dtype, self.M.dtype, float)  # of its solves
         if tree is not None:
             if isinstance(share, ResolventFactor):
                 share = share._lu
@@ -507,37 +511,35 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     sweep each way over those fronts and two over the tube fronts
     (`frontal.TreeFactor.solve_difference`).
 
-    Lanczos starts from v0 = D x0, the power step that also gives the lower
-    bound ||D x0||_M / ||x0||_M and detects D = 0.  x0 is `start` when given,
-    a vector near the top eigenvector of D: the ground state of the delta
-    pencil, or a trial state near it (the delta ground state of a line at
-    h = 1/64 overlaps it by 0.96-0.98 in the M-inner product; ARPACK
-    Users' Guide, sec. 4.4, on start vectors).  Otherwise x0 is a random
-    vector drawn with START_SEED.  From such a start a converge-line norm
-    takes 6-7 applications of D, the power step included, and from a random
-    start 10-11 (8-9 and 11-13 to the relative residual 1e-10; ARPACK,
-    which tests only a full basis, took 10 and 14).
-    Without convergence in _CYCLES fills the result is the larger of the
-    power step's bound and the largest |Ritz value|, both lower bounds,
-    flagged non-converged.  `iterations` counts the applications of D.
+    Lanczos starts from `start` when given, cast to the factors' dtype: a
+    vector near the top eigenvector of D, the delta ground state or a trial
+    state near it (the delta ground state of a line at h = 1/64 overlaps it
+    by 0.96-0.98 in the M-inner product; ARPACK Users' Guide, sec. 4.4).
+    Otherwise it starts from a random vector drawn with START_SEED.  From
+    such a start a converge-line norm takes 6-7 applications of D, and from
+    a random start 10-11 (8-9 and 11-13 to the relative residual 1e-10;
+    ARPACK, which tests only a full basis, took 10 and 14).  The value is
+    the largest |Ritz value|, a lower bound of the norm, flagged
+    non-converged when the run does not converge in _CYCLES fills; from the
+    second step on, the Krylov space holds x0 and D x0, so the value is at
+    least ||D x0||_M / ||x0||_M.  D = 0 ends at the first step's breakdown,
+    with value 0.  `iterations` counts the applications of D.
 
-    Lanczos searches only the Krylov space of v0, so a started result is the
-    norm of D only when `start` is not M-orthogonal to D's top eigenvector.
-    In a geometry symmetric under a map that commutes with D (a line, a
-    symmetric star or two parallel lines under (x, y) -> (-x, -y)), the
-    Krylov space keeps the symmetry of the start, and the result is the
-    largest |eigenvalue| of D in that symmetry class: the norm when the top
-    eigenvector has the ground state's symmetry.  A random start covers
-    every class.  `test_warm_started_norms_match_random_starts` checks that
-    both starts agree on the geometries the lab runs.
+    Lanczos searches only the Krylov space of its start, so a started result
+    is the norm of D only when `start` is not M-orthogonal to D's top
+    eigenvector.  In a geometry symmetric under a map that commutes with D
+    (a line, a symmetric star or two parallel lines under (x, y) ->
+    (-x, -y)), the Krylov space keeps the symmetry of the start, and the
+    result is the largest |eigenvalue| of D in that symmetry class: the norm
+    when the top eigenvector has the ground state's symmetry.  A random
+    start covers every class.  `test_warm_started_norms_match_random_starts`
+    checks that both starts agree on the geometries the lab runs.
     """
     if R_delta.lam != R_eps.lam:
         raise ValueError(
             f"resolvent factors at different shifts: R_delta at {R_delta.lam}, "
             f"R_eps at {R_eps.lam}"
         )
-    Mc = R_delta.M
-    n = Mc.shape[0]
     applied = 0
 
     lu_delta, lu_eps = R_delta._lu, R_eps._lu
@@ -550,15 +552,11 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
             return lu_delta.solve_difference(lu_eps, x)
         return lu_delta.solve(x) - lu_eps.solve(x)
 
-    x0 = np.random.default_rng(START_SEED).standard_normal(n) if start is None else start
-    v0 = diff(Mc @ x0)  # D x0: complex for magnetic pencils
-    # vdot conjugates x0: a magnetic ground state is complex
-    lower = np.sqrt(abs(np.vdot(v0, Mc @ v0)) / np.vdot(x0, Mc @ x0).real)
-    if lower == 0.0:  # D = 0: no Krylov space to search
-        return NormResult(0.0, True, applied)
-    theta, _, converged, error = _lanczos(diff, Mc, v0, 1, VALUE_RTOL, values=True)
-    value = abs(theta[0]) if converged else max([lower, *np.abs(theta)])
-    return NormResult(float(value), converged, applied, _largest(error))
+    dtype = np.result_type(R_delta.dtype, R_eps.dtype)
+    x0 = next(_random_starts(R_delta.M.shape[0], dtype.kind == "c")) if start is None else start
+    theta, _, converged, error = _lanczos(
+        diff, R_delta.M, np.asarray(x0, np.result_type(x0, dtype)), 1, VALUE_RTOL, values=True)
+    return NormResult(float(abs(theta[0])), converged, applied, _largest(error))
 
 
 def fit_rate(eps, values, *, confidence: float = 0.95) -> RateFit:

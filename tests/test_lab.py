@@ -407,9 +407,10 @@ def test_runners_that_report_residuals_stop_eigensolves_on_the_residual(monkeypa
 def test_convergence_flags_nonconverged_power_iteration(monkeypatch, tmp_path):
     norm = spectral.resolvent_diff_norm
 
-    def capped(*args, **kwargs):  # the norms' Lanczos gives up before its first step
+    def capped(*args, **kwargs):  # the norms' Lanczos gives up after 3 steps
         with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_CYCLES", 0)
+            patch.setattr(spectral, "_CYCLES", 1)
+            patch.setattr(spectral, "_BASIS", 3)
             return norm(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "resolvent_diff_norm", capped)
@@ -417,7 +418,7 @@ def test_convergence_flags_nonconverged_power_iteration(monkeypatch, tmp_path):
     assert report["res_converged"] == [False, False, False]
     assert report["flags"]["power_iteration_nonconverged"]
     assert status == 2
-    # the start vector's lower bounds stand in, so the fits still run
+    # the largest Ritz values, lower bounds, stand in, so the fits still run
     assert all(v > 0.0 for v in report["res_norms"])
     assert report["norm_fit"] is not None
     rows = (tmp_path / "data.csv").read_text().splitlines()[1:]
@@ -700,7 +701,8 @@ def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
     monkeypatch.setattr(spectral, "_lanczos", capturing)
     report, _ = run_convergence(cfg)
     monkeypatch.setattr(spectral, "_lanczos", lanczos)
-    assert sum(np.array_equal(v, ground) for v in starts) == len(cfg["eps_grid"])
+    # the eps eigensolves and the norms
+    assert sum(np.array_equal(v, ground) for v in starts) == 2 * len(cfg["eps_grid"])
     # the warm start finds the eigenvalue of the random start
     shift = report["shift"]
     for eps, lam in zip(cfg["eps_grid"], report["lam_eps"]):

@@ -376,6 +376,31 @@ def test_tree_factors_eliminate_in_one_front_buffer_without_a_copy_of_the_matrix
         assert peak <= 1.1 * working_set(factor)
 
 
+@pytest.mark.parametrize("pencil", ["smoke", "cusp"])
+def test_a_complex_solve_copies_no_group_of_its_factor(pencil):
+    # K^H z is conj(K^T conj z): a solve allocates its work vectors and
+    # vectors of the fronts, never a conjugate copy of a K group.  With one
+    # it peaks at 1.3-1.6 of the largest group, without at 0.6-0.95
+    mesh, delta, squeezed = tube_pencils(pencil, 1.5)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(delta.n) + 1j * rng.standard_normal(delta.n)
+    plain = ResolventFactor(delta.S, delta.M, -40.0, tree=mesh.tree)._lu
+    R_delta = ResolventFactor(delta.S, delta.M, -40.0, tree=mesh.tree,
+                              share=delta.tube | squeezed.tube)
+    R_eps = ResolventFactor(squeezed.S, squeezed.M, -40.0, tree=mesh.tree, share=R_delta)
+    want = np.linalg.solve((delta.S + 40.0 * delta.M).toarray(), x)
+    solved, peak = traced_peak(lambda: plain.solve(x))
+    assert np.max(np.abs(solved - want)) <= 1e-12 * np.max(np.abs(want))
+    assert peak < max(K.nbytes for K in plain._K)
+    # the difference holds two more work vectors and sweeps the shared
+    # fronts' rings only
+    lu_delta, lu_eps = R_delta._lu, R_eps._lu
+    want = lu_delta.solve(x) - lu_eps.solve(x)
+    diff, peak = traced_peak(lambda: lu_delta.solve_difference(lu_eps, x))
+    assert np.max(np.abs(diff - want)) <= 1e-12 * np.max(np.abs(want))
+    assert peak - 2 * x.nbytes < max(K.nbytes for K in lu_delta._K + lu_eps._K)
+
+
 def test_count_below_frees_the_copy_of_the_factor_and_counts_once():
     # reading U makes SuperLU cache CSC copies of L and U on the factor (41.6 MB
     # here); the count must free them and keep its value for later counts
@@ -561,6 +586,33 @@ def test_non_hermitian_pencil_is_refused_on_the_tree_path():
             call()
 
 
+def test_a_nan_pencil_is_refused_before_any_factor_is_made(monkeypatch):
+    # a NaN potential makes max|A - A^H| NaN, and NaN > tol is False: the
+    # gate must pass only a residual that is <= tol.  Unrefused, the tree
+    # factor at -1 counts no negative pivot, and SuperLU's shifts go down
+    # to -1.8e19
+    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 16.0)
+    form = build_form(mesh, potential=lambda x, y: np.where(
+        (np.abs(x) < 0.3) & (np.abs(y) < 0.3), np.nan, 0.0))
+    S, M = form.S, form.M
+    assert np.count_nonzero(np.isnan(S.data)) > 0
+    factored = []
+    pivot_blocks, splu = frontal._pivot_blocks, spectral.spla.splu
+    monkeypatch.setattr(frontal, "_pivot_blocks",
+                        lambda *a: factored.append("tree") or pivot_blocks(*a))
+    monkeypatch.setattr(spectral.spla, "splu",
+                        lambda *a, **k: factored.append("splu") or splu(*a, **k))
+    for call in (
+        lambda: ResolventFactor(S, M, -1.0, tree=mesh.tree),
+        lambda: ResolventFactor(S, M, -1.0),
+        lambda: lowest_eigs(S, M, k=1, tree=mesh.tree),
+        lambda: lowest_eigs(S, M, k=1),
+    ):
+        with pytest.raises(NonHermitianError, match=r"matrix S.*nan.*non-finite entries"):
+            call()
+    assert factored == []
+
+
 # --------------------------------------------------------- resolvent factor
 
 
@@ -652,7 +704,8 @@ def test_identical_forms_give_zero():
     S, M, _ = dirichlet_pencil(1.0 / 16.0)
     out = resolvent_diff_norm(ResolventFactor(S, M, -3.0), ResolventFactor(S.copy(), M, -3.0))
     assert out.converged
-    assert out.value <= 1e-12
+    assert out.value == 0.0
+    assert out.iterations == 1  # D = 0: the first Lanczos step breaks down
 
 
 def test_scalar_shift_norm_against_dense_eigendecomposition():
@@ -722,7 +775,7 @@ def test_norm_from_the_delta_ground_state_matches_dense_eigenvalues(field_b):
     out = resolvent_diff_norm(R_d, R_e, start=start)
     assert out.converged
     assert out.value == pytest.approx(np.max(np.abs(sla.eigvals(D))), rel=1e-10)
-    assert out.iterations <= 6  # the power step and 5 Lanczos steps
+    assert out.iterations <= 6  # 6 Lanczos steps from the start itself
 
 
 @pytest.mark.parametrize("field_b", [0.0, 1.5], ids=["real", "magnetic"])
@@ -735,19 +788,70 @@ def test_norm_on_factors_that_share_an_exterior_matches_dense_eigenvalues(field_
     assert out.value == pytest.approx(np.max(np.abs(sla.eigvals(D))), rel=1e-10)
 
 
+def lanczos_starts(monkeypatch):
+    """The start vector of every later `_lanczos` call, in order."""
+    lanczos, starts = spectral._lanczos, []
+
+    def capturing(apply, M, v0, *args, **kwargs):
+        starts.append(v0)
+        return lanczos(apply, M, v0, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_lanczos", capturing)
+    return starts
+
+
+def test_norm_starts_lanczos_from_the_start_itself(monkeypatch):
+    (R_d, R_e), start, _ = line_norm_pencils(1.5)
+    starts = lanczos_starts(monkeypatch)
+    resolvent_diff_norm(R_d, R_e, start=start)
+    resolvent_diff_norm(R_d, R_e, start=start.real)  # cast to the factors' dtype
+    assert starts[0] is start
+    assert np.iscomplexobj(starts[1]) and np.array_equal(starts[1], start.real)
+
+
 def test_nonconverged_norm_returns_the_lower_bound_of_a_complex_start(monkeypatch):
+    # one fill of a 3-vector basis stops the run unconverged after three
+    # applications of D: the value is the largest |Ritz value| on the Krylov
+    # space of x0, D x0 and D^2 x0, a lower bound of the norm that is at
+    # least ||D x0||_M / ||x0||_M
     (R_d, R_e), start, D = line_norm_pencils(1.5)
     assert np.abs(start.imag).max() > 1e-3 * np.abs(start).max()  # genuinely complex
-    monkeypatch.setattr(spectral, "_CYCLES", 0)  # Lanczos gives up before its first step
+    monkeypatch.setattr(spectral, "_CYCLES", 1)
+    monkeypatch.setattr(spectral, "_BASIS", 3)
     out = resolvent_diff_norm(R_d, R_e, start=start)
     M = R_d.M.toarray()
-
-    def m_norm(v):
-        return np.sqrt(np.vdot(v, M @ v).real)
-
+    X = np.linalg.qr(np.column_stack([start, D @ start, D @ D @ start]))[0]
+    ritz = sla.eigvals(X.conj().T @ M @ D @ X, X.conj().T @ M @ X)
     assert not out.converged
-    assert out.iterations == 1  # the power step only
-    assert out.value == pytest.approx(m_norm(D @ start) / m_norm(start), rel=1e-10)
+    assert out.iterations == 3
+    assert out.value == pytest.approx(np.max(np.abs(ritz)), rel=1e-10)
+    Ds = D @ start
+    assert out.value >= np.sqrt(np.vdot(Ds, M @ Ds).real / np.vdot(start, M @ start).real)
+    assert out.value <= np.max(np.abs(sla.eigvals(D)))
+
+
+def test_magnetic_norm_from_a_random_start_matches_its_warm_start():
+    # the random start of complex factors is real + i real
+    (R_d, R_e), start, D = line_norm_pencils(1.5)
+    warm = resolvent_diff_norm(R_d, R_e, start=start)
+    cold = resolvent_diff_norm(R_d, R_e)
+    assert warm.converged and cold.converged
+    assert cold.value == pytest.approx(warm.value, rel=1e-10)
+    assert warm.value == pytest.approx(np.max(np.abs(sla.eigvals(D))), rel=1e-10)
+
+
+def test_random_starts_are_drawn_as_one_stream_of_the_start_seed(monkeypatch):
+    # lowest_eigs draws a complex start as its real part, then its imaginary
+    # part, from one generator seeded with START_SEED
+    form, _ = line_forms(1.5, 1.0 / 8.0)
+    starts = lanczos_starts(monkeypatch)
+    lowest_eigs(form.S, form.M, k=1, tree=form.tree)
+    rng = np.random.default_rng(spectral.START_SEED)
+    real = rng.standard_normal(form.n)
+    assert np.array_equal(starts[0], real + 1j * rng.standard_normal(form.n))
+    draws = spectral._random_starts(form.n, False)
+    assert np.array_equal(next(draws), real)
+    assert not np.array_equal(next(draws), real)  # a breakdown's next direction is new
 
 
 def test_factors_at_different_shifts_are_refused():

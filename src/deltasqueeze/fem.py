@@ -33,6 +33,7 @@ quadrature value, the eps-tube.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -483,25 +484,29 @@ def restrict(mesh: Mesh, A):
 
 def hermiticity_residual(S):
     """max |S - S^H| entrywise."""
-    d = (S - S.getH()).tocoo()
-    return float(np.max(np.abs(d.data))) if d.nnz else 0.0
+    return float(abs(S - S.getH()).max())
 
 
 @dataclass(frozen=True)
 class AssembledForm:
-    """Interior-node matrices of one operator: S Hermitian-ish, M SPD mass,
-    the separator tree of their numbering (None for none), and the rows
-    where S may differ from its base form's S (None for unknown)."""
+    """Interior-node matrices of one operator: S (Hermitian for real Q and
+    strengths; each factor of S - sigma M checks it), M SPD mass, the
+    separator tree of their numbering (None for none), and the rows where S
+    may differ from its base form's S (None for unknown)."""
 
     S: sp.spmatrix
     M: sp.spmatrix
-    meta: dict = field(default_factory=dict)
     tree: DissectionTree | None = field(default=None, repr=False, compare=False)
     tube: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self):
         return self.S.shape[0]
+
+    @functools.cached_property
+    def meta(self):
+        """{"hermiticity_residual": max|S - S^H|}, computed on the first read."""
+        return {"hermiticity_residual": hermiticity_residual(self.S)}
 
 
 @dataclass(frozen=True)
@@ -564,11 +569,4 @@ def build_form(
         term = restrict(mesh, term)
         tube |= np.diff(term.indptr) > 0
         S = S + term
-    meta = {
-        "mesh": mesh.summary(),
-        "magnetic": A is not None,
-        "delta": strengths is not None,
-        "squeezed_eps": getattr(potential, "eps", None),
-        "hermiticity_residual": hermiticity_residual(S),
-    }
-    return AssembledForm(S=S, M=base.M, meta=meta, tree=mesh.tree, tube=tube)
+    return AssembledForm(S=S, M=base.M, tree=mesh.tree, tube=tube)

@@ -66,12 +66,14 @@ def _require(scenario, cfg: dict, *keys):
 
 def _check_run(scenario, cfg: dict, key: str, beta: float):
     """The checks made before any mesh is built, each raising ConfigError
-    naming the scenario.  The squeezing width cfg[key] (a scalar or a grid;
-    absent or None: no squeezed form) must be resolved by cfg["mesh"]["h"]
+    naming the scenario.  The squeezing width cfg[key] (a number; a grid for
+    "eps_grid"; absent or None: none) must be resolved by cfg["mesh"]["h"]
     (`fem.resolves`) and must not exceed the certified tube half-width beta;
     cfg["threads"], when set, must be a positive integer; cfg["out"] and
     cfg["dump_mm"], when set, are created and must be writable directories."""
     eps = cfg.get(key)
+    if key == "eps" and np.ndim(eps):
+        raise ConfigError(f"{scenario} config: 'eps' must be a number, got {eps!r}")
     if eps is not None:
         h, lo, hi = cfg["mesh"]["h"], float(np.min(eps)), float(np.max(eps))
         if not fem.resolves(h, lo):

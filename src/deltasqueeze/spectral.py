@@ -27,9 +27,9 @@ takes one sweep each way over the shared fronts per application.  An
 eigensolve with no certified factor makes its own in the one loop that
 lowers a shift, until the inertia count is 0: the count is the one
 certificate of a shift, and every factor is counted, a tree factor for
-free.  Eigensolves and norms are one Lanczos run each
-and need a Hermitian pencil: `lowest_eigs` and every `ResolventFactor`
-refuse one whose Hermiticity residual exceeds round-off
+free.  Eigensolves and norms are one Lanczos run each and need a
+Hermitian pencil: every factor checks S - sigma M before it is made, and
+the dense path of `lowest_eigs`, which makes none, checks S and M
 (NonHermitianError).  Every norm and every eigensolve on a tree factor runs
 `_lanczos`, which tests its Ritz pairs after every step and so stops as
 soon as they pass, not when its basis is full; an eigensolve on a SuperLU
@@ -101,8 +101,7 @@ class NonHermitianError(ValueError):
 
 def _check_hermitian(A, name):
     """Raise NonHermitianError unless max|A - A^H| <= HERMITIAN_RTOL max|A| (NaN fails)."""
-    residual = hermiticity_residual(A)
-    scale = float(abs(A).max()) if A.nnz else 0.0
+    residual, scale = hermiticity_residual(A), float(abs(A).max())
     if not residual <= HERMITIAN_RTOL * scale:  # a NaN compares False
         raise NonHermitianError(
             f"pencil matrix {name} is not Hermitian: max|A - A^H| = {residual:.3g} against "
@@ -191,9 +190,9 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
     eigensolve takes 12 solves.  `value_error` is the largest estimate
     carried to the eigenvalues, |d lam| = |d theta| / theta^2, whichever
     test stopped the run; None on the dense and ARPACK paths, or without an
-    estimate.  Raises NonHermitianError when S or M is not Hermitian to
-    round-off (a factor was checked when it was made).  S and M are used in
-    CSR form, so a CSR pencil is never copied.
+    estimate.  Raises NonHermitianError for a pencil not Hermitian to
+    round-off, before any factor is made: the dense path checks S and M,
+    every factor S - sigma M.  A CSR pencil is used as is, never copied.
     """
     n = S.shape[0]
     S, M = S.tocsr(), M.tocsr()
@@ -204,10 +203,9 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
             raise ShiftError(
                 f"shift {factor.lam} not certified below the pencil spectrum: {found}")
         shift = factor.lam
-    else:
+    if n < max(3 * k + 2, 60):  # the one path that makes no factor to check the pencil
         _check_hermitian(S, "S")
         _check_hermitian(M, "M")
-    if n < max(3 * k + 2, 60):
         w, V = sla.eigh(S.toarray(), M.toarray())
         w, V = w[:k], V[:, :k]
         shift_used = shift if shift is not None else float(w[0] - 1.0)
@@ -407,14 +405,15 @@ class ResolventFactor:
     negative eigenvalues of S - lambda M as it runs, so the factor carries
     its inertia count.  The tree factor makes S - lambda M itself and reads
     it once, so no copy of it is alive while the fronts are eliminated, in
-    the one front buffer of `frontal`.  A pencil without a tree is factored by SuperLU in
-    symmetric mode, in the pencil's own numbering, with diagonal pivoting,
-    which keeps perm_r == perm_c unless a diagonal pivot vanishes; its count
-    is read from U on demand.  Keeps M in CSR form, without a copy when it
-    is given so.  Raises NonHermitianError when S - lambda M is not
-    Hermitian to round-off (a Cholesky front reads one triangle only), and
-    RuntimeError when it is singular (exactly, for SuperLU; to working
-    precision in a pivot block of the tree factor).
+    the one front buffer of `frontal`.  A pencil without a tree is factored
+    by SuperLU in symmetric mode, in the pencil's own numbering, with
+    diagonal pivoting, which keeps perm_r == perm_c unless a diagonal pivot
+    vanishes; its count is read from U on demand.  Keeps M in CSR form,
+    without a copy when it is given so.  Raises NonHermitianError when S -
+    lambda M is not Hermitian to round-off (a Cholesky front reads one
+    triangle only), as for a non-Hermitian M at every lambda != 0 (lambda =
+    0 reads S alone), and RuntimeError when it is singular (exactly, for
+    SuperLU; to working precision in a pivot block of the tree factor).
 
     `share`, on the tree path, is a boolean mask of the unknowns of a tube
     (say the rows where this pencil or a later one differs from their common
@@ -497,19 +496,19 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
                         start=None) -> NormResult:
     """M-operator norm of D = R_delta(lam) - R_eps(lam) by Lanczos.
 
-    Both factors must be at one shift lam (else ValueError); the norm is
-    taken in the inner product of R_delta.M, in which D is self-adjoint for
-    real lam, so it is the largest |eigenvalue| of D.  `_lanczos` iterates
-    OP = D and, since only the value is returned, stops on its value error
-    estimate: when the Ritz value theta of largest magnitude has an
-    estimated error (residual^2 over the gap to the next Ritz value) of at
-    most VALUE_RTOL |theta|, or a residual <= VALUE_RTOL |theta| (ARPACK's
-    test; Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998),
-    checked after every step.  `value_error` is that estimate.  Each
-    application of D costs one solve per factor, or, when R_eps shares the
-    fronts outside a tube with R_delta (`ResolventFactor` `share`), one
-    sweep each way over those fronts and two over the tube fronts
-    (`frontal.TreeFactor.solve_difference`).
+    Both factors must be at one shift lam and share one mass matrix M, the
+    same object or equal entries (else ValueError); the norm is taken in the
+    M-inner product, in which D is self-adjoint for real lam, so it is the
+    largest |eigenvalue| of D.  `_lanczos` iterates OP = D and, since only
+    the value is returned, stops on its value error estimate: when the Ritz
+    value theta of largest magnitude has an estimated error (residual^2 over
+    the gap to the next Ritz value) of at most VALUE_RTOL |theta|, or a
+    residual <= VALUE_RTOL |theta| (ARPACK's test; Lehoucq, Sorensen & Yang,
+    ARPACK Users' Guide, SIAM 1998), checked after every step.  `value_error`
+    is that estimate.  Each application of D costs one solve per factor, or,
+    when R_eps shares the fronts outside a tube with R_delta
+    (`ResolventFactor` `share`), one sweep each way over those fronts and
+    two over the tube fronts (`frontal.TreeFactor.solve_difference`).
 
     Lanczos starts from `start` when given, cast to the factors' dtype: a
     vector near the top eigenvector of D, the delta ground state or a trial
@@ -536,10 +535,11 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     checks that both starts agree on the geometries the lab runs.
     """
     if R_delta.lam != R_eps.lam:
-        raise ValueError(
-            f"resolvent factors at different shifts: R_delta at {R_delta.lam}, "
-            f"R_eps at {R_eps.lam}"
-        )
+        raise ValueError(f"resolvent factors at different shifts: R_delta at {R_delta.lam}, "
+                         f"R_eps at {R_eps.lam}")
+    M = R_delta.M
+    if R_eps.M is not M and (R_eps.M.shape != M.shape or (R_eps.M != M).nnz):
+        raise ValueError("resolvent factors with different mass matrices M")
     applied = 0
 
     lu_delta, lu_eps = R_delta._lu, R_eps._lu
@@ -553,9 +553,9 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
         return lu_delta.solve(x) - lu_eps.solve(x)
 
     dtype = np.result_type(R_delta.dtype, R_eps.dtype)
-    x0 = next(_random_starts(R_delta.M.shape[0], dtype.kind == "c")) if start is None else start
+    x0 = next(_random_starts(M.shape[0], dtype.kind == "c")) if start is None else start
     theta, _, converged, error = _lanczos(
-        diff, R_delta.M, np.asarray(x0, np.result_type(x0, dtype)), 1, VALUE_RTOL, values=True)
+        diff, M, np.asarray(x0, np.result_type(x0, dtype)), 1, VALUE_RTOL, values=True)
     return NormResult(float(abs(theta[0])), converged, applied, _largest(error))
 
 

@@ -328,7 +328,7 @@ def test_magnetic_plus_delta_hermitian():
         m, A=homogeneous_gauge(1.0), net=net, strengths=[-2.0, -2.0]
     )
     assert form.meta["hermiticity_residual"] <= 1e-12
-    assert form.meta["magnetic"] and form.meta["delta"]
+    assert np.iscomplexobj(form.S.data) and form.tube.any()
 
 
 def test_complex_strength_assembly_supported():

@@ -1053,6 +1053,39 @@ def wedge_cfg(**over):
     return cfg
 
 
+def hermiticity_checks(monkeypatch):
+    """(checks, factors): the names of the Hermiticity residuals a test
+    computes, "form" for a form's, and the number of factors it makes."""
+    checks, factors = [], []
+    residual, check = fem.hermiticity_residual, spectral._check_hermitian
+    init = spectral.ResolventFactor.__init__
+    monkeypatch.setattr(fem, "hermiticity_residual",
+                        lambda S: checks.append("form") or residual(S))
+    monkeypatch.setattr(spectral, "_check_hermitian",
+                        lambda A, name: checks.append(name) or check(A, name))
+    monkeypatch.setattr(spectral.ResolventFactor, "__init__",
+                        lambda *a, **k: factors.append(1) or init(*a, **k))
+    return checks, factors
+
+
+def test_each_pencil_is_checked_once_at_its_factorization(monkeypatch):
+    # the benchmark's smoke config makes five factors: the delta
+    # eigensolve's, the sweep's delta factor and one per eps
+    checks, factors = hermiticity_checks(monkeypatch)
+    run_convergence(small_convergence_cfg())
+    assert len(factors) == 5 and len(checks) == 5
+    assert all(name.startswith("S - ") for name in checks)
+    # a report that reads a form's residual computes it once, however often
+    # it reads it: the wedge runner reads it twice
+    for runner, cfg in ((run_wedge, wedge_cfg()),
+                        (run_spectrum, {"network": LINE_NETWORK, "alpha": -4.0, "mesh": MESH})):
+        checks.clear()
+        factors.clear()
+        report, _ = runner(cfg)
+        assert checks.count("form") == 1 and len(checks) == len(factors) + 1
+        assert report["hermiticity_residual"] <= 1e-12
+
+
 def test_wedge_requires_field():
     with pytest.raises(ConfigError):
         run_wedge(wedge_cfg(b=0.0))
@@ -1320,6 +1353,18 @@ def test_threads_not_a_positive_integer_fails_before_any_mesh(built, scenario, r
     with pytest.raises(ConfigError, match=f"{scenario} config: 'threads' must be a positive "
                                           f"integer, got {re.escape(repr(threads))}"):
         runner({**cfg, "threads": threads})
+    assert built == []
+
+
+@pytest.mark.parametrize("eps", [[0.3], [0.4, 0.3]])
+@pytest.mark.parametrize("scenario, runner, cfg", OUT_PATH_CASES[1:],
+                         ids=[case[0] for case in OUT_PATH_CASES[1:]])
+def test_eps_not_a_number_fails_before_any_mesh(built, scenario, runner, cfg, eps):
+    # np.min and np.max pass a list: the run then failed after its mesh and
+    # base assembly, comparing a float with a list
+    with pytest.raises(ConfigError, match=f"{scenario} config: 'eps' must be a number, "
+                                          f"got {re.escape(repr(eps))}"):
+        runner({**cfg, "eps": eps})
     assert built == []
 
 

@@ -613,6 +613,50 @@ def test_a_nan_pencil_is_refused_before_any_factor_is_made(monkeypatch):
     assert factored == []
 
 
+def test_the_dense_path_refuses_a_non_hermitian_pencil():
+    # the dense path makes no factor, so it checks S and M itself, with or
+    # without a given factor
+    net = Network([LineSegment((-0.5, 0.0), (0.5, 0.0))], beta_cap=0.3)
+    mesh = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 4.0)
+    real = build_form(mesh, net=net, strengths={0: -5.0})
+    complex_ = build_form(mesh, net=net, strengths={0: -5.0 + 2.0j}).S
+    nan = build_form(mesh, potential=lambda x, y: np.where(
+        (np.abs(x) < 0.3) & (np.abs(y) < 0.3), np.nan, 0.0)).S
+    assert real.n < 60 and np.count_nonzero(np.isnan(nan.data)) > 0
+    factor = ResolventFactor(real.S, real.M, -100.0, tree=mesh.tree)
+    assert count_below(factor) == 0
+    for S, match in ((complex_, r"matrix S is not Hermitian"), (nan, r"matrix S.*nan")):
+        for given in (None, factor):
+            with pytest.raises(NonHermitianError, match=match):
+                lowest_eigs(S, real.M, k=1, factor=given)
+    with pytest.raises(NonHermitianError, match=r"matrix M is not Hermitian"):
+        lowest_eigs(real.S, real.M + sp.triu(real.M, 1), k=1)
+
+
+def test_a_non_hermitian_mass_matrix_is_refused_before_any_factor_is_made(monkeypatch):
+    # S - sigma M shows a non-Hermitian M at every sigma != 0, here at the
+    # default shift -1, on the tree path and on the SuperLU path
+    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 16.0)
+    form = build_form(mesh)
+    M = (form.M + 0.1 * sp.triu(form.M, 1)).tocsr()
+    assert form.n >= 60 and spectral.hermiticity_residual(form.S) == 0.0
+    factored = []
+    pivot_blocks, splu = frontal._pivot_blocks, spectral.spla.splu
+    monkeypatch.setattr(frontal, "_pivot_blocks",
+                        lambda *a: factored.append("tree") or pivot_blocks(*a))
+    monkeypatch.setattr(spectral.spla, "splu",
+                        lambda *a, **k: factored.append("splu") or splu(*a, **k))
+    for call in (
+        lambda: ResolventFactor(form.S, M, -1.0, tree=mesh.tree),
+        lambda: ResolventFactor(form.S, M, -1.0),
+        lambda: lowest_eigs(form.S, M, k=1, tree=mesh.tree),
+        lambda: lowest_eigs(form.S, M, k=1),
+    ):
+        with pytest.raises(NonHermitianError, match=r"matrix S - -1 M is not Hermitian"):
+            call()
+    assert factored == []
+
+
 # --------------------------------------------------------- resolvent factor
 
 
@@ -858,6 +902,23 @@ def test_factors_at_different_shifts_are_refused():
     S, M, _ = dirichlet_pencil(1.0 / 8.0)
     with pytest.raises(ValueError, match=r"-3\.0.*-4\.0"):
         resolvent_diff_norm(ResolventFactor(S, M, -3.0), ResolventFactor(S, M, -4.0))
+
+
+def test_factors_of_different_mass_matrices_are_refused():
+    # the norm is taken in one M-inner product: unrefused, M against 2M read
+    # 0.0980 one way and 0.1960 the other, against 0.0577 with one M
+    delta, eps = line_forms(0.0, 1.0 / 16.0)
+    R_d = ResolventFactor(delta.S, delta.M, -12.0, tree=delta.tree)
+    R_e = ResolventFactor(eps.S, 2.0 * eps.M, -12.0, tree=eps.tree)
+    for pair in ((R_d, R_e), (R_e, R_d)):
+        with pytest.raises(ValueError, match="different mass matrices"):
+            resolvent_diff_norm(*pair)
+    # the two forms were assembled apart: their mass matrices are two
+    # objects with equal entries, one M
+    assert eps.M is not delta.M
+    same = resolvent_diff_norm(R_d, ResolventFactor(eps.S, delta.M, -12.0, tree=eps.tree))
+    equal = resolvent_diff_norm(R_d, ResolventFactor(eps.S, eps.M, -12.0, tree=eps.tree))
+    assert equal == same
 
 
 def test_diff_operator_m_symmetric():

@@ -424,21 +424,18 @@ def assemble_delta_term(mesh: Mesh, net: Network, strengths):
     """Line-term matrix int_Sigma alpha u conj(v) dsigma on P1 traces.
 
     `strengths` maps segment index to its strength (scalar, callable of arc
-    length, or StrengthFunction); segments without an entry are skipped.
-    Composite 4-point Gauss-Legendre on arc-length intervals of size <= h.
+    length, or StrengthFunction) and is read by `get`, so a list raises;
+    segments without an entry, or with None, are skipped.  Composite 4-point
+    Gauss-Legendre on arc-length intervals of size <= h.
     """
-    if isinstance(strengths, dict):
-        table = strengths
-    else:
-        table = dict(enumerate(strengths))
     (x0, x1), (y0, y1) = mesh.box
     n = mesh.n_nodes
     rows, cols, vals = [], [], []
     any_complex = False
     for k, seg in enumerate(net.segments):
-        if k not in table or table[k] is None:
+        a_k = strengths.get(k)
+        if a_k is None:
             continue
-        a_k = table[k]
         n_int = int(np.ceil(seg.length / mesh.h))
         edges = seg.length * np.arange(n_int + 1) / n_int
         half = 0.5 * np.diff(edges)
@@ -547,16 +544,19 @@ def build_form(
 
     Combines the magnetic kinetic part, an optional background potential Q,
     an optional squeezed potential (callable carrying eps), and an optional
-    concentrated line term given by per-segment strengths on `net`.  The
-    kinetic part, Q and the mass matrix come from `base`, the `BaseForm` of
-    (mesh, A, Q) (ValueError for another one), or from `assemble_base`; the
-    form adds the restrictions of its own terms to base.S and shares base.M.
+    concentrated line term given by per-segment strengths on `net` (a dict,
+    or a list or tuple indexed by segment).  The kinetic part, Q and the mass
+    matrix come from `base`, the `BaseForm` of (mesh, A, Q) (ValueError for
+    another one), or from `assemble_base`; the form adds the restrictions of
+    its own terms to base.S and shares base.M.
     Adding after restricting gives the entries of restricting the full sum.
     The form's `tube` marks the rows where those terms have entries: outside
     them S is base.S, bitwise.
     """
     if strengths is not None and net is None:
         raise ValueError("delta strengths need a network")
+    if isinstance(strengths, (list, tuple)):
+        strengths = dict(enumerate(strengths))
     if base is None:
         base = assemble_base(mesh, A, Q)
     elif not base.matches(mesh, A, Q):

@@ -3,11 +3,11 @@
 Every scenario solves a member of (i grad + A)^2 + Q + alpha delta_Sigma or
 of its squeezed regularizations.  A runner reads only its config dict, run
 settings (out, dump_mm, threads) included, checks it through
-`_require` (missing keys), builds its network, and then `_check_run` checks
-the squeezing width and makes the output and dump directories before any
-mesh is built.  A runner builds `Operator` records (mesh, network, profiles,
-strengths, A, Q) from its config, one mesh per distinct box and step, and
-the operators on one mesh, A and Q share one `fem.BaseForm`;
+`_require` (missing keys) and `_check_count` (k, N, threads), builds its
+network, and then `_check_run` checks the squeezing width and makes the
+output and dump directories before any mesh is built.  A runner builds `Operator` records (base, network,
+profiles, strengths) with `Operator.from_config`, one `fem.BaseForm` of
+(mesh, A, Q) per distinct box and step, shared by the operators on it;
 `Operator.solve` is the one path from form to eigenpairs, and `_dump`
 writes each form as soon as it is built.  Every report goes through
 `_envelope`, which adds the config echo, the certified tube half-width and
@@ -23,9 +23,10 @@ import functools
 import hashlib
 import json
 import logging
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,27 +65,38 @@ def _require(scenario, cfg: dict, *keys):
             block = block[part]
 
 
+def _check_count(scenario, cfg: dict, key: str):
+    """Raise ConfigError naming the scenario and key unless cfg[key], when
+    set, is a positive integer (a bool is not)."""
+    value = cfg.get(key, 1)
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"{scenario} config: {key!r} must be a positive integer, "
+                          f"got {value!r}")
+
+
 def _check_run(scenario, cfg: dict, key: str, beta: float):
     """The checks made before any mesh is built, each raising ConfigError
-    naming the scenario.  The squeezing width cfg[key] (a number; a grid for
-    "eps_grid"; absent or None: none) must be resolved by cfg["mesh"]["h"]
-    (`fem.resolves`) and must not exceed the certified tube half-width beta;
-    cfg["threads"], when set, must be a positive integer; cfg["out"] and
-    cfg["dump_mm"], when set, are created and must be writable directories."""
+    naming the scenario.  The squeezing width cfg[key] (a real number, absent
+    or None for none; for "eps_grid" a nonempty list of them) must be
+    resolved by cfg["mesh"]["h"] (`fem.resolves`) and must not exceed the
+    certified tube half-width beta; cfg["threads"], when set, must be a
+    positive integer; cfg["out"] and cfg["dump_mm"], when set, are created
+    and must be writable directories."""
     eps = cfg.get(key)
-    if key == "eps" and np.ndim(eps):
-        raise ConfigError(f"{scenario} config: 'eps' must be a number, got {eps!r}")
-    if eps is not None:
-        h, lo, hi = cfg["mesh"]["h"], float(np.min(eps)), float(np.max(eps))
+    values, kind = ([] if eps is None else [eps]), "a number"
+    if key == "eps_grid":
+        values = list(eps) if isinstance(eps, (list, tuple, np.ndarray)) and len(eps) else [None]
+        kind = "a nonempty list of numbers"
+    if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) for e in values):
+        raise ConfigError(f"{scenario} config: {key!r} must be {kind}, got {eps!r}")
+    if values:
+        h, lo, hi = cfg["mesh"]["h"], float(min(values)), float(max(values))
         if not fem.resolves(h, lo):
             raise ConfigError(f"{scenario} config: {key!r} needs 'mesh.h' <= "
                               f"{lo}/4 = {lo / 4.0}, got {h}")
         if hi > beta:
             raise ConfigError(f"{scenario} config: {key!r} = {hi} exceeds beta = {beta}")
-    threads = cfg.get("threads", 1)
-    if type(threads) is not int or threads < 1:
-        raise ConfigError(f"{scenario} config: 'threads' must be a positive integer, "
-                          f"got {threads!r}")
+    _check_count(scenario, cfg, "threads")
     for path in (cfg.get("out"), cfg.get("dump_mm")):
         if path is None:
             continue
@@ -149,16 +161,27 @@ def _profile_from_spec(spec: dict, beta: float) -> potentials.TubeProfile:
 
 def profiles_from_config(cfg: dict, net: geometry.Network):
     """Profiles from cfg["profile"], or from cfg["alpha"] via the inverse
-    construction V = alpha / (2 beta) on the tube."""
+    construction V = alpha / (2 beta) on the tube.  A profile whose segment
+    the network lacks, or an alpha list longer than the network, raises
+    ConfigError naming the entry."""
+    n = len(net.segments)
     if cfg.get("profile") is not None:
         specs = cfg["profile"]
         if isinstance(specs, dict):
             specs = [specs]
+        for i, spec in enumerate(specs):
+            seg = spec.get("segment", 0)
+            if type(seg) is not int or not 0 <= seg < n:
+                raise ConfigError(f"profile entry {i}: 'segment' {seg!r} is not a segment "
+                                  f"of the network, which has {n}")
         return [_profile_from_spec(s, net.beta) for s in specs]
     if cfg.get("alpha") is not None:
         alphas = cfg["alpha"]
         if np.isscalar(alphas):
-            alphas = [alphas] * len(net.segments)
+            alphas = [alphas] * n
+        if len(alphas) > n:
+            raise ConfigError(f"'alpha' entry {n} has no segment: the network has {n}, "
+                              f"the list {len(alphas)}")
         return [
             potentials.potential_from_alpha(
                 potentials.StrengthFunction.constant(k, a), net.beta
@@ -185,13 +208,6 @@ def _gauge(field_b):
 def _mesh(spec: dict, refine: int = 1) -> fem.Mesh:
     """Mesh of a config's {"box", "h"} block, with the step divided by `refine`."""
     return fem.build_mesh(tuple(map(tuple, spec["box"])), spec["h"] / refine)
-
-
-def _strength_scale(strength, length):
-    """sup |alpha| of a strength entry (scalar or callable of arc length)."""
-    if callable(strength):
-        return float(np.max(np.abs(strength(np.linspace(0.0, length, 65)))))
-    return abs(strength)
 
 
 def squeezed_shift_floor(net, profiles, eps, q_min: float = 0.0):
@@ -229,12 +245,9 @@ def trial_upper_bound(op: Operator, form):
     the mesh's interior nodes are measured here, once per segment with a
     nonzero strength (`Network.sampled_distance`).
     """
-    net, m = op.net, op.mesh
-    scales = {
-        k: _strength_scale(a, net.segments[k].length)
-        for k, a in op.strengths.items()
-        if a is not None
-    }
+    net, m = op.net, op.base.mesh
+    scales = {k: float(np.max(np.abs(a(np.linspace(0.0, net.segments[k].length, 65)))))
+              for k, a in op.strengths.items()}
     scales = {k: a for k, a in scales.items() if a > 0.0}
     if not scales:
         return None, None
@@ -254,48 +267,37 @@ def trial_upper_bound(op: Operator, form):
 
 @dataclass(frozen=True)
 class Operator:
-    """(i grad + A)^2 + Q + alpha delta_Sigma on a mesh, with the tube profiles
-    of its squeezed regularizations.  `strengths` maps a segment index to a
-    scalar alpha or a callable alpha(s); Q is a constant or None.  `base`
-    is the `fem.BaseForm` of (mesh, A, Q) that every form of the operator
-    builds on; a new one, assembled here, replaces a base of another mesh,
-    A or Q."""
+    """(i grad + A)^2 + Q + alpha delta_Sigma, with the tube profiles of its
+    squeezed regularizations.  `base` is the `fem.BaseForm` of (mesh, A, Q),
+    the one owner of all three, and every form of the operator builds on it;
+    `strengths` maps a segment index to its strength alpha(s), a callable of
+    arc length: the transverse integral of the segment's profile
+    (`potentials.effective_alpha`)."""
 
-    mesh: fem.Mesh
+    base: fem.BaseForm
     net: geometry.Network
     profiles: list
     strengths: dict
-    A: object = None
-    Q: float | None = None
-    base: fem.BaseForm | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.base is None or not self.base.matches(self.mesh, self.A, self.Q):
-            object.__setattr__(self, "base", fem.assemble_base(self.mesh, self.A, self.Q))
 
     @classmethod
-    def from_config(cls, cfg: dict, net: geometry.Network) -> "Operator":
-        """From the mesh, profile or alpha, field_b and q entries, on the
-        network `net` built from cfg["network"]."""
+    def from_config(cls, cfg: dict, net: geometry.Network, base=None) -> "Operator":
+        """From cfg's profile or alpha entry on the network `net`, built on
+        `base`, else on the base of cfg's mesh, field_b and q, assembled here."""
         profiles = profiles_from_config(cfg, net)
+        if base is None:
+            base = fem.assemble_base(_mesh(cfg["mesh"]), _gauge(cfg.get("field_b", 0.0)),
+                                     _q_function(cfg.get("q")))
         strengths = {p.segment: potentials.effective_alpha(p) for p in profiles}
-        return cls(_mesh(cfg["mesh"]), net, profiles, strengths,
-                   _gauge(cfg.get("field_b", 0.0)), _q_function(cfg.get("q")))
-
-    @classmethod
-    def uniform(cls, mesh, net, alpha: float, A=None, base=None) -> "Operator":
-        """The constant strength alpha on every segment."""
-        profiles = profiles_from_config({"alpha": alpha}, net)
-        strengths = {i: alpha for i in range(len(net.segments))}
-        return cls(mesh, net, profiles, strengths, A, base=base)
+        return cls(base, net, profiles, strengths)
 
     def form(self, eps=None) -> fem.AssembledForm:
         """The delta form, or the squeezed form of tube width eps."""
+        b = self.base
         if eps is None:
-            return fem.build_form(self.mesh, A=self.A, Q=self.Q, net=self.net,
-                                  strengths=self.strengths, base=self.base)
+            return fem.build_form(b.mesh, A=b.A, Q=b.Q, net=self.net,
+                                  strengths=self.strengths, base=b)
         W = potentials.SqueezedPotential(self.net, self.profiles, eps)
-        return fem.build_form(self.mesh, A=self.A, Q=self.Q, potential=W, base=self.base)
+        return fem.build_form(b.mesh, A=b.A, Q=b.Q, potential=W, base=b)
 
     def solve(self, form, eps=None, *, k: int = 1, values_only: bool = False, near=None):
         """The k lowest eigenpairs of `form`, the delta form (eps None) or the
@@ -326,7 +328,7 @@ class Operator:
         the floor, or for the delta form -1, lowered the same way."""
         shift = bound = v0 = None
         if eps is not None:
-            shift = squeezed_shift_floor(self.net, self.profiles, eps, self.Q or 0.0)
+            shift = squeezed_shift_floor(self.net, self.profiles, eps, self.base.Q or 0.0)
         dtype = np.result_type(form.S.dtype, float)
         if k == 1 and near is not None:
             v0 = np.asarray(near, dtype=dtype)
@@ -365,13 +367,12 @@ def write_report(out_dir: str, report: dict, csv_header, csv_rows):
 
 
 def export_strengths_csv(net, strengths, path, samples: int = 65):
-    """CSV of (segment, s, alpha(s)) sampled along each segment."""
+    """CSV of (segment, s, alpha(s)) sampled along each segment, alpha callable."""
     lines = ["segment,s,alpha"]
     for k, strength in sorted(strengths.items()):
         s = np.linspace(0.0, net.segments[k].length, samples)
-        a = strength(s) if callable(strength) else np.full(samples, strength)
         # Python scalars print as numpy's do, without boxing a numpy scalar per row
-        for si, ai in zip(s.tolist(), np.asarray(a, dtype=complex).tolist()):
+        for si, ai in zip(s.tolist(), np.asarray(strength(s), dtype=complex).tolist()):
             lines.append(f"{k},{_format_float(si)},{ai.real if ai.imag == 0 else ai}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -437,13 +438,11 @@ def run_convergence(cfg):
     flag fired, else 0.
     """
     _require("convergence", cfg, "mesh.box", "mesh.h", "network")
-    eps_grid = np.asarray(cfg.get("eps_grid", []), dtype=float)
-    if eps_grid.size == 0:
-        raise ConfigError("eps_grid must be nonempty")
-    if not np.all(np.diff(eps_grid) < 0):
-        raise ConfigError("eps_grid must be strictly decreasing")
     net = network_from_spec(cfg["network"])
     _check_run("convergence", cfg, "eps_grid", net.beta)
+    eps_grid = np.asarray(cfg["eps_grid"], dtype=float)
+    if not np.all(np.diff(eps_grid) < 0):
+        raise ConfigError("eps_grid must be strictly decreasing")
     threads, out = cfg.get("threads", 1), cfg.get("out")
     op = Operator.from_config(cfg, net)
 
@@ -468,7 +467,7 @@ def run_convergence(cfg):
         if None in norms:
             pencil = "delta" if swept is None else f"eps={eps_grid[norms.index(None)]}"
             raise spectral.ShiftError(f"{pencil}: shift {shift} not certified below the "
-                                      f"pencil at h = {op.mesh.h}")
+                                      f"pencil at h = {op.base.mesh.h}")
 
     res_norms = [n.value for n in norms]
     gaps = [abs(le - lam_delta) for le in lam_eps]
@@ -506,7 +505,8 @@ def run_convergence(cfg):
 
     refine_block = None
     if cfg.get("refine_check", False):
-        op2 = replace(op, mesh=_mesh(cfg["mesh"], refine=2))
+        op2 = replace(op, base=fem.assemble_base(_mesh(cfg["mesh"], refine=2),
+                                                 op.base.A, op.base.Q))
         forms = {None: op2.form()}
         res2 = op2.solve(forms[None], values_only=True)
         swept = _eps_sweep(op2, forms, res2.eigenvectors[:, 0], shift, eps_grid,
@@ -548,7 +548,7 @@ def run_convergence(cfg):
     ]
     report, status = _envelope(
         "convergence", cfg, fields, flags, (("eps", "res_norm", "eig_gap", "converged"), rows),
-        net=net, mesh=op.mesh,
+        net=net, mesh=op.base.mesh,
     )
     if out:
         export_strengths_csv(net, op.strengths, os.path.join(out, "strengths.csv"))
@@ -651,6 +651,7 @@ def run_stargraph(cfg: dict):
     rotation-congruence check, and pass flags.
     """
     _require("stargraph", cfg, "N", "angles", "alpha", "mesh.box", "mesh.h")
+    _check_count("stargraph", cfg, "N")
     N = cfg["N"]
     L = cfg.get("L", 1.0)
     angles = list(cfg["angles"])
@@ -676,7 +677,7 @@ def run_stargraph(cfg: dict):
         base = fem.assemble_base(mesh)
         for name, net in nets.items():
             tag = f"{name}_{step}"
-            op = Operator.uniform(mesh, net, alpha, base=base)
+            op = Operator.from_config({"alpha": alpha}, net, base)
             form = op.form(eps)
             if tag in ("sigma_h", "gamma_h"):
                 _dump(cfg, tag, form)
@@ -755,6 +756,8 @@ def run_cusp(cfg: dict):
     _require("cusp", cfg, "d", "alpha_list", "mesh.box", "mesh.h")
     d = cfg["d"]
     alphas = list(cfg["alpha_list"])
+    if not alphas:
+        raise ConfigError("cusp config: 'alpha_list' must be nonempty")
     if any(a >= 0 for a in alphas):
         raise ConfigError("cusp strengths must be negative")
     if not all(abs(a2) > abs(a1) for a1, a2 in zip(alphas, alphas[1:])):
@@ -782,7 +785,7 @@ def run_cusp(cfg: dict):
     r_devs, shifts = [], []
     ground = None
     for alpha in alphas:
-        op = Operator.uniform(mesh, net, alpha, base=base)
+        op = Operator.from_config({"alpha": alpha}, net, base)
         form = op.form(eps)
         _dump(cfg, f"alpha_{alpha:g}", form)
         res = op.solve(form, eps, near=ground)
@@ -843,6 +846,7 @@ def run_wedge(cfg: dict):
     the eigenvalue undercuts Theta * b.
     """
     _require("wedge", cfg, "phi", "alpha", "mesh.box", "mesh.h")
+    _check_count("wedge", cfg, "k")
     phi = cfg["phi"]
     alpha = cfg["alpha"]
     b = cfg.get("b", 0.0)
@@ -876,7 +880,8 @@ def run_wedge(cfg: dict):
         logger.warning("wedge: Theta not supplied, criterion block skipped")
     criterion = None if theta is None else _wedge_criterion(phi, alpha, theta)
 
-    op = Operator.uniform(_mesh(cfg["mesh"]), net, alpha, A=fem.homogeneous_gauge(b))
+    op = Operator.from_config({"alpha": alpha}, net,
+                              fem.assemble_base(_mesh(cfg["mesh"]), fem.homogeneous_gauge(b)))
     form = op.form(eps)
     _dump(cfg, "wedge", form)
     res = op.solve(form, eps, k=cfg.get("k", 1))
@@ -895,13 +900,14 @@ def run_wedge(cfg: dict):
     }
     return _envelope(
         "wedge", cfg, fields, flags, (("index", "lam", "residual"), _eigen_rows(res)),
-        net=net, mesh=op.mesh, squeezed=eps is not None,
+        net=net, mesh=op.base.mesh, squeezed=eps is not None,
     )
 
 
 def run_spectrum(cfg: dict):
     """Assemble the configured operator and report its k lowest eigenpairs."""
     _require("spectrum", cfg, "mesh.box", "mesh.h", "network")
+    _check_count("spectrum", cfg, "k")
     eps = cfg.get("eps")
     net = network_from_spec(cfg["network"])
     _check_run("spectrum", cfg, "eps", net.beta)
@@ -920,5 +926,5 @@ def run_spectrum(cfg: dict):
     }
     return _envelope(
         "spectrum", cfg, fields, {}, (("index", "lam", "residual"), _eigen_rows(res)),
-        net=net, mesh=op.mesh, squeezed=eps is not None,
+        net=net, mesh=op.base.mesh, squeezed=eps is not None,
     )

@@ -84,6 +84,7 @@ _BASIS = 20  # least Lanczos basis, max(2k + 1, 20) vectors: ARPACK's default nc
 _CYCLES = 20  # basis fills before `_lanczos` gives up, as ARPACK's maxiter of the norms
 START_SEED = 7  # seed of every random Lanczos start: eigensolves and norms given no start
 HERMITIAN_RTOL = 1e-12  # round-off bound on max|A - A^H| / max|A|
+FIT_CONFIDENCE = 0.95  # level of the slope interval `RateFit.ci95`
 
 
 class ShiftError(RuntimeError):
@@ -559,8 +560,9 @@ def resolvent_diff_norm(R_delta: ResolventFactor, R_eps: ResolventFactor, *,
     return NormResult(float(abs(theta[0])), converged, applied, _largest(error))
 
 
-def fit_rate(eps, values, *, confidence: float = 0.95) -> RateFit:
-    """Least-squares slope of log(value) against log(eps) with a CI.
+def fit_rate(eps, values) -> RateFit:
+    """Least-squares slope of log(value) against log(eps) with its
+    `FIT_CONFIDENCE` interval (Student t).
 
     Non-positive values are excluded with a logged warning; fewer than three
     remaining points raise FitError.
@@ -584,7 +586,7 @@ def fit_rate(eps, values, *, confidence: float = 0.95) -> RateFit:
     s2 = float(resid @ resid) / max(dof, 1)
     sx = float(np.sum((X - X.mean()) ** 2))
     stderr = np.sqrt(s2 / sx)
-    tval = float(stdtrit(max(dof, 1), 0.5 + confidence / 2.0))
+    tval = float(stdtrit(max(dof, 1), 0.5 + FIT_CONFIDENCE / 2.0))
     half = tval * stderr if dof > 0 else np.inf
     return RateFit(
         slope=slope,

@@ -77,10 +77,10 @@ def full_scatter_potential(mesh, W):
 def full_node_form(op, eps=None):
     """(S, M) of `lab.Operator` op at eps assembled over all nodes, every
     term summed there, then restricted: the reference for `Operator.form`."""
-    mesh = op.mesh
-    S = fem.assemble_magnetic_stiffness(mesh, op.A)
-    if op.Q is not None:
-        S = S + full_scatter_potential(mesh, op.Q)
+    mesh, A, Q = op.base.mesh, op.base.A, op.base.Q
+    S = fem.assemble_magnetic_stiffness(mesh, A)
+    if Q is not None:
+        S = S + full_scatter_potential(mesh, Q)
     if eps is None:
         S = S + fem.assemble_delta_term(mesh, op.net, op.strengths)
     else:

@@ -142,7 +142,7 @@ def test_restrict_follows_the_interior_numbering():
     for A in (
         assemble_magnetic_stiffness(m),
         assemble_mass(m),
-        assemble_delta_term(m, net, [-3.0]),
+        assemble_delta_term(m, net, {0: -3.0}),
         assemble_magnetic_stiffness(m, homogeneous_gauge(1.5)),
     ):
         assert np.allclose(restrict(m, A) @ u[m.interior], (A @ u)[m.interior],
@@ -285,6 +285,18 @@ def test_zero_strength_delta_is_zero():
     assert np.max(np.abs(B.toarray())) == 0.0
 
 
+def test_delta_term_refuses_a_list_of_strengths():
+    # with `k in strengths` a list would test its values, not its indices,
+    # and drop the line term without a word
+    net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=0.5)
+    m = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 0.25)
+    with pytest.raises(AttributeError):
+        assemble_delta_term(m, net, [-3.0])
+    # build_form reads a list as entry k for segment k
+    assert_same_csr(build_form(m, net=net, strengths=[-3.0]).S,
+                    build_form(m, net=net, strengths={0: -3.0}).S)
+
+
 def test_delta_on_mesh_line_quadratic_form():
     c = -3.0
     net = Network([LineSegment((-0.5, 0.0), (0.5, 0.0))], beta_cap=0.5)
@@ -307,9 +319,8 @@ def test_star_rotation_invariance_within_mesh_error():
 
     def lam(net, h):
         m = build_mesh(box, h)
-        S = restrict(
-            m, assemble_magnetic_stiffness(m) + assemble_delta_term(m, net, [alpha] * 3)
-        )
+        S = restrict(m, assemble_magnetic_stiffness(m)
+                     + assemble_delta_term(m, net, dict.fromkeys(range(3), alpha)))
         M = restrict(m, assemble_mass(m))
         return lowest_arpack(S, M, sigma=-30.0)[0]
 
@@ -325,7 +336,7 @@ def test_magnetic_plus_delta_hermitian():
     net = star_network([90.0, 270.0], length=0.8)
     m = build_mesh(((-1.5, 1.5), (-1.5, 1.5)), 1.0 / 16.0)
     form = build_form(
-        m, A=homogeneous_gauge(1.0), net=net, strengths=[-2.0, -2.0]
+        m, A=homogeneous_gauge(1.0), net=net, strengths={0: -2.0, 1: -2.0}
     )
     assert form.meta["hermiticity_residual"] <= 1e-12
     assert np.iscomplexobj(form.S.data) and form.tube.any()
@@ -375,7 +386,7 @@ def test_form_consistency_delta_interpolants():
         errs = []
         for h in hs:
             m = build_mesh(((-1.5, 1.5), (-1.5, 1.5)), h)
-            form = build_form(m, net=net, strengths=[alpha])
+            form = build_form(m, net=net, strengths={0: alpha})
             v = f(m.node_x, m.node_y)[m.interior]
             errs.append(abs(v @ (form.S @ v) - ref))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]

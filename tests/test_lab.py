@@ -22,7 +22,6 @@ from deltasqueeze.lab import (
     _eps_sweep,
     cusp_network,
     network_from_spec,
-    profiles_from_config,
     run_convergence,
     run_cusp,
     run_spectrum,
@@ -570,7 +569,8 @@ def test_every_norm_of_a_run_is_warm_started(monkeypatch):
     cfg = small_convergence_cfg(refine_check=True)
     run_convergence(cfg)
     op = config_operator(cfg)
-    fine = dataclasses.replace(op, mesh=fem.build_mesh(op.mesh.box, op.mesh.h / 2))
+    fine = dataclasses.replace(op, base=fem.assemble_base(
+        fem.build_mesh(op.base.mesh.box, op.base.mesh.h / 2), op.base.A, op.base.Q))
     n = len(cfg["eps_grid"])
     assert len(starts) == 2 * n
     for mesh_op, mesh_starts in ((op, starts[:n]), (fine, starts[n:])):
@@ -604,7 +604,7 @@ def test_operator_forms_match_the_full_node_assembly_bit_for_bit(field_b, q, alp
     net = network_from_spec(small_convergence_cfg()["network"])
     mesh = fem.build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 16.0)
     A = fem.homogeneous_gauge(field_b) if field_b else None
-    op = Operator(mesh, net, profiles_from_config({"alpha": alpha}, net), {0: alpha}, A, q)
+    op = Operator.from_config({"alpha": alpha}, net, fem.assemble_base(mesh, A, q))
     for eps in (None, 0.5, 0.25):
         form = op.form(eps)
         S, M = full_node_form(op, eps)
@@ -637,7 +637,35 @@ def test_profile_config_builds_the_squeezed_form_of_its_profile(kind):
     assert [p.kind for p in op.profiles] == [kind]
     for eps in (0.5, 0.25):
         W = potentials.SqueezedPotential(net, [profile(net.beta)], eps)
-        assert_same_csr(op.form(eps).S, fem.build_form(op.mesh, potential=W).S)
+        assert_same_csr(op.form(eps).S, fem.build_form(op.base.mesh, potential=W).S)
+
+
+# the networks and strengths of the benchmark workloads cusp-trend,
+# converge-line and star-refine (sigma, gamma and the 17 degree copy)
+WORKLOAD_STRENGTHS = [
+    (cusp_network(2.0, 0.75), (-6.0, -10.0, -14.0)),
+    (network_from_spec({"beta_cap": 0.5, "segments": line_spec(((-2.0, 0.0), (2.0, 0.0)))}),
+     (-5.0,)),
+    (lab._star_network([150.0, 150.0, 60.0], 1.0), (-5.0,)),
+    (lab._star_network([120.0] * 3, 1.0), (-5.0,)),
+    (lab._star_network([120.0] * 3, 1.0, rot_deg=17.0), (-5.0,)),
+]
+
+
+@pytest.mark.parametrize("net, alphas", WORKLOAD_STRENGTHS,
+                         ids=["cusp", "line", "star_sigma", "star_gamma", "star_rot"])
+def test_a_constant_alpha_round_trips_bitwise_on_the_workloads(net, alphas):
+    # every strength is the transverse integral of the profile alpha/(2 beta);
+    # for these alpha and beta it gives alpha back bit for bit, so the line
+    # term, the trial bound and the CSVs read what a constant would give
+    base = fem.assemble_base(fem.build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 0.5))
+    for alpha in alphas:
+        op = Operator.from_config({"alpha": alpha}, net, base)
+        assert sorted(op.strengths) == list(range(len(net.segments)))
+        for k, strength in op.strengths.items():
+            for n in (1, 65, 4 * int(np.ceil(net.segments[k].length * 64))):
+                s = np.linspace(0.0, net.segments[k].length, n)
+                assert np.array_equal(strength(s), np.full(n, alpha))
 
 
 def test_unknown_profile_kind_raises_config_error():
@@ -676,15 +704,19 @@ def test_stiffness_and_mass_are_assembled_once_per_mesh(assembled):
         assert [m.h for m in calls] == [1.0 / 16.0, 1.0 / 32.0]
 
 
-def test_an_operator_on_another_mesh_builds_its_own_base():
+def test_an_operator_on_another_base_forms_on_its_mesh():
+    # the h/2 operator of `refine_check`: every form is on its base's mesh
+    # and shares its base's M; a change of strength keeps the base
     op = config_operator(small_convergence_cfg())
-    fine = dataclasses.replace(op, mesh=fem.build_mesh(op.mesh.box, op.mesh.h / 2))
-    assert fine.base.mesh is fine.mesh and fine.base is not op.base
-    assert fine.form(0.5).S.shape[0] == fine.mesh.n_interior
-    same = dataclasses.replace(op, strengths={0: -3.0})
-    assert same.base is op.base
-    magnetic = dataclasses.replace(op, A=fem.homogeneous_gauge(1.0))
-    assert magnetic.base is not op.base and magnetic.base.A is magnetic.A
+    fine = dataclasses.replace(op, base=fem.assemble_base(
+        fem.build_mesh(op.base.mesh.box, op.base.mesh.h / 2), op.base.A, op.base.Q))
+    assert fine.base is not op.base
+    for eps in (None, 0.5):
+        form = fine.form(eps)
+        assert form.S.shape[0] == fine.base.mesh.n_interior
+        assert form.M is fine.base.M and form.tree is fine.base.mesh.tree
+    same = dataclasses.replace(op, strengths={0: potentials.StrengthFunction.constant(0, -3.0)})
+    assert same.base is op.base and same.form().M is op.base.M
 
 
 def test_eps_eigensolves_start_from_the_delta_ground_state(monkeypatch):
@@ -754,7 +786,7 @@ def test_two_eigenpairs_include_the_odd_second_state():
     res = op.solve(form, k=2)
     lam, V = sla.eigh(form.S.toarray(), form.M.toarray(), subset_by_index=[0, 1])
     assert np.allclose(res.eigenvalues, lam, rtol=1e-10, atol=0.0)
-    m = op.mesh
+    m = op.base.mesh
     i, j = (np.rint(c[m.interior] / h).astype(int) for c in (m.node_x, m.node_y))
     index = {ij: k for k, ij in enumerate(zip(i, j))}
     mirror = np.array([index[(-a, -b)] for a, b in zip(i, j)])
@@ -940,7 +972,7 @@ def test_cusp_trial_bound_stays_above_the_ground_state(d):
     mesh = fem.build_mesh(((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0)
     ground = None
     for alpha in (-6.0, -10.0):
-        op = Operator.uniform(mesh, net, alpha)
+        op = Operator.from_config({"alpha": alpha}, net, fem.assemble_base(mesh))
         form = op.form()
         w, V = sla.eigh(form.S.toarray(), form.M.toarray(), subset_by_index=[0, 0])
         lam1 = w[0]
@@ -964,7 +996,8 @@ def test_cusp_with_a_positive_trial_bound_finds_the_ground_state():
     box, h = ((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0
     report, _ = run_cusp({"d": 1.5, "alpha_list": [-6.0], "x_max": 0.5,
                           "mesh": {"box": [list(b) for b in box], "h": h}})
-    op = Operator.uniform(fem.build_mesh(box, h), cusp_network(1.5, 0.5), -6.0)
+    op = Operator.from_config({"alpha": -6.0}, cusp_network(1.5, 0.5),
+                              fem.assemble_base(fem.build_mesh(box, h)))
     form = op.form()
     assert trial_upper_bound(op, form)[0] > 0.0
     lam1 = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)[0]
@@ -989,10 +1022,10 @@ def test_a_seeded_shift_above_the_ground_state_is_lowered(monkeypatch):
     # lies above lam_1: the inertia count refuses it, and the lowered shift
     # finds lam_1, not lam_2
     box, h = ((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0
-    mesh, net = fem.build_mesh(box, h), cusp_network(1.5, 0.5)
-    weak = Operator.uniform(mesh, net, -1.0).form()
+    base, net = fem.assemble_base(fem.build_mesh(box, h)), cusp_network(1.5, 0.5)
+    weak = Operator.from_config({"alpha": -1.0}, net, base).form()
     near = sla.eigh(weak.S.toarray(), weak.M.toarray(), subset_by_index=[0, 0])[1][:, 0]
-    op = Operator.uniform(mesh, net, -6.0)
+    op = Operator.from_config({"alpha": -6.0}, net, base)
     form = op.form()
     lam = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True,
                    subset_by_index=[0, 1])
@@ -1356,15 +1389,72 @@ def test_threads_not_a_positive_integer_fails_before_any_mesh(built, scenario, r
     assert built == []
 
 
-@pytest.mark.parametrize("eps", [[0.3], [0.4, 0.3]])
+@pytest.mark.parametrize("eps", [[0.3], [0.4, 0.3], "0.3", True])
 @pytest.mark.parametrize("scenario, runner, cfg", OUT_PATH_CASES[1:],
                          ids=[case[0] for case in OUT_PATH_CASES[1:]])
 def test_eps_not_a_number_fails_before_any_mesh(built, scenario, runner, cfg, eps):
     # np.min and np.max pass a list: the run then failed after its mesh and
-    # base assembly, comparing a float with a list
+    # base assembly, comparing a float with a list; a string failed in np.min
+    # with numpy's UFuncTypeError, and True ran as eps = 1
     with pytest.raises(ConfigError, match=f"{scenario} config: 'eps' must be a number, "
                                           f"got {re.escape(repr(eps))}"):
         runner({**cfg, "eps": eps})
+    assert built == []
+
+
+@pytest.mark.parametrize("eps_grid", [["0.5", "0.35", "0.25"], [0.5, True, 0.25], [], 0.5, None],
+                         ids=["strings", "bool", "empty", "number", "none"])
+def test_eps_grid_not_a_list_of_numbers_fails_before_any_mesh(built, eps_grid):
+    # a grid of strings passed np.asarray(..., dtype=float), then failed in np.min
+    with pytest.raises(ConfigError, match="convergence config: 'eps_grid' must be a nonempty "
+                                          f"list of numbers, got {re.escape(repr(eps_grid))}"):
+        run_convergence(small_convergence_cfg(eps_grid=eps_grid))
+    assert built == []
+
+
+COUNT_CASES = [
+    ("spectrum", "k", run_spectrum, OUT_PATH_CASES[4][2]),
+    ("wedge", "k", run_wedge, wedge_cfg()),
+    ("stargraph", "N", run_stargraph, star_cfg()),
+]
+
+
+@pytest.mark.parametrize("value", [0, 2.0, "3", True])
+@pytest.mark.parametrize("scenario, key, runner, cfg", COUNT_CASES,
+                         ids=[f"{case[0]}-{case[1]}" for case in COUNT_CASES])
+def test_count_not_a_positive_integer_fails_before_any_mesh(built, scenario, key, runner, cfg,
+                                                           value):
+    # k = 0 died in the eigensolver with numpy's zero-size ValueError, k = 2.0
+    # in Lanczos with a TypeError, and N = 3.0 in [360 / N] * N
+    with pytest.raises(ConfigError, match=f"{scenario} config: '{key}' must be a positive "
+                                          f"integer, got {re.escape(repr(value))}"):
+        runner({**cfg, key: value})
+    assert built == []
+
+
+def test_an_empty_cusp_alpha_list_fails_before_any_mesh(built):
+    with pytest.raises(ConfigError, match="cusp config: 'alpha_list' must be nonempty"):
+        run_cusp({**SMALL_CUSP, "alpha_list": []})
+    assert built == []
+
+
+TWO_LINES = {"beta_cap": 0.5,
+             "segments": line_spec(((-1.0, -0.5), (1.0, -0.5)), ((-1.0, 0.5), (1.0, 0.5)))}
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"alpha": [-5.0, -5.0, -5.0]}, "'alpha' entry 2 has no segment: the network has 2"),
+    ({"profile": {"segment": 5, "kind": "constant", "value": -5.0}},
+     "profile entry 0: 'segment' 5 is not a segment of the network, which has 2"),
+    ({"profile": [{"kind": "constant", "value": -5.0},
+                  {"segment": -1, "kind": "constant", "value": -5.0}]},
+     "profile entry 1: 'segment' -1 is not a segment of the network, which has 2"),
+], ids=["alpha", "profile", "negative"])
+def test_a_strength_entry_without_a_segment_fails_before_any_mesh(built, entry, message):
+    # the run failed with an IndexError in the trial bound, after the mesh,
+    # the base and the delta form were built
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_spectrum({"network": TWO_LINES, "mesh": MESH, **entry})
     assert built == []
 
 

@@ -44,7 +44,7 @@ def segment_pencil(alpha, half_len, h, box=((-2.0, 2.0), (-2.0, 2.0)), beta_cap=
     net = Network([LineSegment((-half_len, 0.0), (half_len, 0.0))], beta_cap=beta_cap)
     m = build_mesh(box, h)
     S = restrict(
-        m, assemble_magnetic_stiffness(m) + assemble_delta_term(m, net, [alpha])
+        m, assemble_magnetic_stiffness(m) + assemble_delta_term(m, net, {0: alpha})
     )
     M = restrict(m, assemble_mass(m))
     return S, M, net, m
@@ -925,7 +925,7 @@ def test_diff_operator_m_symmetric():
     S, M, _ = dirichlet_pencil(0.25)
     net = Network([LineSegment((0.3, 0.5), (0.7, 0.5))], beta_cap=0.2)
     m = build_mesh(((0.0, 1.0), (0.0, 1.0)), 0.25)
-    B = restrict(m, assemble_delta_term(m, net, [-1.0]))
+    B = restrict(m, assemble_delta_term(m, net, {0: -1.0}))
     lam = -10.0
     n = S.shape[0]
     Rd = np.column_stack(

@@ -479,9 +479,36 @@ def restrict(mesh: Mesh, A):
     return A[mesh.interior][:, mesh.interior].tocsr().sorted_indices()
 
 
-def hermiticity_residual(S):
-    """max |S - S^H| entrywise."""
-    return float(abs(S - S.getH()).max())
+_HERMITICITY_BLOCK = 1 << 16  # entries of S in one row block of `hermiticity_residual`
+
+
+def hermiticity_residual(S, *, scale=False):
+    """max |S - S^H| entrywise, NaN when S has a NaN entry; with `scale` the
+    pair (max |S - S^H|, max |S|).  Taken in blocks of rows of about
+    _HERMITICITY_BLOCK entries against one transposed copy of S, so its
+    temporaries are that copy and one block, whatever the size of S."""
+    S = S.tocsr()
+    if not S.has_canonical_format:  # the matrix that its duplicates sum to
+        S = S.copy()
+        S.sum_duplicates()
+    T = S.T.tocsr()  # canonical; row i of S^H is the conjugate of row i of T
+    # with a symmetric pattern, entry e of T is the transpose of entry e of S,
+    # and the difference needs no sparse subtraction
+    symmetric = np.array_equal(S.indptr, T.indptr) and np.array_equal(S.indices, T.indices)
+    residual = top = np.float64(0.0)
+    cuts = np.searchsorted(S.indptr, np.arange(_HERMITICITY_BLOCK, S.nnz, _HERMITICITY_BLOCK))
+    for a, b in zip([0, *cuts], [*cuts, S.shape[0]]):
+        block = S.data[S.indptr[a]:S.indptr[b]]
+        if symmetric:
+            difference = np.conjugate(T.data[S.indptr[a]:S.indptr[b]])
+            np.subtract(block, difference, out=difference)
+        else:
+            difference = (S[a:b] - T[a:b].conj()).data
+        # np.max and np.maximum carry a NaN through
+        residual = np.maximum(residual, np.max(np.abs(difference), initial=0.0))
+        top = np.maximum(top, np.max(np.abs(block), initial=0.0))
+        del difference  # freed before the next block's is made
+    return (float(residual), float(top)) if scale else float(residual)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ dissection of a regular finite element mesh, SIAM J. Numer. Anal. 10 (1973)
 They are factored depth by depth from the leaves to the root.  The fronts
 of one depth with one pivot count are a group, stacked with their rings
 padded to one length (padded slots are zero), so a depth is a few batched
-numpy calls per group, taken in chunks that keep temporaries small.  A
+numpy calls per chunk of a group, whose temporaries are bounded.  A
 front F = [F11 F12; F21 F22] gathers the lower triangle of its matrix
 entries and of its children's updates (extend-add), eliminates its pivots
 and passes the lower triangle of its update F22 - F21 F11^-1 F12 to its
@@ -18,26 +18,36 @@ Hermiticity first.
 
 A factor reads its matrix once, before it eliminates any front: it gathers
 the lower triangle in the order the fronts take it, and keeps no reference
-to the matrix.  One buffer holds the fronts of each depth in turn.  Once a
-group is eliminated, the lower triangles of its updates are copied into a
-packed array, one row per front, and the depth above is assembled into the
-same buffer from these arrays: the stack of update matrices of the
+to the matrix.  It assembles and eliminates the fronts of a group in
+chunks of consecutive fronts, at most _FRONTS entries together (one front
+when it alone has more), in one buffer of that size.  Once a chunk is
+eliminated, the lower triangles of its updates are copied into a packed
+array of its group, one row per front, and the chunks of the depth above
+are assembled from these arrays: the stack of update matrices of the
 multifrontal method (Liu, The multifrontal method and paging in sparse
-Cholesky factorization, ACM TOMS 12 (1986) 249-264), one depth deep.  So a
-factor's working set is its stored entries, one buffer of its largest
-depth, the packed updates of one depth and the gathered entries.  For the
-converge-line delta factor (n = 146,689) these are 7.50 M, 3.69 M, at most
-1.30 M and 0.59 M entries; the CSR matrix it reads takes 12.9 MB.
+Cholesky factorization, ACM TOMS 12 (1986) 249-264), two depths deep, the
+one assembled from and the one made.  A chunk takes its matrix entries
+from a run of the gathered ones, which are kept by depth and, within a
+depth, by slot; and the updates of its children from a run of rows, since
+a group packs its rows by their parent's offset.  That order is stable, so
+every slot of a front adds its matrix entry and its children's updates in
+one order whatever the chunks: chunk boundaries change no bit of a factor.
+So a factor's working set is its stored entries, one chunk, the packed
+updates of two adjacent depths and the gathered entries.  For the
+converge-line delta factor (n = 146,689) these are 7.50 M, 0.52 M, at most
+2.46 M and 0.59 M entries; the CSR matrix it reads takes 12.9 MB, and the
+Hermiticity check before it a transposed copy of that and one block of rows
+(`fem.hermiticity_residual`).
 
 Each front keeps K = [K1; -F21 F11^-1] with F11^-1 = K1^H D K1: K1 = L11^-1
-for a Cholesky factor F11 = L11 L11^H and D = I; when a group's Cholesky
-fails, its pivot blocks are diagonalised, F11 = Q diag(w) Q^H, with
-K1 = |w|^-1/2 Q^H and D = sign(w).  A solve is one matmul per group and
-sweep.  By Haynsworth's inertia additivity (Haynsworth, Determination of
-the inertia of a partitioned Hermitian matrix, Linear Algebra Appl. 1
-(1968) 73-81) the number of negative eigenvalues of the matrix is the
-number of negative w over all pivot blocks: exact, and 0 when every front
-passes Cholesky.
+for a Cholesky factor F11 = L11 L11^H and D = I; when Cholesky fails on a
+chunk, its pivot blocks are diagonalised, F11 = Q diag(w) Q^H, with
+K1 = |w|^-1/2 Q^H and D = sign(w), and D = 1 on the rest of the group.  A
+solve is one matmul per group and sweep.  By Haynsworth's inertia
+additivity (Haynsworth, Determination of the inertia of a partitioned
+Hermitian matrix, Linear Algebra Appl. 1 (1968) 73-81) the number of
+negative eigenvalues of the matrix is the number of negative w over all
+pivot blocks: exact, and 0 when every front passes Cholesky.
 
 A front's factor and update depend only on the matrix entries of its
 subtree (Liu, above), so pencils that agree outside a tube share every
@@ -67,25 +77,30 @@ __all__ = ["TreeFactor"]
 
 _SMALL_PIVOTS = 32  # pivot blocks up to this size are inverted by batched substitution
 _CHUNK = 1 << 16  # entries of the temporaries of one batched step
+_FRONTS = 1 << 19  # entries of a chunk of fronts, or of its one front if more
 
 
 @dataclass(frozen=True)
 class _Group:
     """The fronts of one depth with p pivots each, rings padded to R slots,
-    stored one after another from `offset` in their depth's buffer, each as
+    stored one after another from `offset` in their depth's layout, each as
     a (p + R + 1)^2 block whose last row and column are spare.  A shared
-    group lies outside the tube (`_Plan`)."""
+    group lies outside the tube (`_Plan`).  The packed updates of its fronts
+    are stored by parent offset, stably (`order`), so the children of a run
+    of fronts in the depth above are a run of rows."""
 
     p: int
     R: int
     offset: int
     pivots: np.ndarray  # (nb, p) the pivots of every front
     ring: np.ndarray  # (nb, R) the ring of every front, n for a padded slot
-    parent: np.ndarray  # (nb,) buffer offset of the parent's front in the depth above
+    parent: np.ndarray  # (nb,) layout offset of the parent's front in the depth above
     side: np.ndarray  # (nb,) row length of the parent's front
     pos: np.ndarray  # (nb, R) slot of every ring slot in the parent's front
     shared: bool
-    boundary: np.ndarray  # the fronts of a shared group whose parent is a tube front
+    order: np.ndarray  # (nb,) the fronts by parent offset, stably: the rows of the updates
+    rank: np.ndarray | None  # (nb,) the row of every front; None when it is the front itself
+    boundary: np.ndarray  # the rows of a shared group's fronts whose parent is a tube front
 
 
 @dataclass(eq=False)
@@ -182,10 +197,16 @@ def _analyse(tree, tube) -> _Plan:
         pos[outside] = p[qo] + np.searchsorted(ring_key, qo * n + ring[outside]) - ring_ptr[qo]
         pos[off] = np.broadcast_to(width[q, None] - 1, pos.shape)[off]  # the spare slot
         is_shared = bool(shared[nodes[0]])
-        boundary = np.flatnonzero((q >= 0) & tube[q]) if is_shared else np.empty(0, np.int64)
+        by_parent = np.argsort(start[q], kind="stable")
+        rank = None
+        if np.any(np.diff(start[q]) < 0):
+            rank = np.empty_like(by_parent)
+            rank[by_parent] = np.arange(len(by_parent))
+        boundary = (np.flatnonzero(((q >= 0) & tube[q])[by_parent]) if is_shared
+                    else np.empty(0, np.int64))
         depths[depth[nodes[0]]][2].append(_Group(
             P, Rg, int(start[nodes[0]]), pivots, ring, start[q], width[q], pos, is_shared,
-            boundary))
+            by_parent, rank, boundary))
     return _Plan(n, depths, (start, width, p), depth, tube)
 
 
@@ -196,11 +217,11 @@ def _ring_key(tree):
 
 def _entries(plan: _Plan, tree, A):
     """(indptr, indices, slot, at, edge) of the lower triangle of the
-    canonical CSR matrix A: entry e goes to buffer slot slot[e] from
-    A.data[at[e]], depth by depth, and the entries of depth d in its tube
-    fronts are edge[2d]:edge[2d + 1], in its shared fronts edge[2d + 1]:edge[2d
-    + 2].  Mesh pencils share a pattern, so the map of the last pattern is
-    kept."""
+    canonical CSR matrix A: entry e goes to layout slot slot[e] from
+    A.data[at[e]], depth by depth and by slot within a depth, and the
+    entries of depth d in its tube fronts are edge[2d]:edge[2d + 1], in its
+    shared fronts edge[2d + 1]:edge[2d + 2].  Mesh pencils share a pattern,
+    so the map of the last pattern is kept."""
     last = plan.pattern
     if (last is not None and np.array_equal(last[0], A.indptr)
             and np.array_equal(last[1], A.indices)):
@@ -217,9 +238,12 @@ def _entries(plan: _Plan, tree, A):
     row[outside] = p[outside] + np.searchsorted(_ring_key(tree), so * n + i[outside]) \
         - tree.ring_ptr[so]
     slot = start + row * side + (j - tree.starts[s])
-    # a stable sort of small integers is a radix sort
-    key = (2 * plan.depth[s] + ~plan.tube[s]).astype(np.int16)
-    order = np.argsort(key, kind="stable")
+    # by depth, then slot; a depth's tube fronts lie before its shared ones,
+    # so this is also by depth, then tube
+    depth = plan.depth[s]
+    first = np.concatenate([[0], np.cumsum([size for size, _, _ in plan.depths])])
+    order = np.argsort(first[depth] + slot)
+    key = 2 * depth + ~plan.tube[s]
     edge = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=2 * len(plan.depths)))])
     plan.pattern = (A.indptr.copy(), A.indices.copy(), slot[order].astype(np.int32),
                     at[order].astype(np.int32), edge.tolist())
@@ -277,18 +301,13 @@ def _pivot_blocks(F11):
     return _H(Q) / np.sqrt(scale)[..., None], np.sign(w), int(np.count_nonzero(w < 0))
 
 
-def _tri(g):
-    """Offsets in a front of g of the lower triangle of its update, by rows."""
-    i, j = np.tril_indices(g.R)
-    return (g.p + i) * (g.p + g.R + 1) + g.p + j
-
-
-def _extend_add(buffer, g, fronts, rows):
-    """Adds to `buffer`, the fronts of the depth above g, the lower triangles
-    of the updates of g's fronts `fronts` (an index or a slice), one row of
-    `rows` per front."""
-    i, j = np.tril_indices(g.R)
-    pos, parent, side = g.pos[fronts], g.parent[fronts], g.side[fronts]
+def _extend_add(buffer, lo, g, fronts, rows, tril):
+    """Adds to `buffer`, which holds the fronts of the depth above g from
+    layout offset `lo` on, the lower triangles of the updates of g's fronts
+    `fronts` (an index array), one row of `rows` per front, with `tril` the
+    np.tril_indices(g.R) of their order."""
+    i, j = tril
+    pos, parent, side = g.pos[fronts], g.parent[fronts] - lo, g.side[fronts]
     for c in _chunks(len(pos), len(i)):
         row = parent[c, None] + pos[c] * side[c, None]  # buffer offsets of rows
         target = np.take(row, i, axis=1) + np.take(pos[c], j, axis=1)
@@ -318,11 +337,11 @@ def _backward(v, fronts, *, rings_only=False):
 class TreeFactor:
     """LDL^H factor of a Hermitian matrix A, given in canonical CSR form in
     the numbering of the `fem.DissectionTree` `tree`, by the multifrontal
-    method, in one front buffer with the updates of one depth packed (see
-    the module docstring).  A may also be a function that returns the
-    matrix: the factor calls it, reads the matrix once and drops it before
-    the first front is eliminated, so a matrix made for the factor alone is
-    not alive while the fronts are.
+    method, in chunks of fronts in one buffer of a fixed size, with the
+    updates of two depths packed (see the module docstring).  A may also
+    be a function that returns the matrix: the factor calls it, reads the
+    matrix once and drops it before the first front is eliminated, so a
+    matrix made for the factor alone is not alive while the fronts are.
 
     `share` is None, a boolean mask of the unknowns of a tube, or a factor
     made with one.  Given a tube, the factor keeps what later factors of
@@ -381,42 +400,67 @@ class TreeFactor:
                     K[i], D[i], updates[i] = share._K[i], share._D[i], share._updates[i]
             self.negatives = shared_negatives = share._shared_negatives
         _, _, slot, _, edge = pattern
-        # one buffer holds each depth's fronts in turn; the lower triangles of
-        # their updates are packed, one row per front, for the depth above
-        buffer = np.empty(max(d[1] if reuse else d[0] for d in plan.depths), dtype)
-        below = []  # (group, fronts, packed update rows) of the depth below
+        # one buffer holds a chunk of fronts of one group at a time; the lower
+        # triangles of their updates are packed, one row per front, for the
+        # depth above
+        sizes = [(g.p + g.R + 1) ** 2 for g in groups if not (reuse and g.shared)]
+        buffer = np.empty(min(max([_FRONTS, *sizes]), max(
+            d[1] if reuse else d[0] for d in plan.depths)), dtype)
+        below = []  # (group, fronts, their parents' offsets, rows, tril) of the depth below
         first = 0  # index in `groups` of the depth's first group
-        for d, (size, inner, depth) in enumerate(plan.depths):
-            a, b = edge[2 * d], edge[2 * d + 1 if reuse else 2 * d + 2]
-            fronts = buffer[:inner if reuse else size]
-            fronts[:] = 0.0
-            fronts[slot[a:b]] = values[a:b]
-            for g, sub, rows in below:  # extend-add of the lower triangles of the updates
-                _extend_add(fronts, g, sub, rows)
-            below = []
+        for d, (_, _, depth) in enumerate(plan.depths):
+            a = edge[2 * d]
+            by_slot = slot[a:edge[2 * d + 2]]
+            above = []
             for i, g in enumerate(depth, first):
                 if reuse and g.shared:
                     if len(g.boundary):
-                        below.append((g, g.boundary, updates[i]))
+                        fronts = g.order[g.boundary]
+                        above.append((g, fronts, g.parent[fronts], updates[i],
+                                      np.tril_indices(g.R)))
                     continue
-                p, f = g.p, g.p + g.R
-                F = fronts[g.offset:g.offset + len(g.pivots) * (f + 1) ** 2]
-                F = F.reshape(-1, f + 1, f + 1)
-                K1, D[i], negatives = _pivot_blocks(F[:, :p, :p])
-                self.negatives += negatives
-                if g.shared:
-                    shared_negatives += negatives
-                L21 = F[:, p:f, :p] @ _H(K1)
-                L21D = L21 if D[i] is None else L21 * D[i][:, None, :]
-                K[i] = np.empty((len(F), f, p), dtype)
-                K[i][:, :p] = K1
-                np.matmul(L21D, -K1, out=K[i][:, p:])
-                for c in _chunks(len(F), g.R ** 2):  # the update F22 - F21 F11^-1 F12
-                    F[c, p:f, p:f] -= L21D[c] @ _H(L21[c])
-                rows = np.take(F.reshape(len(F), -1), _tri(g), axis=1)
+                tril = np.tril_indices(g.R)
+                p, f, nb = g.p, g.p + g.R, len(g.pivots)
+                tri = (p + tril[0]) * (f + 1) + p + tril[1]
+                K[i] = np.empty((nb, f, p), dtype)
+                packed = np.empty((nb, len(tri)), dtype)  # by parent offset
+                step = max(1, _FRONTS // (f + 1) ** 2)  # fronts of a chunk
+                for k in range(0, nb, step):
+                    m = min(step, nb - k)
+                    lo, hi = g.offset + k * (f + 1) ** 2, g.offset + (k + m) * (f + 1) ** 2
+                    F = buffer[:hi - lo]
+                    F[:] = 0.0
+                    e = a + np.searchsorted(by_slot, (lo, hi))
+                    F[slot[e[0]:e[1]] - lo] = values[e[0]:e[1]]
+                    for h, children, parents, rows, t in below:  # extend-add
+                        c = np.searchsorted(parents, (lo, hi))
+                        if c[0] < c[1]:
+                            _extend_add(F, lo, h, children[c[0]:c[1]], rows[c[0]:c[1]], t)
+                    F = F.reshape(m, f + 1, f + 1)
+                    K1, Dk, negatives = _pivot_blocks(F[:, :p, :p])
+                    self.negatives += negatives
+                    if g.shared:
+                        shared_negatives += negatives
+                    L21 = F[:, p:f, :p] @ _H(K1)
+                    L21D = L21
+                    if Dk is not None:  # this chunk failed Cholesky: D is 1 elsewhere
+                        if D[i] is None:
+                            D[i] = np.ones((nb, p))
+                        D[i][k:k + m] = Dk
+                        L21D = L21 * Dk[:, None, :]
+                    K[i][k:k + m, :p] = K1
+                    np.matmul(L21D, -K1, out=K[i][k:k + m, p:])
+                    for c in _chunks(m, g.R ** 2):  # the update F22 - F21 F11^-1 F12
+                        F[c, p:f, p:f] -= L21D[c] @ _H(L21[c])
+                    F = F.reshape(m, -1)
+                    if g.rank is None:
+                        np.take(F, tri, axis=1, out=packed[k:k + m], mode="clip")
+                    else:
+                        packed[g.rank[k:k + m]] = np.take(F, tri, axis=1)
                 if len(g.boundary):  # kept for the factors that share this one's exterior
-                    updates[i] = rows[g.boundary]
-                below.append((g, slice(None), rows))
+                    updates[i] = packed[g.boundary]
+                above.append((g, g.order, g.parent[g.order], packed, tril))
+            below = above
             first += len(depth)
         self._K, self._D, self._updates = K, D, updates
         self._shared_negatives = shared_negatives

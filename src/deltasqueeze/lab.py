@@ -65,6 +65,38 @@ def _require(scenario, cfg: dict, *keys):
             block = block[part]
 
 
+def _real(value) -> bool:
+    """Whether `value` is a real number; a bool or a string is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_mesh(scenario, cfg: dict):
+    """Raise ConfigError naming the scenario and the entry unless cfg["mesh"]
+    has a step "h" that is a positive real number and a "box" of two
+    increasing pairs of real numbers, [[x0, x1], [y0, y1]]."""
+    h, box = cfg["mesh"]["h"], cfg["mesh"]["box"]
+    if not (_real(h) and 0.0 < h < np.inf):
+        raise ConfigError(f"{scenario} config: 'mesh.h' must be a positive number, got {h!r}")
+    if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_real, pair))
+            and -np.inf < pair[0] < pair[1] < np.inf for pair in box)):
+        raise ConfigError(f"{scenario} config: 'mesh.box' must be two increasing pairs of "
+                          f"numbers, [[x0, x1], [y0, y1]], got {box!r}")
+
+
+def _check_strengths(scenario, cfg: dict, key: str):
+    """Raise ConfigError naming the scenario and the entry unless cfg[key],
+    when set, is a real number or a list of them."""
+    alpha = cfg.get(key)
+    if alpha is None:
+        return
+    listed = isinstance(alpha, (list, tuple, np.ndarray))
+    for i, a in enumerate(alpha if listed else [alpha]):
+        if not _real(a):
+            entry = f"{key!r} entry {i}" if listed else repr(key)
+            raise ConfigError(f"{scenario} config: {entry} must be a real number, got {a!r}")
+
+
 def _check_count(scenario, cfg: dict, key: str):
     """Raise ConfigError naming the scenario and key unless cfg[key], when
     set, is a positive integer (a bool is not)."""
@@ -79,15 +111,16 @@ def _check_run(scenario, cfg: dict, key: str, beta: float):
     naming the scenario.  The squeezing width cfg[key] (a real number, absent
     or None for none; for "eps_grid" a nonempty list of them) must be
     resolved by cfg["mesh"]["h"] (`fem.resolves`) and must not exceed the
-    certified tube half-width beta; cfg["threads"], when set, must be a
-    positive integer; cfg["out"] and cfg["dump_mm"], when set, are created
-    and must be writable directories."""
+    certified tube half-width beta; cfg["alpha"], when set, must be a real
+    number or a list of them; cfg["threads"], when set, must be a positive
+    integer; cfg["out"] and cfg["dump_mm"], when set, are created and must be
+    writable directories."""
     eps = cfg.get(key)
     values, kind = ([] if eps is None else [eps]), "a number"
     if key == "eps_grid":
         values = list(eps) if isinstance(eps, (list, tuple, np.ndarray)) and len(eps) else [None]
         kind = "a nonempty list of numbers"
-    if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) for e in values):
+    if not all(map(_real, values)):
         raise ConfigError(f"{scenario} config: {key!r} must be {kind}, got {eps!r}")
     if values:
         h, lo, hi = cfg["mesh"]["h"], float(min(values)), float(max(values))
@@ -96,6 +129,7 @@ def _check_run(scenario, cfg: dict, key: str, beta: float):
                               f"{lo}/4 = {lo / 4.0}, got {h}")
         if hi > beta:
             raise ConfigError(f"{scenario} config: {key!r} = {hi} exceeds beta = {beta}")
+    _check_strengths(scenario, cfg, "alpha")
     _check_count(scenario, cfg, "threads")
     for path in (cfg.get("out"), cfg.get("dump_mm")):
         if path is None:
@@ -438,6 +472,7 @@ def run_convergence(cfg):
     flag fired, else 0.
     """
     _require("convergence", cfg, "mesh.box", "mesh.h", "network")
+    _check_mesh("convergence", cfg)
     net = network_from_spec(cfg["network"])
     _check_run("convergence", cfg, "eps_grid", net.beta)
     eps_grid = np.asarray(cfg["eps_grid"], dtype=float)
@@ -651,6 +686,7 @@ def run_stargraph(cfg: dict):
     rotation-congruence check, and pass flags.
     """
     _require("stargraph", cfg, "N", "angles", "alpha", "mesh.box", "mesh.h")
+    _check_mesh("stargraph", cfg)
     _check_count("stargraph", cfg, "N")
     N = cfg["N"]
     L = cfg.get("L", 1.0)
@@ -754,6 +790,8 @@ def run_cusp(cfg: dict):
     Rayleigh quotient places the shift and Lanczos starts from it.
     """
     _require("cusp", cfg, "d", "alpha_list", "mesh.box", "mesh.h")
+    _check_mesh("cusp", cfg)
+    _check_strengths("cusp", cfg, "alpha_list")
     d = cfg["d"]
     alphas = list(cfg["alpha_list"])
     if not alphas:
@@ -846,6 +884,7 @@ def run_wedge(cfg: dict):
     the eigenvalue undercuts Theta * b.
     """
     _require("wedge", cfg, "phi", "alpha", "mesh.box", "mesh.h")
+    _check_mesh("wedge", cfg)
     _check_count("wedge", cfg, "k")
     phi = cfg["phi"]
     alpha = cfg["alpha"]
@@ -907,6 +946,7 @@ def run_wedge(cfg: dict):
 def run_spectrum(cfg: dict):
     """Assemble the configured operator and report its k lowest eigenpairs."""
     _require("spectrum", cfg, "mesh.box", "mesh.h", "network")
+    _check_mesh("spectrum", cfg)
     _check_count("spectrum", cfg, "k")
     eps = cfg.get("eps")
     net = network_from_spec(cfg["network"])

@@ -30,11 +30,14 @@ certificate of a shift, and every factor is counted, a tree factor for
 free.  Eigensolves and norms are one Lanczos run each and need a
 Hermitian pencil: every factor checks S - sigma M before it is made, and
 the dense path of `lowest_eigs`, which makes none, checks S and M
-(NonHermitianError).  Every norm and every eigensolve on a tree factor runs
-`_lanczos`, which tests its Ritz pairs after every step and so stops as
-soon as they pass, not when its basis is full; an eigensolve on a SuperLU
-factor (a pencil without a tree) runs ARPACK.  Eigensolves stop at the
-relative residual EIG_RTOL, not at machine epsilon.  A Ritz value's error
+(NonHermitianError).  The check takes max|A - A^H| and max|A| in blocks of
+rows against one transposed copy of A (`fem.hermiticity_residual`), so it
+holds that copy and one block, whatever the size of A.  Every norm and
+every eigensolve on a tree factor runs `_lanczos`, which tests its Ritz
+pairs after every step and so stops as soon as they pass, not when its
+basis is full; an eigensolve on a SuperLU factor (a pencil without a
+tree) runs ARPACK.  Eigensolves stop at the relative residual EIG_RTOL,
+not at machine epsilon.  A Ritz value's error
 goes with the square of its residual over its gap (Kato-Temple), so a
 caller that uses only the values stops earlier, on that estimate: every
 norm, and every eigensolve asked for `values_only`, stops as soon as the
@@ -102,7 +105,7 @@ class NonHermitianError(ValueError):
 
 def _check_hermitian(A, name):
     """Raise NonHermitianError unless max|A - A^H| <= HERMITIAN_RTOL max|A| (NaN fails)."""
-    residual, scale = hermiticity_residual(A), float(abs(A).max())
+    residual, scale = hermiticity_residual(A, scale=True)
     if not residual <= HERMITIAN_RTOL * scale:  # a NaN compares False
         raise NonHermitianError(
             f"pencil matrix {name} is not Hermitian: max|A - A^H| = {residual:.3g} against "
@@ -406,8 +409,8 @@ class ResolventFactor:
     negative eigenvalues of S - lambda M as it runs, so the factor carries
     its inertia count.  The tree factor makes S - lambda M itself and reads
     it once, so no copy of it is alive while the fronts are eliminated, in
-    the one front buffer of `frontal`.  A pencil without a tree is factored
-    by SuperLU in symmetric mode, in the pencil's own numbering, with
+    the fixed-size chunk buffer of `frontal`.  A pencil without a tree is
+    factored by SuperLU in symmetric mode, in the pencil's own numbering, with
     diagonal pivoting, which keeps perm_r == perm_c unless a diagonal pivot
     vanishes; its count is read from U on demand.  Keeps M in CSR form,
     without a copy when it is given so.  Raises NonHermitianError when S -

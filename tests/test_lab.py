@@ -1442,6 +1442,42 @@ TWO_LINES = {"beta_cap": 0.5,
              "segments": line_spec(((-1.0, -0.5), (1.0, -0.5)), ((-1.0, 0.5), (1.0, 0.5)))}
 
 
+@pytest.mark.parametrize("alpha, entry, bad", [
+    ("-5", "'alpha'", "-5"), (True, "'alpha'", True),
+    (["-5"], "'alpha' entry 0", "-5"), ([-5.0, True], "'alpha' entry 1", True),
+], ids=["string", "bool", "string-entry", "bool-entry"])
+@pytest.mark.parametrize("scenario, runner, cfg", [OUT_PATH_CASES[0], OUT_PATH_CASES[4]],
+                         ids=["convergence", "spectrum"])
+def test_alpha_not_a_real_number_fails_before_any_mesh(built, scenario, runner, cfg, alpha,
+                                                      entry, bad):
+    # a string died in numpy's dtype parsing after the mesh, base and form
+    # were built, and True ran as alpha = 1
+    with pytest.raises(ConfigError, match=f"{scenario} config: {re.escape(entry)} must be a "
+                                          f"real number, got {re.escape(repr(bad))}"):
+        runner({**cfg, "network": TWO_LINES, "alpha": alpha})
+    assert built == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("h", "0.125"), ("h", True), ("h", -0.125), ("h", 0),
+    ("box", [[2.0, -2.0], [-2.0, 2.0]]), ("box", [[-2.0, 2.0]]),
+    ("box", [["-2", "2"], [-2.0, 2.0]]), ("box", "[[-2, 2], [-2, 2]]"),
+], ids=["h-string", "h-bool", "h-negative", "h-zero",
+        "box-decreasing", "box-one-pair", "box-strings", "box-string"])
+@pytest.mark.parametrize("scenario, runner, cfg", OUT_PATH_CASES,
+                         ids=[case[0] for case in OUT_PATH_CASES])
+def test_mesh_entry_not_a_step_or_box_fails_before_any_mesh(built, scenario, runner, cfg, key,
+                                                           value):
+    # a string step died in `_mesh` with a TypeError naming no entry, and a
+    # negative one reached fem.build_mesh
+    message = ("a positive number" if key == "h" else
+               r"two increasing pairs of numbers, \[\[x0, x1\], \[y0, y1\]\]")
+    with pytest.raises(ConfigError, match=f"{scenario} config: 'mesh.{key}' must be {message}, "
+                                          f"got {re.escape(repr(value))}"):
+        runner({**cfg, "mesh": {**cfg["mesh"], key: value}})
+    assert built == []
+
+
 @pytest.mark.parametrize("entry, message", [
     ({"alpha": [-5.0, -5.0, -5.0]}, "'alpha' entry 2 has no segment: the network has 2"),
     ({"profile": {"segment": 5, "kind": "constant", "value": -5.0}},

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from deltasqueeze import frontal, spectral
+from deltasqueeze import fem, frontal, spectral
 from deltasqueeze.fem import (
     assemble_base,
     assemble_delta_term,
@@ -308,6 +308,69 @@ def test_shared_exterior_factor_matches_a_fresh_tree_factor(pencil, b):
             np.abs(solves[0]))
 
 
+@pytest.mark.parametrize("pencil, b", [("smoke", 0.0), ("cusp", 0.0), ("cusp", 1.5)],
+                         ids=["smoke", "cusp", "cusp-magnetic"])
+def test_chunk_boundaries_change_no_bit(monkeypatch, pencil, b):
+    # one front per chunk against the default budget, which takes each group
+    # of these pencils in one chunk: a plain factor, a tube-keeping delta
+    # factor and an eps factor that reuses its exterior on a tube plan with
+    # non-monotone parent offsets
+    mesh, delta, squeezed = tube_pencils(pencil, b)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(delta.n) + (1j * rng.standard_normal(delta.n) if b else 0.0)
+
+    def factors():
+        mesh.tree.cache.clear()  # the plain factor on a plan of its own
+        plain = ResolventFactor(delta.S, delta.M, -40.0, tree=mesh.tree)._lu
+        R_delta = ResolventFactor(delta.S, delta.M, -40.0, tree=mesh.tree,
+                                  share=delta.tube | squeezed.tube)._lu
+        R_eps = ResolventFactor(squeezed.S, squeezed.M, -40.0, tree=mesh.tree,
+                                share=R_delta)._lu
+        assert R_eps.shares(R_delta)
+        return plain, R_delta, R_eps
+
+    default = factors()
+    monkeypatch.setattr(frontal, "_FRONTS", 1)
+    chunked = factors()
+    assert any(g.rank is not None for g in chunked[2]._plan.groups)
+    for one, other in zip(default, chunked):
+        assert one.negatives == other.negatives == 0
+        assert [K.tobytes() for K in one._K] == [K.tobytes() for K in other._K]
+        assert one._D == other._D == [None] * len(one._D)
+        assert one.solve(x).tobytes() == other.solve(x).tobytes()
+    assert (default[1].solve_difference(default[2], x).tobytes()
+            == chunked[1].solve_difference(chunked[2], x).tobytes())
+
+
+def test_only_a_chunk_that_fails_cholesky_is_diagonalised(monkeypatch):
+    # in a deep square well the leaf fronts fail Cholesky at this shift and
+    # the others pass: with one front per chunk, only the fronts that fail
+    # are diagonalised (D = 1 on the rest of their group), and the count of
+    # negative eigenvalues stays exact
+    monkeypatch.setattr(frontal, "_FRONTS", 1)
+    calls, pivot_blocks = [], frontal._pivot_blocks
+
+    def recording(F11):
+        K1, D, negatives = pivot_blocks(F11)
+        calls.append((len(F11), D is not None))
+        return K1, D, negatives
+
+    monkeypatch.setattr(frontal, "_pivot_blocks", recording)
+    mesh = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 16.0)
+    form = build_form(mesh, potential=lambda x, y: np.where(
+        (np.abs(x) < 0.3) & (np.abs(y) < 0.3), -5000.0, 0.0))
+    A = (form.S + 2000.0 * form.M).tocsr()
+    factor = frontal.TreeFactor(A, mesh.tree)
+    assert factor.negatives == np.count_nonzero(np.linalg.eigvalsh(A.toarray()) < 0) > 0
+    diagonalised = sum(m for m, eigh in calls if eigh)
+    assert diagonalised == sum(np.count_nonzero(np.any(D < 0, axis=1))
+                               for D in factor._D if D is not None)
+    assert diagonalised < sum(len(g.pivots) for g, D in zip(factor._plan.groups, factor._D)
+                              if D is not None)
+    x = np.random.default_rng(0).standard_normal(form.n)
+    assert np.max(np.abs(A @ factor.solve(x) - x)) <= 1e-12 * np.max(np.abs(x))
+
+
 def test_a_pencil_that_differs_outside_the_tube_is_factored_in_full():
     # one entry changed far from the tube, or one pair of entries added in a
     # tube front: the bitwise comparison, or the pattern, refuses the exterior
@@ -337,14 +400,16 @@ def test_a_pencil_that_differs_outside_the_tube_is_factored_in_full():
 
 def working_set(factor):
     """Bytes that a plain tree factor holds at its peak by design: its stored
-    entries, one buffer of the largest depth's fronts, the packed lower
-    triangles of the largest depth's updates, and the lower triangle of its
-    matrix gathered in front order."""
+    entries, one chunk of fronts (`frontal._FRONTS` entries, or the largest
+    front if more), the packed lower triangles of the updates of two adjacent
+    depths (the one assembled from and the one made), and the lower triangle
+    of its matrix gathered in front order."""
     plan, item = factor._plan, np.dtype(factor._dtype).itemsize
-    buffer = max(size for size, _, _ in plan.depths)
-    packed = max(sum(len(g.pivots) * g.R * (g.R + 1) // 2 for g in groups)
-                 for _, _, groups in plan.depths)
-    return item * (factor.nnz + buffer + packed + len(factor._pattern[3]))
+    chunk = max([frontal._FRONTS] + [(g.p + g.R + 1) ** 2 for g in plan.groups])
+    packed = [sum(len(g.pivots) * g.R * (g.R + 1) // 2 for g in groups)
+              for _, _, groups in plan.depths]
+    return item * (factor.nnz + chunk + max(map(sum, zip(packed, packed[1:])))
+                   + len(factor._pattern[3]))
 
 
 def traced_peak(make):
@@ -358,10 +423,9 @@ def traced_peak(make):
         tracemalloc.stop()
 
 
-def test_tree_factors_eliminate_in_one_front_buffer_without_a_copy_of_the_matrix():
-    # the smoke box and line at h = 1/48 (n = 36,481); the factors peak at
-    # 1.06 of the bound, while a second front buffer, or a copy of S - sigma M
-    # held through the elimination, takes them to 1.2 or more
+def check_factor_peaks():
+    # the smoke box and line at h = 1/48 (n = 36,481), whose largest depth
+    # holds 0.92 M front entries
     net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=1.0)
     mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 48.0)
     form = build_form(mesh, net=net, strengths={0: -6.0})
@@ -374,6 +438,42 @@ def test_tree_factors_eliminate_in_one_front_buffer_without_a_copy_of_the_matrix
         factor, peak = traced_peak(make)
         assert factor.negatives == 0
         assert peak <= 1.1 * working_set(factor)
+
+
+def test_tree_factors_eliminate_in_one_front_buffer_without_a_copy_of_the_matrix():
+    # with the default budget of 0.52 M entries the factors peak at 1.09 of
+    # the bound; a buffer of the largest depth takes them to 1.10 or more,
+    # and a copy of S - sigma M held through the elimination to 1.2 or more
+    check_factor_peaks()
+
+
+def test_tree_factors_in_chunks_of_one_front_stay_within_the_working_set(monkeypatch):
+    # with one front per chunk the factors peak at 1.08 of the bound, which
+    # then charges the largest front (0.08 M entries); a buffer of the
+    # largest depth takes them to 1.3
+    monkeypatch.setattr(frontal, "_FRONTS", 1)
+    check_factor_peaks()
+
+
+@pytest.mark.parametrize("b", [0.0, 1.5], ids=["real", "magnetic"])
+def test_the_hermiticity_gate_holds_one_copy_of_the_matrix_and_one_block(b):
+    # the residual and the scale are taken in row blocks against one
+    # transposed copy; the whole-matrix residual S - S^H held four copies of
+    # the matrix at once, 4.0 (real) and 3.0 (complex) of them above it here
+    net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=1.0)
+    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 48.0)
+    form = build_form(mesh, A=homogeneous_gauge(b) if b else None, net=net,
+                      strengths={0: -6.0})
+    A = (form.S + 40.0 * form.M).tocsr()
+    copy = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    assert A.nnz > 3 * fem._HERMITICITY_BLOCK
+    # a block's temporaries: its difference and the modulus of that
+    block = fem._HERMITICITY_BLOCK * (A.dtype.itemsize + 8)
+    (residual, scale), peak = traced_peak(lambda: fem.hermiticity_residual(A, scale=True))
+    assert residual <= 1e-12 * scale and scale == np.max(np.abs(A.data))
+    assert peak <= copy + 1.1 * block
+    _, peak = traced_peak(lambda: spectral._check_hermitian(A, "A"))
+    assert peak <= copy + 1.1 * block
 
 
 @pytest.mark.parametrize("pencil", ["smoke", "cusp"])

@@ -19,35 +19,47 @@ Hermiticity first.
 A factor reads its matrix once, before it eliminates any front: it gathers
 the lower triangle in the order the fronts take it, and keeps no reference
 to the matrix.  It assembles and eliminates the fronts of a group in
-chunks of consecutive fronts, at most _FRONTS entries together (one front
-when it alone has more), in one buffer of that size.  Once a chunk is
-eliminated, the lower triangles of its updates are copied into a packed
-array of its group, one row per front, and the chunks of the depth above
-are assembled from these arrays: the stack of update matrices of the
-multifrontal method (Liu, The multifrontal method and paging in sparse
-Cholesky factorization, ACM TOMS 12 (1986) 249-264), two depths deep, the
-one assembled from and the one made.  A chunk takes its matrix entries
-from a run of the gathered ones, which are kept by depth and, within a
-depth, by slot; and the updates of its children from a run of rows, since
-a group packs its rows by their parent's offset.  That order is stable, so
-every slot of a front adds its matrix entry and its children's updates in
-one order whatever the chunks: chunk boundaries change no bit of a factor.
-So a factor's working set is its stored entries, one chunk, the packed
-updates of two adjacent depths and the gathered entries.  For the
-converge-line delta factor (n = 146,689) these are 7.50 M, 0.52 M, at most
-2.46 M and 0.59 M entries; the CSR matrix it reads takes 12.9 MB, and the
-Hermiticity check before it a transposed copy of that and one block of rows
-(`fem.hermiticity_residual`).
+chunks, at most _FRONTS entries together (one front when it alone has
+more), in one buffer of that size.  Once a chunk is eliminated, the lower
+triangles of its updates are copied into a packed array of its group, and
+the chunks of the depth above are assembled from these arrays: the stack of
+update matrices of the multifrontal method (Liu, The multifrontal method
+and paging in sparse Cholesky factorization, ACM TOMS 12 (1986) 249-264),
+two depths deep, the one assembled from and the one made.  Every slot of a
+front adds its matrix entry and then its children's updates, by child
+group and, within one, by child, whatever the chunks: chunk boundaries
+change no bit of a factor.
+
+A front's factor and update are functions of its assembled front, so fronts
+whose assembled fronts are bitwise equal have bitwise equal factors and
+updates.  On a uniform mesh with A = Q = 0 most fronts away from the curve
+and the box wall are such repeats.  So the fronts of a group fall into
+classes (`_classes`): fronts of one class take entries of the same bits at
+the same slots of their own, and children of the same classes at the same
+positions, in the same order.  A factor assembles and eliminates the first
+front of each class only, and stores one K, one D and one packed update per
+class; a parent takes each child's update from its child's class.  The
+negative pivots of a class count once per front of it.  A solve gathers the
+pivots and rings of a group once, applies one GEMM per class of several
+fronts and one stacked matmul over the classes of one front, so a pencil
+without repeats, such as a magnetic one, takes the stacked matmul alone.
+So a factor's working set is its stored class entries, one chunk, the
+packed class updates of two adjacent depths and the gathered entries.  The
+converge-line delta factor at its sweep shift (n = 146,689) has 399 classes
+among its 32,767 fronts, 248 of them of several fronts; these are 2.87 M,
+0.52 M, at most 1.83 M and 0.59 M entries (7.50 M, 0.52 M, 2.46 M and
+0.59 M for one class per front).  The CSR matrix it reads takes 12.9 MB,
+and the Hermiticity check before it a transposed copy of that and one block
+of rows (`fem.hermiticity_residual`).
 
 Each front keeps K = [K1; -F21 F11^-1] with F11^-1 = K1^H D K1: K1 = L11^-1
 for a Cholesky factor F11 = L11 L11^H and D = I; when Cholesky fails on a
 chunk, its pivot blocks are diagonalised, F11 = Q diag(w) Q^H, with
-K1 = |w|^-1/2 Q^H and D = sign(w), and D = 1 on the rest of the group.  A
-solve is one matmul per group and sweep.  By Haynsworth's inertia
-additivity (Haynsworth, Determination of the inertia of a partitioned
-Hermitian matrix, Linear Algebra Appl. 1 (1968) 73-81) the number of
-negative eigenvalues of the matrix is the number of negative w over all
-pivot blocks: exact, and 0 when every front passes Cholesky.
+K1 = |w|^-1/2 Q^H and D = sign(w), and D = 1 on the rest of the group.  By
+Haynsworth's inertia additivity (Haynsworth, Determination of the inertia
+of a partitioned Hermitian matrix, Linear Algebra Appl. 1 (1968) 73-81) the
+number of negative eigenvalues of the matrix is the number of negative w
+over all pivot blocks: exact, and 0 when every front passes Cholesky.
 
 A front's factor and update depend only on the matrix entries of its
 subtree (Liu, above), so pencils that agree outside a tube share every
@@ -56,14 +68,16 @@ what they share: it groups the other fronts apart from the tube fronts (the
 fronts of the tube unknowns and their ancestors), keeps the values of its
 matrix in them and the updates they pass into the tube.  A later factor at
 the same shift on the same tree checks its matrix against those values,
-bitwise, and then factors the tube fronts only, taking the rest by
-reference.  On the converge-line pencils (h = 1/64, n = 146,689) the tube
-of the widest squeezed potential and the line holds 13,621 unknowns and
-3,451 of the 32,767 fronts, ancestors included.  An eps factor stores a
-third of the entries, and the six factors of a sweep take 0.43 of the time
-of six full ones (2-core machine, one BLAS thread).  Two such factors solve
-their difference with one sweep each way over the shared fronts
-(`TreeFactor.solve_difference`), in 0.53 of the time of two solves.
+bitwise, and then factors the tube fronts only, taking the rest, classes
+included, by reference.  On the converge-line pencils (h = 1/64,
+n = 146,689) the tube of the widest squeezed potential and the line holds
+13,621 unknowns and 3,451 of the 32,767 fronts, ancestors included, in 231
+to 287 classes.  An eps factor stores 0.72 of the delta factor's entries,
+since the exterior repeats most, and the six factors of a sweep take
+0.75-0.82 of the time of six full ones (2-core machine, one BLAS thread).
+Two such factors solve their difference with one sweep each way over the
+shared fronts (`TreeFactor.solve_difference`), in 0.61-0.66 of the time of
+two solves.
 """
 
 from __future__ import annotations
@@ -85,9 +99,11 @@ class _Group:
     """The fronts of one depth with p pivots each, rings padded to R slots,
     stored one after another from `offset` in their depth's layout, each as
     a (p + R + 1)^2 block whose last row and column are spare.  A shared
-    group lies outside the tube (`_Plan`).  The packed updates of its fronts
-    are stored by parent offset, stably (`order`), so the children of a run
-    of fronts in the depth above are a run of rows."""
+    group lies outside the tube (`_Plan`).  `order` lists the fronts by
+    parent offset, stably, so the fronts with one parent are a run of it,
+    and `rank` is every front's place in it (None when that is the front
+    itself).  Fronts of one `shape` place their updates at the same slots
+    of their parents."""
 
     p: int
     R: int
@@ -97,10 +113,30 @@ class _Group:
     parent: np.ndarray  # (nb,) layout offset of the parent's front in the depth above
     side: np.ndarray  # (nb,) row length of the parent's front
     pos: np.ndarray  # (nb, R) slot of every ring slot in the parent's front
+    shape: np.ndarray  # (nb,) the class of every front's row of pos
     shared: bool
-    order: np.ndarray  # (nb,) the fronts by parent offset, stably: the rows of the updates
-    rank: np.ndarray | None  # (nb,) the row of every front; None when it is the front itself
-    boundary: np.ndarray  # the rows of a shared group's fronts whose parent is a tube front
+    order: np.ndarray  # (nb,) the fronts by parent offset, stably
+    rank: np.ndarray | None  # (nb,) the place of every front in order; None when it is the front
+    boundary: np.ndarray  # the fronts of a shared group whose parent is a tube front
+
+
+@dataclass(frozen=True)
+class _Classes:
+    """The fronts of a group in classes whose assembled fronts are bitwise
+    equal (`_classes`): the classes of several fronts first, by first front,
+    then those of one front, by front.  `of` is the class of every front,
+    `reps` the first front of every class and `count` its number of fronts.
+    `perm` lists the fronts by class, stably: class c < len(bounds) - 1 is
+    perm[bounds[c]:bounds[c + 1]], and the one-front classes follow from
+    bounds[-1] on; `place` is every front's place in perm.  Both are None
+    when every class has one front: the classes are then the fronts."""
+
+    of: np.ndarray
+    reps: np.ndarray
+    count: np.ndarray
+    perm: np.ndarray | None
+    place: np.ndarray | None
+    bounds: list
 
 
 @dataclass(eq=False)
@@ -202,17 +238,122 @@ def _analyse(tree, tube) -> _Plan:
         if np.any(np.diff(start[q]) < 0):
             rank = np.empty_like(by_parent)
             rank[by_parent] = np.arange(len(by_parent))
-        boundary = (np.flatnonzero(((q >= 0) & tube[q])[by_parent]) if is_shared
+        boundary = (np.flatnonzero((q >= 0) & tube[q]) if is_shared
                     else np.empty(0, np.int64))
         depths[depth[nodes[0]]][2].append(_Group(
-            P, Rg, int(start[nodes[0]]), pivots, ring, start[q], width[q], pos, is_shared,
-            by_parent, rank, boundary))
+            P, Rg, int(start[nodes[0]]), pivots, ring, start[q], width[q], pos,
+            _row_classes(pos)[0], is_shared, by_parent, rank, boundary))
     return _Plan(n, depths, (start, width, p), depth, tube)
 
 
 def _ring_key(tree):
     """supernode * n + ring node over every ring, ascending."""
     return np.repeat(np.arange(len(tree.parent)), np.diff(tree.ring_ptr)) * tree.n + tree.ring
+
+
+def _mix(width):
+    """Odd 64-bit multipliers of the row hash of `_row_classes`."""
+    return np.random.default_rng(0).integers(0, 2**64 - 1, width, np.uint64,
+                                             endpoint=True) | np.uint64(1)
+
+
+def _row_classes(rows):
+    """(inverse, first) of the distinct rows of an integer matrix: row i is
+    row first[inverse[i]], the first of its kind.  Rows are told apart by a
+    linear hash mod 2^64, checked bitwise against the first row of their
+    kind, and by their bytes when two distinct rows share a hash."""
+    rows = np.ascontiguousarray(rows)
+    if rows.shape[1] == 0:
+        return np.zeros(len(rows), np.int64), np.zeros(min(len(rows), 1), np.int64)
+    _, first, inverse = np.unique(rows.view(np.uint64) @ _mix(rows.shape[1]),
+                                  return_index=True, return_inverse=True)
+    if not np.array_equal(rows, rows[first[inverse]]):
+        keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return inverse, first
+
+
+def _table(inverse, first) -> _Classes:
+    """The `_Classes` of a group whose fronts are the rows of `_row_classes`."""
+    count = np.bincount(inverse)
+    if len(count) == len(inverse):  # every front is a class of its own
+        fronts = np.arange(len(inverse))
+        return _Classes(fronts, fronts, count, None, None, [0])
+    order = np.lexsort((first, count == 1))
+    of, count = np.argsort(order)[inverse], count[order]
+    perm = np.argsort(of, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(count[count > 1])])
+    return _Classes(of, first[order], count, perm, np.argsort(perm), bounds.tolist())
+
+
+def _parents(g, offsets, sizes):
+    """(group, front) of the parent of every front of g in the depth above,
+    whose groups have the layout offsets `offsets` and front sizes `sizes`."""
+    group = np.searchsorted(offsets, g.parent, side="right") - 1
+    return group, (g.parent - offsets[group]) // sizes[group]
+
+
+def _front_entries(g, by_slot, a):
+    """The run of gathered entries of every front of g: front k takes
+    entries ends[k]:ends[k + 1], with `by_slot` the slots of its depth's
+    entries from entry a on."""
+    side = (g.p + g.R + 1) ** 2
+    return a + np.searchsorted(by_slot, g.offset + side * np.arange(len(g.pivots) + 1))
+
+
+def _classes(plan, slot, values, edge, given):
+    """The `_Classes` of every group of `plan` for a matrix with the pattern
+    map (slot, edge) of `_entries` and the gathered entries `values`, where
+    `given` does not hold one already.
+
+    Fronts are in one class when they lie in one group, take entries of the
+    same bits at the same slots of their own, and have children of the same
+    classes and shapes, in the same order: their assembled fronts are then
+    bitwise equal, since extend-add adds the updates of the children in that
+    order (Liu, SIAM Review 34 (1992) 82-109).  A front's key is one integer
+    row: its entries' slots and bits, then the class and shape of each
+    child, padded with -1."""
+    bits = values.view(np.int64).reshape(len(values), -1)
+    q = 1 + bits.shape[1]  # columns per entry: slot and bits
+    tables = list(given)
+    first = 0
+    for d, (_, _, depth) in enumerate(plan.depths):
+        a = edge[2 * d]
+        by_slot = slot[a:edge[2 * d + 2]]
+        offsets = np.array([g.offset for g in depth])
+        sides = np.array([(g.p + g.R + 1) ** 2 for g in depth])
+        kids = []  # (parent group, parent front, place among its children, class, shape)
+        if d:
+            below = plan.depths[d - 1][2]
+            for j, h in enumerate(below, first - len(below)):
+                place = np.arange(len(h.parent)) if h.rank is None else h.rank
+                place = place - np.searchsorted(h.parent[h.order], h.parent)
+                kids.append((*_parents(h, offsets, sides), place, tables[j].of, h.shape))
+        for i, g in enumerate(depth, first):
+            if tables[i] is not None:
+                continue
+            ends = _front_entries(g, by_slot, a)
+            count = np.diff(ends)
+            front = np.repeat(np.arange(len(count)), count)
+            e = np.arange(ends[0], ends[-1])
+            col = q * (e - ends[front])
+            width = q * int(count.max(initial=0))
+            children = []
+            for pg, pk, place, of, shape in kids:
+                mine = pg == i - first
+                if np.any(mine):
+                    children.append((pk[mine], width + 2 * place[mine], of[mine], shape[mine]))
+                    width += 2 * int(place[mine].max() + 1)
+            rows = np.full((len(count), width), -1, np.int64)
+            flat, at = rows.reshape(-1), front * width + col
+            flat[at] = slot[e] - g.offset - sides[i - first] * front
+            for c in range(1, q):
+                flat[at + c] = bits[e, c - 1]
+            for pk, at, of, shape in children:
+                rows[pk, at], rows[pk, at + 1] = of, shape
+            tables[i] = _table(*_row_classes(rows))
+        first += len(depth)
+    return tables
 
 
 def _entries(plan: _Plan, tree, A):
@@ -287,9 +428,10 @@ def _inverse_lower(L):
 
 
 def _pivot_blocks(F11):
-    """(K1, D, negatives) of a stack of pivot blocks: K1 = L11^-1 and D None
-    when every block passes Cholesky, else the scaled eigenvectors K1 with
-    F11^-1 = K1^H diag(D) K1.  RuntimeError for a singular block."""
+    """(K1, D, negatives) of a stack of pivot blocks: K1 = L11^-1, D None
+    and negatives 0 when every block passes Cholesky, else the scaled
+    eigenvectors K1 with F11^-1 = K1^H diag(D) K1 and the number of negative
+    eigenvalues of each block.  RuntimeError for a singular block."""
     try:
         return _inverse_lower(np.linalg.cholesky(F11)), None, 0
     except np.linalg.LinAlgError:
@@ -298,67 +440,123 @@ def _pivot_blocks(F11):
     scale = np.abs(w)
     if np.any(scale <= F11.shape[-1] * np.finfo(float).eps * scale.max(axis=-1, keepdims=True)):
         raise RuntimeError("a pivot block is singular to working precision")
-    return _H(Q) / np.sqrt(scale)[..., None], np.sign(w), int(np.count_nonzero(w < 0))
+    return _H(Q) / np.sqrt(scale)[..., None], np.sign(w), np.count_nonzero(w < 0, axis=-1)
 
 
-def _extend_add(buffer, lo, g, fronts, rows, tril):
-    """Adds to `buffer`, which holds the fronts of the depth above g from
-    layout offset `lo` on, the lower triangles of the updates of g's fronts
-    `fronts` (an index array), one row of `rows` per front, with `tril` the
-    np.tril_indices(g.R) of their order."""
-    i, j = tril
-    pos, parent, side = g.pos[fronts], g.parent[fronts] - lo, g.side[fronts]
-    for c in _chunks(len(pos), len(i)):
-        row = parent[c, None] + pos[c] * side[c, None]  # buffer offsets of rows
-        target = np.take(row, i, axis=1) + np.take(pos[c], j, axis=1)
-        np.add.at(buffer, target.ravel(), rows[c].ravel())
+def _assembled(depth, classes, factored):
+    """Where the fronts of a depth, the groups `depth` with their `_Classes`
+    and whether each is factored, are assembled: (layout offsets, sizes and
+    assembly offsets of the groups, the first front of each group in the
+    depth, the class of every front, whether it is its class's first).  The
+    first fronts of the classes of a factored group are assembled one after
+    another, group after group; a group that is not factored has offset -1."""
+    sizes = np.array([(g.p + g.R + 1) ** 2 for g in depth])
+    count = np.array([len(t.reps) if f else 0 for t, f in zip(classes, factored)])
+    at = np.concatenate([[0], np.cumsum(count * sizes)[:-1]])
+    at[count == 0] = -1
+    base = np.concatenate([[0], np.cumsum([len(t.of) for t in classes])])
+    first = np.zeros(base[-1], dtype=bool)
+    for b, t in zip(base, classes):
+        first[b + t.reps] = True
+    return (np.array([g.offset for g in depth]), sizes, at, base[:-1],
+            np.concatenate([t.of for t in classes]), first)
+
+
+def _to_parents(g, fronts, up):
+    """(fronts, offsets): those of `fronts` of g whose parent is assembled
+    (`_assembled` `up`, of the depth above), by the assembly offset of the
+    parent, stably, and those offsets."""
+    offsets, sizes, at, base, of, first = up
+    pg, k = (x[fronts] for x in _parents(g, offsets, sizes))
+    k += base[pg]
+    keep = first[k] & (at[pg] >= 0)
+    offset = (at[pg] + of[k] * sizes[pg])[keep]
+    order = np.argsort(offset, kind="stable")
+    return fronts[keep][order], offset[order]
+
+
+def _extend_add(buffer, lo, below):
+    """Adds to `buffer`, which holds fronts of one depth from assembly
+    offset `lo` on, the lower triangles of the updates of their children.
+    `below` lists (g, fronts, parents, rows, index, tril) per group g of the
+    depth below: the fronts of g whose parents are at the ascending
+    assembly offsets `parents`, where front fronts[c] passes row index[c] of
+    `rows`, with `tril` the np.tril_indices(g.R) of their order."""
+    for g, fronts, parents, rows, index, (i, j) in below:
+        a, b = np.searchsorted(parents, (lo, lo + len(buffer)))
+        pos, parent, side = g.pos[fronts[a:b]], parents[a:b] - lo, g.side[fronts[a:b]]
+        for c in _chunks(b - a, len(i)):
+            row = parent[c, None] + pos[c] * side[c, None]  # buffer offsets of rows
+            target = np.take(row, i, axis=1)
+            target += np.take(pos[c], j, axis=1)
+            np.add.at(buffer, target.ravel(), rows[index[a:b][c]].ravel())
+
+
+def _apply(K, t, X, *, adjoint=False):
+    """Row f is K_f x_f, or K_f^H x_f when `adjoint`, for every front f of a
+    group, with x_f row f of X and K_f the K of f's class in the `_Classes`
+    t: one GEMM per class of several fronts, one stacked matmul over the
+    classes of one front."""
+    if adjoint:  # K^H x = conj(K^T conj x): K is not copied
+        return _apply(K.swapaxes(1, 2), t, X.conj()).conj()
+    if t.perm is None:
+        return (K @ X[..., None])[..., 0]
+    X, b = np.take(X, t.perm, axis=0), t.bounds
+    Y = np.empty((len(X), K.shape[1]), np.result_type(K, X))
+    for c in range(len(b) - 1):
+        np.matmul(X[b[c]:b[c + 1]], K[c].T, out=Y[b[c]:b[c + 1]])
+    Y[b[-1]:] = (K[len(b) - 1:] @ X[b[-1]:, :, None])[..., 0]
+    return np.take(Y, t.place, axis=0)
 
 
 def _forward(v, fronts):
-    """Forward sweep over [(group, K, D)] in order: D y on their pivots."""
-    for g, K, D in fronts:
-        Y = (K @ v[g.pivots][..., None])[..., 0]
-        v[g.pivots] = Y[:, :g.p] if D is None else Y[:, :g.p] * D
+    """Forward sweep over [(group, K, D, classes)] in order: D y on their
+    pivots."""
+    for g, K, D, t in fronts:
+        Y = _apply(K, t, v[g.pivots])
+        v[g.pivots] = Y[:, :g.p] if D is None else Y[:, :g.p] * D[t.of]
         np.add.at(v, g.ring.ravel(), Y[:, g.p:].ravel())  # padding adds 0 to v[n]
 
 
 def _backward(v, fronts, *, rings_only=False):
-    """Backward sweep over [(group, K, D)] in reverse order: x on their
-    pivots.  `rings_only` when v holds 0 on every pivot of `fronts`."""
-    for g, K, _ in reversed(fronts):
+    """Backward sweep over [(group, K, D, classes)] in reverse order: x on
+    their pivots.  `rings_only` when v holds 0 on every pivot of `fronts`."""
+    for g, K, _, t in reversed(fronts):
         if rings_only:
-            K, Z = K[:, g.p:], v[g.ring][..., None]
+            K, Z = K[:, g.p:], v[g.ring]
         else:
-            Z = np.empty((len(K), g.p + g.R, 1), v.dtype)
-            Z[:, :g.p, 0], Z[:, g.p:, 0] = v[g.pivots], v[g.ring]
-        v[g.pivots] = (K.swapaxes(1, 2) @ Z.conj()).conj()[..., 0]  # K^H Z, K not copied
+            Z = np.empty((len(g.pivots), g.p + g.R), v.dtype)
+            Z[:, :g.p], Z[:, g.p:] = v[g.pivots], v[g.ring]
+        v[g.pivots] = _apply(K, t, Z, adjoint=True)
 
 
 class TreeFactor:
     """LDL^H factor of a Hermitian matrix A, given in canonical CSR form in
     the numbering of the `fem.DissectionTree` `tree`, by the multifrontal
     method, in chunks of fronts in one buffer of a fixed size, with the
-    updates of two depths packed (see the module docstring).  A may also
-    be a function that returns the matrix: the factor calls it, reads the
-    matrix once and drops it before the first front is eliminated, so a
-    matrix made for the factor alone is not alive while the fronts are.
+    updates of two depths packed, and each class of bitwise-equal fronts
+    factored and stored once (see the module docstring).  A may also be a
+    function that returns the matrix: the factor calls it, reads the matrix
+    once and drops it before the first front is eliminated, so a matrix
+    made for the factor alone is not alive while the fronts are.
 
     `share` is None, a boolean mask of the unknowns of a tube, or a factor
     made with one.  Given a tube, the factor keeps what later factors of
     matrices that agree with A outside it reuse: the values of A in the
-    shared fronts (`_Plan`) and the updates they pass into tube fronts.
-    Given such a factor F on this tree, the factor compares the lower
-    triangle of A in every shared front with F's, bitwise, and when A has
-    F's pattern, dtype and these values it factors only the tube fronts: it
-    takes the K and D of every shared front, and the updates they pass into
-    the tube, from F, without a copy (the factor of a front depends only on
-    the entries of its subtree: Liu, SIAM Review 34 (1992) 82-109).
-    Otherwise it factors A in full, as without `share`.
+    shared fronts (`_Plan`) and the updates they pass into tube fronts; a
+    factor made otherwise keeps neither.  Given such a factor F on this
+    tree, the factor compares the lower triangle of A in every shared front
+    with F's, bitwise, and when A has F's pattern, dtype and these values it
+    factors only the tube fronts: it takes the classes, K and D of every
+    shared front, and the updates they pass into the tube, from F, without
+    a copy (the factor of a front depends only on the entries of its
+    subtree: Liu, SIAM Review 34 (1992) 82-109).  Otherwise it factors A in
+    full, as without `share`.
 
     `negatives` is the number of negative eigenvalues of A; `nnz` the number
-    of factor entries the factor stores itself.  Only the lower triangle of
-    A is read.  RuntimeError when a pivot block is singular to working
-    precision.
+    of entries of K that the factor stores itself, one K per class.  Only
+    the lower triangle of A is read.  RuntimeError when a pivot block is
+    singular to working precision.
     """
 
     def __init__(self, A, tree, *, share=None):
@@ -368,10 +566,12 @@ class TreeFactor:
         if A.shape != (n, n):
             raise ValueError(f"matrix of shape {A.shape} on a tree of {n} unknowns")
         dtype = np.result_type(A.dtype, float)
+        keep = share is not None and not isinstance(share, TreeFactor)  # a tube
         # the lower triangle of A in the order of a pattern (`_entries`):
         # A is read once, here, and then dropped
         values = gathered = None
-        if (isinstance(share, TreeFactor) and tree is share._tree and dtype == share._dtype
+        if (isinstance(share, TreeFactor) and share._shared_values is not None
+                and tree is share._tree and dtype == share._dtype
                 and np.array_equal(share._pattern[0], A.indptr)
                 and np.array_equal(share._pattern[1], A.indices)):
             gathered = share._pattern
@@ -382,8 +582,7 @@ class TreeFactor:
             plan, pattern = share._plan, share._pattern
             self._exterior = share._exterior  # the identity of the shared fronts
         else:
-            tube = None if share is None or isinstance(share, TreeFactor) else share
-            plan = _plan(tree, None if tube is None else np.asarray(tube, dtype=bool))
+            plan = _plan(tree, np.asarray(share, dtype=bool) if keep else None)
             pattern = _entries(plan, tree, A)
             if pattern is not gathered:
                 values = A.data[pattern[3]].astype(dtype, copy=False)
@@ -392,52 +591,68 @@ class TreeFactor:
         self._plan, self._pattern, self._tree, self._dtype = plan, pattern, tree, dtype
         groups = plan.groups
         K, D = [None] * len(groups), [None] * len(groups)
+        given = [None] * len(groups)
+        factored = [not (reuse and g.shared) for g in groups]
         self.negatives = shared_negatives = 0
         updates = [None] * len(groups)  # of the shared fronts into the tube
         if reuse:
             for i, g in enumerate(groups):
                 if g.shared:
-                    K[i], D[i], updates[i] = share._K[i], share._D[i], share._updates[i]
+                    K[i], D[i], given[i] = share._K[i], share._D[i], share._classes[i]
             self.negatives = shared_negatives = share._shared_negatives
         _, _, slot, _, edge = pattern
-        # one buffer holds a chunk of fronts of one group at a time; the lower
-        # triangles of their updates are packed, one row per front, for the
-        # depth above
-        sizes = [(g.p + g.R + 1) ** 2 for g in groups if not (reuse and g.shared)]
-        buffer = np.empty(min(max([_FRONTS, *sizes]), max(
-            d[1] if reuse else d[0] for d in plan.depths)), dtype)
-        below = []  # (group, fronts, their parents' offsets, rows, tril) of the depth below
-        first = 0  # index in `groups` of the depth's first group
+        classes = _classes(plan, slot, values, edge, given)
+        # one buffer holds a chunk of the first fronts of classes of one
+        # group at a time; the lower triangles of their updates are packed,
+        # one row per class, for the depth above
+        sizes = [(g.p + g.R + 1) ** 2 for g in groups]
+        spans = np.cumsum([0] + [len(depth) for _, _, depth in plan.depths]).tolist()
+        assembled = [sum(len(classes[i].reps) * sizes[i] for i in range(a, b) if factored[i])
+                     for a, b in zip(spans, spans[1:])]
+        buffer = np.empty(min(max([_FRONTS] + [s for s, f in zip(sizes, factored) if f]),
+                              max(assembled)), dtype)
+        below = []  # (group, fronts, their parents' offsets, rows, row of each front, tril)
         for d, (_, _, depth) in enumerate(plan.depths):
-            a = edge[2 * d]
+            a, first = edge[2 * d], spans[d]
             by_slot = slot[a:edge[2 * d + 2]]
+            up = None  # where the fronts of the depth above are assembled
+            if d + 1 < len(plan.depths):
+                upper = slice(spans[d + 1], spans[d + 2])
+                up = _assembled(plan.depths[d + 1][2], classes[upper], factored[upper])
             above = []
+            at = 0  # assembly offset of the group's first class
             for i, g in enumerate(depth, first):
-                if reuse and g.shared:
+                t, tril = classes[i], np.tril_indices(g.R)
+                if not factored[i]:
                     if len(g.boundary):
-                        fronts = g.order[g.boundary]
-                        above.append((g, fronts, g.parent[fronts], updates[i],
-                                      np.tril_indices(g.R)))
+                        rows, row = share._updates[i]
+                        fronts, parents = _to_parents(g, g.boundary, up)
+                        above.append((g, fronts, parents, rows,
+                                      row[np.searchsorted(g.boundary, fronts)], tril))
                     continue
-                tril = np.tril_indices(g.R)
-                p, f, nb = g.p, g.p + g.R, len(g.pivots)
+                p, f, nc = g.p, g.p + g.R, len(t.reps)
+                size = sizes[i]
                 tri = (p + tril[0]) * (f + 1) + p + tril[1]
-                K[i] = np.empty((nb, f, p), dtype)
-                packed = np.empty((nb, len(tri)), dtype)  # by parent offset
-                step = max(1, _FRONTS // (f + 1) ** 2)  # fronts of a chunk
-                for k in range(0, nb, step):
-                    m = min(step, nb - k)
-                    lo, hi = g.offset + k * (f + 1) ** 2, g.offset + (k + m) * (f + 1) ** 2
-                    F = buffer[:hi - lo]
+                ends = _front_entries(g, by_slot, a)
+                K[i] = np.empty((nc, f, p), dtype)
+                packed = np.empty((nc, len(tri)), dtype)  # by class
+                step = max(1, _FRONTS // size)  # classes of a chunk
+                for k in range(0, nc, step):
+                    m = min(step, nc - k)
+                    lo, F = at + k * size, buffer[:m * size]
                     F[:] = 0.0
-                    e = a + np.searchsorted(by_slot, (lo, hi))
-                    F[slot[e[0]:e[1]] - lo] = values[e[0]:e[1]]
-                    for h, children, parents, rows, t in below:  # extend-add
-                        c = np.searchsorted(parents, (lo, hi))
-                        if c[0] < c[1]:
-                            _extend_add(F, lo, h, children[c[0]:c[1]], rows[c[0]:c[1]], t)
+                    # the entries of the chunk's first fronts, moved from
+                    # their layout slots to the chunk
+                    r = t.reps[k:k + m]
+                    count = ends[r + 1] - ends[r]
+                    e = np.arange(count.sum()) + np.repeat(ends[r] - np.cumsum(count) + count,
+                                                           count)
+                    F[slot[e] - np.repeat(g.offset + (r - np.arange(m)) * size, count)] = \
+                        values[e]
+                    _extend_add(F, lo, below)
                     F = F.reshape(m, f + 1, f + 1)
                     K1, Dk, negatives = _pivot_blocks(F[:, :p, :p])
+                    negatives = int(np.sum(t.count[k:k + m] * negatives))
                     self.negatives += negatives
                     if g.shared:
                         shared_negatives += negatives
@@ -445,32 +660,34 @@ class TreeFactor:
                     L21D = L21
                     if Dk is not None:  # this chunk failed Cholesky: D is 1 elsewhere
                         if D[i] is None:
-                            D[i] = np.ones((nb, p))
+                            D[i] = np.ones((nc, p))
                         D[i][k:k + m] = Dk
                         L21D = L21 * Dk[:, None, :]
                     K[i][k:k + m, :p] = K1
                     np.matmul(L21D, -K1, out=K[i][k:k + m, p:])
                     for c in _chunks(m, g.R ** 2):  # the update F22 - F21 F11^-1 F12
                         F[c, p:f, p:f] -= L21D[c] @ _H(L21[c])
-                    F = F.reshape(m, -1)
-                    if g.rank is None:
-                        np.take(F, tri, axis=1, out=packed[k:k + m], mode="clip")
-                    else:
-                        packed[g.rank[k:k + m]] = np.take(F, tri, axis=1)
-                if len(g.boundary):  # kept for the factors that share this one's exterior
-                    updates[i] = packed[g.boundary]
-                above.append((g, g.order, g.parent[g.order], packed, tril))
+                    np.take(F.reshape(m, -1), tri, axis=1, out=packed[k:k + m], mode="clip")
+                    del K1, L21, L21D  # freed before the next chunk is assembled
+                at += nc * size
+                if keep and len(g.boundary):  # kept for the factors that share this exterior
+                    used, row = np.unique(t.of[g.boundary], return_inverse=True)
+                    updates[i] = (packed[used], row)
+                if up is not None:
+                    fronts, parents = _to_parents(g, np.arange(len(g.pivots)), up)
+                    above.append((g, fronts, parents, packed, t.of[fronts], tril))
             below = above
-            first += len(depth)
-        self._K, self._D, self._updates = K, D, updates
+        self._K, self._D, self._classes = K, D, classes
         self._shared_negatives = shared_negatives
-        # the values of A in the shared fronts, which a sharing factor compares
-        self._shared_values = share._shared_values if reuse else _shared(values, edge)
-        self.nnz = sum(K[i].size for i, g in enumerate(groups) if not (reuse and g.shared))
+        # what a sharing factor takes: the values of A in the shared fronts,
+        # which it compares, and the updates they pass into the tube
+        self._shared_values = _shared(values, edge) if keep else None
+        self._updates = updates if keep else None
+        self.nnz = sum(K[i].size for i in range(len(groups)) if factored[i])
 
     def _fronts(self, shared):
-        return [(g, K, D) for g, K, D in zip(self._plan.groups, self._K, self._D)
-                if g.shared == shared]
+        return [front for front in zip(self._plan.groups, self._K, self._D, self._classes)
+                if front[0].shared == shared]
 
     def shares(self, other) -> bool:
         """Whether `other` is a TreeFactor that shares this one's exterior:
@@ -481,7 +698,7 @@ class TreeFactor:
         """x with A x = b, for one right-hand side b, in one work vector: the
         forward sweep leaves D y on the pivots, the backward sweep x."""
         n = self._plan.n
-        fronts = list(zip(self._plan.groups, self._K, self._D))
+        fronts = list(zip(self._plan.groups, self._K, self._D, self._classes))
         v = np.zeros(n + 1, np.result_type(b.dtype, self._dtype))
         v[:n] = b
         _forward(v, fronts)

@@ -600,12 +600,12 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, dump=
     every squeezed one agree outside the rows of the line term and of the
     widest tube, the first eps's.  So the delta factor at `shift` keeps its
     fronts outside those rows, and each eps factor reuses them: it factors
-    only the fronts of the tube and their ancestors, about a third of the
-    entries, and each application of the resolvent difference takes one
-    sweep each way over the shared fronts (`spectral.ResolventFactor`
-    `share`).  The delta form is dropped once its factor is made; the delta
-    factor and one eps form and factor are live at a time, plus the first
-    eps form until its point.
+    only the fronts of the tube and their ancestors, a tenth of the fronts
+    on converge-line, and each application of the resolvent difference
+    takes one sweep each way over the shared fronts
+    (`spectral.ResolventFactor` `share`).  The delta form is dropped once
+    its factor is made; the delta factor and one eps form and factor are
+    live at a time, plus the first eps form until its point.
 
     Every factor, the delta one included, is certified once, by its inertia
     count (`spectral.count_below`).  A point assembles its form, passes it

@@ -283,7 +283,9 @@ def test_every_eps_factor_of_a_run_shares_the_delta_exterior(monkeypatch):
     assert len({id(delta) for delta, _ in pairs}) == 3  # one delta factor per sweep
     for delta, eps in pairs:
         assert delta.shares(eps)
-        assert eps.nnz < 0.7 * delta.nnz
+        assert eps.nnz < delta.nnz
+        assert all(K is delta._K[i] for i, K in enumerate(eps._K)
+                   if eps._plan.groups[i].shared)
 
 
 def test_no_delta_form_is_alive_while_the_eps_points_run(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from deltasqueeze import fem, frontal, spectral
 from deltasqueeze.fem import (
@@ -296,7 +297,13 @@ def test_shared_exterior_factor_matches_a_fresh_tree_factor(pencil, b):
         R_eps = ResolventFactor(squeezed.S, squeezed.M, sigma, tree=mesh.tree, share=R_delta)
         fresh = ResolventFactor(squeezed.S, squeezed.M, sigma, tree=mesh.tree)
         assert R_delta._lu.shares(R_eps._lu) and not R_delta._lu.shares(fresh._lu)
-        assert R_eps._lu.nnz < 0.8 * fresh._lu.nnz
+        # the eps factor stores the classes of the tube fronts only, those a
+        # fresh factor has there, and takes the others from R_delta
+        plan = fresh._lu._plan
+        assert R_eps._lu.nnz == sum(K.size for g, K in zip(plan.groups, fresh._lu._K)
+                                    if not g.shared) < fresh._lu.nnz
+        assert all(K is R_delta._lu._K[i] for i, K in enumerate(R_eps._lu._K)
+                   if plan.groups[i].shared)
         assert R_eps._lu.negatives == fresh._lu.negatives == below
         assert count_below(R_delta) == count_below(ResolventFactor(
             delta.S, delta.M, sigma, tree=mesh.tree))
@@ -371,6 +378,155 @@ def test_only_a_chunk_that_fails_cholesky_is_diagonalised(monkeypatch):
     assert np.max(np.abs(A @ factor.solve(x) - x)) <= 1e-12 * np.max(np.abs(x))
 
 
+@pytest.mark.parametrize("below", [0, 100], ids=["below", "inside"])
+def test_a_factor_counts_the_negatives_of_every_front_of_a_class(below):
+    # a uniform mesh: most fronts share their class with others, and the
+    # count weights each class's negatives by its fronts.  Inside the
+    # spectrum, classes of several fronts fail Cholesky
+    mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), 1.0 / 32.0)
+    form = build_form(mesh)
+    lam = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True)
+    sigma = lam[0] - 1.0 if below == 0 else 0.5 * (lam[below - 1] + lam[below])
+    A = (form.S - sigma * form.M).tocsr()
+    factor = frontal.TreeFactor(A, mesh.tree)
+    classes = factor._classes
+    assert sum(len(t.reps) for t in classes) < 0.4 * sum(len(t.of) for t in classes)
+    assert factor.negatives == np.count_nonzero(lam < sigma) == below
+    repeated = sum(int(t.count[np.any(D < 0, axis=1)].max()) > 1
+                   for t, D in zip(classes, factor._D) if D is not None)
+    assert (repeated > 0) == (below > 0)
+    x = np.random.default_rng(1).standard_normal(form.n)
+    assert np.max(np.abs(A @ factor.solve(x) - x)) <= 1e-10 * np.max(np.abs(x))
+
+
+def test_every_front_of_a_class_that_fails_cholesky_takes_its_d(monkeypatch):
+    # a square well on grid lines: repeated fronts inside it fail Cholesky.
+    # With one class per chunk only the classes that fail are diagonalised,
+    # and all their fronts take their class's D, in the count and in solves
+    monkeypatch.setattr(frontal, "_FRONTS", 1)
+    calls, pivot_blocks = [], frontal._pivot_blocks
+
+    def recording(F11):
+        K1, D, negatives = pivot_blocks(F11)
+        calls.append((len(F11), D is not None))
+        return K1, D, negatives
+
+    monkeypatch.setattr(frontal, "_pivot_blocks", recording)
+    mesh = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 16.0)
+    form = build_form(mesh, potential=lambda x, y: np.where(
+        (np.abs(x) < 0.5) & (np.abs(y) < 0.5), -5000.0, 0.0))
+    A = (form.S + 2000.0 * form.M).tocsr()
+    factor = frontal.TreeFactor(A, mesh.tree)
+    assert len(calls) == sum(len(t.reps) for t in factor._classes)
+    failed = [(t, np.any(D < 0, axis=1)) for t, D in zip(factor._classes, factor._D)
+              if D is not None]
+    assert sum(m for m, eigh in calls if eigh) == sum(np.count_nonzero(f) for _, f in failed)
+    assert max(int(t.count[f].max()) for t, f in failed) > 1
+    counted = sum(int(t.count @ np.count_nonzero(D < 0, axis=1))
+                  for t, D in zip(factor._classes, factor._D) if D is not None)
+    assert factor.negatives == counted == np.count_nonzero(np.linalg.eigvalsh(A.toarray()) < 0)
+    x = np.random.default_rng(0).standard_normal(form.n)
+    assert np.max(np.abs(A @ factor.solve(x) - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_rows_that_share_a_hash_are_told_apart_by_their_bits():
+    # two rows whose difference (m1, -m0) is orthogonal to the multipliers
+    # (m0, m1) mod 2^64: the hash collides, the classes do not
+    m0, m1 = frontal._mix(2)
+    rows = np.full((3, 2), [3, 5], dtype=np.uint64)
+    rows[1] += np.array([m1, 0], np.uint64)  # wraps mod 2^64, as the hash does
+    rows[1] -= np.array([0, m0], np.uint64)
+    assert len(set(rows @ frontal._mix(2))) == 1
+    inverse, first = frontal._row_classes(rows.view(np.int64))
+    assert inverse[0] == inverse[2] != inverse[1]
+    assert list(first[inverse]) == [0, 1, 0]
+
+
+def converge_line_pencil(h, b=0.0):
+    """(mesh, form, S - sigma M) of the converge-line delta pencil, a line of
+    length 4 with alpha = -5 on the grid line y = 0 of [-3, 3]^2, at its
+    sweep shift sigma = -11.58, in the symmetric gauge of field b."""
+    net = Network([LineSegment((-2.0, 0.0), (2.0, 0.0))], beta_cap=0.5)
+    mesh = build_mesh(((-3.0, 3.0), (-3.0, 3.0)), h)
+    form = build_form(mesh, A=homogeneous_gauge(b) if b else None, net=net,
+                      strengths={0: -5.0})
+    A = (form.S + 11.58 * form.M).tocsr()
+    A.sum_duplicates()
+    return mesh, form, A
+
+
+def test_a_one_ulp_change_splits_the_classes_of_its_front_and_its_ancestors_only():
+    mesh, form, A = converge_line_pencil(1.0 / 32.0)
+    tree = mesh.tree
+    one = frontal.TreeFactor(A, tree)
+    # a leaf front of the largest class, off the line: its first pivot's
+    # diagonal entry moves by one ulp
+    leaf, t = one._plan.groups[0], one._classes[0]
+    off_line = ~np.any(form.tube[leaf.pivots], axis=1)
+    fronts = np.flatnonzero((t.of == np.argmax(t.count)) & off_line)
+    assert len(fronts) > 1
+    i = leaf.pivots[fronts[len(fronts) // 2], 0]
+    B = A.copy()
+    at = B.indptr[i] + np.flatnonzero(B.indices[B.indptr[i]:B.indptr[i + 1]] == i)[0]
+    B.data[at] = np.nextafter(B.data[at], np.inf)
+    other = frontal.TreeFactor(B, tree)
+    chain = [np.searchsorted(tree.starts, i, side="right") - 1]
+    while tree.parent[chain[-1]] >= 0:
+        chain.append(tree.parent[chain[-1]])
+    split = 0
+    for g, old, new in zip(one._plan.groups, one._classes, other._classes):
+        moved = np.isin(np.searchsorted(tree.starts, g.pivots[:, 0], side="right") - 1, chain)
+        # every front off the chain keeps its class, and no front joins one
+        rest = set(zip(old.of[~moved], new.of[~moved]))
+        assert len(rest) == len(set(old.of[~moved])) == len(set(new.of[~moved]))
+        assert np.all(new.count[new.of[moved]] == 1)
+        split += np.count_nonzero(old.count[old.of[moved]] > 1)
+    assert split >= 1
+    assert (sum(len(t.reps) for t in other._classes)
+            == sum(len(t.reps) for t in one._classes) + split)
+    x = np.random.default_rng(2).standard_normal(form.n)
+    for matrix, factor in ((A, one), (B, other)):
+        want = spla.splu(matrix.tocsc()).solve(x)
+        assert np.max(np.abs(factor.solve(x) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_magnetic_pencil_has_one_front_per_class_and_no_class_product(monkeypatch):
+    # the symmetric gauge varies over the box, so no two fronts are equal,
+    # and solves take the stacked product of every group, as without classes
+    mesh, _, A = converge_line_pencil(1.0 / 32.0, b=1.5)
+    magnetic = frontal.TreeFactor(A, mesh.tree)
+    assert all(t.perm is None and len(t.reps) == len(t.of) for t in magnetic._classes)
+    real = frontal.TreeFactor(converge_line_pencil(1.0 / 32.0)[2], mesh.tree)
+    products, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(a) or matmul(*a, **k))
+    x = np.random.default_rng(3).standard_normal(A.shape[0])
+    magnetic.solve(x)
+    assert products == []
+    real.solve(x)
+    assert products
+
+
+def test_only_a_factor_given_a_tube_keeps_what_sharing_factors_take():
+    # the values in the shared fronts and the updates they pass into the
+    # tube: a factor made without a tube, on the cached tube plan, or one
+    # that reuses an exterior holds neither, and cannot lend its exterior
+    mesh, delta, squeezed = tube_pencils("smoke", 0.0)
+    R_delta = ResolventFactor(delta.S, delta.M, -40.0, tree=mesh.tree,
+                              share=delta.tube | squeezed.tube)._lu
+    plain = ResolventFactor(delta.S, delta.M, -40.0, tree=mesh.tree)._lu
+    R_eps = ResolventFactor(squeezed.S, squeezed.M, -40.0, tree=mesh.tree, share=R_delta)._lu
+    assert plain._plan is R_delta._plan and R_delta.shares(R_eps)
+    assert R_delta._shared_values is not None
+    assert any(u is not None for u in R_delta._updates)
+    A = (squeezed.S + 40.0 * squeezed.M).tocsr()
+    A.sum_duplicates()
+    fresh = frontal.TreeFactor(A, mesh.tree)
+    for factor in (plain, R_eps):
+        assert factor._shared_values is None and factor._updates is None
+        again = frontal.TreeFactor(A, mesh.tree, share=factor)
+        assert not factor.shares(again) and again.nnz == fresh.nnz
+
+
 def test_a_pencil_that_differs_outside_the_tube_is_factored_in_full():
     # one entry changed far from the tube, or one pair of entries added in a
     # tube front: the bitwise comparison, or the pattern, refuses the exterior
@@ -402,11 +558,12 @@ def working_set(factor):
     """Bytes that a plain tree factor holds at its peak by design: its stored
     entries, one chunk of fronts (`frontal._FRONTS` entries, or the largest
     front if more), the packed lower triangles of the updates of two adjacent
-    depths (the one assembled from and the one made), and the lower triangle
-    of its matrix gathered in front order."""
+    depths (the one assembled from and the one made), one per class, and the
+    lower triangle of its matrix gathered in front order."""
     plan, item = factor._plan, np.dtype(factor._dtype).itemsize
     chunk = max([frontal._FRONTS] + [(g.p + g.R + 1) ** 2 for g in plan.groups])
-    packed = [sum(len(g.pivots) * g.R * (g.R + 1) // 2 for g in groups)
+    classes = iter(factor._classes)
+    packed = [sum(len(next(classes).reps) * g.R * (g.R + 1) // 2 for g in groups)
               for _, _, groups in plan.depths]
     return item * (factor.nnz + chunk + max(map(sum, zip(packed, packed[1:])))
                    + len(factor._pattern[3]))
@@ -425,7 +582,7 @@ def traced_peak(make):
 
 def check_factor_peaks():
     # the smoke box and line at h = 1/48 (n = 36,481), whose largest depth
-    # holds 0.92 M front entries
+    # holds 0.92 M front entries, 0.91 M in the first fronts of its classes
     net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=1.0)
     mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 48.0)
     form = build_form(mesh, net=net, strengths={0: -6.0})
@@ -441,16 +598,16 @@ def check_factor_peaks():
 
 
 def test_tree_factors_eliminate_in_one_front_buffer_without_a_copy_of_the_matrix():
-    # with the default budget of 0.52 M entries the factors peak at 1.09 of
-    # the bound; a buffer of the largest depth takes them to 1.10 or more,
-    # and a copy of S - sigma M held through the elimination to 1.2 or more
+    # with the default budget of 0.52 M entries the factors peak at 1.06 of
+    # the bound; a buffer of the largest depth takes them to 1.26, and a
+    # copy of S - sigma M held through the elimination to 1.27 or more
     check_factor_peaks()
 
 
 def test_tree_factors_in_chunks_of_one_front_stay_within_the_working_set(monkeypatch):
-    # with one front per chunk the factors peak at 1.08 of the bound, which
+    # with one front per chunk the factors peak at 1.03 of the bound, which
     # then charges the largest front (0.08 M entries); a buffer of the
-    # largest depth takes them to 1.3
+    # largest depth takes them to 1.6
     monkeypatch.setattr(frontal, "_FRONTS", 1)
     check_factor_peaks()
 

@@ -19,7 +19,7 @@ from . import lab, oracles
 
 
 def _wedge_f(cfg):
-    lab._require("wedge-f", cfg, "phi", "alpha", "theta")
+    lab._check("wedge-f", cfg, "phi", "alpha", "theta", reals=("phi", "alpha", "theta"))
     out = lab._wedge_criterion(cfg["phi"], cfg["alpha"], cfg["theta"])
     # calculus cross-check: for |alpha| -> 0 the infimum is 1 - Theta^2
     quartic_min = 1.0 - cfg["theta"] ** 2
@@ -36,7 +36,8 @@ def _wedge_f(cfg):
 
 
 def _oracle1d(cfg):
-    lab._require("oracle1d", cfg, "alpha")
+    lab._check("oracle1d", cfg, "alpha", counts=("cells_per_eps",),
+               reals=("alpha", "beta", "eps"))
     alpha = cfg["alpha"]
     beta = cfg.get("beta", 0.02)
     eps = cfg.get("eps", beta)
@@ -58,7 +59,7 @@ def _oracle1d(cfg):
 
 
 def _cusp_b(cfg):
-    lab._require("cusp-b", cfg, "d")
+    lab._check("cusp-b", cfg, "d", counts=("k", "n"), reals=("d", "x_max"))
     d, k = cfg["d"], cfg.get("k", 3)
     eigs = oracles.cusp_operator_eigs(d, k=k, x_max=cfg.get("x_max"),
                                       n=cfg.get("n", 4000))

@@ -55,6 +55,7 @@ __all__ = [
     "assemble_volume_potential",
     "assemble_magnetic_stiffness",
     "assemble_delta_term",
+    "line_quadrature",
     "restrict",
     "assemble_base",
     "build_form",
@@ -420,15 +421,33 @@ def _p1_basis_at_points(mesh: Mesh, pts):
 _GQ4, _GW4 = np.polynomial.legendre.leggauss(4)
 
 
+def line_quadrature(box, h: float, k: int, seg):
+    """(arc lengths, weights, points) of the line-term quadrature of segment
+    k on the mesh of `box` and step h: composite 4-point Gauss-Legendre on
+    arc-length intervals of size <= h.  Raises GeometryError when a point
+    leaves the open box."""
+    (x0, x1), (y0, y1) = box
+    n_int = int(np.ceil(seg.length / h))
+    edges = seg.length * np.arange(n_int + 1) / n_int
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    sq = (mid[:, None] + half[:, None] * _GQ4[None, :]).ravel()
+    wq = (half[:, None] * _GW4[None, :]).ravel()
+    pts = seg.point(sq)
+    inside = (pts[:, 0] > x0) & (pts[:, 0] < x1) & (pts[:, 1] > y0) & (pts[:, 1] < y1)
+    if not np.all(inside):
+        raise GeometryError(f"segment {k}: curve quadrature points leave the open box {box}")
+    return sq, wq, pts
+
+
 def assemble_delta_term(mesh: Mesh, net: Network, strengths):
     """Line-term matrix int_Sigma alpha u conj(v) dsigma on P1 traces.
 
     `strengths` maps segment index to its strength (scalar, callable of arc
     length, or StrengthFunction) and is read by `get`, so a list raises;
-    segments without an entry, or with None, are skipped.  Composite 4-point
-    Gauss-Legendre on arc-length intervals of size <= h.
+    segments without an entry, or with None, are skipped.  The quadrature is
+    `line_quadrature`'s.
     """
-    (x0, x1), (y0, y1) = mesh.box
     n = mesh.n_nodes
     rows, cols, vals = [], [], []
     any_complex = False
@@ -436,20 +455,7 @@ def assemble_delta_term(mesh: Mesh, net: Network, strengths):
         a_k = strengths.get(k)
         if a_k is None:
             continue
-        n_int = int(np.ceil(seg.length / mesh.h))
-        edges = seg.length * np.arange(n_int + 1) / n_int
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        sq = (mid[:, None] + half[:, None] * _GQ4[None, :]).ravel()
-        wq = (half[:, None] * _GW4[None, :]).ravel()
-        pts = seg.point(sq)
-        inside = (
-            (pts[:, 0] > x0) & (pts[:, 0] < x1) & (pts[:, 1] > y0) & (pts[:, 1] < y1)
-        )
-        if not np.all(inside):
-            raise GeometryError(
-                f"segment {k}: curve quadrature points leave the open box {mesh.box}"
-            )
+        sq, wq, pts = line_quadrature(mesh.box, mesh.h, k, seg)
         if callable(a_k):
             aq = np.asarray(a_k(sq))
         else:

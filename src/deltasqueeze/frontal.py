@@ -141,10 +141,11 @@ class _Classes:
 
 @dataclass(eq=False)
 class _Plan:
-    """Symbolic analysis of a tree: its groups by depth, deepest first, with
-    each depth's buffer size and the size of its tube groups, which come
-    first, and the map of the last matrix pattern onto the fronts (replaced
-    whole, so threads may share it).
+    """Symbolic analysis of a tree: its groups by depth, deepest first, the
+    tube groups of a depth first, with each depth's layout span (the sum of
+    its fronts' squared sides, over which `front` places them and `_entries`
+    orders the pattern), and the map of the last matrix pattern onto the
+    fronts (replaced whole, so threads may share it).
 
     The tube fronts are those that hold an unknown of the tube or lie above
     one that does; every front when there is no tube.  Every other front is
@@ -152,14 +153,14 @@ class _Plan:
     every matrix that agrees with another outside the tube."""
 
     n: int
-    depths: list  # [(buffer size, size of the tube groups, [_Group])]
-    front: tuple  # (buffer offset of the front, its row length, its p) per supernode
+    depths: list  # [(layout span, [_Group])]
+    front: tuple  # (offset of the front in its depth's span, its row length, its p) per supernode
     depth: np.ndarray  # depth of every supernode
     tube: np.ndarray  # whether each supernode is a tube front
     pattern: tuple | None = None  # (indptr, indices, slot, at, edge): `_entries`
 
     def __post_init__(self):
-        self.groups = [g for _, _, depth in self.depths for g in depth]
+        self.groups = [g for _, depth in self.depths for g in depth]
         # the pivots of the tube fronts
         self.nodes = np.concatenate([np.empty(0, np.int64)] + [
             g.pivots.ravel() for g in self.groups if not g.shared])
@@ -209,16 +210,16 @@ def _analyse(tree, tube) -> _Plan:
     groups = np.split(order, cut)
     R = np.array([r[g].max() for g in groups])
     side = np.array([p[g[0]] for g in groups]) + R + 1
-    # buffer offset and row length of every front
+    # offset in its depth's span and row length of every front
     start = np.zeros(ns, dtype=np.int64)
     width = np.zeros(ns, dtype=np.int64)
-    sizes = np.zeros((depth.max() + 1, 2), dtype=np.int64)  # all groups, tube groups
+    sizes = np.zeros(depth.max() + 1, dtype=np.int64)
     for g, nodes in enumerate(groups):
         d = depth[nodes[0]]
-        start[nodes] = sizes[d, 0] + side[g] ** 2 * np.arange(len(nodes))
+        start[nodes] = sizes[d] + side[g] ** 2 * np.arange(len(nodes))
         width[nodes] = side[g]
-        sizes[d] += side[g] ** 2 * len(nodes) * np.array([1, tube[nodes[0]]])
-    depths = [(int(size), int(inner), []) for size, inner in sizes]
+        sizes[d] += side[g] ** 2 * len(nodes)
+    depths = [(int(size), []) for size in sizes]
     for g, nodes in enumerate(groups):
         P, Rg = int(p[nodes[0]]), int(R[g])
         pivots = starts[nodes, None] + np.arange(P)
@@ -240,7 +241,7 @@ def _analyse(tree, tube) -> _Plan:
             rank[by_parent] = np.arange(len(by_parent))
         boundary = (np.flatnonzero((q >= 0) & tube[q]) if is_shared
                     else np.empty(0, np.int64))
-        depths[depth[nodes[0]]][2].append(_Group(
+        depths[depth[nodes[0]]][1].append(_Group(
             P, Rg, int(start[nodes[0]]), pivots, ring, start[q], width[q], pos,
             _row_classes(pos)[0], is_shared, by_parent, rank, boundary))
     return _Plan(n, depths, (start, width, p), depth, tube)
@@ -317,14 +318,14 @@ def _classes(plan, slot, values, edge, given):
     q = 1 + bits.shape[1]  # columns per entry: slot and bits
     tables = list(given)
     first = 0
-    for d, (_, _, depth) in enumerate(plan.depths):
+    for d, (_, depth) in enumerate(plan.depths):
         a = edge[2 * d]
         by_slot = slot[a:edge[2 * d + 2]]
         offsets = np.array([g.offset for g in depth])
         sides = np.array([(g.p + g.R + 1) ** 2 for g in depth])
         kids = []  # (parent group, parent front, place among its children, class, shape)
         if d:
-            below = plan.depths[d - 1][2]
+            below = plan.depths[d - 1][1]
             for j, h in enumerate(below, first - len(below)):
                 place = np.arange(len(h.parent)) if h.rank is None else h.rank
                 place = place - np.searchsorted(h.parent[h.order], h.parent)
@@ -382,7 +383,7 @@ def _entries(plan: _Plan, tree, A):
     # by depth, then slot; a depth's tube fronts lie before its shared ones,
     # so this is also by depth, then tube
     depth = plan.depth[s]
-    first = np.concatenate([[0], np.cumsum([size for size, _, _ in plan.depths])])
+    first = np.concatenate([[0], np.cumsum([size for size, _ in plan.depths])])
     order = np.argsort(first[depth] + slot)
     key = 2 * depth + ~plan.tube[s]
     edge = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=2 * len(plan.depths)))])
@@ -606,19 +607,19 @@ class TreeFactor:
         # group at a time; the lower triangles of their updates are packed,
         # one row per class, for the depth above
         sizes = [(g.p + g.R + 1) ** 2 for g in groups]
-        spans = np.cumsum([0] + [len(depth) for _, _, depth in plan.depths]).tolist()
+        spans = np.cumsum([0] + [len(depth) for _, depth in plan.depths]).tolist()
         assembled = [sum(len(classes[i].reps) * sizes[i] for i in range(a, b) if factored[i])
                      for a, b in zip(spans, spans[1:])]
         buffer = np.empty(min(max([_FRONTS] + [s for s, f in zip(sizes, factored) if f]),
                               max(assembled)), dtype)
         below = []  # (group, fronts, their parents' offsets, rows, row of each front, tril)
-        for d, (_, _, depth) in enumerate(plan.depths):
+        for d, (_, depth) in enumerate(plan.depths):
             a, first = edge[2 * d], spans[d]
             by_slot = slot[a:edge[2 * d + 2]]
             up = None  # where the fronts of the depth above are assembled
             if d + 1 < len(plan.depths):
                 upper = slice(spans[d + 1], spans[d + 2])
-                up = _assembled(plan.depths[d + 1][2], classes[upper], factored[upper])
+                up = _assembled(plan.depths[d + 1][1], classes[upper], factored[upper])
             above = []
             at = 0  # assembly offset of the group's first class
             for i, g in enumerate(depth, first):

@@ -2,10 +2,11 @@
 
 Every scenario solves a member of (i grad + A)^2 + Q + alpha delta_Sigma or
 of its squeezed regularizations.  A runner reads only its config dict, run
-settings (out, dump_mm, threads) included, checks it through
-`_require` (missing keys) and `_check_count` (k, N, threads), builds its
-network, and then `_check_run` checks the squeezing width and makes the
-output and dump directories before any mesh is built.  A runner builds `Operator` records (base, network,
+settings (out, dump_mm, threads) included, and checks it first, in one
+`_check` call that declares every entry it reads: required, counts, real
+numbers and strengths.  It then builds its networks, and `_check_run` checks
+what needs them or the disk, the squeezing width and the output and dump
+directories, before any mesh is built.  A runner builds `Operator` records (base, network,
 profiles, strengths) with `Operator.from_config`, one `fem.BaseForm` of
 (mesh, A, Q) per distinct box and step, shared by the operators on it;
 `Operator.solve` is the one path from form to eigenpairs, and `_dump`
@@ -54,83 +55,91 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _require(scenario, cfg: dict, *keys):
-    """Raise ConfigError naming the scenario and the first of `keys` that cfg
-    lacks; "mesh.h" names the entry h of the block cfg["mesh"]."""
+def _real(value) -> bool:
+    """Whether `value` is a real number; a bool or a string is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check(scenario, cfg: dict, *keys, counts=(), reals=(), strengths=()):
+    """The checks of a command's config that need nothing built, made first,
+    each raising ConfigError naming the scenario and the entry.  Each of
+    `keys` must be present, "mesh.h" naming the entry h of the block
+    cfg["mesh"]; with "mesh.h", the step must be a positive real number and
+    "mesh.box" two increasing pairs of real numbers, [[x0, x1], [y0, y1]].
+    Each of `counts`, when present, must be a positive integer; each of
+    `reals`, when set, a real number (for "q", also the value of its block
+    {"kind": "constant", "value": v}); each of `strengths`, when set, a real
+    number or a list of them.  A bool or a string is not a number."""
     for key in keys:
         block = cfg
         for part in key.split("."):
             if not isinstance(block, dict) or part not in block:
                 raise ConfigError(f"{scenario} config is missing {key!r}")
             block = block[part]
+    if "mesh.h" in keys:
+        h, box = cfg["mesh"]["h"], cfg["mesh"]["box"]
+        if not (_real(h) and 0.0 < h < np.inf):
+            raise ConfigError(f"{scenario} config: 'mesh.h' must be a positive number, got {h!r}")
+        if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(
+                _pair(pair) and -np.inf < pair[0] < pair[1] < np.inf for pair in box)):
+            raise ConfigError(f"{scenario} config: 'mesh.box' must be two increasing pairs of "
+                              f"numbers, [[x0, x1], [y0, y1]], got {box!r}")
+    for key in counts:
+        value = cfg.get(key, 1)
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{scenario} config: {key!r} must be a positive integer, "
+                              f"got {value!r}")
+    for key in reals:
+        value = cfg.get(key)
+        if key == "q" and isinstance(value, dict):  # {"kind": "constant", "value": v}
+            key, value = "q.value", value.get("value")
+        if value is not None and not _real(value):
+            raise ConfigError(f"{scenario} config: {key!r} must be a number, got {value!r}")
+    for key in strengths:
+        alpha = cfg.get(key)
+        listed = isinstance(alpha, (list, tuple, np.ndarray))
+        for i, a in enumerate(alpha if listed else [] if alpha is None else [alpha]):
+            if not _real(a):
+                entry = f"{key!r} entry {i}" if listed else repr(key)
+                raise ConfigError(f"{scenario} config: {entry} must be a real number, got {a!r}")
 
 
-def _real(value) -> bool:
-    """Whether `value` is a real number; a bool or a string is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_mesh(scenario, cfg: dict):
-    """Raise ConfigError naming the scenario and the entry unless cfg["mesh"]
-    has a step "h" that is a positive real number and a "box" of two
-    increasing pairs of real numbers, [[x0, x1], [y0, y1]]."""
-    h, box = cfg["mesh"]["h"], cfg["mesh"]["box"]
-    if not (_real(h) and 0.0 < h < np.inf):
-        raise ConfigError(f"{scenario} config: 'mesh.h' must be a positive number, got {h!r}")
-    if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(
-            isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_real, pair))
-            and -np.inf < pair[0] < pair[1] < np.inf for pair in box)):
-        raise ConfigError(f"{scenario} config: 'mesh.box' must be two increasing pairs of "
-                          f"numbers, [[x0, x1], [y0, y1]], got {box!r}")
-
-
-def _check_strengths(scenario, cfg: dict, key: str):
-    """Raise ConfigError naming the scenario and the entry unless cfg[key],
-    when set, is a real number or a list of them."""
-    alpha = cfg.get(key)
-    if alpha is None:
-        return
-    listed = isinstance(alpha, (list, tuple, np.ndarray))
-    for i, a in enumerate(alpha if listed else [alpha]):
-        if not _real(a):
-            entry = f"{key!r} entry {i}" if listed else repr(key)
-            raise ConfigError(f"{scenario} config: {entry} must be a real number, got {a!r}")
-
-
-def _check_count(scenario, cfg: dict, key: str):
-    """Raise ConfigError naming the scenario and key unless cfg[key], when
-    set, is a positive integer (a bool is not)."""
-    value = cfg.get(key, 1)
-    if type(value) is not int or value < 1:
-        raise ConfigError(f"{scenario} config: {key!r} must be a positive integer, "
-                          f"got {value!r}")
-
-
-def _check_run(scenario, cfg: dict, key: str, beta: float):
-    """The checks made before any mesh is built, each raising ConfigError
-    naming the scenario.  The squeezing width cfg[key] (a real number, absent
-    or None for none; for "eps_grid" a nonempty list of them) must be
+def _check_run(scenario, cfg: dict, key: str, nets, refines=(1,), strengths=None):
+    """The checks that need the networks `nets` or touch the disk, made
+    before any mesh is built, each raising ConfigError naming the scenario.
+    The squeezing width cfg[key] (a real number, absent or None for none,
+    that `_check` has read; for "eps_grid" a nonempty list of them) must be
     resolved by cfg["mesh"]["h"] (`fem.resolves`) and must not exceed the
-    certified tube half-width beta; cfg["alpha"], when set, must be a real
-    number or a list of them; cfg["threads"], when set, must be a positive
-    integer; cfg["out"] and cfg["dump_mm"], when set, are created and must be
+    certified tube half-width of any net.  When the run builds a delta form
+    (always for "eps_grid", else without a width), the line-term quadrature
+    points of every segment given a strength by the profile or alpha entry
+    of `strengths` (cfg when None; `profiles_from_config`) must lie in the
+    open box, on the mesh of step h / r for each r of `refines`: the
+    same test, and the same GeometryError, as `fem.assemble_delta_term`'s.
+    cfg["out"] and cfg["dump_mm"], when set, are created and must be
     writable directories."""
     eps = cfg.get(key)
-    values, kind = ([] if eps is None else [eps]), "a number"
+    values = [] if eps is None else [eps]
     if key == "eps_grid":
         values = list(eps) if isinstance(eps, (list, tuple, np.ndarray)) and len(eps) else [None]
-        kind = "a nonempty list of numbers"
-    if not all(map(_real, values)):
-        raise ConfigError(f"{scenario} config: {key!r} must be {kind}, got {eps!r}")
+        if not all(map(_real, values)):
+            raise ConfigError(f"{scenario} config: 'eps_grid' must be a nonempty list of "
+                              f"numbers, got {eps!r}")
     if values:
         h, lo, hi = cfg["mesh"]["h"], float(min(values)), float(max(values))
+        beta = min(net.beta for net in nets)
         if not fem.resolves(h, lo):
             raise ConfigError(f"{scenario} config: {key!r} needs 'mesh.h' <= "
                               f"{lo}/4 = {lo / 4.0}, got {h}")
         if hi > beta:
             raise ConfigError(f"{scenario} config: {key!r} = {hi} exceeds beta = {beta}")
-    _check_strengths(scenario, cfg, "alpha")
-    _check_count(scenario, cfg, "threads")
+    if key == "eps_grid" or eps is None:
+        box = tuple(tuple(map(float, pair)) for pair in cfg["mesh"]["box"])
+        for net in nets:
+            profiles = profiles_from_config(cfg if strengths is None else strengths, net)
+            for k in sorted({p.segment for p in profiles}):
+                for r in refines:
+                    fem.line_quadrature(box, float(cfg["mesh"]["h"] / r), k, net.segments[k])
     for path in (cfg.get("out"), cfg.get("dump_mm")):
         if path is None:
             continue
@@ -143,72 +152,109 @@ def _check_run(scenario, cfg: dict, key: str, beta: float):
             raise ConfigError(f"{scenario} output path not writable: {path}")
 
 
-def _segment_from_spec(spec: dict) -> geometry.CurveSegment:
+def _pair(value) -> bool:
+    """Whether `value` is a pair of real numbers, a point."""
+    return (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2
+            and all(map(_real, value)))
+
+
+def _reals(value) -> bool:
+    """Whether `value` is a list of real numbers, or of such lists (a table)."""
+    return isinstance(value, (list, tuple, np.ndarray)) and all(
+        _real(v) or _reals(v) for v in value)
+
+
+def _points(value) -> bool:
+    """Whether `value` is a list of points."""
+    return isinstance(value, (list, tuple, np.ndarray)) and all(map(_pair, value))
+
+
+_KINDS = {_real: "a number", _pair: "a pair of numbers", _reals: "a list of numbers",
+          _points: "a list of pairs of numbers"}
+
+
+def _entry(where, spec: dict, key, test=_real, default=None):
+    """spec[key], or `default` when given and the key is absent, checked by
+    `test`, one of `_KINDS`; else ConfigError naming `where` and the key."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if not test(value):
+        raise ConfigError(f"{where}: {key!r} must be {_KINDS[test]}, got {value!r}")
+    return value
+
+
+def _segment_from_spec(i: int, spec: dict) -> geometry.CurveSegment:
+    where = f"network segment {i}"
     kind = spec.get("kind")
     if kind == "line":
-        return geometry.LineSegment(spec["p0"], spec["p1"])
+        return geometry.LineSegment(_entry(where, spec, "p0", _pair),
+                                    _entry(where, spec, "p1", _pair))
     if kind == "arc":
-        return geometry.CircularArc(
-            spec["center"], spec["radius"], spec["theta0"], spec["theta1"]
-        )
+        return geometry.CircularArc(_entry(where, spec, "center", _pair),
+                                    *(_entry(where, spec, key)
+                                      for key in ("radius", "theta0", "theta1")))
     if kind == "cusp":
-        return geometry.CuspBranch(
-            spec["exponent"],
-            spec.get("sign", 1.0),
-            spec.get("x_max", 1.0),
-            spec.get("collar", 1e-3),
-        )
+        return geometry.CuspBranch(*(_entry(where, spec, key, default=default) for key, default in
+                                     (("exponent", None), ("sign", 1.0), ("x_max", 1.0),
+                                      ("collar", 1e-3))))
     if kind == "spline":
-        return geometry.SplineSegment(spec["points"])
+        return geometry.SplineSegment(_entry(where, spec, "points", _points))
     raise ConfigError(f"unknown segment kind: {kind!r}")
 
 
 def network_from_spec(spec: dict) -> geometry.Network:
-    """Network from {"beta_cap": ..., "segments": [{kind, parameters...}]}."""
+    """Network from {"beta_cap": ..., "segments": [{kind, parameters...}]}.
+    A missing entry, or one that is not a real number (a point: a pair of
+    them), raises ConfigError naming the segment and the entry."""
     try:
-        segments = [_segment_from_spec(s) for s in spec["segments"]]
-        return geometry.Network(segments, beta_cap=spec["beta_cap"])
+        segments = spec["segments"]
+        if not (isinstance(segments, (list, tuple)) and all(isinstance(s, dict) for s in segments)):
+            raise ConfigError(f"network: 'segments' must be a list of segment blocks, "
+                              f"got {segments!r}")
+        segments = [_segment_from_spec(i, s) for i, s in enumerate(segments)]
+        return geometry.Network(segments, beta_cap=_entry("network", spec, "beta_cap"))
     except KeyError as missing:
         raise ConfigError(f"network spec missing {missing}") from None
 
 
-def _profile_from_spec(spec: dict, beta: float) -> potentials.TubeProfile:
+def _profile_from_spec(i: int, spec: dict, beta: float) -> potentials.TubeProfile:
+    where = f"profile entry {i}"
     seg = spec.get("segment", 0)
     kind = spec.get("kind")
     if kind == "constant":
-        return potentials.constant_profile(seg, spec["value"], beta)
+        return potentials.constant_profile(seg, _entry(where, spec, "value"), beta)
     if kind == "separable":
 
-        def poly(coeffs):
-            c = np.asarray(coeffs, dtype=float)
+        def poly(key):
+            c = np.asarray(_entry(where, spec, key, _reals), dtype=float)
             return lambda u: np.polyval(c[::-1], u)
 
-        return potentials.separable_profile(
-            seg, poly(spec["g_s"]), poly(spec["g_t"]), beta
-        )
+        return potentials.separable_profile(seg, poly("g_s"), poly("g_t"), beta)
     if kind == "tabulated":
-        return potentials.tabulated_profile(
-            seg, spec["s_grid"], spec["t_grid"], np.asarray(spec["values"]), beta
-        )
+        s_grid, t_grid, values = (_entry(where, spec, key, _reals)
+                                  for key in ("s_grid", "t_grid", "values"))
+        return potentials.tabulated_profile(seg, s_grid, t_grid, np.asarray(values), beta)
     raise ConfigError(f"unknown profile kind: {kind!r}")
 
 
 def profiles_from_config(cfg: dict, net: geometry.Network):
     """Profiles from cfg["profile"], or from cfg["alpha"] via the inverse
     construction V = alpha / (2 beta) on the tube.  A profile whose segment
-    the network lacks, or an alpha list longer than the network, raises
-    ConfigError naming the entry."""
+    the network lacks, a profile entry that is not a real number or a list
+    of them, or an alpha list longer than the network, raises ConfigError
+    naming the entry."""
     n = len(net.segments)
     if cfg.get("profile") is not None:
         specs = cfg["profile"]
         if isinstance(specs, dict):
             specs = [specs]
         for i, spec in enumerate(specs):
+            if not isinstance(spec, dict):
+                raise ConfigError(f"profile entry {i} must be a profile block, got {spec!r}")
             seg = spec.get("segment", 0)
             if type(seg) is not int or not 0 <= seg < n:
                 raise ConfigError(f"profile entry {i}: 'segment' {seg!r} is not a segment "
                                   f"of the network, which has {n}")
-        return [_profile_from_spec(s, net.beta) for s in specs]
+        return [_profile_from_spec(i, s, net.beta) for i, s in enumerate(specs)]
     if cfg.get("alpha") is not None:
         alphas = cfg["alpha"]
         if np.isscalar(alphas):
@@ -226,13 +272,13 @@ def profiles_from_config(cfg: dict, net: geometry.Network):
 
 
 def _q_function(spec):
-    if spec is None:
-        return None
-    if np.isscalar(spec):
-        return None if spec == 0 else float(spec)
-    if spec.get("kind") == "constant":
-        return None if spec["value"] == 0 else float(spec["value"])
-    raise ConfigError(f"unknown background potential spec: {spec!r}")
+    """The constant background potential of a config's "q" entry (a real
+    number, or the block {"kind": "constant", "value": v}), None for zero."""
+    if isinstance(spec, dict):
+        if spec.get("kind") != "constant" or "value" not in spec:
+            raise ConfigError(f"unknown background potential spec: {spec!r}")
+        spec = spec["value"]
+    return None if spec is None or spec == 0 else float(spec)
 
 
 def _gauge(field_b):
@@ -319,8 +365,8 @@ class Operator:
         `base`, else on the base of cfg's mesh, field_b and q, assembled here."""
         profiles = profiles_from_config(cfg, net)
         if base is None:
-            base = fem.assemble_base(_mesh(cfg["mesh"]), _gauge(cfg.get("field_b", 0.0)),
-                                     _q_function(cfg.get("q")))
+            A, Q = _gauge(cfg.get("field_b", 0.0)), _q_function(cfg.get("q"))
+            base = fem.assemble_base(_mesh(cfg["mesh"]), A, Q)
         strengths = {p.segment: potentials.effective_alpha(p) for p in profiles}
         return cls(base, net, profiles, strengths)
 
@@ -471,10 +517,11 @@ def run_convergence(cfg):
     is >= 25 percent or None.  Returns (report, status): status 2 when any
     flag fired, else 0.
     """
-    _require("convergence", cfg, "mesh.box", "mesh.h", "network")
-    _check_mesh("convergence", cfg)
+    _check("convergence", cfg, "mesh.box", "mesh.h", "network", counts=("threads",),
+           reals=("field_b", "q"), strengths=("alpha",))
     net = network_from_spec(cfg["network"])
-    _check_run("convergence", cfg, "eps_grid", net.beta)
+    _check_run("convergence", cfg, "eps_grid", [net],
+               refines=(1, 2) if cfg.get("refine_check", False) else (1,))
     eps_grid = np.asarray(cfg["eps_grid"], dtype=float)
     if not np.all(np.diff(eps_grid) < 0):
         raise ConfigError("eps_grid must be strictly decreasing")
@@ -685,9 +732,9 @@ def run_stargraph(cfg: dict):
     supplies the discretization error bar), and reports the gap, the
     rotation-congruence check, and pass flags.
     """
-    _require("stargraph", cfg, "N", "angles", "alpha", "mesh.box", "mesh.h")
-    _check_mesh("stargraph", cfg)
-    _check_count("stargraph", cfg, "N")
+    _check("stargraph", cfg, "N", "angles", "alpha", "mesh.box", "mesh.h",
+           counts=("N", "threads"), reals=("L", "rot_deg", "beta_cap", "eps"),
+           strengths=("alpha", "angles"))
     N = cfg["N"]
     L = cfg.get("L", 1.0)
     angles = list(cfg["angles"])
@@ -695,6 +742,8 @@ def run_stargraph(cfg: dict):
     eps = cfg.get("eps")
     if N <= 2:
         raise ConfigError("star graph needs N > 2 edges")
+    if not L > 0.0:
+        raise ConfigError(f"stargraph config: 'L' must be a positive number, got {L!r}")
     if len(angles) != N:
         raise ConfigError(f"expected {N} angles, got {len(angles)}")
     if abs(sum(angles) - 360.0) > 1e-8:
@@ -706,7 +755,8 @@ def run_stargraph(cfg: dict):
         "rot": _star_network([360.0 / N] * N, L, rot_deg=cfg.get("rot_deg", 17.0),
                              beta_cap=beta_cap),
     }
-    _check_run("stargraph", cfg, "eps", min(net.beta for net in nets.values()))
+    _check_run("stargraph", cfg, "eps", nets.values(), refines=(1, 2),
+               strengths={"alpha": alpha})
     meshes = {"h": _mesh(cfg["mesh"]), "h2": _mesh(cfg["mesh"], refine=2)}
     values = {}
     for step, mesh in meshes.items():
@@ -789,9 +839,8 @@ def run_cusp(cfg: dict):
     the ground state of the one before (`Operator.solve`'s `near`): its
     Rayleigh quotient places the shift and Lanczos starts from it.
     """
-    _require("cusp", cfg, "d", "alpha_list", "mesh.box", "mesh.h")
-    _check_mesh("cusp", cfg)
-    _check_strengths("cusp", cfg, "alpha_list")
+    _check("cusp", cfg, "d", "alpha_list", "mesh.box", "mesh.h", counts=("threads",),
+           reals=("d", "x_max", "beta_cap", "eps"), strengths=("alpha_list",))
     d = cfg["d"]
     alphas = list(cfg["alpha_list"])
     if not alphas:
@@ -811,7 +860,7 @@ def run_cusp(cfg: dict):
             f"mesh too coarse for alpha={min(alphas)}: transverse decay length "
             f"{decay:.4f} is below 4h = {4 * h:.4f}"
         )
-    _check_run("cusp", cfg, "eps", net.beta)
+    _check_run("cusp", cfg, "eps", [net], strengths={"alpha": alphas[0]})
 
     power = 6.0 / (d + 2.0)
     e1 = float(cusp_operator_eigs(d, k=1)[0])
@@ -883,9 +932,8 @@ def run_wedge(cfg: dict):
     reports the lowest eigenvalue, the Hermiticity residual, and whether
     the eigenvalue undercuts Theta * b.
     """
-    _require("wedge", cfg, "phi", "alpha", "mesh.box", "mesh.h")
-    _check_mesh("wedge", cfg)
-    _check_count("wedge", cfg, "k")
+    _check("wedge", cfg, "phi", "alpha", "mesh.box", "mesh.h", counts=("k", "threads"),
+           reals=("phi", "b", "theta", "ray_length", "beta_cap", "eps"), strengths=("alpha",))
     phi = cfg["phi"]
     alpha = cfg["alpha"]
     b = cfg.get("b", 0.0)
@@ -913,7 +961,7 @@ def run_wedge(cfg: dict):
         ],
         beta_cap=cfg.get("beta_cap", 0.3),
     )
-    _check_run("wedge", cfg, "eps", net.beta)
+    _check_run("wedge", cfg, "eps", [net], strengths={"alpha": alpha})
 
     if theta is None:
         logger.warning("wedge: Theta not supplied, criterion block skipped")
@@ -945,12 +993,11 @@ def run_wedge(cfg: dict):
 
 def run_spectrum(cfg: dict):
     """Assemble the configured operator and report its k lowest eigenpairs."""
-    _require("spectrum", cfg, "mesh.box", "mesh.h", "network")
-    _check_mesh("spectrum", cfg)
-    _check_count("spectrum", cfg, "k")
+    _check("spectrum", cfg, "mesh.box", "mesh.h", "network", counts=("k", "threads"),
+           reals=("field_b", "q", "eps"), strengths=("alpha",))
     eps = cfg.get("eps")
     net = network_from_spec(cfg["network"])
-    _check_run("spectrum", cfg, "eps", net.beta)
+    _check_run("spectrum", cfg, "eps", [net])
     op = Operator.from_config(cfg, net)
     form = op.form(eps)
     _dump(cfg, "spectrum", form)

@@ -1538,3 +1538,98 @@ def test_squeezed_width_above_beta_fails_before_any_mesh(monkeypatch, built, sce
         runner(cfg)
     assert built == []
     assert len(networks) == (3 if scenario == "stargraph" else 1)
+
+
+ORACLE_CFGS = {"oracle1d": {"alpha": -1.0}, "cusp-b": {"d": 2.0},
+               "wedge-f": {"phi": 1.0, "alpha": -1e-6, "theta": 1.5}}
+RUNNER_CFGS = {
+    "convergence": (run_convergence, small_convergence_cfg()),
+    "stargraph": (run_stargraph, star_cfg()),
+    "cusp": (run_cusp, SMALL_CUSP),
+    "wedge": (run_wedge, wedge_cfg()),
+    "spectrum": (run_spectrum, {"network": LINE_NETWORK, "alpha": -4.0, "mesh": MESH}),
+}
+# the entries of each command that no check read: a string passed or died late
+# with a raw error, and a bool ran as 0 or 1
+UNREAD = {
+    "stargraph": ("L", "rot_deg", "beta_cap"), "cusp": ("d", "x_max", "beta_cap"),
+    "wedge": ("phi", "b", "theta", "ray_length", "beta_cap"),
+    "convergence": ("field_b", "q"), "spectrum": ("field_b", "q"),
+    "oracle1d": ("alpha", "beta", "eps"), "wedge-f": ("phi", "alpha", "theta"),
+    "cusp-b": ("d", "x_max"),
+}
+UNREAD_COUNTS = {"oracle1d": ("cells_per_eps",), "cusp-b": ("k", "n")}
+
+
+def network_case(*segments, beta_cap=0.5):
+    return {"network": {"beta_cap": beta_cap, "segments": list(segments)}, "alpha": -4.0,
+            "mesh": MESH}
+
+
+LINE = {"kind": "line", "p0": [-1.0, 0.0], "p1": [1.0, 0.0]}
+ARC = {"kind": "arc", "center": [0.0, 0.0], "radius": 1.0, "theta0": 0.0, "theta1": 3.0}
+CUSP = {"kind": "cusp", "exponent": 2.0, "x_max": 0.5}
+BOX = "((-2.0, 2.0), (-2.0, 2.0))"
+# (command, config, error, message)
+BAD_ENTRY_CASES = [
+    *[(scenario, {key: bad}, ConfigError,
+       f"{scenario} config: {key!r} must be a number, got {bad!r}")
+      for scenario, keys in UNREAD.items() for key in keys for bad in ("1", True)],
+    *[(scenario, {key: bad}, ConfigError,
+       f"{scenario} config: {key!r} must be a positive integer, got {bad!r}")
+      for scenario, keys in UNREAD_COUNTS.items() for key in keys for bad in (2.5, "2", True)],
+    ("stargraph", {"angles": [120.0, "120", 120.0]}, ConfigError,
+     "stargraph config: 'angles' entry 1 must be a real number, got '120'"),
+    ("stargraph", {"angles": [120.0, 120.0, True]}, ConfigError,
+     "stargraph config: 'angles' entry 2 must be a real number, got True"),
+    ("spectrum", {"q": {"kind": "constant", "value": "1"}}, ConfigError,
+     "spectrum config: 'q.value' must be a number, got '1'"),
+    # L = -1 ran as the star turned by 180 degrees
+    *[("stargraph", {"L": L}, ConfigError,
+       f"stargraph config: 'L' must be a positive number, got {L}") for L in (0, -1)],
+    # a one-coordinate point was broadcast: p0 [-1] made the line from (-1, -1)
+    ("spectrum", network_case({**LINE, "p0": [-1.0]}), ConfigError,
+     "network segment 0: 'p0' must be a pair of numbers, got [-1.0]"),
+    ("spectrum", network_case(LINE, {**ARC, "center": [0.5]}), ConfigError,
+     "network segment 1: 'center' must be a pair of numbers, got [0.5]"),
+    ("spectrum", network_case({**LINE, "p1": ["1", 0.0]}), ConfigError,
+     "network segment 0: 'p1' must be a pair of numbers, got ['1', 0.0]"),
+    ("spectrum", network_case(LINE, beta_cap="0.5"), ConfigError,
+     "network: 'beta_cap' must be a number, got '0.5'"),
+    ("spectrum", network_case({**ARC, "radius": "1"}), ConfigError,
+     "network segment 0: 'radius' must be a number, got '1'"),
+    ("spectrum", network_case({**ARC, "theta1": True}), ConfigError,
+     "network segment 0: 'theta1' must be a number, got True"),
+    ("spectrum", network_case({**CUSP, "exponent": "2"}), ConfigError,
+     "network segment 0: 'exponent' must be a number, got '2'"),
+    ("spectrum", network_case({"kind": "spline", "points": [[0.0, 0.0], [1.0]]}), ConfigError,
+     "network segment 0: 'points' must be a list of pairs of numbers, got [[0.0, 0.0], [1.0]]"),
+    ("spectrum", {**network_case(), "network": {"beta_cap": 0.5, "segments": "x"}}, ConfigError,
+     "network: 'segments' must be a list of segment blocks, got 'x'"),
+    ("spectrum", {**network_case(LINE), "alpha": None,
+                  "profile": {"kind": "constant", "value": "x"}}, ConfigError,
+     "profile entry 0: 'value' must be a number, got 'x'"),
+    # a delta curve that leaves the box failed in the line term, after the mesh
+    ("convergence", {"network": {"beta_cap": 0.5, "segments": [{**LINE, "p1": [2.5, 0.0]}]}},
+     fem.GeometryError, f"segment 0: curve quadrature points leave the open box {BOX}"),
+    ("stargraph", {"L": 2.5}, fem.GeometryError,
+     f"segment 0: curve quadrature points leave the open box {BOX}"),
+    ("cusp", {"x_max": 2.0}, fem.GeometryError,
+     "segment 0: curve quadrature points leave the open box ((-1.0, 2.0), (-1.5, 1.5))"),
+]
+
+
+@pytest.mark.parametrize("command, entries, error, message", BAD_ENTRY_CASES,
+                         ids=[f"{case[0]}-{'-'.join(map(str, case[1]))}-{i}"
+                              for i, case in enumerate(BAD_ENTRY_CASES)])
+def test_a_bad_entry_fails_before_any_mesh_naming_it(tmp_path, capsys, built, command,
+                                                    entries, error, message):
+    if command in ORACLE_CFGS:
+        cfg = write_cfg(tmp_path, "c.json", {**ORACLE_CFGS[command], **entries})
+        assert cli.main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        runner, cfg = RUNNER_CFGS[command]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            runner({**cfg, **entries})
+    assert built == []

@@ -564,7 +564,7 @@ def working_set(factor):
     chunk = max([frontal._FRONTS] + [(g.p + g.R + 1) ** 2 for g in plan.groups])
     classes = iter(factor._classes)
     packed = [sum(len(next(classes).reps) * g.R * (g.R + 1) // 2 for g in groups)
-              for _, _, groups in plan.depths]
+              for _, groups in plan.depths]
     return item * (factor.nnz + chunk + max(map(sum, zip(packed, packed[1:])))
                    + len(factor._pattern[3]))
 

@@ -43,6 +43,7 @@ from .oracles import (
     WedgeParams,
     cusp_operator_eigs,
     delta_point_eigenvalue,
+    ring_delta_eigenvalues,
     squeezed_1d_eigenvalue,
     wedge_F,
     wedge_F_infimum,

@@ -19,10 +19,10 @@ from . import lab, oracles
 
 
 def _wedge_f(cfg):
-    lab._check("wedge-f", cfg, "phi", "alpha", "theta", reals=("phi", "alpha", "theta"))
-    out = lab._wedge_criterion(cfg["phi"], cfg["alpha"], cfg["theta"])
+    c = lab._check("wedge-f", cfg, reals={"phi": ..., "alpha": ..., "theta": ...})
+    out = lab._wedge_criterion(c["phi"], c["alpha"], c["theta"])
     # calculus cross-check: for |alpha| -> 0 the infimum is 1 - Theta^2
-    quartic_min = 1.0 - cfg["theta"] ** 2
+    quartic_min = 1.0 - c["theta"] ** 2
     report = {
         "scenario": "wedge-f",
         "inputs": dict(cfg),
@@ -36,15 +36,12 @@ def _wedge_f(cfg):
 
 
 def _oracle1d(cfg):
-    lab._check("oracle1d", cfg, "alpha", counts=("cells_per_eps",),
-               reals=("alpha", "beta", "eps"))
-    alpha = cfg["alpha"]
-    beta = cfg.get("beta", 0.02)
-    eps = cfg.get("eps", beta)
+    c = lab._check("oracle1d", cfg, counts={"cells_per_eps": 8},
+                   reals={"alpha": ..., "beta": 0.02, "eps": None})
+    alpha, beta = c["alpha"], c["beta"]
+    eps = beta if c["eps"] is None else c["eps"]  # the tube fills the strip by default
     g = lambda t: np.full_like(t, alpha / (2.0 * beta))
-    lam = oracles.squeezed_1d_eigenvalue(
-        g, eps, beta, cells_per_eps=cfg.get("cells_per_eps", 8)
-    )
+    lam = oracles.squeezed_1d_eigenvalue(g, eps, beta, cells_per_eps=c["cells_per_eps"])
     checks = {"point_delta": oracles.delta_point_eigenvalue(alpha)}
     checks["square_well_bisection"] = oracles.square_well_ground_state(
         depth=abs(alpha) / (2.0 * eps), halfwidth=eps
@@ -59,10 +56,9 @@ def _oracle1d(cfg):
 
 
 def _cusp_b(cfg):
-    lab._check("cusp-b", cfg, "d", counts=("k", "n"), reals=("d", "x_max"))
-    d, k = cfg["d"], cfg.get("k", 3)
-    eigs = oracles.cusp_operator_eigs(d, k=k, x_max=cfg.get("x_max"),
-                                      n=cfg.get("n", 4000))
+    c = lab._check("cusp-b", cfg, counts={"k": 3, "n": 4000}, reals={"d": ..., "x_max": None})
+    d, k = c["d"], c["k"]
+    eigs = oracles.cusp_operator_eigs(d, k=k, x_max=c["x_max"], n=c["n"])
     cross = {}
     if d == 2.0:
         cross["odd_harmonic_levels"] = [4.0 * j - 1.0 for j in range(1, k + 1)]

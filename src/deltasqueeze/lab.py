@@ -1,14 +1,16 @@
 """Experiment orchestration: configs, scenario runners, reports.
 
 Every scenario solves a member of (i grad + A)^2 + Q + alpha delta_Sigma or
-of its squeezed regularizations.  A runner reads only its config dict, run
-settings (out, dump_mm, threads) included, and checks it first, in one
-`_check` call that declares every entry it reads: required, counts, real
-numbers and strengths.  It then builds its networks, and `_check_run` checks
-what needs them or the disk, the squeezing width and the output and dump
-directories, before any mesh is built.  A runner builds `Operator` records (base, network,
-profiles, strengths) with `Operator.from_config`, one `fem.BaseForm` of
-(mesh, A, Q) per distinct box and step, shared by the operators on it;
+of its squeezed regularizations.  A runner reads its config dict, run
+settings (out, dump_mm, threads) included, once, first, in one `_check` call
+that declares each top-level entry with its kind and default, checks them,
+logs the entries it does not declare, and returns the values; the runner
+reads only those.  It then builds its networks, and `_check_run` checks what
+needs them or the disk, the squeezing width and the output and dump
+directories, before any mesh is built.  A runner builds `Operator` records
+(base, network, profiles, strengths) with `Operator.from_config`, one
+`fem.BaseForm` of (mesh, A, Q) per distinct box and step, shared by the
+operators on it;
 `Operator.solve` is the one path from form to eigenpairs, and `_dump`
 writes each form as soon as it is built.  Every report goes through
 `_envelope`, which adds the config echo, the certified tube half-width and
@@ -60,87 +62,155 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check(scenario, cfg: dict, *keys, counts=(), reals=(), strengths=()):
-    """The checks of a command's config that need nothing built, made first,
-    each raising ConfigError naming the scenario and the entry.  Each of
-    `keys` must be present, "mesh.h" naming the entry h of the block
-    cfg["mesh"]; with "mesh.h", the step must be a positive real number and
-    "mesh.box" two increasing pairs of real numbers, [[x0, x1], [y0, y1]].
-    Each of `counts`, when present, must be a positive integer; each of
-    `reals`, when set, a real number (for "q", also the value of its block
-    {"kind": "constant", "value": v}); each of `strengths`, when set, a real
-    number or a list of them.  A bool or a string is not a number."""
-    for key in keys:
+def _count(value) -> bool:
+    """Whether `value` is a positive integer; a bool is not."""
+    return type(value) is int and value > 0
+
+
+def _flag(value) -> bool:
+    """Whether `value` is true or false."""
+    return isinstance(value, bool)
+
+
+def _list(value) -> bool:
+    """Whether `value` is a list (or tuple or array)."""
+    return isinstance(value, (list, tuple, np.ndarray))
+
+
+def _grid(value) -> bool:
+    """Whether `value` is a nonempty list of real numbers."""
+    return _list(value) and len(value) > 0 and all(map(_real, value))
+
+
+def _pair(value) -> bool:
+    """Whether `value` is a pair of real numbers, a point."""
+    return _list(value) and len(value) == 2 and all(map(_real, value))
+
+
+def _reals(value) -> bool:
+    """Whether `value` is a list of real numbers, or of such lists (a table)."""
+    return _list(value) and all(_real(v) or _reals(v) for v in value)
+
+
+def _points(value) -> bool:
+    """Whether `value` is a list of points."""
+    return _list(value) and all(map(_pair, value))
+
+
+# what each test of an entry asks for, as its ConfigError says it
+_KINDS = {_real: "a number", _count: "a positive integer", _flag: "true or false",
+          _list: "a list of numbers", _grid: "a nonempty list of numbers",
+          _pair: "a pair of numbers", _reals: "a list of numbers",
+          _points: "a list of pairs of numbers"}
+
+
+def _entry(where, spec: dict, key, test=_real, default=...):
+    """spec[key] checked by `test`, one of `_KINDS` (None for no test), else
+    ConfigError naming `where` and the key; the one reader of an entry of a
+    config, a network segment or a profile.  With a `default`, an absent or
+    null entry reads as the default, unchecked; without one, an absent entry
+    raises KeyError."""
+    value = spec[key] if default is ... else spec.get(key)
+    if value is None and default is not ...:
+        return default
+    if test is not None and not test(value):
+        raise ConfigError(f"{where}: {key!r} must be {_KINDS[test]}, got {value!r}")
+    return value
+
+
+def _check(scenario, cfg: dict, *keys, counts={}, reals={}, flags={}, lists={}, grids={},
+           strengths={}, run=False) -> dict:
+    """The one reader of a command's top-level config entries, called first,
+    before anything is built: {entry: value} for every entry it declares,
+    else ConfigError naming the scenario and the entry.  Each of `keys` must
+    be present ("mesh.h" names the entry h of the block cfg["mesh"], which
+    the result holds); the step must be a positive number and "mesh.box" two
+    increasing pairs of numbers.  Every other entry is declared once, as
+    {key: default} in its kind: `counts` (positive integers), `reals`
+    (numbers; "q" may be the block {"kind": "constant", "value": v}, read as
+    v), `flags` (true or false), `lists` (lists of numbers), `grids`
+    (nonempty lists of numbers) and `strengths` (numbers or lists of them,
+    None for unset).  An absent or null entry reads as its default; a default
+    of ... marks a required entry, which must be present.  A bool or a string
+    is not a number.  `run` adds the runners' settings: the count "threads"
+    (default 1), "out" and "dump_mm" (default None), and the ignored "seed";
+    an optional strength "alpha" adds its alternative "profile".  Each other
+    top-level entry of cfg is logged as unknown, one warning each, and
+    ignored."""
+    where = f"{scenario} config"
+    if run:
+        counts = {"threads": 1, **counts}
+    kinds = ((_count, counts), (_real, reals), (_flag, flags), (_list, lists), (_grid, grids),
+             (None, strengths))
+    required = [key for _, entries in kinds for key, default in entries.items() if default is ...]
+    for key in (*keys, *required):
         block = cfg
         for part in key.split("."):
             if not isinstance(block, dict) or part not in block:
-                raise ConfigError(f"{scenario} config is missing {key!r}")
+                raise ConfigError(f"{where} is missing {key!r}")
             block = block[part]
     if "mesh.h" in keys:
         h, box = cfg["mesh"]["h"], cfg["mesh"]["box"]
         if not (_real(h) and 0.0 < h < np.inf):
-            raise ConfigError(f"{scenario} config: 'mesh.h' must be a positive number, got {h!r}")
-        if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(
+            raise ConfigError(f"{where}: 'mesh.h' must be a positive number, got {h!r}")
+        if not (_list(box) and len(box) == 2 and all(
                 _pair(pair) and -np.inf < pair[0] < pair[1] < np.inf for pair in box)):
-            raise ConfigError(f"{scenario} config: 'mesh.box' must be two increasing pairs of "
-                              f"numbers, [[x0, x1], [y0, y1]], got {box!r}")
-    for key in counts:
-        value = cfg.get(key, 1)
-        if type(value) is not int or value < 1:
-            raise ConfigError(f"{scenario} config: {key!r} must be a positive integer, "
-                              f"got {value!r}")
-    for key in reals:
-        value = cfg.get(key)
-        if key == "q" and isinstance(value, dict):  # {"kind": "constant", "value": v}
-            key, value = "q.value", value.get("value")
-        if value is not None and not _real(value):
-            raise ConfigError(f"{scenario} config: {key!r} must be a number, got {value!r}")
-    for key in strengths:
-        alpha = cfg.get(key)
-        listed = isinstance(alpha, (list, tuple, np.ndarray))
-        for i, a in enumerate(alpha if listed else [] if alpha is None else [alpha]):
-            if not _real(a):
-                entry = f"{key!r} entry {i}" if listed else repr(key)
-                raise ConfigError(f"{scenario} config: {entry} must be a real number, got {a!r}")
+            raise ConfigError(f"{where}: 'mesh.box' must be two increasing pairs of numbers, "
+                              f"[[x0, x1], [y0, y1]], got {box!r}")
+    checked = {key.split(".")[0]: cfg[key.split(".")[0]] for key in keys}
+    if run:
+        checked.update(out=cfg.get("out"), dump_mm=cfg.get("dump_mm"))
+    if strengths.get("alpha", ...) is None:
+        checked["profile"] = cfg.get("profile")
+    for test, entries in kinds:
+        for key, default in entries.items():
+            spec, name = cfg, key
+            if key == "q" and isinstance(cfg.get(key), dict):  # {"kind": "constant", "value": v}
+                if cfg[key].get("kind") != "constant" or "value" not in cfg[key]:
+                    raise ConfigError(f"unknown background potential spec: {cfg[key]!r}")
+                spec, name = {"q.value": cfg[key]["value"]}, "q.value"
+            value = checked[key] = _entry(where, spec, name, test, default)
+            if test in (_list, None) and value is not None:  # each entry a number
+                listed = _list(value)
+                for i, a in enumerate(value if listed else [value]):
+                    if not _real(a):
+                        entry = f"{name!r} entry {i}" if listed else repr(name)
+                        raise ConfigError(f"{where}: {entry} must be a real number, got {a!r}")
+    for key in cfg:
+        if key not in checked and not (run and key == "seed"):
+            logger.warning("%s config: unknown entry %r, ignored", scenario, key)
+    return checked
 
 
-def _check_run(scenario, cfg: dict, key: str, nets, refines=(1,), strengths=None):
-    """The checks that need the networks `nets` or touch the disk, made
-    before any mesh is built, each raising ConfigError naming the scenario.
-    The squeezing width cfg[key] (a real number, absent or None for none,
-    that `_check` has read; for "eps_grid" a nonempty list of them) must be
-    resolved by cfg["mesh"]["h"] (`fem.resolves`) and must not exceed the
-    certified tube half-width of any net.  When the run builds a delta form
-    (always for "eps_grid", else without a width), the line-term quadrature
-    points of every segment given a strength by the profile or alpha entry
-    of `strengths` (cfg when None; `profiles_from_config`) must lie in the
-    open box, on the mesh of step h / r for each r of `refines`: the
-    same test, and the same GeometryError, as `fem.assemble_delta_term`'s.
-    cfg["out"] and cfg["dump_mm"], when set, are created and must be
-    writable directories."""
-    eps = cfg.get(key)
-    values = [] if eps is None else [eps]
-    if key == "eps_grid":
-        values = list(eps) if isinstance(eps, (list, tuple, np.ndarray)) and len(eps) else [None]
-        if not all(map(_real, values)):
-            raise ConfigError(f"{scenario} config: 'eps_grid' must be a nonempty list of "
-                              f"numbers, got {eps!r}")
-    if values:
-        h, lo, hi = cfg["mesh"]["h"], float(min(values)), float(max(values))
-        beta = min(net.beta for net in nets)
+def _check_run(scenario, c: dict, key: str, nets, refines=(1,)):
+    """The checks that need the networks `nets` or touch the disk, made on
+    `_check`'s result `c` before any mesh is built, each raising ConfigError
+    naming the scenario.  The squeezing width c[key] (a real number, None for
+    none; for "eps_grid" a nonempty list of them) must be resolved by
+    c["mesh"]["h"] (`fem.resolves`) and must not exceed the certified tube
+    half-width of any net.  When the run builds a delta form (always for
+    "eps_grid", else without a width), the line-term quadrature points of
+    every segment given a strength by c's profile or alpha entry
+    (`profiles_from_config`) must lie in the open box, on the mesh of step
+    h / r for each r of `refines`: the same test, and the same GeometryError,
+    as `fem.assemble_delta_term`'s.  c["out"] and c["dump_mm"], when set,
+    are created and must be writable directories."""
+    eps, h = c[key], c["mesh"]["h"]
+    if eps is not None:
+        lo, hi, beta = float(np.min(eps)), float(np.max(eps)), min(net.beta for net in nets)
         if not fem.resolves(h, lo):
             raise ConfigError(f"{scenario} config: {key!r} needs 'mesh.h' <= "
                               f"{lo}/4 = {lo / 4.0}, got {h}")
         if hi > beta:
             raise ConfigError(f"{scenario} config: {key!r} = {hi} exceeds beta = {beta}")
     if key == "eps_grid" or eps is None:
-        box = tuple(tuple(map(float, pair)) for pair in cfg["mesh"]["box"])
+        box = tuple(tuple(map(float, pair)) for pair in c["mesh"]["box"])
         for net in nets:
-            profiles = profiles_from_config(cfg if strengths is None else strengths, net)
+            profiles = profiles_from_config(c, net)
             for k in sorted({p.segment for p in profiles}):
                 for r in refines:
-                    fem.line_quadrature(box, float(cfg["mesh"]["h"] / r), k, net.segments[k])
-    for path in (cfg.get("out"), cfg.get("dump_mm")):
+                    fem.line_quadrature(box, float(h / r), k, net.segments[k])
+    for path in (c["out"], c["dump_mm"]):
         if path is None:
             continue
         try:
@@ -150,36 +220,6 @@ def _check_run(scenario, cfg: dict, key: str, nets, refines=(1,), strengths=None
                 f"{scenario} output path not writable: {path} ({err.strerror})") from None
         if not os.access(path, os.W_OK):
             raise ConfigError(f"{scenario} output path not writable: {path}")
-
-
-def _pair(value) -> bool:
-    """Whether `value` is a pair of real numbers, a point."""
-    return (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2
-            and all(map(_real, value)))
-
-
-def _reals(value) -> bool:
-    """Whether `value` is a list of real numbers, or of such lists (a table)."""
-    return isinstance(value, (list, tuple, np.ndarray)) and all(
-        _real(v) or _reals(v) for v in value)
-
-
-def _points(value) -> bool:
-    """Whether `value` is a list of points."""
-    return isinstance(value, (list, tuple, np.ndarray)) and all(map(_pair, value))
-
-
-_KINDS = {_real: "a number", _pair: "a pair of numbers", _reals: "a list of numbers",
-          _points: "a list of pairs of numbers"}
-
-
-def _entry(where, spec: dict, key, test=_real, default=None):
-    """spec[key], or `default` when given and the key is absent, checked by
-    `test`, one of `_KINDS`; else ConfigError naming `where` and the key."""
-    value = spec[key] if default is None else spec.get(key, default)
-    if not test(value):
-        raise ConfigError(f"{where}: {key!r} must be {_KINDS[test]}, got {value!r}")
-    return value
 
 
 def _segment_from_spec(i: int, spec: dict) -> geometry.CurveSegment:
@@ -194,7 +234,7 @@ def _segment_from_spec(i: int, spec: dict) -> geometry.CurveSegment:
                                       for key in ("radius", "theta0", "theta1")))
     if kind == "cusp":
         return geometry.CuspBranch(*(_entry(where, spec, key, default=default) for key, default in
-                                     (("exponent", None), ("sign", 1.0), ("x_max", 1.0),
+                                     (("exponent", ...), ("sign", 1.0), ("x_max", 1.0),
                                       ("collar", 1e-3))))
     if kind == "spline":
         return geometry.SplineSegment(_entry(where, spec, "points", _points))
@@ -216,10 +256,14 @@ def network_from_spec(spec: dict) -> geometry.Network:
         raise ConfigError(f"network spec missing {missing}") from None
 
 
-def _profile_from_spec(i: int, spec: dict, beta: float) -> potentials.TubeProfile:
-    where = f"profile entry {i}"
-    seg = spec.get("segment", 0)
-    kind = spec.get("kind")
+def _profile_from_spec(i: int, spec, net: geometry.Network) -> potentials.TubeProfile:
+    where, n = f"profile entry {i}", len(net.segments)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a profile block, got {spec!r}")
+    seg, kind, beta = _entry(where, spec, "segment", None, 0), spec.get("kind"), net.beta
+    if type(seg) is not int or not 0 <= seg < n:
+        raise ConfigError(f"{where}: 'segment' {seg!r} is not a segment of the network, "
+                          f"which has {n}")
     if kind == "constant":
         return potentials.constant_profile(seg, _entry(where, spec, "value"), beta)
     if kind == "separable":
@@ -245,16 +289,8 @@ def profiles_from_config(cfg: dict, net: geometry.Network):
     n = len(net.segments)
     if cfg.get("profile") is not None:
         specs = cfg["profile"]
-        if isinstance(specs, dict):
-            specs = [specs]
-        for i, spec in enumerate(specs):
-            if not isinstance(spec, dict):
-                raise ConfigError(f"profile entry {i} must be a profile block, got {spec!r}")
-            seg = spec.get("segment", 0)
-            if type(seg) is not int or not 0 <= seg < n:
-                raise ConfigError(f"profile entry {i}: 'segment' {seg!r} is not a segment "
-                                  f"of the network, which has {n}")
-        return [_profile_from_spec(i, s, net.beta) for i, s in enumerate(specs)]
+        specs = [specs] if isinstance(specs, dict) else specs
+        return [_profile_from_spec(i, s, net) for i, s in enumerate(specs)]
     if cfg.get("alpha") is not None:
         alphas = cfg["alpha"]
         if np.isscalar(alphas):
@@ -269,20 +305,6 @@ def profiles_from_config(cfg: dict, net: geometry.Network):
             for k, a in enumerate(alphas)
         ]
     raise ConfigError("config needs either 'profile' or 'alpha'")
-
-
-def _q_function(spec):
-    """The constant background potential of a config's "q" entry (a real
-    number, or the block {"kind": "constant", "value": v}), None for zero."""
-    if isinstance(spec, dict):
-        if spec.get("kind") != "constant" or "value" not in spec:
-            raise ConfigError(f"unknown background potential spec: {spec!r}")
-        spec = spec["value"]
-    return None if spec is None or spec == 0 else float(spec)
-
-
-def _gauge(field_b):
-    return fem.homogeneous_gauge(field_b) if field_b else None
 
 
 def _mesh(spec: dict, refine: int = 1) -> fem.Mesh:
@@ -361,12 +383,14 @@ class Operator:
 
     @classmethod
     def from_config(cls, cfg: dict, net: geometry.Network, base=None) -> "Operator":
-        """From cfg's profile or alpha entry on the network `net`, built on
-        `base`, else on the base of cfg's mesh, field_b and q, assembled here."""
+        """From the profile or alpha entry of `cfg`, `_check`'s result, on the
+        network `net`, built on `base`, else on the base of cfg's mesh and
+        its numbers field_b and q (absent or zero for none), assembled here."""
         profiles = profiles_from_config(cfg, net)
         if base is None:
-            A, Q = _gauge(cfg.get("field_b", 0.0)), _q_function(cfg.get("q"))
-            base = fem.assemble_base(_mesh(cfg["mesh"]), A, Q)
+            b, q = cfg.get("field_b"), cfg.get("q")
+            base = fem.assemble_base(_mesh(cfg["mesh"]), fem.homogeneous_gauge(b) if b else None,
+                                     float(q) if q else None)
         strengths = {p.segment: potentials.effective_alpha(p) for p in profiles}
         return cls(base, net, profiles, strengths)
 
@@ -458,21 +482,22 @@ def export_strengths_csv(net, strengths, path, samples: int = 65):
         fh.write("\n".join(lines) + "\n")
 
 
-def _dump(cfg, tag, form):
+def _dump(c, tag, form):
     """Write S and M of `form` as Matrix Market files tag_S.mtx and tag_M.mtx
-    in the directory cfg["dump_mm"], when set; `_check_run` made it."""
-    if cfg.get("dump_mm") is not None:
+    in the directory c["dump_mm"], when set; `_check_run` made it."""
+    if c["dump_mm"] is not None:
         import scipy.io  # loaded only for the dump
 
         for name in "SM":
-            scipy.io.mmwrite(os.path.join(cfg["dump_mm"], f"{tag}_{name}.mtx"),
+            scipy.io.mmwrite(os.path.join(c["dump_mm"], f"{tag}_{name}.mtx"),
                              getattr(form, name))
 
 
-def _envelope(scenario, cfg, fields, flags, csv, *, net, mesh, squeezed=None):
+def _envelope(scenario, cfg, fields, flags, csv, *, out, net, mesh, squeezed=None):
     """(report, status) of a run, status 2 when any flag fired, else 0.  Adds
-    the shared entries to `fields`, and `form` unless `squeezed` is None;
-    writes the report and the (header, rows) pair `csv` when cfg["out"] is set."""
+    the config `cfg` as given and the shared entries to `fields`, and `form`
+    unless `squeezed` is None; writes the report and the (header, rows) pair
+    `csv` to the directory `out` when it is set."""
     report = {
         "scenario": scenario,
         "config": dict(cfg),
@@ -484,8 +509,8 @@ def _envelope(scenario, cfg, fields, flags, csv, *, net, mesh, squeezed=None):
     }
     if squeezed is not None:
         report["form"] = "squeezed" if squeezed else "delta"
-    if cfg.get("out"):
-        report = write_report(cfg["out"], report, *csv)
+    if out:
+        report = write_report(out, report, *csv)
     return report, (2 if flags else 0)
 
 
@@ -517,19 +542,18 @@ def run_convergence(cfg):
     is >= 25 percent or None.  Returns (report, status): status 2 when any
     flag fired, else 0.
     """
-    _check("convergence", cfg, "mesh.box", "mesh.h", "network", counts=("threads",),
-           reals=("field_b", "q"), strengths=("alpha",))
-    net = network_from_spec(cfg["network"])
-    _check_run("convergence", cfg, "eps_grid", [net],
-               refines=(1, 2) if cfg.get("refine_check", False) else (1,))
-    eps_grid = np.asarray(cfg["eps_grid"], dtype=float)
+    c = _check("convergence", cfg, "mesh.box", "mesh.h", "network",
+               reals={"field_b": 0.0, "q": 0.0}, flags={"refine_check": False},
+               grids={"eps_grid": ...}, strengths={"alpha": None}, run=True)
+    net = network_from_spec(c["network"])
+    _check_run("convergence", c, "eps_grid", [net], refines=(1, 2) if c["refine_check"] else (1,))
+    eps_grid = np.asarray(c["eps_grid"], dtype=float)
     if not np.all(np.diff(eps_grid) < 0):
         raise ConfigError("eps_grid must be strictly decreasing")
-    threads, out = cfg.get("threads", 1), cfg.get("out")
-    op = Operator.from_config(cfg, net)
+    op = Operator.from_config(c, net)
 
     forms = {None: op.form()}  # the delta form, which the sweep takes out and drops
-    _dump(cfg, "delta", forms[None])
+    _dump(c, "delta", forms[None])
     res_delta = op.solve(forms[None], values_only=True)
     lam_delta, ground = float(res_delta.eigenvalues[0]), res_delta.eigenvectors[:, 0]
 
@@ -538,13 +562,13 @@ def run_convergence(cfg):
     # below lam_delta; the rerun at the lower shift takes norms only, since
     # the eigenvalues of the first sweep place it below every pencil.
     shift = lam_delta - max(1.0, abs(lam_delta))
-    eps_results = _eps_sweep(op, forms, ground, shift, eps_grid, threads=threads,
-                             dump=functools.partial(_dump, cfg))
+    eps_results = _eps_sweep(op, forms, ground, shift, eps_grid, threads=c["threads"],
+                             dump=functools.partial(_dump, c))
     lam_eps = [float(r.eigenvalues[0]) for r, _ in eps_results]
     norms = [n for _, n in eps_results]
     if None in norms or min(lam_eps) < lam_delta:
         shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
-        swept = _eps_sweep(op, {}, ground, shift, eps_grid, threads=threads, solve=False)
+        swept = _eps_sweep(op, {}, ground, shift, eps_grid, threads=c["threads"], solve=False)
         norms = [n for _, n in swept or [(None, None)] * len(eps_grid)]
         if None in norms:
             pencil = "delta" if swept is None else f"eps={eps_grid[norms.index(None)]}"
@@ -573,7 +597,7 @@ def run_convergence(cfg):
 
     # self-check: recovered strengths against the requested alpha
     self_check = {}
-    alpha = cfg.get("alpha")
+    alpha = c["alpha"]
     if alpha is not None:
         req = alpha if not np.isscalar(alpha) else [alpha] * len(net.segments)
         worst = 0.0
@@ -586,19 +610,19 @@ def run_convergence(cfg):
             flags["alpha_roundtrip_failed"] = True
 
     refine_block = None
-    if cfg.get("refine_check", False):
-        op2 = replace(op, base=fem.assemble_base(_mesh(cfg["mesh"], refine=2),
+    if c["refine_check"]:
+        op2 = replace(op, base=fem.assemble_base(_mesh(c["mesh"], refine=2),
                                                  op.base.A, op.base.Q))
         forms = {None: op2.form()}
         res2 = op2.solve(forms[None], values_only=True)
         swept = _eps_sweep(op2, forms, res2.eigenvectors[:, 0], shift, eps_grid,
-                           threads=threads, solve=False)
+                           threads=c["threads"], solve=False)
         fine = [None if n is None else n.value
                 for _, n in swept or [(None, None)] * len(eps_grid)]
         changes = [None if n is None else abs(n - r) / max(r, 1e-300)
                    for n, r in zip(fine, res_norms)]
         fit = spectral.fit_rate(eps_grid, fine) if len(fine) >= 3 and None not in fine else None
-        refine_block = {"h": cfg["mesh"]["h"] / 2, "norm": fine[0], "rel_change": changes[0],
+        refine_block = {"h": c["mesh"]["h"] / 2, "norm": fine[0], "rel_change": changes[0],
                         "norms": fine, "rel_changes": changes, "norm_fit": _fit_dict(fit)}
         if changes[0] is None or changes[0] >= 0.25:
             flags["discretization_dominates_eps_effect"] = True
@@ -630,10 +654,10 @@ def run_convergence(cfg):
     ]
     report, status = _envelope(
         "convergence", cfg, fields, flags, (("eps", "res_norm", "eig_gap", "converged"), rows),
-        net=net, mesh=op.base.mesh,
+        out=c["out"], net=net, mesh=op.base.mesh,
     )
-    if out:
-        export_strengths_csv(net, op.strengths, os.path.join(out, "strengths.csv"))
+    if c["out"]:
+        export_strengths_csv(net, op.strengths, os.path.join(c["out"], "strengths.csv"))
     return report, status
 
 
@@ -732,14 +756,10 @@ def run_stargraph(cfg: dict):
     supplies the discretization error bar), and reports the gap, the
     rotation-congruence check, and pass flags.
     """
-    _check("stargraph", cfg, "N", "angles", "alpha", "mesh.box", "mesh.h",
-           counts=("N", "threads"), reals=("L", "rot_deg", "beta_cap", "eps"),
-           strengths=("alpha", "angles"))
-    N = cfg["N"]
-    L = cfg.get("L", 1.0)
-    angles = list(cfg["angles"])
-    alpha = cfg["alpha"]
-    eps = cfg.get("eps")
+    c = _check("stargraph", cfg, "mesh.box", "mesh.h", counts={"N": ...},
+               reals={"L": 1.0, "rot_deg": 17.0, "beta_cap": 0.4, "eps": None},
+               lists={"angles": ...}, strengths={"alpha": ...}, run=True)
+    N, L, angles, eps, beta_cap = (c[key] for key in ("N", "L", "angles", "eps", "beta_cap"))
     if N <= 2:
         raise ConfigError("star graph needs N > 2 edges")
     if not L > 0.0:
@@ -748,25 +768,22 @@ def run_stargraph(cfg: dict):
         raise ConfigError(f"expected {N} angles, got {len(angles)}")
     if abs(sum(angles) - 360.0) > 1e-8:
         raise ConfigError(f"angles must sum to 360 degrees, got {sum(angles)}")
-    beta_cap = cfg.get("beta_cap", 0.4)
     nets = {
         "sigma": _star_network(angles, L, beta_cap=beta_cap),
         "gamma": _star_network([360.0 / N] * N, L, beta_cap=beta_cap),
-        "rot": _star_network([360.0 / N] * N, L, rot_deg=cfg.get("rot_deg", 17.0),
-                             beta_cap=beta_cap),
+        "rot": _star_network([360.0 / N] * N, L, rot_deg=c["rot_deg"], beta_cap=beta_cap),
     }
-    _check_run("stargraph", cfg, "eps", nets.values(), refines=(1, 2),
-               strengths={"alpha": alpha})
-    meshes = {"h": _mesh(cfg["mesh"]), "h2": _mesh(cfg["mesh"], refine=2)}
+    _check_run("stargraph", c, "eps", nets.values(), refines=(1, 2))
+    meshes = {"h": _mesh(c["mesh"]), "h2": _mesh(c["mesh"], refine=2)}
     values = {}
     for step, mesh in meshes.items():
         base = fem.assemble_base(mesh)
         for name, net in nets.items():
             tag = f"{name}_{step}"
-            op = Operator.from_config({"alpha": alpha}, net, base)
+            op = Operator.from_config(c, net, base)
             form = op.form(eps)
             if tag in ("sigma_h", "gamma_h"):
-                _dump(cfg, tag, form)
+                _dump(c, tag, form)
             res = op.solve(form, eps)
             values[tag] = {
                 "lam": float(res.eigenvalues[0]),
@@ -811,7 +828,7 @@ def run_stargraph(cfg: dict):
     ]
     return _envelope(
         "stargraph", cfg, fields, flags, (("graph", "lam_h", "lam_h2"), rows),
-        net=nets["sigma"], mesh=meshes["h"], squeezed=eps is not None,
+        out=c["out"], net=nets["sigma"], mesh=meshes["h"], squeezed=eps is not None,
     )
 
 
@@ -839,20 +856,18 @@ def run_cusp(cfg: dict):
     the ground state of the one before (`Operator.solve`'s `near`): its
     Rayleigh quotient places the shift and Lanczos starts from it.
     """
-    _check("cusp", cfg, "d", "alpha_list", "mesh.box", "mesh.h", counts=("threads",),
-           reals=("d", "x_max", "beta_cap", "eps"), strengths=("alpha_list",))
-    d = cfg["d"]
-    alphas = list(cfg["alpha_list"])
+    c = _check("cusp", cfg, "mesh.box", "mesh.h",
+               reals={"d": ..., "x_max": 0.75, "beta_cap": 0.25, "eps": None},
+               lists={"alpha_list": ...}, run=True)
+    d, x_max, eps, h = c["d"], c["x_max"], c["eps"], c["mesh"]["h"]
+    alphas = list(c["alpha_list"])
     if not alphas:
         raise ConfigError("cusp config: 'alpha_list' must be nonempty")
     if any(a >= 0 for a in alphas):
         raise ConfigError("cusp strengths must be negative")
     if not all(abs(a2) > abs(a1) for a1, a2 in zip(alphas, alphas[1:])):
         raise ConfigError("alpha list must increase in magnitude")
-    x_max = cfg.get("x_max", 0.75)
-    eps = cfg.get("eps")
-    h = cfg["mesh"]["h"]
-    net = cusp_network(d, x_max, beta_cap=cfg.get("beta_cap", 0.25))
+    net = cusp_network(d, x_max, beta_cap=c["beta_cap"])
 
     decay = 2.0 / max(abs(a) for a in alphas)
     if decay < 4.0 * h:
@@ -860,13 +875,13 @@ def run_cusp(cfg: dict):
             f"mesh too coarse for alpha={min(alphas)}: transverse decay length "
             f"{decay:.4f} is below 4h = {4 * h:.4f}"
         )
-    _check_run("cusp", cfg, "eps", [net], strengths={"alpha": alphas[0]})
+    _check_run("cusp", {**c, "alpha": alphas[0]}, "eps", [net])
 
     power = 6.0 / (d + 2.0)
     e1 = float(cusp_operator_eigs(d, k=1)[0])
     target = 2.0 ** (2.0 / (d + 2.0)) * e1
 
-    mesh = _mesh(cfg["mesh"])
+    mesh = _mesh(c["mesh"])
     base = fem.assemble_base(mesh)
     rows, flags = [], {}
     r_devs, shifts = [], []
@@ -874,7 +889,7 @@ def run_cusp(cfg: dict):
     for alpha in alphas:
         op = Operator.from_config({"alpha": alpha}, net, base)
         form = op.form(eps)
-        _dump(cfg, f"alpha_{alpha:g}", form)
+        _dump(c, f"alpha_{alpha:g}", form)
         res = op.solve(form, eps, near=ground)
         ground = res.eigenvectors[:, 0]
         lam = float(res.eigenvalues[0])
@@ -903,7 +918,7 @@ def run_cusp(cfg: dict):
     }
     return _envelope(
         "cusp", cfg, fields, flags, (("alpha", "lam1", "r", "residual"), rows),
-        net=net, mesh=mesh, squeezed=eps is not None,
+        out=c["out"], net=net, mesh=mesh, squeezed=eps is not None,
     )
 
 
@@ -932,18 +947,15 @@ def run_wedge(cfg: dict):
     reports the lowest eigenvalue, the Hermiticity residual, and whether
     the eigenvalue undercuts Theta * b.
     """
-    _check("wedge", cfg, "phi", "alpha", "mesh.box", "mesh.h", counts=("k", "threads"),
-           reals=("phi", "b", "theta", "ray_length", "beta_cap", "eps"), strengths=("alpha",))
-    phi = cfg["phi"]
-    alpha = cfg["alpha"]
-    b = cfg.get("b", 0.0)
-    theta = cfg.get("theta")
-    eps = cfg.get("eps")
+    c = _check("wedge", cfg, "mesh.box", "mesh.h", counts={"k": 1},
+               reals={"phi": ..., "b": 0.0, "theta": None, "ray_length": None, "beta_cap": 0.3,
+                      "eps": None}, strengths={"alpha": ...}, run=True)
+    phi, alpha, b, theta, eps = (c[key] for key in ("phi", "alpha", "b", "theta", "eps"))
     if b == 0.0:
         raise ConfigError("wedge scenario needs a nonzero magnetic field b")
     if not 0.0 < phi < np.pi:
         raise ConfigError(f"phi must lie in (0, pi), got {phi}")
-    box = cfg["mesh"]["box"]
+    box = c["mesh"]["box"]
     (x0, x1), (y0, y1) = box
     if not (x0 < 0.0 < x1 and y0 < 0.0 < y1):
         raise ConfigError(
@@ -951,7 +963,7 @@ def run_wedge(cfg: dict):
         )
 
     margin = min(abs(v) for pair in box for v in pair)
-    ray_len = cfg.get("ray_length", 0.8 * margin)
+    ray_len = 0.8 * margin if c["ray_length"] is None else c["ray_length"]
     net = geometry.Network(
         [
             geometry.LineSegment((0.0, 0.0), (ray_len, 0.0)),
@@ -959,19 +971,19 @@ def run_wedge(cfg: dict):
                 (0.0, 0.0), (ray_len * np.cos(phi), ray_len * np.sin(phi))
             ),
         ],
-        beta_cap=cfg.get("beta_cap", 0.3),
+        beta_cap=c["beta_cap"],
     )
-    _check_run("wedge", cfg, "eps", [net], strengths={"alpha": alpha})
+    _check_run("wedge", c, "eps", [net])
 
     if theta is None:
         logger.warning("wedge: Theta not supplied, criterion block skipped")
     criterion = None if theta is None else _wedge_criterion(phi, alpha, theta)
 
-    op = Operator.from_config({"alpha": alpha}, net,
-                              fem.assemble_base(_mesh(cfg["mesh"]), fem.homogeneous_gauge(b)))
+    op = Operator.from_config(c, net,
+                              fem.assemble_base(_mesh(c["mesh"]), fem.homogeneous_gauge(b)))
     form = op.form(eps)
-    _dump(cfg, "wedge", form)
-    res = op.solve(form, eps, k=cfg.get("k", 1))
+    _dump(c, "wedge", form)
+    res = op.solve(form, eps, k=c["k"])
     lam1 = float(res.eigenvalues[0])
     flags = {}
     if form.meta["hermiticity_residual"] > 1e-12:
@@ -987,21 +999,21 @@ def run_wedge(cfg: dict):
     }
     return _envelope(
         "wedge", cfg, fields, flags, (("index", "lam", "residual"), _eigen_rows(res)),
-        net=net, mesh=op.base.mesh, squeezed=eps is not None,
+        out=c["out"], net=net, mesh=op.base.mesh, squeezed=eps is not None,
     )
 
 
 def run_spectrum(cfg: dict):
     """Assemble the configured operator and report its k lowest eigenpairs."""
-    _check("spectrum", cfg, "mesh.box", "mesh.h", "network", counts=("k", "threads"),
-           reals=("field_b", "q", "eps"), strengths=("alpha",))
-    eps = cfg.get("eps")
-    net = network_from_spec(cfg["network"])
-    _check_run("spectrum", cfg, "eps", [net])
-    op = Operator.from_config(cfg, net)
+    c = _check("spectrum", cfg, "mesh.box", "mesh.h", "network", counts={"k": 3},
+               reals={"field_b": 0.0, "q": 0.0, "eps": None}, strengths={"alpha": None}, run=True)
+    eps = c["eps"]
+    net = network_from_spec(c["network"])
+    _check_run("spectrum", c, "eps", [net])
+    op = Operator.from_config(c, net)
     form = op.form(eps)
-    _dump(cfg, "spectrum", form)
-    res = op.solve(form, eps, k=cfg.get("k", 3))
+    _dump(c, "spectrum", form)
+    res = op.solve(form, eps, k=c["k"])
     fields = {
         "eigenvalues": res.eigenvalues.tolist(),
         "solver": {
@@ -1013,5 +1025,5 @@ def run_spectrum(cfg: dict):
     }
     return _envelope(
         "spectrum", cfg, fields, {}, (("index", "lam", "residual"), _eigen_rows(res)),
-        net=net, mesh=op.base.mesh, squeezed=eps is not None,
+        out=c["out"], net=net, mesh=op.base.mesh, squeezed=eps is not None,
     )

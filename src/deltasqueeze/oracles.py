@@ -1,10 +1,11 @@
 """Independent low-dimensional solvers anchoring the 2D experiments.
 
-Three families: the transverse 1D problem (point interaction and its
+Four families: the transverse 1D problem (point interaction and its
 squeezed square-well regularization), the half-line operator
 -f'' + x^d f with a Dirichlet condition at 0 governing cusp-induced
-eigenvalues, and the wedge criterion function whose negative infimum
-signals discrete spectrum below the magnetic threshold.  All 1D solves are
+eigenvalues, the wedge criterion function whose negative infimum signals
+discrete spectrum below the magnetic threshold, and the exact bound states
+of a delta interaction on a circle in the plane.  All 1D solves are
 second-order finite differences with Richardson extrapolation over two
 grids.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import erf
+from scipy.special import erf, ive, kve
 
 __all__ = [
     "WedgeParams",
@@ -24,6 +25,7 @@ __all__ = [
     "NoBoundStateError",
     "DomainSizeError",
     "delta_point_eigenvalue",
+    "ring_delta_eigenvalues",
     "square_well_ground_state",
     "squeezed_1d_eigenvalue",
     "cusp_operator_eigs",
@@ -50,6 +52,34 @@ def delta_point_eigenvalue(alpha: float) -> float:
     if alpha >= 0.0:
         raise NoBoundStateError(f"no bound state for alpha = {alpha} >= 0")
     return -(alpha**2) / 4.0
+
+
+def ring_delta_eigenvalues(alpha: float, R: float, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of -Laplace + alpha delta on the circle of
+    radius R in the plane, with multiplicity, or all of them when there are
+    fewer (none for alpha >= 0); the essential spectrum is [0, inf).
+
+    The angular momentum m has the bound state lam = -kappa^2 for each root
+    kappa > 0 of 1 + alpha R I_m(kappa R) K_m(kappa R) = 0 (Antoine, Gesztesy
+    and Shabani, J. Phys. A 20 (1987) 3687), twice for m >= 1.  I_m K_m falls
+    from 1/(2m) (infinity for m = 0) to 0, so m has one root when
+    -alpha R > 2m, and the roots rise with m.  ive * kve is I_m K_m with the
+    exponentials cancelled; where K_m overflows (m >= 2 near x = 0), I_m K_m
+    is its limit 1/(2m).
+    """
+    from scipy.optimize import brentq  # loaded only for the roots
+
+    def f(x):
+        k_m = kve(m, x)
+        return 1.0 + alpha * R * (ive(m, x) * k_m if np.isfinite(k_m) else 0.5 / m)
+
+    lams, m = [], 0
+    while len(lams) < k and -alpha * R > 2 * m:
+        # f < 0 below the root; f(1 - alpha R) > 0, as I_m K_m(x) < 1/x there
+        x = brentq(f, 1e-300, 1.0 - alpha * R, xtol=1e-300, rtol=1e-15)
+        lams += [-((x / R) ** 2)] * (1 if m == 0 else 2)
+        m += 1
+    return np.asarray(lams[:k])
 
 
 def square_well_ground_state(depth: float, halfwidth: float) -> float:

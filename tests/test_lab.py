@@ -14,7 +14,7 @@ import scipy.io
 import scipy.linalg as sla
 from conftest import assert_same_csr, full_node_form
 
-from deltasqueeze import cli, fem, frontal, geometry, lab, potentials, spectral
+from deltasqueeze import cli, fem, frontal, geometry, lab, oracles, potentials, spectral
 from deltasqueeze.fem import ResolutionError
 from deltasqueeze.lab import (
     ConfigError,
@@ -1205,6 +1205,18 @@ def test_squeezed_spectrum_shift_floor_includes_negative_background(monkeypatch)
     assert report["solver"]["shift"] < report["eigenvalues"][0]
 
 
+def test_the_delta_spectrum_of_a_ring_converges_to_its_exact_ground_state():
+    # -Laplace - 5 delta on the unit circle, the first exact 2D check of the
+    # delta pencil: lam_1 is 8.6 percent high at h = 1/16 and 4.6 at 1/32
+    ring = {"beta_cap": 0.5, "segments": [{"kind": "arc", "center": [0.0, 0.0], "radius": 1.0,
+                                           "theta0": 0.0, "theta1": 2.0 * np.pi}]}
+    exact = oracles.ring_delta_eigenvalues(-5.0, 1.0, 1)[0]
+    errors = [run_spectrum({"network": ring, "alpha": -5.0, "k": 1,
+                            "mesh": {"box": [[-3.5, 3.5], [-3.5, 3.5]], "h": h}})[0]
+              ["eigenvalues"][0] - exact for h in (1.0 / 16.0, 1.0 / 32.0)]
+    assert errors[1] > 0.0 and errors[0] >= 1.7 * errors[1]
+
+
 def test_zero_strength_magnetic_spectrum_matches_dense_eigh():
     cfg = {
         "network": {
@@ -1616,6 +1628,19 @@ BAD_ENTRY_CASES = [
      f"segment 0: curve quadrature points leave the open box {BOX}"),
     ("cusp", {"x_max": 2.0}, fem.GeometryError,
      "segment 0: curve quadrature points leave the open box ((-1.0, 2.0), (-1.5, 1.5))"),
+    # a list given as one number died in list(...), and a string flag was true
+    ("stargraph", {"angles": 120.0}, ConfigError,
+     "stargraph config: 'angles' must be a list of numbers, got 120.0"),
+    ("cusp", {"alpha_list": -2.0}, ConfigError,
+     "cusp config: 'alpha_list' must be a list of numbers, got -2.0"),
+    *[("convergence", {"refine_check": bad}, ConfigError,
+       f"convergence config: 'refine_check' must be true or false, got {bad!r}")
+      for bad in ("no", "false", 1)],
+    # a null required entry is checked as a value; it died with a raw TypeError
+    ("cusp", {"d": None}, ConfigError, "cusp config: 'd' must be a number, got None"),
+    ("stargraph", {"angles": None}, ConfigError,
+     "stargraph config: 'angles' must be a list of numbers, got None"),
+    ("cusp-b", {"d": None}, ConfigError, "cusp-b config: 'd' must be a number, got None"),
 ]
 
 
@@ -1633,3 +1658,71 @@ def test_a_bad_entry_fails_before_any_mesh_naming_it(tmp_path, capsys, built, co
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             runner({**cfg, **entries})
     assert built == []
+
+
+# (command, entry) pairs: a null died with a raw TypeError before any mesh, or
+# (wedge "b") after it, or (oracle1d "beta") in a comparison; a null count
+# was refused as not a positive integer, and refine_check ran as false
+NULL_CASES = [("stargraph", "L"), ("stargraph", "rot_deg"), ("cusp", "x_max"),
+              ("wedge", "beta_cap"), ("wedge", "ray_length"), ("wedge", "b"),
+              ("oracle1d", "beta"), ("cusp-b", "k"), ("convergence", "refine_check"),
+              ("spectrum", "k")]
+# configs in place of RUNNER_CFGS': the default x_max = 0.75 takes the cusp's
+# arc to x = 2.6, and the star runs at h = 1/16
+NULL_CFGS = {"cusp": {**SMALL_CUSP, "mesh": {"box": [[-1.0, 3.0], [-1.5, 1.5]], "h": 1.0 / 16.0}},
+             "stargraph": star_cfg(mesh=MESH)}
+
+
+@pytest.mark.parametrize("command, key", NULL_CASES, ids=[f"{c}-{k}" for c, k in NULL_CASES])
+def test_a_null_entry_runs_as_the_config_without_it(tmp_path, capsys, command, key):
+    def outcome(cfg):
+        """The report less its config echo and the status, or the error."""
+        if command in ORACLE_CFGS:
+            code = cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)])
+            return code, capsys.readouterr()
+        try:
+            report, status = RUNNER_CFGS[command][0](cfg)
+        except ConfigError as err:
+            return str(err)
+        return without(report, "config"), status
+
+    cfg = NULL_CFGS.get(command) or ORACLE_CFGS.get(command) or RUNNER_CFGS[command][1]
+    assert outcome({**without(cfg, key), key: None}) == outcome(without(cfg, key))
+
+
+class MeshBuilt(Exception):
+    """Raised in place of a run's first mesh, once every check has passed."""
+
+
+def refuse_mesh(box, h):
+    raise MeshBuilt
+
+
+@pytest.mark.parametrize("command", [*RUNNER_CFGS, *ORACLE_CFGS])
+def test_each_unknown_entry_is_logged_once_and_ignored(tmp_path, monkeypatch, caplog, command):
+    # a misspelt "feild_b" ran the operator without a field and said nothing;
+    # every runner knows "seed", "out" and "dump_mm", and no oracle command does
+    extra = {"feild_b": 1.5, "seed": 5, "dump_mm": str(tmp_path / "mm")}
+    monkeypatch.setattr(fem, "build_mesh", refuse_mesh)
+    with caplog.at_level(logging.WARNING, logger="deltasqueeze.lab"):
+        if command in ORACLE_CFGS:
+            cfg = write_cfg(tmp_path, "c.json", {**ORACLE_CFGS[command], **extra})
+            assert cli.main([command, "--config", cfg]) == 0
+        else:
+            runner, cfg = RUNNER_CFGS[command]
+            with pytest.raises(MeshBuilt):
+                runner({**cfg, **extra})
+    unknown = list(extra) if command in ORACLE_CFGS else ["feild_b"]
+    assert caplog.messages == [f"{command} config: unknown entry {key!r}, ignored"
+                               for key in unknown]
+
+
+def test_a_profile_is_known_where_it_may_replace_alpha(caplog):
+    # stargraph and wedge read their required alpha and no profile
+    profile = {"kind": "constant", "value": -5.0}
+    with caplog.at_level(logging.WARNING, logger="deltasqueeze.lab"):
+        lab._check("spectrum", {"profile": profile}, strengths={"alpha": None}, run=True)
+        lab._check("stargraph", {"alpha": -1.0, "profile": profile}, strengths={"alpha": ...})
+        lab._check("oracle1d", {"alpha": -1.0, "profile": profile}, reals={"alpha": ...})
+    assert caplog.messages == [f"{command} config: unknown entry 'profile', ignored"
+                               for command in ("stargraph", "oracle1d")]

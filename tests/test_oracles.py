@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import erf
+from scipy.special import erf, iv, kv
 
 from deltasqueeze.oracles import (
     DomainSizeError,
@@ -11,6 +11,7 @@ from deltasqueeze.oracles import (
     _fd_lowest,
     cusp_operator_eigs,
     delta_point_eigenvalue,
+    ring_delta_eigenvalues,
     square_well_ground_state,
     squeezed_1d_eigenvalue,
     wedge_F,
@@ -46,6 +47,30 @@ def test_point_delta_cross_check_against_fd():
         cells_per_eps=4, domain_halfwidth=4.0,
     )
     assert lam == pytest.approx(delta_point_eigenvalue(alpha), abs=1e-2)
+
+
+# ------------------------------------------------------------ delta ring
+
+
+def test_ring_delta_eigenvalues_are_the_published_roots():
+    # alpha = -5 on the unit circle binds m = 0, 1, 2 (m < -alpha R / 2), and
+    # each m >= 1 twice: five bound states, so k = 6 returns five
+    lams = ring_delta_eigenvalues(-5.0, 1.0, 6)
+    assert lams == pytest.approx([-6.558011, -5.241617, -5.241617, -2.072459, -2.072459],
+                                 abs=1e-6)
+    for m, lam in zip((0, 1, 2), lams[[0, 1, 3]]):
+        x = np.sqrt(-lam)
+        assert 1.0 - 5.0 * iv(m, x) * kv(m, x) == pytest.approx(0.0, abs=1e-13)
+
+
+def test_ring_delta_eigenvalues_scale_and_bind_only_when_attractive():
+    # radius R and strength alpha give R^-2 times the spectrum at (alpha R, 1)
+    assert ring_delta_eigenvalues(-2.5, 2.0, 3) == pytest.approx(
+        ring_delta_eigenvalues(-5.0, 1.0, 3) / 4.0, rel=1e-12)
+    assert ring_delta_eigenvalues(-5.0, 1.0, 2) == pytest.approx([-6.558011, -5.241617], abs=1e-6)
+    assert ring_delta_eigenvalues(2.0, 1.0, 3).size == 0
+    # the strong-coupling limit is the line's -alpha^2 / 4
+    assert ring_delta_eigenvalues(-600.0, 1.0, 1)[0] == pytest.approx(-90000.0, rel=1e-5)
 
 
 # ------------------------------------------------------------- squeezed 1d

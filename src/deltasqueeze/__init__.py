@@ -44,6 +44,7 @@ from .oracles import (
     cusp_operator_eigs,
     delta_point_eigenvalue,
     ring_delta_eigenvalues,
+    ring_mode_eigenvalue,
     squeezed_1d_eigenvalue,
     wedge_F,
     wedge_F_infimum,

@@ -56,6 +56,7 @@ __all__ = [
     "assemble_magnetic_stiffness",
     "assemble_delta_term",
     "line_quadrature",
+    "interpolate",
     "restrict",
     "assemble_base",
     "build_form",
@@ -445,12 +446,10 @@ def assemble_delta_term(mesh: Mesh, net: Network, strengths):
 
     `strengths` maps segment index to its strength (scalar, callable of arc
     length, or StrengthFunction) and is read by `get`, so a list raises;
-    segments without an entry, or with None, are skipped.  The quadrature is
-    `line_quadrature`'s.
+    segments without an entry, or with None, are skipped.  Each point of the
+    quadrature, `line_quadrature`'s, adds the element matrix of its triangle.
     """
-    n = mesh.n_nodes
-    rows, cols, vals = [], [], []
-    any_complex = False
+    elems, nodes = [np.zeros((0, 3, 3))], [np.zeros((0, 3), np.int64)]
     for k, seg in enumerate(net.segments):
         a_k = strengths.get(k)
         if a_k is None:
@@ -460,23 +459,20 @@ def assemble_delta_term(mesh: Mesh, net: Network, strengths):
             aq = np.asarray(a_k(sq))
         else:
             aq = np.full(sq.shape, a_k, dtype=np.result_type(a_k, float))
-        any_complex = any_complex or np.iscomplexobj(aq)
-        nodes, basis = _p1_basis_at_points(mesh, pts)
-        w = aq * wq
-        elems = w[:, None, None] * basis[:, :, None] * basis[:, None, :]
-        rows.append(np.repeat(nodes, 3, axis=1).ravel())
-        cols.append(np.tile(nodes, (1, 3)).ravel())
-        vals.append(elems.ravel())
-    if not rows:
-        return sp.csr_matrix((n, n))
-    dtype = complex if any_complex else float
-    return sp.coo_matrix(
-        (
-            np.concatenate(vals).astype(dtype),
-            (np.concatenate(rows), np.concatenate(cols)),
-        ),
-        shape=(n, n),
-    ).tocsr()
+        tri, basis = _p1_basis_at_points(mesh, pts)
+        elems.append((aq * wq)[:, None, None] * basis[:, :, None] * basis[:, None, :])
+        nodes.append(tri)
+    return _scatter(mesh, np.concatenate(elems), np.concatenate(nodes))
+
+
+def interpolate(mesh: Mesh, u, points):
+    """Values at `points` (n, 2) of the P1 function of `mesh` with the values
+    `u` at the interior nodes, in the order of `mesh.interior`, and 0 on the
+    boundary."""
+    values = np.zeros(mesh.n_nodes, dtype=np.result_type(u, float))
+    values[mesh.interior] = u
+    nodes, basis = _p1_basis_at_points(mesh, np.asarray(points, dtype=float))
+    return np.sum(values[nodes] * basis, axis=1)
 
 
 def restrict(mesh: Mesh, A):

@@ -546,13 +546,13 @@ class TreeFactor:
     matrices that agree with A outside it reuse: the values of A in the
     shared fronts (`_Plan`) and the updates they pass into tube fronts; a
     factor made otherwise keeps neither.  Given such a factor F on this
-    tree, the factor compares the lower triangle of A in every shared front
-    with F's, bitwise, and when A has F's pattern, dtype and these values it
-    factors only the tube fronts: it takes the classes, K and D of every
-    shared front, and the updates they pass into the tube, from F, without
-    a copy (the factor of a front depends only on the entries of its
-    subtree: Liu, SIAM Review 34 (1992) 82-109).  Otherwise it factors A in
-    full, as without `share`.
+    tree, while the tree's cache still holds F's plan, the factor compares
+    the lower triangle of A in every shared front with F's, bitwise, and
+    when A has F's pattern, dtype and these values it factors only the tube
+    fronts: it takes the classes, K and D of every shared front, and the
+    updates they pass into the tube, from F, without a copy (the factor of
+    a front depends only on the entries of its subtree: Liu, SIAM Review 34
+    (1992) 82-109).  Otherwise it factors A in full, as without `share`.
 
     `negatives` is the number of negative eigenvalues of A; `nnz` the number
     of entries of K that the factor stores itself, one K per class.  Only
@@ -568,28 +568,21 @@ class TreeFactor:
             raise ValueError(f"matrix of shape {A.shape} on a tree of {n} unknowns")
         dtype = np.result_type(A.dtype, float)
         keep = share is not None and not isinstance(share, TreeFactor)  # a tube
-        # the lower triangle of A in the order of a pattern (`_entries`):
-        # A is read once, here, and then dropped
-        values = gathered = None
-        if (isinstance(share, TreeFactor) and share._shared_values is not None
-                and tree is share._tree and dtype == share._dtype
-                and np.array_equal(share._pattern[0], A.indptr)
-                and np.array_equal(share._pattern[1], A.indices)):
-            gathered = share._pattern
-            values = A.data[gathered[3]].astype(dtype, copy=False)
-        reuse = values is not None and np.array_equal(
-            _shared(values, gathered[4]).view(np.uint8), share._shared_values.view(np.uint8))
-        if reuse:
-            plan, pattern = share._plan, share._pattern
-            self._exterior = share._exterior  # the identity of the shared fronts
-        else:
-            plan = _plan(tree, np.asarray(share, dtype=bool) if keep else None)
-            pattern = _entries(plan, tree, A)
-            if pattern is not gathered:
-                values = A.data[pattern[3]].astype(dtype, copy=False)
-            self._exterior = object()
+        # without a tube the tree's cached plan, whatever its tube: a lender's
+        # while the cache holds it, and then its pattern when A has it
+        plan = _plan(tree, np.asarray(share, dtype=bool) if keep else None)
+        pattern = _entries(plan, tree, A)
+        # the lower triangle of A in the order of the pattern: A is read
+        # once, here, and then dropped
+        values = A.data[pattern[3]].astype(dtype, copy=False)
         del A
-        self._plan, self._pattern, self._tree, self._dtype = plan, pattern, tree, dtype
+        reuse = (isinstance(share, TreeFactor) and share._shared_values is not None
+                 and share._pattern is pattern and dtype == share._dtype
+                 and np.array_equal(_shared(values, pattern[4]).view(np.uint8),
+                                    share._shared_values.view(np.uint8)))
+        # the identity of the shared fronts
+        self._exterior = share._exterior if reuse else object()
+        self._plan, self._pattern, self._dtype = plan, pattern, dtype
         groups = plan.groups
         K, D = [None] * len(groups), [None] * len(groups)
         given = [None] * len(groups)

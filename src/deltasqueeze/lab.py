@@ -97,11 +97,22 @@ def _points(value) -> bool:
     return _list(value) and all(map(_pair, value))
 
 
+def _network(value) -> bool:
+    """Whether `value` is a block, as a network is."""
+    return isinstance(value, dict)
+
+
+def _path(value) -> bool:
+    """Whether `value` is a path, as a directory entry is."""
+    return isinstance(value, (str, os.PathLike))
+
+
 # what each test of an entry asks for, as its ConfigError says it
 _KINDS = {_real: "a number", _count: "a positive integer", _flag: "true or false",
           _list: "a list of numbers", _grid: "a nonempty list of numbers",
           _pair: "a pair of numbers", _reals: "a list of numbers",
-          _points: "a list of pairs of numbers"}
+          _points: "a list of pairs of numbers", _network: "a network block",
+          _path: "a directory path"}
 
 
 def _entry(where, spec: dict, key, test=_real, default=...):
@@ -132,11 +143,11 @@ def _check(scenario, cfg: dict, *keys, counts={}, reals={}, flags={}, lists={}, 
     (nonempty lists of numbers) and `strengths` (numbers or lists of them,
     None for unset).  An absent or null entry reads as its default; a default
     of ... marks a required entry, which must be present.  A bool or a string
-    is not a number.  `run` adds the runners' settings: the count "threads"
-    (default 1), "out" and "dump_mm" (default None), and the ignored "seed";
-    an optional strength "alpha" adds its alternative "profile".  Each other
-    top-level entry of cfg is logged as unknown, one warning each, and
-    ignored."""
+    is not a number; "network" must be a block.  `run` adds the runners'
+    settings: the count "threads" (default 1), the paths "out" and "dump_mm"
+    (default None), and the ignored "seed"; an optional strength "alpha" adds
+    its alternative "profile".  Each other top-level entry of cfg is logged
+    as unknown, one warning each, and ignored."""
     where = f"{scenario} config"
     if run:
         counts = {"threads": 1, **counts}
@@ -158,8 +169,10 @@ def _check(scenario, cfg: dict, *keys, counts={}, reals={}, flags={}, lists={}, 
             raise ConfigError(f"{where}: 'mesh.box' must be two increasing pairs of numbers, "
                               f"[[x0, x1], [y0, y1]], got {box!r}")
     checked = {key.split(".")[0]: cfg[key.split(".")[0]] for key in keys}
+    if "network" in keys:
+        _entry(where, cfg, "network", _network)
     if run:
-        checked.update(out=cfg.get("out"), dump_mm=cfg.get("dump_mm"))
+        checked.update({key: _entry(where, cfg, key, _path, None) for key in ("out", "dump_mm")})
     if strengths.get("alpha", ...) is None:
         checked["profile"] = cfg.get("profile")
     for test, entries in kinds:
@@ -409,10 +422,11 @@ class Operator:
         squeezed pencil is shifted to its potential floor, Q included; the
         trial bound seeds the delta shift.  Without a trial bound (all
         strengths zero) `lowest_eigs` certifies the shift by inertia.  With
-        k == 1 Lanczos starts from the trial state, which
-        overlaps the ground state (positive and simple when A = 0); with
-        k > 1, where a symmetric trial state can miss an odd excited state,
-        it starts from a random vector drawn with `spectral.START_SEED`.  So
+        k == 1 Lanczos starts from the trial state, which overlaps the
+        ground state when A = 0 (positive and simple), and with A != 0 from
+        it plus a random vector (`spectral.lowest_eigs`); with k > 1, where
+        a symmetric trial state can miss an odd excited state, from a random
+        vector drawn with `spectral.START_SEED`.  So
         `trial_upper_bound` is called only for the delta form or k == 1: a
         squeezed form with k > 1 reads neither its bound nor its state.
         `values_only` is `spectral.lowest_eigs`'s: the caller uses the
@@ -529,13 +543,15 @@ def run_convergence(cfg):
     one refused, else the first refused eps.  Every eigensolve is k = 1 and
     starts Lanczos near its ground state: from the trial state when it makes
     its own factor (`Operator.solve`), else from the delta ground state, as
-    every norm does.
+    every norm on the run's mesh does.
     The report uses the eigenvalues only, so every eigensolve is
     `values_only` and stops on the value error estimate, which the report
     lists under `solver` with the eigensolves' and the norms'.
 
-    `refine_check` repeats the delta eigensolve on the h/2 mesh and the sweep
-    there at the run's shift, norms only.  It reports every eps's h/2 norm
+    `refine_check` repeats the sweep on the h/2 mesh at the run's shift,
+    norms only, with no eigensolve there: its norms start from the P1
+    interpolant of the h delta ground state (`fem.interpolate`), which gives
+    the norms of the h/2 one to round-off.  It reports every eps's h/2 norm
     and relative change (None without certified h/2 factors, so every one
     when the h/2 delta factor is not certified) and the h/2 norm fit.  The flag
     `discretization_dominates_eps_effect` fires when the largest eps's change
@@ -611,12 +627,12 @@ def run_convergence(cfg):
 
     refine_block = None
     if c["refine_check"]:
-        op2 = replace(op, base=fem.assemble_base(_mesh(c["mesh"], refine=2),
-                                                 op.base.A, op.base.Q))
-        forms = {None: op2.form()}
-        res2 = op2.solve(forms[None], values_only=True)
-        swept = _eps_sweep(op2, forms, res2.eigenvectors[:, 0], shift, eps_grid,
-                           threads=c["threads"], solve=False)
+        mesh2 = _mesh(c["mesh"], refine=2)
+        op2 = replace(op, base=fem.assemble_base(mesh2, op.base.A, op.base.Q))
+        # the h delta ground state, interpolated, starts the h/2 norms
+        start = fem.interpolate(op.base.mesh, ground, np.stack(
+            [mesh2.node_x[mesh2.interior], mesh2.node_y[mesh2.interior]], axis=1))
+        swept = _eps_sweep(op2, {}, start, shift, eps_grid, threads=c["threads"], solve=False)
         fine = [None if n is None else n.value
                 for _, n in swept or [(None, None)] * len(eps_grid)]
         changes = [None if n is None else abs(n - r) / max(r, 1e-300)

@@ -4,8 +4,9 @@ Four families: the transverse 1D problem (point interaction and its
 squeezed square-well regularization), the half-line operator
 -f'' + x^d f with a Dirichlet condition at 0 governing cusp-induced
 eigenvalues, the wedge criterion function whose negative infimum signals
-discrete spectrum below the magnetic threshold, and the exact bound states
-of a delta interaction on a circle in the plane.  All 1D solves are
+discrete spectrum below the magnetic threshold, and the bound states of a
+delta interaction on a circle: exact in the plane, and mode by mode in a
+disc with a homogeneous magnetic field.  All 1D solves are
 second-order finite differences with Richardson extrapolation over two
 grids.
 """
@@ -26,6 +27,7 @@ __all__ = [
     "DomainSizeError",
     "delta_point_eigenvalue",
     "ring_delta_eigenvalues",
+    "ring_mode_eigenvalue",
     "square_well_ground_state",
     "squeezed_1d_eigenvalue",
     "cusp_operator_eigs",
@@ -80,6 +82,31 @@ def ring_delta_eigenvalues(alpha: float, R: float, k: int) -> np.ndarray:
         lams += [-((x / R) ** 2)] * (1 if m == 0 else 2)
         m += 1
     return np.asarray(lams[:k])
+
+
+def ring_mode_eigenvalue(alpha: float, R: float, m: int, b: float = 0.0, *,
+                         wall: float, steps: int = 200) -> float:
+    """Lowest eigenvalue of -(1/r)(r u')' + (m/r - b r/2)^2 u, the mode m of
+    (i grad + A)^2 with A = (b/2)(-y, x), with the jump u'(R+) - u'(R-) =
+    alpha u(R) and u(wall) = 0.  Cell-centred differences of the r-weighted
+    form on the cells [r - h/2, r + h/2] of r = 0, h, .. ([0, h/2] at 0),
+    h = R / steps, Richardson-extrapolated over h and h/3; wall / h must be
+    an integer.  Steps 100 and 200 agree to 5e-8 (alpha -5, R 1, wall 3.5)."""
+    lams = []
+    for J in (steps, 3 * steps):
+        h, N = R / J, round(wall * J / R)
+        if abs(wall * J / R - N) > 1e-9 or N <= J:
+            raise ValueError(f"wall {wall} must be a multiple of R / steps = {R / steps} above R")
+        r = h * np.arange(0 if m == 0 else 1, N)
+        w = np.where(r == 0.0, h * h / 8.0, h * r)  # each cell's integral of r dr
+        face = r + 0.5 * h  # the last cell's outer face meets the wall node
+        d = (np.maximum(r - 0.5 * h, 0.0) + face) / h \
+            + w * (m / np.where(r == 0.0, 1.0, r) - 0.5 * b * r) ** 2
+        d[J - (m != 0)] += alpha * R  # the cell of r = R
+        s = 1.0 / np.sqrt(w)  # the pencil (d, -face / h) against diag(w), made symmetric
+        lams.append(eigvalsh_tridiagonal(d * s * s, -face[:-1] / h * s[:-1] * s[1:],
+                                         select="i", select_range=(0, 0))[0])
+    return float((9.0 * lams[1] - lams[0]) / 8.0)
 
 
 def square_well_ground_state(depth: float, halfwidth: float) -> float:

@@ -44,7 +44,8 @@ norm, and every eigensolve asked for `values_only`, stops as soon as the
 estimate is at most VALUE_RTOL relative, or the residual test passes.  An
 eigensolve starts from a given vector near the wanted eigenspace when the
 caller has one (a trial state, or the ground state of a nearby pencil),
-else from a random vector drawn with START_SEED.  A norm is one Lanczos
+plus a random vector on a complex pencil, else from a random vector drawn
+with START_SEED.  A norm is one Lanczos
 run from its start, taken the same way: a given vector near the top
 eigenvector of the resolvent difference (the delta ground state, or a trial
 state near it), itself.  One fixed seed and no state kept between calls:
@@ -182,7 +183,10 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
     run to about 1e-13 relative), started from `v0` when given (a vector
     near the wanted eigenspace, such as a positive trial state or the
     ground state of a nearby pencil; ARPACK Users' Guide, SIAM 1998, sec.
-    4.4), else from a random vector drawn with START_SEED.  On a tree
+    4.4), else from a random vector drawn with START_SEED, which a complex
+    pencil adds to `v0`, each normalised in M: a magnetic ground state may
+    be odd under a symmetry that v0 keeps (the half-turn of a gauge centred
+    in the box), and Lanczos from v0 alone reaches it by rounding.  On a tree
     factor it is `_lanczos` on (S - sigma M)^-1 M, which tests after every
     step (18 solves for the converge-line delta eigensolve against ARPACK's
     21) and raises RuntimeError after _CYCLES fills; on a SuperLU factor it
@@ -214,8 +218,9 @@ def lowest_eigs(S, M, k: int = 1, shift: float | None = None, *,
         w, V = w[:k], V[:, :k]
         shift_used = shift if shift is not None else float(w[0] - 1.0)
         return _finalize(S, M, w, V, shift_used, None)
-    if v0 is None:
-        v0 = next(_random_starts(n, np.iscomplexobj(S.data)))
+    if v0 is None or np.iscomplexobj(S.data):  # random, or v0 plus random, each normalised in M
+        r = next(_random_starts(n, np.iscomplexobj(S.data)))
+        v0 = r if v0 is None else sum(v / np.sqrt(np.vdot(v, M @ v).real) for v in (v0, r))
     if shift is None:
         # variational estimates may miss vertex deepening factors
         shift = (upper_estimate - max(1.0, 3.0 * abs(upper_estimate))

@@ -16,6 +16,7 @@ from deltasqueeze.fem import (
     build_mesh,
     hermiticity_residual,
     homogeneous_gauge,
+    interpolate,
     restrict,
 )
 from deltasqueeze.geometry import CircularArc, LineSegment, Network, SplineSegment
@@ -394,6 +395,30 @@ def test_form_consistency_delta_interpolants():
 
 
 # ------------------------------------------------------- tube-only scatter
+
+
+def test_interpolate_keeps_coarse_nodes_and_averages_edge_midpoints():
+    # every node of the h/2 mesh of a dyadic mesh lies between two coarse
+    # nodes (i, j) and (i + a, j + b), the same one at a coarse node: it takes
+    # the coarse value there, bitwise, and the mean of the two ends at the
+    # midpoint of an edge, the diagonal included; 0 on the boundary
+    mesh = build_mesh(((-1.0, 1.0), (-0.5, 1.0)), 0.125)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(mesh.n_interior) + 1j * rng.standard_normal(mesh.n_interior)
+    values = np.zeros(mesh.n_nodes, dtype=complex)
+    values[mesh.interior] = u
+    fine = build_mesh(mesh.box, mesh.h / 2)
+    got = interpolate(mesh, u, np.stack([fine.node_x, fine.node_y], axis=1))
+    i, j = np.arange(fine.n_nodes) % (fine.nx + 1), np.arange(fine.n_nodes) // (fine.nx + 1)
+    lo = (j // 2) * (mesh.nx + 1) + i // 2
+    hi = ((j + 1) // 2) * (mesh.nx + 1) + (i + 1) // 2
+    coarse = (i % 2 == 0) & (j % 2 == 0)
+    assert np.array_equal(got[coarse], values[lo[coarse]])
+    assert np.array_equal(got, (values[lo] + values[hi]) / 2)
+    boundary = np.ones(fine.n_nodes, dtype=bool)
+    boundary[fine.interior] = False
+    assert not np.any(got[boundary])
+    assert interpolate(mesh, u.real, np.stack([fine.node_x, fine.node_y], axis=1)).dtype == float
 
 
 def test_tube_only_potential_equals_the_full_scatter():

@@ -339,9 +339,10 @@ def test_convergence_factors_each_pencil_once_at_the_common_shift(monkeypatch, r
     monkeypatch.setattr(spectral.ResolventFactor, "__init__", counting)
     cfg = small_convergence_cfg(refine_check=refine_check)
     run_convergence(cfg)
-    # on each mesh: the delta eigensolve, the delta resolvent, and one factor per eps
-    per_mesh = 2 + len(cfg["eps_grid"])
-    assert len(factored) == (2 if refine_check else 1) * per_mesh
+    # on each mesh: the delta resolvent and one factor per eps; on the run's
+    # mesh also the delta eigensolve, whose ground state starts the h/2 norms
+    per_mesh = 1 + len(cfg["eps_grid"])
+    assert len(factored) == 1 + (2 if refine_check else 1) * per_mesh
 
 
 # a small config of every runner
@@ -507,13 +508,15 @@ def test_refine_check_with_the_shift_above_the_h2_delta_eigenvalue_has_no_norms(
 
 
 def test_refine_check_eigensolves_only_the_delta_pencils(monkeypatch):
-    # the h/2 eps factors are certified by inertia alone
+    # the h/2 eps factors are certified by inertia alone, and the h/2 norms
+    # start from the interpolated h ground state: the delta pencil and every
+    # eps one are eigensolved on the run's mesh only
     lowest_eigs, calls = spectral.lowest_eigs, []
     monkeypatch.setattr(spectral, "lowest_eigs",
                         lambda *args, **kwargs: calls.append(1) or lowest_eigs(*args, **kwargs))
     cfg = small_convergence_cfg(refine_check=True)
     run_convergence(cfg)
-    assert len(calls) == 2 + len(cfg["eps_grid"])
+    assert len(calls) == 1 + len(cfg["eps_grid"])
 
 
 def test_convergence_uncertified_after_the_rerun_raises_shift_error(monkeypatch):
@@ -560,7 +563,8 @@ def test_convergence_with_refused_delta_sweep_counts_raises_shift_error(monkeypa
 
 
 def test_every_norm_of_a_run_is_warm_started(monkeypatch):
-    # from the delta ground state of its own mesh: the run's, then the h/2 mesh's
+    # from the delta ground state of the run's mesh, and on the h/2 mesh from
+    # its P1 interpolant
     norm, starts = spectral.resolvent_diff_norm, []
 
     def recording(R_delta, R_eps, **kwargs):
@@ -571,13 +575,14 @@ def test_every_norm_of_a_run_is_warm_started(monkeypatch):
     cfg = small_convergence_cfg(refine_check=True)
     run_convergence(cfg)
     op = config_operator(cfg)
-    fine = dataclasses.replace(op, base=fem.assemble_base(
-        fem.build_mesh(op.base.mesh.box, op.base.mesh.h / 2), op.base.A, op.base.Q))
+    fine = fem.build_mesh(op.base.mesh.box, op.base.mesh.h / 2)
     n = len(cfg["eps_grid"])
     assert len(starts) == 2 * n
-    for mesh_op, mesh_starts in ((op, starts[:n]), (fine, starts[n:])):
-        ground = mesh_op.solve(mesh_op.form(), values_only=True).eigenvectors[:, 0]
-        assert all(np.array_equal(s, ground) for s in mesh_starts)
+    ground = op.solve(op.form(), values_only=True).eigenvectors[:, 0]
+    interpolant = fem.interpolate(op.base.mesh, ground, np.stack(
+        [fine.node_x[fine.interior], fine.node_y[fine.interior]], axis=1))
+    for start, mesh_starts in ((ground, starts[:n]), (interpolant, starts[n:])):
+        assert all(np.array_equal(s, start) for s in mesh_starts)
 
 
 def test_magnetic_convergence_norms_match_dense_resolvents():
@@ -1217,6 +1222,37 @@ def test_the_delta_spectrum_of_a_ring_converges_to_its_exact_ground_state():
     assert errors[1] > 0.0 and errors[0] >= 1.7 * errors[1]
 
 
+# the unit ring of the test above in the field b = 1.5, whose symmetric gauge
+# is centred in the box: the half-turn (x, y) -> (-x, -y) commutes with the
+# pencil, and the ground state, the mode m = 1, is odd under it
+MAGNETIC_RING = {"network": {"beta_cap": 0.5, "segments": [{
+    "kind": "arc", "center": [0.0, 0.0], "radius": 1.0, "theta0": 0.0, "theta1": 2.0 * np.pi}]},
+    "alpha": -5.0, "field_b": 1.5, "mesh": {"box": [[-3.5, 3.5], [-3.5, 3.5]], "h": 1.0 / 32.0}}
+
+
+def test_a_k1_magnetic_eigensolve_finds_a_ground_state_odd_under_the_half_turn():
+    # the trial state is even under the half-turn, and Lanczos from it alone
+    # reached the odd ground state only through rounding: at h = 1/32 k = 1
+    # returned lam_2 = -5.664502, and run_convergence took it as lam_delta
+    lams = run_spectrum({**MAGNETIC_RING, "k": 3})[0]["eigenvalues"]
+    assert lams[0] == pytest.approx(-5.786907, abs=1e-6)
+    assert run_spectrum({**MAGNETIC_RING, "k": 1})[0]["eigenvalues"][0] == pytest.approx(
+        lams[0], abs=1e-10)
+    report, _ = run_convergence({**MAGNETIC_RING, "eps_grid": [0.4, 0.28, 0.2]})
+    assert report["lam_delta"] == pytest.approx(lams[0], abs=1e-10)
+
+
+def test_the_magnetic_delta_spectrum_of_a_ring_converges_to_its_radial_ground_state():
+    # the first exact check of a magnetic delta pencil: the m = 1 mode of the
+    # ring in the disc inscribed in the box (lam -6.103387), against errors
+    # 0.5998 and 0.3165 at h = 1/16 and 1/32, 1.90 times per halving
+    exact = oracles.ring_mode_eigenvalue(-5.0, 1.0, 1, 1.5, wall=3.5)
+    errors = [run_spectrum({**MAGNETIC_RING, "k": 1,
+                            "mesh": {**MAGNETIC_RING["mesh"], "h": h}})[0]["eigenvalues"][0]
+              - exact for h in (1.0 / 16.0, 1.0 / 32.0)]
+    assert errors[1] > 0.0 and errors[0] >= 1.7 * errors[1]
+
+
 def test_zero_strength_magnetic_spectrum_matches_dense_eigh():
     cfg = {
         "network": {
@@ -1641,6 +1677,14 @@ BAD_ENTRY_CASES = [
     ("stargraph", {"angles": None}, ConfigError,
      "stargraph config: 'angles' must be a list of numbers, got None"),
     ("cusp-b", {"d": None}, ConfigError, "cusp-b config: 'd' must be a number, got None"),
+    # a network that is not a block, or a path that is not a string, died
+    # with a raw TypeError that named neither the command nor the entry
+    *[(scenario, {"network": bad}, ConfigError,
+       f"{scenario} config: 'network' must be a network block, got {bad!r}")
+      for scenario in ("spectrum", "convergence") for bad in (None, [1], "x")],
+    *[(scenario, {key: bad}, ConfigError,
+       f"{scenario} config: {key!r} must be a directory path, got {bad!r}")
+      for scenario in ("spectrum", "convergence") for key, bad in (("out", 5), ("dump_mm", True))],
 ]
 
 

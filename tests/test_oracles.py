@@ -12,6 +12,7 @@ from deltasqueeze.oracles import (
     cusp_operator_eigs,
     delta_point_eigenvalue,
     ring_delta_eigenvalues,
+    ring_mode_eigenvalue,
     square_well_ground_state,
     squeezed_1d_eigenvalue,
     wedge_F,
@@ -71,6 +72,37 @@ def test_ring_delta_eigenvalues_scale_and_bind_only_when_attractive():
     assert ring_delta_eigenvalues(2.0, 1.0, 3).size == 0
     # the strong-coupling limit is the line's -alpha^2 / 4
     assert ring_delta_eigenvalues(-600.0, 1.0, 1)[0] == pytest.approx(-90000.0, rel=1e-5)
+
+
+def test_ring_mode_eigenvalue_without_field_is_the_plane_ring_in_a_disc():
+    # the wall at 3.5 raises m = 0 by 6e-6 relative and m = 1 by 2e-5; m = 2
+    # decays slowly, so it feels the wall: -2.070841 against -2.072459
+    exact = ring_delta_eigenvalues(-5.0, 1.0, 2)
+    for m, lam in enumerate(exact):
+        radial = ring_mode_eigenvalue(-5.0, 1.0, m, wall=3.5)
+        assert radial == pytest.approx(lam, rel=1e-4) and radial > lam
+    assert ring_mode_eigenvalue(-5.0, 1.0, 2, wall=3.5) == pytest.approx(-2.070841, abs=1e-6)
+
+
+@pytest.mark.parametrize("m, b", [(0, 0.0), (1, 0.0), (1, 1.5), (0, 1.5), (2, 1.5), (-1, 1.5)])
+def test_ring_mode_eigenvalue_agrees_over_two_radial_steps(m, b):
+    coarse = ring_mode_eigenvalue(-5.0, 1.0, m, b, wall=3.5, steps=100)
+    assert coarse == pytest.approx(ring_mode_eigenvalue(-5.0, 1.0, m, b, wall=3.5), rel=1e-7)
+
+
+def test_ring_mode_eigenvalues_in_a_field_split_by_the_sign_of_m():
+    # (m/r - b r/2)^2 - (-m/r - b r/2)^2 = -2 b m, a constant on the grid too
+    lams = {m: ring_mode_eigenvalue(-5.0, 1.0, m, 1.5, wall=3.5) for m in (-1, 0, 1, 2)}
+    assert lams[1] - lams[-1] == pytest.approx(-3.0, abs=1e-9)
+    assert lams[1] == pytest.approx(-6.103387, abs=1e-6)  # the ground state
+    assert lams[1] < lams[0] < lams[2] < lams[-1]
+
+
+def test_ring_mode_eigenvalue_needs_the_wall_on_the_grid_beyond_the_ring():
+    with pytest.raises(ValueError, match="wall 3.55 must be a multiple"):
+        ring_mode_eigenvalue(-5.0, 1.0, 0, wall=3.55, steps=10)
+    with pytest.raises(ValueError, match="above R"):
+        ring_mode_eigenvalue(-5.0, 1.0, 0, wall=0.5)
 
 
 # ------------------------------------------------------------- squeezed 1d

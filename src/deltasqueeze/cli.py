@@ -56,9 +56,9 @@ def _oracle1d(cfg):
 
 
 def _cusp_b(cfg):
-    c = lab._check("cusp-b", cfg, counts={"k": 3, "n": 4000}, reals={"d": ..., "x_max": None})
-    d, k = c["d"], c["k"]
-    eigs = oracles.cusp_operator_eigs(d, k=k, x_max=c["x_max"], n=c["n"])
+    c = lab._check("cusp-b", cfg, counts={"k": 3, "n": None}, reals={"d": ..., "x_max": None})
+    d, k, n = c["d"], c["k"], c["n"]
+    eigs = oracles.cusp_operator_eigs(d, k=k, x_max=c["x_max"], **({} if n is None else {"n": n}))
     cross = {}
     if d == 2.0:
         cross["odd_harmonic_levels"] = [4.0 * j - 1.0 for j in range(1, k + 1)]

@@ -510,11 +510,16 @@ def compute_beta(segments, beta_cap):
     """Certified tube half-width: min(cap, 1/(2 sup|kappa|), d_min / 2).
 
     d_min is the minimal exact distance (`CurveSegment.closest`) of the
-    _SAMPLES points of each segment to every later non-adjacent segment
-    (segments sharing an endpoint are exempt; their overlap near the shared
-    vertex is the accepted measure-zero set).  A near-zero distance at many
-    samples signals an overlap of positive length and raises
-    NetworkConstructionError.
+    _SAMPLES points of each segment to every later non-adjacent segment;
+    segments sharing an endpoint are exempt from d_min only, since they meet
+    at the shared vertex, the accepted measure-zero set.  More than 1 % of
+    the samples of one segment within round-off of another signal an overlap
+    of positive length and raise NetworkConstructionError, for every pair.
+    Of two adjacent segments only the middle half of the shorter one's
+    samples is tested: tangent segments (the branches of a cusp tip) come
+    within round-off of each other near their shared vertex, while an
+    overlap that starts there covers the middle of the shorter segment when
+    both are lines or arcs of one circle.
     """
     if not segments:
         raise NetworkConstructionError("network needs at least one segment")
@@ -526,6 +531,7 @@ def compute_beta(segments, beta_cap):
 
     pts = [seg.point(np.linspace(0.0, seg.length, _SAMPLES)) for seg in segments]
     ends = [(seg.point(0.0), seg.point(seg.length)) for seg in segments]
+    middle = slice(_SAMPLES // 4, _SAMPLES - _SAMPLES // 4)
 
     def adjacent(k, l):
         return any(
@@ -534,18 +540,22 @@ def compute_beta(segments, beta_cap):
             for b in ends[l]
         )
 
+    def distance(p, l):
+        return np.linalg.norm(p - segments[l].closest(p)[1], axis=1)
+
     d_min = np.inf
     for k in range(len(segments)):
         for l in range(k + 1, len(segments)):
             if adjacent(k, l):
-                continue
-            d = np.linalg.norm(pts[k] - segments[l].closest(pts[k])[1], axis=1)
-            n_touch = int(np.sum(d < _ENDPOINT_TOL))
-            if n_touch > max(2, _SAMPLES // 100):
+                shorter, longer = sorted((k, l), key=lambda i: segments[i].length)
+                d = distance(pts[shorter][middle], longer)
+            else:
+                d = distance(pts[k], l)
+                d_min = min(d_min, float(d.min()))
+            if int(np.sum(d < _ENDPOINT_TOL)) > max(2, _SAMPLES // 100):
                 raise NetworkConstructionError(
                     f"segments {k} and {l} overlap on positive length"
                 )
-            d_min = min(d_min, float(d.min()))
     if d_min <= 1e-12:
         raise NetworkConstructionError("distinct segments coincide at sampled points")
     return min(beta, d_min / 2.0)

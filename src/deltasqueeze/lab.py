@@ -1,11 +1,12 @@
 """Experiment orchestration: configs, scenario runners, reports.
 
 Every scenario solves a member of (i grad + A)^2 + Q + alpha delta_Sigma or
-of its squeezed regularizations.  A runner reads its config dict, run
-settings (out, dump_mm, threads) included, once, first, in one `_check` call
-that declares each top-level entry with its kind and default, checks them,
-logs the entries it does not declare, and returns the values; the runner
-reads only those.  It then builds its networks, and `_check_run` checks what
+of its squeezed regularizations.  A runner reads its config dict, its mesh
+block and the run settings included, once, first, in one `_check` call that
+declares each top-level entry with its kind and its one default, checks
+them, logs the entries it does not declare, and returns the values; the
+runner reads only those, and a block's entries as the block is read
+(`_entry`).  It then builds its networks, and `_check_run` checks what
 needs them or the disk, the squeezing width and the output and dump
 directories, before any mesh is built.  A runner builds `Operator` records
 (base, network, profiles, strengths) with `Operator.from_config`, one
@@ -97,9 +98,25 @@ def _points(value) -> bool:
     return _list(value) and all(map(_pair, value))
 
 
-def _network(value) -> bool:
-    """Whether `value` is a block, as a network is."""
+def _block(value) -> bool:
+    """Whether `value` is a block, as a network or a mesh is."""
     return isinstance(value, dict)
+
+
+def _profiles(value) -> bool:
+    """Whether `value` is a block or a list, as a profile entry is."""
+    return _block(value) or _list(value)
+
+
+def _step(value) -> bool:
+    """Whether `value` is a positive number, as a mesh step is."""
+    return _real(value) and 0.0 < value < np.inf
+
+
+def _box(value) -> bool:
+    """Whether `value` is two increasing pairs of numbers, as a mesh box is."""
+    return _list(value) and len(value) == 2 and all(
+        _pair(pair) and -np.inf < pair[0] < pair[1] < np.inf for pair in value)
 
 
 def _path(value) -> bool:
@@ -107,75 +124,60 @@ def _path(value) -> bool:
     return isinstance(value, (str, os.PathLike))
 
 
-# what each test of an entry asks for, as its ConfigError says it
+# what each test of an entry asks for, as its ConfigError says it ({key}: the entry)
 _KINDS = {_real: "a number", _count: "a positive integer", _flag: "true or false",
           _list: "a list of numbers", _grid: "a nonempty list of numbers",
           _pair: "a pair of numbers", _reals: "a list of numbers",
-          _points: "a list of pairs of numbers", _network: "a network block",
+          _points: "a list of pairs of numbers", _block: "a {key} block",
+          _profiles: "a profile block or a list of them", _step: "a positive number",
+          _box: "two increasing pairs of numbers, [[x0, x1], [y0, y1]]",
           _path: "a directory path"}
 
 
 def _entry(where, spec: dict, key, test=_real, default=...):
     """spec[key] checked by `test`, one of `_KINDS` (None for no test), else
     ConfigError naming `where` and the key; the one reader of an entry of a
-    config, a network segment or a profile.  With a `default`, an absent or
-    null entry reads as the default, unchecked; without one, an absent entry
-    raises KeyError."""
-    value = spec[key] if default is ... else spec.get(key)
+    config, its mesh, a network, a network segment or a profile.  With a
+    `default`, an absent or null entry reads as the default, unchecked;
+    without one, an absent entry raises ConfigError "<where> is missing <key>"."""
+    if default is ... and key not in spec:
+        raise ConfigError(f"{where} is missing {key!r}")
+    value = spec.get(key)
     if value is None and default is not ...:
         return default
     if test is not None and not test(value):
-        raise ConfigError(f"{where}: {key!r} must be {_KINDS[test]}, got {value!r}")
+        raise ConfigError(f"{where}: {key!r} must be {_KINDS[test].format(key=key)}, "
+                          f"got {value!r}")
     return value
 
 
-def _check(scenario, cfg: dict, *keys, counts={}, reals={}, flags={}, lists={}, grids={},
+def _check(scenario, cfg: dict, *, blocks={}, counts={}, reals={}, flags={}, lists={}, grids={},
            strengths={}, run=False) -> dict:
     """The one reader of a command's top-level config entries, called first,
     before anything is built: {entry: value} for every entry it declares,
-    else ConfigError naming the scenario and the entry.  Each of `keys` must
-    be present ("mesh.h" names the entry h of the block cfg["mesh"], which
-    the result holds); the step must be a positive number and "mesh.box" two
-    increasing pairs of numbers.  Every other entry is declared once, as
-    {key: default} in its kind: `counts` (positive integers), `reals`
-    (numbers; "q" may be the block {"kind": "constant", "value": v}, read as
-    v), `flags` (true or false), `lists` (lists of numbers), `grids`
-    (nonempty lists of numbers) and `strengths` (numbers or lists of them,
-    None for unset).  An absent or null entry reads as its default; a default
-    of ... marks a required entry, which must be present.  A bool or a string
-    is not a number; "network" must be a block.  `run` adds the runners'
-    settings: the count "threads" (default 1), the paths "out" and "dump_mm"
-    (default None), and the ignored "seed"; an optional strength "alpha" adds
-    its alternative "profile".  Each other top-level entry of cfg is logged
-    as unknown, one warning each, and ignored."""
-    where = f"{scenario} config"
+    else ConfigError naming the scenario and the entry (`_entry`).  Each
+    entry is declared once, as {key: default} in its kind: `blocks`,
+    `counts` (positive integers), `reals` (numbers; "q" may be the block
+    {"kind": "constant", "value": v}, read as v), `flags` (true or false),
+    `lists`, `grids` (nonempty lists) and `strengths` (numbers or lists of
+    them, None for unset).  An absent or null entry reads as its default; a
+    default of ... marks a required entry.  A bool or a string is not a
+    number.  `run` adds what every runner reads: the block "mesh", of a box
+    "mesh.box" (two increasing pairs of numbers) and a positive step
+    "mesh.h", the paths "out" and "dump_mm" (default None) and the ignored
+    "seed".  An optional strength "alpha" adds its alternative "profile", a
+    block or a list.  Each other top-level entry is logged as unknown, one
+    warning each, and ignored."""
+    where, checked = f"{scenario} config", {}
     if run:
-        counts = {"threads": 1, **counts}
-    kinds = ((_count, counts), (_real, reals), (_flag, flags), (_list, lists), (_grid, grids),
-             (None, strengths))
-    required = [key for _, entries in kinds for key, default in entries.items() if default is ...]
-    for key in (*keys, *required):
-        block = cfg
-        for part in key.split("."):
-            if not isinstance(block, dict) or part not in block:
-                raise ConfigError(f"{where} is missing {key!r}")
-            block = block[part]
-    if "mesh.h" in keys:
-        h, box = cfg["mesh"]["h"], cfg["mesh"]["box"]
-        if not (_real(h) and 0.0 < h < np.inf):
-            raise ConfigError(f"{where}: 'mesh.h' must be a positive number, got {h!r}")
-        if not (_list(box) and len(box) == 2 and all(
-                _pair(pair) and -np.inf < pair[0] < pair[1] < np.inf for pair in box)):
-            raise ConfigError(f"{where}: 'mesh.box' must be two increasing pairs of numbers, "
-                              f"[[x0, x1], [y0, y1]], got {box!r}")
-    checked = {key.split(".")[0]: cfg[key.split(".")[0]] for key in keys}
-    if "network" in keys:
-        _entry(where, cfg, "network", _network)
-    if run:
+        mesh = {f"mesh.{key}": value for key, value in _entry(where, cfg, "mesh", _block).items()}
+        checked["mesh"] = {key: _entry(where, mesh, f"mesh.{key}", test)
+                           for key, test in (("box", _box), ("h", _step))}
         checked.update({key: _entry(where, cfg, key, _path, None) for key in ("out", "dump_mm")})
     if strengths.get("alpha", ...) is None:
-        checked["profile"] = cfg.get("profile")
-    for test, entries in kinds:
+        checked["profile"] = _entry(where, cfg, "profile", _profiles, None)
+    for test, entries in ((_block, blocks), (_count, counts), (_real, reals), (_flag, flags),
+                          (_list, lists), (_grid, grids), (None, strengths)):
         for key, default in entries.items():
             spec, name = cfg, key
             if key == "q" and isinstance(cfg.get(key), dict):  # {"kind": "constant", "value": v}
@@ -245,10 +247,10 @@ def _segment_from_spec(i: int, spec: dict) -> geometry.CurveSegment:
         return geometry.CircularArc(_entry(where, spec, "center", _pair),
                                     *(_entry(where, spec, key)
                                       for key in ("radius", "theta0", "theta1")))
-    if kind == "cusp":
-        return geometry.CuspBranch(*(_entry(where, spec, key, default=default) for key, default in
-                                     (("exponent", ...), ("sign", 1.0), ("x_max", 1.0),
-                                      ("collar", 1e-3))))
+    if kind == "cusp":  # an absent or null sign, x_max or collar takes CuspBranch's default
+        return geometry.CuspBranch(_entry(where, spec, "exponent"), **{
+            key: _entry(where, spec, key) for key in ("sign", "x_max", "collar")
+            if spec.get(key) is not None})
     if kind == "spline":
         return geometry.SplineSegment(_entry(where, spec, "points", _points))
     raise ConfigError(f"unknown segment kind: {kind!r}")
@@ -257,16 +259,14 @@ def _segment_from_spec(i: int, spec: dict) -> geometry.CurveSegment:
 def network_from_spec(spec: dict) -> geometry.Network:
     """Network from {"beta_cap": ..., "segments": [{kind, parameters...}]}.
     A missing entry, or one that is not a real number (a point: a pair of
-    them), raises ConfigError naming the segment and the entry."""
-    try:
-        segments = spec["segments"]
-        if not (isinstance(segments, (list, tuple)) and all(isinstance(s, dict) for s in segments)):
-            raise ConfigError(f"network: 'segments' must be a list of segment blocks, "
-                              f"got {segments!r}")
-        segments = [_segment_from_spec(i, s) for i, s in enumerate(segments)]
-        return geometry.Network(segments, beta_cap=_entry("network", spec, "beta_cap"))
-    except KeyError as missing:
-        raise ConfigError(f"network spec missing {missing}") from None
+    them), raises ConfigError naming the network or the segment, and the
+    entry (`_entry`)."""
+    segments = _entry("network", spec, "segments", None)
+    if not (isinstance(segments, (list, tuple)) and all(map(_block, segments))):
+        raise ConfigError(f"network: 'segments' must be a list of segment blocks, "
+                          f"got {segments!r}")
+    segments = [_segment_from_spec(i, s) for i, s in enumerate(segments)]
+    return geometry.Network(segments, beta_cap=_entry("network", spec, "beta_cap"))
 
 
 def _profile_from_spec(i: int, spec, net: geometry.Network) -> potentials.TubeProfile:
@@ -558,7 +558,7 @@ def run_convergence(cfg):
     is >= 25 percent or None.  Returns (report, status): status 2 when any
     flag fired, else 0.
     """
-    c = _check("convergence", cfg, "mesh.box", "mesh.h", "network",
+    c = _check("convergence", cfg, blocks={"network": ...}, counts={"threads": 1},
                reals={"field_b": 0.0, "q": 0.0}, flags={"refine_check": False},
                grids={"eps_grid": ...}, strengths={"alpha": None}, run=True)
     net = network_from_spec(c["network"])
@@ -756,7 +756,7 @@ def _fit_dict(fit):
     return None if fit is None else {**dataclasses.asdict(fit), "ci95": list(fit.ci95)}
 
 
-def _star_network(angles_deg, length, rot_deg=0.0, beta_cap=0.4):
+def _star_network(angles_deg, length, beta_cap, rot_deg=0.0):
     # edge k leaves the origin at the sum of the first k angles, turned by rot_deg
     azimuth = np.radians(np.cumsum([0.0, *angles_deg[:-1]]) + rot_deg)
     segs = [geometry.LineSegment((0.0, 0.0), (length * np.cos(th), length * np.sin(th)))
@@ -772,7 +772,7 @@ def run_stargraph(cfg: dict):
     supplies the discretization error bar), and reports the gap, the
     rotation-congruence check, and pass flags.
     """
-    c = _check("stargraph", cfg, "mesh.box", "mesh.h", counts={"N": ...},
+    c = _check("stargraph", cfg, counts={"N": ...},
                reals={"L": 1.0, "rot_deg": 17.0, "beta_cap": 0.4, "eps": None},
                lists={"angles": ...}, strengths={"alpha": ...}, run=True)
     N, L, angles, eps, beta_cap = (c[key] for key in ("N", "L", "angles", "eps", "beta_cap"))
@@ -782,12 +782,14 @@ def run_stargraph(cfg: dict):
         raise ConfigError(f"stargraph config: 'L' must be a positive number, got {L!r}")
     if len(angles) != N:
         raise ConfigError(f"expected {N} angles, got {len(angles)}")
+    if not all(a > 0.0 for a in angles):  # else an edge lies on another, or gaps are not angles
+        raise ConfigError(f"stargraph config: 'angles' must be positive, got {angles!r}")
     if abs(sum(angles) - 360.0) > 1e-8:
         raise ConfigError(f"angles must sum to 360 degrees, got {sum(angles)}")
     nets = {
-        "sigma": _star_network(angles, L, beta_cap=beta_cap),
-        "gamma": _star_network([360.0 / N] * N, L, beta_cap=beta_cap),
-        "rot": _star_network([360.0 / N] * N, L, rot_deg=c["rot_deg"], beta_cap=beta_cap),
+        "sigma": _star_network(angles, L, beta_cap),
+        "gamma": _star_network([360.0 / N] * N, L, beta_cap),
+        "rot": _star_network([360.0 / N] * N, L, beta_cap, rot_deg=c["rot_deg"]),
     }
     _check_run("stargraph", c, "eps", nets.values(), refines=(1, 2))
     meshes = {"h": _mesh(c["mesh"]), "h2": _mesh(c["mesh"], refine=2)}
@@ -848,14 +850,14 @@ def run_stargraph(cfg: dict):
     )
 
 
-def cusp_network(d: float, x_max: float, collar: float = 1e-3, beta_cap: float = 0.25):
+def cusp_network(d: float, x_max: float, beta_cap: float):
     """Closed cusp curve: branches y = +-x^d joined by a tangent-matching arc."""
     xc = x_max + d * x_max ** (2 * d - 1)
     radius = float(np.hypot(x_max - xc, x_max**d))
     theta1 = float(np.arctan2(x_max**d, x_max - xc))
     segs = [
-        geometry.CuspBranch(d, 1.0, x_max, collar),
-        geometry.CuspBranch(d, -1.0, x_max, collar),
+        geometry.CuspBranch(d, 1.0, x_max),
+        geometry.CuspBranch(d, -1.0, x_max),
         geometry.CircularArc((xc, 0.0), radius, theta1, -theta1),
     ]
     return geometry.Network(segs, beta_cap=beta_cap)
@@ -872,8 +874,7 @@ def run_cusp(cfg: dict):
     the ground state of the one before (`Operator.solve`'s `near`): its
     Rayleigh quotient places the shift and Lanczos starts from it.
     """
-    c = _check("cusp", cfg, "mesh.box", "mesh.h",
-               reals={"d": ..., "x_max": 0.75, "beta_cap": 0.25, "eps": None},
+    c = _check("cusp", cfg, reals={"d": ..., "x_max": 0.75, "beta_cap": 0.25, "eps": None},
                lists={"alpha_list": ...}, run=True)
     d, x_max, eps, h = c["d"], c["x_max"], c["eps"], c["mesh"]["h"]
     alphas = list(c["alpha_list"])
@@ -883,7 +884,7 @@ def run_cusp(cfg: dict):
         raise ConfigError("cusp strengths must be negative")
     if not all(abs(a2) > abs(a1) for a1, a2 in zip(alphas, alphas[1:])):
         raise ConfigError("alpha list must increase in magnitude")
-    net = cusp_network(d, x_max, beta_cap=c["beta_cap"])
+    net = cusp_network(d, x_max, c["beta_cap"])
 
     decay = 2.0 / max(abs(a) for a in alphas)
     if decay < 4.0 * h:
@@ -963,7 +964,7 @@ def run_wedge(cfg: dict):
     reports the lowest eigenvalue, the Hermiticity residual, and whether
     the eigenvalue undercuts Theta * b.
     """
-    c = _check("wedge", cfg, "mesh.box", "mesh.h", counts={"k": 1},
+    c = _check("wedge", cfg, counts={"k": 1},
                reals={"phi": ..., "b": 0.0, "theta": None, "ray_length": None, "beta_cap": 0.3,
                       "eps": None}, strengths={"alpha": ...}, run=True)
     phi, alpha, b, theta, eps = (c[key] for key in ("phi", "alpha", "b", "theta", "eps"))
@@ -1021,7 +1022,7 @@ def run_wedge(cfg: dict):
 
 def run_spectrum(cfg: dict):
     """Assemble the configured operator and report its k lowest eigenpairs."""
-    c = _check("spectrum", cfg, "mesh.box", "mesh.h", "network", counts={"k": 3},
+    c = _check("spectrum", cfg, blocks={"network": ...}, counts={"k": 3},
                reals={"field_b": 0.0, "q": 0.0, "eps": None}, strengths={"alpha": None}, run=True)
     eps = c["eps"]
     net = network_from_spec(c["network"])

@@ -21,6 +21,7 @@ from deltasqueeze.geometry import (
     tube_jacobian,
     tube_map,
 )
+from deltasqueeze.lab import cusp_network
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -213,9 +214,26 @@ def test_beta_parallel_lines_distance_rule():
 
 
 def test_beta_degenerate_overlap_raises():
-    segs = [LineSegment((0, 0), (1, 0)), LineSegment((0.2, 0.0), (1.3, 0.0))]
-    with pytest.raises(NetworkConstructionError):
-        compute_beta(segs, beta_cap=1.0)
+    # the last three share an endpoint: a doubled line, the line reversed and
+    # a collinear piece from its end; each built a network with beta at its cap
+    line = LineSegment((-1.0, 0.0), (1.0, 0.0))
+    for segs in ([LineSegment((0, 0), (1, 0)), LineSegment((0.2, 0.0), (1.3, 0.0))],
+                 [line, line], [line, LineSegment((1.0, 0.0), (-1.0, 0.0))],
+                 [line, LineSegment((1.0, 0.0), (0.0, 0.0))]):
+        with pytest.raises(NetworkConstructionError, match="overlap on positive length"):
+            compute_beta(segs, beta_cap=1.0)
+
+
+# segments that meet only at shared endpoints: a cusp's branches stay within
+# round-off of each other near its tip, at up to 170 of 2048 samples for d = 6
+@pytest.mark.parametrize("segments", [
+    *[cusp_network(d, x_max, 0.25).segments for d in (1.5, 2.0, 3.0, 4.0, 6.0)
+      for x_max in (0.5, 0.75)],
+    [CircularArc((0.0, 0.0), 1.0, 0.0, np.pi), CircularArc((0.0, 0.0), 1.0, np.pi, 2.0 * np.pi)],
+], ids=[*(f"cusp_d{d:g}_x{x_max:g}" for d in (1.5, 2.0, 3.0, 4.0, 6.0) for x_max in (0.5, 0.75)),
+        "two_arcs"])
+def test_segments_meeting_at_vertices_are_no_overlap(segments):
+    assert compute_beta(segments, beta_cap=1.0) > 0.0
 
 
 # --------------------------------------------------------- inverse tube map

@@ -650,12 +650,12 @@ def test_profile_config_builds_the_squeezed_form_of_its_profile(kind):
 # the networks and strengths of the benchmark workloads cusp-trend,
 # converge-line and star-refine (sigma, gamma and the 17 degree copy)
 WORKLOAD_STRENGTHS = [
-    (cusp_network(2.0, 0.75), (-6.0, -10.0, -14.0)),
+    (cusp_network(2.0, 0.75, 0.25), (-6.0, -10.0, -14.0)),
     (network_from_spec({"beta_cap": 0.5, "segments": line_spec(((-2.0, 0.0), (2.0, 0.0)))}),
      (-5.0,)),
-    (lab._star_network([150.0, 150.0, 60.0], 1.0), (-5.0,)),
-    (lab._star_network([120.0] * 3, 1.0), (-5.0,)),
-    (lab._star_network([120.0] * 3, 1.0, rot_deg=17.0), (-5.0,)),
+    (lab._star_network([150.0, 150.0, 60.0], 1.0, 0.4), (-5.0,)),
+    (lab._star_network([120.0] * 3, 1.0, 0.4), (-5.0,)),
+    (lab._star_network([120.0] * 3, 1.0, 0.4, rot_deg=17.0), (-5.0,)),
 ]
 
 
@@ -862,7 +862,7 @@ def test_stargraph_config_errors():
 
 
 def test_cusp_network_tangent_matching():
-    net = cusp_network(2.0, 0.75)
+    net = cusp_network(2.0, 0.75, 0.25)
     up, down, arc = net.segments
     t_branch = up.tangent(up.length)
     t_arc = arc.tangent(0.0)
@@ -975,7 +975,7 @@ def rayleigh_quotient(S, M, v):
 
 @pytest.mark.parametrize("d", [2.0, 1.5])
 def test_cusp_trial_bound_stays_above_the_ground_state(d):
-    net = cusp_network(d, 0.5)
+    net = cusp_network(d, 0.5, 0.25)
     mesh = fem.build_mesh(((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0)
     ground = None
     for alpha in (-6.0, -10.0):
@@ -1003,7 +1003,7 @@ def test_cusp_with_a_positive_trial_bound_finds_the_ground_state():
     box, h = ((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0
     report, _ = run_cusp({"d": 1.5, "alpha_list": [-6.0], "x_max": 0.5,
                           "mesh": {"box": [list(b) for b in box], "h": h}})
-    op = Operator.from_config({"alpha": -6.0}, cusp_network(1.5, 0.5),
+    op = Operator.from_config({"alpha": -6.0}, cusp_network(1.5, 0.5, 0.25),
                               fem.assemble_base(fem.build_mesh(box, h)))
     form = op.form()
     assert trial_upper_bound(op, form)[0] > 0.0
@@ -1029,7 +1029,7 @@ def test_a_seeded_shift_above_the_ground_state_is_lowered(monkeypatch):
     # lies above lam_1: the inertia count refuses it, and the lowered shift
     # finds lam_1, not lam_2
     box, h = ((-0.5, 1.5), (-1.0, 1.0)), 1.0 / 16.0
-    base, net = fem.assemble_base(fem.build_mesh(box, h)), cusp_network(1.5, 0.5)
+    base, net = fem.assemble_base(fem.build_mesh(box, h)), cusp_network(1.5, 0.5, 0.25)
     weak = Operator.from_config({"alpha": -1.0}, net, base).form()
     near = sla.eigh(weak.S.toarray(), weak.M.toarray(), subset_by_index=[0, 0])[1][:, 0]
     op = Operator.from_config({"alpha": -6.0}, net, base)
@@ -1390,11 +1390,21 @@ MISSING_KEY_CASES = [
     ("converge", small_convergence_cfg(mesh={"box": MESH["box"]}),
      "convergence config is missing 'mesh.h'"),
     ("wedge-f", {"phi": 1.0, "alpha": -1e-6}, "wedge-f config is missing 'theta'"),
+    # a block's missing entry names the block; a profile's died with a raw
+    # KeyError, printed as "error: 'value'"
+    ("spectrum", {"network": {"beta_cap": 0.5, "segments": [{"kind": "line", "p0": [-1.0, 0.0]}]},
+                  "alpha": -4.0, "mesh": MESH}, "network segment 0 is missing 'p1'"),
+    ("spectrum", {"network": {"beta_cap": 0.5, "segments": [{"kind": "line", "p0": [-1.0, 0.0],
+                                                             "p1": [1.0, 0.0]}]},
+                  "profile": {"kind": "constant"}, "mesh": MESH},
+     "profile entry 0 is missing 'value'"),
 ]
 
 
+# a missing entry of a block adds the block to the id
 @pytest.mark.parametrize("command, cfg, missing", MISSING_KEY_CASES,
-                         ids=[case[0] for case in MISSING_KEY_CASES])
+                         ids=[command + ("" if " config " in missing else "-" + missing.split()[0])
+                              for command, _, missing in MISSING_KEY_CASES])
 def test_missing_config_key_names_scenario_and_key(tmp_path, capsys, command, cfg, missing):
     assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
     assert capsys.readouterr().err == f"error: {missing}\n"
@@ -1431,8 +1441,17 @@ def test_unusable_out_path_fails_before_any_mesh(tmp_path, built, scenario, runn
 @pytest.mark.parametrize("threads", ["2", 0, -3, 2.5, True])
 @pytest.mark.parametrize("scenario, runner, cfg", OUT_PATH_CASES,
                          ids=[case[0] for case in OUT_PATH_CASES])
-def test_threads_not_a_positive_integer_fails_before_any_mesh(built, scenario, runner, cfg,
-                                                              threads):
+def test_threads_not_a_positive_integer_fails_before_any_mesh(monkeypatch, caplog, built, scenario,
+                                                              runner, cfg, threads):
+    # convergence is the one runner that reads "threads"; every other runner
+    # logs it as an unknown entry and runs on, up to its first mesh
+    if scenario != "convergence":
+        monkeypatch.setattr(fem, "build_mesh", refuse_mesh)
+        with caplog.at_level(logging.WARNING, logger="deltasqueeze.lab"), \
+                pytest.raises(MeshBuilt):
+            runner({**cfg, "threads": threads})
+        assert caplog.messages == [f"{scenario} config: unknown entry 'threads', ignored"]
+        return
     with pytest.raises(ConfigError, match=f"{scenario} config: 'threads' must be a positive "
                                           f"integer, got {re.escape(repr(threads))}"):
         runner({**cfg, "threads": threads})
@@ -1685,6 +1704,17 @@ BAD_ENTRY_CASES = [
     *[(scenario, {key: bad}, ConfigError,
        f"{scenario} config: {key!r} must be a directory path, got {bad!r}")
       for scenario in ("spectrum", "convergence") for key, bad in (("out", 5), ("dump_mm", True))],
+    # a mesh that is not a block was reported as missing 'mesh.box'
+    *[(scenario, {"mesh": bad}, ConfigError,
+       f"{scenario} config: 'mesh' must be a mesh block, got {bad!r}")
+      for scenario in ("spectrum", "convergence") for bad in (None, [1], "x")],
+    # a profile that is neither a block nor a list died with a raw TypeError
+    ("spectrum", {"alpha": None, "profile": 5}, ConfigError,
+     "spectrum config: 'profile' must be a profile block or a list of them, got 5"),
+    # a third edge on the first, and gaps that are not the angles given
+    *[("stargraph", {"angles": bad}, ConfigError,
+       f"stargraph config: 'angles' must be positive, got {bad!r}")
+      for bad in ([400.0, -40.0, 0.0], [200.0, 200.0, -40.0])],
 ]
 
 
@@ -1765,7 +1795,8 @@ def test_a_profile_is_known_where_it_may_replace_alpha(caplog):
     # stargraph and wedge read their required alpha and no profile
     profile = {"kind": "constant", "value": -5.0}
     with caplog.at_level(logging.WARNING, logger="deltasqueeze.lab"):
-        lab._check("spectrum", {"profile": profile}, strengths={"alpha": None}, run=True)
+        lab._check("spectrum", {"profile": profile, "mesh": MESH}, strengths={"alpha": None},
+                   run=True)
         lab._check("stargraph", {"alpha": -1.0, "profile": profile}, strengths={"alpha": ...})
         lab._check("oracle1d", {"alpha": -1.0, "profile": profile}, reals={"alpha": ...})
     assert caplog.messages == [f"{command} config: unknown entry 'profile', ignored"

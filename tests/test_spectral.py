@@ -245,7 +245,7 @@ def test_tree_solve_matches_superlu(pencil, b):
         net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=1.0)
         mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 16.0)
     else:
-        net = cusp_network(2.0, 0.75)
+        net = cusp_network(2.0, 0.75, 0.25)
         mesh = build_mesh(((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 16.0)
     strengths = dict.fromkeys(range(len(net.segments)), -6.0)
     form = build_form(mesh, A=homogeneous_gauge(b) if b else None, net=net,
@@ -270,7 +270,7 @@ def tube_pencils(pencil, b):
         net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=1.0)
         mesh, eps = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 16.0), 0.5
     else:
-        net = cusp_network(2.0, 0.75)
+        net = cusp_network(2.0, 0.75, 0.25)
         mesh, eps = build_mesh(((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 16.0), 0.25
     A = homogeneous_gauge(b) if b else None
     base = assemble_base(mesh, A)

@@ -11,29 +11,33 @@ sesquilinear form is
 with A frozen at triangle barycenters, W integrated by the 3-point
 edge-midpoint rule (exact for quadratics, hence reproducing the mass matrix
 for W = 1), and the line term integrated by composite Gauss-Legendre along
-arc length.  Assembly returns matrices over all nodes; `restrict` removes
-the Dirichlet boundary and numbers the unknowns by `Mesh.interior`, the
-interior nodes in geometric nested-dissection order (George, Nested
+arc length.  Every matrix is summed straight into the one pattern of P1 on
+the mesh, the 7-point stencil of the diagonal, each slot in triangle order
+(`_sum`).  The unknowns are `Mesh.interior`, the interior nodes (Dirichlet
+boundary eliminated) in geometric nested-dissection order (George, Nested
 dissection of a regular finite element mesh, SIAM J. Numer. Anal. 10
-(1973) 345-363).  Unknown i is node interior[i]: the rows of every
-restricted S and M and of every eigenvector follow that order, which is
-the elimination order of their sparse factorizations.  The mesh keeps the
+(1973) 345-363).  Unknown i is node interior[i]: the rows of every form's
+S and M and of every eigenvector follow that order, which is the
+elimination order of their sparse factorizations.  The mesh keeps the
 separator tree of that order (`DissectionTree`), and every form built on
-the mesh carries it to the multifrontal factors of `spectral`.
+the mesh carries it to the multifrontal factors of `spectral`.  The public
+`assemble_*` functions sum over all nodes; `restrict` takes their
+interior-node submatrix.
 
-The part of a form that depends only on (mesh, A, Q) is a `BaseForm`: the
-restricted pair restrict(K_A + Q), restrict(M), assembled once.  Every form
-built on it adds the restriction of its own terms, the squeezed potential
-or the line term, and shares its M.  Both are local: the line term lives on
-the triangles its quadrature points hit, and `assemble_volume_potential`
-evaluates a squeezed potential only on the triangles near its segments'
-bounding boxes and scatters only the triangles where it has a nonzero
-quadrature value, the eps-tube.
+The part of a form that depends only on (mesh, A, Q) is a `BaseForm`: K_A
++ Q and M, summed once into the pattern of the unknowns.  Every form built
+on it sums its own terms, the squeezed potential or the line term, into
+that pattern, adds them to base.S and shares its M.  Both are local: the
+line term lives on the triangles its quadrature points hit, and
+`assemble_volume_potential` evaluates a squeezed potential only on the
+triangles near its segments' bounding boxes and sums only the triangles
+where it has a nonzero quadrature value, the eps-tube.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +113,10 @@ class Mesh:
         }
 
 
+# corners (di, dj) of a cell's lower and upper triangle, [p00, p10, p11] and [p00, p11, p01]
+_CORNERS = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+
+
 def build_mesh(box, h: float) -> Mesh:
     """Uniform mesh of box = ((x0, x1), (y0, y1)) with step h in both directions."""
     (x0, x1), (y0, y1) = box
@@ -119,31 +127,14 @@ def build_mesh(box, h: float) -> Mesh:
     if abs(nx_f - nx) > 1e-9 or abs(ny_f - ny) > 1e-9 or nx < 1 or ny < 1:
         raise MeshParameterError(f"h={h} does not divide the box sides {x1-x0}, {y1-y0}")
     Nx, Ny = nx + 1, ny + 1
-    xs = x0 + h * np.arange(Nx)
-    ys = y0 + h * np.arange(Ny)
-    node_x = np.tile(xs, Ny)
-    node_y = np.repeat(ys, Nx)
-    I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    I, J = I.ravel(), J.ravel()
-    p00 = J * Nx + I
-    p10 = J * Nx + I + 1
-    p01 = (J + 1) * Nx + I
-    p11 = (J + 1) * Nx + I + 1
-    lower = np.stack([p00, p10, p11], axis=1)
-    upper = np.stack([p00, p11, p01], axis=1)
-    triangles = np.concatenate([lower, upper])
+    node_x = np.tile(x0 + h * np.arange(Nx), Ny)
+    node_y = np.repeat(y0 + h * np.arange(Ny), Nx)
+    p00 = (Nx * np.arange(ny) + np.arange(nx)[:, None]).ravel()  # of cell (i, j), i first
+    triangles = (p00[None, :, None] + (_CORNERS @ [1, Nx])[:, None, :]).reshape(-1, 3)
     interior, tree = _nested_dissection(nx, ny)
-    return Mesh(
-        box=((float(x0), float(x1)), (float(y0), float(y1))),
-        h=float(h),
-        nx=nx,
-        ny=ny,
-        node_x=node_x,
-        node_y=node_y,
-        triangles=triangles,
-        interior=interior,
-        tree=tree,
-    )
+    return Mesh(box=((float(x0), float(x1)), (float(y0), float(y1))), h=float(h), nx=nx,
+                ny=ny, node_x=node_x, node_y=node_y, triangles=triangles,
+                interior=interior, tree=tree)
 
 
 _ND_LEAF = 4  # nested dissection stops at blocks of at most this many nodes
@@ -269,36 +260,110 @@ def _rings(rects, nx, number):
 _GRAD_LOWER = np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])
 _GRAD_UPPER = np.array([[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]])
 _MASS_ELEMENT = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+# the 7-point stencil of the p00-p11 diagonal: the steps (di, dj) from a node to the
+# nodes it shares a triangle with, in ascending node index; _STENCIL[3] is (0, 0)
+_STENCIL = np.array([[-1, -1], [0, -1], [-1, 0], [0, 0], [1, 0], [0, 1], [1, 1]])
+_CHUNK = 1 << 16  # triangles per block of element matrices
+# CSR pattern of P1 matrices over the unknowns of a node numbering: the entry of nodes
+# p and p + offsets[k] is at slots[7 p + k], or at nnz when either is not an unknown
+_Pattern = namedtuple("_Pattern", "indptr indices slots offsets")
 
 
-def _tri_corners(mesh: Mesh):
-    t = mesh.triangles
-    return mesh.node_x[t], mesh.node_y[t]
+def _pattern(mesh: Mesh, order) -> _Pattern:
+    """The `_Pattern` of unknown i at node order[i]: their 7-point stencils, columns ascending."""
+    Nx = mesh.nx + 1
+    number = np.full((mesh.ny + 3, Nx + 2), -1, dtype=np.int32)  # -1 off the unknowns
+    number[1:-1, 1:-1].flat[order] = np.arange(len(order))
+    col = number.ravel()[(order // Nx * (Nx + 2) + order % Nx + Nx + 3)[:, None]
+                         + _STENCIL @ [1, Nx + 2]]
+    key = np.where(col >= 0, col, len(order))  # absent entries last in a row
+    rank = np.sum(key[:, None, :] < key[:, :, None], axis=2, dtype=np.int32)
+    indptr = np.concatenate([[0], np.cumsum(np.sum(col >= 0, axis=1))]).astype(np.int32)
+    slot = np.where(col >= 0, indptr[:-1, None] + rank, indptr[-1])
+    indices = np.empty(indptr[-1] + 1, dtype=np.int32)
+    indices[slot] = col
+    slots = np.full((mesh.n_nodes, len(_STENCIL)), indptr[-1], dtype=np.int32)
+    slots[order] = slot
+    return _Pattern(indptr, indices[:-1], slots.ravel(), _STENCIL @ [1, Nx])
 
 
-def _scatter(mesh: Mesh, element_matrices, triangles=None):
-    """Sum of the element matrices of `triangles` (default: all) over all nodes."""
-    t = mesh.triangles if triangles is None else triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    n = mesh.n_nodes
-    return sp.coo_matrix(
-        (element_matrices.ravel(), (rows, cols)), shape=(n, n)
-    ).tocsr()
+def _sum(pattern: _Pattern, nodes, elements, dtype):
+    """(data, reached): in each slot of `pattern`, the sum of the entries of the element
+    matrices elements(s) of the triangles nodes[s], entry (a, b) at (nodes[a], nodes[b]),
+    and whether one reaches it; np.add.at, unbuffered, sums each slot in triangle order."""
+    data = np.zeros(len(pattern.indices) + 1, dtype=dtype)
+    reached = np.zeros(len(data), dtype=bool)
+    for a in range(0, len(nodes), _CHUNK):
+        s, t = slice(a, a + _CHUNK), nodes[a:a + _CHUNK]
+        k = np.searchsorted(pattern.offsets, t[:, None, :] - t[:, :, None])
+        slots = pattern.slots.take(len(_STENCIL) * t[:, :, None] + k).ravel()
+        np.add.at(data, slots, np.broadcast_to(elements(s), (len(t), 3, 3)).ravel())
+        reached[slots] = True
+    return data[:-1], reached[:-1]
+
+
+def _csr(pattern: _Pattern, data, keep=None):
+    """The matrix of `data` on `pattern`, with the entries `keep` marks (all)."""
+    indptr, indices = pattern.indptr, pattern.indices
+    if keep is not None:
+        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+        data, indices = data[keep], indices[keep]
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+
+
+def _full_node(mesh: Mesh, nodes, elements, dtype):
+    """`_sum` over all nodes, with the entries that the triangles reach."""
+    pattern = _pattern(mesh, np.arange(mesh.n_nodes))
+    return _csr(pattern, *_sum(pattern, nodes, elements, dtype))
+
+
+def _mass(mesh: Mesh):
+    """(triangles, element matrices, dtype) of the exact P1 mass matrix."""
+    return mesh.triangles, lambda s: (mesh.h**2 / 2.0) * _MASS_ELEMENT, float
 
 
 def assemble_mass(mesh: Mesh):
     """Exact P1 mass matrix over all nodes."""
-    area = mesh.h**2 / 2.0
-    Me = area * _MASS_ELEMENT
-    elems = np.broadcast_to(Me, (len(mesh.triangles), 3, 3))
-    return _scatter(mesh, np.ascontiguousarray(elems))
+    return _full_node(mesh, *_mass(mesh))
 
 
 def resolves(h: float, eps: float) -> bool:
     """Whether the step h resolves a squeezed potential of tube width eps:
     h <= eps / 4, with 1e-12 slack for round-off in h."""
     return h <= eps / 4.0 + 1e-12
+
+
+def _volume_potential(mesh: Mesh, W):
+    """(triangles, element matrices, dtype) of `assemble_volume_potential`."""
+    eps = getattr(W, "eps", None)
+    if eps is not None and not resolves(mesh.h, eps):
+        raise ResolutionError(f"squeezed potential with eps={eps} needs h <= eps/4, "
+                              f"got h={mesh.h}")
+    px, py = mesh.node_x[mesh.triangles], mesh.node_y[mesh.triangles]
+    area = mesh.h**2 / 2.0
+    # midpoint opposite local vertex k lies between the other two vertices
+    pairs = ((1, 2), (0, 2), (0, 1))
+    tri = np.arange(len(mesh.triangles))
+    if callable(W):
+        if hasattr(W, "support_mask"):
+            # corner boxes column by column: min(axis=1) over 3 is slow
+            lo = np.stack([np.minimum(np.minimum(p[:, 0], p[:, 1]), p[:, 2])
+                           for p in (px, py)], axis=1)
+            hi = np.stack([np.maximum(np.maximum(p[:, 0], p[:, 1]), p[:, 2])
+                           for p in (px, py)], axis=1)
+            tri = np.flatnonzero(W.support_mask(lo, hi))
+            px, py = px[tri], py[tri]
+        wq = np.stack([W(0.5 * (px[:, a] + px[:, b]), 0.5 * (py[:, a] + py[:, b]))
+                       for a, b in pairs], axis=1)
+    else:
+        wq = np.full((len(tri), 3), W, dtype=np.result_type(W, float))
+    keep = np.flatnonzero(np.any(wq != 0, axis=1))  # NaN != 0 holds
+    wq = wq[keep]
+    dtype = complex if np.iscomplexobj(wq) else float
+    elems = np.zeros((len(keep), 3, 3), dtype=dtype)
+    for k, (a, b) in enumerate(pairs):  # the 2 x 2 block of a and b
+        elems[:, [[a], [b]], [a, b]] += ((area / 12.0) * wq[:, k])[:, None, None]
+    return mesh.triangles[tri[keep]], lambda s: elems[s], dtype
 
 
 def assemble_volume_potential(mesh: Mesh, W):
@@ -313,41 +378,7 @@ def assemble_volume_potential(mesh: Mesh, W):
     (NaN included) are scattered: for a squeezed potential, the triangles
     that meet its eps-tube.
     """
-    eps = getattr(W, "eps", None)
-    if eps is not None and not resolves(mesh.h, eps):
-        raise ResolutionError(
-            f"squeezed potential with eps={eps} needs h <= eps/4, got h={mesh.h}"
-        )
-    px, py = _tri_corners(mesh)
-    area = mesh.h**2 / 2.0
-    # midpoint opposite local vertex k lies between the other two vertices
-    pairs = ((1, 2), (0, 2), (0, 1))
-    tri = np.arange(len(mesh.triangles))
-    if callable(W):
-        if hasattr(W, "support_mask"):
-            # corner boxes column by column: min(axis=1) over 3 is slow
-            lo = np.stack([np.minimum(np.minimum(p[:, 0], p[:, 1]), p[:, 2])
-                           for p in (px, py)], axis=1)
-            hi = np.stack([np.maximum(np.maximum(p[:, 0], p[:, 1]), p[:, 2])
-                           for p in (px, py)], axis=1)
-            tri = np.flatnonzero(W.support_mask(lo, hi))
-            px, py = px[tri], py[tri]
-        wq = []
-        for a, b in pairs:
-            wq.append(W(0.5 * (px[:, a] + px[:, b]), 0.5 * (py[:, a] + py[:, b])))
-        wq = np.stack(wq, axis=1)
-    else:
-        wq = np.full((len(tri), 3), W, dtype=np.result_type(W, float))
-    keep = np.flatnonzero(np.any(wq != 0, axis=1))  # NaN != 0 holds
-    wq = wq[keep]
-    dtype = complex if np.iscomplexobj(wq) else float
-    elems = np.zeros((len(keep), 3, 3), dtype=dtype)
-    for k, (a, b) in enumerate(pairs):
-        contrib = (area / 12.0) * wq[:, k]
-        for i in (a, b):
-            for j in (a, b):
-                elems[:, i, j] += contrib
-    return _scatter(mesh, elems, mesh.triangles[tri[keep]])
+    return _full_node(mesh, *_volume_potential(mesh, W))
 
 
 def homogeneous_gauge(b: float):
@@ -360,6 +391,29 @@ def homogeneous_gauge(b: float):
     return A
 
 
+def _stiffness(mesh: Mesh, A):
+    """(triangles, element matrices, dtype) of `assemble_magnetic_stiffness`;
+    the element matrices of a block of triangles are made when it is summed."""
+    area = mesh.h**2 / 2.0
+    lower = np.arange(len(mesh.triangles)) < len(mesh.triangles) // 2
+    if A is not None:
+        px, py = mesh.node_x[mesh.triangles], mesh.node_y[mesh.triangles]
+        ax, ay = (np.asarray(a, dtype=float) for a in A(px.mean(axis=1), py.mean(axis=1)))
+    magnetic = A is not None and (np.any(ax) or np.any(ay))
+
+    def elements(s):
+        grads = np.where(lower[s, None, None], _GRAD_LOWER / mesh.h, _GRAD_UPPER / mesh.h)
+        K = area * np.einsum("tid,tjd->tij", grads, grads)
+        if not magnetic:
+            return K
+        AG = ax[s, None] * grads[:, :, 0] + ay[s, None] * grads[:, :, 1]
+        elems = K.astype(complex) + 1j * (area / 3.0) * (AG[:, None, :] - AG[:, :, None])
+        elems[:, [0, 1, 2], [0, 1, 2]] += ((area / 3.0) * (ax[s] ** 2 + ay[s] ** 2))[:, None]
+        return elems
+
+    return mesh.triangles, elements, complex if magnetic else float
+
+
 def assemble_magnetic_stiffness(mesh: Mesh, A=None):
     """Kinetic form int (i grad u + A u) . conj(i grad v + A v) over all nodes.
 
@@ -368,54 +422,21 @@ def assemble_magnetic_stiffness(mesh: Mesh, A=None):
     integrals.  The result is Hermitian by construction and real when A
     vanishes identically.
     """
-    area = mesh.h**2 / 2.0
-    nt = len(mesh.triangles)
-    half = nt // 2
-    grads = np.empty((nt, 3, 2))
-    grads[:half] = _GRAD_LOWER / mesh.h
-    grads[half:] = _GRAD_UPPER / mesh.h
-    K = area * np.einsum("tid,tjd->tij", grads, grads)
-    if A is None:
-        return _scatter(mesh, K)
-    px, py = _tri_corners(mesh)
-    ax, ay = A(px.mean(axis=1), py.mean(axis=1))
-    ax = np.asarray(ax, dtype=float)
-    ay = np.asarray(ay, dtype=float)
-    if not np.any(ax) and not np.any(ay):
-        return _scatter(mesh, K)
-    AG = ax[:, None] * grads[:, :, 0] + ay[:, None] * grads[:, :, 1]
-    cross = 1j * (area / 3.0) * (AG[:, None, :] - AG[:, :, None])
-    elems = K.astype(complex) + cross
-    asq = (area / 3.0) * (ax**2 + ay**2)
-    for i in range(3):
-        elems[:, i, i] += asq
-    return _scatter(mesh, elems)
+    return _full_node(mesh, *_stiffness(mesh, A))
 
 
 def _p1_basis_at_points(mesh: Mesh, pts):
     """Containing-triangle nodes and P1 basis values for each point (n, 2)."""
     (x0, _), (y0, _) = mesh.box
-    h = mesh.h
-    Nx = mesh.nx + 1
+    h, Nx = mesh.h, mesh.nx + 1
     ix = np.clip(((pts[:, 0] - x0) / h).astype(np.int64), 0, mesh.nx - 1)
     iy = np.clip(((pts[:, 1] - y0) / h).astype(np.int64), 0, mesh.ny - 1)
     fx = (pts[:, 0] - (x0 + h * ix)) / h
     fy = (pts[:, 1] - (y0 + h * iy)) / h
     lower = fy <= fx
-    p00 = iy * Nx + ix
-    p10 = iy * Nx + ix + 1
-    p01 = (iy + 1) * Nx + ix
-    p11 = (iy + 1) * Nx + ix + 1
-    nodes = np.where(
-        lower[:, None],
-        np.stack([p00, p10, p11], axis=1),
-        np.stack([p00, p11, p01], axis=1),
-    )
-    basis = np.where(
-        lower[:, None],
-        np.stack([1.0 - fx, fx - fy, fy], axis=1),
-        np.stack([1.0 - fy, fx, fy - fx], axis=1),
-    )
+    nodes = (iy * Nx + ix)[:, None] + (_CORNERS @ [1, Nx])[np.where(lower, 0, 1)]
+    basis = np.where(lower[:, None], np.stack([1.0 - fx, fx - fy, fy], axis=1),
+                     np.stack([1.0 - fy, fx, fy - fx], axis=1))
     return nodes, basis
 
 
@@ -441,14 +462,9 @@ def line_quadrature(box, h: float, k: int, seg):
     return sq, wq, pts
 
 
-def assemble_delta_term(mesh: Mesh, net: Network, strengths):
-    """Line-term matrix int_Sigma alpha u conj(v) dsigma on P1 traces.
-
-    `strengths` maps segment index to its strength (scalar, callable of arc
-    length, or StrengthFunction) and is read by `get`, so a list raises;
-    segments without an entry, or with None, are skipped.  Each point of the
-    quadrature, `line_quadrature`'s, adds the element matrix of its triangle.
-    """
+def _delta_term(mesh: Mesh, net: Network, strengths):
+    """(triangles, element matrices, dtype) of `assemble_delta_term`, one
+    triangle per quadrature point, in the order of the points."""
     elems, nodes = [np.zeros((0, 3, 3))], [np.zeros((0, 3), np.int64)]
     for k, seg in enumerate(net.segments):
         a_k = strengths.get(k)
@@ -462,7 +478,20 @@ def assemble_delta_term(mesh: Mesh, net: Network, strengths):
         tri, basis = _p1_basis_at_points(mesh, pts)
         elems.append((aq * wq)[:, None, None] * basis[:, :, None] * basis[:, None, :])
         nodes.append(tri)
-    return _scatter(mesh, np.concatenate(elems), np.concatenate(nodes))
+    elems = np.concatenate(elems)
+    return np.concatenate(nodes), lambda s: elems[s], elems.dtype
+
+
+def assemble_delta_term(mesh: Mesh, net: Network, strengths):
+    """Line-term matrix int_Sigma alpha u conj(v) dsigma on P1 traces.
+
+    `strengths` maps segment index to its strength (scalar, callable of arc
+    length, or StrengthFunction) and is read by `get`, so a list raises;
+    segments without an entry, or with None, are skipped.  Each point of the
+    quadrature, `line_quadrature`'s, adds the element matrix of its triangle,
+    in the order of the points.
+    """
+    return _full_node(mesh, *_delta_term(mesh, net, strengths))
 
 
 def interpolate(mesh: Mesh, u, points):
@@ -537,50 +566,47 @@ class AssembledForm:
 
 @dataclass(frozen=True)
 class BaseForm:
-    """The restricted pair S = restrict(K_A + Q), M = restrict(mass) of one
-    (mesh, A, Q), shared by every form on them; A is matched by identity."""
+    """The interior-node pair S = K_A + Q, M = mass of one (mesh, A, Q),
+    shared by every form on them; A is matched by identity.  S and M share
+    `pattern`, the `_Pattern` of the unknowns, explicit zeros included."""
 
     mesh: Mesh
     A: object
     Q: object
     S: sp.csr_matrix
     M: sp.csr_matrix
+    pattern: _Pattern = field(repr=False, compare=False)
 
     def matches(self, mesh: Mesh, A=None, Q=None) -> bool:
         return self.mesh is mesh and self.A is A and self.Q == Q
 
 
 def assemble_base(mesh: Mesh, A=None, Q=None) -> BaseForm:
-    """Assemble and restrict the kinetic part, the background potential Q
-    (scalar or callable, None for none) and the mass matrix of `mesh`."""
-    S = assemble_magnetic_stiffness(mesh, A)
+    """Sum the kinetic part, the background potential Q (scalar or callable,
+    None for none) and the mass matrix of `mesh` into the pattern of its
+    unknowns (`_sum`), K_A and Q each on its own, then added."""
+    pattern = _pattern(mesh, mesh.interior)
+    S = _sum(pattern, *_stiffness(mesh, A))[0]
     if Q is not None:
-        S = S + assemble_volume_potential(mesh, Q)
-    return BaseForm(mesh, A, Q, restrict(mesh, S), restrict(mesh, assemble_mass(mesh)))
+        S = S + _sum(pattern, *_volume_potential(mesh, Q))[0]
+    M = _sum(pattern, *_mass(mesh))[0]
+    return BaseForm(mesh, A, Q, _csr(pattern, S), _csr(pattern, M), pattern)
 
 
-def build_form(
-    mesh: Mesh,
-    *,
-    A=None,
-    Q=None,
-    net: Network = None,
-    strengths=None,
-    potential=None,
-    base: BaseForm | None = None,
-) -> AssembledForm:
-    """Assemble and restrict the full operator of one experiment.
+def build_form(mesh: Mesh, *, A=None, Q=None, net: Network = None, strengths=None,
+               potential=None, base: BaseForm | None = None) -> AssembledForm:
+    """Assemble the full operator of one experiment over the unknowns.
 
     Combines the magnetic kinetic part, an optional background potential Q,
     an optional squeezed potential (callable carrying eps), and an optional
     concentrated line term given by per-segment strengths on `net` (a dict,
     or a list or tuple indexed by segment).  The kinetic part, Q and the mass
     matrix come from `base`, the `BaseForm` of (mesh, A, Q) (ValueError for
-    another one), or from `assemble_base`; the form adds the restrictions of
-    its own terms to base.S and shares base.M.
-    Adding after restricting gives the entries of restricting the full sum.
-    The form's `tube` marks the rows where those terms have entries: outside
-    them S is base.S, bitwise.
+    another one), or from `assemble_base`.  The form sums each of its terms
+    into base.pattern, adds them to base.S's values, keeps the nonzero
+    entries and shares base.M; without a term, S is base.S.  Its `tube`
+    marks the interior nodes of the terms' triangles: elsewhere S has
+    base.S's nonzero values, bitwise.
     """
     if strengths is not None and net is None:
         raise ValueError("delta strengths need a network")
@@ -590,12 +616,13 @@ def build_form(
         base = assemble_base(mesh, A, Q)
     elif not base.matches(mesh, A, Q):
         raise ValueError("base form of another mesh, vector potential or background")
-    S, tube = base.S, np.zeros(base.S.shape[0], dtype=bool)
-    terms = [] if potential is None else [assemble_volume_potential(mesh, potential)]
+    terms = [] if potential is None else [_volume_potential(mesh, potential)]
     if strengths is not None:
-        terms.append(assemble_delta_term(mesh, net, strengths))
+        terms.append(_delta_term(mesh, net, strengths))
+    data, tube = base.S.data, np.zeros(base.S.shape[0], dtype=bool)
     for term in terms:
-        term = restrict(mesh, term)
-        tube |= np.diff(term.indptr) > 0
-        S = S + term
+        term, reached = _sum(base.pattern, *term)
+        data = data + term
+        tube |= reached[base.pattern.slots[len(_STENCIL) * mesh.interior + 3]]
+    S = _csr(base.pattern, data, data != 0) if terms else base.S
     return AssembledForm(S=S, M=base.M, tree=mesh.tree, tube=tube)

@@ -510,16 +510,20 @@ def compute_beta(segments, beta_cap):
     """Certified tube half-width: min(cap, 1/(2 sup|kappa|), d_min / 2).
 
     d_min is the minimal exact distance (`CurveSegment.closest`) of the
-    _SAMPLES points of each segment to every later non-adjacent segment;
-    segments sharing an endpoint are exempt from d_min only, since they meet
-    at the shared vertex, the accepted measure-zero set.  More than 1 % of
-    the samples of one segment within round-off of another signal an overlap
-    of positive length and raise NetworkConstructionError, for every pair.
-    Of two adjacent segments only the middle half of the shorter one's
-    samples is tested: tangent segments (the branches of a cusp tip) come
-    within round-off of each other near their shared vertex, while an
-    overlap that starts there covers the middle of the shorter segment when
-    both are lines or arcs of one circle.
+    _SAMPLES points of each segment to every later segment.  Two segments
+    that share an endpoint v meet there, the accepted measure-zero set, so
+    the points p of the first near v are exempt: those with
+    |p - v| sin(theta) < 4 beta, theta the angle between the segments at v
+    (90 degrees when wider) and beta the width before d_min.  Straight
+    segments are |p - v| sin(theta) apart there, so they never bind d_min;
+    tangent ones (the branches of a cusp tip) are exempt along their length.
+    More than 1 % of the samples of one segment within round-off of another
+    signal an overlap of positive length and raise NetworkConstructionError,
+    for every pair.  Of two adjacent segments only the middle half of the
+    shorter one's samples is tested for that: tangent segments come within
+    round-off of each other near their shared vertex, while an overlap that
+    starts there covers the middle of the shorter segment when both are
+    lines or arcs of one circle.
     """
     if not segments:
         raise NetworkConstructionError("network needs at least one segment")
@@ -533,12 +537,14 @@ def compute_beta(segments, beta_cap):
     ends = [(seg.point(0.0), seg.point(seg.length)) for seg in segments]
     middle = slice(_SAMPLES // 4, _SAMPLES - _SAMPLES // 4)
 
-    def adjacent(k, l):
-        return any(
-            np.linalg.norm(a - b) < _ENDPOINT_TOL
-            for a in ends[k]
-            for b in ends[l]
-        )
+    def shared(k, l):
+        return [a for a in ends[k] if any(np.linalg.norm(a - b) < _ENDPOINT_TOL for b in ends[l])]
+
+    def leaving(k, v):  # unit tangent of segment k leaving its endpoint v
+        seg = segments[k]
+        if np.linalg.norm(ends[k][0] - v) < _ENDPOINT_TOL:
+            return seg.tangent(0.0)
+        return -seg.tangent(seg.length)
 
     def distance(p, l):
         return np.linalg.norm(p - segments[l].closest(p)[1], axis=1)
@@ -546,9 +552,17 @@ def compute_beta(segments, beta_cap):
     d_min = np.inf
     for k in range(len(segments)):
         for l in range(k + 1, len(segments)):
-            if adjacent(k, l):
+            vertices = shared(k, l)
+            if vertices:
                 shorter, longer = sorted((k, l), key=lambda i: segments[i].length)
                 d = distance(pts[shorter][middle], longer)
+                far = np.ones(_SAMPLES, dtype=bool)
+                for v in vertices:
+                    cos = float(np.dot(leaving(k, v), leaving(l, v)))
+                    sin = 1.0 if cos <= 0.0 else np.sqrt(max(0.0, 1.0 - cos * cos))
+                    far &= sin * np.linalg.norm(pts[k] - v, axis=1) >= 4.0 * beta
+                if far.any():
+                    d_min = min(d_min, float(distance(pts[k][far], l).min()))
             else:
                 d = distance(pts[k], l)
                 d_min = min(d_min, float(d.min()))

@@ -151,6 +151,14 @@ def _entry(where, spec: dict, key, test=_real, default=...):
     return value
 
 
+def _unknown(where, spec: dict, known):
+    """Log each entry of `spec` not in `known`, the entries its reader
+    reads, as unknown and ignored: one warning each, naming `where`."""
+    for key in spec:
+        if key not in known:
+            logger.warning("%s: unknown entry %r, ignored", where, key)
+
+
 def _check(scenario, cfg: dict, *, blocks={}, counts={}, reals={}, flags={}, lists={}, grids={},
            strengths={}, run=False) -> dict:
     """The one reader of a command's top-level config entries, called first,
@@ -166,13 +174,14 @@ def _check(scenario, cfg: dict, *, blocks={}, counts={}, reals={}, flags={}, lis
     "mesh.box" (two increasing pairs of numbers) and a positive step
     "mesh.h", the paths "out" and "dump_mm" (default None) and the ignored
     "seed".  An optional strength "alpha" adds its alternative "profile", a
-    block or a list.  Each other top-level entry is logged as unknown, one
-    warning each, and ignored."""
+    block or a list.  Each other top-level or mesh entry is logged as
+    unknown, one warning each, and ignored (`_unknown`)."""
     where, checked = f"{scenario} config", {}
     if run:
         mesh = {f"mesh.{key}": value for key, value in _entry(where, cfg, "mesh", _block).items()}
         checked["mesh"] = {key: _entry(where, mesh, f"mesh.{key}", test)
                            for key, test in (("box", _box), ("h", _step))}
+        _unknown(where, mesh, [f"mesh.{key}" for key in checked["mesh"]])
         checked.update({key: _entry(where, cfg, key, _path, None) for key in ("out", "dump_mm")})
     if strengths.get("alpha", ...) is None:
         checked["profile"] = _entry(where, cfg, "profile", _profiles, None)
@@ -191,9 +200,7 @@ def _check(scenario, cfg: dict, *, blocks={}, counts={}, reals={}, flags={}, lis
                     if not _real(a):
                         entry = f"{name!r} entry {i}" if listed else repr(name)
                         raise ConfigError(f"{where}: {entry} must be a real number, got {a!r}")
-    for key in cfg:
-        if key not in checked and not (run and key == "seed"):
-            logger.warning("%s config: unknown entry %r, ignored", scenario, key)
+    _unknown(where, cfg, [*checked, *(["seed"] if run else [])])
     return checked
 
 
@@ -237,23 +244,24 @@ def _check_run(scenario, c: dict, key: str, nets, refines=(1,)):
             raise ConfigError(f"{scenario} output path not writable: {path}")
 
 
+# each segment kind's class and the tests of the entries it is built from
+_SEGMENTS = {"line": (geometry.LineSegment, {"p0": _pair, "p1": _pair}),
+             "arc": (geometry.CircularArc,
+                     {"center": _pair, "radius": _real, "theta0": _real, "theta1": _real}),
+             "cusp": (geometry.CuspBranch,
+                      {"exponent": _real, "sign": _real, "x_max": _real, "collar": _real}),
+             "spline": (geometry.SplineSegment, {"points": _points})}
+
+
 def _segment_from_spec(i: int, spec: dict) -> geometry.CurveSegment:
-    where = f"network segment {i}"
-    kind = spec.get("kind")
-    if kind == "line":
-        return geometry.LineSegment(_entry(where, spec, "p0", _pair),
-                                    _entry(where, spec, "p1", _pair))
-    if kind == "arc":
-        return geometry.CircularArc(_entry(where, spec, "center", _pair),
-                                    *(_entry(where, spec, key)
-                                      for key in ("radius", "theta0", "theta1")))
-    if kind == "cusp":  # an absent or null sign, x_max or collar takes CuspBranch's default
-        return geometry.CuspBranch(_entry(where, spec, "exponent"), **{
-            key: _entry(where, spec, key) for key in ("sign", "x_max", "collar")
-            if spec.get(key) is not None})
-    if kind == "spline":
-        return geometry.SplineSegment(_entry(where, spec, "points", _points))
-    raise ConfigError(f"unknown segment kind: {kind!r}")
+    where, kind = f"network segment {i}", spec.get("kind")
+    if not (isinstance(kind, str) and kind in _SEGMENTS):
+        raise ConfigError(f"unknown segment kind: {kind!r}")
+    cls, tests = _SEGMENTS[kind]
+    _unknown(where, spec, ["kind", *tests])
+    # an absent or null sign, x_max or collar of a cusp takes CuspBranch's default
+    return cls(**{key: _entry(where, spec, key, test) for key, test in tests.items()
+                  if kind != "cusp" or key == "exponent" or spec.get(key) is not None})
 
 
 def network_from_spec(spec: dict) -> geometry.Network:
@@ -266,6 +274,7 @@ def network_from_spec(spec: dict) -> geometry.Network:
         raise ConfigError(f"network: 'segments' must be a list of segment blocks, "
                           f"got {segments!r}")
     segments = [_segment_from_spec(i, s) for i, s in enumerate(segments)]
+    _unknown("network", spec, ("segments", "beta_cap"))
     return geometry.Network(segments, beta_cap=_entry("network", spec, "beta_cap"))
 
 

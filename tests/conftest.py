@@ -52,8 +52,44 @@ def smooth_bump(center, radius):
     return f, grad
 
 
-def full_scatter_potential(mesh, W):
-    """int W u conj(v) by the edge-midpoint rule, every triangle scattered:
+def coo_scatter(mesh, elems, triangles=None):
+    """Sum of the element matrices `elems` of `triangles` (default: all) over
+    all nodes by scipy's COO to CSR conversion: the reference for the
+    stencil sums of `fem`."""
+    t = mesh.triangles if triangles is None else triangles
+    rows, cols = np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+    return sp.coo_matrix((elems.ravel(), (rows, cols)),
+                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+
+
+def coo_stiffness(mesh, A=None):
+    """`fem.assemble_magnetic_stiffness`, every element matrix made at once
+    and summed by `coo_scatter`."""
+    area, half = mesh.h**2 / 2.0, len(mesh.triangles) // 2
+    grads = np.concatenate([
+        np.broadcast_to(np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]]) / mesh.h, (half, 3, 2)),
+        np.broadcast_to(np.array([[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]]) / mesh.h, (half, 3, 2))])
+    K = area * np.einsum("tid,tjd->tij", grads, grads)
+    if A is None:
+        return coo_scatter(mesh, K)
+    px, py = mesh.node_x[mesh.triangles], mesh.node_y[mesh.triangles]
+    ax, ay = A(px.mean(axis=1), py.mean(axis=1))
+    AG = ax[:, None] * grads[:, :, 0] + ay[:, None] * grads[:, :, 1]
+    elems = K.astype(complex) + 1j * (area / 3.0) * (AG[:, None, :] - AG[:, :, None])
+    for i in range(3):
+        elems[:, i, i] += (area / 3.0) * (ax**2 + ay**2)
+    return coo_scatter(mesh, elems)
+
+
+def coo_mass(mesh):
+    """`fem.assemble_mass` summed by `coo_scatter`."""
+    Me = (mesh.h**2 / 2.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    return coo_scatter(mesh, np.broadcast_to(Me, (len(mesh.triangles), 3, 3)))
+
+
+def full_scatter_potential(mesh, W, tube=False):
+    """int W u conj(v) by the edge-midpoint rule, every triangle scattered
+    (with `tube`, those with a nonzero quadrature value, NaN included):
     the reference for the tube-only `fem.assemble_volume_potential`."""
     px, py = mesh.node_x[mesh.triangles], mesh.node_y[mesh.triangles]
     pairs = ((1, 2), (0, 2), (0, 1))
@@ -68,10 +104,8 @@ def full_scatter_potential(mesh, W):
         for i in (a, b):
             for j in (a, b):
                 elems[:, i, j] += (area / 12.0) * wq[:, k]
-    t = mesh.triangles
-    rows, cols = np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
-    return sp.coo_matrix((elems.ravel(), (rows, cols)),
-                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    keep = np.any(wq != 0, axis=1) if tube else slice(None)
+    return coo_scatter(mesh, elems[keep], mesh.triangles[keep])
 
 
 def full_node_form(op, eps=None):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from conftest import assert_same_csr, full_scatter_potential, smooth_bump, star_network
+from conftest import (
+    assert_same_csr,
+    coo_mass,
+    coo_stiffness,
+    full_scatter_potential,
+    smooth_bump,
+    star_network,
+)
 
 from deltasqueeze.fem import (
     GeometryError,
@@ -17,8 +24,10 @@ from deltasqueeze.fem import (
     hermiticity_residual,
     homogeneous_gauge,
     interpolate,
+    line_quadrature,
     restrict,
 )
+from deltasqueeze import fem
 from deltasqueeze.geometry import CircularArc, LineSegment, Network, SplineSegment
 from deltasqueeze.potentials import SqueezedPotential, constant_profile
 
@@ -216,6 +225,25 @@ def test_magnetic_assembly_hermitian():
     assert hermiticity_residual(S) <= 1e-12
 
 
+@pytest.mark.parametrize("matrix", ["stiffness", "magnetic", "mass", "constant_potential"])
+def test_full_node_sums_equal_the_coo_scatter_bit_for_bit(matrix):
+    # every slot sums its entries in triangle order, as scipy's COO to CSR
+    # conversion happens to on this mesh, explicit zeros included
+    m = build_mesh(((-1.0, 2.0), (-1.5, 1.0)), 0.125)
+    got, reference = {
+        "stiffness": lambda: (assemble_magnetic_stiffness(m), coo_stiffness(m)),
+        "magnetic": lambda: (assemble_magnetic_stiffness(m, homogeneous_gauge(1.5)),
+                             coo_stiffness(m, homogeneous_gauge(1.5))),
+        "mass": lambda: (assemble_mass(m), coo_mass(m)),
+        "constant_potential": lambda: (assemble_volume_potential(m, 0.7),
+                                       full_scatter_potential(m, 0.7)),
+    }[matrix]()
+    assert_same_csr(got, reference)
+    # the 7-point stencil: each node and its horizontal, vertical and diagonal edges
+    nx, ny = m.nx, m.ny
+    assert got.nnz == m.n_nodes + 2 * (nx * (ny + 1) + (nx + 1) * ny + nx * ny)
+
+
 def test_gauge_covariance_under_refinement():
     # chi(x, y) = xy: spectra of A and A + grad(chi) agree in the continuum;
     # the discrete defect must vanish with slope >= 1 in log-log
@@ -296,6 +324,52 @@ def test_delta_term_refuses_a_list_of_strengths():
     # build_form reads a list as entry k for segment k
     assert_same_csr(build_form(m, net=net, strengths=[-3.0]).S,
                     build_form(m, net=net, strengths={0: -3.0}).S)
+
+
+def test_delta_term_is_the_plain_point_order_sum():
+    # each point adds its element matrix in turn; scipy's COO to CSR
+    # conversion summed a long row's duplicates in no fixed order
+    net = Network([SplineSegment([[-0.9, -0.3], [-0.2, 0.4], [0.5, -0.1], [0.9, 0.3]]),
+                   LineSegment((-0.9, -0.3), (0.2, -0.9))], beta_cap=0.3)
+    m = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 8.0)
+    strengths = {0: lambda s: -2.0 - s, 1: -1.0 + 0.5j}
+    B = assemble_delta_term(m, net, strengths)
+    ref = np.zeros((m.n_nodes, m.n_nodes), dtype=complex)
+    reached = np.zeros(ref.shape, dtype=bool)
+    for k, seg in enumerate(net.segments):
+        sq, wq, pts = line_quadrature(m.box, m.h, k, seg)
+        aq = strengths[k](sq) if callable(strengths[k]) else np.full(sq.shape, strengths[k])
+        nodes, basis = fem._p1_basis_at_points(m, pts)
+        for a, t, b in zip(aq * wq, nodes, basis):
+            ref[np.ix_(t, t)] += a * b[:, None] * b[None, :]
+            reached[np.ix_(t, t)] = True
+    assert np.array_equal(B.toarray(), ref)
+    stored = np.zeros(ref.shape, dtype=bool)
+    stored[B.tocoo().row, B.tocoo().col] = True
+    assert np.array_equal(stored, reached)
+
+
+@pytest.mark.parametrize("b, term", [(0.0, "squeezed"), (0.0, "delta"), (1.5, "squeezed"),
+                                     (1.5, "delta")])
+def test_a_form_keeps_its_nonzero_entries_and_leaves_its_base_as_it_is(b, term):
+    net = Network([LineSegment((-0.6, 0.05), (0.7, 0.3))], beta_cap=0.3)
+    m = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 16.0)
+    A = homogeneous_gauge(b) if b else None
+    base = assemble_base(m, A)
+    arrays = [x.copy() for x in (base.S.indptr, base.S.indices, base.S.data)]
+    if term == "squeezed":
+        W = SqueezedPotential(net, [constant_profile(0, -4.0, net.beta)], 0.25)
+        form, full = build_form(m, A=A, potential=W, base=base), assemble_volume_potential(m, W)
+    else:
+        form = build_form(m, A=A, net=net, strengths={0: -4.0}, base=base)
+        full = assemble_delta_term(m, net, {0: -4.0})
+    # base.S stores the whole stencil, explicit zeros included; the form's S
+    # keeps the nonzero entries only, as the sparse sum of restrictions did
+    assert base.S.nnz == base.M.nnz and (b or np.any(base.S.data == 0))
+    assert np.all(form.S.data != 0) and form.S.has_canonical_format
+    assert np.array_equal(form.tube, np.diff(restrict(m, full).indptr) > 0)
+    assert all(np.array_equal(x, y) for x, y in zip(
+        arrays, (base.S.indptr, base.S.indices, base.S.data)))
 
 
 def test_delta_on_mesh_line_quadratic_form():
@@ -430,6 +504,7 @@ def test_tube_only_potential_equals_the_full_scatter():
     P, full = assemble_volume_potential(m, W), full_scatter_potential(m, W)
     assert P.nnz < full.nnz / 4  # only the tube's triangles are scattered
     assert P.dtype == full.dtype == complex
+    assert_same_csr(P, full_scatter_potential(m, W, tube=True))
     P.eliminate_zeros()
     full.eliminate_zeros()
     assert_same_csr(P, full)

@@ -307,6 +307,13 @@ def test_tube_coordinates_are_injective_and_tubes_disjoint():
     assert tube_violations(Network(star, beta_cap=0.4)) == (0, 0)
     net = Network([unit_circle(), LineSegment((2.0, -1.0), (2.0, 1.0))], beta_cap=10.0)
     assert tube_violations(net) == (0, 0)
+    # a spline from the line's end that comes back within 0.0231 of it near
+    # x = 1.55 had beta = 0.0636 and 275 foreign points: only a neighbourhood
+    # of their shared vertex is exempt from d_min
+    dip = SplineSegment([[0.0, 0.0], [-0.2, 0.35], [0.6, 0.45], [1.5, 0.026], [2.0, 0.3]])
+    net = Network([LineSegment((0.0, 0.0), (2.0, 0.0)), dip], beta_cap=1.0)
+    assert net.beta < 0.0116
+    assert tube_violations(net) == (0, 0)
 
 
 @pytest.mark.parametrize("segments, beta, overlap", [

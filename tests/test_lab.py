@@ -683,9 +683,10 @@ def test_unknown_profile_kind_raises_config_error():
 
 @pytest.fixture
 def assembled(monkeypatch):
-    """The mesh of every stiffness and every mass assembly the test makes."""
+    """The mesh of every stiffness and every mass assembly the test makes:
+    the element sources that every sum of K or M reads."""
     calls = {"stiffness": [], "mass": []}
-    for key, name in (("stiffness", "assemble_magnetic_stiffness"), ("mass", "assemble_mass")):
+    for key, name in (("stiffness", "_stiffness"), ("mass", "_mass")):
         def counting(mesh, *args, _fn=getattr(fem, name), _calls=calls[key]):
             _calls.append(mesh)
             return _fn(mesh, *args)
@@ -1772,8 +1773,24 @@ def refuse_mesh(box, h):
     raise MeshBuilt
 
 
-@pytest.mark.parametrize("command", [*RUNNER_CFGS, *ORACLE_CFGS])
-def test_each_unknown_entry_is_logged_once_and_ignored(tmp_path, monkeypatch, caplog, command):
+# misspelt entries inside blocks, each dropped without a word before:
+# (command, blocks that replace the config's, the warnings they add)
+BLOCK_TYPOS = {
+    "mesh_hh": ("spectrum", {"mesh": {**MESH, "hh": 0.1}},
+                ["spectrum config: unknown entry 'mesh.hh', ignored"]),
+    "network_beta_kap": ("convergence", {"network": {**LINE_NETWORK, "beta_kap": 0.3}},
+                         ["network: unknown entry 'beta_kap', ignored"]),
+    "cusp_colar": ("spectrum", {"network": {"beta_cap": 0.2, "segments": [
+        {"kind": "cusp", "exponent": 2.0, "x_max": 0.5, "colar": 0.01}]}},
+        ["network segment 0: unknown entry 'colar', ignored"]),
+}
+
+
+@pytest.mark.parametrize("command, blocks, logged", [
+    *((command, {}, []) for command in [*RUNNER_CFGS, *ORACLE_CFGS]), *BLOCK_TYPOS.values()],
+    ids=[*RUNNER_CFGS, *ORACLE_CFGS, *BLOCK_TYPOS])
+def test_each_unknown_entry_is_logged_once_and_ignored(tmp_path, monkeypatch, caplog, command,
+                                                       blocks, logged):
     # a misspelt "feild_b" ran the operator without a field and said nothing;
     # every runner knows "seed", "out" and "dump_mm", and no oracle command does
     extra = {"feild_b": 1.5, "seed": 5, "dump_mm": str(tmp_path / "mm")}
@@ -1785,10 +1802,10 @@ def test_each_unknown_entry_is_logged_once_and_ignored(tmp_path, monkeypatch, ca
         else:
             runner, cfg = RUNNER_CFGS[command]
             with pytest.raises(MeshBuilt):
-                runner({**cfg, **extra})
+                runner({**cfg, **blocks, **extra})
     unknown = list(extra) if command in ORACLE_CFGS else ["feild_b"]
-    assert caplog.messages == [f"{command} config: unknown entry {key!r}, ignored"
-                               for key in unknown]
+    assert sorted(caplog.messages) == sorted(
+        [f"{command} config: unknown entry {key!r}, ignored" for key in unknown] + logged)
 
 
 def test_a_profile_is_known_where_it_may_replace_alpha(caplog):

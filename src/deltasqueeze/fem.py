@@ -1,9 +1,9 @@
 """P1 finite elements on a Dirichlet box for magnetic forms with line terms.
 
 The box is triangulated uniformly, two triangles per cell with a fixed
-diagonal (lower-left to upper-right), so all element matrices come in two
-congruence classes and the sparsity pattern is deterministic.  The assembled
-sesquilinear form is
+diagonal (lower-left to upper-right), so the sparsity pattern is
+deterministic; each element matrix comes from its triangle's corners
+(`_geometry`).  The assembled sesquilinear form is
 
     S[u, v] = int (i grad u + A u) . conj(i grad v + A v)
             + int W u conj(v)  +  int_Sigma alpha u conj(v) dsigma
@@ -83,7 +83,7 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform triangulation of a box with Dirichlet boundary eliminated."""
+    """Triangulation of a box, Dirichlet boundary eliminated; element matrices read its nodes."""
 
     box: tuple
     h: float
@@ -91,7 +91,7 @@ class Mesh:
     ny: int
     node_x: np.ndarray
     node_y: np.ndarray
-    triangles: np.ndarray  # (nt, 3) node indices, lower block then upper block
+    triangles: np.ndarray  # (nt, 3) node indices, corners counter-clockwise
     interior: np.ndarray  # interior node indices in nested-dissection order
     tree: DissectionTree = field(repr=False, compare=False)  # separator tree of `interior`
 
@@ -256,9 +256,6 @@ def _rings(rects, nx, number):
     return np.concatenate([[0], np.cumsum(count)]), ring
 
 
-# fixed P1 gradients of the two triangle classes, scaled by 1/h at use time
-_GRAD_LOWER = np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])
-_GRAD_UPPER = np.array([[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]])
 _MASS_ELEMENT = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 # the 7-point stencil of the p00-p11 diagonal: the steps (di, dj) from a node to the
 # nodes it shares a triangle with, in ascending node index; _STENCIL[3] is (0, 0)
@@ -317,9 +314,19 @@ def _full_node(mesh: Mesh, nodes, elements, dtype):
     return _csr(pattern, *_sum(pattern, nodes, elements, dtype))
 
 
+def _geometry(mesh: Mesh, tri):
+    """(area, grads) of the triangles tri (t, 3) from their corners: areas (t, 1, 1), shaped
+    for element matrices, and P1 gradients (t, 3, 2), (y1 - y2, x2 - x1) / det at corner 0."""
+    x, y = mesh.node_x[tri], mesh.node_y[tri]
+    det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+           - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))[:, None, None]
+    nxt, prv = [1, 2, 0], [2, 0, 1]  # corners i + 1 and i + 2
+    return det / 2.0, np.stack([y[:, nxt] - y[:, prv], x[:, prv] - x[:, nxt]], axis=2) / det
+
+
 def _mass(mesh: Mesh):
     """(triangles, element matrices, dtype) of the exact P1 mass matrix."""
-    return mesh.triangles, lambda s: (mesh.h**2 / 2.0) * _MASS_ELEMENT, float
+    return mesh.triangles, lambda s: _geometry(mesh, mesh.triangles[s])[0] * _MASS_ELEMENT, float
 
 
 def assemble_mass(mesh: Mesh):
@@ -340,7 +347,6 @@ def _volume_potential(mesh: Mesh, W):
         raise ResolutionError(f"squeezed potential with eps={eps} needs h <= eps/4, "
                               f"got h={mesh.h}")
     px, py = mesh.node_x[mesh.triangles], mesh.node_y[mesh.triangles]
-    area = mesh.h**2 / 2.0
     # midpoint opposite local vertex k lies between the other two vertices
     pairs = ((1, 2), (0, 2), (0, 1))
     tri = np.arange(len(mesh.triangles))
@@ -358,12 +364,17 @@ def _volume_potential(mesh: Mesh, W):
     else:
         wq = np.full((len(tri), 3), W, dtype=np.result_type(W, float))
     keep = np.flatnonzero(np.any(wq != 0, axis=1))  # NaN != 0 holds
-    wq = wq[keep]
+    wq, triangles = wq[keep], mesh.triangles[tri[keep]]
     dtype = complex if np.iscomplexobj(wq) else float
-    elems = np.zeros((len(keep), 3, 3), dtype=dtype)
-    for k, (a, b) in enumerate(pairs):  # the 2 x 2 block of a and b
-        elems[:, [[a], [b]], [a, b]] += ((area / 12.0) * wq[:, k])[:, None, None]
-    return mesh.triangles[tri[keep]], lambda s: elems[s], dtype
+
+    def elements(s):
+        area = _geometry(mesh, triangles[s])[0]
+        elems = np.zeros((len(area), 3, 3), dtype=dtype)
+        for k, (a, b) in enumerate(pairs):  # the 2 x 2 block of a and b
+            elems[:, [[a], [b]], [a, b]] += (area / 12.0) * wq[s, k, None, None]
+        return elems
+
+    return triangles, elements, dtype
 
 
 def assemble_volume_potential(mesh: Mesh, W):
@@ -394,21 +405,19 @@ def homogeneous_gauge(b: float):
 def _stiffness(mesh: Mesh, A):
     """(triangles, element matrices, dtype) of `assemble_magnetic_stiffness`;
     the element matrices of a block of triangles are made when it is summed."""
-    area = mesh.h**2 / 2.0
-    lower = np.arange(len(mesh.triangles)) < len(mesh.triangles) // 2
     if A is not None:
         px, py = mesh.node_x[mesh.triangles], mesh.node_y[mesh.triangles]
         ax, ay = (np.asarray(a, dtype=float) for a in A(px.mean(axis=1), py.mean(axis=1)))
     magnetic = A is not None and (np.any(ax) or np.any(ay))
 
     def elements(s):
-        grads = np.where(lower[s, None, None], _GRAD_LOWER / mesh.h, _GRAD_UPPER / mesh.h)
+        area, grads = _geometry(mesh, mesh.triangles[s])
         K = area * np.einsum("tid,tjd->tij", grads, grads)
         if not magnetic:
             return K
         AG = ax[s, None] * grads[:, :, 0] + ay[s, None] * grads[:, :, 1]
         elems = K.astype(complex) + 1j * (area / 3.0) * (AG[:, None, :] - AG[:, :, None])
-        elems[:, [0, 1, 2], [0, 1, 2]] += ((area / 3.0) * (ax[s] ** 2 + ay[s] ** 2))[:, None]
+        elems[:, [0, 1, 2], [0, 1, 2]] += (area[:, 0] / 3.0) * (ax[s] ** 2 + ay[s] ** 2)[:, None]
         return elems
 
     return mesh.triangles, elements, complex if magnetic else float
@@ -417,6 +426,7 @@ def _stiffness(mesh: Mesh, A):
 def assemble_magnetic_stiffness(mesh: Mesh, A=None):
     """Kinetic form int (i grad u + A u) . conj(i grad v + A v) over all nodes.
 
+    Each triangle's area and P1 gradients come from its corners (`_geometry`).
     A is evaluated at triangle barycenters; the |A|^2 u conj(v) coupling uses
     the 3-point vertex rule (lumped), the cross term uses the exact P1
     integrals.  The result is Hermitian by construction and real when A

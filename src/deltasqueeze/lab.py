@@ -6,12 +6,12 @@ block and the run settings included, once, first, in one `_check` call that
 declares each top-level entry with its kind and its one default, checks
 them, logs the entries it does not declare, and returns the values; the
 runner reads only those, and a block's entries as the block is read
-(`_entry`).  It then builds its networks, and `_check_run` checks what
-needs them or the disk, the squeezing width and the output and dump
-directories, before any mesh is built.  A runner builds `Operator` records
-(base, network, profiles, strengths) with `Operator.from_config`, one
-`fem.BaseForm` of (mesh, A, Q) per distinct box and step, shared by the
-operators on it;
+(`_entry`).  It then builds its networks, and `_check_run` reads their
+profiles, once, and checks what needs them or the disk, the squeezing
+width and the output and dump directories, before any mesh is built.  A
+runner builds `Operator` records (base, network, profiles, strengths) with
+`Operator.from_config`, one `fem.BaseForm` of (mesh, A, Q) per distinct box
+and step, shared by the operators on it;
 `Operator.solve` is the one path from form to eigenpairs, and `_dump`
 writes each form as soon as it is built.  Every report goes through
 `_envelope`, which adds the config echo, the certified tube half-width and
@@ -207,16 +207,17 @@ def _check(scenario, cfg: dict, *, blocks={}, counts={}, reals={}, flags={}, lis
 def _check_run(scenario, c: dict, key: str, nets, refines=(1,)):
     """The checks that need the networks `nets` or touch the disk, made on
     `_check`'s result `c` before any mesh is built, each raising ConfigError
-    naming the scenario.  The squeezing width c[key] (a real number, None for
-    none; for "eps_grid" a nonempty list of them) must be resolved by
+    naming the scenario.  Returns the profiles of c's profile or alpha entry
+    on each net (`profiles_from_config`), the run's one reading of them, for
+    `Operator.from_config`.  The squeezing width c[key] (a real number, None
+    for none; for "eps_grid" a nonempty list of them) must be resolved by
     c["mesh"]["h"] (`fem.resolves`) and must not exceed the certified tube
     half-width of any net.  When the run builds a delta form (always for
     "eps_grid", else without a width), the line-term quadrature points of
-    every segment given a strength by c's profile or alpha entry
-    (`profiles_from_config`) must lie in the open box, on the mesh of step
-    h / r for each r of `refines`: the same test, and the same GeometryError,
-    as `fem.assemble_delta_term`'s.  c["out"] and c["dump_mm"], when set,
-    are created and must be writable directories."""
+    every segment given a strength by those profiles must lie in the open
+    box, on the mesh of step h / r for each r of `refines`: the same test,
+    and the same GeometryError, as `fem.assemble_delta_term`'s.  c["out"]
+    and c["dump_mm"], when set, are created and must be writable directories."""
     eps, h = c[key], c["mesh"]["h"]
     if eps is not None:
         lo, hi, beta = float(np.min(eps)), float(np.max(eps)), min(net.beta for net in nets)
@@ -225,11 +226,11 @@ def _check_run(scenario, c: dict, key: str, nets, refines=(1,)):
                               f"{lo}/4 = {lo / 4.0}, got {h}")
         if hi > beta:
             raise ConfigError(f"{scenario} config: {key!r} = {hi} exceeds beta = {beta}")
+    profiles = [profiles_from_config(c, net) for net in nets]
     if key == "eps_grid" or eps is None:
         box = tuple(tuple(map(float, pair)) for pair in c["mesh"]["box"])
-        for net in nets:
-            profiles = profiles_from_config(c, net)
-            for k in sorted({p.segment for p in profiles}):
+        for net, net_profiles in zip(nets, profiles):
+            for k in sorted({p.segment for p in net_profiles}):
                 for r in refines:
                     fem.line_quadrature(box, float(h / r), k, net.segments[k])
     for path in (c["out"], c["dump_mm"]):
@@ -242,6 +243,7 @@ def _check_run(scenario, c: dict, key: str, nets, refines=(1,)):
                 f"{scenario} output path not writable: {path} ({err.strerror})") from None
         if not os.access(path, os.W_OK):
             raise ConfigError(f"{scenario} output path not writable: {path}")
+    return profiles
 
 
 # each segment kind's class and the tests of the entries it is built from
@@ -278,6 +280,11 @@ def network_from_spec(spec: dict) -> geometry.Network:
     return geometry.Network(segments, beta_cap=_entry("network", spec, "beta_cap"))
 
 
+# the entries each profile kind is built from
+_PROFILES = {"constant": ("value",), "separable": ("g_s", "g_t"),
+             "tabulated": ("s_grid", "t_grid", "values")}
+
+
 def _profile_from_spec(i: int, spec, net: geometry.Network) -> potentials.TubeProfile:
     where, n = f"profile entry {i}", len(net.segments)
     if not isinstance(spec, dict):
@@ -286,6 +293,9 @@ def _profile_from_spec(i: int, spec, net: geometry.Network) -> potentials.TubePr
     if type(seg) is not int or not 0 <= seg < n:
         raise ConfigError(f"{where}: 'segment' {seg!r} is not a segment of the network, "
                           f"which has {n}")
+    if not (isinstance(kind, str) and kind in _PROFILES):
+        raise ConfigError(f"unknown profile kind: {kind!r}")
+    _unknown(where, spec, ["kind", "segment", *_PROFILES[kind]])
     if kind == "constant":
         return potentials.constant_profile(seg, _entry(where, spec, "value"), beta)
     if kind == "separable":
@@ -295,11 +305,8 @@ def _profile_from_spec(i: int, spec, net: geometry.Network) -> potentials.TubePr
             return lambda u: np.polyval(c[::-1], u)
 
         return potentials.separable_profile(seg, poly("g_s"), poly("g_t"), beta)
-    if kind == "tabulated":
-        s_grid, t_grid, values = (_entry(where, spec, key, _reals)
-                                  for key in ("s_grid", "t_grid", "values"))
-        return potentials.tabulated_profile(seg, s_grid, t_grid, np.asarray(values), beta)
-    raise ConfigError(f"unknown profile kind: {kind!r}")
+    s_grid, t_grid, values = (_entry(where, spec, key, _reals) for key in _PROFILES[kind])
+    return potentials.tabulated_profile(seg, s_grid, t_grid, np.asarray(values), beta)
 
 
 def profiles_from_config(cfg: dict, net: geometry.Network):
@@ -404,11 +411,13 @@ class Operator:
     strengths: dict
 
     @classmethod
-    def from_config(cls, cfg: dict, net: geometry.Network, base=None) -> "Operator":
+    def from_config(cls, cfg: dict, net: geometry.Network, base=None,
+                    profiles=None) -> "Operator":
         """From the profile or alpha entry of `cfg`, `_check`'s result, on the
         network `net`, built on `base`, else on the base of cfg's mesh and
-        its numbers field_b and q (absent or zero for none), assembled here."""
-        profiles = profiles_from_config(cfg, net)
+        its numbers field_b and q (absent or zero for none), assembled here.
+        `profiles` are those entries as `_check_run` read them (None: read here)."""
+        profiles = profiles_from_config(cfg, net) if profiles is None else profiles
         if base is None:
             b, q = cfg.get("field_b"), cfg.get("q")
             base = fem.assemble_base(_mesh(cfg["mesh"]), fem.homogeneous_gauge(b) if b else None,
@@ -571,11 +580,12 @@ def run_convergence(cfg):
                reals={"field_b": 0.0, "q": 0.0}, flags={"refine_check": False},
                grids={"eps_grid": ...}, strengths={"alpha": None}, run=True)
     net = network_from_spec(c["network"])
-    _check_run("convergence", c, "eps_grid", [net], refines=(1, 2) if c["refine_check"] else (1,))
+    [profiles] = _check_run("convergence", c, "eps_grid", [net],
+                            refines=(1, 2) if c["refine_check"] else (1,))
     eps_grid = np.asarray(c["eps_grid"], dtype=float)
     if not np.all(np.diff(eps_grid) < 0):
         raise ConfigError("eps_grid must be strictly decreasing")
-    op = Operator.from_config(c, net)
+    op = Operator.from_config(c, net, profiles=profiles)
 
     forms = {None: op.form()}  # the delta form, which the sweep takes out and drops
     _dump(c, "delta", forms[None])
@@ -800,14 +810,14 @@ def run_stargraph(cfg: dict):
         "gamma": _star_network([360.0 / N] * N, L, beta_cap),
         "rot": _star_network([360.0 / N] * N, L, beta_cap, rot_deg=c["rot_deg"]),
     }
-    _check_run("stargraph", c, "eps", nets.values(), refines=(1, 2))
+    profiles = dict(zip(nets, _check_run("stargraph", c, "eps", nets.values(), refines=(1, 2))))
     meshes = {"h": _mesh(c["mesh"]), "h2": _mesh(c["mesh"], refine=2)}
     values = {}
     for step, mesh in meshes.items():
         base = fem.assemble_base(mesh)
         for name, net in nets.items():
             tag = f"{name}_{step}"
-            op = Operator.from_config(c, net, base)
+            op = Operator.from_config(c, net, base, profiles[name])
             form = op.form(eps)
             if tag in ("sigma_h", "gamma_h"):
                 _dump(c, tag, form)
@@ -999,14 +1009,14 @@ def run_wedge(cfg: dict):
         ],
         beta_cap=c["beta_cap"],
     )
-    _check_run("wedge", c, "eps", [net])
+    [profiles] = _check_run("wedge", c, "eps", [net])
 
     if theta is None:
         logger.warning("wedge: Theta not supplied, criterion block skipped")
     criterion = None if theta is None else _wedge_criterion(phi, alpha, theta)
 
-    op = Operator.from_config(c, net,
-                              fem.assemble_base(_mesh(c["mesh"]), fem.homogeneous_gauge(b)))
+    base = fem.assemble_base(_mesh(c["mesh"]), fem.homogeneous_gauge(b))
+    op = Operator.from_config(c, net, base, profiles)
     form = op.form(eps)
     _dump(c, "wedge", form)
     res = op.solve(form, eps, k=c["k"])
@@ -1035,8 +1045,8 @@ def run_spectrum(cfg: dict):
                reals={"field_b": 0.0, "q": 0.0, "eps": None}, strengths={"alpha": None}, run=True)
     eps = c["eps"]
     net = network_from_spec(c["network"])
-    _check_run("spectrum", c, "eps", [net])
-    op = Operator.from_config(c, net)
+    [profiles] = _check_run("spectrum", c, "eps", [net])
+    op = Operator.from_config(c, net, profiles=profiles)
     form = op.form(eps)
     _dump(c, "spectrum", form)
     res = op.solve(form, eps, k=c["k"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -242,6 +244,33 @@ def test_full_node_sums_equal_the_coo_scatter_bit_for_bit(matrix):
     # the 7-point stencil: each node and its horizontal, vertical and diagonal edges
     nx, ny = m.nx, m.ny
     assert got.nnz == m.n_nodes + 2 * (nx * (ny + 1) + (nx + 1) * ny + nx * ny)
+
+
+MOVED_AREA, MOVED_GRAD = 3.75, np.array([1.1 - 0.4j, 0.7 + 0.2j])
+# each check on the moved mesh: (its value, the exact value, the tolerance)
+MOVED_CHECKS = {
+    # the interpolant of a linear function has its gradient on every triangle
+    "linear_energy": lambda m, u: (np.vdot(u, assemble_magnetic_stiffness(m) @ u).real,
+                                   np.vdot(MOVED_GRAD, MOVED_GRAD).real * MOVED_AREA,
+                                   1e-12 * MOVED_AREA),
+    "mass_total": lambda m, u: (assemble_mass(m).sum(), MOVED_AREA, 1e-12 * MOVED_AREA),
+    "constants_in_kernel": lambda m, u: (
+        np.max(np.abs(assemble_magnetic_stiffness(m) @ np.ones(m.n_nodes))), 0.0, 1e-12),
+    "unit_potential_is_mass": lambda m, u: (
+        abs(assemble_volume_potential(m, 1.0) - assemble_mass(m)).max(), 0.0, 1e-15),
+    "magnetic_hermitian": lambda m, u: (
+        hermiticity_residual(assemble_magnetic_stiffness(m, homogeneous_gauge(1.5))), 0.0, 1e-12),
+}
+
+
+@pytest.mark.parametrize("check", MOVED_CHECKS)
+def test_element_matrices_follow_the_node_coordinates(check):
+    # the uniform mesh of [-1, 1]^2 moved by (x, y) -> (1.25 x + 0.3 y, 0.75 y),
+    # a parallelogram of area 3.75: triangles, numbering and pattern stay
+    m = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 8.0)
+    m = dataclasses.replace(m, node_x=1.25 * m.node_x + 0.3 * m.node_y, node_y=0.75 * m.node_y)
+    value, exact, tol = MOVED_CHECKS[check](m, MOVED_GRAD[0] * m.node_x + MOVED_GRAD[1] * m.node_y)
+    assert abs(value - exact) <= tol
 
 
 def test_gauge_covariance_under_refinement():

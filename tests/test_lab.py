@@ -1783,6 +1783,10 @@ BLOCK_TYPOS = {
     "cusp_colar": ("spectrum", {"network": {"beta_cap": 0.2, "segments": [
         {"kind": "cusp", "exponent": 2.0, "x_max": 0.5, "colar": 0.01}]}},
         ["network segment 0: unknown entry 'colar', ignored"]),
+    # read once per run, so logged once, though the delta form checks its quadrature too
+    "profile_segmnet": ("convergence", {"profile": {"kind": "constant", "value": -4.0,
+                                                    "segmnet": 1}},
+                        ["profile entry 0: unknown entry 'segmnet', ignored"]),
 }
 
 

@@ -2,8 +2,10 @@
 
 The box is triangulated uniformly, two triangles per cell with a fixed
 diagonal (lower-left to upper-right), so the sparsity pattern is
-deterministic; each element matrix comes from its triangle's corners
-(`_geometry`).  The assembled sesquilinear form is
+deterministic; each element matrix, and each P1 basis value at a point
+(the line term, `interpolate`), comes from its triangle's corners
+(`_geometry`), and a point outside its triangle raises GeometryError.  The
+assembled sesquilinear form is
 
     S[u, v] = int (i grad u + A u) . conj(i grad v + A v)
             + int W u conj(v)  +  int_Sigma alpha u conj(v) dsigma
@@ -78,7 +80,7 @@ class ResolutionError(ValueError):
 
 
 class GeometryError(ValueError):
-    """Curve quadrature points leave the computational box."""
+    """A point leaves the computational box or the triangle it is looked up in."""
 
 
 @dataclass(frozen=True)
@@ -341,7 +343,8 @@ def resolves(h: float, eps: float) -> bool:
 
 
 def _volume_potential(mesh: Mesh, W):
-    """(triangles, element matrices, dtype) of `assemble_volume_potential`."""
+    """((triangles, element matrices, dtype), values) of `assemble_volume_potential`,
+    with W's values (t, 3) at the edge midpoints of those triangles."""
     eps = getattr(W, "eps", None)
     if eps is not None and not resolves(mesh.h, eps):
         raise ResolutionError(f"squeezed potential with eps={eps} needs h <= eps/4, "
@@ -374,7 +377,7 @@ def _volume_potential(mesh: Mesh, W):
             elems[:, [[a], [b]], [a, b]] += (area / 12.0) * wq[s, k, None, None]
         return elems
 
-    return triangles, elements, dtype
+    return (triangles, elements, dtype), wq
 
 
 def assemble_volume_potential(mesh: Mesh, W):
@@ -389,7 +392,7 @@ def assemble_volume_potential(mesh: Mesh, W):
     (NaN included) are scattered: for a squeezed potential, the triangles
     that meet its eps-tube.
     """
-    return _full_node(mesh, *_volume_potential(mesh, W))
+    return _full_node(mesh, *_volume_potential(mesh, W)[0])
 
 
 def homogeneous_gauge(b: float):
@@ -436,17 +439,32 @@ def assemble_magnetic_stiffness(mesh: Mesh, A=None):
 
 
 def _p1_basis_at_points(mesh: Mesh, pts):
-    """Containing-triangle nodes and P1 basis values for each point (n, 2)."""
+    """Containing-triangle nodes and P1 basis values for each point (n, 2).
+
+    The grid cell is looked up on the box, as in `_pattern`; of its two
+    triangles the point takes the one on its side of the p00-p11 diagonal.
+    The basis values come from the corners (`_geometry`): [i = 0] + grad
+    phi_i . (p - x_0), bitwise the uniform grid's ones on a dyadic step.  A
+    least value below -1e-12, or NaN, raises GeometryError naming the point
+    and h: the point lies off the box, or off its cell on a moved mesh.
+    """
     (x0, _), (y0, _) = mesh.box
     h, Nx = mesh.h, mesh.nx + 1
-    ix = np.clip(((pts[:, 0] - x0) / h).astype(np.int64), 0, mesh.nx - 1)
-    iy = np.clip(((pts[:, 1] - y0) / h).astype(np.int64), 0, mesh.ny - 1)
-    fx = (pts[:, 0] - (x0 + h * ix)) / h
-    fy = (pts[:, 1] - (y0 + h * iy)) / h
-    lower = fy <= fx
-    nodes = (iy * Nx + ix)[:, None] + (_CORNERS @ [1, Nx])[np.where(lower, 0, 1)]
-    basis = np.where(lower[:, None], np.stack([1.0 - fx, fx - fy, fy], axis=1),
-                     np.stack([1.0 - fy, fx, fy - fx], axis=1))
+    # a NaN coordinate takes cell 0; its coordinates fail the containment test below
+    ix = np.clip(np.nan_to_num((pts[:, 0] - x0) / h), 0, mesh.nx - 1).astype(np.int64)
+    iy = np.clip(np.nan_to_num((pts[:, 1] - y0) / h), 0, mesh.ny - 1).astype(np.int64)
+    p00 = iy * Nx + ix
+    x, y = pts[:, 0] - mesh.node_x[p00], pts[:, 1] - mesh.node_y[p00]
+    # the lower triangle [p00, p10, p11] lies right of the diagonal p00 -> p11, or on it
+    dx, dy = (c[p00 + Nx + 1] - c[p00] for c in (mesh.node_x, mesh.node_y))
+    nodes = p00[:, None] + (_CORNERS @ [1, Nx])[(dx * y > dy * x).astype(np.int64)]
+    grads = _geometry(mesh, nodes)[1]
+    basis = grads[:, :, 0] * x[:, None] + grads[:, :, 1] * y[:, None]
+    basis[:, 0] += 1.0
+    outside = ~(np.min(basis, axis=1) >= -1e-12)
+    if np.any(outside):
+        px, py = pts[np.argmax(outside)]
+        raise GeometryError(f"point ({px}, {py}) lies outside its triangle of the mesh with h={h}")
     return nodes, basis
 
 
@@ -475,6 +493,10 @@ def line_quadrature(box, h: float, k: int, seg):
 def _delta_term(mesh: Mesh, net: Network, strengths):
     """(triangles, element matrices, dtype) of `assemble_delta_term`, one
     triangle per quadrature point, in the order of the points."""
+    n = len(net.segments)
+    for k, a_k in strengths.items():
+        if a_k is not None and k not in range(n):
+            raise ValueError(f"strength for segment {k!r} of a {n}-segment network")
     elems, nodes = [np.zeros((0, 3, 3))], [np.zeros((0, 3), np.int64)]
     for k, seg in enumerate(net.segments):
         a_k = strengths.get(k)
@@ -485,7 +507,10 @@ def _delta_term(mesh: Mesh, net: Network, strengths):
             aq = np.asarray(a_k(sq))
         else:
             aq = np.full(sq.shape, a_k, dtype=np.result_type(a_k, float))
-        tri, basis = _p1_basis_at_points(mesh, pts)
+        try:
+            tri, basis = _p1_basis_at_points(mesh, pts)
+        except GeometryError as err:
+            raise GeometryError(f"segment {k}: {err}") from None
         elems.append((aq * wq)[:, None, None] * basis[:, :, None] * basis[:, None, :])
         nodes.append(tri)
     elems = np.concatenate(elems)
@@ -497,9 +522,11 @@ def assemble_delta_term(mesh: Mesh, net: Network, strengths):
 
     `strengths` maps segment index to its strength (scalar, callable of arc
     length, or StrengthFunction) and is read by `get`, so a list raises;
-    segments without an entry, or with None, are skipped.  Each point of the
+    segments without an entry, or with None, are skipped, and an entry for a
+    segment that `net` lacks raises ValueError.  Each point of the
     quadrature, `line_quadrature`'s, adds the element matrix of its triangle,
-    in the order of the points.
+    in the order of the points (`_p1_basis_at_points`: a point outside its
+    triangle raises GeometryError naming the segment).
     """
     return _full_node(mesh, *_delta_term(mesh, net, strengths))
 
@@ -507,7 +534,8 @@ def assemble_delta_term(mesh: Mesh, net: Network, strengths):
 def interpolate(mesh: Mesh, u, points):
     """Values at `points` (n, 2) of the P1 function of `mesh` with the values
     `u` at the interior nodes, in the order of `mesh.interior`, and 0 on the
-    boundary."""
+    boundary (`_p1_basis_at_points`: a point outside its triangle raises
+    GeometryError)."""
     values = np.zeros(mesh.n_nodes, dtype=np.result_type(u, float))
     values[mesh.interior] = u
     nodes, basis = _p1_basis_at_points(mesh, np.asarray(points, dtype=float))
@@ -578,13 +606,16 @@ class AssembledForm:
 class BaseForm:
     """The interior-node pair S = K_A + Q, M = mass of one (mesh, A, Q),
     shared by every form on them; A is matched by identity.  S and M share
-    `pattern`, the `_Pattern` of the unknowns, explicit zeros included."""
+    `pattern`, the `_Pattern` of the unknowns, explicit zeros included.
+    q_min is the least of 0 and Q's values at the edge midpoints, where its
+    matrix takes them: that matrix is at least q_min M."""
 
     mesh: Mesh
     A: object
     Q: object
     S: sp.csr_matrix
     M: sp.csr_matrix
+    q_min: float
     pattern: _Pattern = field(repr=False, compare=False)
 
     def matches(self, mesh: Mesh, A=None, Q=None) -> bool:
@@ -596,11 +627,13 @@ def assemble_base(mesh: Mesh, A=None, Q=None) -> BaseForm:
     None for none) and the mass matrix of `mesh` into the pattern of its
     unknowns (`_sum`), K_A and Q each on its own, then added."""
     pattern = _pattern(mesh, mesh.interior)
-    S = _sum(pattern, *_stiffness(mesh, A))[0]
+    S, q_min = _sum(pattern, *_stiffness(mesh, A))[0], 0.0
     if Q is not None:
-        S = S + _sum(pattern, *_volume_potential(mesh, Q))[0]
+        term, values = _volume_potential(mesh, Q)
+        S = S + _sum(pattern, *term)[0]
+        q_min = float(np.min(np.real(values), initial=0.0))
     M = _sum(pattern, *_mass(mesh))[0]
-    return BaseForm(mesh, A, Q, _csr(pattern, S), _csr(pattern, M), pattern)
+    return BaseForm(mesh, A, Q, _csr(pattern, S), _csr(pattern, M), q_min, pattern)
 
 
 def build_form(mesh: Mesh, *, A=None, Q=None, net: Network = None, strengths=None,
@@ -626,7 +659,7 @@ def build_form(mesh: Mesh, *, A=None, Q=None, net: Network = None, strengths=Non
         base = assemble_base(mesh, A, Q)
     elif not base.matches(mesh, A, Q):
         raise ValueError("base form of another mesh, vector potential or background")
-    terms = [] if potential is None else [_volume_potential(mesh, potential)]
+    terms = [] if potential is None else [_volume_potential(mesh, potential)[0]]
     if strengths is not None:
         terms.append(_delta_term(mesh, net, strengths))
     data, tube = base.S.data, np.zeros(base.S.shape[0], dtype=bool)

@@ -464,7 +464,7 @@ class Operator:
         the floor, or for the delta form -1, lowered the same way."""
         shift = bound = v0 = None
         if eps is not None:
-            shift = squeezed_shift_floor(self.net, self.profiles, eps, self.base.Q or 0.0)
+            shift = squeezed_shift_floor(self.net, self.profiles, eps, self.base.q_min)
         dtype = np.result_type(form.S.dtype, float)
         if k == 1 and near is not None:
             v0 = np.asarray(near, dtype=dtype)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -263,12 +264,17 @@ MOVED_CHECKS = {
 }
 
 
+def sheared_mesh():
+    """The mesh of [-1, 1]^2 at h = 1/8 moved by (x, y) -> (1.25 x + 0.3 y,
+    0.75 y), a parallelogram of area 3.75: triangles, numbering and pattern stay."""
+    m = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 8.0)
+    return dataclasses.replace(m, node_x=1.25 * m.node_x + 0.3 * m.node_y,
+                               node_y=0.75 * m.node_y)
+
+
 @pytest.mark.parametrize("check", MOVED_CHECKS)
 def test_element_matrices_follow_the_node_coordinates(check):
-    # the uniform mesh of [-1, 1]^2 moved by (x, y) -> (1.25 x + 0.3 y, 0.75 y),
-    # a parallelogram of area 3.75: triangles, numbering and pattern stay
-    m = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 8.0)
-    m = dataclasses.replace(m, node_x=1.25 * m.node_x + 0.3 * m.node_y, node_y=0.75 * m.node_y)
+    m = sheared_mesh()
     value, exact, tol = MOVED_CHECKS[check](m, MOVED_GRAD[0] * m.node_x + MOVED_GRAD[1] * m.node_y)
     assert abs(value - exact) <= tol
 
@@ -353,6 +359,19 @@ def test_delta_term_refuses_a_list_of_strengths():
     # build_form reads a list as entry k for segment k
     assert_same_csr(build_form(m, net=net, strengths=[-3.0]).S,
                     build_form(m, net=net, strengths={0: -3.0}).S)
+
+
+def test_delta_term_refuses_a_strength_for_a_segment_the_network_lacks():
+    # such a strength used to be dropped without a word
+    net = Network([LineSegment((-1.0, 0.0), (1.0, 0.0))], beta_cap=0.5)
+    m = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 0.25)
+    with pytest.raises(ValueError, match="segment 3 of a 1-segment network"):
+        assemble_delta_term(m, net, {0: -1.0, 3: -2.0})
+    with pytest.raises(ValueError, match="segment 1 of a 1-segment network"):
+        build_form(m, net=net, strengths=[-1.0, -2.0, -3.0])
+    # an entry set to None is no term
+    assert_same_csr(assemble_delta_term(m, net, {0: -1.0, 3: None}),
+                    assemble_delta_term(m, net, {0: -1.0}))
 
 
 def test_delta_term_is_the_plain_point_order_sum():
@@ -522,6 +541,63 @@ def test_interpolate_keeps_coarse_nodes_and_averages_edge_midpoints():
     boundary[fine.interior] = False
     assert not np.any(got[boundary])
     assert interpolate(mesh, u.real, np.stack([fine.node_x, fine.node_y], axis=1)).dtype == float
+
+
+def moved_mesh(dx, dy, seed=5):
+    """The mesh of [-1, 1]^2 at h = 1/8 with its interior nodes moved by
+    uniform random steps of at most dx * h and dy * h."""
+    m = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 8.0)
+    rng = np.random.default_rng(seed)
+    step = np.zeros((2, m.n_nodes))
+    step[:, m.interior] = rng.uniform(-1.0, 1.0, (2, m.n_interior)) * [[dx * m.h], [dy * m.h]]
+    return dataclasses.replace(m, node_x=m.node_x + step[0], node_y=m.node_y + step[1])
+
+
+@pytest.mark.parametrize("sheared, point", [
+    (True, (0.3, 0.2)), (False, (1.5, 0.2)), (False, (-3.0, 0.0)), (False, (np.nan, 0.0))],
+    ids=["sheared", "right_of_the_box", "left_of_the_box", "nan"])
+def test_interpolate_refuses_a_point_outside_its_triangle(sheared, point):
+    # uniform-grid basis tables gave 0.435 for x at (0.3, 0.2) on the sheared
+    # mesh of test_element_matrices_follow_the_node_coordinates, and
+    # extrapolated -3.5 and 14.0 outside the box
+    m = sheared_mesh() if sheared else build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 8.0)
+    with pytest.raises(GeometryError, match=re.escape(f"point ({point[0]}, {point[1]})")) as err:
+        interpolate(m, m.node_x[m.interior], [point])
+    assert "h=0.125" in str(err.value)
+
+
+def test_interpolate_is_exact_for_linear_functions_on_a_moved_mesh():
+    # the P1 interpolant of a linear function is that function on every
+    # triangle whose corners are all interior nodes (0 on the boundary)
+    m = moved_mesh(0.1, 0.1)
+    inner = np.zeros(m.n_nodes, dtype=bool)
+    inner[m.interior] = True
+    tri = m.triangles[np.all(inner[m.triangles], axis=1)]
+    centroids = np.stack([m.node_x[tri].mean(axis=1), m.node_y[tri].mean(axis=1)], axis=1)
+
+    def f(x, y):
+        return 0.7 * x - 1.3 * y + 0.2
+
+    got = interpolate(m, f(m.node_x, m.node_y)[m.interior], centroids)
+    assert np.max(np.abs(got - f(*centroids.T))) <= 1e-14
+
+
+def test_delta_term_is_exact_for_linear_traces_on_a_moved_mesh():
+    # nodes moved in y by at most h/10 keep the horizontal line at mid-row in
+    # its row of cells; there the traces of linear u and v are exact, and
+    # 4-point Gauss integrates their product exactly
+    alpha, y, (a, b) = -2.5, 1.0 / 16.0, (-0.8, 0.7)
+    m = moved_mesh(0.0, 0.1)
+    net = Network([LineSegment((a, y), (b, y))], beta_cap=0.3)
+    B = assemble_delta_term(m, net, {0: alpha})
+    u, v = 0.7 * m.node_x - 1.3 * m.node_y + 0.2, (0.4 - 0.3j) * m.node_x + 0.9 * m.node_y
+    x, w = np.polynomial.legendre.leggauss(2)
+    x, w = a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
+    exact = alpha * np.sum(w * (0.7 * x - 1.3 * y + 0.2) * ((0.4 - 0.3j) * x + 0.9 * y))
+    assert abs(np.vdot(u, B @ v) - exact) <= 1e-12 * abs(exact)
+    # on the sheared mesh the line's points leave their grid cells' triangles
+    with pytest.raises(GeometryError, match=r"segment 0: point \(.*h=0.125"):
+        assemble_delta_term(sheared_mesh(), net, {0: alpha})
 
 
 def test_tube_only_potential_equals_the_full_scatter():

@@ -276,8 +276,16 @@ def tube_violations(net, n=1000, seed=11):
     """(round-trip failures, points inside a foreign tube) of n random tube
     points of each segment: each point, mapped from (k, s, t), must project
     back onto segment k at (s, t), and must lie outside the tube of every
-    other segment l unless it is within 2 beta of an endpoint that k and l
-    share."""
+    other segment l unless it is near an endpoint v that k and l share:
+    |p - v| sin(theta) < 2 beta, theta the angle between them at v (90
+    degrees when wider).  Two tubes that meet at v at the angle theta
+    overlap out to beta / sin(theta / 2) <= 2 beta / sin(theta) from v."""
+
+    def leaving(seg, v):  # unit tangent of seg leaving its endpoint v
+        if np.linalg.norm(seg.endpoints[0] - v) < 1e-8:
+            return seg.tangent(0.0)
+        return -seg.tangent(seg.length)
+
     rng = np.random.default_rng(seed)
     failed = foreign = 0
     for k, seg in enumerate(net.segments):
@@ -293,7 +301,9 @@ def tube_violations(net, n=1000, seed=11):
             away = np.ones(n, dtype=bool)
             for a in seg.endpoints:
                 if any(np.linalg.norm(a - b) < 1e-8 for b in other.endpoints):
-                    away &= np.linalg.norm(pts - a, axis=1) > 2.0 * net.beta
+                    cos = float(np.dot(leaving(seg, a), leaving(other, a)))
+                    sin = 1.0 if cos <= 0.0 else np.sqrt(max(0.0, 1.0 - cos * cos))
+                    away &= sin * np.linalg.norm(pts - a, axis=1) >= 2.0 * net.beta
             foreign += int(np.sum(net.project_onto_segment(l, pts[away])[2]))
     return failed, foreign
 
@@ -314,6 +324,14 @@ def test_tube_coordinates_are_injective_and_tubes_disjoint():
     net = Network([LineSegment((0.0, 0.0), (2.0, 0.0)), dip], beta_cap=1.0)
     assert net.beta < 0.0116
     assert tube_violations(net) == (0, 0)
+    # two lines at an acute vertex: their tubes overlap out to beta / sin(theta / 2),
+    # past a fixed 2 beta from the vertex (95 and 4 foreign points at 30 and 51 degrees)
+    for theta in (30.0, 51.0):
+        ray = (np.cos(np.radians(theta)), np.sin(np.radians(theta)))
+        net = Network([LineSegment((0.0, 0.0), (1.0, 0.0)), LineSegment((0.0, 0.0), ray)],
+                      beta_cap=0.1)
+        assert net.beta == 0.1
+        assert tube_violations(net) == (0, 0)
 
 
 @pytest.mark.parametrize("segments, beta, overlap", [

@@ -1211,6 +1211,25 @@ def test_squeezed_spectrum_shift_floor_includes_negative_background(monkeypatch)
     assert report["solver"]["shift"] < report["eigenvalues"][0]
 
 
+def test_a_callable_background_gives_the_squeezed_shift_its_least_midpoint_value():
+    # the floor took the function itself, and min(0.0, Q) raised TypeError
+    net = network_from_spec({"beta_cap": 0.5, "segments": [
+        {"kind": "line", "p0": [-1.0, 0.0], "p1": [1.0, 0.0]}]})
+    mesh = fem.build_mesh(((-1.5, 1.5), (-1.5, 1.5)), 1.0 / 16.0)
+    base = fem.assemble_base(mesh, None, lambda x, y: 0.5 * x ** 2)
+    op = Operator.from_config({"alpha": -4.0}, net, base)
+    form = op.form(0.25)
+    res = op.solve(form, 0.25)
+    lam = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True,
+                   subset_by_index=[0, 0])[0]
+    assert abs(res.eigenvalues[0] - lam) <= 1e-10 * abs(lam)
+    assert res.shift < lam
+    # the floor reads min(0, Q): 0 for this Q, and a scalar's own value
+    assert base.q_min == 0.0
+    assert fem.assemble_base(mesh, None, -20.0).q_min == -20.0
+    assert fem.assemble_base(mesh, None, 0.75).q_min == 0.0
+
+
 def test_the_delta_spectrum_of_a_ring_converges_to_its_exact_ground_state():
     # -Laplace - 5 delta on the unit circle, the first exact 2D check of the
     # delta pencil: lam_1 is 8.6 percent high at h = 1/16 and 4.6 at 1/32

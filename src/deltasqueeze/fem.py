@@ -584,13 +584,17 @@ def hermiticity_residual(S, *, scale=False):
 class AssembledForm:
     """Interior-node matrices of one operator: S (Hermitian for real Q and
     strengths; each factor of S - sigma M checks it), M SPD mass, the
-    separator tree of their numbering (None for none), and the rows where S
-    may differ from its base form's S (None for unknown)."""
+    separator tree of their numbering (None for none), the rows where S
+    may differ from its base form's S (None for unknown), the floor with
+    S >= floor M (None for a form with a line term), and the sum of the
+    entries of its squeezed term (None without one)."""
 
     S: sp.spmatrix
     M: sp.spmatrix
     tree: DissectionTree | None = field(default=None, repr=False, compare=False)
     tube: np.ndarray | None = field(default=None, repr=False, compare=False)
+    floor: float | None = None
+    potential_sum: float | complex | None = None
 
     @property
     def n(self):
@@ -607,15 +611,16 @@ class BaseForm:
     """The interior-node pair S = K_A + Q, M = mass of one (mesh, A, Q),
     shared by every form on them; A is matched by identity.  S and M share
     `pattern`, the `_Pattern` of the unknowns, explicit zeros included.
-    q_min is the least of 0 and Q's values at the edge midpoints, where its
-    matrix takes them: that matrix is at least q_min M."""
+    floor is the least of 0 and Q's values at the edge midpoints, where its
+    matrix takes them: that matrix is at least floor M, and K_A >= 0, so
+    S >= floor M."""
 
     mesh: Mesh
     A: object
     Q: object
     S: sp.csr_matrix
     M: sp.csr_matrix
-    q_min: float
+    floor: float
     pattern: _Pattern = field(repr=False, compare=False)
 
     def matches(self, mesh: Mesh, A=None, Q=None) -> bool:
@@ -627,13 +632,13 @@ def assemble_base(mesh: Mesh, A=None, Q=None) -> BaseForm:
     None for none) and the mass matrix of `mesh` into the pattern of its
     unknowns (`_sum`), K_A and Q each on its own, then added."""
     pattern = _pattern(mesh, mesh.interior)
-    S, q_min = _sum(pattern, *_stiffness(mesh, A))[0], 0.0
+    S, floor = _sum(pattern, *_stiffness(mesh, A))[0], 0.0
     if Q is not None:
         term, values = _volume_potential(mesh, Q)
         S = S + _sum(pattern, *term)[0]
-        q_min = float(np.min(np.real(values), initial=0.0))
+        floor = float(np.min(np.real(values), initial=0.0))
     M = _sum(pattern, *_mass(mesh))[0]
-    return BaseForm(mesh, A, Q, _csr(pattern, S), _csr(pattern, M), q_min, pattern)
+    return BaseForm(mesh, A, Q, _csr(pattern, S), _csr(pattern, M), floor, pattern)
 
 
 def build_form(mesh: Mesh, *, A=None, Q=None, net: Network = None, strengths=None,
@@ -650,6 +655,16 @@ def build_form(mesh: Mesh, *, A=None, Q=None, net: Network = None, strengths=Non
     entries and shares base.M; without a term, S is base.S.  Its `tube`
     marks the interior nodes of the terms' triangles: elsewhere S has
     base.S's nonzero values, bitwise.
+
+    Its `floor` is base.floor plus w, the least of 0 and the real parts of
+    the potential's edge-midpoint values, so S >= floor M exactly: the
+    potential's element matrix less w times the mass one is the sum over
+    the triangle's edges of (area / 12) (w_k - w) [[1, 1], [1, 1]] on the
+    edge's two corners, and a triangle without the potential adds -w times
+    its mass matrix, with w <= 0.  A line term has no such bound, and its
+    form's floor is None.  Its `potential_sum` is the sum of the entries of
+    the summed potential: int W e^2 by the edge-midpoint rule, e the sum of
+    the unknowns' hat functions, 1 off the boundary's cells.
     """
     if strengths is not None and net is None:
         raise ValueError("delta strengths need a network")
@@ -659,13 +674,18 @@ def build_form(mesh: Mesh, *, A=None, Q=None, net: Network = None, strengths=Non
         base = assemble_base(mesh, A, Q)
     elif not base.matches(mesh, A, Q):
         raise ValueError("base form of another mesh, vector potential or background")
-    terms = [] if potential is None else [_volume_potential(mesh, potential)[0]]
+    terms = [] if potential is None else [_volume_potential(mesh, potential)]
     if strengths is not None:
-        terms.append(_delta_term(mesh, net, strengths))
+        terms.append((_delta_term(mesh, net, strengths), None))
     data, tube = base.S.data, np.zeros(base.S.shape[0], dtype=bool)
-    for term in terms:
+    floor, total = base.floor, None
+    for term, values in terms:
         term, reached = _sum(base.pattern, *term)
         data = data + term
         tube |= reached[base.pattern.slots[len(_STENCIL) * mesh.interior + 3]]
+        if values is not None:  # the squeezed potential's
+            total = np.sum(term).item()
+            floor += float(np.min(np.real(values), initial=0.0))
     S = _csr(base.pattern, data, data != 0) if terms else base.S
-    return AssembledForm(S=S, M=base.M, tree=mesh.tree, tube=tube)
+    return AssembledForm(S=S, M=base.M, tree=mesh.tree, tube=tube, potential_sum=total,
+                         floor=None if strengths is not None else floor)

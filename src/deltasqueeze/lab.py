@@ -11,8 +11,9 @@ profiles, once, and checks what needs them or the disk, the squeezing
 width and the output and dump directories, before any mesh is built.  A
 runner builds `Operator` records (base, network, profiles, strengths) with
 `Operator.from_config`, one `fem.BaseForm` of (mesh, A, Q) per distinct box
-and step, shared by the operators on it;
-`Operator.solve` is the one path from form to eigenpairs, and `_dump`
+and step, shared by the operators on it.  `Operator.solve` is the one path
+from form to eigenpairs: it shifts a squeezed form below the floor that the
+form carries (`fem.build_form`), so no profile is sampled here.  `_dump`
 writes each form as soon as it is built.  Every report goes through
 `_envelope`, which adds the config echo, the certified tube half-width and
 its cap, the mesh summary and the flags, and writes report.json and
@@ -23,7 +24,6 @@ gives bit-identical files.  A config's "seed" is ignored (`spectral.START_SEED`)
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import logging
@@ -341,26 +341,6 @@ def _mesh(spec: dict, refine: int = 1) -> fem.Mesh:
     return fem.build_mesh(tuple(map(tuple, spec["box"])), spec["h"] / refine)
 
 
-def squeezed_shift_floor(net, profiles, eps, q_min: float = 0.0):
-    """Shift guaranteed below a squeezed pencil: min of the scaled potential.
-
-    The kinetic part is positive semidefinite and the edge-midpoint rule
-    makes the potential matrix bounded below by min(V_eps) times the mass
-    matrix, so lam_1 >= min(0, min V_eps) + min(0, min Q); the returned
-    shift sits 2 percent plus one unit below that (sampled) bound.
-    """
-    vmin = 0.0
-    ratio = net.beta / eps
-    for p in profiles:
-        seg = net.segments[p.segment]
-        s = np.linspace(0.0, seg.length, 65)
-        t = np.linspace(-net.beta, net.beta, 33) * (1 - 1e-12)
-        vals = np.real(p.fun(s[:, None], t[None, :]))
-        vmin = min(vmin, ratio * float(np.min(vals)))
-    floor = vmin + min(0.0, q_min)
-    return 1.02 * floor - 1.0
-
-
 def trial_upper_bound(op: Operator, form):
     """Variational bound lam_1 <= min R(v) over transverse-decay trial states,
     returned with the minimizing state v: (bound, v), or (None, None) when
@@ -434,10 +414,11 @@ class Operator:
         W = potentials.SqueezedPotential(self.net, self.profiles, eps)
         return fem.build_form(b.mesh, A=b.A, Q=b.Q, potential=W, base=b)
 
-    def solve(self, form, eps=None, *, k: int = 1, values_only: bool = False, near=None):
-        """The k lowest eigenpairs of `form`, the delta form (eps None) or the
-        squeezed form of width eps, factored on the form's dissection tree.  A
-        squeezed pencil is shifted to its potential floor, Q included; the
+    def solve(self, form, *, k: int = 1, values_only: bool = False, near=None):
+        """The k lowest eigenpairs of `form`, factored on its dissection tree:
+        a squeezed form, which has a floor, or the delta form, whose floor is
+        None.  A squeezed pencil is shifted 2 percent plus one unit below the
+        floor that `fem.build_form` proves (S >= floor M), Q included; the
         trial bound seeds the delta shift.  Without a trial bound (all
         strengths zero) `lowest_eigs` certifies the shift by inertia.  With
         k == 1 Lanczos starts from the trial state, which overlaps the
@@ -462,16 +443,15 @@ class Operator:
         shift by its inertia count and lowers it otherwise, so a poor seed
         costs a factor, never the ground state.  When u >= 0 the shift is
         the floor, or for the delta form -1, lowered the same way."""
-        shift = bound = v0 = None
-        if eps is not None:
-            shift = squeezed_shift_floor(self.net, self.profiles, eps, self.base.q_min)
+        bound = v0 = None
+        shift = None if form.floor is None else 1.02 * form.floor - 1.0
         dtype = np.result_type(form.S.dtype, float)
         if k == 1 and near is not None:
             v0 = np.asarray(near, dtype=dtype)
             bound = float(np.real(np.vdot(v0, form.S @ v0)) / np.real(np.vdot(v0, form.M @ v0)))
             if bound < 0.0:
                 shift = bound - 0.5 * max(1.0, abs(bound))
-        elif eps is None or k == 1:
+        elif form.floor is None or k == 1:
             bound, trial = trial_upper_bound(self, form)
             if k == 1 and trial is not None:
                 v0 = np.asarray(trial, dtype=dtype)
@@ -564,7 +544,10 @@ def run_convergence(cfg):
     every norm on the run's mesh does.
     The report uses the eigenvalues only, so every eigensolve is
     `values_only` and stops on the value error estimate, which the report
-    lists under `solver` with the eigensolves' and the norms'.
+    lists under `solver` with the eigensolves' and the norms'.  `solver`
+    also lists each eps's discrete strength error int V_eps / int alpha - 1:
+    int V_eps is its form's `potential_sum`, and int alpha the 16-point
+    Gauss-Legendre integral of the strengths on each segment.
 
     `refine_check` repeats the sweep on the h/2 mesh at the run's shift,
     norms only, with no eigensolve there: its norms start from the P1
@@ -597,8 +580,13 @@ def run_convergence(cfg):
     # below lam_delta; the rerun at the lower shift takes norms only, since
     # the eigenvalues of the first sweep place it below every pencil.
     shift = lam_delta - max(1.0, abs(lam_delta))
-    eps_results = _eps_sweep(op, forms, ground, shift, eps_grid, threads=c["threads"],
-                             dump=functools.partial(_dump, c))
+    sums = {}  # each eps form's potential_sum, int V_eps
+
+    def seen(eps, form):
+        sums[eps] = form.potential_sum
+        _dump(c, f"eps_{eps:g}", form)
+
+    eps_results = _eps_sweep(op, forms, ground, shift, eps_grid, threads=c["threads"], seen=seen)
     lam_eps = [float(r.eigenvalues[0]) for r, _ in eps_results]
     norms = [n for _, n in eps_results]
     if None in norms or min(lam_eps) < lam_delta:
@@ -612,6 +600,7 @@ def run_convergence(cfg):
 
     res_norms = [n.value for n in norms]
     gaps = [abs(le - lam_delta) for le in lam_eps]
+    alpha_integral = sum(a.integral(net.segments[k].length) for k, a in op.strengths.items())
 
     flags = {}
     norm_fit = gap_fit = None
@@ -679,6 +668,7 @@ def run_convergence(cfg):
             "delta_value_error": res_delta.value_error,
             "eps_value_errors": [r.value_error for r, _ in eps_results],
             "norm_value_errors": [n.value_error for n in norms],
+            "strength_errors": [sums[eps] / alpha_integral - 1.0 for eps in eps_grid],
         },
         "self_check": self_check,
         "refine_check": refine_block,
@@ -696,7 +686,7 @@ def run_convergence(cfg):
     return report, status
 
 
-def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, dump=None):
+def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, seen=None):
     """[(eigensolve, norm)] of the squeezed pencils of `op`, one per eps of
     `eps_grid`, each from one factor at `shift`.
 
@@ -715,7 +705,7 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, dump=
 
     Every factor, the delta one included, is certified once, by its inertia
     count (`spectral.count_below`).  A point assembles its form, passes it
-    to `dump(tag, form)` when given, and factors it on the mesh's dissection
+    to `seen(eps, form)` when given, and factors it on the mesh's dissection
     tree.  An uncertified factor is freed and its norm is None; so is every
     norm when the delta factor is uncertified, and then, without `solve`,
     the sweep returns None, with no eps pencil factored.  With `solve`, the
@@ -742,15 +732,15 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, dump=
     def point(eps):
         try:
             form = take(eps)
-            if dump is not None:
-                dump(f"eps_{eps:g}", form)
+            if seen is not None:
+                seen(eps, form)
             factor = spectral.ResolventFactor(form.S, form.M, shift, tree=form.tree,
                                               share=factor_delta)
             if spectral.count_below(factor) != 0:
                 factor = None  # freed before a fresh eigensolve factors the pencil again
             res = None
             if solve:
-                res = (op.solve(form, eps, values_only=True) if factor is None else
+                res = (op.solve(form, values_only=True) if factor is None else
                        spectral.lowest_eigs(form.S, form.M, factor=factor, v0=ground,
                                             values_only=True))
             if factor is None or not delta_certified:
@@ -821,7 +811,7 @@ def run_stargraph(cfg: dict):
             form = op.form(eps)
             if tag in ("sigma_h", "gamma_h"):
                 _dump(c, tag, form)
-            res = op.solve(form, eps)
+            res = op.solve(form)
             values[tag] = {
                 "lam": float(res.eigenvalues[0]),
                 "residual": float(res.residuals[0]),
@@ -926,7 +916,7 @@ def run_cusp(cfg: dict):
         op = Operator.from_config({"alpha": alpha}, net, base)
         form = op.form(eps)
         _dump(c, f"alpha_{alpha:g}", form)
-        res = op.solve(form, eps, near=ground)
+        res = op.solve(form, near=ground)
         ground = res.eigenvectors[:, 0]
         lam = float(res.eigenvalues[0])
         weak = lam > -1e-6
@@ -1019,7 +1009,7 @@ def run_wedge(cfg: dict):
     op = Operator.from_config(c, net, base, profiles)
     form = op.form(eps)
     _dump(c, "wedge", form)
-    res = op.solve(form, eps, k=c["k"])
+    res = op.solve(form, k=c["k"])
     lam1 = float(res.eigenvalues[0])
     flags = {}
     if form.meta["hermiticity_residual"] > 1e-12:
@@ -1049,7 +1039,7 @@ def run_spectrum(cfg: dict):
     op = Operator.from_config(c, net, profiles=profiles)
     form = op.form(eps)
     _dump(c, "spectrum", form)
-    res = op.solve(form, eps, k=c["k"])
+    res = op.solve(form, k=c["k"])
     fields = {
         "eigenvalues": res.eigenvalues.tolist(),
         "solver": {

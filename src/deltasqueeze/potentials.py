@@ -65,6 +65,11 @@ class StrengthFunction:
     def __call__(self, s):
         return self.fun(np.asarray(s, dtype=float))
 
+    def integral(self, length: float):
+        """int_0^length alpha(s) ds by 16-point Gauss-Legendre."""
+        half = 0.5 * length
+        return half * (self(half * (_GQ16 + 1.0)) @ _GW16).item()
+
     @classmethod
     def constant(cls, segment: int, value):
         return cls(segment, lambda s, v=value: np.full_like(s, v, dtype=np.result_type(v, float)))
@@ -90,10 +95,15 @@ def separable_profile(segment: int, g_s, g_t, half_width: float) -> TubeProfile:
 
 
 def tabulated_profile(segment: int, s_grid, t_grid, values, half_width: float) -> TubeProfile:
-    """Bilinear interpolation of a bounded value table on s_grid x t_grid."""
+    """Bilinear interpolation of a bounded value table on s_grid x t_grid,
+    each grid strictly increasing with at least 2 nodes."""
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     values = np.asarray(values)
+    for name, grid in (("s_grid", s_grid), ("t_grid", t_grid)):
+        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+            raise ParameterError(f"{name} must be strictly increasing with at least 2 nodes, "
+                                 f"got {grid.tolist()}")
     if values.shape != (s_grid.size, t_grid.size):
         raise ParameterError("value table must have shape (len(s_grid), len(t_grid))")
     if not np.all(np.isfinite(values)):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from conftest import (
     assert_same_csr,
@@ -32,7 +33,12 @@ from deltasqueeze.fem import (
 )
 from deltasqueeze import fem
 from deltasqueeze.geometry import CircularArc, LineSegment, Network, SplineSegment
-from deltasqueeze.potentials import SqueezedPotential, constant_profile
+from deltasqueeze.potentials import (
+    SqueezedPotential,
+    constant_profile,
+    separable_profile,
+    tabulated_profile,
+)
 
 UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
 
@@ -668,3 +674,52 @@ def test_build_form_refuses_a_base_of_another_mesh_or_field():
         mesh = kwargs.pop("mesh")
         with pytest.raises(ValueError, match="base form"):
             build_form(mesh, base=base, **kwargs)
+
+
+@pytest.mark.parametrize("b", [0.0, 1.5])
+@pytest.mark.parametrize("Q", [-3.0, lambda x, y: 0.5 * x ** 2], ids=["q_constant", "q_quadratic"])
+@pytest.mark.parametrize("kind", ["constant", "separable", "tabulated"])
+def test_a_squeezed_form_is_at_least_its_floor_times_the_mass(kind, Q, b):
+    # K_A >= 0, and a potential's matrix less its least edge-midpoint value
+    # times M is a sum of PSD edge blocks: S - floor M has no negative eigenvalue
+    net = Network([LineSegment((-0.6, 0.05), (0.7, 0.3))], beta_cap=0.3)
+    m = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 16.0)
+    beta, length = net.beta, net.segments[0].length
+    profile = {
+        "constant": lambda: constant_profile(0, -4.0, beta),
+        "separable": lambda: separable_profile(0, lambda s: 1.0 + s,
+                                               lambda t: np.cos(9.0 * t) - 0.8, beta),
+        "tabulated": lambda: tabulated_profile(
+            0, np.linspace(0.0, length, 6), np.linspace(-beta, beta, 5),
+            np.random.default_rng(5).uniform(-6.0, 2.0, (6, 5)), beta),
+    }[kind]()
+    A = homogeneous_gauge(b) if b else None
+    base = assemble_base(m, A, Q)
+    form = build_form(m, A=A, Q=Q, potential=SqueezedPotential(net, [profile], 0.25), base=base)
+    assert base.floor == min(0.0, Q if np.isscalar(Q) else 0.0)
+    assert form.floor < base.floor  # every profile dips below 0
+    # the form, and its squeezed term alone, whose bound is sharp for a
+    # constant profile: the term is floor M on the tube's triangles
+    for matrix, floor in ((form.S, form.floor), (form.S - base.S, form.floor - base.floor)):
+        lowest = sla.eigh((matrix - floor * form.M).toarray(), eigvals_only=True,
+                          subset_by_index=[0, 0])[0]
+        assert lowest >= -1e-10 * abs(form.floor)
+
+
+def test_a_line_term_has_no_floor_and_a_bare_form_has_its_base_floor():
+    net = Network([LineSegment((-0.6, 0.05), (0.7, 0.3))], beta_cap=0.3)
+    m = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 1.0 / 16.0)
+    base = assemble_base(m, None, -3.0)
+    W = SqueezedPotential(net, [constant_profile(0, -4.0, net.beta)], 0.25)
+    assert build_form(m, Q=-3.0, net=net, strengths={0: -4.0}, base=base).floor is None
+    assert build_form(m, Q=-3.0, net=net, strengths={0: -4.0}, potential=W,
+                      base=base).floor is None
+    bare = build_form(m, Q=-3.0, base=base)
+    assert bare.floor == base.floor == -3.0 and bare.potential_sum is None
+    # the squeezed term's floor is its constant value, scaled by beta / eps
+    squeezed = build_form(m, Q=-3.0, potential=W, base=base)
+    assert squeezed.floor == -3.0 + (-4.0 * net.beta / 0.25)
+    # potential_sum is the sum of the term's entries: int V_eps, as the
+    # full-node matrix gives it (the tube keeps off the boundary)
+    full = assemble_volume_potential(m, W)
+    assert squeezed.potential_sum == pytest.approx(full.sum(), rel=1e-12)

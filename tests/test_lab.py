@@ -54,6 +54,16 @@ def config_operator(cfg):
 # ------------------------------------------------------------- convergence
 
 
+def test_convergence_reports_each_eps_strength_error_from_its_form():
+    cfg = small_convergence_cfg()
+    report, _ = run_convergence(cfg)
+    op = config_operator(cfg)
+    # int alpha = -5 * 2 on the line; int V_eps is the sum of the form's term
+    want = [op.form(eps).potential_sum / -10.0 - 1.0 for eps in cfg["eps_grid"]]
+    assert report["solver"]["strength_errors"] == pytest.approx(want, rel=1e-12)
+    assert all(0.0 < abs(e) < 0.1 for e in want)
+
+
 def test_convergence_run_basic():
     report, status = run_convergence(small_convergence_cfg())
     assert report["lam_delta"] < 0.0
@@ -1211,6 +1221,26 @@ def test_squeezed_spectrum_shift_floor_includes_negative_background(monkeypatch)
     assert report["solver"]["shift"] < report["eigenvalues"][0]
 
 
+def test_a_dip_between_profile_samples_gets_a_certified_squeezed_shift(monkeypatch):
+    # -1 but for a dip to -400 at s = 1.015, between two points of a 65-point
+    # sampling of s: a sampled floor gives the shift -3.04, above lam_1, which
+    # is lowered four times; the form's floor, its least edge-midpoint value,
+    # places the shift below lam_1 at once
+    lower, lowered = spectral._lower, []
+    monkeypatch.setattr(spectral, "_lower", lambda shift: lowered.append(shift) or lower(shift))
+    values = [[-1.0, -1.0], [-1.0, -1.0], [-400.0, -400.0], [-1.0, -1.0], [-1.0, -1.0]]
+    report, status = run_spectrum({
+        "network": {"beta_cap": 0.5,
+                    "segments": [{"kind": "line", "p0": [-1.0, 0.0], "p1": [1.0, 0.0]}]},
+        "profile": {"kind": "tabulated", "s_grid": [0.0, 1.005, 1.015, 1.025, 2.0],
+                    "t_grid": [-0.5, 0.5], "values": values},
+        "eps": 0.25, "k": 1, "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 32.0}})
+    assert status == 0 and lowered == []
+    assert report["solver"]["shift"] < -700.0
+    # lam_1 as found from the sampled shift, after its four lowerings
+    assert abs(report["eigenvalues"][0] + 33.18799413757444) <= 1e-10 * 33.19
+
+
 def test_a_callable_background_gives_the_squeezed_shift_its_least_midpoint_value():
     # the floor took the function itself, and min(0.0, Q) raised TypeError
     net = network_from_spec({"beta_cap": 0.5, "segments": [
@@ -1219,15 +1249,15 @@ def test_a_callable_background_gives_the_squeezed_shift_its_least_midpoint_value
     base = fem.assemble_base(mesh, None, lambda x, y: 0.5 * x ** 2)
     op = Operator.from_config({"alpha": -4.0}, net, base)
     form = op.form(0.25)
-    res = op.solve(form, 0.25)
+    res = op.solve(form)
     lam = sla.eigh(form.S.toarray(), form.M.toarray(), eigvals_only=True,
                    subset_by_index=[0, 0])[0]
     assert abs(res.eigenvalues[0] - lam) <= 1e-10 * abs(lam)
     assert res.shift < lam
     # the floor reads min(0, Q): 0 for this Q, and a scalar's own value
-    assert base.q_min == 0.0
-    assert fem.assemble_base(mesh, None, -20.0).q_min == -20.0
-    assert fem.assemble_base(mesh, None, 0.75).q_min == 0.0
+    assert base.floor == 0.0
+    assert fem.assemble_base(mesh, None, -20.0).floor == -20.0
+    assert fem.assemble_base(mesh, None, 0.75).floor == 0.0
 
 
 def test_the_delta_spectrum_of_a_ring_converges_to_its_exact_ground_state():

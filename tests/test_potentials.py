@@ -129,6 +129,19 @@ def test_tabulated_profile_bilinear_and_bounded():
     assert V(0.5, BETA + 0.01) == 0.0
     with pytest.raises(ParameterError):
         tabulated_profile(0, sg, tg, np.full_like(vals, np.inf), BETA)
+    # a grid that is not strictly increasing with 2 nodes is refused, by name:
+    # a decreasing t_grid read 2 at t = 0, one s node read NaN, a repeated one
+    # divided by zero
+    for s_grid, t_grid, table, name in (
+            ([0.0, 1.0], [0.3, -0.3], [[1.0, 2.0], [1.0, 2.0]], "t_grid"),
+            ([0.5], [-0.3, 0.3], [[1.0, 2.0]], "s_grid"),
+            ([0.0, 0.5, 0.5], [-0.3, 0.3], [[1.0, 2.0]] * 3, "s_grid")):
+        with pytest.raises(ParameterError, match=name):
+            tabulated_profile(0, s_grid, t_grid, np.array(table), BETA)
+    # the increasing t_grid of the same table interpolates
+    V = tabulated_profile(0, [0.0, 1.0], [-0.3, 0.3], np.array([[2.0, 1.0]] * 2), BETA)
+    assert V(0.5, 0.0) == pytest.approx(1.5)
+    assert V(0.5, 0.29) == pytest.approx(1.0 + 0.01 / 0.6)
 
 
 # ------------------------------------------------------- potential_from_alpha

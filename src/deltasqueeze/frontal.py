@@ -50,7 +50,11 @@ among its 32,767 fronts, 248 of them of several fronts; these are 2.87 M,
 0.52 M, at most 1.83 M and 0.59 M entries (7.50 M, 0.52 M, 2.46 M and
 0.59 M for one class per front).  The CSR matrix it reads takes 12.9 MB,
 and the Hermiticity check before it a transposed copy of that and one block
-of rows (`fem.hermiticity_residual`).
+of rows (`fem.hermiticity_residual`).  The symbolic phase is bounded too:
+the map of a pattern onto the fronts (`_entries`), made once per plan and
+pattern, is int32 and is made in blocks of rows.  On that tree (585,225
+lower entries) it peaks at 16.3 MiB traced, 8.9 MiB of which are the map
+and the pattern it keeps, where one argsort over every entry took 75.3 MiB.
 
 Each front keeps K = [K1; -F21 F11^-1] with F11^-1 = K1^H D K1: K1 = L11^-1
 for a Cholesky factor F11 = L11 L11^H and D = I; when Cholesky fails on a
@@ -103,7 +107,9 @@ class _Group:
     parent offset, stably, so the fronts with one parent are a run of it,
     and `rank` is every front's place in it (None when that is the front
     itself).  Fronts of one `shape` place their updates at the same slots
-    of their parents."""
+    of their parents.  `pos`, which only a factor reads, is int32; the
+    arrays every solve indexes with, `pivots` and `ring`, stay intp, which
+    numpy would otherwise cast on every gather."""
 
     p: int
     R: int
@@ -112,7 +118,7 @@ class _Group:
     ring: np.ndarray  # (nb, R) the ring of every front, n for a padded slot
     parent: np.ndarray  # (nb,) layout offset of the parent's front in the depth above
     side: np.ndarray  # (nb,) row length of the parent's front
-    pos: np.ndarray  # (nb, R) slot of every ring slot in the parent's front
+    pos: np.ndarray  # (nb, R) int32: slot of every ring slot in the parent's front
     shape: np.ndarray  # (nb,) the class of every front's row of pos
     shared: bool
     order: np.ndarray  # (nb,) the fronts by parent offset, stably
@@ -144,8 +150,8 @@ class _Plan:
     """Symbolic analysis of a tree: its groups by depth, deepest first, the
     tube groups of a depth first, with each depth's layout span (the sum of
     its fronts' squared sides, over which `front` places them and `_entries`
-    orders the pattern), and the map of the last matrix pattern onto the
-    fronts (replaced whole, so threads may share it).
+    orders the pattern), and the int32 map of the last matrix pattern onto
+    the fronts (`_entries`; replaced whole, so threads may share it).
 
     The tube fronts are those that hold an unknown of the tube or lie above
     one that does; every front when there is no tube.  Every other front is
@@ -242,7 +248,7 @@ def _analyse(tree, tube) -> _Plan:
         boundary = (np.flatnonzero((q >= 0) & tube[q]) if is_shared
                     else np.empty(0, np.int64))
         depths[depth[nodes[0]]][1].append(_Group(
-            P, Rg, int(start[nodes[0]]), pivots, ring, start[q], width[q], pos,
+            P, Rg, int(start[nodes[0]]), pivots, ring, start[q], width[q], pos.astype(np.int32),
             _row_classes(pos)[0], is_shared, by_parent, rank, boundary))
     return _Plan(n, depths, (start, width, p), depth, tube)
 
@@ -363,32 +369,67 @@ def _entries(plan: _Plan, tree, A):
     A.data[at[e]], depth by depth and by slot within a depth, and the
     entries of depth d in its tube fronts are edge[2d]:edge[2d + 1], in its
     shared fronts edge[2d + 1]:edge[2d + 2].  Mesh pencils share a pattern,
-    so the map of the last pattern is kept."""
+    so the map of the last pattern is kept.
+
+    A front's rows are its pivots and then its ring, both ascending, so its
+    entries in CSR order are in slot order, and the fronts of a depth lie
+    one after another in its layout.  So the map is a counting sort of the
+    entries by front: one pass over blocks of rows counts the entries of
+    every front, and a second places each block's entries after those of
+    their fronts in earlier blocks.  Besides the int32 map, it holds the
+    temporaries of one block of about _CHUNK entries at a time: the bound
+    that Liu (ACM TOMS 12 (1986) 249-264) sets on the numeric phase's stack,
+    here on the symbolic phase."""
     last = plan.pattern
     if (last is not None and np.array_equal(last[0], A.indptr)
             and np.array_equal(last[1], A.indices)):
         return last
-    n = plan.n
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    at = np.flatnonzero(rows >= A.indices)
-    i, j = rows[at], A.indices[at]
-    s = np.repeat(np.arange(len(tree.parent)), np.diff(tree.starts))[j]  # supernode of j
-    start, side, p = (x[s] for x in plan.front)
-    row = i - tree.starts[s]
-    outside = i >= tree.starts[s + 1]
-    so = s[outside]
-    row[outside] = p[outside] + np.searchsorted(_ring_key(tree), so * n + i[outside]) \
-        - tree.ring_ptr[so]
-    slot = start + row * side + (j - tree.starts[s])
-    # by depth, then slot; a depth's tube fronts lie before its shared ones,
-    # so this is also by depth, then tube
-    depth = plan.depth[s]
-    first = np.concatenate([[0], np.cumsum([size for size, _ in plan.depths])])
-    order = np.argsort(first[depth] + slot)
-    key = 2 * depth + ~plan.tube[s]
-    edge = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=2 * len(plan.depths)))])
-    plan.pattern = (A.indptr.copy(), A.indices.copy(), slot[order].astype(np.int32),
-                    at[order].astype(np.int32), edge.tolist())
+    n, starts, (start, side, p) = plan.n, tree.starts, plan.front
+    # the supernode of every unknown, intp: s * n + i overflows int32 on
+    # converge-line's tree
+    snode = np.repeat(np.arange(len(start)), np.diff(starts))
+    blocks = _chunks(n, -(-len(A.indices) // max(n, 1)))
+
+    def lower(rows):
+        """(at, i, j) of the lower triangle's entries in a block of rows."""
+        ptr = A.indptr[rows.start:rows.stop + 1]
+        i = np.repeat(np.arange(rows.start, rows.start + len(ptr) - 1, dtype=A.indices.dtype),
+                      np.diff(ptr))
+        j = A.indices[ptr[0]:ptr[-1]]
+        at = np.flatnonzero(i >= j)
+        return at + ptr[0], i[at], j[at]
+
+    count = np.zeros(len(start), np.int64)  # the entries of every front
+    for rows in blocks:
+        count += np.bincount(snode[lower(rows)[2]], minlength=len(start))
+    # the fronts by depth, then layout offset; a depth's tube fronts lie
+    # before its shared ones, so this is also by depth, then tube
+    fronts = np.lexsort((start, plan.depth))
+    ends = np.cumsum(count[fronts])
+    key = (2 * plan.depth + ~plan.tube)[fronts]
+    edge = np.concatenate([[0], ends])[np.searchsorted(key, np.arange(2 * len(plan.depths) + 1))]
+    free = np.empty(len(start), np.int64)  # the place of every front's next entry
+    free[fronts] = ends - count[fronts]
+    del count, ends, key, fronts  # freed before the blocks' temporaries
+    ring_key = _ring_key(tree)
+    slot, at = np.empty(edge[-1], np.int32), np.empty(edge[-1], np.int32)
+    for rows in blocks:
+        e, i, j = lower(rows)
+        s = snode[j]
+        o = np.argsort(s, kind="stable")  # by front, in CSR order within one
+        e, i, j, s = e[o], i[o], j[o], s[o]
+        row = i - starts[s]
+        outside = np.flatnonzero(row >= p[s])
+        so = s[outside]
+        row[outside] = p[so] + np.searchsorted(ring_key, so * n + i[outside]) \
+            - tree.ring_ptr[so]
+        head = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))  # each front's first
+        size = np.diff(np.append(head, len(s)))
+        place = free[s] + np.arange(len(s)) - np.repeat(head, size)
+        free[s[head]] += size
+        slot[place] = start[s] + row * side[s] + (j - starts[s])
+        at[place] = e
+    plan.pattern = (A.indptr.copy(), A.indices.copy(), slot, at, edge.tolist())
     return plan.pattern
 
 

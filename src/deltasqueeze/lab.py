@@ -296,30 +296,40 @@ def _profile_from_spec(i: int, spec, net: geometry.Network) -> potentials.TubePr
     if not (isinstance(kind, str) and kind in _PROFILES):
         raise ConfigError(f"unknown profile kind: {kind!r}")
     _unknown(where, spec, ["kind", "segment", *_PROFILES[kind]])
-    if kind == "constant":
-        return potentials.constant_profile(seg, _entry(where, spec, "value"), beta)
-    if kind == "separable":
+    try:  # a profile's own refusal, of a table or a value, names its entry too
+        if kind == "constant":
+            return potentials.constant_profile(seg, _entry(where, spec, "value"), beta)
+        if kind == "separable":
 
-        def poly(key):
-            c = np.asarray(_entry(where, spec, key, _reals), dtype=float)
-            return lambda u: np.polyval(c[::-1], u)
+            def poly(key):
+                c = np.asarray(_entry(where, spec, key, _reals), dtype=float)
+                return lambda u: np.polyval(c[::-1], u)
 
-        return potentials.separable_profile(seg, poly("g_s"), poly("g_t"), beta)
-    s_grid, t_grid, values = (_entry(where, spec, key, _reals) for key in _PROFILES[kind])
-    return potentials.tabulated_profile(seg, s_grid, t_grid, np.asarray(values), beta)
+            return potentials.separable_profile(seg, poly("g_s"), poly("g_t"), beta)
+        s_grid, t_grid, values = (_entry(where, spec, key, _reals) for key in _PROFILES[kind])
+        return potentials.tabulated_profile(seg, s_grid, t_grid, np.asarray(values), beta)
+    except potentials.ParameterError as err:
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def profiles_from_config(cfg: dict, net: geometry.Network):
     """Profiles from cfg["profile"], or from cfg["alpha"] via the inverse
     construction V = alpha / (2 beta) on the tube.  A profile whose segment
-    the network lacks, a profile entry that is not a real number or a list
-    of them, or an alpha list longer than the network, raises ConfigError
-    naming the entry."""
+    the network lacks or that a profile refuses (`potentials.ParameterError`),
+    a profile entry that is not a real number or a list of them, two profile
+    entries on one segment, or an alpha list longer than the network, raises
+    ConfigError naming the entry, or both."""
     n = len(net.segments)
     if cfg.get("profile") is not None:
         specs = cfg["profile"]
         specs = [specs] if isinstance(specs, dict) else specs
-        return [_profile_from_spec(i, s, net) for i, s in enumerate(specs)]
+        profiles = [_profile_from_spec(i, s, net) for i, s in enumerate(specs)]
+        segments = [p.segment for p in profiles]
+        for i, seg in enumerate(segments):
+            if seg in segments[:i]:
+                raise ConfigError(f"profile entries {segments.index(seg)} and {i} are both on "
+                                  f"segment {seg}, which takes one profile")
+        return profiles
     if cfg.get("alpha") is not None:
         alphas = cfg["alpha"]
         if np.isscalar(alphas):

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from deltasqueeze import fem
+from deltasqueeze import fem, frontal
 from deltasqueeze.geometry import LineSegment, Network
 from deltasqueeze.potentials import SqueezedPotential
 
@@ -128,3 +128,28 @@ def assert_same_csr(A, B):
     assert A.shape == B.shape and A.dtype == B.dtype
     for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
         assert np.array_equal(x, y)
+
+
+def reference_entries(plan, tree, A):
+    """`frontal._entries`'s (indptr, indices, slot, at, edge) of the lower
+    triangle of A, made over every entry at once and ordered by one argsort
+    of int64 keys: the reference for its counting sort in blocks of rows."""
+    n = plan.n
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    at = np.flatnonzero(rows >= A.indices)
+    i, j = rows[at], A.indices[at]
+    s = np.repeat(np.arange(len(tree.parent)), np.diff(tree.starts))[j]  # supernode of j
+    start, side, p = (x[s] for x in plan.front)
+    row = i - tree.starts[s]
+    outside = i >= tree.starts[s + 1]
+    so = s[outside]
+    row[outside] = p[outside] + np.searchsorted(frontal._ring_key(tree), so * n + i[outside]) \
+        - tree.ring_ptr[so]
+    slot = start + row * side + (j - tree.starts[s])
+    depth = plan.depth[s]
+    first = np.concatenate([[0], np.cumsum([size for size, _ in plan.depths])])
+    order = np.argsort(first[depth] + slot)
+    key = 2 * depth + ~plan.tube[s]
+    edge = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=2 * len(plan.depths)))])
+    return (A.indptr.copy(), A.indices.copy(), slot[order].astype(np.int32),
+            at[order].astype(np.int32), edge.tolist())

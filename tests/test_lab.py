@@ -1613,6 +1613,31 @@ def test_a_strength_entry_without_a_segment_fails_before_any_mesh(built, entry, 
     assert built == []
 
 
+@pytest.mark.parametrize("eps", [None, 0.25], ids=["delta", "squeezed"])
+def test_two_profiles_on_one_segment_fail_before_any_mesh(built, eps):
+    # the delta run kept the last profile, -6 alone (lam_1 = -7.478474), and
+    # the squeezed run raised ParameterError once its mesh was built
+    profiles = [{"kind": "constant", "value": value} for value in (-2.0, -6.0)]
+    with pytest.raises(ConfigError, match="profile entries 0 and 1 are both on segment 0"):
+        run_spectrum({"network": {"beta_cap": 0.5, "segments": [
+            {"kind": "line", "p0": [-1.0, 0.0], "p1": [1.0, 0.0]}]},
+            "profile": profiles, "eps": eps, "k": 1,
+            "mesh": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 32.0}})
+    assert built == []
+
+
+def test_a_profile_that_refuses_its_table_names_its_entry(built):
+    # the bare ParameterError of tabulated_profile reached the user
+    profiles = [{"segment": 0, "kind": "constant", "value": -5.0},
+                {"segment": 1, "kind": "tabulated", "s_grid": [0.0, 2.0],
+                 "t_grid": [0.3, -0.3], "values": [[1.0, 2.0], [1.0, 2.0]]}]
+    with pytest.raises(ConfigError, match="profile entry 1: t_grid must be strictly "
+                                          "increasing") as raised:
+        run_spectrum({"network": TWO_LINES, "mesh": MESH, "profile": profiles})
+    assert isinstance(raised.value.__cause__, potentials.ParameterError)
+    assert built == []
+
+
 SQUEEZED_TOO_FINE = [
     ("convergence", "eps_grid", run_convergence,
      small_convergence_cfg(eps_grid=[0.5, 0.35, 0.2])),

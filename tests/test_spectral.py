@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import reference_entries
 
 from deltasqueeze import fem, frontal, spectral
 from deltasqueeze.fem import (
@@ -552,6 +553,87 @@ def test_a_pencil_that_differs_outside_the_tube_is_factored_in_full():
         # the norm takes two solves, as with unrelated factors
         assert resolvent_diff_norm(R_delta, R_eps).value == pytest.approx(
             resolvent_diff_norm(R_delta, fresh).value, rel=1e-10)
+
+
+def map_cases():
+    """(tree, tube mask or None, A) of the pattern-map tests: the unit square
+    with the plain plan, the cusp-trend box with the tube of a line, a
+    magnetic pencil, and a hand-built pencil whose pattern is not the mesh
+    stencil (a Laplacian without its zero diagonal-edge entries, and one
+    pair of entries two nodes apart on the root's cut line)."""
+    S, M, square = dirichlet_pencil(1.0 / 16.0)
+    yield "square", square.tree, None, (S + 2.0 * M).tocsr()
+    net = Network([LineSegment((0.0, 0.0), (2.0, 0.0))], beta_cap=0.5)
+    cusp = build_mesh(((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 16.0)
+    profiles = [constant_profile(0, -5.0 / (2.0 * net.beta), net.beta)]
+    delta = build_form(cusp, net=net, strengths={0: -5.0})
+    squeezed = build_form(cusp, potential=SqueezedPotential(net, profiles, 0.25))
+    assert 0 < np.count_nonzero(delta.tube | squeezed.tube) < 0.5 * delta.n
+    yield "cusp-tube", cusp.tree, delta.tube | squeezed.tube, (delta.S + 40.0 * delta.M).tocsr()
+    mesh, _, A = converge_line_pencil(1.0 / 32.0, b=1.5)
+    yield "magnetic", mesh.tree, None, A
+    laplacian = S.tolil()
+    laplacian.setdiag(laplacian.diagonal() + 1.0)
+    i = square.tree.starts[-2]
+    laplacian[i, i + 2] = laplacian[i + 2, i] = -0.25
+    laplacian = laplacian.tocsr()
+    laplacian.eliminate_zeros()
+    assert laplacian.nnz < (S + M).nnz
+    yield "hand-built", square.tree, None, laplacian
+
+
+@pytest.mark.parametrize("case", ["square", "cusp-tube", "magnetic", "hand-built"])
+def test_the_pattern_map_is_bitwise_the_one_sorted_at_once(case):
+    # the counting sort in blocks of rows against one argsort of int64 keys
+    # over every lower entry: the same arrays, dtypes and depth edges
+    [(tree, tube, A)] = [c[1:] for c in map_cases() if c[0] == case]
+    A.sum_duplicates()
+    tree.cache.clear()
+    plan = frontal._plan(tree, tube)
+    made, want = frontal._entries(plan, tree, A), reference_entries(plan, tree, A)
+    for x, y in zip(made[:4], want[:4]):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert made[4] == want[4]
+    assert made[2].dtype == made[3].dtype == np.int32
+    assert all(g.pos.dtype == np.int32 for g in plan.groups)
+    # a factor of the map solves as the matrix does
+    x = np.random.default_rng(8).standard_normal(A.shape[0])
+    want = spla.splu(A.tocsc()).solve(x)
+    solved = frontal.TreeFactor(A, tree).solve(x)
+    assert np.max(np.abs(solved - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_a_second_pencil_with_the_same_pattern_reuses_the_map():
+    # the plan keeps the map of the last pattern; a pencil with other values
+    # takes it as it is, and one with another pattern replaces it
+    mesh, _, A = converge_line_pencil(1.0 / 32.0)
+    mesh.tree.cache.clear()
+    first = frontal.TreeFactor(A, mesh.tree)
+    B = A.copy()
+    B.data *= 2.0
+    second = frontal.TreeFactor(B, mesh.tree)
+    assert second._pattern is first._pattern is first._plan.pattern
+    assert second.negatives == first.negatives == 0
+    C = B.tolil()
+    i = mesh.tree.starts[-2]  # on the root's cut line, two nodes apart: no mesh edge
+    C[i, i + 2] = C[i + 2, i] = 1e-3
+    third = frontal.TreeFactor(C.tocsr(), mesh.tree)
+    assert third._pattern is not first._pattern and third._plan is first._plan
+
+
+def test_the_pattern_map_of_the_converge_line_tree_holds_one_block_at_a_time():
+    # converge-line's h tree: 585,225 lower entries, 32,767 fronts, whose
+    # s * n + i keys overflow int32.  One argsort over every entry peaked
+    # at 75.3 MiB; the map and the CSR pattern it keeps take 8.9 MiB
+    mesh, _, A = converge_line_pencil(1.0 / 64.0)
+    tree = mesh.tree
+    tree.cache.clear()
+    plan = frontal._plan(tree)
+    assert len(tree.parent) * tree.n > np.iinfo(np.int32).max
+    made, peak = traced_peak(lambda: frontal._entries(plan, tree, A))
+    assert peak <= 20 * 2**20
+    want = reference_entries(plan, tree, A)
+    assert all(np.array_equal(x, y) for x, y in zip(made[:4], want[:4])) and made[4] == want[4]
 
 
 def working_set(factor):

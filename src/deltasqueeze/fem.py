@@ -93,7 +93,7 @@ class Mesh:
     ny: int
     node_x: np.ndarray
     node_y: np.ndarray
-    triangles: np.ndarray  # (nt, 3) node indices, corners counter-clockwise
+    triangles: np.ndarray  # (nt, 3) int32 node indices, corners counter-clockwise
     interior: np.ndarray  # interior node indices in nested-dissection order
     tree: DissectionTree = field(repr=False, compare=False)  # separator tree of `interior`
 
@@ -132,7 +132,8 @@ def build_mesh(box, h: float) -> Mesh:
     node_x = np.tile(x0 + h * np.arange(Nx), Ny)
     node_y = np.repeat(y0 + h * np.arange(Ny), Nx)
     p00 = (Nx * np.arange(ny) + np.arange(nx)[:, None]).ravel()  # of cell (i, j), i first
-    triangles = (p00[None, :, None] + (_CORNERS @ [1, Nx])[:, None, :]).reshape(-1, 3)
+    corners = (_CORNERS @ [1, Nx])[:, None, :]  # steps from p00 to the corners
+    triangles = (p00[None, :, None] + corners).reshape(-1, 3).astype(np.int32)
     interior, tree = _nested_dissection(nx, ny)
     return Mesh(box=((float(x0), float(x1)), (float(y0), float(y1))), h=float(h), nx=nx,
                 ny=ny, node_x=node_x, node_y=node_y, triangles=triangles,
@@ -161,7 +162,7 @@ class DissectionTree:
     starts: np.ndarray
     parent: np.ndarray
     ring_ptr: np.ndarray
-    ring: np.ndarray
+    ring: np.ndarray  # int32; `frontal` casts the rings of its fronts to intp once
     cache: dict = field(default_factory=dict, repr=False)  # the factors' analysis of the tree
 
     @property
@@ -255,7 +256,7 @@ def _rings(rects, nx, number):
     count = np.bincount(owner, minlength=len(rects))
     base = np.repeat(np.arange(len(rects)) * len(number), count)
     ring = np.sort(owner * len(number) + nodes[keep]) - base  # by owner, then node
-    return np.concatenate([[0], np.cumsum(count)]), ring
+    return np.concatenate([[0], np.cumsum(count)]), ring.astype(np.int32)
 
 
 _MASS_ELEMENT = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -292,10 +293,11 @@ def _sum(pattern: _Pattern, nodes, elements, dtype):
     and whether one reaches it; np.add.at, unbuffered, sums each slot in triangle order."""
     data = np.zeros(len(pattern.indices) + 1, dtype=dtype)
     reached = np.zeros(len(data), dtype=bool)
+    offsets = pattern.offsets.astype(nodes.dtype)  # no chunk's steps are cast to be searched
     for a in range(0, len(nodes), _CHUNK):
         s, t = slice(a, a + _CHUNK), nodes[a:a + _CHUNK]
-        k = np.searchsorted(pattern.offsets, t[:, None, :] - t[:, :, None])
-        slots = pattern.slots.take(len(_STENCIL) * t[:, :, None] + k).ravel()
+        k = np.searchsorted(offsets, t[:, None, :] - t[:, :, None])
+        slots = pattern.slots.take(len(_STENCIL) * t[:, :, None].astype(np.intp) + k).ravel()
         np.add.at(data, slots, np.broadcast_to(elements(s), (len(t), 3, 3)).ravel())
         reached[slots] = True
     return data[:-1], reached[:-1]
@@ -316,10 +318,17 @@ def _full_node(mesh: Mesh, nodes, elements, dtype):
     return _csr(pattern, *_sum(pattern, nodes, elements, dtype))
 
 
+def _corners(mesh: Mesh, tri):
+    """(x, y), each (t, 3): the corner coordinates of the triangles tri, whose int32
+    node indices are cast to intp once, not on each gather."""
+    tri = tri.astype(np.intp, copy=False)
+    return mesh.node_x[tri], mesh.node_y[tri]
+
+
 def _geometry(mesh: Mesh, tri):
     """(area, grads) of the triangles tri (t, 3) from their corners: areas (t, 1, 1), shaped
     for element matrices, and P1 gradients (t, 3, 2), (y1 - y2, x2 - x1) / det at corner 0."""
-    x, y = mesh.node_x[tri], mesh.node_y[tri]
+    x, y = _corners(mesh, tri)
     det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
            - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))[:, None, None]
     nxt, prv = [1, 2, 0], [2, 0, 1]  # corners i + 1 and i + 2
@@ -349,7 +358,7 @@ def _volume_potential(mesh: Mesh, W):
     if eps is not None and not resolves(mesh.h, eps):
         raise ResolutionError(f"squeezed potential with eps={eps} needs h <= eps/4, "
                               f"got h={mesh.h}")
-    px, py = mesh.node_x[mesh.triangles], mesh.node_y[mesh.triangles]
+    px, py = _corners(mesh, mesh.triangles)
     # midpoint opposite local vertex k lies between the other two vertices
     pairs = ((1, 2), (0, 2), (0, 1))
     tri = np.arange(len(mesh.triangles))
@@ -409,7 +418,7 @@ def _stiffness(mesh: Mesh, A):
     """(triangles, element matrices, dtype) of `assemble_magnetic_stiffness`;
     the element matrices of a block of triangles are made when it is summed."""
     if A is not None:
-        px, py = mesh.node_x[mesh.triangles], mesh.node_y[mesh.triangles]
+        px, py = _corners(mesh, mesh.triangles)
         ax, ay = (np.asarray(a, dtype=float) for a in A(px.mean(axis=1), py.mean(axis=1)))
     magnetic = A is not None and (np.any(ax) or np.any(ay))
 

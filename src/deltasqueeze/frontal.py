@@ -53,8 +53,11 @@ and the Hermiticity check before it a transposed copy of that and one block
 of rows (`fem.hermiticity_residual`).  The symbolic phase is bounded too:
 the map of a pattern onto the fronts (`_entries`), made once per plan and
 pattern, is int32 and is made in blocks of rows.  On that tree (585,225
-lower entries) it peaks at 16.3 MiB traced, 8.9 MiB of which are the map
-and the pattern it keeps, where one argsort over every entry took 75.3 MiB.
+lower entries) it peaks at 13.6 MiB traced and keeps the 4.5 MiB map,
+where one argsort over every entry took 75.3 MiB.  It keeps the pattern it
+maps by reference, not by copy: a shifted mesh pencil has the index arrays
+of its mass matrix, which every form of the mesh shares
+(`spectral.ResolventFactor`), so no copy of a pattern is live.
 
 Each front keeps K = [K1; -F21 F11^-1] with F11^-1 = K1^H D K1: K1 = L11^-1
 for a Cholesky factor F11 = L11 L11^H and D = I; when Cholesky fails on a
@@ -231,8 +234,9 @@ def _analyse(tree, tube) -> _Plan:
         pivots = starts[nodes, None] + np.arange(P)
         slot = np.arange(Rg)
         off = slot >= r[nodes, None]
+        # intp, as every solve indexes with it, from the tree's int32 rings
         ring = np.where(off, n, tree.ring[np.minimum(ring_ptr[nodes, None] + slot,
-                                                     len(tree.ring) - 1)])
+                                                     len(tree.ring) - 1)].astype(np.intp))
         q = parent[nodes]  # -1 at the root, which has no ring
         pos = ring - starts[q, None]  # a pivot of the parent
         outside = ~off & (ring >= starts[q + 1, None])
@@ -369,7 +373,11 @@ def _entries(plan: _Plan, tree, A):
     A.data[at[e]], depth by depth and by slot within a depth, and the
     entries of depth d in its tube fronts are edge[2d]:edge[2d + 1], in its
     shared fronts edge[2d + 1]:edge[2d + 2].  Mesh pencils share a pattern,
-    so the map of the last pattern is kept.
+    so the map of the last pattern is kept, with references to the index
+    arrays it was made from, not copies: a shifted mesh pencil takes those
+    of its mass matrix (`spectral.ResolventFactor`), which every form of a
+    mesh shares and none changes, so the map holds no copy of a pattern.  A
+    matrix is recognised by those arrays themselves, else by their bits.
 
     A front's rows are its pivots and then its ring, both ascending, so its
     entries in CSR order are in slot order, and the fronts of a depth lie
@@ -381,8 +389,8 @@ def _entries(plan: _Plan, tree, A):
     that Liu (ACM TOMS 12 (1986) 249-264) sets on the numeric phase's stack,
     here on the symbolic phase."""
     last = plan.pattern
-    if (last is not None and np.array_equal(last[0], A.indptr)
-            and np.array_equal(last[1], A.indices)):
+    if last is not None and ((last[0] is A.indptr and last[1] is A.indices) or (
+            np.array_equal(last[0], A.indptr) and np.array_equal(last[1], A.indices))):
         return last
     n, starts, (start, side, p) = plan.n, tree.starts, plan.front
     # the supernode of every unknown, intp: s * n + i overflows int32 on
@@ -429,7 +437,7 @@ def _entries(plan: _Plan, tree, A):
         free[s[head]] += size
         slot[place] = start[s] + row * side[s] + (j - starts[s])
         at[place] = e
-    plan.pattern = (A.indptr.copy(), A.indices.copy(), slot, at, edge.tolist())
+    plan.pattern = (A.indptr, A.indices, slot, at, edge.tolist())
     return plan.pattern
 
 
@@ -580,7 +588,10 @@ class TreeFactor:
     factored and stored once (see the module docstring).  A may also be a
     function that returns the matrix: the factor calls it, reads the matrix
     once and drops it before the first front is eliminated, so a matrix
-    made for the factor alone is not alive while the fronts are.
+    made for the factor alone is not alive while the fronts are.  The
+    tree's map of A's pattern onto the fronts keeps A's `indptr` and
+    `indices` by reference (`_entries`), so a mapped matrix's index arrays
+    must not be changed in place; its data may.
 
     `share` is None, a boolean mask of the unknowns of a tube, or a factor
     made with one.  Given a tube, the factor keeps what later factors of

@@ -720,8 +720,10 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, seen=
     norm when the delta factor is uncertified, and then, without `solve`,
     the sweep returns None, with no eps pencil factored.  With `solve`, the
     eigensolve runs on a certified factor from the delta ground state
-    `ground`, else `Operator.solve` makes it.  Norms are against the delta
-    factor at `shift`, from `ground`.
+    `ground`, else `Operator.solve` makes it; its result keeps the
+    eigenvalue, residuals and value error, and no eigenvector, which no
+    caller reads.  Norms are against the delta factor at `shift`, from
+    `ground`.
     """
 
     def take(eps):
@@ -753,6 +755,7 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, seen=
                 res = (op.solve(form, values_only=True) if factor is None else
                        spectral.lowest_eigs(form.S, form.M, factor=factor, v0=ground,
                                             values_only=True))
+                res = replace(res, eigenvectors=None)  # its n-vector is freed here
             if factor is None or not delta_certified:
                 return res, None
             return res, spectral.resolvent_diff_norm(factor_delta, factor, start=ground)

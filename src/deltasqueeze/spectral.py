@@ -453,10 +453,15 @@ class ResolventFactor:
         )
 
     def _shifted(self, S):
-        """S - lam M in canonical CSR form, checked to be Hermitian to round-off."""
+        """S - lam M in canonical CSR form, checked to be Hermitian to round-off;
+        with M's index arrays themselves when it has exactly M's pattern, so
+        the tree's map of that pattern (`frontal.TreeFactor`) holds no copy."""
         A = (S - self.lam * self.M).tocsr()
         _check_hermitian(A, f"S - {self.lam:g} M")
         A.sum_duplicates()
+        M = self.M
+        if np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices):
+            A.indptr, A.indices = M.indptr, M.indices
         return A
 
     def apply(self, x):

@@ -31,7 +31,7 @@ from deltasqueeze.fem import (
     line_quadrature,
     restrict,
 )
-from deltasqueeze import fem
+from deltasqueeze import fem, frontal
 from deltasqueeze.geometry import CircularArc, LineSegment, Network, SplineSegment
 from deltasqueeze.potentials import (
     SqueezedPotential,
@@ -150,6 +150,22 @@ def test_restricted_entries_fall_in_their_fronts(box, h, b):
     assert i.size == (S.nnz + n) // 2
     s = np.searchsorted(starts, j, side="right") - 1
     assert np.all((i < starts[s + 1]) | np.isin(s * n + i, key))
+
+
+def test_mesh_indices_are_int32_and_the_solves_gather_with_intp():
+    # the triangles and the tree's rings are stored int32; the pivots and
+    # rings a solve gathers with stay intp, and int64 triangles give the
+    # same base S and M, bit for bit
+    m = build_mesh(((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 16.0)
+    assert m.triangles.dtype == m.tree.ring.dtype == np.int32
+    m.tree.cache.clear()
+    groups = frontal._plan(m.tree).groups
+    assert all(g.ring.dtype == g.pivots.dtype == np.intp for g in groups)
+    wide = dataclasses.replace(m, triangles=m.triangles.astype(np.int64))
+    for A, Q in ((None, None), (homogeneous_gauge(1.5), lambda x, y: 0.5 * x**2)):
+        narrow, base = assemble_base(m, A, Q), assemble_base(wide, A, Q)
+        assert_same_csr(narrow.S, base.S)
+        assert_same_csr(narrow.M, base.M)
 
 
 def test_restrict_follows_the_interior_numbering():

@@ -64,6 +64,28 @@ def test_convergence_reports_each_eps_strength_error_from_its_form():
     assert all(0.0 < abs(e) < 0.1 for e in want)
 
 
+def test_the_sweep_keeps_no_eps_eigenvector():
+    # each eps point keeps its eigenvalue, residuals and value error, and no
+    # n-vector; the report reads the same numbers from a sweep made alike
+    cfg = small_convergence_cfg()
+    report, _ = run_convergence(cfg)
+    op = config_operator(cfg)
+    res = op.solve(op.form(), values_only=True)
+    lam = float(res.eigenvalues[0])
+    shift = lam - max(1.0, abs(lam))
+    assert report["shift"] == shift
+    swept = _eps_sweep(op, {}, res.eigenvectors[:, 0], shift, cfg["eps_grid"], threads=1)
+    n = op.base.mesh.n_interior
+    for r, _ in swept:
+        assert r.eigenvectors is None
+        assert all(np.size(getattr(r, f.name)) < n for f in dataclasses.fields(r))
+    solver = report["solver"]
+    assert report["lam_eps"] == [float(r.eigenvalues[0]) for r, _ in swept]
+    assert solver["eps_residuals"] == [r.residuals.tolist() for r, _ in swept]
+    assert solver["eps_value_errors"] == [r.value_error for r, _ in swept]
+    assert report["res_norms"] == [norm.value for _, norm in swept]
+
+
 def test_convergence_run_basic():
     report, status = run_convergence(small_convergence_cfg())
     assert report["lam_delta"] < 0.0

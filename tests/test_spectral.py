@@ -555,6 +555,14 @@ def test_a_pencil_that_differs_outside_the_tube_is_factored_in_full():
             resolvent_diff_norm(R_delta, fresh).value, rel=1e-10)
 
 
+def assert_map(pattern, plan, tree, A):
+    """`pattern` is bitwise `reference_entries`' map of A on `plan`."""
+    want = reference_entries(plan, tree, A)
+    for x, y in zip(pattern[:4], want[:4]):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert pattern[4] == want[4]
+
+
 def map_cases():
     """(tree, tube mask or None, A) of the pattern-map tests: the unit square
     with the plain plan, the cusp-trend box with the tube of a line, a
@@ -590,10 +598,8 @@ def test_the_pattern_map_is_bitwise_the_one_sorted_at_once(case):
     A.sum_duplicates()
     tree.cache.clear()
     plan = frontal._plan(tree, tube)
-    made, want = frontal._entries(plan, tree, A), reference_entries(plan, tree, A)
-    for x, y in zip(made[:4], want[:4]):
-        assert x.dtype == y.dtype and np.array_equal(x, y)
-    assert made[4] == want[4]
+    made = frontal._entries(plan, tree, A)
+    assert_map(made, plan, tree, A)
     assert made[2].dtype == made[3].dtype == np.int32
     assert all(g.pos.dtype == np.int32 for g in plan.groups)
     # a factor of the map solves as the matrix does
@@ -621,10 +627,45 @@ def test_a_second_pencil_with_the_same_pattern_reuses_the_map():
     assert third._pattern is not first._pattern and third._plan is first._plan
 
 
+def test_a_mesh_pencil_maps_the_mass_matrix_pattern_by_reference():
+    # S - sigma M of the delta and a squeezed form has exactly M's pattern:
+    # the plan maps M's index arrays themselves, which every form shares,
+    # and keeps no copy of them
+    net = Network([LineSegment((0.0, 0.0), (2.0, 0.0))], beta_cap=0.5)
+    mesh = build_mesh(((-0.75, 3.0), (-1.75, 1.75)), 1.0 / 16.0)
+    base = assemble_base(mesh)
+    profiles = [constant_profile(0, -5.0 / (2.0 * net.beta), net.beta)]
+    delta = build_form(mesh, net=net, strengths={0: -5.0}, base=base)
+    squeezed = build_form(mesh, potential=SqueezedPotential(net, profiles, 0.25), base=base)
+    mesh.tree.cache.clear()
+    R_delta = ResolventFactor(delta.S, delta.M, -40.0, tree=mesh.tree,
+                              share=delta.tube | squeezed.tube)
+    R_eps = ResolventFactor(squeezed.S, squeezed.M, -40.0, tree=mesh.tree, share=R_delta)
+    plan = mesh.tree.cache["frontal"]
+    assert R_eps._lu.shares(R_delta._lu)
+    assert R_eps._lu._pattern is R_delta._lu._pattern is plan.pattern
+    assert plan.pattern[0] is base.M.indptr and plan.pattern[1] is base.M.indices
+    assert_map(plan.pattern, plan, mesh.tree, R_eps._shifted(squeezed.S))
+    # a pencil whose pattern is not M's gets a map of its own, and solves
+    [(tree, _, L)] = [c[1:] for c in map_cases() if c[0] == "hand-built"]
+    S, M, _ = dirichlet_pencil(1.0 / 16.0)
+    tree.cache.clear()
+    ResolventFactor(S, M, -1.0, tree=tree)
+    assert tree.cache["frontal"].pattern[1] is M.indices
+    factor = frontal.TreeFactor(L, tree)
+    plan = tree.cache["frontal"]
+    assert factor._pattern is plan.pattern and plan.pattern[1] is L.indices
+    assert_map(plan.pattern, plan, tree, L)
+    x = np.random.default_rng(8).standard_normal(L.shape[0])
+    want = spla.splu(L.tocsc()).solve(x)
+    assert np.max(np.abs(factor.solve(x) - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_the_pattern_map_of_the_converge_line_tree_holds_one_block_at_a_time():
     # converge-line's h tree: 585,225 lower entries, 32,767 fronts, whose
     # s * n + i keys overflow int32.  One argsort over every entry peaked
-    # at 75.3 MiB; the map and the CSR pattern it keeps take 8.9 MiB
+    # at 75.3 MiB; the map takes 4.5 MiB, and keeps the CSR pattern by
+    # reference
     mesh, _, A = converge_line_pencil(1.0 / 64.0)
     tree = mesh.tree
     tree.cache.clear()

@@ -87,7 +87,7 @@ _RUNNER_FLAGS = ("out", "dump_mm")
 # name: (function of the config dict, config keys it accepts as flags,
 # one-line summary of its report)
 _COMMANDS = {
-    "converge": (lab.run_convergence, _RUNNER_FLAGS + ("threads",), lambda r: (
+    "converge": (lab.run_convergence, _RUNNER_FLAGS, lambda r: (
         f"converge: lam_delta={r['lam_delta']:.6f} norm_slope="
         f"{r['norm_fit']['slope'] if r['norm_fit'] else float('nan'):.3f} {_flags(r)}")),
     "stargraph": (lab.run_stargraph, _RUNNER_FLAGS, lambda r: (
@@ -115,7 +115,6 @@ _COMMANDS = {
 _FLAG_ARGS = {
     "out": dict(default=None, help="output directory"),
     "dump_mm": dict(default=None, help="Matrix Market dump directory"),
-    "threads": dict(type=int, default=None),
 }
 
 

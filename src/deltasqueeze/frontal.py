@@ -154,7 +154,7 @@ class _Plan:
     tube groups of a depth first, with each depth's layout span (the sum of
     its fronts' squared sides, over which `front` places them and `_entries`
     orders the pattern), and the int32 map of the last matrix pattern onto
-    the fronts (`_entries`; replaced whole, so threads may share it).
+    the fronts (`_entries`).
 
     The tube fronts are those that hold an unknown of the tube or lie above
     one that does; every front when there is no tube.  Every other front is

@@ -578,10 +578,10 @@ def compute_beta(segments, beta_cap):
 class Network:
     """Ordered segments with a certified tube half-width beta.
 
-    Immutable after construction, so instances can be shared between
-    threads.  Closest points, distances and tube coordinates come from each
-    segment's exact closest-point routine (`CurveSegment.closest`); the only
-    per-segment cache is the bounding box that prefilters projections.
+    Immutable after construction.  Closest points, distances and tube
+    coordinates come from each segment's exact closest-point routine
+    (`CurveSegment.closest`); the only per-segment cache is the bounding box
+    that prefilters projections.
     """
 
     def __init__(self, segments, beta_cap):

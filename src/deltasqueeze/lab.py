@@ -29,7 +29,6 @@ import json
 import logging
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -210,9 +209,9 @@ def _check_run(scenario, c: dict, key: str, nets, refines=(1,)):
     naming the scenario.  Returns the profiles of c's profile or alpha entry
     on each net (`profiles_from_config`), the run's one reading of them, for
     `Operator.from_config`.  The squeezing width c[key] (a real number, None
-    for none; for "eps_grid" a nonempty list of them) must be resolved by
-    c["mesh"]["h"] (`fem.resolves`) and must not exceed the certified tube
-    half-width of any net.  When the run builds a delta form (always for
+    for none; for "eps_grid" a nonempty list of them) must be positive, be
+    resolved by c["mesh"]["h"] (`fem.resolves`) and not exceed the certified
+    tube half-width of any net.  When the run builds a delta form (always for
     "eps_grid", else without a width), the line-term quadrature points of
     every segment given a strength by those profiles must lie in the open
     box, on the mesh of step h / r for each r of `refines`: the same test,
@@ -221,6 +220,8 @@ def _check_run(scenario, c: dict, key: str, nets, refines=(1,)):
     eps, h = c[key], c["mesh"]["h"]
     if eps is not None:
         lo, hi, beta = float(np.min(eps)), float(np.max(eps)), min(net.beta for net in nets)
+        if lo <= 0.0:
+            raise ConfigError(f"{scenario} config: {key!r} must be positive, got {eps!r}")
         if not fem.resolves(h, lo):
             raise ConfigError(f"{scenario} config: {key!r} needs 'mesh.h' <= "
                               f"{lo}/4 = {lo / 4.0}, got {h}")
@@ -302,7 +303,7 @@ def _profile_from_spec(i: int, spec, net: geometry.Network) -> potentials.TubePr
         if kind == "separable":
 
             def poly(key):
-                c = np.asarray(_entry(where, spec, key, _reals), dtype=float)
+                c = np.asarray(_entry(where, spec, key, _grid), dtype=float)
                 return lambda u: np.polyval(c[::-1], u)
 
             return potentials.separable_profile(seg, poly("g_s"), poly("g_t"), beta)
@@ -569,7 +570,7 @@ def run_convergence(cfg):
     is >= 25 percent or None.  Returns (report, status): status 2 when any
     flag fired, else 0.
     """
-    c = _check("convergence", cfg, blocks={"network": ...}, counts={"threads": 1},
+    c = _check("convergence", cfg, blocks={"network": ...},
                reals={"field_b": 0.0, "q": 0.0}, flags={"refine_check": False},
                grids={"eps_grid": ...}, strengths={"alpha": None}, run=True)
     net = network_from_spec(c["network"])
@@ -596,12 +597,12 @@ def run_convergence(cfg):
         sums[eps] = form.potential_sum
         _dump(c, f"eps_{eps:g}", form)
 
-    eps_results = _eps_sweep(op, forms, ground, shift, eps_grid, threads=c["threads"], seen=seen)
+    eps_results = _eps_sweep(op, forms, ground, shift, eps_grid, seen=seen)
     lam_eps = [float(r.eigenvalues[0]) for r, _ in eps_results]
     norms = [n for _, n in eps_results]
     if None in norms or min(lam_eps) < lam_delta:
         shift = min(lam_delta, min(lam_eps)) - max(1.0, abs(lam_delta))
-        swept = _eps_sweep(op, {}, ground, shift, eps_grid, threads=c["threads"], solve=False)
+        swept = _eps_sweep(op, {}, ground, shift, eps_grid, solve=False)
         norms = [n for _, n in swept or [(None, None)] * len(eps_grid)]
         if None in norms:
             pencil = "delta" if swept is None else f"eps={eps_grid[norms.index(None)]}"
@@ -650,7 +651,7 @@ def run_convergence(cfg):
         # the h delta ground state, interpolated, starts the h/2 norms
         start = fem.interpolate(op.base.mesh, ground, np.stack(
             [mesh2.node_x[mesh2.interior], mesh2.node_y[mesh2.interior]], axis=1))
-        swept = _eps_sweep(op2, {}, start, shift, eps_grid, threads=c["threads"], solve=False)
+        swept = _eps_sweep(op2, {}, start, shift, eps_grid, solve=False)
         fine = [None if n is None else n.value
                 for _, n in swept or [(None, None)] * len(eps_grid)]
         changes = [None if n is None else abs(n - r) / max(r, 1e-300)
@@ -696,7 +697,7 @@ def run_convergence(cfg):
     return report, status
 
 
-def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, seen=None):
+def _eps_sweep(op, forms, ground, shift, eps_grid, *, solve=True, seen=None):
     """[(eigensolve, norm)] of the squeezed pencils of `op`, one per eps of
     `eps_grid`, each from one factor at `shift`.
 
@@ -741,7 +742,7 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, seen=
         del forms[eps_grid[0]]  # the caller keeps no form past the sweep
         return None
 
-    def point(eps):
+    def point(eps):  # its form and factor are freed when it returns, before the next
         try:
             form = take(eps)
             if seen is not None:
@@ -763,14 +764,6 @@ def _eps_sweep(op, forms, ground, shift, eps_grid, *, threads, solve=True, seen=
             err.args = (f"eps={eps}: {err}",)
             raise
 
-    if threads > 1:
-        # Each eps factor is made and freed on one worker, inside `point`.
-        # A tree factor's numpy memory is reused whichever thread frees it:
-        # rounds of three tree factors of a 200^2 Laplacian made on a worker
-        # held RSS at 188 MB over 12 rounds when dropped on the main thread,
-        # and 187 MB when dropped on the worker (131 MB on one thread).
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(point, eps_grid))
     return [point(eps) for eps in eps_grid]
 
 

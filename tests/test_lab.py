@@ -4,8 +4,6 @@ import json
 import logging
 import os
 import re
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -74,7 +72,7 @@ def test_the_sweep_keeps_no_eps_eigenvector():
     lam = float(res.eigenvalues[0])
     shift = lam - max(1.0, abs(lam))
     assert report["shift"] == shift
-    swept = _eps_sweep(op, {}, res.eigenvectors[:, 0], shift, cfg["eps_grid"], threads=1)
+    swept = _eps_sweep(op, {}, res.eigenvectors[:, 0], shift, cfg["eps_grid"])
     n = op.base.mesh.n_interior
     for r, _ in swept:
         assert r.eigenvectors is None
@@ -183,18 +181,8 @@ def test_warm_started_norms_match_random_starts(name):
         assert norm == pytest.approx(cold.value, rel=1e-10)
 
 
-def test_convergence_threads_match_serial(tmp_path):
-    rep1, _ = run_convergence(small_convergence_cfg(out=str(tmp_path / "1")))
-    rep2, _ = run_convergence(small_convergence_cfg(threads=2, out=str(tmp_path / "2")))
-    assert rep1["res_norms"] == rep2["res_norms"]
-    assert rep1["lam_eps"] == rep2["lam_eps"]
-    assert rep1["solver"] == rep2["solver"]  # the value error estimates too
-    assert (tmp_path / "1" / "data.csv").read_bytes() == (tmp_path / "2" / "data.csv").read_bytes()
-
-
-def test_eps_workers_read_the_shared_base_without_changing_it(monkeypatch):
-    # three eps workers on two cores, switching often, all on one base and on
-    # the one delta factor whose fronts outside the tube they share
+def test_the_eps_pencils_read_the_shared_base_without_changing_it(monkeypatch):
+    # the delta and every eps pencil build on one base, and none changes its arrays
     assemble_base, bases = fem.assemble_base, []
 
     def arrays(base):
@@ -205,48 +193,26 @@ def test_eps_workers_read_the_shared_base_without_changing_it(monkeypatch):
         bases.append((base, [a.copy() for a in arrays(base)]))
         return base
 
-    serial, _ = run_convergence(small_convergence_cfg())
     monkeypatch.setattr(fem, "assemble_base", keeping)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded, _ = run_convergence(small_convergence_cfg(threads=3))
-    finally:
-        sys.setswitchinterval(switch)
+    run_convergence(small_convergence_cfg())
     assert len(bases) == 1  # one base for the delta and every eps pencil
     base, before = bases[0]
     assert all(np.array_equal(x, y) for x, y in zip(before, arrays(base)))
-    for key in ("res_norms", "lam_eps", "eig_gaps"):
-        assert threaded[key] == serial[key]
 
 
-def test_threaded_fresh_eigensolves_match_serial(monkeypatch):
-    # every eps count of the first sweep refused: three workers on two cores,
-    # switching often, each make a fresh eigensolve through `Operator.solve`
-    # and so measure the trial distances while the others do
+def test_refused_eps_counts_make_fresh_eigensolves(monkeypatch):
+    # every eps count of the first sweep refused: each eps point makes a fresh
+    # eigensolve through `Operator.solve`, which measures the trial distances
     shift = run_convergence(small_convergence_cfg())[0]["shift"]
-    trial, main, reports = lab.trial_upper_bound, threading.get_ident(), {}
-    for threads in (1, 3):
-        calls = []
-        monkeypatch.setattr(lab, "trial_upper_bound",
-                            lambda *args: calls.append(threading.get_ident()) or trial(*args))
-        # at the first sweep's shift: its delta factor, then its eps factors
-        counted = refusing_counts(monkeypatch, {1: 1, 2: 1, 3: 1}, lam=shift)
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            reports[threads], _ = run_convergence(small_convergence_cfg(threads=threads))
-        finally:
-            sys.setswitchinterval(switch)
-        monkeypatch.undo()
-        # both sweeps at the shift, the rerun's counted as the first's
-        assert len(counted) == 2 * (1 + 3)
-        # the delta eigensolve's, then one per eps, on the workers when threaded
-        assert len(calls) == 4 and calls[0] == main
-        assert all((c != main) == (threads > 1) for c in calls[1:])
-    serial, threaded = ({k: v for k, v in reports[t].items() if k != "config"} for t in (1, 3))
-    assert threaded == serial
-    assert serial["shift"] == shift and serial["shift_verified_below_all_pencils"]
+    trial, calls = lab.trial_upper_bound, []
+    monkeypatch.setattr(lab, "trial_upper_bound", lambda *args: calls.append(1) or trial(*args))
+    # at the first sweep's shift: its delta factor, then its eps factors
+    counted = refusing_counts(monkeypatch, {1: 1, 2: 1, 3: 1}, lam=shift)
+    report, _ = run_convergence(small_convergence_cfg())
+    # both sweeps at the shift, the rerun's counted as the first's
+    assert len(counted) == 2 * (1 + 3)
+    assert len(calls) == 4  # the delta eigensolve's, then one per eps
+    assert report["shift"] == shift and report["shift_verified_below_all_pencils"]
 
 
 REPORTED = ("lam_delta", "lam_eps", "res_norms", "eig_gaps", "shift")
@@ -574,13 +540,12 @@ def test_a_refused_delta_sweep_count_leaves_every_norm_none(monkeypatch):
     monkeypatch.setattr(spectral, "resolvent_diff_norm",
                         lambda *args, **kwargs: norms.append(1) or norm(*args, **kwargs))
     counted = refusing_counts(monkeypatch, {0: 1})
-    swept = _eps_sweep(op, {}, res.eigenvectors[:, 0], shift, cfg["eps_grid"], threads=1)
+    swept = _eps_sweep(op, {}, res.eigenvectors[:, 0], shift, cfg["eps_grid"])
     assert [n for _, n in swept] == [None] * 3 and norms == []
     assert all(r.eigenvalues[0] > shift for r, _ in swept)
     assert [f.lam for f in counted] == [shift] * 4
     counted.clear()
-    swept = _eps_sweep(op, {}, res.eigenvectors[:, 0], shift, cfg["eps_grid"], threads=1,
-                       solve=False)
+    swept = _eps_sweep(op, {}, res.eigenvectors[:, 0], shift, cfg["eps_grid"], solve=False)
     assert swept is None and norms == []
     assert len(counted) == 1
 
@@ -1358,8 +1323,7 @@ def test_cli_converge_roundtrip(tmp_path, capsys):
     eps_grid = [0.5, 0.45, 0.4, 0.35, 0.25]
     cfg_path = write_cfg(tmp_path, "c.json", small_convergence_cfg(eps_grid=eps_grid))
     out, mm = str(tmp_path / "out"), str(tmp_path / "mm")
-    code = cli.main(["converge", "--config", cfg_path, "--out", out, "--dump-mm", mm,
-                     "--threads", "2"])
+    code = cli.main(["converge", "--config", cfg_path, "--out", out, "--dump-mm", mm])
     captured = capsys.readouterr()
     assert "converge:" in captured.out
     assert code in (0, 2)
@@ -1370,8 +1334,7 @@ def test_cli_converge_roundtrip(tmp_path, capsys):
     assert header == "eps,res_norm,eig_gap,converged"
     # every flag is a config setting, echoed in the report
     config = report["config"]
-    assert {key: config[key] for key in ("out", "dump_mm", "threads")} == {
-        "out": out, "dump_mm": mm, "threads": 2}
+    assert {key: config[key] for key in ("out", "dump_mm")} == {"out": out, "dump_mm": mm}
     tags = ["delta"] + [f"eps_{e:g}" for e in eps_grid]  # six pencils
     assert sorted(os.listdir(mm)) == sorted(f"{tag}_{name}.mtx" for tag in tags for name in "SM")
 
@@ -1420,7 +1383,15 @@ def test_cli_oracle_commands(tmp_path, capsys):
 def test_cli_oracle_commands_take_only_config(tmp_path, capsys):
     path = write_cfg(tmp_path, "b.json", {"d": 2.0, "k": 3})
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["cusp-b", "--config", path, "--threads", "2"])
+        cli.main(["cusp-b", "--config", path, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+
+
+def test_cli_converge_has_no_threads_flag(tmp_path, capsys):
+    # the eps points run on one thread; a config's "threads" is an unknown entry
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["converge", "--config", str(tmp_path / "c.json"), "--threads", "2"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
@@ -1507,26 +1478,6 @@ def test_unusable_out_path_fails_before_any_mesh(tmp_path, built, scenario, runn
     out = str(blocker / "sub")
     with pytest.raises(ConfigError, match=f"{scenario} output path not writable: {re.escape(out)}"):
         runner({**cfg, key: out})
-    assert built == []
-
-
-@pytest.mark.parametrize("threads", ["2", 0, -3, 2.5, True])
-@pytest.mark.parametrize("scenario, runner, cfg", OUT_PATH_CASES,
-                         ids=[case[0] for case in OUT_PATH_CASES])
-def test_threads_not_a_positive_integer_fails_before_any_mesh(monkeypatch, caplog, built, scenario,
-                                                              runner, cfg, threads):
-    # convergence is the one runner that reads "threads"; every other runner
-    # logs it as an unknown entry and runs on, up to its first mesh
-    if scenario != "convergence":
-        monkeypatch.setattr(fem, "build_mesh", refuse_mesh)
-        with caplog.at_level(logging.WARNING, logger="deltasqueeze.lab"), \
-                pytest.raises(MeshBuilt):
-            runner({**cfg, "threads": threads})
-        assert caplog.messages == [f"{scenario} config: unknown entry 'threads', ignored"]
-        return
-    with pytest.raises(ConfigError, match=f"{scenario} config: 'threads' must be a positive "
-                                          f"integer, got {re.escape(repr(threads))}"):
-        runner({**cfg, "threads": threads})
     assert built == []
 
 
@@ -1660,6 +1611,20 @@ def test_a_profile_that_refuses_its_table_names_its_entry(built):
     assert built == []
 
 
+@pytest.mark.parametrize("key, value", [
+    ("g_s", [[1.0, 2.0], [3.0, 4.0]]), ("g_s", []), ("g_s", [[]]),
+    ("g_t", [[1.0, 2.0], [3.0, 4.0]]), ("g_t", []), ("g_t", [[]]),
+], ids=["g_s-table", "g_s-empty", "g_s-empty-table", "g_t-table", "g_t-empty", "g_t-empty-table"])
+def test_a_separable_polynomial_not_a_list_of_numbers_fails_before_any_mesh(built, key, value):
+    # a table ran without a word, an empty list as a zero profile, and [[]]
+    # died with a bare numpy ValueError once the profile was evaluated
+    profile = {"kind": "separable", "g_s": [1.0], "g_t": [-2.0], key: value}
+    with pytest.raises(ConfigError, match=f"profile entry 0: '{key}' must be a nonempty list of "
+                                          f"numbers, got {re.escape(repr(value))}"):
+        run_spectrum({"network": LINE_NETWORK, "mesh": MESH, "profile": profile})
+    assert built == []
+
+
 SQUEEZED_TOO_FINE = [
     ("convergence", "eps_grid", run_convergence,
      small_convergence_cfg(eps_grid=[0.5, 0.35, 0.2])),
@@ -1676,6 +1641,19 @@ SQUEEZED_TOO_FINE = [
 def test_squeezed_width_below_4h_fails_before_any_mesh(built, scenario, key, runner, cfg):
     with pytest.raises(ConfigError, match=f"{scenario} config: '{key}' needs 'mesh.h' <= 0.2/4"):
         runner(cfg)
+    assert built == []
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.2])
+@pytest.mark.parametrize("scenario, key, runner, cfg", SQUEEZED_TOO_FINE,
+                         ids=[case[0] for case in SQUEEZED_TOO_FINE])
+def test_squeezed_width_not_positive_fails_before_any_mesh(built, scenario, key, runner, cfg,
+                                                          eps):
+    # it was refused as unresolved, "'eps' needs 'mesh.h' <= -0.05"
+    value = [*cfg[key][:-1], eps] if key == "eps_grid" else eps
+    with pytest.raises(ConfigError, match=f"{scenario} config: '{key}' must be positive, "
+                                          f"got {re.escape(repr(value))}$"):
+        runner({**cfg, key: value})
     assert built == []
 
 
@@ -1892,8 +1870,9 @@ BLOCK_TYPOS = {
 def test_each_unknown_entry_is_logged_once_and_ignored(tmp_path, monkeypatch, caplog, command,
                                                        blocks, logged):
     # a misspelt "feild_b" ran the operator without a field and said nothing;
-    # every runner knows "seed", "out" and "dump_mm", and no oracle command does
-    extra = {"feild_b": 1.5, "seed": 5, "dump_mm": str(tmp_path / "mm")}
+    # every runner knows "seed", "out" and "dump_mm", and no oracle command
+    # does; no command knows "threads", so a config that sets it runs on
+    extra = {"feild_b": 1.5, "threads": 2, "seed": 5, "dump_mm": str(tmp_path / "mm")}
     monkeypatch.setattr(fem, "build_mesh", refuse_mesh)
     with caplog.at_level(logging.WARNING, logger="deltasqueeze.lab"):
         if command in ORACLE_CFGS:
@@ -1903,7 +1882,7 @@ def test_each_unknown_entry_is_logged_once_and_ignored(tmp_path, monkeypatch, ca
             runner, cfg = RUNNER_CFGS[command]
             with pytest.raises(MeshBuilt):
                 runner({**cfg, **blocks, **extra})
-    unknown = list(extra) if command in ORACLE_CFGS else ["feild_b"]
+    unknown = list(extra) if command in ORACLE_CFGS else ["feild_b", "threads"]
     assert sorted(caplog.messages) == sorted(
         [f"{command} config: unknown entry {key!r}, ignored" for key in unknown] + logged)
 
